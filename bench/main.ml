@@ -197,7 +197,9 @@ let run_hostbench () =
 (* Just the seeded trace digest: cheap enough for CI to run twice and
    diff, pinning simulation determinism without a full bench pass. *)
 let run_digest () =
-  Printf.printf "trace digest: %s\n%!" (Harness.Hostbench.trace_digest ~seed:!seed ())
+  Printf.printf "trace digest: %s\n%!" (Harness.Hostbench.trace_digest ~seed:!seed ());
+  Printf.printf "gateway trace digest: %s\n%!"
+    (Harness.Hostbench.gateway_trace_digest ~seed:!seed ())
 
 (* Access-path comparison with a pass/fail gate: the identical point-
    SELECT stream, indexed versus forced scan, must differ by at least 5x

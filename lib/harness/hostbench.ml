@@ -473,6 +473,19 @@ let pipeline_deep ?(seed = 1) ?(duration = 1.5) () =
 let sql_read_mix ?(seed = 1) ?(duration = 1.5) () =
   measure ~name:"sql:read_mix" (Experiments.read_mix_spec ~seed ~duration (default_cfg ()))
 
+let digest_trace tr ~completed =
+  let ctx = Crypto.Sha256.init () in
+  List.iter
+    (fun (e : Simnet.Trace.entry) ->
+      Crypto.Sha256.feed ctx
+        (* %.9f is the digest's pinned preimage format; changing it would
+           change every recorded trace digest. *)
+        (Printf.sprintf "%.9f|%d|%d|%s|%d|%s\n" e.time e.src e.dst e.label e.size e.detail
+         [@detlint.allow float_format]))
+    (Simnet.Trace.entries tr);
+  Crypto.Sha256.feed ctx (Printf.sprintf "completed=%d" completed);
+  Util.Hexdump.of_string (Crypto.Sha256.finalize ctx)
+
 let trace_digest ?(seed = 1) ?(seconds = 0.3) () =
   let dynamic, macs, allbig, batching = default_flags in
   let cfg = Experiments.with_flags ~dynamic ~macs ~allbig ~batching (base_cfg ()) in
@@ -490,18 +503,48 @@ let trace_digest ?(seed = 1) ?(seconds = 0.3) () =
         trace_ref := Some tr)
       spec
   in
-  let tr = Option.get !trace_ref in
-  let ctx = Crypto.Sha256.init () in
-  List.iter
-    (fun (e : Simnet.Trace.entry) ->
-      Crypto.Sha256.feed ctx
-        (* %.9f is the digest's pinned preimage format; changing it would
-           change every recorded trace digest. *)
-        (Printf.sprintf "%.9f|%d|%d|%s|%d|%s\n" e.time e.src e.dst e.label e.size e.detail
-         [@detlint.allow float_format]))
-    (Simnet.Trace.entries tr);
-  Crypto.Sha256.feed ctx (Printf.sprintf "completed=%d" outcome.Scenario.completed);
-  Util.Hexdump.of_string (Crypto.Sha256.finalize ctx)
+  digest_trace (Option.get !trace_ref) ~completed:outcome.Scenario.completed
+
+(* The front door's equivalence proof: a short seeded open-loop run whose
+   bursty arrivals hit both flush triggers, whose queue bound sheds during
+   bursts, whose session LRU churns and whose retransmissions (after the
+   occasional lost reply) exercise the reply cache. Any behavioural change to the door moves this digest. *)
+let gateway_trace_digest ?(seed = 1) ?(seconds = 0.3) () =
+  let base = Openloop.default_spec (Pbft.Config.default ~f:1) in
+  let spec =
+    {
+      base with
+      Openloop.seed;
+      sessions = 300;
+      arrival = Openloop.Bursty { base = 300.0; burst = 18000.0; period = 0.1; duty = 0.3 };
+      profile = { Simnet.Net.lan_profile with Simnet.Net.loss = 0.002 };
+      warmup = 0.05;
+      duration = seconds;
+      op_bytes = 128;
+      gen_conns = 8;
+      retransmit = Some 0.02;
+      gateway =
+        {
+          Webgate.Frontdoor.connections = 2;
+          flush_bytes = 1024;
+          flush_deadline = 0.003;
+          max_queue = 32;
+          max_sessions = 256;
+        };
+    }
+  in
+  let trace_ref = ref None in
+  let outcome, _cluster, door, gen =
+    Openloop.run
+      ~hook:(fun cluster _door ->
+        let tr = Pbft.Cluster.trace cluster in
+        Simnet.Trace.set_enabled tr true;
+        trace_ref := Some tr)
+      spec
+  in
+  Openloop.stop_generator gen;
+  Webgate.Frontdoor.shutdown door;
+  digest_trace (Option.get !trace_ref) ~completed:outcome.Openloop.base.Scenario.completed
 
 let to_json ?(now = "unknown") ms =
   let open Webgate.Json in

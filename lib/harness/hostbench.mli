@@ -148,6 +148,13 @@ val trace_digest : ?seed:int -> ?seconds:float -> unit -> string
     simulation — event ordering, message bytes, timing — changes this
     digest; pure host-time optimizations must not. *)
 
+val gateway_trace_digest : ?seed:int -> ?seconds:float -> unit -> string
+(** The same digest (identical preimage format) over a short seeded
+    {!Openloop} run through the {!Webgate.Frontdoor}: bursty arrivals
+    exercise both flush triggers, a small queue bound sheds, a small
+    session LRU evicts, and retransmissions hit the reply cache. Pins the
+    door's behaviour across refactors. *)
+
 val to_json : ?now:string -> measurement list -> string
 (** Render the BENCH.json document (see README.md for the schema). [now]
     is an ISO-8601 timestamp recorded verbatim; omitted → ["unknown"]. *)

@@ -201,6 +201,17 @@ let test_reply_cache_replays () =
     Alcotest.(check string) "replayed result identical" r1 r2
   | _ -> Alcotest.fail "expected two well-formed Done replies for req 1"
 
+(* --- pinned gateway trace --- *)
+
+(* The door's behaviour is pinned by the digest of a seeded open-loop run
+   that exercises both flush triggers, shedding, session eviction and the
+   reply cache. A refactor of the door must leave it bit-identical. *)
+let pinned_gateway_digest = "718f33677e52c64c80699d7698341e825b5fd56ce83cad796c45c7fe8cdcce8b"
+
+let test_gateway_digest_pinned () =
+  Alcotest.(check string) "gateway trace digest" pinned_gateway_digest
+    (Harness.Hostbench.gateway_trace_digest ())
+
 let () =
   Alcotest.run "openloop"
     [
@@ -217,5 +228,6 @@ let () =
           Alcotest.test_case "shed is distinguishable" `Slow test_shed_is_distinguishable;
           Alcotest.test_case "eviction & readmission" `Slow test_eviction_readmission;
           Alcotest.test_case "reply cache replays" `Quick test_reply_cache_replays;
+          Alcotest.test_case "pinned gateway trace digest" `Slow test_gateway_digest_pinned;
         ] );
     ]

@@ -3,7 +3,7 @@ open Parsetree
 (* ------------------------------------------------------------------ *)
 (* Path classification.                                                 *)
 
-let replay_critical_dirs = [ "pbft"; "simnet"; "simdisk"; "statemgr"; "relsql"; "crypto" ]
+let replay_critical_dirs = [ "pbft"; "simnet"; "simdisk"; "statemgr"; "relsql"; "crypto"; "webgate" ]
 
 let is_replay_critical rel =
   match String.split_on_char '/' rel with

@@ -64,7 +64,6 @@ let wire_codec_files =
     "lib/pbft/replica.ml";
     "lib/pbft/session_state.ml";
     "lib/webgate/frontdoor.ml";
-    "lib/webgate/router.ml";
     "lib/relsql/twopc.ml";
   ]
 

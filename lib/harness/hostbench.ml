@@ -59,48 +59,67 @@ type measurement = {
   max_recovery : float;
 }
 
-let measure ~name spec =
-  (* Host wall-clock on purpose: this measures the benchmark harness
-     itself and never feeds simulation state or the trace digest. *)
+(* The host-cost envelope every workload shares: wall clock, SHA-256
+   bytes, COW bytes copied and heap allocation around one run. Host
+   wall-clock on purpose: this measures the benchmark harness itself and
+   never feeds simulation state or the trace digest. *)
+let enveloped run =
   let[@detlint.allow wall_clock] t0 = Unix.gettimeofday () in
   let h0 = Crypto.Sha256.bytes_hashed () in
   let c0 = Statemgr.Pages.bytes_copied () in
-  let p0 = Relsql.Database.pages_read_total () in
-  let r0 = Relsql.Database.rows_scanned_total () in
   let a0 = Gc.allocated_bytes () in
-  let outcome, cluster = Scenario.run_cluster spec in
+  let result = run () in
   let alloc = Gc.allocated_bytes () -. a0 in
   let[@detlint.allow wall_clock] host_seconds = Unix.gettimeofday () -. t0 in
-  let bytes_hashed = Crypto.Sha256.bytes_hashed () - h0 in
-  let bytes_copied = Statemgr.Pages.bytes_copied () - c0 in
+  let per_sec n = if host_seconds > 0.0 then float_of_int n /. host_seconds else 0.0 in
+  ( result,
+    host_seconds,
+    per_sec,
+    Crypto.Sha256.bytes_hashed () - h0,
+    Statemgr.Pages.bytes_copied () - c0,
+    alloc )
+
+(* Checkpoint and undo-snapshot totals over [reps], COW bytes per
+   snapshot, and the run-average busy fraction of the replicas' virtual
+   cores — the utilization the pipeline's extra cores actually achieve. *)
+let replica_totals reps ~bytes_copied =
+  let sum f = Array.fold_left (fun acc r -> acc + f r) 0 reps in
+  let checkpoints = sum Pbft.Replica.checkpoints_taken in
+  let undos = sum Pbft.Replica.undo_snapshots in
+  let snapshots = checkpoints + undos in
+  let busy =
+    Array.fold_left (fun acc r -> acc +. Simnet.Cpu.utilization (Pbft.Replica.cpu r) ~since:0.0) 0.0
+      reps
+  in
+  ( checkpoints,
+    undos,
+    (if snapshots > 0 then float_of_int bytes_copied /. float_of_int snapshots else 0.0),
+    if Array.length reps = 0 then 0.0 else busy /. float_of_int (Array.length reps) )
+
+let measure ~name spec =
+  let p0 = Relsql.Database.pages_read_total () in
+  let r0 = Relsql.Database.rows_scanned_total () in
+  let (outcome, cluster), host_seconds, per_sec, bytes_hashed, bytes_copied, alloc =
+    enveloped (fun () -> Scenario.run_cluster spec)
+  in
   let pages_read = Relsql.Database.pages_read_total () - p0 in
   let rows_scanned = Relsql.Database.rows_scanned_total () - r0 in
   let events = Simnet.Engine.events (Pbft.Cluster.engine cluster) in
   let reps = Pbft.Cluster.replicas cluster in
-  let sum f = Array.fold_left (fun acc r -> acc + f r) 0 reps in
-  let checkpoint_count = sum Pbft.Replica.checkpoints_taken in
-  let undo_snapshots = sum Pbft.Replica.undo_snapshots in
-  let snapshots = checkpoint_count + undo_snapshots in
+  let checkpoint_count, undo_snapshots, bytes_copied_per_checkpoint, core_utilization =
+    replica_totals reps ~bytes_copied
+  in
   (* What a deep-copy checkpointer would move per snapshot: every
      allocated page of one replica's region (sampled at run end). *)
   let deep_copy_bytes_per_checkpoint =
     let total =
-      sum (fun r ->
+      Array.fold_left
+        (fun acc r ->
           let pages = Pbft.Replica.pages r in
-          Statemgr.Pages.allocated_pages pages * Statemgr.Pages.page_size pages)
+          acc + (Statemgr.Pages.allocated_pages pages * Statemgr.Pages.page_size pages))
+        0 reps
     in
     if Array.length reps > 0 then float_of_int total /. float_of_int (Array.length reps) else 0.0
-  in
-  let per_sec n = if host_seconds > 0.0 then float_of_int n /. host_seconds else 0.0 in
-  (* Run-average busy fraction of the replicas' virtual cores — the
-     utilization the pipeline's extra cores actually achieve. *)
-  let core_utilization =
-    if Array.length reps = 0 then 0.0
-    else
-      Array.fold_left
-        (fun acc r -> acc +. Simnet.Cpu.utilization (Pbft.Replica.cpu r) ~since:0.0)
-        0.0 reps
-      /. float_of_int (Array.length reps)
   in
   {
     name;
@@ -114,8 +133,7 @@ let measure ~name spec =
     checkpoint_count;
     undo_snapshots;
     bytes_copied;
-    bytes_copied_per_checkpoint =
-      (if snapshots > 0 then float_of_int bytes_copied /. float_of_int snapshots else 0.0);
+    bytes_copied_per_checkpoint;
     deep_copy_bytes_per_checkpoint;
     pages_read;
     rows_scanned;
@@ -165,29 +183,14 @@ let measure ~name spec =
    the arrival-process generator through the gateway, so the latency
    distribution and the gateway telemetry are the generator's view. *)
 let measure_openloop ~name spec =
-  let[@detlint.allow wall_clock] t0 = Unix.gettimeofday () in
-  let h0 = Crypto.Sha256.bytes_hashed () in
-  let c0 = Statemgr.Pages.bytes_copied () in
-  let outcome, cluster, _door, _gen = Openloop.run spec in
-  let[@detlint.allow wall_clock] host_seconds = Unix.gettimeofday () -. t0 in
-  let bytes_hashed = Crypto.Sha256.bytes_hashed () - h0 in
-  let bytes_copied = Statemgr.Pages.bytes_copied () - c0 in
-  let events = Simnet.Engine.events (Pbft.Cluster.engine cluster) in
-  let reps = Pbft.Cluster.replicas cluster in
-  let sum f = Array.fold_left (fun acc r -> acc + f r) 0 reps in
-  let checkpoint_count = sum Pbft.Replica.checkpoints_taken in
-  let undo_snapshots = sum Pbft.Replica.undo_snapshots in
-  let snapshots = checkpoint_count + undo_snapshots in
-  let per_sec n = if host_seconds > 0.0 then float_of_int n /. host_seconds else 0.0 in
-  let base = outcome.Openloop.base in
-  let core_utilization =
-    if Array.length reps = 0 then 0.0
-    else
-      Array.fold_left
-        (fun acc r -> acc +. Simnet.Cpu.utilization (Pbft.Replica.cpu r) ~since:0.0)
-        0.0 reps
-      /. float_of_int (Array.length reps)
+  let (outcome, cluster, _door, _gen), host_seconds, per_sec, bytes_hashed, bytes_copied, _alloc =
+    enveloped (fun () -> Openloop.run spec)
   in
+  let events = Simnet.Engine.events (Pbft.Cluster.engine cluster) in
+  let checkpoint_count, undo_snapshots, bytes_copied_per_checkpoint, core_utilization =
+    replica_totals (Pbft.Cluster.replicas cluster) ~bytes_copied
+  in
+  let base = outcome.Openloop.base in
   {
     name;
     host_seconds;
@@ -200,8 +203,7 @@ let measure_openloop ~name spec =
     checkpoint_count;
     undo_snapshots;
     bytes_copied;
-    bytes_copied_per_checkpoint =
-      (if snapshots > 0 then float_of_int bytes_copied /. float_of_int snapshots else 0.0);
+    bytes_copied_per_checkpoint;
     deep_copy_bytes_per_checkpoint = 0.0;
     pages_read = 0;
     rows_scanned = 0;
@@ -245,33 +247,17 @@ let measure_openloop ~name spec =
 (* Sharded deployment (PR 8): the host-cost envelope around a
    Shards.run, with the per-shard telemetry block live. *)
 let measure_shards ~name spec =
-  let[@detlint.allow wall_clock] t0 = Unix.gettimeofday () in
-  let h0 = Crypto.Sha256.bytes_hashed () in
-  let c0 = Statemgr.Pages.bytes_copied () in
-  let a0 = Gc.allocated_bytes () in
-  let outcome, d = Shards.run spec in
-  let alloc = Gc.allocated_bytes () -. a0 in
-  let[@detlint.allow wall_clock] host_seconds = Unix.gettimeofday () -. t0 in
-  let bytes_hashed = Crypto.Sha256.bytes_hashed () - h0 in
-  let bytes_copied = Statemgr.Pages.bytes_copied () - c0 in
+  let (outcome, d), host_seconds, per_sec, bytes_hashed, bytes_copied, alloc =
+    enveloped (fun () -> Shards.run spec)
+  in
   let events = Simnet.Engine.events (Shards.engine d) in
   let all_reps =
-    Array.to_list
-      (Array.init spec.Shards.shards (fun s -> Pbft.Cluster.replicas (Shards.cluster d s)))
-    |> Array.concat
+    Array.concat
+      (List.init spec.Shards.shards (fun s -> Pbft.Cluster.replicas (Shards.cluster d s)))
   in
   let sum f = Array.fold_left (fun acc r -> acc + f r) 0 all_reps in
-  let checkpoint_count = sum Pbft.Replica.checkpoints_taken in
-  let undo_snapshots = sum Pbft.Replica.undo_snapshots in
-  let snapshots = checkpoint_count + undo_snapshots in
-  let per_sec n = if host_seconds > 0.0 then float_of_int n /. host_seconds else 0.0 in
-  let core_utilization =
-    if Array.length all_reps = 0 then 0.0
-    else
-      Array.fold_left
-        (fun acc r -> acc +. Simnet.Cpu.utilization (Pbft.Replica.cpu r) ~since:0.0)
-        0.0 all_reps
-      /. float_of_int (Array.length all_reps)
+  let checkpoint_count, undo_snapshots, bytes_copied_per_checkpoint, core_utilization =
+    replica_totals all_reps ~bytes_copied
   in
   {
     name;
@@ -285,8 +271,7 @@ let measure_shards ~name spec =
     checkpoint_count;
     undo_snapshots;
     bytes_copied;
-    bytes_copied_per_checkpoint =
-      (if snapshots > 0 then float_of_int bytes_copied /. float_of_int snapshots else 0.0);
+    bytes_copied_per_checkpoint;
     deep_copy_bytes_per_checkpoint = 0.0;
     pages_read = 0;
     rows_scanned = 0;
@@ -298,7 +283,7 @@ let measure_shards ~name spec =
     p95_latency = outcome.Shards.so_p95;
     p99_latency = outcome.Shards.so_p99;
     shed = outcome.Shards.so_shed;
-    gw_evictions = Webgate.Router.session_evictions (Shards.router d);
+    gw_evictions = Webgate.Frontdoor.session_evictions (Shards.door d);
     gw_queue_peak = Array.fold_left Int.max 0 outcome.Shards.so_shard_queue_peak;
     replica_queue_peak =
       Array.fold_left
@@ -308,8 +293,8 @@ let measure_shards ~name spec =
     sessions = spec.Shards.sessions;
     arrivals = 0;
     offered_load = 0.0;
-    flushes_size = 0;
-    flushes_deadline = 0;
+    flushes_size = outcome.Shards.so_flushes_size;
+    flushes_deadline = outcome.Shards.so_flushes_deadline;
     reply_cache_hits = outcome.Shards.so_cache_hits;
     events_per_request =
       (if outcome.Shards.so_completed > 0 then
@@ -340,14 +325,9 @@ let measure_shards ~name spec =
    crash/repair plan. Latency and gateway telemetry are not meaningful
    here (closed-loop light load); the transfer and churn blocks are. *)
 let measure_churn ~name spec =
-  let[@detlint.allow wall_clock] t0 = Unix.gettimeofday () in
-  let h0 = Crypto.Sha256.bytes_hashed () in
-  let c0 = Statemgr.Pages.bytes_copied () in
-  let o = Churn.run spec in
-  let[@detlint.allow wall_clock] host_seconds = Unix.gettimeofday () -. t0 in
-  let bytes_hashed = Crypto.Sha256.bytes_hashed () - h0 in
-  let bytes_copied = Statemgr.Pages.bytes_copied () - c0 in
-  let per_sec n = if host_seconds > 0.0 then float_of_int n /. host_seconds else 0.0 in
+  let o, host_seconds, per_sec, bytes_hashed, bytes_copied, _alloc =
+    enveloped (fun () -> Churn.run spec)
+  in
   {
     name;
     host_seconds;
@@ -492,23 +472,20 @@ let trace_digest ?(seed = 1) ?(seconds = 0.3) () =
   let spec =
     { (Scenario.default_spec cfg) with Scenario.seed; warmup = 0.1; duration = seconds }
   in
-  let trace_ref = ref None in
-  let outcome, _cluster =
+  (* run_cluster disables tracing for speed; the digest needs the full
+     message log back on. *)
+  let outcome, cluster =
     Scenario.run_cluster
-      ~hook:(fun cluster ->
-        let tr = Pbft.Cluster.trace cluster in
-        (* run_cluster disables tracing for speed; the digest needs the
-           full message log back on. *)
-        Simnet.Trace.set_enabled tr true;
-        trace_ref := Some tr)
+      ~hook:(fun cluster -> Simnet.Trace.set_enabled (Pbft.Cluster.trace cluster) true)
       spec
   in
-  digest_trace (Option.get !trace_ref) ~completed:outcome.Scenario.completed
+  digest_trace (Pbft.Cluster.trace cluster) ~completed:outcome.Scenario.completed
 
 (* The front door's equivalence proof: a short seeded open-loop run whose
    bursty arrivals hit both flush triggers, whose queue bound sheds during
    bursts, whose session LRU churns and whose retransmissions (after the
-   occasional lost reply) exercise the reply cache. Any behavioural change to the door moves this digest. *)
+   occasional lost reply) exercise the reply cache. Any behavioural
+   change to the door moves this digest. *)
 let gateway_trace_digest ?(seed = 1) ?(seconds = 0.3) () =
   let base = Openloop.default_spec (Pbft.Config.default ~f:1) in
   let spec =
@@ -533,18 +510,12 @@ let gateway_trace_digest ?(seed = 1) ?(seconds = 0.3) () =
         };
     }
   in
-  let trace_ref = ref None in
-  let outcome, _cluster, door, gen =
+  let outcome, cluster, _door, _gen =
     Openloop.run
-      ~hook:(fun cluster _door ->
-        let tr = Pbft.Cluster.trace cluster in
-        Simnet.Trace.set_enabled tr true;
-        trace_ref := Some tr)
+      ~hook:(fun cluster _door -> Simnet.Trace.set_enabled (Pbft.Cluster.trace cluster) true)
       spec
   in
-  Openloop.stop_generator gen;
-  Webgate.Frontdoor.shutdown door;
-  digest_trace (Option.get !trace_ref) ~completed:outcome.Openloop.base.Scenario.completed
+  digest_trace (Pbft.Cluster.trace cluster) ~completed:outcome.Openloop.base.Scenario.completed
 
 let to_json ?(now = "unknown") ms =
   let open Webgate.Json in

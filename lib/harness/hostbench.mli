@@ -85,9 +85,9 @@ val measure_openloop : name:string -> Openloop.spec -> measurement
 
 val measure_shards : name:string -> Shards.spec -> measurement
 (** Like {!measure} for a sharded deployment driven by closed-loop edge
-    sessions through the {!Webgate.Router}: the per-shard telemetry block
-    ([shards], [shard_tps], [shard_queue_peak], cross-shard counters) is
-    live. *)
+    sessions through a sharded {!Webgate.Frontdoor}: the per-shard
+    telemetry block ([shards], [shard_tps], [shard_queue_peak],
+    cross-shard counters) and the door's flush counters are live. *)
 
 val measure_churn : name:string -> Churn.spec -> measurement * Churn.outcome
 (** Like {!measure} for a long-horizon {!Churn} run: the transfer and

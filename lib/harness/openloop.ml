@@ -290,10 +290,4 @@ let run ?hook spec =
   ignore (Simnet.Net.drain_drops net);
   (outcome, cluster, door, g)
 
-let generator_arrivals g = g.n_arrivals
-let generator_completed g = g.n_completed
-let generator_shed g = g.n_shed
-let generator_retransmissions g = g.n_retransmissions
-let generator_outstanding g = Hashtbl.length g.outstanding
-let generator_latency g = g.latency
 let stop_generator g = g.stopped <- true

@@ -53,15 +53,6 @@ val default_spec : Pbft.Config.t -> spec
 type gen
 (** The running generator. *)
 
-val generator_arrivals : gen -> int
-val generator_completed : gen -> int
-val generator_shed : gen -> int
-(** Shed replies the generator observed — matches the gateway's
-    {!Webgate.Frontdoor.shed} count (plus any lost on the wire). *)
-
-val generator_retransmissions : gen -> int
-val generator_outstanding : gen -> int
-val generator_latency : gen -> Util.Stats.t
 val stop_generator : gen -> unit
 
 val create_gen : engine:Simnet.Engine.t -> net:Simnet.Net.t -> spec -> gen

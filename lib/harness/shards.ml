@@ -63,35 +63,30 @@ let init_sql topo ~shard ~rows =
       (fun id -> Int.equal (Relsql.Shard.shard_of_int topo id) shard)
       (List.init rows (fun i -> i + 1))
   in
-  let rec chunks acc = function
-    | [] -> List.rev acc
-    | l ->
-      let rec take n l = if n = 0 then ([], l) else
-        match l with [] -> ([], []) | x :: tl -> let (a, b) = take (n - 1) tl in (x :: a, b)
-      in
-      let batch, rest = take 32 l in
-      chunks (batch :: acc) rest
+  let rec chunks = function
+    | [] -> []
+    | l -> List.filteri (fun i _ -> i < 32) l :: chunks (List.filteri (fun i _ -> i >= 32) l)
   in
   List.map
     (fun batch ->
       "INSERT INTO accounts (id, bal, pad) VALUES "
       ^ String.concat ", "
           (List.map (fun id -> Printf.sprintf "(%d, 100, 'p%d')" id id) batch))
-    (chunks [] owned)
+    (chunks owned)
 
 type deployment = {
   d_spec : spec;
   d_engine : Simnet.Engine.t;
   d_edge : Simnet.Net.t;
   d_clusters : Pbft.Cluster.t array;
-  d_router : Webgate.Router.t;
+  d_door : Webgate.Frontdoor.t;
   d_topology : Relsql.Shard.topology;
   mutable d_rpc_seq : int;
 }
 
 let engine d = d.d_engine
 let edge d = d.d_edge
-let router d = d.d_router
+let door d = d.d_door
 let cluster d s = d.d_clusters.(s)
 let topology d = d.d_topology
 
@@ -141,25 +136,26 @@ let build spec =
           Pbft.Cluster.client c 0 ))
       clusters
   in
-  let rcfg =
+  let cfg =
     {
-      Webgate.Router.topology = topo;
+      Webgate.Frontdoor.connections = spec.pool;
       flush_bytes = spec.flush_bytes;
       flush_deadline = spec.flush_deadline;
       max_queue = spec.max_queue;
       max_sessions = spec.sessions + 64;
-      prepare_timeout = spec.prepare_timeout;
-      tx_ttl = spec.tx_ttl;
     }
   in
-  let classify = (service 0).Pbft.Service.classify_readonly in
-  let router = Webgate.Router.create ~cfg:rcfg ~engine ~net:edge ~classify ~lanes () in
+  let door =
+    Webgate.Frontdoor.create_sharded ~cfg ~topology:topo ~prepare_timeout:spec.prepare_timeout
+      ~tx_ttl:spec.tx_ttl ~classify:(service 0).Pbft.Service.classify_readonly ~engine ~net:edge
+      ~lanes ()
+  in
   {
     d_spec = spec;
     d_engine = engine;
     d_edge = edge;
     d_clusters = clusters;
-    d_router = router;
+    d_door = door;
     d_topology = topo;
     d_rpc_seq = 0;
   }
@@ -178,7 +174,7 @@ let rpc ?(timeout = 30.0) d op =
         (result := Some res)
         [@trustlint.allow
           "harness-side convenience RPC: the result was agreed by the shard's \
-           PBFT quorum (the router's Pbft.Client accepts f+1 MAC-verified \
+           PBFT quorum (the door's Pbft.Client accepts f+1 MAC-verified \
            matching replies) and is only handed back to the test"]
       | Some _ | None -> ());
   let frame = Webgate.Frontdoor.encode_request ~session:rpc_addr ~req_id:rq_id ~op in
@@ -332,6 +328,8 @@ type outcome = {
   so_cross_commits : int;
   so_cross_aborts : int;
   so_cross_timeouts : int;
+  so_flushes_size : int;
+  so_flushes_deadline : int;
   so_p50 : float;
   so_p95 : float;
   so_p99 : float;
@@ -344,39 +342,43 @@ let run spec =
   let d = build spec in
   let sessions, stop = start_sessions d in
   run_for d spec.warmup;
-  let r = d.d_router in
-  let c0 = Webgate.Router.completed r in
-  let sc0 = Webgate.Router.shard_completed r in
-  let xc0 = Webgate.Router.cross_commits r in
-  let xa0 = Webgate.Router.cross_aborts r in
-  let xt0 = Webgate.Router.cross_timeouts r in
-  let shed0 = Webgate.Router.shed r in
-  let hits0 = Webgate.Router.reply_cache_hits r in
+  let r = d.d_door in
+  let c0 = Webgate.Frontdoor.completed r in
+  let sc0 = Webgate.Frontdoor.shard_completed r in
+  let xc0 = Webgate.Frontdoor.cross_commits r in
+  let xa0 = Webgate.Frontdoor.cross_aborts r in
+  let xt0 = Webgate.Frontdoor.cross_timeouts r in
+  let shed0 = Webgate.Frontdoor.shed r in
+  let hits0 = Webgate.Frontdoor.reply_cache_hits r in
+  let fs0 = Webgate.Frontdoor.flushes_size r in
+  let fd0 = Webgate.Frontdoor.flushes_deadline r in
   let err0 = Array.fold_left (fun acc s -> acc + s.sd_errors) 0 sessions in
   let t0 = Simnet.Engine.now d.d_engine in
   run_for d spec.duration;
   let span = Simnet.Engine.now d.d_engine -. t0 in
   stop ();
-  let sc1 = Webgate.Router.shard_completed r in
-  let lat = Webgate.Router.latency_stats r in
+  let sc1 = Webgate.Frontdoor.shard_completed r in
+  let lat = Webgate.Frontdoor.latency_stats r in
   let pct p = if Util.Stats.count lat > 0 then Util.Stats.percentile lat p else 0.0 in
   let outcome =
     {
       so_vtps =
-        (if span > 0.0 then float_of_int (Webgate.Router.completed r - c0) /. span else 0.0);
-      so_completed = Webgate.Router.completed r - c0;
+        (if span > 0.0 then float_of_int (Webgate.Frontdoor.completed r - c0) /. span else 0.0);
+      so_completed = Webgate.Frontdoor.completed r - c0;
       so_shard_tps =
         Array.init spec.shards (fun s ->
             if span > 0.0 then float_of_int (sc1.(s) - sc0.(s)) /. span else 0.0);
-      so_shard_queue_peak = Webgate.Router.queue_peaks r;
-      so_cross_commits = Webgate.Router.cross_commits r - xc0;
-      so_cross_aborts = Webgate.Router.cross_aborts r - xa0;
-      so_cross_timeouts = Webgate.Router.cross_timeouts r - xt0;
+      so_shard_queue_peak = Webgate.Frontdoor.queue_peaks r;
+      so_cross_commits = Webgate.Frontdoor.cross_commits r - xc0;
+      so_cross_aborts = Webgate.Frontdoor.cross_aborts r - xa0;
+      so_cross_timeouts = Webgate.Frontdoor.cross_timeouts r - xt0;
+      so_flushes_size = Webgate.Frontdoor.flushes_size r - fs0;
+      so_flushes_deadline = Webgate.Frontdoor.flushes_deadline r - fd0;
       so_p50 = pct 50.0;
       so_p95 = pct 95.0;
       so_p99 = pct 99.0;
-      so_shed = Webgate.Router.shed r - shed0;
-      so_cache_hits = Webgate.Router.reply_cache_hits r - hits0;
+      so_shed = Webgate.Frontdoor.shed r - shed0;
+      so_cache_hits = Webgate.Frontdoor.reply_cache_hits r - hits0;
       so_errors = Array.fold_left (fun acc s -> acc + s.sd_errors) 0 sessions - err0;
     }
   in
@@ -455,10 +457,10 @@ let byzantine_coordinator ?spec () =
     (has_prefix ~prefix:"s0=" healthy)
     (Printf.sprintf "healthy cross-shard transfer failed: %s" healthy);
   let b0 = rpc d (balance_sql k0) and b1 = rpc d (balance_sql k1) in
-  let r = d.d_router in
-  let commits0 = Webgate.Router.cross_commits r in
-  let aborts0 = Webgate.Router.cross_aborts r in
-  let timeouts0 = Webgate.Router.cross_timeouts r in
+  let r = d.d_door in
+  let commits0 = Webgate.Frontdoor.cross_commits r in
+  let aborts0 = Webgate.Frontdoor.cross_aborts r in
+  let timeouts0 = Webgate.Frontdoor.cross_timeouts r in
   let undo0 = Relsql.Twopc.aborts () in
   let group1 = d.d_clusters.(1) in
   let vc0 =
@@ -477,13 +479,13 @@ let byzantine_coordinator ?spec () =
     (has_prefix ~prefix:"error:2pc-aborted" abort_reply)
     (Printf.sprintf "doomed transfer did not abort: %s" abort_reply);
   (* Let shard 1's group view-change past the mute primary; the late
-     prepare then completes and the router's deferred abort lands. *)
+     prepare then completes and the door's deferred abort lands. *)
   run_for d 6.0;
   Pbft.Adversary.uninstall adv;
   run_for d 1.0;
-  let commits_fault = Webgate.Router.cross_commits r - commits0 in
-  let aborts_fault = Webgate.Router.cross_aborts r - aborts0 in
-  let timeouts_fault = Webgate.Router.cross_timeouts r - timeouts0 in
+  let commits_fault = Webgate.Frontdoor.cross_commits r - commits0 in
+  let aborts_fault = Webgate.Frontdoor.cross_aborts r - aborts0 in
+  let timeouts_fault = Webgate.Frontdoor.cross_timeouts r - timeouts0 in
   let undo_fault = Relsql.Twopc.aborts () - undo0 in
   let vc_fault =
     Array.fold_left (fun acc rp -> acc + Pbft.Replica.view_changes rp) 0

@@ -1,6 +1,7 @@
 (** Sharded deployments: N independent PBFT replica groups on one
     engine, each owning a hash partition of the `accounts` table, fronted
-    by the {!Webgate.Router} and driven by closed-loop edge sessions.
+    by a sharded {!Webgate.Frontdoor} and driven by closed-loop edge
+    sessions.
 
     This is the ROADMAP's horizontal-scaling experiment: the per-group
     protocol work that caps a single group's vTPS is divided across
@@ -39,12 +40,12 @@ val default_spec : ?shards:int -> unit -> spec
 type deployment
 
 val build : spec -> deployment
-(** Construct engine, per-group nets and clusters, router and topology —
+(** Construct engine, per-group nets and clusters, door and topology —
     without starting any workload (scenarios drive it by hand). *)
 
 val engine : deployment -> Simnet.Engine.t
 val edge : deployment -> Simnet.Net.t
-val router : deployment -> Webgate.Router.t
+val door : deployment -> Webgate.Frontdoor.t
 val cluster : deployment -> int -> Pbft.Cluster.t
 val topology : deployment -> Relsql.Shard.topology
 
@@ -65,7 +66,7 @@ val key_on_shard : deployment -> int -> int
 (** Smallest pre-populated account id owned by the given shard. *)
 
 val rpc : ?timeout:float -> deployment -> string -> string
-(** One-shot edge session: send the SQL through the router, drive the
+(** One-shot edge session: send the SQL through the door, drive the
     engine until the reply lands (or [timeout] virtual seconds pass —
     then ["error:rpc-timeout"]). *)
 
@@ -83,13 +84,15 @@ val pages_region_root : Statemgr.Pages.t -> string
     executions. *)
 
 type outcome = {
-  so_vtps : float;  (** router-completed operations per virtual second *)
+  so_vtps : float;  (** door-completed operations per virtual second *)
   so_completed : int;
   so_shard_tps : float array;
   so_shard_queue_peak : int array;
   so_cross_commits : int;
   so_cross_aborts : int;
   so_cross_timeouts : int;
+  so_flushes_size : int;
+  so_flushes_deadline : int;
   so_p50 : float;
   so_p95 : float;
   so_p99 : float;
@@ -112,7 +115,7 @@ val run : spec -> outcome * deployment
 
 type byz_report = {
   bz_abort_reply : string;  (** session-visible reply of the doomed transfer *)
-  bz_cross_commits : int;  (** router commits during the fault window (want 0) *)
+  bz_cross_commits : int;  (** door commits during the fault window (want 0) *)
   bz_cross_aborts : int;
   bz_cross_timeouts : int;
   bz_undo_restores : int;  (** {!Relsql.Twopc.aborts} delta — COW roll-backs *)

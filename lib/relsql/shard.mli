@@ -2,7 +2,7 @@
     independent PBFT replica groups.
 
     A {!topology} declares, per table, which column's value owns a row;
-    every party — the untrusted front-door router, each replica group's
+    every party — the untrusted sharded front door, each replica group's
     2PC wrapper, and the test reference executor — evaluates the same
     pure classification over the same SQL text, so they always agree on
     which shards a statement touches without exchanging any metadata.

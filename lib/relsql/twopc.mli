@@ -1,6 +1,6 @@
 (** BFT-safe two-phase commit hooks for a sharded service, in the style
     of Basil ("Breaking up BFT with ACID"): the coordinator — an
-    untrusted front-door router — drives prepare/commit/abort as
+    untrusted sharded front door — drives prepare/commit/abort as
     ordinary *ordered* PBFT operations against each participant group,
     so every phase transition is itself agreed by the shard's replicas.
 
@@ -30,7 +30,7 @@
 
     While a transaction is prepared the shard is single-occupancy:
     other operations get a deterministic ["error:shard-busy"] reply
-    (the router quiesces a shard's lanes before involving it in a
+    (the door quiesces a shard's lanes before involving it in a
     transaction, so this surfaces only under races or misbehavior).
     The wrapper requires serial execution (pipeline depth 1): its
     prepared-transaction state lives outside the page region, so it

@@ -1,30 +1,22 @@
-(* The gateway front door: a single well-known address that fans many
-   lightweight client sessions into a small pool of real PBFT client
-   connections.
-
-   Sessions speak a tiny binary frame protocol (far cheaper than the
-   browser gateway's JSON seam — this is the datacenter front door, not
-   the WAN edge). The door coalesces session operations into batches,
-   flushing a batch upstream when it reaches [flush_bytes] (size
-   trigger) or when the oldest queued operation has waited
-   [flush_deadline] (deadline trigger). Each upstream connection is an
-   ordinary {!Pbft.Client} obeying the one-outstanding-request rule, so
-   coalescing composes with the primary's own request batching: the
-   congestion window packs concurrent connection requests into
-   pre-prepare batches exactly as it packs independent clients.
-
-   Flow control is explicit. When the pending queue reaches [max_queue]
-   the door does not buffer blindly — it answers immediately with a
-   distinguishable shed status so an open-loop generator observes
-   backpressure instead of unbounded queueing (§2.4's lesson applied at
-   the front door). Session records live in a bounded LRU: under churn,
-   the coldest session is evicted; a retransmission from an evicted
-   session is simply re-admitted as a fresh record. *)
+(* The gateway front door (interface docs in frontdoor.mli). Each
+   upstream connection is an ordinary {!Pbft.Client} obeying the
+   one-outstanding-request rule, so coalescing composes with the
+   primary's own request batching: the congestion window packs
+   concurrent connection requests into pre-prepare batches exactly as it
+   packs independent clients. Shedding at [max_queue] is §2.4's lesson
+   applied at the front door: an open-loop generator observes
+   backpressure instead of unbounded queueing. A retransmission from a
+   session the LRU evicted is simply re-admitted as a fresh record. The
+   sharded mode adds only the cross-shard 2PC coordinator; single-shard
+   ops take the lane path an unsharded door's ops take. *)
 
 let frontdoor_addr = 4000
 
 (* Binary frame conversion cost: a fraction of the JSON seam's. *)
 let frame_cost bytes = 2e-6 +. (5e-9 *. float_of_int bytes)
+
+let decode_opt f wire =
+  match Util.Codec.decode f wire with v -> Some v | exception Util.Codec.R.Truncated -> None
 
 (* --- session <-> door frames --- *)
 
@@ -37,17 +29,13 @@ let encode_request ~session ~req_id ~op =
     ()
 
 let decode_request wire =
-  match
-    Util.Codec.decode
-      (fun r ->
-        let session = Util.Codec.R.varint r in
-        let req_id = Util.Codec.R.varint r in
-        let op = Util.Codec.R.lstring r in
-        (session, req_id, op))
-      wire
-  with
-  | v -> Some v
-  | exception Util.Codec.R.Truncated -> None
+  decode_opt
+    (fun r ->
+      let session = Util.Codec.R.varint r in
+      let req_id = Util.Codec.R.varint r in
+      let op = Util.Codec.R.lstring r in
+      (session, req_id, op))
+    wire
 
 type status = Done | Shed
 
@@ -61,18 +49,14 @@ let encode_reply ~status ~session ~req_id ~result =
     ()
 
 let decode_reply wire =
-  match
-    Util.Codec.decode
-      (fun r ->
-        let status = match Util.Codec.R.u8 r with 0 -> Done | _ -> Shed in
-        let session = Util.Codec.R.varint r in
-        let req_id = Util.Codec.R.varint r in
-        let result = Util.Codec.R.lstring r in
-        (status, session, req_id, result))
-      wire
-  with
-  | v -> Some v
-  | exception Util.Codec.R.Truncated -> None
+  decode_opt
+    (fun r ->
+      let status = match Util.Codec.R.u8 r with 0 -> Done | _ -> Shed in
+      let session = Util.Codec.R.varint r in
+      let req_id = Util.Codec.R.varint r in
+      let result = Util.Codec.R.lstring r in
+      (status, session, req_id, result))
+    wire
 
 (* --- coalesced upstream operations --- *)
 
@@ -96,25 +80,18 @@ let encode_coalesced entries =
 let decode_coalesced op =
   let mlen = String.length coalesce_magic in
   if String.length op >= mlen && String.sub op 0 mlen = coalesce_magic then
-    match
-      Util.Codec.decode
-        (fun r ->
-          Util.Codec.R.list r (fun r ->
-              let session = Util.Codec.R.varint r in
-              let o = Util.Codec.R.lstring r in
-              (session, o)))
-        (String.sub op mlen (String.length op - mlen))
-    with
-    | l -> Some l
-    | exception Util.Codec.R.Truncated -> None
+    decode_opt
+      (fun r ->
+        Util.Codec.R.list r (fun r ->
+            let session = Util.Codec.R.varint r in
+            let o = Util.Codec.R.lstring r in
+            (session, o)))
+      (String.sub op mlen (String.length op - mlen))
   else None
 
 let encode_results results = Util.Codec.encode (fun w l -> Util.Codec.W.list w Util.Codec.W.lstring l) results
 
-let decode_results s =
-  match Util.Codec.decode (fun r -> Util.Codec.R.list r Util.Codec.R.lstring) s with
-  | l -> Some l
-  | exception Util.Codec.R.Truncated -> None
+let decode_results s = decode_opt (fun r -> Util.Codec.R.list r Util.Codec.R.lstring) s
 
 (* Wrap a service so coalesced ops execute element-wise against it. The
    session id rides along as the [client] of each inner execution, so
@@ -174,21 +151,68 @@ type pending = {
   pr_op : string;
   pr_addr : int;  (** reply address — survives session eviction *)
   pr_enq : float;
+  pr_readonly : bool;
 }
 
-type session = { mutable s_last_reply : (int * string) option }
+(* One lane per replica group: a coalescing queue, its deadline timer and
+   a pool of data connections. An unsharded door has exactly one. *)
+type lane = {
+  l_shard : int;
+  l_data : Pbft.Client.t array;
+  l_free : int Queue.t;
+  l_pending : pending Queue.t;
+  mutable l_pending_bytes : int;
+  mutable l_blocked : bool;  (** involved in the in-flight cross-shard tx *)
+  mutable l_timer : Simnet.Engine.timer option;
+  mutable l_completed : int;
+  mutable l_queue_peak : int;
+}
+
+(* A cross-shard transaction, from admission to its last acknowledgement. *)
+type cross = {
+  x_session : int;
+  x_id : int;
+  x_addr : int;
+  x_enq : float;
+  x_route : int list;
+  x_plan : (int * string) list;
+  mutable x_tx : int;  (** assigned when the coordinator starts it *)
+  mutable x_sent : bool;  (** prepares dispatched (lanes were quiesced) *)
+  mutable x_awaiting : int;  (** prepare votes not yet in *)
+  mutable x_votes : Relsql.Twopc.vote list;
+  mutable x_aborting : bool;
+  mutable x_aborts_sent : int list;  (** shards already sent their Abort *)
+  mutable x_acks : int;  (** commit or abort acknowledgements received *)
+  mutable x_timer : Simnet.Engine.timer option;
+}
+
+(* What only a sharded door has: the routing table, the 2PC timers and
+   one control connection per group that carries prepare/commit/abort. *)
+type coordinator = {
+  topology : Relsql.Shard.topology;
+  prepare_timeout : float;
+  tx_ttl : float;
+  control : Pbft.Client.t array;
+  control_busy : bool array;
+  xq : cross Queue.t;
+  mutable current : cross option;
+  mutable next_tx : int;
+}
+
+(* The session's replay cache is keyed on (route, request id): a cross-
+   shard reply cached under route "0,2" can never answer a single-shard
+   retransmission that reused the same id after a session reset. *)
+type session = { mutable s_last_reply : (string * int * string) option }
 
 type t = {
   cfg : config;
   engine : Simnet.Engine.t;
   net : Simnet.Net.t;
   cpu : Simnet.Cpu.t;
-  clients : Pbft.Client.t array;
-  free : int Queue.t;
-  pending : pending Queue.t;
-  mutable pending_bytes : int;
+  classify : string -> bool;
+  lanes : lane array;
+  coord : coordinator option;
   sessions : (int, session) Util.Lru.t;
-  mutable deadline_timer : Simnet.Engine.timer option;
   latency : Util.Stats.t;
   mutable n_completed : int;
   mutable n_shed : int;
@@ -196,7 +220,9 @@ type t = {
   mutable n_cache_hits : int;
   mutable n_flushes_size : int;
   mutable n_flushes_deadline : int;
-  mutable queue_peak : int;
+  mutable n_cross_commits : int;
+  mutable n_cross_aborts : int;
+  mutable n_cross_timeouts : int;
   mutable alive : bool;
 }
 
@@ -206,82 +232,6 @@ let send_reply t ~dst ~status ~session ~req_id ~result =
   let frame = encode_reply ~status ~session ~req_id ~result in
   Simnet.Cpu.execute t.cpu ~cost:(frame_cost (String.length frame)) (fun () ->
       Simnet.Net.send t.net ~label:"gw-reply" ~src:frontdoor_addr ~dst frame)
-
-(* Dispatch one coalesced batch on one free connection. *)
-let rec dispatch t trigger =
-  match Queue.take_opt t.free with
-  | None -> ()
-  | Some idx ->
-    let rec take acc bytes =
-      if bytes >= t.cfg.flush_bytes then List.rev acc
-      else
-        match Queue.take_opt t.pending with
-        | None -> List.rev acc
-        | Some p ->
-          t.pending_bytes <- t.pending_bytes - String.length p.pr_op;
-          take (p :: acc) (bytes + String.length p.pr_op)
-    in
-    let batch = take [] 0 in
-    if batch = [] then Queue.push idx t.free
-    else begin
-      (match trigger with
-      | `Size -> t.n_flushes_size <- t.n_flushes_size + 1
-      | `Deadline -> t.n_flushes_deadline <- t.n_flushes_deadline + 1);
-      let op = encode_coalesced (List.map (fun p -> (p.pr_session, p.pr_op)) batch) in
-      Pbft.Client.invoke t.clients.(idx) op (fun encoded ->
-          if t.alive then begin
-            Queue.push idx t.free;
-            let results =
-              match decode_results encoded with
-              | Some rs when List.length rs = List.length batch -> rs
-              | Some _ | None -> List.map (fun _ -> encoded) batch
-            in
-            List.iter2
-              (fun p result ->
-                t.n_completed <- t.n_completed + 1;
-                Util.Stats.add t.latency (now t -. p.pr_enq);
-                (match Util.Lru.find t.sessions p.pr_session with
-                | Some s ->
-                  (s.s_last_reply <- Some (p.pr_id, result))
-                  [@trustlint.allow
-                    "the result came through Pbft.Client.invoke, which \
-                     surfaces a reply only after f+1 matching replies whose \
-                     MACs verify_reply_auth checked"]
-                | None -> ());
-                send_reply t ~dst:p.pr_addr ~status:Done ~session:p.pr_session ~req_id:p.pr_id
-                  ~result)
-              batch results;
-            (* Keep draining: a freed connection takes another full batch
-               if one is already queued; partial remainders wait for the
-               deadline timer. *)
-            if t.pending_bytes >= t.cfg.flush_bytes then dispatch_all t `Size
-          end)
-    end
-
-and dispatch_all t trigger =
-  let before = Queue.length t.pending in
-  dispatch t trigger;
-  if Queue.length t.pending < before && t.pending_bytes >= t.cfg.flush_bytes then
-    dispatch_all t trigger
-
-let rec arm_deadline t =
-  match t.deadline_timer with
-  | Some _ -> ()
-  | None ->
-    if not (Queue.is_empty t.pending) then
-      t.deadline_timer <-
-        Some
-          (Simnet.Engine.timer t.engine ~delay:t.cfg.flush_deadline (fun () ->
-               t.deadline_timer <- None;
-               if t.alive then begin
-                 if not (Queue.is_empty t.pending) then begin
-                   dispatch t `Deadline;
-                   while t.pending_bytes >= t.cfg.flush_bytes && not (Queue.is_empty t.free) do
-                     dispatch t `Size
-                   done
-                 end;
-                 arm_deadline t
-               end))
 
 let session_record t session =
   match Util.Lru.find t.sessions session with
@@ -296,6 +246,295 @@ let session_record t session =
        unauthenticated peer can pin"];
     s
 
+let cache_reply t ~session ~route_key ~req_id ~result =
+  match Util.Lru.find t.sessions session with
+  | Some s ->
+    (s.s_last_reply <- Some (route_key, req_id, result))
+    [@trustlint.allow
+      "the result came through a Pbft.Client of this door, which surfaces a \
+       reply only after f+1 matching replies whose MACs verify_reply_auth \
+       checked"]
+  | None -> ()
+
+(* Cancelling a fired or cancelled timer is a no-op. *)
+let cancel_timer = function Some timer -> Simnet.Engine.cancel timer | None -> ()
+
+(* --- lanes: coalescing, size/deadline flush --- *)
+
+(* Dispatch one coalesced batch on one free connection of [lane]. *)
+let rec dispatch t lane trigger =
+  if t.alive && not lane.l_blocked then
+    match Queue.take_opt lane.l_free with
+    | None -> ()
+    | Some idx -> (
+      (* A batch is a contiguous same-classification run: mixing one
+         write into a read batch would drag every read through full
+         agreement. *)
+      let rec take acc bytes ro =
+        if bytes >= t.cfg.flush_bytes then List.rev acc
+        else
+          match Queue.peek_opt lane.l_pending with
+          | Some p when (match acc with [] -> true | _ -> Bool.equal p.pr_readonly ro) ->
+            ignore (Queue.pop lane.l_pending);
+            (lane.l_pending_bytes <- lane.l_pending_bytes - String.length p.pr_op)
+            [@trustlint.allow
+              "flow-control accounting over the door's own admitted frames \
+               (the lane was picked by routing the unverified op, which is \
+               admission control's job); drives batching only, never \
+               replicated state"];
+            take (p :: acc) (bytes + String.length p.pr_op) p.pr_readonly
+          | Some _ | None -> List.rev acc
+      in
+      match take [] 0 false with
+      | [] -> Queue.push idx lane.l_free
+      | first :: _ as batch ->
+        (match trigger with
+        | `Size -> t.n_flushes_size <- t.n_flushes_size + 1
+        | `Deadline -> t.n_flushes_deadline <- t.n_flushes_deadline + 1);
+        let op = encode_coalesced (List.map (fun p -> (p.pr_session, p.pr_op)) batch) in
+        let route_key = Relsql.Shard.route_key (Relsql.Shard.Single lane.l_shard) in
+        Pbft.Client.invoke lane.l_data.(idx) ~readonly:first.pr_readonly op (fun encoded ->
+            if t.alive then begin
+              Queue.push idx lane.l_free;
+              let results =
+                match decode_results encoded with
+                | Some rs when List.length rs = List.length batch -> rs
+                | Some _ | None -> List.map (fun _ -> encoded) batch
+              in
+              List.iter2
+                (fun p result ->
+                  t.n_completed <- t.n_completed + 1;
+                  lane.l_completed <- lane.l_completed + 1;
+                  Util.Stats.add t.latency (now t -. p.pr_enq);
+                  cache_reply t ~session:p.pr_session ~route_key ~req_id:p.pr_id ~result;
+                  send_reply t ~dst:p.pr_addr ~status:Done ~session:p.pr_session ~req_id:p.pr_id
+                    ~result)
+                batch results;
+              (* Keep draining: a freed connection takes another full batch
+                 if one is already queued; partial remainders wait for the
+                 deadline timer. A lane blocked for a cross-shard tx instead
+                 tells the coordinator it may now be quiet. *)
+              match t.coord with
+              | Some c when lane.l_blocked -> maybe_begin_prepares t c
+              | Some _ | None ->
+                if lane.l_pending_bytes >= t.cfg.flush_bytes then dispatch_all t lane `Size
+            end))
+
+and dispatch_all t lane trigger =
+  let before = Queue.length lane.l_pending in
+  dispatch t lane trigger;
+  if Queue.length lane.l_pending < before && lane.l_pending_bytes >= t.cfg.flush_bytes then
+    dispatch_all t lane trigger
+
+and arm_deadline t lane =
+  match lane.l_timer with
+  | Some _ -> ()
+  | None ->
+    if not (Queue.is_empty lane.l_pending || lane.l_blocked) then
+      lane.l_timer <-
+        Some
+          (Simnet.Engine.timer t.engine ~delay:t.cfg.flush_deadline (fun () ->
+               lane.l_timer <- None;
+               if t.alive then begin
+                 if not (Queue.is_empty lane.l_pending) then begin
+                   dispatch t lane `Deadline;
+                   if lane.l_pending_bytes >= t.cfg.flush_bytes then dispatch_all t lane `Size
+                 end;
+                 arm_deadline t lane
+               end))
+
+(* A lane the coordinator just released flushes what queued behind the
+   cross-shard tx. *)
+and release t lane =
+  lane.l_blocked <- false;
+  dispatch_all t lane `Size;
+  arm_deadline t lane
+
+(* --- the cross-shard coordinator (sharded doors only) --- *)
+
+and resolve_cross t c xs =
+  cancel_timer xs.x_timer;
+  List.iter (fun s -> release t t.lanes.(s)) xs.x_route;
+  c.current <- None;
+  try_start_cross t c
+
+and finish_cross t xs ~result =
+  cache_reply t ~session:xs.x_session
+    ~route_key:(Relsql.Shard.route_key (Relsql.Shard.Cross xs.x_route))
+    ~req_id:xs.x_id ~result;
+  Util.Stats.add t.latency (now t -. xs.x_enq);
+  send_reply t ~dst:xs.x_addr ~status:Done ~session:xs.x_session ~req_id:xs.x_id ~result
+
+and send_abort_to t c xs shard =
+  if not (List.mem shard xs.x_aborts_sent || c.control_busy.(shard)) then begin
+    xs.x_aborts_sent <- shard :: xs.x_aborts_sent;
+    c.control_busy.(shard) <- true;
+    let op = Relsql.Twopc.encode_op (Relsql.Twopc.Abort { tx = xs.x_tx; reason = "coordinator" }) in
+    Pbft.Client.invoke c.control.(shard) op (fun _ ->
+        if t.alive then begin
+          c.control_busy.(shard) <- false;
+          (* The shard has rolled back; release it for single-shard
+             traffic now rather than holding it for the slowest
+             participant (which may be mid-view-change for seconds). *)
+          release t t.lanes.(shard);
+          xs.x_acks <- xs.x_acks + 1;
+          if xs.x_acks >= List.length xs.x_route then resolve_cross t c xs
+        end)
+  end
+
+and start_abort t c xs ~reason ~timed_out =
+  if not xs.x_aborting then begin
+    xs.x_aborting <- true;
+    cancel_timer xs.x_timer;
+    t.n_cross_aborts <- t.n_cross_aborts + 1;
+    if timed_out then t.n_cross_timeouts <- t.n_cross_timeouts + 1;
+    finish_cross t xs ~result:("error:2pc-aborted:" ^ reason);
+    (* Shards whose control connection is free get their Abort now; one
+       still awaiting a prepare reply (a stalled or Byzantine group) gets
+       it when that reply finally lands — and the agreed deadline inside
+       the shard bounds the wait even if it never does. *)
+    List.iter (send_abort_to t c xs) xs.x_route
+  end
+
+and commit_cross t c xs =
+  cancel_timer xs.x_timer;
+  let votes = xs.x_votes in
+  let op = Relsql.Twopc.encode_op (Relsql.Twopc.Commit { tx = xs.x_tx; votes }) in
+  List.iter
+    (fun s ->
+      c.control_busy.(s) <- true;
+      Pbft.Client.invoke c.control.(s) op (fun _ ->
+          if t.alive then begin
+            c.control_busy.(s) <- false;
+            t.lanes.(s).l_completed <- t.lanes.(s).l_completed + 1;
+            xs.x_acks <- xs.x_acks + 1;
+            if xs.x_acks >= List.length xs.x_route then begin
+              t.n_cross_commits <- t.n_cross_commits + 1;
+              t.n_completed <- t.n_completed + 1;
+              (* Assemble the session-visible reply from the votes: each
+                 shard's script results, in shard order. *)
+              let prefix = Relsql.Twopc.prepared_prefix xs.x_tx in
+              let part v =
+                let r = v.Relsql.Twopc.v_result in
+                let body =
+                  if String.length r >= String.length prefix then
+                    String.sub r (String.length prefix) (String.length r - String.length prefix)
+                  else r
+                in
+                Printf.sprintf "s%d=%s" v.Relsql.Twopc.v_shard body
+              in
+              let sorted =
+                List.sort
+                  (fun a b -> Int.compare a.Relsql.Twopc.v_shard b.Relsql.Twopc.v_shard)
+                  votes
+              in
+              finish_cross t xs ~result:(String.concat ";" (List.map part sorted));
+              resolve_cross t c xs
+            end
+          end))
+    xs.x_route
+
+and maybe_begin_prepares t c =
+  (* Quiet: every data connection back in the free pool, control idle. *)
+  let quiet s =
+    let lane = t.lanes.(s) in
+    Queue.length lane.l_free = Array.length lane.l_data && not c.control_busy.(s)
+  in
+  match c.current with
+  | Some xs when (not xs.x_sent) && List.for_all quiet xs.x_route ->
+    xs.x_sent <- true;
+    xs.x_awaiting <- List.length xs.x_plan;
+    let deadline = now t +. c.tx_ttl in
+    let prefix = Relsql.Twopc.prepared_prefix xs.x_tx in
+    List.iter
+      (fun (shard, script) ->
+        c.control_busy.(shard) <- true;
+        let op =
+          Relsql.Twopc.encode_op
+            (Relsql.Twopc.Prepare { tx = xs.x_tx; deadline; shards = xs.x_route; script })
+        in
+        Pbft.Client.invoke_attested c.control.(shard) op (fun ~rq_id result cert ->
+            if t.alive then begin
+              c.control_busy.(shard) <- false;
+              xs.x_awaiting <- xs.x_awaiting - 1;
+              if xs.x_aborting then
+                (* Late vote for a transaction the coordinator already
+                   gave up on: the now-free connection carries the Abort. *)
+                send_abort_to t c xs shard
+              else if
+                String.length result >= String.length prefix
+                && String.equal (String.sub result 0 (String.length prefix)) prefix
+              then begin
+                xs.x_votes <-
+                  {
+                    Relsql.Twopc.v_shard = shard;
+                    v_client = Option.value ~default:0 (Pbft.Client.client_id c.control.(shard));
+                    v_rq_id = rq_id;
+                    v_result = result;
+                    v_cert = Option.value ~default:"" cert;
+                  }
+                  :: xs.x_votes;
+                if xs.x_awaiting = 0 then commit_cross t c xs
+              end
+              else start_abort t c xs ~reason:("vote:" ^ result) ~timed_out:false
+            end))
+      xs.x_plan;
+    xs.x_timer <-
+      Some
+        (Simnet.Engine.timer t.engine ~delay:c.prepare_timeout (fun () ->
+             if t.alive then start_abort t c xs ~reason:"timeout" ~timed_out:true))
+  | Some _ | None -> ()
+
+and try_start_cross t c =
+  match c.current with
+  | Some _ -> ()
+  | None -> (
+    match Queue.take_opt c.xq with
+    | None -> ()
+    | Some xs ->
+      c.next_tx <- c.next_tx + 1;
+      xs.x_tx <- c.next_tx;
+      c.current <- Some xs;
+      List.iter
+        (fun s ->
+          let lane = t.lanes.(s) in
+          lane.l_blocked <- true;
+          cancel_timer lane.l_timer;
+          lane.l_timer <- None)
+        xs.x_route;
+      maybe_begin_prepares t c)
+
+(* --- admission --- *)
+
+let shed_reply t ~dst ~session ~req_id =
+  t.n_shed <- t.n_shed + 1;
+  send_reply t ~dst ~status:Shed ~session ~req_id ~result:""
+
+let admit t lane p =
+  if Queue.length lane.l_pending >= t.cfg.max_queue then
+    shed_reply t ~dst:p.pr_addr ~session:p.pr_session ~req_id:p.pr_id
+  else begin
+    Queue.push p lane.l_pending;
+    (lane.l_pending_bytes <- lane.l_pending_bytes + String.length p.pr_op;
+     lane.l_queue_peak <- Int.max lane.l_queue_peak (Queue.length lane.l_pending))
+    [@trustlint.allow
+      "flow-control accounting must act before any crypto by design: the \
+       byte count drives batching and shedding and the peak is telemetry, \
+       both at this door only, never replicated state"];
+    if lane.l_pending_bytes >= t.cfg.flush_bytes then dispatch_all t lane `Size;
+    arm_deadline t lane
+  end
+
+(* Cross-shard transactions serialize through the coordinator one at a
+   time, behind their own admission bound. *)
+let admit_cross t c xs =
+  if Queue.length c.xq >= t.cfg.max_queue then
+    shed_reply t ~dst:xs.x_addr ~session:xs.x_session ~req_id:xs.x_id
+  else begin
+    Queue.push xs c.xq;
+    try_start_cross t c
+  end
+
 let on_frame t ~src wire =
   if t.alive then
     Simnet.Cpu.execute t.cpu ~cost:(frame_cost (String.length wire)) (fun () ->
@@ -303,46 +542,84 @@ let on_frame t ~src wire =
         | None -> t.n_rejected <- t.n_rejected + 1
         | Some (session, req_id, op) -> begin
           let s = session_record t session in
+          (* An unsharded door never looks inside an op. *)
+          let route =
+            match t.coord with
+            | None -> Relsql.Shard.Single 0
+            | Some c -> Relsql.Shard.classify c.topology op
+          in
+          let route_key = Relsql.Shard.route_key route in
           match s.s_last_reply with
-          | Some (id, result) when id = req_id ->
+          | Some (key, id, result) when id = req_id && String.equal key route_key ->
             (* Retransmission of an answered request: replay the cached
                reply instead of re-executing. *)
             t.n_cache_hits <- t.n_cache_hits + 1;
             send_reply t ~dst:src ~status:Done ~session ~req_id ~result
-          | Some _ | None ->
-            if Queue.length t.pending >= t.cfg.max_queue then begin
-              t.n_shed <- t.n_shed + 1;
-              send_reply t ~dst:src ~status:Shed ~session ~req_id ~result:""
-            end
-            else begin
-              Queue.push
-                { pr_session = session; pr_id = req_id; pr_op = op; pr_addr = src; pr_enq = now t }
-                t.pending;
-              (t.pending_bytes <- t.pending_bytes + String.length op)
-              [@trustlint.allow
-                "flow-control accounting must act before any crypto by \
-                 design: the byte count drives batching and shedding at this \
-                 door only, never replicated state"];
-              t.queue_peak <- Int.max t.queue_peak (Queue.length t.pending);
-              if t.pending_bytes >= t.cfg.flush_bytes then dispatch_all t `Size;
-              arm_deadline t
-            end
+          | Some _ | None -> (
+            match route with
+            | Relsql.Shard.Single shard ->
+              admit t t.lanes.(shard)
+                {
+                  pr_session = session;
+                  pr_id = req_id;
+                  pr_op = op;
+                  pr_addr = src;
+                  pr_enq = now t;
+                  pr_readonly = t.classify op;
+                }
+            | Relsql.Shard.Cross shards ->
+              Option.iter
+                (fun c ->
+                  admit_cross t c
+                    {
+                      x_session = session;
+                      x_id = req_id;
+                      x_addr = src;
+                      x_enq = now t;
+                      x_route = shards;
+                      x_plan = Relsql.Shard.plan c.topology op;
+                      x_tx = 0;
+                      x_sent = false;
+                      x_awaiting = 0;
+                      x_votes = [];
+                      x_aborting = false;
+                      x_aborts_sent = [];
+                      x_acks = 0;
+                      x_timer = None;
+                    })
+                t.coord)
         end)
 
-let create ~cfg ~engine ~net ~clients () =
-  if Array.length clients < 1 then invalid_arg "Frontdoor.create: no upstream connections";
+let make ~cfg ~engine ~net ~classify ~coord data =
+  if cfg.flush_bytes < 1 then invalid_arg "Frontdoor: flush_bytes must be at least 1";
+  if not (cfg.flush_deadline > 0.0) then invalid_arg "Frontdoor: flush_deadline must be positive";
+  if cfg.max_queue < 1 then invalid_arg "Frontdoor: max_queue must be at least 1";
+  let lane i pool =
+    if Array.length pool < 1 then invalid_arg "Frontdoor: a lane without upstream connections";
+    let free = Queue.create () in
+    Array.iteri (fun j _ -> Queue.push j free) pool;
+    {
+      l_shard = i;
+      l_data = pool;
+      l_free = free;
+      l_pending = Queue.create ();
+      l_pending_bytes = 0;
+      l_blocked = false;
+      l_timer = None;
+      l_completed = 0;
+      l_queue_peak = 0;
+    }
+  in
   let t =
     {
       cfg;
       engine;
       net;
       cpu = Simnet.Cpu.create engine;
-      clients;
-      free = Queue.create ();
-      pending = Queue.create ();
-      pending_bytes = 0;
+      classify;
+      lanes = Array.mapi lane data;
+      coord;
       sessions = Util.Lru.create ~capacity:cfg.max_sessions;
-      deadline_timer = None;
       latency = Util.Stats.create ();
       n_completed = 0;
       n_shed = 0;
@@ -350,29 +627,56 @@ let create ~cfg ~engine ~net ~clients () =
       n_cache_hits = 0;
       n_flushes_size = 0;
       n_flushes_deadline = 0;
-      queue_peak = 0;
+      n_cross_commits = 0;
+      n_cross_aborts = 0;
+      n_cross_timeouts = 0;
       alive = true;
     }
   in
-  Array.iteri (fun i _ -> Queue.push i t.free) clients;
+  let xq_length () = match coord with Some c -> Queue.length c.xq | None -> 0 in
   Simnet.Net.register net frontdoor_addr (fun ~src wire -> on_frame t ~src wire);
-  Simnet.Net.set_backlog_probe net frontdoor_addr (fun () -> Queue.length t.pending);
+  Simnet.Net.set_backlog_probe net frontdoor_addr (fun () ->
+      Array.fold_left (fun acc l -> acc + Queue.length l.l_pending) (xq_length ()) t.lanes);
   t
 
+let create ~cfg ~engine ~net ~clients () =
+  make ~cfg ~engine ~net ~classify:(fun _ -> false) ~coord:None [| clients |]
+
+let create_sharded ~cfg ~topology ~prepare_timeout ~tx_ttl ~classify ~engine ~net ~lanes () =
+  if Array.length lanes <> Relsql.Shard.shards topology then
+    invalid_arg "Frontdoor.create_sharded: one lane per shard required";
+  let coord =
+    {
+      topology;
+      prepare_timeout;
+      tx_ttl;
+      control = Array.map snd lanes;
+      control_busy = Array.map (fun _ -> false) lanes;
+      xq = Queue.create ();
+      current = None;
+      next_tx = 0;
+    }
+  in
+  make ~cfg ~engine ~net ~classify ~coord:(Some coord) (Array.map fst lanes)
+
 let completed t = t.n_completed
+let shard_completed t = Array.map (fun l -> l.l_completed) t.lanes
+let cross_commits t = t.n_cross_commits
+let cross_aborts t = t.n_cross_aborts
+let cross_timeouts t = t.n_cross_timeouts
 let shed t = t.n_shed
 let rejected t = t.n_rejected
 let reply_cache_hits t = t.n_cache_hits
 let flushes_size t = t.n_flushes_size
 let flushes_deadline t = t.n_flushes_deadline
-let queue_peak t = t.queue_peak
-let queue_depth t = Queue.length t.pending
+let queue_peaks t = Array.map (fun l -> l.l_queue_peak) t.lanes
+let queue_peak t = Array.fold_left (fun acc l -> Int.max acc l.l_queue_peak) 0 t.lanes
 let session_evictions t = Util.Lru.evictions t.sessions
 let live_sessions t = Util.Lru.length t.sessions
 let latency_stats t = t.latency
 
 let shutdown t =
   t.alive <- false;
-  (match t.deadline_timer with Some timer -> Simnet.Engine.cancel timer | None -> ());
-  t.deadline_timer <- None;
+  Array.iter (fun l -> cancel_timer l.l_timer) t.lanes;
+  Option.iter (fun c -> Option.iter (fun xs -> cancel_timer xs.x_timer) c.current) t.coord;
   Simnet.Net.unregister t.net frontdoor_addr

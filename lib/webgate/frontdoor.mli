@@ -1,5 +1,7 @@
 (** The gateway front door: open-loop session fan-in, request coalescing,
-    and explicit flow control in front of a PBFT cluster.
+    and explicit flow control in front of a PBFT cluster — or, in its
+    sharded mode ({!create_sharded}), in front of N independent replica
+    groups with a cross-shard 2PC coordinator.
 
     Many lightweight client sessions (tens of thousands) send small
     binary frames to one well-known address. The door coalesces queued
@@ -11,13 +13,34 @@
     load with a distinguishable status instead of queueing without
     bound, and session records live in a bounded LRU so the door's
     memory is O(max_sessions) regardless of how many sessions ever
-    connect. *)
+    connect.
+
+    Every upstream batch, even a single operation, is a coalesced
+    operation ({!encode_coalesced}), so a session's op reaches the
+    service exactly as the session sent it: an op that happens to look
+    like a coalesced batch is executed as one opaque op of its sender,
+    never unpacked.
+
+    A sharded door routes each operation with {!Relsql.Shard.classify}.
+    A single-shard op joins that shard's lane — the queue, triggers and
+    pool an unsharded door has — and a lane batch rides the read-only
+    fast path only when every op in it is provably read-only. A
+    cross-shard op runs {!Relsql.Twopc} with the door as the *untrusted*
+    coordinator, one transaction at a time: the involved lanes are
+    blocked and drained, each group prepares its slice as an ordered op
+    whose agreed (and, with service keys, f+1-certified) reply is its
+    vote, and the commit carries every vote for the groups to verify
+    themselves. A vote-abort, prepare timeout or Byzantine participant
+    aborts everywhere via each shard's copy-on-write undo snapshot; the
+    agreed prepare deadline bounds what a crashed or malicious
+    coordinator can hold.
+
+    A session's cached last reply is keyed on (route, request id): a
+    single-shard retransmission never matches a stale cross-shard reply
+    that reused the id. *)
 
 val frontdoor_addr : int
 (** The door's network address (4000). *)
-
-val frame_cost : int -> float
-(** CPU seconds charged to convert one binary frame of the given size. *)
 
 (** {1 Session frames} *)
 
@@ -56,10 +79,14 @@ val wrap_service : Pbft.Service.t -> Pbft.Service.t
 (** {1 The door} *)
 
 type config = {
-  connections : int;  (** upstream PBFT client connections *)
+  connections : int;
+      (** upstream PBFT client connections per replica group (the pool the
+          caller builds; the door uses the clients it is given) *)
   flush_bytes : int;  (** size trigger: flush once this many op bytes are queued *)
   flush_deadline : float;  (** deadline trigger: max queueing delay before a partial flush *)
-  max_queue : int;  (** admission bound: operations queued beyond this are shed *)
+  max_queue : int;
+      (** admission bound: operations queued beyond this (per lane, and on
+          the cross-shard queue) are shed *)
   max_sessions : int;  (** LRU bound on live session records *)
 }
 
@@ -72,13 +99,46 @@ val create :
   clients:Pbft.Client.t array ->
   unit ->
   t
-(** Register the door at {!frontdoor_addr}. [clients] are the upstream
-    connections (already created and keyed); the cluster's service must
-    be wrapped with {!wrap_service} for coalesced batches to execute.
-    Raises [Invalid_argument] if [clients] is empty. *)
+(** Register an unsharded door (one lane, no routing) at
+    {!frontdoor_addr}. [clients] are the upstream connections (already
+    created and keyed); the cluster's service must be wrapped with
+    {!wrap_service} for coalesced batches to execute. Raises
+    [Invalid_argument] if [clients] is empty, [flush_bytes < 1],
+    [flush_deadline <= 0] or [max_queue < 1]. *)
+
+val create_sharded :
+  cfg:config ->
+  topology:Relsql.Shard.topology ->
+  prepare_timeout:float ->
+  tx_ttl:float ->
+  classify:(string -> bool) ->
+  engine:Simnet.Engine.t ->
+  net:Simnet.Net.t ->
+  lanes:(Pbft.Client.t array * Pbft.Client.t) array ->
+  unit ->
+  t
+(** Register a sharded door at {!frontdoor_addr} on [net], the edge net
+    sessions reach it on. [lanes.(s)] is shard [s]'s upstream pool:
+    (data connections, control connection) — all clients of group [s]
+    on that group's own net, whose service is wrapped with
+    {!wrap_service}. [classify] is the service's read-only proof.
+    [prepare_timeout] is the coordinator's patience before aborting a
+    2PC round; [tx_ttl] the agreed prepare-deadline delta carried in the
+    prepare op. Raises [Invalid_argument] as {!create} does, and if the
+    lane count differs from the topology's shard count. *)
 
 val completed : t -> int
 (** Operations answered with a quorum-accepted result. *)
+
+val shard_completed : t -> int array
+(** Session operations completed per lane; a cross-shard commit counts
+    once for every participant. *)
+
+val cross_commits : t -> int
+val cross_aborts : t -> int
+val cross_timeouts : t -> int
+(** Of {!cross_aborts}, those triggered by the coordinator's prepare
+    timer rather than a participant's vote. *)
 
 val shed : t -> int
 (** Operations rejected by admission control. *)
@@ -94,9 +154,11 @@ val flushes_deadline : t -> int
 (** Upstream batches dispatched by each trigger. *)
 
 val queue_peak : t -> int
-(** High-water mark of the pending queue. *)
+(** High-water mark of the pending queue (the largest lane's). *)
 
-val queue_depth : t -> int
+val queue_peaks : t -> int array
+(** Per-lane pending-queue high-water marks. *)
+
 val session_evictions : t -> int
 (** Session records displaced by LRU capacity pressure ([max_sessions]). *)
 

@@ -250,30 +250,27 @@ module Browser = struct
         ("idbuf", Json.of_bytes js.j_idbuf);
       ]
 
-  let rec join_phase1 t js =
-    multicast_frame t (join_request_frame t js);
+  (* Retry [k] after the join timeout unless this join finished first. *)
+  let arm_join_retry t js k =
     js.j_timer <-
       Some
-        (Simnet.Engine.timer t.engine ~delay:1.0 (fun () ->
+        (Simnet.Engine.timer t.engine ~delay:t.cfg.Pbft.Config.join_request_timeout (fun () ->
              let[@detlint.allow physical_eq] active =
                match t.joining with Some js' -> js' == js | None -> false
              in
-             if t.alive && active && t.cid = None then
-               if js.j_responded then join_phase2 t js else join_phase1 t js))
+             if t.alive && active && t.cid = None then k ()))
+
+  let rec join_phase1 t js =
+    multicast_frame t (join_request_frame t js);
+    arm_join_retry t js (fun () -> if js.j_responded then join_phase2 t js else join_phase1 t js)
 
   and join_phase2 t js =
-    match Hashtbl.fold (fun _ c _ -> Some c) js.j_challenges None with
+    match Util.Sorted_tbl.fold (fun _ c _ -> Some c) js.j_challenges None with
     | None -> join_phase1 t js
     | Some challenge ->
       js.j_responded <- true;
       multicast_frame t (join_response_frame t js challenge);
-      js.j_timer <-
-        Some
-          (Simnet.Engine.timer t.engine ~delay:1.0 (fun () ->
-               let[@detlint.allow physical_eq] active =
-               match t.joining with Some js' -> js' == js | None -> false
-             in
-               if t.alive && active && t.cid = None then join_phase2 t js))
+      arm_join_retry t js (fun () -> join_phase2 t js)
 
   let join t ~idbuf callback =
     let js =
@@ -387,6 +384,18 @@ module Browser = struct
     else if count o (result, true) >= quorum_2f1 ~f:t.cfg.Pbft.Config.f then Some result
     else None
 
+  (* The value at least f+1 replicas reported, or [None]. Tallies walk
+     keys in sorted order: two values could both reach f+1, and the pick
+     must not depend on hash-bucket order. *)
+  let f1_value t tbl =
+    let counts = Hashtbl.create 4 in
+    Util.Sorted_tbl.iter
+      (fun _ c -> Hashtbl.replace counts c (1 + Option.value ~default:0 (Hashtbl.find_opt counts c)))
+      tbl;
+    Util.Sorted_tbl.fold
+      (fun c n acc -> if n >= quorum_f1 ~f:t.cfg.Pbft.Config.f then Some c else acc)
+      counts None
+
   (* --- incoming (replica -> browser boundary) --- *)
 
   let handle_json t ~src j =
@@ -433,15 +442,8 @@ module Browser = struct
           "join-challenge nonce tally: phase 2 starts only after f+1 \
            distinct replicas report the same nonce, and the join itself is \
            finalized by f+1 matching join-replies"];
-        let counts = Hashtbl.create 4 in
-        Hashtbl.iter
-          (fun _ c ->
-            Hashtbl.replace counts c (1 + Option.value ~default:0 (Hashtbl.find_opt counts c)))
-          js.j_challenges;
-        let confirmed =
-          Hashtbl.fold (fun _ c acc -> acc || c >= quorum_f1 ~f:t.cfg.Pbft.Config.f) counts false
-        in
-        if confirmed && not js.j_responded then join_phase2 t js
+        if Option.is_some (f1_value t js.j_challenges) && not js.j_responded then
+          join_phase2 t js
     end
     | "join-reply" -> begin
       match t.joining with
@@ -452,16 +454,7 @@ module Browser = struct
           [@trustlint.allow
             "join-reply tally: the client id is adopted only when f+1 \
              distinct replicas report the same id"];
-          let counts = Hashtbl.create 4 in
-          Hashtbl.iter
-            (fun _ c ->
-              Hashtbl.replace counts c (1 + Option.value ~default:0 (Hashtbl.find_opt counts c)))
-            js.j_replies;
-          match
-            Hashtbl.fold
-              (fun c n acc -> if n >= quorum_f1 ~f:t.cfg.Pbft.Config.f then Some c else acc)
-              counts None
-          with
+          match f1_value t js.j_replies with
           | None -> ()
           | Some client ->
             (match js.j_timer with Some timer -> Simnet.Engine.cancel timer | None -> ());

@@ -201,6 +201,32 @@ let test_reply_cache_replays () =
     Alcotest.(check string) "replayed result identical" r1 r2
   | _ -> Alcotest.fail "expected two well-formed Done replies for req 1"
 
+(* --- config validation --- *)
+
+(* Each of these used to hang rather than fail: a zero size trigger spins
+   the deadline callback (or never dispatches), and a zero deadline
+   re-arms at zero delay so virtual time stops. *)
+let check_rejected field gateway =
+  let cluster = Pbft.Cluster.create ~seed:3 ~num_clients:1 (Pbft.Config.default ~f:1) in
+  match
+    Frontdoor.create ~cfg:gateway ~engine:(Pbft.Cluster.engine cluster)
+      ~net:(Pbft.Cluster.net cluster) ~clients:(Pbft.Cluster.clients cluster) ()
+  with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.failf "%s accepted" field
+
+let valid_gateway = (small_spec ()).Harness.Openloop.gateway
+
+let test_rejects_flush_bytes () =
+  check_rejected "flush_bytes = 0" { valid_gateway with Frontdoor.flush_bytes = 0 }
+
+let test_rejects_flush_deadline () =
+  check_rejected "flush_deadline = 0" { valid_gateway with Frontdoor.flush_deadline = 0.0 };
+  check_rejected "flush_deadline < 0" { valid_gateway with Frontdoor.flush_deadline = -1.0 }
+
+let test_rejects_max_queue () =
+  check_rejected "max_queue = 0" { valid_gateway with Frontdoor.max_queue = 0 }
+
 (* --- pinned gateway trace --- *)
 
 (* The door's behaviour is pinned by the digest of a seeded open-loop run
@@ -229,5 +255,8 @@ let () =
           Alcotest.test_case "eviction & readmission" `Slow test_eviction_readmission;
           Alcotest.test_case "reply cache replays" `Quick test_reply_cache_replays;
           Alcotest.test_case "pinned gateway trace digest" `Slow test_gateway_digest_pinned;
+          Alcotest.test_case "rejects flush_bytes < 1" `Quick test_rejects_flush_bytes;
+          Alcotest.test_case "rejects flush_deadline <= 0" `Quick test_rejects_flush_deadline;
+          Alcotest.test_case "rejects max_queue < 1" `Quick test_rejects_max_queue;
         ] );
     ]

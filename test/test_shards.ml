@@ -1,5 +1,5 @@
 (* Tests for the sharded deployment: partitioning, statement routing,
-   the BFT 2PC wrapper, the shard-aware router, and the qcheck
+   the BFT 2PC wrapper, the sharded front door, and the qcheck
    serial-equivalence property. *)
 
 let qcheck = QCheck_alcotest.to_alcotest
@@ -155,8 +155,8 @@ let test_abort_restores_state () =
   let bal () = Shards.rpc d (Printf.sprintf "SELECT bal FROM accounts WHERE id = %d" k1) in
   let before = bal () in
   let aborts0 = Twopc.aborts () in
-  let r = Shards.router d in
-  let xa0 = Webgate.Router.cross_aborts r in
+  let r = Shards.door d in
+  let xa0 = Webgate.Frontdoor.cross_aborts r in
   (* Shard 1's piece succeeds and prepares; shard 0's piece (unlisted
      table routes to shard 0) errors and votes abort — shard 1 must roll
      back its applied update. *)
@@ -170,7 +170,7 @@ let test_abort_restores_state () =
   Shards.run_for d 0.5;
   Alcotest.(check string) "balance restored" before (bal ());
   Alcotest.(check bool) "undo restore counted" true (Twopc.aborts () > aborts0);
-  Alcotest.(check bool) "router abort counted" true (Webgate.Router.cross_aborts r > xa0);
+  Alcotest.(check bool) "door abort counted" true (Webgate.Frontdoor.cross_aborts r > xa0);
   (* The shard is fully released: a fresh cross-shard transfer commits. *)
   let k0 = Shards.key_on_shard d 0 in
   let recovery =
@@ -190,7 +190,7 @@ let test_reply_cache_route_keyed () =
   Shards.run_for d 0.2;
   let engine = Shards.engine d in
   let net = Shards.edge d in
-  let r = Shards.router d in
+  let r = Shards.door d in
   let k0 = Shards.key_on_shard d 0 and k1 = Shards.key_on_shard d 1 in
   let addr = 98_765 in
   let last = ref None in
@@ -210,11 +210,11 @@ let test_reply_cache_route_keyed () =
   in
   let single = Printf.sprintf "UPDATE accounts SET bal = bal + 1 WHERE id = %d" k0 in
   let first = ask single in
-  let hits0 = Webgate.Router.reply_cache_hits r in
+  let hits0 = Webgate.Frontdoor.reply_cache_hits r in
   (* Identical retransmission: served from the cache, not re-executed. *)
   let again = ask single in
   Alcotest.(check string) "retransmit replayed" first again;
-  Alcotest.(check bool) "cache hit counted" true (Webgate.Router.reply_cache_hits r > hits0);
+  Alcotest.(check bool) "cache hit counted" true (Webgate.Frontdoor.reply_cache_hits r > hits0);
   (* Same request id, different route: the stale single-shard reply must
      NOT satisfy a cross-shard request. *)
   let cross =
@@ -228,12 +228,105 @@ let test_reply_cache_route_keyed () =
   Alcotest.(check bool) "cross reply committed" true
     (String.length crossed >= 3 && String.equal (String.sub crossed 0 3) "s0=")
 
+(* --- queued cross-shard transactions --- *)
+
+(* Cross-shard transactions serialize through the coordinator; ones that
+   arrive while another is in flight wait in its queue and must all
+   commit — without a retransmission to paper over a dropped one. *)
+let test_queued_cross_commit () =
+  let d = Shards.build (small_spec ()) in
+  Shards.run_for d 0.2;
+  let net = Shards.edge d in
+  let door = Shards.door d in
+  let k0 = Shards.key_on_shard d 0 and k1 = Shards.key_on_shard d 1 in
+  let addr = 97_654 in
+  let answered = ref [] in
+  Simnet.Net.register net addr (fun ~src:_ wire ->
+      match Webgate.Frontdoor.decode_reply wire with
+      | Some (Webgate.Frontdoor.Done, session, _, result) -> answered := (session, result) :: !answered
+      | Some _ | None -> ());
+  let commits0 = Webgate.Frontdoor.cross_commits door in
+  let sessions = [ 31; 32; 33 ] in
+  List.iter
+    (fun session ->
+      let op =
+        Printf.sprintf
+          "UPDATE accounts SET bal = bal - 1 WHERE id = %d; UPDATE accounts SET bal = bal + 1 \
+           WHERE id = %d"
+          k0 k1
+      in
+      Simnet.Net.send net ~label:"t" ~src:addr ~dst:Webgate.Frontdoor.frontdoor_addr
+        (Webgate.Frontdoor.encode_request ~session ~req_id:1 ~op))
+    sessions;
+  Shards.run_for d 3.0;
+  Alcotest.(check (list int)) "every session answered" sessions
+    (List.sort Int.compare (List.map fst !answered));
+  List.iter
+    (fun (_, result) ->
+      Alcotest.(check bool) "committed" true
+        (String.length result >= 3 && String.equal (String.sub result 0 3) "s0="))
+    !answered;
+  Alcotest.(check int) "three commits" 3 (Webgate.Frontdoor.cross_commits door - commits0)
+
+(* --- session ops stay opaque ---
+
+   Every lane batch is a coalesced op, singletons included, so an op
+   whose bytes happen to form a coalesced batch is executed as one
+   literal op of its sender. Forwarding it raw would let the service
+   wrapper unpack it and run the inner op as another session. *)
+
+let test_session_ops_opaque () =
+  let cluster =
+    Pbft.Cluster.create ~seed:7 ~num_clients:2
+      ~service:(Webgate.Frontdoor.wrap_service (Pbft.Service.session_kv ()))
+      (Pbft.Config.default ~f:1)
+  in
+  Simnet.Trace.set_enabled (Pbft.Cluster.trace cluster) false;
+  let net = Pbft.Cluster.net cluster in
+  let _door =
+    Webgate.Frontdoor.create_sharded
+      ~cfg:
+        {
+          Webgate.Frontdoor.connections = 1;
+          flush_bytes = 64;
+          flush_deadline = 0.002;
+          max_queue = 64;
+          max_sessions = 16;
+        }
+      ~topology:(Shard.topology ~shards:1 []) ~prepare_timeout:0.4 ~tx_ttl:2.0
+      ~classify:(fun _ -> false) ~engine:(Pbft.Cluster.engine cluster) ~net
+      ~lanes:[| ([| Pbft.Cluster.client cluster 1 |], Pbft.Cluster.client cluster 0) |]
+      ()
+  in
+  let addr = 97_531 in
+  let replies = Hashtbl.create 8 in
+  Simnet.Net.register net addr (fun ~src:_ wire ->
+      match Webgate.Frontdoor.decode_reply wire with
+      | Some (Webgate.Frontdoor.Done, session, req_id, result) ->
+        Hashtbl.replace replies (session, req_id) result
+      | Some _ | None -> ());
+  let ask ~session ~req_id op =
+    Simnet.Net.send net ~label:"t" ~src:addr ~dst:Webgate.Frontdoor.frontdoor_addr
+      (Webgate.Frontdoor.encode_request ~session ~req_id ~op);
+    Pbft.Cluster.run cluster ~seconds:0.5;
+    match Hashtbl.find_opt replies (session, req_id) with
+    | Some r -> r
+    | None -> Alcotest.failf "no reply to session %d request %d" session req_id
+  in
+  let victim = 9 and sender = 5 in
+  Alcotest.(check string) "victim's put" "ok" (ask ~session:victim ~req_id:1 "sput k mine");
+  let forged = Webgate.Frontdoor.encode_coalesced [ (victim, "sput k stolen") ] in
+  Alcotest.(check string) "forged batch runs as one unknown op" "error: bad op"
+    (ask ~session:sender ~req_id:1 forged);
+  Alcotest.(check string) "victim's key untouched" "mine" (ask ~session:victim ~req_id:2 "sget k");
+  Alcotest.(check string) "sender wrote nothing" "" (ask ~session:sender ~req_id:2 "skeys")
+
 (* --- serial-equivalence property ---
 
    Any interleaving of single- and cross-shard transactions accepted by
    the deployment yields per-shard Merkle roots identical to a serial
    reference execution of the same stream against bare wrapped service
-   instances (one per shard, no PBFT, no router). *)
+   instances (one per shard, no PBFT, no door). *)
 
 let ref_verify ~shard:_ ~client:_ ~rq_id:_ ~result:_ ~cert:_ = true
 
@@ -260,7 +353,7 @@ let make_reference topo rows =
       in
       { rs_exec = exec; rs_pages = pages })
 
-(* Drive one op through the reference exactly as the router would:
+(* Drive one op through the reference exactly as the door would:
    single-shard ops pass through; cross-shard ops prepare every involved
    shard, then commit iff every vote carries the prepared prefix, else
    abort everywhere. *)
@@ -404,6 +497,8 @@ let () =
             test_reply_cache_route_keyed;
           Alcotest.test_case "two-shard smoke" `Slow test_two_shard_smoke;
           Alcotest.test_case "cross-shard commits" `Slow test_cross_shard_commits;
+          Alcotest.test_case "session ops stay opaque" `Quick test_session_ops_opaque;
+          Alcotest.test_case "queued cross-shard txs all commit" `Slow test_queued_cross_commit;
           qcheck prop_serial_equivalence;
         ] );
       ( "faults",

@@ -1,6 +1,8 @@
-(* §3.3.3 realized: a browser-hosted voter. The browser speaks only JSON;
-   each replica hosts a WebSocket/JSON bridge (no centralized component),
-   and the browser signs with a browser-available public-key scheme.
+(* §3.3.3 realized: a browser-hosted voter. The browser is the ordinary
+   PBFT client over the JSON transport: it speaks only JSON, each replica
+   hosts a WebSocket/JSON bridge (no centralized component), and the
+   browser signs with a browser-available public-key scheme. Exits 1
+   unless the vote is accepted and the tally reads it back.
 
    Run with:  dune exec examples/web_voting.exe *)
 
@@ -22,10 +24,10 @@ let () =
   let official = Cluster.client cluster 0 in
   let rng = Util.Rng.create 4 in
   let browser =
-    Webgate.Gateway.Browser.create ~cfg ~costs:Costmodel.default ~engine ~net ~addr:7001
+    Client.create ~cfg ~costs:Costmodel.default ~engine ~net ~addr:7001
+      ~transport:Webgate.Gateway.json_transport
       ~signer:(Crypto.Keychain.make Crypto.Keychain.Simulated rng ~id:7001)
-      ~registry:{ Replica.reg_verifiers = [||]; reg_group_secret = ""; reg_static_clients = [] }
-      ()
+      ~registry:(Cluster.registry cluster) ()
   in
 
   Client.join official ~idbuf:"official:pw" (fun _ ->
@@ -33,20 +35,21 @@ let () =
           Printf.printf "official creates election -> %s\n" (String.trim r)));
   Cluster.run cluster ~seconds:3.0;
 
-  Webgate.Gateway.Browser.join browser ~idbuf:"webvoter:pw" (function
+  Client.join browser ~idbuf:"webvoter:pw" (function
     | Some id -> Printf.printf "browser joined over JSON as client %d\n" id
     | None -> print_endline "browser join denied");
   Cluster.run cluster ~seconds:3.0;
 
   (* The browser's vote: a JSON frame per replica, translated by the
      bridges into native protocol datagrams. *)
-  Webgate.Gateway.Browser.invoke browser
+  let accepted = ref false and tally = ref "" in
+  Client.invoke browser
     (Evoting.cast_vote_sql ~election:1 ~voter:"webvoter" ~choice:"yes")
     (fun r ->
-      Printf.printf "browser casts vote -> %s\n"
-        (if Evoting.vote_accepted r then "accepted" else "rejected");
-      Webgate.Gateway.Browser.invoke browser ~readonly:true (Evoting.tally_sql ~election:1)
-        (fun r ->
+      accepted := Evoting.vote_accepted r;
+      Printf.printf "browser casts vote -> %s\n" (if !accepted then "accepted" else "rejected");
+      Client.invoke browser ~readonly:true (Evoting.tally_sql ~election:1) (fun r ->
+          tally := r;
           print_endline "browser reads tally over JSON:";
           print_string r));
   Cluster.run cluster ~seconds:5.0;
@@ -56,4 +59,9 @@ let () =
       Printf.printf "bridge %d translated %d frames (%d rejected)\n" i
         (Webgate.Gateway.Bridge.frames_translated b)
         (Webgate.Gateway.Bridge.rejected b))
-    bridges
+    bridges;
+
+  if not (!accepted && List.mem "yes | 1" (String.split_on_char '\n' !tally)) then begin
+    prerr_endline "web_voting: the vote was not accepted or the tally did not read it back";
+    exit 1
+  end

@@ -33,6 +33,7 @@ type t = {
   cpu : Simnet.Cpu.t;
   rng : Util.Rng.t;
   caddr : int;
+  transport : Transport.t;
   signer : Crypto.Keychain.signer;
   registry : Replica.registry;
   threshold_public : Crypto.Threshold.public option;
@@ -59,9 +60,6 @@ let retransmissions t = t.n_retrans
 let latency_stats t = t.latencies
 let now t = Simnet.Engine.now t.engine
 
-let send_cost t bytes = Costmodel.send t.costs bytes
-let recv_cost t bytes = Costmodel.recv t.costs bytes
-
 let charge t cost k = Simnet.Cpu.execute t.cpu ~cost k
 
 let session_key_for t replica =
@@ -74,53 +72,38 @@ let session_key_for t replica =
 
 let replica_ids t = List.init t.cfg.n (fun i -> i)
 
-let send_payload t ~dst payload ~signed =
+(* Authenticate once and frame once, then send one copy per destination
+   replica: a multicast shares its authenticator (one MAC tag per
+   replica) and its wire bytes. *)
+let send t ~dsts payload ~signed =
   let pb = Message.payload_bytes payload in
+  let copies = float_of_int (List.length dsts) in
   let auth, auth_cost =
     if signed || not t.cfg.use_macs then
       (Message.Signed (Crypto.Keychain.sign t.signer pb), t.costs.sign)
     else begin
-      let key = session_key_for t dst in
-      ( Message.Authenticated (Crypto.Authenticator.compute ~keys:[ (dst, key) ] pb),
-        t.costs.mac_gen )
+      let keys = List.map (fun r -> (r, session_key_for t r)) dsts in
+      (Message.Authenticated (Crypto.Authenticator.compute ~keys pb), copies *. t.costs.mac_gen)
     end
   in
-  let wire = Message.encode_wire ~payload_bytes:pb auth in
-  charge t
-    (auth_cost +. send_cost t (String.length wire))
-    (fun () ->
-      Simnet.Net.send t.net ~label:(Message.label payload)
-        ~detail:(fun () -> Message.describe payload)
-        ~src:t.caddr ~dst wire)
-
-(* Multicast with a shared authenticator: authentication generated once,
-   one datagram per replica. *)
-let multicast_payload t payload ~signed =
-  let pb = Message.payload_bytes payload in
-  let auth, auth_cost =
-    if signed || not t.cfg.use_macs then
-      (Message.Signed (Crypto.Keychain.sign t.signer pb), t.costs.sign)
-    else begin
-      let keys = List.map (fun r -> (r, session_key_for t r)) (replica_ids t) in
-      ( Message.Authenticated (Crypto.Authenticator.compute ~keys pb),
-        float_of_int t.cfg.n *. t.costs.mac_gen )
-    end
-  in
-  let wire = Message.encode_wire ~payload_bytes:pb auth in
+  let wire, copy_cost = t.transport.frame ~payload_bytes:pb { Message.payload; auth } in
   let label = Message.label payload in
   let detail () = Message.describe payload in
   charge t
-    (auth_cost +. (float_of_int t.cfg.n *. send_cost t (String.length wire)))
+    (auth_cost +. (copies *. copy_cost))
     (fun () ->
       List.iter
-        (fun dst -> Simnet.Net.send t.net ~label ~detail ~src:t.caddr ~dst wire)
-        (replica_ids t))
+        (fun r ->
+          Simnet.Net.send t.net ~label ~detail ~src:t.caddr ~dst:(t.transport.address r) wire)
+        dsts)
+
+let multicast t payload ~signed = send t ~dsts:(replica_ids t) payload ~signed
 
 let announce_session_keys t =
   List.iter
     (fun replica ->
       let key = session_key_for t replica in
-      send_payload t ~dst:replica ~signed:true
+      send t ~dsts:[ replica ] ~signed:true
         (Message.Session_key { sk_sender = t.caddr; sk_target = replica; sk_key_box = key }))
     (replica_ids t)
 
@@ -131,8 +114,8 @@ let is_big t op = t.cfg.all_requests_big || String.length op > t.cfg.big_request
 
 let transmit t o ~to_all =
   let payload = Message.Request_msg o.o_rq in
-  if to_all then multicast_payload t payload ~signed:false
-  else send_payload t ~dst:(primary_of_view ~n:t.cfg.n t.view_guess) payload ~signed:false
+  if to_all then multicast t payload ~signed:false
+  else send t ~dsts:[ primary_of_view ~n:t.cfg.n t.view_guess ] payload ~signed:false
 
 let rec arm_retransmit t o =
   o.o_timer <-
@@ -276,25 +259,42 @@ let handle_reply t ~src ~r_view ~r_id ~r_replica ~r_result ~r_tentative ~r_parti
 (* ------------------------------------------------------------------ *)
 (* Join / leave (§3.1).                                                 *)
 
-let rec send_join_phase1 t js =
-  multicast_payload t ~signed:true
-    (Message.Join_request
-       { j_addr = t.caddr; j_pubkey = verifier_string t; j_nonce = js.j_nonce });
+(* The value at least f+1 replicas reported — at most f of them lie, so
+   the group vouches for it — or [None]. The tally walks keys in sorted
+   order: two values could both reach f+1, and the pick must not depend
+   on hash-bucket order. *)
+let f1_value t tbl =
+  let counts = Hashtbl.create 4 in
+  Util.Sorted_tbl.iter
+    (fun _ v -> Hashtbl.replace counts v (1 + Option.value ~default:0 (Hashtbl.find_opt counts v)))
+    tbl;
+  Util.Sorted_tbl.fold (fun v n acc -> if n >= quorum_f1 ~f:t.cfg.f then Some v else acc) counts None
+
+(* Retry [k] after the join timeout unless this join finished first. *)
+let arm_join_retry t js k =
   js.j_timer <-
     Some
       (Simnet.Engine.timer t.engine ~delay:t.cfg.join_request_timeout (fun () ->
            let[@detlint.allow physical_eq] active =
              match t.joining with Some js' -> js' == js | None -> false
            in
-           if t.alive && active && t.cid = None then
-             if js.j_responded then send_join_phase2 t js else send_join_phase1 t js))
+           if t.alive && active && t.cid = None then k ()))
 
+let rec send_join_phase1 t js =
+  multicast t ~signed:true
+    (Message.Join_request { j_addr = t.caddr; j_pubkey = verifier_string t; j_nonce = js.j_nonce });
+  arm_join_retry t js (fun () ->
+      if js.j_responded then send_join_phase2 t js else send_join_phase1 t js)
+
+(* Answer the challenge f+1 replicas agree on: challenges are
+   deterministic, so that is the one the group issued, whatever a lying
+   replica sent. *)
 and send_join_phase2 t js =
-  match Util.Sorted_tbl.fold (fun _ c _acc -> Some c) js.j_challenges None with
+  match f1_value t js.j_challenges with
   | None -> send_join_phase1 t js
   | Some challenge ->
     js.j_responded <- true;
-    multicast_payload t ~signed:true
+    multicast t ~signed:true
       (Message.Join_response
          {
            jr_addr = t.caddr;
@@ -302,13 +302,7 @@ and send_join_phase2 t js =
            jr_pubkey = verifier_string t;
            jr_idbuf = js.j_idbuf;
          });
-    js.j_timer <-
-      Some
-        (Simnet.Engine.timer t.engine ~delay:t.cfg.join_request_timeout (fun () ->
-             let[@detlint.allow physical_eq] active =
-             match t.joining with Some js' -> js' == js | None -> false
-           in
-             if t.alive && active && t.cid = None then send_join_phase2 t js))
+    arm_join_retry t js (fun () -> send_join_phase2 t js)
 
 let join t ~idbuf callback =
   if not t.cfg.dynamic_clients then failwith "Client.join: static configuration";
@@ -327,64 +321,41 @@ let join t ~idbuf callback =
   t.joining <- Some js;
   send_join_phase1 t js
 
+let finish_join t js result =
+  (match js.j_timer with Some timer -> Simnet.Engine.cancel timer | None -> ());
+  t.joining <- None;
+  (match result with
+  | Some client ->
+    t.cid <- Some client;
+    if t.cfg.use_macs then announce_session_keys t
+  | None -> ());
+  js.j_callback result
+
 let handle_join_challenge t ~src (jc : string) =
   match t.joining with
   | None -> ()
   | Some js ->
     Hashtbl.replace js.j_challenges src jc;
-    (* Challenges are deterministic, so matching values from f+1 replicas
-       prove the group issued them. *)
-    (* Counting and the boolean-or fold are both order-free. *)
-    let counts = Hashtbl.create 4 in
-    (Hashtbl.iter
-       (fun _ c ->
-         Hashtbl.replace counts c (1 + Option.value ~default:0 (Hashtbl.find_opt counts c)))
-       js.j_challenges
-     [@detlint.allow hashtbl_order]);
-    let[@detlint.allow hashtbl_order] confirmed =
-      Hashtbl.fold (fun _ c acc -> acc || c >= quorum_f1 ~f:t.cfg.f) counts false
-    in
-    if confirmed && not js.j_responded then send_join_phase2 t js
+    if (not js.j_responded) && Option.is_some (f1_value t js.j_challenges) then
+      send_join_phase2 t js
 
 let handle_join_reply t ~src (client, ok) =
   match t.joining with
   | None -> ()
   | Some js ->
-    if not ok then begin
-      (match js.j_timer with Some timer -> Simnet.Engine.cancel timer | None -> ());
-      t.joining <- None;
-      js.j_callback None
-    end
+    if not ok then finish_join t js None
     else begin
       Hashtbl.replace js.j_replies src client;
-      (* Counting is order-free; the winner pick is not (two ids could
-         both reach f+1), so it traverses keys in sorted order. *)
-      let counts = Hashtbl.create 4 in
-      (Hashtbl.iter
-         (fun _ c ->
-           Hashtbl.replace counts c (1 + Option.value ~default:0 (Hashtbl.find_opt counts c)))
-         js.j_replies
-       [@detlint.allow hashtbl_order]);
-      let winner =
-        Util.Sorted_tbl.fold
-          (fun c n acc -> if n >= quorum_f1 ~f:t.cfg.f then Some c else acc)
-          counts None
-      in
-      match winner with
+      match f1_value t js.j_replies with
       | None -> ()
-      | Some client ->
-        (match js.j_timer with Some timer -> Simnet.Engine.cancel timer | None -> ());
-        t.joining <- None;
-        t.cid <- Some client;
-        if t.cfg.use_macs then announce_session_keys t;
-        js.j_callback (Some client)
+      | Some client -> finish_join t js (Some client)
     end
 
 let leave t =
   match t.cid with
   | None -> ()
   | Some c ->
-    multicast_payload t ~signed:true (Message.Leave_msg { lv_client = c });
+    multicast t ~signed:true (Message.Leave_msg { lv_client = c });
     t.cid <- None
 
 (* ------------------------------------------------------------------ *)
@@ -408,8 +379,9 @@ let verify_reply_auth t ~src (msg : Message.t) =
 
 let on_datagram t ~src wire =
   if t.alive then begin
-    charge t (recv_cost t (String.length wire)) (fun () ->
-        match Message.decode wire with
+    let decoded, cost = t.transport.Transport.unframe wire in
+    charge t cost (fun () ->
+        match decoded with
         | None -> ()
         | Some msg ->
           let cost, ok = verify_reply_auth t ~src msg in
@@ -435,7 +407,8 @@ let on_datagram t ~src wire =
               end))
   end
 
-let create ~cfg ~costs ~engine ~net ~addr ~signer ~registry ?threshold_public ?client_id () =
+let create ~cfg ~costs ~engine ~net ~addr ?transport ~signer ~registry ?threshold_public ?client_id
+    () =
   let t =
     {
       cfg;
@@ -445,6 +418,7 @@ let create ~cfg ~costs ~engine ~net ~addr ~signer ~registry ?threshold_public ?c
       cpu = Simnet.Cpu.create engine;
       rng = Util.Rng.split (Simnet.Engine.rng engine);
       caddr = addr;
+      transport = Option.value transport ~default:(Transport.datagram costs);
       signer;
       registry;
       threshold_public;

@@ -9,7 +9,12 @@
     two-phase dynamic Join / Leave of §3.1.
 
     A client has at most one outstanding request (the PBFT rule that
-    makes batching capture cross-client parallelism). *)
+    makes batching capture cross-client parallelism).
+
+    All of that exists once, here, whatever the wire: a {!Transport}
+    only addresses, frames and unframes messages. The default is the
+    native datagram protocol; a browser is this same client over
+    [Webgate.Gateway.json_transport] (§3.3.3). *)
 
 open Types
 
@@ -21,6 +26,7 @@ val create :
   engine:Simnet.Engine.t ->
   net:Simnet.Net.t ->
   addr:int ->
+  ?transport:Transport.t ->
   signer:Crypto.Keychain.signer ->
   registry:Replica.registry ->
   ?threshold_public:Crypto.Threshold.public ->
@@ -28,7 +34,8 @@ val create :
   unit ->
   t
 (** [client_id] is required for static-membership deployments; dynamic
-    clients acquire one by {!join}. *)
+    clients acquire one by {!join}. [transport] defaults to
+    {!Transport.datagram}[ costs]. *)
 
 val addr : t -> int
 val client_id : t -> client_id option

@@ -14,6 +14,7 @@ let engine t = t.engine
 let net t = t.net
 let trace t = Simnet.Net.trace t.net
 let config t = t.cfg
+let registry t = t.registry
 let replicas t = t.reps
 let replica t i = t.reps.(i)
 let clients t = t.cls

@@ -33,6 +33,12 @@ val engine : t -> Simnet.Engine.t
 val net : t -> Simnet.Net.t
 val trace : t -> Simnet.Trace.t
 val config : t -> Config.t
+
+val registry : t -> Replica.registry
+(** The replicas' public keys and the group configuration — what a
+    client created outside the cluster (e.g. a browser) needs to verify
+    replica signatures. *)
+
 val replicas : t -> Replica.t array
 val replica : t -> replica_id -> Replica.t
 val clients : t -> Client.t array

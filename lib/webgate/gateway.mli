@@ -10,11 +10,17 @@
       co-located with the replica that translates JSON frames into
       native protocol datagrams (and exists per replica, unlike Thema's
       centralized agent, which the authors reject);
-    - {!Browser} is the browser-hosted client library: it speaks only
-      JSON, signs with a public-key signer (the browser-available
-      cryptosystem the paper asks for instead of Rabin), joins
-      dynamically, and collects reply quorums exactly like the native
-      client.
+    - a browser is the one PBFT client, {!Pbft.Client}, created with
+      {!json_transport}: it speaks only JSON, signs with the
+      browser-available public-key signer it is given (instead of
+      Rabin), MACs with session keys it keeps and rebroadcasts, joins
+      dynamically, and verifies and tallies replies with the very code
+      the native client uses. There is one client with two transports.
+
+    One codec, {!frame_of_message} / {!message_of_frame}, serves both
+    directions. A frame carries the message's auth field ([sig] or
+    [mac]) next to its payload fields, so the bridge rebuilds the exact
+    native message and replicas verify what the browser signed or MACed.
 
     Simulation note: the browser→replica direction crosses the wire as
     JSON frames addressed to the bridge; the replica→browser direction is
@@ -26,6 +32,21 @@ open Pbft.Types
 
 val bridge_addr : replica_id -> int
 (** Network address of the JSON endpoint co-located with a replica. *)
+
+val frame_of_message : Pbft.Message.t -> Json.t option
+(** The JSON frame for a message a client sends or receives (request,
+    join request/response, leave, session key; reply, join challenge,
+    join reply), or [None] for replica-to-replica traffic. *)
+
+val message_of_frame : Json.t -> Pbft.Message.t option
+[@@trust.source "browser JSON frame decoded into a protocol message"]
+(** Inverse of {!frame_of_message}; [None] for any frame of unknown
+    type, missing or mistyped field, fractional or out-of-range number,
+    or negative id or address. *)
+
+val json_transport : Pbft.Transport.t
+(** Frames to {!bridge_addr}, charging JSON printing per copy sent and
+    the reverse bridge's conversion per reply received. *)
 
 module Bridge : sig
   type t
@@ -42,39 +63,9 @@ module Bridge : sig
 
   val frames_translated : t -> int
   val rejected : t -> int
-  (** Frames dropped as malformed JSON or unknown shape. *)
+  (** Frames dropped as malformed JSON or not a well-formed message
+      frame. Every frame received is counted in exactly one of
+      {!frames_translated} and {!rejected}. *)
 
   val detach : t -> unit
-end
-
-module Browser : sig
-  type t
-
-  val create :
-    cfg:Pbft.Config.t ->
-    costs:Pbft.Costmodel.t ->
-    engine:Simnet.Engine.t ->
-    net:Simnet.Net.t ->
-    addr:int ->
-    signer:Crypto.Keychain.signer ->
-    registry:Pbft.Replica.registry ->
-    ?client_id:client_id ->
-    ?classify_readonly:(string -> bool) ->
-    unit ->
-    t
-  (** [classify_readonly] (default {!Pbft.Service.never_readonly}) is the
-      service's proof that an operation is read-only — e.g.
-      [Relsql.Pbft_service.is_readonly_sql] for the SQL service — letting
-      browser SELECTs ride the read-only fast path automatically. *)
-
-  val join : t -> idbuf:string -> (client_id option -> unit) -> unit
-  (** The §3.1 two-phase join, carried over JSON frames. *)
-
-  val invoke : t -> ?readonly:bool -> string -> (string -> unit) -> unit
-  (** Ops accepted by [classify_readonly] are sent read-only even when
-      the caller does not pass [~readonly:true]. *)
-
-  val client_id : t -> client_id option
-  val completed : t -> int
-  val shutdown : t -> unit
 end

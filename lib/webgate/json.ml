@@ -269,7 +269,12 @@ let member_opt key v = match member key v with v -> Some v | exception Not_found
 
 let to_string_exn = function Str s -> s | _ -> raise (Parse_error "expected string")
 let to_float_exn = function Num f -> f | _ -> raise (Parse_error "expected number")
-let to_int_exn v = int_of_float (to_float_exn v)
+(* Integers are exact in a double only up to 2^53; anything fractional
+   or beyond that is not an int the sender could have meant. *)
+let to_int_exn v =
+  let f = to_float_exn v in
+  if Float.is_integer f && Float.abs f <= 0x1p53 then int_of_float f
+  else raise (Parse_error "expected an integer")
 let to_bool_exn = function Bool b -> b | _ -> raise (Parse_error "expected bool")
 
 let of_bytes b = Str (Util.Hexdump.of_string b)

@@ -31,6 +31,9 @@ val member_opt : string -> t -> t option
 val to_string_exn : t -> string
 val to_float_exn : t -> float
 val to_int_exn : t -> int
+(** Raises {!Parse_error} unless the number is integral and within
+    ±2{^53}, the range a double represents exactly. *)
+
 val to_bool_exn : t -> bool
 
 (** {2 Binary-safe helpers} *)

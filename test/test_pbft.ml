@@ -597,6 +597,32 @@ let test_dynamic_join_denied_bad_credentials () =
   Cluster.run cluster ~seconds:5.0;
   Alcotest.(check bool) "denied" true !denied
 
+(* A Byzantine replica answers the join with a validly signed but bogus
+   challenge. Phase 2 must answer the challenge f+1 replicas agree on;
+   answering the last one tallied (replica 3's, the highest id) wedged
+   every join behind this one liar. *)
+let test_dynamic_join_lying_challenge () =
+  let cfg = { (Config.default ~f:1) with Config.dynamic_clients = true } in
+  let cluster = Cluster.create ~seed:21 ~num_clients:1 ~service:(Service.counter ()) cfg in
+  Simnet.Trace.set_enabled (Cluster.trace cluster) false;
+  let c = Cluster.client cluster 0 in
+  let liar = Cluster.replica cluster 3 in
+  Simnet.Net.set_link_corrupt (Cluster.net cluster) ~src:3 ~dst:(Client.addr c)
+    (fun ~dst:_ ~label:_ wire ->
+      match Message.decode wire with
+      | Some { payload = Message.Join_challenge jc; _ } ->
+        let payload = Message.Join_challenge { jc with jc_nonce = "bogus" } in
+        let pb = Message.payload_bytes payload in
+        Message.encode_wire ~payload_bytes:pb
+          (Message.Signed (Crypto.Keychain.sign (Replica.signer liar) pb))
+      | Some _ | None -> wire);
+  let result = ref "" in
+  Client.join c ~idbuf:"alice:pw" (function
+    | Some _ -> Client.invoke c "incr" (fun r -> result := r)
+    | None -> Alcotest.fail "join denied");
+  Cluster.run cluster ~seconds:30.0;
+  Alcotest.(check string) "joined and executed despite the liar" "1" !result
+
 let test_dynamic_leave () =
   let cfg = { (Config.default ~f:1) with Config.dynamic_clients = true } in
   let cluster = Cluster.create ~seed:90 ~num_clients:1 cfg in
@@ -1416,6 +1442,8 @@ let () =
           Alcotest.test_case "join then request" `Quick test_dynamic_join_and_request;
           Alcotest.test_case "join denied" `Quick test_dynamic_join_denied_bad_credentials;
           Alcotest.test_case "leave" `Quick test_dynamic_leave;
+          Alcotest.test_case "one lying challenger cannot wedge a join" `Quick
+            test_dynamic_join_lying_challenge;
         ] );
     ]
 

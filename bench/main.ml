@@ -11,7 +11,8 @@
              (default)
    [sqlidx] compares the indexed point/range SELECT workloads against the
    forced-scan baseline and exits non-zero unless the indexed point
-   stream clears 5x the baseline's virtual TPS.
+   stream clears 5x the baseline's virtual TPS and stays within its
+   words-allocated-per-request budget.
    [pipeline] runs the 64-client null workload serial and with an 8-deep
    agreement pipeline on 4 virtual cores, and exits non-zero unless the
    pipelined run clears 2x both the serial baseline and the Table-1
@@ -201,6 +202,14 @@ let run_digest () =
   Printf.printf "gateway trace digest: %s\n%!"
     (Harness.Hostbench.gateway_trace_digest ~seed:!seed ())
 
+(* Deterministic-proxy regression gate on the relsql read path: heap words
+   allocated per completed sql:indexed_point request, boot fill included
+   (as in BENCH.json's alloc_per_request), so a shorter run reads higher.
+   Set from the in-place B-tree probe's value under --quick, the CI run
+   (1,930,701), plus 25% headroom; the copy-and-decode read path it
+   replaced measured 6,430,090. *)
+let sqlidx_words_budget = 2_413_000.0
+
 (* Access-path comparison with a pass/fail gate: the identical point-
    SELECT stream, indexed versus forced scan, must differ by at least 5x
    in virtual TPS and by an order of magnitude in pages per operation. *)
@@ -227,9 +236,17 @@ let run_sqlidx () =
     else 0.0
   in
   Printf.printf "  indexed point vs forced scan: %.1fx virtual TPS\n%!" speedup;
+  let words = point.Harness.Hostbench.alloc_per_request /. float_of_int (Sys.word_size / 8) in
+  Printf.printf "  sql:indexed_point allocation: %.0f words/request (budget %.0f)\n%!" words
+    sqlidx_words_budget;
   if speedup < 5.0 then begin
     Printf.eprintf "FAIL: indexed point workload is %.1fx the forced-scan baseline (need >= 5x)\n"
       speedup;
+    exit 1
+  end;
+  if words > sqlidx_words_budget then begin
+    Printf.eprintf "FAIL: sql:indexed_point allocates %.0f words/request (budget %.0f)\n" words
+      sqlidx_words_budget;
     exit 1
   end
 

@@ -322,6 +322,11 @@ let figure3 ?(seed = 1) () =
         (fun ~pos ~len ->
           log "xRead  %-7s pos=%-6d len=%d" name pos len;
           f.Relsql.Vfs.read ~pos ~len);
+      (* A borrowed page view is still SQLite's xRead at this seam. *)
+      view =
+        (fun ~pos ~len ->
+          log "xRead  %-7s pos=%-6d len=%d" name pos len;
+          f.Relsql.Vfs.view ~pos ~len);
       write =
         (fun ~pos s ->
           log "xWrite %-7s pos=%-6d len=%d" name pos (String.length s);

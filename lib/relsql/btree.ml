@@ -1,5 +1,13 @@
 (* Nodes are serialized whole into single pages; a split is triggered by
-   encoded size, so fill factor adapts to entry sizes. *)
+   encoded size, so fill factor adapts to entry sizes. On-page layout
+   (u32 little-endian, varints LEB128, lstring = varint length + bytes):
+
+     leaf      u8 0, u32 next, varint n, n x (lstring key, lstring value)
+     interior  u8 1, varint n, n x lstring sep, varint n+1, (n+1) x varint child
+
+   Lookups ([find], and the descent that starts [iter]) walk this encoding
+   in place on a borrowed page view; writes decode a node, edit it and
+   encode it once. *)
 
 type node =
   | Leaf of { entries : (string * string) list; next : int }
@@ -10,8 +18,10 @@ type t = { pager : Pager.t; mutable root_page : int }
 let max_node_bytes = Pager.page_size - 256
 let max_entry_bytes = max_node_bytes / 2
 
+let corrupt what = raise (Pager.Corrupt ("btree " ^ what))
+
 let encode_node node =
-  let w = Util.Codec.W.create () in
+  let w = Util.Codec.W.create ~capacity:Pager.page_size () in
   (match node with
   | Leaf { entries; next } ->
     Util.Codec.W.u8 w 0;
@@ -25,36 +35,177 @@ let encode_node node =
     Util.Codec.W.u8 w 1;
     Util.Codec.W.list w Util.Codec.W.lstring seps;
     Util.Codec.W.list w Util.Codec.W.varint children);
-  Util.Codec.W.contents w
-
-let node_size node = String.length (encode_node node)
+  w
 
 let decode_node image =
   let r = Util.Codec.R.of_string image in
-  match Util.Codec.R.u8 r with
+  try
+    match Util.Codec.R.u8 r with
+    | 0 ->
+      let next = Util.Codec.R.u32 r in
+      let entries =
+        Util.Codec.R.list r (fun r ->
+            let k = Util.Codec.R.lstring r in
+            let v = Util.Codec.R.lstring r in
+            (k, v))
+      in
+      Leaf { entries; next }
+    | 1 ->
+      let seps = Util.Codec.R.list r Util.Codec.R.lstring in
+      let children = Util.Codec.R.list r Util.Codec.R.varint in
+      Interior { seps; children }
+    | _ -> corrupt "node tag"
+  with Util.Codec.R.Truncated -> corrupt "node truncated"
+
+(* decode_node copies every string out, so decoding a borrowed view is
+   safe: nothing of the view survives the call. *)
+let load t page = decode_node (Pager.view_page t.pager page)
+
+(* One page image per node write: the encoding, zero-padded. *)
+let write_node t page w =
+  if Util.Codec.W.length w > Pager.page_size then corrupt "node overflow";
+  Pager.write_page t.pager page (Util.Codec.W.contents_padded w Pager.page_size)
+
+let store t page node = write_node t page (encode_node node)
+
+(* --- reading a node in place ---
+
+   A cursor over a borrowed page view. Every read is bounds-checked
+   against the image, so a malformed page raises [Pager.Corrupt], never
+   [Invalid_argument]; only the value a lookup returns is copied out. The
+   loops are top-level recursive functions, not closures, so a probe
+   allocates only its cursor and its result. *)
+
+type cursor = { mutable img : string; mutable pos : int }
+
+let u8 c =
+  if c.pos >= String.length c.img then corrupt "node truncated";
+  let b = Char.code c.img.[c.pos] in
+  c.pos <- c.pos + 1;
+  b
+
+let skip_u32 c =
+  if c.pos + 4 > String.length c.img then corrupt "node truncated";
+  c.pos <- c.pos + 4
+
+(* Same acceptance as Util.Codec.R.varint: at most 9 bytes, no overflow
+   into the sign bit. *)
+let rec varint_from c shift acc =
+  if shift > 56 then corrupt "varint too long";
+  let b = u8 c in
+  if shift = 56 && b > 0x3f then corrupt "varint overflow";
+  let acc = acc lor ((b land 0x7f) lsl shift) in
+  if b land 0x80 = 0 then acc else varint_from c (shift + 7) acc
+
+(* One-byte varints (lengths under 128, small page numbers) skip the
+   general loop. *)
+let varint c =
+  let p = c.pos in
+  if p < String.length c.img && Char.code c.img.[p] < 0x80 then begin
+    c.pos <- p + 1;
+    Char.code c.img.[p]
+  end
+  else varint_from c 0 0
+
+(* Step over [len] string bytes; returns where they start. *)
+let span c len =
+  if len > String.length c.img - c.pos then corrupt "string past page end";
+  let off = c.pos in
+  c.pos <- off + len;
+  off
+
+(* The sign of [String.compare key (String.sub img off len)], without the
+   copy: bytewise, a proper prefix sorts first. Eight bytes at a time
+   while both sides have them — an unsigned compare of big-endian words
+   is the bytewise order — then byte by byte. *)
+let rec compare_at key img off len i =
+  if i + 8 <= String.length key && i + 8 <= len then begin
+    let a = String.get_int64_be key i and b = String.get_int64_be img (off + i) in
+    if Int64.equal a b then compare_at key img off len (i + 8) else Int64.unsigned_compare a b
+  end
+  else compare_tail key img off len i
+
+and compare_tail key img off len i =
+  if i = String.length key then if i = len then 0 else -1
+  else if i = len then 1
+  else begin
+    let a = key.[i] and b = img.[off + i] in
+    if Char.equal a b then compare_tail key img off len (i + 1) else Char.compare a b
+  end
+
+let rec skip_strings c n =
+  if n > 0 then begin
+    ignore (span c (varint c));
+    skip_strings c (n - 1)
+  end
+
+(* Skipped varints are only delimited (a byte below 0x80 ends one), not
+   decoded; the one a lookup uses is read with [varint]. *)
+let rec skip_varints_from img pos n =
+  if n = 0 then pos
+  else if pos >= String.length img then corrupt "node truncated"
+  else skip_varints_from img (pos + 1) (if Char.code img.[pos] < 0x80 then n - 1 else n)
+
+let skip_varints c n = c.pos <- skip_varints_from c.img c.pos n
+
+(* The value stored under [key] in a leaf whose entry count [n] was just
+   read. Entries are sorted, so the scan stops at the first larger key. *)
+let rec leaf_find c key n =
+  if n = 0 then None
+  else begin
+    let klen = varint c in
+    let koff = span c klen in
+    let vlen = varint c in
+    let voff = span c vlen in
+    let cmp = compare_at key c.img koff klen 0 in
+    if cmp = 0 then Some (String.sub c.img voff vlen)
+    else if cmp < 0 then None
+    else leaf_find c key (n - 1)
+  end
+
+(* Child slot for [key] among the [n] separators of an interior node: the
+   first separator > key goes left of it; equal keys descend right
+   (separators are copied-up leaf keys, the right child holds keys >=
+   sep). Leaves the cursor past the last separator. *)
+let rec sep_slot c key i n =
+  if i = n then i
+  else begin
+    let len = varint c in
+    let off = span c len in
+    if compare_at key c.img off len 0 < 0 then begin
+      skip_strings c (n - i - 1);
+      i
+    end
+    else sep_slot c key (i + 1) n
+  end
+
+(* With the cursor past the separators: the page number of child [slot]. *)
+let child_at c slot =
+  let n = varint c in
+  if slot >= n then corrupt "child index out of range";
+  skip_varints c slot;
+  varint c
+
+(* Point the cursor at the start of [img]. A descent visits distinct
+   pages, so one longer than the page count has met a corrupt child
+   pointer that loops back. *)
+let enter c t img depth =
+  if depth > Pager.page_count t.pager then corrupt "descent loops";
+  c.img <- img;
+  c.pos <- 0
+
+let rec find_in c t page key depth =
+  enter c t (Pager.view_page t.pager page) depth;
+  match u8 c with
   | 0 ->
-    let next = Util.Codec.R.u32 r in
-    let entries =
-      Util.Codec.R.list r (fun r ->
-          let k = Util.Codec.R.lstring r in
-          let v = Util.Codec.R.lstring r in
-          (k, v))
-    in
-    Leaf { entries; next }
+    skip_u32 c;
+    leaf_find c key (varint c)
   | 1 ->
-    let seps = Util.Codec.R.list r Util.Codec.R.lstring in
-    let children = Util.Codec.R.list r Util.Codec.R.varint in
-    Interior { seps; children }
-  | _ -> raise (Pager.Corrupt "btree node tag")
+    let slot = sep_slot c key 0 (varint c) in
+    find_in c t (child_at c slot) key (depth + 1)
+  | _ -> corrupt "node tag"
 
-let load t page =
-  let img = Pager.read_page t.pager page in
-  decode_node img
-
-let store t page node =
-  let s = encode_node node in
-  if String.length s > Pager.page_size then raise (Pager.Corrupt "btree node overflow");
-  Pager.write_page t.pager page (s ^ String.make (Pager.page_size - String.length s) '\000')
+let find t key = find_in { img = ""; pos = 0 } t t.root_page key 0
 
 let create pager =
   let page = Pager.allocate_page pager in
@@ -65,22 +216,13 @@ let create pager =
 let open_tree pager ~root = { pager; root_page = root }
 let root t = t.root_page
 
-(* Child index for a key in an interior node: first separator > key goes
-   left of it; equal keys descend right (separators are copied-up leaf
-   keys, the right child holds keys >= sep). *)
+(* The same routing rule over a decoded node, for the write paths. *)
 let child_index seps key =
   let rec go i = function
     | [] -> i
     | sep :: rest -> if String.compare key sep < 0 then i else go (i + 1) rest
   in
   go 0 seps
-
-let rec find_in t page key =
-  match load t page with
-  | Leaf { entries; _ } -> List.assoc_opt key entries
-  | Interior { seps; children } -> find_in t (List.nth children (child_index seps key)) key
-
-let find t key = find_in t t.root_page key
 
 (* Insert; returns Some (separator, right page) if the node split. *)
 let rec insert_in t page key value =
@@ -97,9 +239,9 @@ let rec insert_in t page key value =
       in
       place entries
     in
-    let node = Leaf { entries; next } in
-    if node_size node <= max_node_bytes then begin
-      store t page node;
+    let w = encode_node (Leaf { entries; next }) in
+    if Util.Codec.W.length w <= max_node_bytes then begin
+      write_node t page w;
       None
     end
     else begin
@@ -124,9 +266,9 @@ let rec insert_in t page key value =
         List.filteri (fun i _ -> i <= idx) children
         @ (right_page :: List.filteri (fun i _ -> i > idx) children)
       in
-      let node = Interior { seps; children } in
-      if node_size node <= max_node_bytes then begin
-        store t page node;
+      let w = encode_node (Interior { seps; children }) in
+      if Util.Codec.W.length w <= max_node_bytes then begin
+        write_node t page w;
         None
       end
       else begin
@@ -170,26 +312,33 @@ let delete t key = delete_in t t.root_page key
    is charged by the caller only if it yields entries — deletion is lazy,
    so long-lived trees accumulate empty leaves that a range scan must
    step over but should not be billed for. *)
-let load_quiet t page = decode_node (Pager.read_page_quiet t.pager page)
-
-let rec descend_leaf t page key =
-  match load_quiet t page with
-  | Leaf _ -> page
-  | Interior { seps; children } ->
+let rec descend_leaf c t page key depth =
+  enter c t (Pager.view_page_quiet t.pager page) depth;
+  match u8 c with
+  | 0 -> page
+  | 1 ->
     Pager.touch_page t.pager page;
-    let child =
+    let nseps = varint c in
+    let slot =
       match key with
-      | None -> List.hd children
-      | Some k -> List.nth children (child_index seps k)
+      | None ->
+        skip_strings c nseps;
+        0
+      | Some k -> sep_slot c k 0 nseps
     in
-    descend_leaf t child key
+    descend_leaf c t (child_at c slot) key (depth + 1)
+  | _ -> corrupt "node tag"
 
+(* Each leaf is decoded before the callback runs, so [f] sees copies and
+   may write the tree. Like a descent, the leaf chain visits distinct
+   pages: a walk longer than the page count is a corrupt [next] cycle. *)
 let iter t ?from ?upto f =
-  let start = descend_leaf t t.root_page from in
-  let rec walk page =
+  let start = descend_leaf { img = ""; pos = 0 } t t.root_page from 0 in
+  let rec walk page steps =
     if page <> 0 then begin
-      match load_quiet t page with
-      | Interior _ -> raise (Pager.Corrupt "leaf chain reached interior node")
+      if steps > Pager.page_count t.pager then corrupt "leaf chain cycle";
+      match decode_node (Pager.view_page_quiet t.pager page) with
+      | Interior _ -> corrupt "leaf chain reached interior node"
       | Leaf { entries; next } ->
         if entries <> [] then Pager.touch_page t.pager page;
         let continue =
@@ -203,10 +352,10 @@ let iter t ?from ?upto f =
         in
         (* A leaf ending above [upto] already returned false above; only
            chains still inside the bound keep walking. *)
-        if continue then walk next
+        if continue then walk next (steps + 1)
     end
   in
-  walk start
+  walk start 0
 
 let count t =
   let n = ref 0 in

@@ -22,8 +22,7 @@ let header_image t =
   Util.Codec.W.u32 w t.page_count;
   Util.Codec.W.u32 w t.freelist;
   Util.Codec.W.u32 w t.catalog_root;
-  let s = Util.Codec.W.contents w in
-  s ^ String.make (page_size - String.length s) '\000'
+  Util.Codec.W.contents_padded w page_size
 
 let parse_header t image =
   let r = Util.Codec.R.of_string image in
@@ -71,20 +70,31 @@ let journal_record jf index =
 
 let touch t page = Hashtbl.replace t.touched page ()
 
+let zero_page = String.make page_size '\000'
+
+let in_file t page = page >= 0 && page < t.vfs.Vfs.main.size () / page_size
+
 let raw_read t page =
-  let pos = page * page_size in
-  if pos + page_size <= t.vfs.Vfs.main.size () then t.vfs.Vfs.main.read ~pos ~len:page_size
+  if in_file t page then t.vfs.Vfs.main.read ~pos:(page * page_size) ~len:page_size
   else String.make page_size '\000'
+
+let raw_view t page =
+  if in_file t page then t.vfs.Vfs.main.view ~pos:(page * page_size) ~len:page_size
+  else zero_page
 
 let read_page t page =
   touch t page;
   raw_read t page
 
+let view_page t page =
+  touch t page;
+  raw_view t page
+
 (* For callers that may decide after looking at the content that no real
-   work happened (e.g. the B-tree skipping a lazily-emptied leaf): read
+   work happened (e.g. the B-tree skipping a lazily-emptied leaf): view
    without recording an application page touch, and charge it explicitly
    with [touch_page] if warranted. *)
-let read_page_quiet = raw_read
+let view_page_quiet = raw_view
 let touch_page = touch
 
 let write_page t page image =
@@ -107,8 +117,6 @@ let write_page t page image =
      separate cache to go stale when PBFT state transfer rewrites the
      pages underneath the engine. *)
   t.vfs.Vfs.main.write ~pos:(page * page_size) image
-
-let pad s = s ^ String.make (page_size - String.length s) '\000'
 
 let write_header t =
   if not t.txn then invalid_arg "Pager.write_header: no transaction";
@@ -139,7 +147,7 @@ let allocate_page t =
       p
     end
   in
-  write_page t page (pad "");
+  write_page t page zero_page;
   mark_header_dirty t;
   page
 
@@ -147,7 +155,7 @@ let free_page t page =
   if not t.txn then invalid_arg "Pager.free_page: no transaction";
   let w = Util.Codec.W.create () in
   Util.Codec.W.u32 w t.freelist;
-  write_page t page (pad (Util.Codec.W.contents w));
+  write_page t page (Util.Codec.W.contents_padded w page_size);
   t.freelist <- page;
   mark_header_dirty t
 

@@ -20,9 +20,18 @@ val open_pager : Vfs.t -> t
     present — runs crash recovery by rolling the journal back. *)
 
 val read_page : t -> int -> string
+(** A private copy of the page image (pages past the end of the file read
+    as zeros). Records an application page touch. *)
 
-val read_page_quiet : t -> int -> string
-(** Like {!read_page} but without recording an application page touch —
+val view_page : t -> int -> string
+(** The page image borrowed from the VFS ([Vfs.file.view]): no copy when
+    the file is the PBFT state region. Touches the page exactly like
+    {!read_page}. The view is valid only until the next {!write_page},
+    {!allocate_page}, {!free_page}, {!commit} or {!rollback}; read it
+    and drop it, copying out anything that must outlive that. *)
+
+val view_page_quiet : t -> int -> string
+(** Like {!view_page} but without recording an application page touch —
     for callers that inspect a page and only sometimes do real work with
     it (charge it explicitly with {!touch_page} when they do). *)
 

@@ -52,18 +52,26 @@ let is_readonly_sql sql =
     false
 
 (* A VFS whose main file is a window onto the replica's PBFT state region:
-   reads go straight to the pages, writes notify the state manager first
-   (the §3.2 contract), and the commit-time sync is charged as disk cost
-   (the paper keeps the db file synchronized with its disk image). *)
+   reads go straight to the pages (page views borrow the live buffer
+   without copying), writes notify the state manager first (the §3.2
+   contract), and the commit-time sync is charged as disk cost (the paper
+   keeps the db file synchronized with its disk image). *)
 let pages_file pages ~first_page ~app_pages ~(disk : Simdisk.Disk.t) ~cost =
   let page_size = Statemgr.Pages.page_size pages in
   let base = first_page * page_size in
   let capacity = app_pages * page_size in
+  let read ~pos ~len =
+    if pos + len > capacity then invalid_arg "pbft vfs: read past region";
+    Statemgr.Pages.read pages ~pos:(base + pos) ~len
+  in
   {
-    Vfs.read =
+    Vfs.read;
+    view =
       (fun ~pos ~len ->
-        if pos + len > capacity then invalid_arg "pbft vfs: read past region";
-        Statemgr.Pages.read pages ~pos:(base + pos) ~len);
+        (* A whole aligned page is lent in place; anything else copies. *)
+        if len = page_size && pos >= 0 && pos mod page_size = 0 && pos + len <= capacity then
+          Statemgr.Pages.page_view pages (first_page + (pos / page_size))
+        else read ~pos ~len);
     write =
       (fun ~pos s ->
         if pos + String.length s > capacity then invalid_arg "pbft vfs: write past region";
@@ -76,8 +84,10 @@ let pages_file pages ~first_page ~app_pages ~(disk : Simdisk.Disk.t) ~cost =
 
 let disk_journal disk ~cost =
   let f = Simdisk.Disk.open_file disk "journal" in
+  let read ~pos ~len = Simdisk.Disk.read f ~pos ~len in
   {
-    Vfs.read = (fun ~pos ~len -> Simdisk.Disk.read f ~pos ~len);
+    Vfs.read;
+    view = read;
     write =
       (fun ~pos s ->
         cost := !cost +. Simdisk.Disk.write_cost disk (String.length s);

@@ -1,5 +1,6 @@
 type file = {
   read : pos:int -> len:int -> string;
+  view : pos:int -> len:int -> string;
   write : pos:int -> string -> unit;
   sync : unit -> unit;
   size : unit -> int;
@@ -29,11 +30,13 @@ let heap_file () =
       buf := grown
     end
   in
+  let read ~pos ~len =
+    if pos < 0 || len < 0 || pos + len > size () then invalid_arg "heap_file.read";
+    Bytes.sub_string !buf pos len
+  in
   {
-    read =
-      (fun ~pos ~len ->
-        if pos < 0 || len < 0 || pos + len > size () then invalid_arg "heap_file.read";
-        Bytes.sub_string !buf pos len);
+    read;
+    view = read;
     write =
       (fun ~pos s ->
         ensure (pos + String.length s);
@@ -68,8 +71,10 @@ let in_memory ?(acid = true) ~seed () =
 
 let disk_file disk cost name =
   let f = Simdisk.Disk.open_file disk name in
+  let read ~pos ~len = Simdisk.Disk.read f ~pos ~len in
   {
-    read = (fun ~pos ~len -> Simdisk.Disk.read f ~pos ~len);
+    read;
+    view = read;
     write =
       (fun ~pos s ->
         cost := !cost +. Simdisk.Disk.write_cost disk (String.length s);

@@ -10,6 +10,13 @@
 
 type file = {
   read : pos:int -> len:int -> string;
+      (** A fresh copy of the bytes; the caller may keep it. *)
+  view : pos:int -> len:int -> string;
+      (** The same bytes, borrowed where the backing store allows (the
+          PBFT state region lends whole pages without copying); other
+          files fall back to [read]. A view may alias live storage: it is
+          valid only until the next [write] to the file and must never be
+          retained. Traced as [xRead], like [read]. *)
   write : pos:int -> string -> unit;
   sync : unit -> unit;
   size : unit -> int;

@@ -15,6 +15,7 @@ type t = {
   strict : bool;
   slots : Bytes.t option array; (* None = untouched zero page *)
   shared : bool array; (* slot aliased by a snapshot: copy before writing *)
+  zero : string; (* the one shared all-zero page handed out by [page_view] *)
   mutable dirty_set : (int, unit) Hashtbl.t;
   mutable generation : int;
       (* bumped on every wholesale page install (load_page/restore_page):
@@ -37,6 +38,7 @@ let create ?(strict = false) ~page_size ~num_pages () =
     strict;
     slots = Array.make num_pages None;
     shared = Array.make num_pages false;
+    zero = String.make page_size '\000';
     dirty_set = Hashtbl.create 64;
     generation = 0;
   }
@@ -82,7 +84,8 @@ let read t ~pos ~len =
     | Some b -> Bytes.blit b off out !copied n);
     copied := !copied + n
   done;
-  Bytes.to_string out
+  (* [out] is fresh and never escapes as bytes: no second copy needed. *)
+  Bytes.unsafe_to_string out
 
 let pages_of_range t pos len =
   if len = 0 then []
@@ -114,6 +117,12 @@ let write t ~pos s =
 let page t i =
   if i < 0 || i >= t.num_pages then invalid_arg "Pages.page";
   match t.slots.(i) with None -> String.make t.page_size '\000' | Some b -> Bytes.to_string b
+
+(* A borrow, not a copy: the string aliases the live buffer, which later
+   writes mutate in place (see the contract in pages.mli). *)
+let page_view t i =
+  if i < 0 || i >= t.num_pages then invalid_arg "Pages.page_view";
+  match t.slots.(i) with None -> t.zero | Some b -> Bytes.unsafe_to_string b
 
 let page_bytes t i =
   if i < 0 || i >= t.num_pages then invalid_arg "Pages.page_bytes";

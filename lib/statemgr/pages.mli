@@ -41,6 +41,19 @@ val write : t -> pos:int -> string -> unit
 val page : t -> int -> string
 (** Contents of one page (zero page if untouched), as a fresh string. *)
 
+val page_view : t -> int -> string
+(** Read-only borrow of one whole page: the live slot's bytes as a
+    string, or one shared all-zero page for an untouched slot. Nothing is
+    copied. The contract:
+    - the view aliases the live buffer, so it is valid only until the
+      next {!write} (or {!load_page}, {!restore_page}) to that page —
+      after that it may show the new bytes, the old ones, or a mix;
+    - the caller must finish with it before writing the region, and must
+      never retain it (store it, return it, or hand it to a callback
+      that might): copy out ([String.sub]) whatever has to outlive it.
+    Intended for probing page contents in place (the SQL engine's B-tree
+    lookups). Raises [Invalid_argument] for an index out of range. *)
+
 val page_bytes : t -> int -> Bytes.t option
 (** The page's backing buffer ([None] = untouched zero page), without
     copying. The buffer MUST NOT be mutated by the caller — it may be

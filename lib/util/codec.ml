@@ -91,6 +91,12 @@ module W = struct
       enc t v
 
   let contents t = Bytes.sub_string t.buf 0 t.len
+
+  let contents_padded t n =
+    if t.len > n then invalid_arg "Codec.W.contents_padded: longer than the target";
+    let out = Bytes.make n '\000' in
+    Bytes.blit t.buf 0 out 0 t.len;
+    Bytes.unsafe_to_string out
 end
 
 module R = struct

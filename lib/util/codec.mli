@@ -38,6 +38,11 @@ module W : sig
   val option : t -> (t -> 'a -> unit) -> 'a option -> unit
 
   val contents : t -> string
+
+  val contents_padded : t -> int -> string
+  (** [contents_padded w n]: the contents followed by zero bytes up to
+      [n] bytes in all (one allocation — a page image in one step).
+      Raises [Invalid_argument] if the contents are longer than [n]. *)
 end
 
 (** {1 Reader} *)

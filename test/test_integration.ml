@@ -249,6 +249,55 @@ let test_figure_traces_nonempty () =
       Alcotest.(check bool) ("figure2 has " ^ needle) true (contains f2 needle))
     [ "join-request"; "join-challenge"; "join-response"; "join-reply" ]
 
+(* Figure 3 pinned: the engine's VFS calls for one ACID insert (after the
+   schema is set up) verbatim, and the whole figure — set-up calls plus
+   the replicated message trace — by digest. A page view handed out by
+   the VFS must still show up as xRead in the same place as a copy did. *)
+let figure3_insert_calls =
+  [
+    "xRead  main    pos=0      len=4096";
+    "xRead  main    pos=4096   len=4096";
+    "xCurrentTime  -> agreed pre-prepare timestamp (§2.5)";
+    "xRandomness   -> agreed pre-prepare randomness (§2.5)";
+    "xRead  main    pos=8192   len=4096";
+    "xRead  main    pos=8192   len=4096";
+    "xRead  main    pos=8192   len=4096";
+    "xWrite journal pos=4      len=4";
+    "xWrite journal pos=8      len=4096";
+    "xWrite journal pos=0      len=4";
+    "xWrite main    pos=8192   len=4096";
+    "xRead  main    pos=4096   len=4096";
+    "xRead  main    pos=4096   len=4096";
+    "xWrite journal pos=4104   len=4";
+    "xWrite journal pos=4108   len=4096";
+    "xWrite journal pos=0      len=4";
+    "xWrite main    pos=4096   len=4096";
+    "xSync  journal (durability barrier)";
+    "xSync  main    (durability barrier)";
+    "xTruncate journal to 0";
+    "xWrite journal pos=0      len=4";
+    "xSync  journal (durability barrier)";
+  ]
+
+let pinned_figure3_digest = "7314b887d21554cb4c61aec7a7be60e30e911d493934274c4e5a2da8fcd8d95f"
+
+let test_figure3_vfs_calls_pinned () =
+  let fig = Harness.Experiments.figure3 () in
+  let lines = String.split_on_char '\n' fig in
+  let rec after_marker = function
+    | [] -> Alcotest.fail "figure3: no INSERT marker"
+    | l :: rest ->
+      if String.equal (String.trim l) "--- INSERT begins ---" then rest else after_marker rest
+  in
+  let rec until_blank = function
+    | [] | "" :: _ -> []
+    | l :: rest -> String.trim l :: until_blank rest
+  in
+  Alcotest.(check (list string)) "one ACID insert at the VFS seam" figure3_insert_calls
+    (until_blank (after_marker lines));
+  Alcotest.(check string) "whole figure" pinned_figure3_digest
+    (Crypto.Sha256.hex fig)
+
 (* --- host-time benchmark harness --- *)
 
 (* The perf caches (wire sharing, digest memos, MAC memo) must not leak
@@ -342,6 +391,7 @@ let () =
           Alcotest.test_case "dynamic scenario" `Slow test_scenario_dynamic_mode;
           Alcotest.test_case "report rendering" `Quick test_report_rendering;
           Alcotest.test_case "figure traces" `Slow test_figure_traces_nonempty;
+          Alcotest.test_case "figure 3 VFS call log pinned" `Quick test_figure3_vfs_calls_pinned;
         ] );
       ( "hostbench",
         [

@@ -229,6 +229,344 @@ let test_btree_persistence () =
   Alcotest.(check (option string)) "survives reopen" (Some "144") (Btree.find tree "00012");
   Alcotest.(check int) "count survives" 500 (Btree.count tree)
 
+(* --- in-place probe vs a decode-based reference --- *)
+
+(* A VFS whose main file is a Pages region, lending whole pages as views
+   the way the replicated service does — so the probe reads live buffers. *)
+let region_vfs pages =
+  let ps = Statemgr.Pages.page_size pages in
+  let read ~pos ~len = Statemgr.Pages.read pages ~pos ~len in
+  let heap = Vfs.in_memory ~seed:1 () in
+  {
+    heap with
+    Vfs.main =
+      {
+        Vfs.read;
+        view =
+          (fun ~pos ~len ->
+            if len = ps && pos mod ps = 0 then Statemgr.Pages.page_view pages (pos / ps)
+            else read ~pos ~len);
+        write =
+          (fun ~pos s ->
+            Statemgr.Pages.notify_modify pages ~pos ~len:(String.length s);
+            Statemgr.Pages.write pages ~pos s);
+        sync = (fun () -> ());
+        size = (fun () -> Statemgr.Pages.total_size pages);
+        truncate = (fun _ -> ());
+      };
+  }
+
+(* The node format decoded with Util.Codec over copied page images, and
+   the lookup and range walk written the straightforward way. *)
+type ref_node = Ref_leaf of (string * string) list * int | Ref_interior of string list * int list
+
+let ref_node pager page =
+  let open Util.Codec.R in
+  let r = of_string (Pager.read_page pager page) in
+  match u8 r with
+  | 0 ->
+    let next = u32 r in
+    let entries =
+      list r (fun r ->
+          let k = lstring r in
+          let v = lstring r in
+          (k, v))
+    in
+    Ref_leaf (entries, next)
+  | _ ->
+    let seps = list r lstring in
+    Ref_interior (seps, list r varint)
+
+let ref_child seps key = List.length (List.filter (fun s -> String.compare s key <= 0) seps)
+
+let rec ref_find pager page key =
+  match ref_node pager page with
+  | Ref_leaf (entries, _) -> List.assoc_opt key entries
+  | Ref_interior (seps, children) -> ref_find pager (List.nth children (ref_child seps key)) key
+
+let rec ref_depth pager page =
+  match ref_node pager page with
+  | Ref_leaf _ -> 1
+  | Ref_interior (_, children) -> 1 + ref_depth pager (List.hd children)
+
+let in_bounds ~from ~upto k =
+  (match from with Some lo -> String.compare k lo >= 0 | None -> true)
+  && match upto with Some hi -> String.compare k hi <= 0 | None -> true
+
+let ref_range pager root ~from ~upto =
+  let rec leaf page =
+    match ref_node pager page with
+    | Ref_leaf _ -> page
+    | Ref_interior (seps, children) ->
+      let i = match from with None -> 0 | Some k -> ref_child seps k in
+      leaf (List.nth children i)
+  in
+  let rec walk page acc =
+    if page = 0 then List.rev acc
+    else
+      match ref_node pager page with
+      | Ref_interior _ -> Alcotest.fail "reference: interior node on the leaf chain"
+      | Ref_leaf (entries, next) ->
+        let inside = List.filter (fun (k, _) -> in_bounds ~from ~upto k) entries in
+        let beyond = List.exists (fun (k, _) -> not (in_bounds ~from:None ~upto k)) entries in
+        let acc = List.rev_append inside acc in
+        if beyond then List.rev acc else walk next acc
+  in
+  walk (leaf root) []
+
+let iter_range tree ~from ~upto =
+  let acc = ref [] in
+  Btree.iter tree ?from ?upto (fun k v ->
+      acc := (k, v) :: !acc;
+      true);
+  List.rev !acc
+
+(* Keys built to stress the in-place comparison: shared prefixes, the
+   empty key, NUL and 0xff bytes, and keys of 128+ bytes whose length
+   needs a multi-byte varint (which also makes trees 2-3 levels deep). *)
+let adversarial_key =
+  QCheck.Gen.(
+    map2 ( ^ )
+      (oneofl
+         [ ""; "a"; "ab"; "\000"; "\255"; "\000\255"; String.make 130 'p'; String.make 300 '\255';
+           String.make 600 'q' ])
+      (string_size
+         ~gen:(oneofl [ '\000'; '\001'; 'a'; 'b'; '\127'; '\128'; '\255' ])
+         (int_range 0 4)))
+
+type probe_case = {
+  inserts : (string * string) list;
+  deletes : string list;
+  probes : string list;
+  ranges : (string option * string option) list;
+}
+
+let probe_case_gen =
+  QCheck.Gen.(
+    let value = string_size ~gen:(oneofl [ '\000'; 'v'; '\255' ]) (int_range 0 300) in
+    list_size (int_range 1 60) (pair adversarial_key value) >>= fun inserts ->
+    let keys = List.map fst inserts in
+    let some_key = if keys = [] then adversarial_key else oneof [ oneofl keys; adversarial_key ] in
+    list_size (int_range 0 20) some_key >>= fun deletes ->
+    list_size (int_range 1 20) some_key >>= fun probes ->
+    list_size (int_range 1 6) (pair (opt some_key) (opt some_key)) >>= fun ranges ->
+    return { inserts; deletes; probes; ranges })
+
+let print_probe_case c =
+  Printf.sprintf "%d inserts, %d deletes, probes %s" (List.length c.inserts)
+    (List.length c.deletes)
+    (String.concat "," (List.map String.escaped c.probes))
+
+(* Build the case's tree in a fresh region; returns the pager, tree and
+   the Map model of its contents. *)
+let build_probe_tree c =
+  let pages = Statemgr.Pages.create ~page_size:Pager.page_size ~num_pages:512 () in
+  let pager = Pager.open_pager (region_vfs pages) in
+  Pager.begin_txn pager;
+  let tree = Btree.create pager in
+  let module M = Map.Make (String) in
+  let insert m (k, v) =
+    Btree.insert tree ~key:k ~value:v;
+    M.add k v m
+  in
+  let delete m k =
+    ignore (Btree.delete tree k);
+    M.remove k m
+  in
+  let model = List.fold_left delete (List.fold_left insert M.empty c.inserts) c.deletes in
+  Pager.commit pager;
+  (pages, pager, tree, M.bindings model)
+
+let prop_probe_matches_reference =
+  QCheck.Test.make ~name:"in-place probe matches decode-based reference" ~count:150
+    (QCheck.make ~print:print_probe_case probe_case_gen)
+    (fun c ->
+      let _, pager, tree, model = build_probe_tree c in
+      let root = Btree.root tree in
+      List.for_all
+        (fun k ->
+          let got = Btree.find tree k in
+          got = ref_find pager root k && got = List.assoc_opt k model)
+        (c.probes @ List.map fst c.inserts)
+      && List.for_all
+           (fun (from, upto) ->
+             let got = iter_range tree ~from ~upto in
+             let expect = List.filter (fun (k, _) -> in_bounds ~from ~upto k) model in
+             got = ref_range pager root ~from ~upto && got = expect)
+           ((None, None) :: c.ranges))
+
+(* The generator's long keys really do reach three levels. *)
+let test_probe_three_levels () =
+  let c =
+    {
+      inserts =
+        List.init 24 (fun i -> (Printf.sprintf "%s%03d" (String.make 600 'q') i, String.make 200 'v'));
+      deletes = [];
+      probes = [];
+      ranges = [];
+    }
+  in
+  let _, pager, tree, model = build_probe_tree c in
+  Alcotest.(check int) "depth" 3 (ref_depth pager (Btree.root tree));
+  List.iter
+    (fun (k, v) -> Alcotest.(check (option string)) "find" (Some v) (Btree.find tree k))
+    model;
+  Alcotest.(check int) "iter" 24 (List.length (iter_range tree ~from:None ~upto:None))
+
+(* The tree as seen through a VFS that replaces page [victim]'s image by
+   [mangle image] on every read and view. *)
+let tampered_tree pages tree ~victim mangle =
+  let base = region_vfs pages in
+  let at_victim f ~pos ~len =
+    if pos = victim * Pager.page_size then mangle (f ~pos ~len) else f ~pos ~len
+  in
+  let main =
+    { base.Vfs.main with read = at_victim base.Vfs.main.read; view = at_victim base.Vfs.main.view }
+  in
+  Btree.open_tree (Pager.open_pager { base with Vfs.main }) ~root:(Btree.root tree)
+
+(* Corrupt images: one page of a small tree is truncated or has one byte
+   replaced; find and iter may return anything but must fail only with
+   Pager.Corrupt. *)
+let prop_probe_corrupt_images =
+  QCheck.Test.make ~name:"corrupt node images raise only Pager.Corrupt" ~count:300
+    (QCheck.make ~print:(fun (c, _, _, _) -> print_probe_case c)
+       QCheck.Gen.(
+         quad probe_case_gen (int_bound 1000) (int_bound 4200)
+           (oneofl
+              [
+                `Truncate; `Byte ' '; `Byte '\000'; `Byte '\001'; `Byte '\127'; `Byte '\128';
+                `Byte '\255';
+              ])))
+    (fun (c, pick, at, how) ->
+      let pages, pager, tree, _ = build_probe_tree c in
+      let victim = 1 + (pick mod (Pager.page_count pager - 1)) in
+      let mangle img =
+        match how with
+        | `Truncate -> String.sub img 0 (at mod String.length img)
+        | `Byte b ->
+          (* Most of a page is padding: aim at the encoded prefix. *)
+          let i = at mod 600 in
+          String.mapi (fun j ch -> if j = i then b else ch) img
+      in
+      let tree' = tampered_tree pages tree ~victim mangle in
+      let safely f = try ignore (f ()) with Pager.Corrupt _ -> () in
+      List.iter
+        (fun k -> safely (fun () -> Btree.find tree' k))
+        (c.probes @ List.map fst c.inserts);
+      List.iter
+        (fun (from, upto) -> safely (fun () -> iter_range tree' ~from ~upto))
+        ((None, None) :: c.ranges);
+      true)
+
+(* Cycles a corrupt image can create end in Pager.Corrupt, not a hang: a
+   leaf replaced by its interior parent (the descent loops back), and a
+   leaf whose successor is replaced by itself (the chain loops). *)
+let test_probe_cycles_raise_corrupt () =
+  let c =
+    {
+      inserts = List.init 12 (fun i -> (Printf.sprintf "%s%03d" (String.make 600 'q') i, "v"));
+      deletes = [];
+      probes = [];
+      ranges = [];
+    }
+  in
+  let pages, pager, tree, model = build_probe_tree c in
+  let root = Btree.root tree in
+  Alcotest.(check int) "depth" 2 (ref_depth pager root);
+  let first, second =
+    match ref_node pager root with
+    | Ref_interior (_, a :: b :: _) -> (a, b)
+    | _ -> Alcotest.fail "expected a two-level tree"
+  in
+  let expect_corrupt name f =
+    match f () with
+    | _ -> Alcotest.failf "%s: no Pager.Corrupt" name
+    | exception Pager.Corrupt _ -> ()
+  in
+  let looped = tampered_tree pages tree ~victim:first (fun _ -> Pager.read_page pager root) in
+  expect_corrupt "find" (fun () -> Btree.find looped (fst (List.hd model)));
+  expect_corrupt "iter" (fun () -> iter_range looped ~from:None ~upto:None);
+  let self_chain = tampered_tree pages tree ~victim:second (fun _ -> Pager.read_page pager first) in
+  expect_corrupt "chain" (fun () -> iter_range self_chain ~from:None ~upto:None)
+
+(* --- page views never leak into stored images --- *)
+
+let region () = Statemgr.Pages.create ~page_size:Pager.page_size ~num_pages:256 ()
+let region_root pages = Statemgr.Merkle.root (Statemgr.Merkle.build pages)
+
+let fill_indexed db =
+  ignore (exec db "CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER, pad TEXT)");
+  ignore (exec db "CREATE INDEX t_k ON t(k)");
+  let pad = String.make 100 'x' in
+  for batch = 0 to 3 do
+    let rows =
+      List.init 100 (fun i ->
+          let id = (batch * 100) + i + 1 in
+          Printf.sprintf "(%d, %d, '%s')" id (401 - id) pad)
+    in
+    ignore (exec db ("INSERT INTO t (id, k, pad) VALUES " ^ String.concat ", " rows))
+  done
+
+(* An index-scan UPDATE that moves the indexed column and an index-scan
+   DELETE rewrite pages the probe has just read; they must leave the same
+   rows and the same region bytes as the forced-scan executor. *)
+let test_index_dml_matches_forced_scan () =
+  let run ~planner =
+    let pages = region () in
+    let db = Database.open_db (region_vfs pages) in
+    fill_indexed db;
+    Database.set_planner_enabled db planner;
+    let dml sql =
+      let o = Database.exec db sql in
+      match o.Database.res with
+      | Ok r -> (r.Database.affected, o.Database.rows_scanned)
+      | Error e -> Alcotest.failf "%s: %s" sql e
+    in
+    let update = dml "UPDATE t SET k = k + 1000 WHERE k >= 50 AND k < 120" in
+    let delete = dml "DELETE FROM t WHERE k >= 1060 AND k < 1080" in
+    Database.set_planner_enabled db true;
+    let rows = rows_as_strings (exec db "SELECT id, k, pad FROM t ORDER BY k") in
+    (update, delete, rows, region_root pages)
+  in
+  let (u, us), (d, ds), rows, root = run ~planner:true in
+  let (u', us'), (d', ds'), rows', root' = run ~planner:false in
+  Alcotest.(check (pair int int)) "affected" (u', d') (u, d);
+  Alcotest.(check (pair int int)) "70 updated, 20 deleted" (70, 20) (u, d);
+  Alcotest.(check bool) "the planned run used the index" true (us < us' && ds < ds');
+  Alcotest.(check (list string)) "rows" rows' rows;
+  Alcotest.(check string) "region Merkle root" root' root
+
+(* ROLLBACK writes back the journal's original images; had they been
+   views of the live pages, the writes would have changed them too. *)
+let test_rollback_restores_region () =
+  let pages = region () in
+  let db = Database.open_db (region_vfs pages) in
+  fill_indexed db;
+  let n = Statemgr.Pages.num_pages pages in
+  let before = List.init n (Statemgr.Pages.page pages) in
+  let root0 = region_root pages in
+  Statemgr.Pages.clear_dirty pages;
+  ignore (exec db "BEGIN");
+  ignore (exec db "UPDATE t SET pad = 'changed' WHERE k < 150");
+  ignore (exec db "DELETE FROM t WHERE k >= 300");
+  ignore
+    (exec db
+       ("INSERT INTO t (id, k, pad) VALUES "
+       ^ String.concat ", "
+           (List.init 60 (fun i ->
+                Printf.sprintf "(%d, %d, '%s')" (1000 + i) i (String.make 90 'y')))));
+  let written = List.length (Statemgr.Pages.dirty pages) in
+  if written < 5 then Alcotest.failf "only %d pages written inside the transaction" written;
+  ignore (exec db "ROLLBACK");
+  Alcotest.(check string) "region Merkle root" root0 (region_root pages);
+  List.iteri
+    (fun i img ->
+      if not (String.equal img (Statemgr.Pages.page pages i)) then
+        Alcotest.failf "page %d differs after ROLLBACK" i)
+    before;
+  check_rows "rows back" db "SELECT COUNT(*), SUM(k) FROM t" [ "400|80200" ]
+
 (* --- pager transactions & crash recovery --- *)
 
 let test_pager_rollback () =
@@ -862,6 +1200,14 @@ let () =
           Alcotest.test_case "entry too large" `Quick test_btree_entry_too_large;
           Alcotest.test_case "persistence" `Quick test_btree_persistence;
           qcheck prop_btree_vs_map;
+          qcheck prop_probe_matches_reference;
+          Alcotest.test_case "probe on a three-level tree" `Quick test_probe_three_levels;
+          qcheck prop_probe_corrupt_images;
+          Alcotest.test_case "corrupt cycles raise Corrupt" `Quick test_probe_cycles_raise_corrupt;
+          Alcotest.test_case "index-scan DML matches forced scan (region bytes)" `Quick
+            test_index_dml_matches_forced_scan;
+          Alcotest.test_case "ROLLBACK restores the exact region" `Quick
+            test_rollback_restores_region;
         ] );
       ( "pager",
         [

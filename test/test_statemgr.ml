@@ -72,6 +72,36 @@ let test_pages_load_page () =
   Alcotest.check_raises "size mismatch" (Invalid_argument "Pages.load_page: size mismatch")
     (fun () -> Statemgr.Pages.load_page p 0 "short")
 
+(* Page views borrow the live buffer. A snapshot taken before a write
+   still reads the old bytes even after a view of that page was handed
+   out, because the write copies the shared page first; without a
+   snapshot the view is the live buffer, which is why a view must not be
+   kept across a write. Untouched pages share one zero page that writes
+   never reach. *)
+let test_pages_view_aliasing () =
+  let p = Statemgr.Pages.create ~page_size:64 ~num_pages:8 () in
+  let old = String.make 64 'o' in
+  Statemgr.Pages.write p ~pos:(3 * 64) old;
+  let snap = Statemgr.Pages.snapshot p in
+  let v = Statemgr.Pages.page_view p 3 in
+  Alcotest.(check string) "view shows the page" old v;
+  Statemgr.Pages.write p ~pos:(3 * 64) "new";
+  let updated = "new" ^ String.make 61 'o' in
+  Alcotest.(check string) "snapshot keeps the old bytes" old (Statemgr.Pages.snapshot_page snap 3);
+  Alcotest.(check string) "the earlier view still reads the snapshot's buffer" old v;
+  Alcotest.(check string) "live page has the write" updated (Statemgr.Pages.page p 3);
+  Alcotest.(check string) "a fresh view sees the write" updated (Statemgr.Pages.page_view p 3);
+  let live = Statemgr.Pages.page_view p 3 in
+  Statemgr.Pages.write p ~pos:(3 * 64) "X";
+  Alcotest.(check char) "an unshared view aliases the live buffer" 'X' live.[0];
+  let zero = String.make 64 '\000' in
+  let z = Statemgr.Pages.page_view p 5 in
+  Statemgr.Pages.write p ~pos:(5 * 64) "dirty";
+  Alcotest.(check string) "zero view untouched by the write" zero z;
+  Alcotest.(check string) "other untouched pages still zero" zero (Statemgr.Pages.page_view p 6);
+  Alcotest.check_raises "bounds" (Invalid_argument "Pages.page_view") (fun () ->
+      ignore (Statemgr.Pages.page_view p 8))
+
 (* The copy-on-write snapshots must be observationally identical to a
    deep-copy reference model: live region = string array, snapshot = full
    copy of it. Ops: write / take snapshot / restore from any snapshot /
@@ -266,11 +296,13 @@ let mem_file () =
       data := b
     end
   in
+  let read ~pos ~len =
+    ensure (pos + len);
+    Bytes.sub_string !data pos len
+  in
   {
-    Relsql.Vfs.read =
-      (fun ~pos ~len ->
-        ensure (pos + len);
-        Bytes.sub_string !data pos len);
+    Relsql.Vfs.read;
+    view = read;
     write =
       (fun ~pos s ->
         ensure (pos + String.length s);
@@ -286,6 +318,11 @@ let pages_vfs pages =
     Relsql.Vfs.main =
       {
         Relsql.Vfs.read = (fun ~pos ~len -> Statemgr.Pages.read pages ~pos ~len);
+        view =
+          (fun ~pos ~len ->
+            let ps = Statemgr.Pages.page_size pages in
+            if len = ps && pos mod ps = 0 then Statemgr.Pages.page_view pages (pos / ps)
+            else Statemgr.Pages.read pages ~pos ~len);
         write =
           (fun ~pos s ->
             Statemgr.Pages.notify_modify pages ~pos ~len:(String.length s);
@@ -403,6 +440,7 @@ let () =
           Alcotest.test_case "sparse allocation" `Quick test_pages_sparse_allocation;
           Alcotest.test_case "copy isolation" `Quick test_pages_copy_isolated;
           Alcotest.test_case "load_page" `Quick test_pages_load_page;
+          Alcotest.test_case "page views and COW snapshots" `Quick test_pages_view_aliasing;
           qcheck prop_cow_matches_deep_copy_model;
         ] );
       ( "merkle",

@@ -4,8 +4,8 @@
    virtual cost model.
 
    Usage:  dune exec bench/main.exe [-- section ... [--quick]]
-   Sections: micro bench digest sqlidx pipeline faults openloop shards
-             churn table1
+   Sections: micro bench digest sqlidx memory pipeline faults openloop
+             shards churn table1
              figure1 figure2 figure3 figure4 figure5 acid recovery
              packet-loss nondet wan sizes loss ablation pipesweep all
              (default)
@@ -13,6 +13,10 @@
    forced-scan baseline and exits non-zero unless the indexed point
    stream clears 5x the baseline's virtual TPS and stays within its
    words-allocated-per-request budget.
+   [memory] runs the Table-1 default row at two lengths and exits
+   non-zero if a replica table that grows with requests outgrows its
+   log-window bound, if a body was aged out unanswered, or if the live
+   heap grows more per extra request than its budget.
    [pipeline] runs the 64-client null workload serial and with an 8-deep
    agreement pipeline on 4 virtual cores, and exits non-zero unless the
    pipelined run clears 2x both the serial baseline and the Table-1
@@ -249,6 +253,77 @@ let run_sqlidx () =
       sqlidx_words_budget;
     exit 1
   end
+
+(* Bounded-memory gate on the Table-1 default row, run at two lengths.
+   The deterministic proxy is the number of heap words reachable from
+   the cluster at the end of each run: its growth per extra completed
+   request is what a table that never forgets a request costs. Set from
+   this gate's --quick value with stable-checkpoint body retirement in
+   place (6.35 words/op, 1 s vs 3 s, seed 1) plus 25% headroom; keeping
+   every request body, as before the retirement, measures 171.8. *)
+let memory_words_budget = 7.94
+
+let run_memory () =
+  banner "Bounded replica memory — Table-1 default at two lengths";
+  let short, long = if !quick then (1.0, 3.0) else (2.0, 6.0) in
+  let cfg =
+    Harness.Experiments.with_flags ~dynamic:false ~macs:true ~allbig:true ~batching:true
+      (Pbft.Config.default ~f:1)
+  in
+  let run seconds =
+    let spec =
+      { (Harness.Scenario.default_spec cfg) with Harness.Scenario.seed = !seed; duration = seconds }
+    in
+    let outcome, cluster = Harness.Scenario.run_cluster spec in
+    (* Engine timers close over every replica and client, so the words
+       reachable from the cluster are its whole live heap — an exact
+       count, where a GC statistic also sees unswept garbage. *)
+    let live = Obj.reachable_words (Obj.repr cluster) in
+    let replicas = Array.to_list (Pbft.Cluster.replicas cluster) in
+    let counts r = List.map snd (Pbft.Replica.retained_fields (Pbft.Replica.retained r)) in
+    let largest =
+      List.fold_left (fun acc r -> List.map2 Int.max acc (counts r)) (counts (List.hd replicas))
+        replicas
+    in
+    let sum f = List.fold_left (fun acc r -> acc + f r) 0 replicas in
+    let unanswered = sum Pbft.Replica.aged_out_unanswered in
+    let aged = sum Pbft.Replica.bodies_aged_out in
+    (outcome.Harness.Scenario.completed, live, largest, unanswered, aged)
+  in
+  let ops_s, live_s, largest_s, unanswered_s, aged_s = run short in
+  let ops_l, live_l, largest_l, unanswered_l, aged_l = run long in
+  let bound =
+    Pbft.Replica.retained_fields (Harness.Scenario.retained_bound (Harness.Scenario.default_spec cfg))
+  in
+  let failures = ref [] in
+  Printf.printf "  %-22s %10s %10s %10s\n" "largest per replica" (Printf.sprintf "%.0f s" short)
+    (Printf.sprintf "%.0f s" long) "bound";
+  List.iteri
+    (fun i (name, bound) ->
+      let a = List.nth largest_s i and b = List.nth largest_l i in
+      Printf.printf "  %-22s %10d %10d %10d\n" name a b bound;
+      if b > Int.max a bound then
+        failures :=
+          Printf.sprintf "%s grew with run length (%d -> %d, bound %d)" name a b bound :: !failures)
+    bound;
+  Printf.printf "  bodies aged out: %d / %d (unanswered: %d / %d)\n" aged_s aged_l unanswered_s
+    unanswered_l;
+  if unanswered_s + unanswered_l > 0 then
+    failures := "a body was aged out while its request was unanswered" :: !failures;
+  let growth = float_of_int (live_l - live_s) /. float_of_int (Int.max 1 (ops_l - ops_s)) in
+  Printf.printf "  live words: %d at %d ops, %d at %d ops\n" live_s ops_s live_l ops_l;
+  Printf.printf "  growth: %.2f words/op = %.3f KB/op (budget %.2f words/op)\n%!" growth
+    (growth *. float_of_int (Sys.word_size / 8) /. 1024.0)
+    memory_words_budget;
+  if growth > memory_words_budget then
+    failures :=
+      Printf.sprintf "live words grow %.2f per extra op (budget %.2f)" growth memory_words_budget
+      :: !failures;
+  match List.rev !failures with
+  | [] -> Printf.printf "  memory gate: PASS\n%!"
+  | fs ->
+    List.iter (fun f -> Printf.eprintf "FAIL: %s\n" f) fs;
+    exit 1
 
 (* Byzantine fault scenarios with a pass/fail gate, run twice: serial
    (the PR 5 suite) and with the speculative execution pipeline on,
@@ -586,6 +661,7 @@ let sections : (string * (unit -> unit)) list =
     ("bench", run_hostbench);
     ("digest", run_digest);
     ("sqlidx", run_sqlidx);
+    ("memory", run_memory);
     ("pipeline", run_pipeline);
     ("faults", run_faults);
     ("openloop", run_openloop);

@@ -25,6 +25,27 @@ let default_spec cfg =
     think_time = 0.0;
   }
 
+(* Closed loop: each client has at most one request outstanding. Bodies
+   are retired with their checkpoint and aged out [log_window] executed
+   sequence numbers after arrival, checked as checkpoints go stable, so
+   a body outlives its arrival by at most the log window plus one
+   checkpoint interval of sequence numbers. *)
+let retained_bound spec : Pbft.Replica.retained =
+  let window = spec.cfg.Pbft.Config.log_window in
+  let clients = spec.num_clients in
+  let per_request = (window + spec.cfg.Pbft.Config.checkpoint_interval) * clients in
+  {
+    bodies = per_request;
+    body_arrivals = per_request;
+    pending = clients;
+    in_flight = clients;
+    waiting = clients;
+    entry_requests = window;
+    body_requests = per_request;
+    log_slots = window;
+    ckpt_votes = (window / spec.cfg.Pbft.Config.checkpoint_interval) + 1;
+  }
+
 type outcome = {
   tps : float;
   completed : int;

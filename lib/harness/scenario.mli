@@ -19,6 +19,13 @@ val default_spec : Pbft.Config.t -> spec
 (** 12 clients, null service, LAN profile, 0.5 s warmup, 2 s measurement,
     1024-byte null ops, seed 1. *)
 
+val retained_bound : spec -> Pbft.Replica.retained
+(** Ceiling on each {!Pbft.Replica.retained} count of any replica in a
+    closed-loop run of [spec], however long: one request per client per
+    sequence number of the log window plus one checkpoint interval for
+    the per-request tables, one request per client for the queues, the
+    log window for the per-sequence tables. *)
+
 type outcome = {
   tps : float;
   completed : int;

@@ -39,11 +39,35 @@ type t = {
 let create () = { slots = Hashtbl.create 256; low = 0; replies = Hashtbl.create 64 }
 let low_watermark t = t.low
 
+type retired = { orphaned : digest list; still_live : digest -> bool }
+
+let iter_body_digests f e =
+  match e.batch with
+  | Some items ->
+    List.iter (function Message.Digest_of d -> f d.bd_digest | Message.Full _ -> ()) items
+  | None -> ()
+
+(* One sorted pass: slots at or below the mark are removed, the rest are
+   the live log, and the digests they name protect their bodies. *)
 let set_low_watermark t mark =
   t.low <- mark;
+  let live = Hashtbl.create 64 in
+  let gone = ref [] in
   List.iter
-    (fun seq -> if seq <= mark then Hashtbl.remove t.slots seq)
-    (Util.Sorted_tbl.keys t.slots)
+    (fun (seq, e) ->
+      if seq <= mark then begin
+        Hashtbl.remove t.slots seq;
+        gone := e :: !gone
+      end
+      else iter_body_digests (fun d -> Hashtbl.replace live d ()) e)
+    (Util.Sorted_tbl.bindings t.slots);
+  let orphaned = ref [] in
+  List.iter
+    (iter_body_digests (fun d -> if not (Hashtbl.mem live d) then orphaned := d :: !orphaned))
+    (List.rev !gone);
+  { orphaned = List.rev !orphaned; still_live = Hashtbl.mem live }
+
+let length t = Hashtbl.length t.slots
 
 let fresh_entry seq =
   {

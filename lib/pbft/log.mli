@@ -29,8 +29,25 @@ type t
 val create : unit -> t
 
 val low_watermark : t -> seqno
-val set_low_watermark : t -> seqno -> unit
-(** Garbage-collects entries at or below the new mark. *)
+
+(** What a watermark advance retired, for the replica's request-body
+    table. *)
+type retired = {
+  orphaned : digest list;
+      (** big-request digests named by a retired entry and by no entry
+          above the mark, in slot order: no live slot can ask for their
+          bodies again *)
+  still_live : digest -> bool;
+      (** whether some entry above the mark names the digest (a
+          re-proposal keeps its body alive) *)
+}
+
+val set_low_watermark : t -> seqno -> retired
+(** Garbage-collects entries at or below the new mark, in the same pass
+    that collects the digests the surviving entries reference. *)
+
+val length : t -> int
+(** Slots currently held, live or not yet garbage-collected. *)
 
 val entry : t -> seqno -> entry
 (** Get-or-create the log slot. *)

@@ -25,6 +25,22 @@ type transfer = {
   mutable tr_received : (int * string) list;
 }
 
+type retained = {
+  bodies : int;
+  body_arrivals : int;
+  pending : int;
+  in_flight : int;
+  waiting : int;
+  entry_requests : int;
+  body_requests : int;
+  log_slots : int;
+  ckpt_votes : int;
+}
+
+(* A big-request body and the [seqs_executed] clock value at its latest
+   arrival, which starts its age-out countdown. *)
+type body = { b_rq : Message.request; b_mark : int }
+
 type t = {
   cfg : Config.t;
   costs : Costmodel.t;
@@ -49,7 +65,11 @@ type t = {
   keys_peers_prev : (int, Crypto.Mac.key) Hashtbl.t;
       (** previous-epoch key per sender, kept verifiable across a proactive
           refresh so in-flight authenticators survive the rollover *)
-  bodies : (digest, Message.request) Hashtbl.t;
+  bodies : (digest, body) Hashtbl.t;
+      (** big-request bodies; [retire_through] decides when one dies *)
+  body_arrivals : (int * digest) Queue.t;
+      (** (arrival mark, digest) per body arrival, oldest first: the
+          age-out FIFO for bodies no live log entry references *)
   pending : Message.request Queue.t;
   in_flight : (client_id * int, seqno) Hashtbl.t;  (** 0 until a pre-prepare assigns a sequence *)
   ro_replies : (client_id, int * string) Util.Lru.t;
@@ -118,6 +138,13 @@ type t = {
   mutable n_pages_full : int;  (** pages a full (non-diff) transfer would have pulled *)
   mutable n_spec_exec : int;  (** batches executed before their commit certificate landed *)
   mutable n_rollbacks : int;  (** rollbacks that actually undid speculative executions *)
+  mutable seqs_executed : int;
+      (** sequence numbers executed here, re-executions after a rollback
+          included; state transfers skip ahead without ticking it. The
+          body age-out clock. *)
+  mutable n_aged_out : int;  (** bodies dropped by the age bound *)
+  mutable n_aged_unanswered : int;
+      (** of those, bodies whose request was still waiting or in flight *)
   mutable record_journal : bool;
   mutable exec_journal : (seqno * digest) list;  (** newest first; committed executions only *)
 }
@@ -148,6 +175,36 @@ let signer t = t.signer
 let session_key_for t peer = Hashtbl.find_opt t.keys_i_chose peer
 let set_record_journal t v = t.record_journal <- v
 let exec_journal t = List.rev t.exec_journal
+
+let retained (t : t) : retained =
+  {
+    bodies = Hashtbl.length t.bodies;
+    body_arrivals = Queue.length t.body_arrivals;
+    pending = Queue.length t.pending;
+    in_flight = Hashtbl.length t.in_flight;
+    waiting = Hashtbl.length t.waiting;
+    entry_requests = Hashtbl.length t.entry_requests;
+    body_requests = Hashtbl.length t.body_requests;
+    log_slots = Log.length t.log;
+    ckpt_votes = Hashtbl.length t.ckpt_votes;
+  }
+
+let retained_fields (x : retained) =
+  [
+    ("bodies", x.bodies);
+    ("body arrivals", x.body_arrivals);
+    ("pending", x.pending);
+    ("in_flight", x.in_flight);
+    ("waiting", x.waiting);
+    ("entry requests", x.entry_requests);
+    ("body requests", x.body_requests);
+    ("log slots", x.log_slots);
+    ("checkpoint vote sets", x.ckpt_votes);
+  ]
+
+let bodies_aged_out t = t.n_aged_out
+let aged_out_unanswered t = t.n_aged_unanswered
+let holds_body t d = Hashtbl.mem t.bodies d
 
 let journal_commit t seq digest =
   if t.record_journal then t.exec_journal <- (seq, digest) :: t.exec_journal
@@ -387,6 +444,54 @@ let request_session_keys t =
         (replica_addrs t))
 
 (* ------------------------------------------------------------------ *)
+(* Request bodies.                                                      *)
+
+(* Every arrival (re)starts the body's age-out countdown. *)
+let store_body t d rq =
+  Hashtbl.replace t.bodies d { b_rq = rq; b_mark = t.seqs_executed };
+  Queue.push (t.seqs_executed, d) t.body_arrivals
+
+let find_body t d = Option.map (fun b -> b.b_rq) (Hashtbl.find_opt t.bodies d)
+
+(* A body that no live log entry references is dropped once this replica
+   has executed [log_window] further sequence numbers since it last
+   arrived: the request was answered, its client left, or it was never
+   ordered. A FIFO entry whose body has since re-arrived (newer mark) or
+   died is stale and skipped; a body a live entry still references is
+   re-armed instead, and the watermark retires it with that entry. *)
+let age_out_bodies t ~still_live =
+  let rec go () =
+    match Queue.peek_opt t.body_arrivals with
+    | Some (mark, d) when mark + t.cfg.log_window <= t.seqs_executed ->
+      ignore (Queue.pop t.body_arrivals);
+      (match Hashtbl.find_opt t.bodies d with
+      | Some b when b.b_mark = mark ->
+        if still_live d then store_body t d b.b_rq
+        else begin
+          Hashtbl.remove t.bodies d;
+          t.n_aged_out <- t.n_aged_out + 1;
+          let key = (b.b_rq.rq_client, b.b_rq.rq_id) in
+          if Hashtbl.mem t.waiting key || Hashtbl.mem t.in_flight key then
+            t.n_aged_unanswered <- t.n_aged_unanswered + 1
+        end
+      | Some _ | None -> ());
+      go ()
+    | Some _ | None -> ()
+  in
+  go ()
+
+(* Everything at or below a new stable point goes: log slots, the bodies
+   only those slots referenced, and outstanding entry fetches. View-change
+   O-sets, §2.4 body refetch and rejoin replay only reach above it. *)
+let retire_through t seq =
+  let retired = Log.set_low_watermark t.log seq in
+  List.iter (Hashtbl.remove t.bodies) retired.orphaned;
+  List.iter
+    (fun s -> if s <= seq then Hashtbl.remove t.entry_requests s)
+    (Util.Sorted_tbl.keys t.entry_requests);
+  age_out_bodies t ~still_live:retired.still_live
+
+(* ------------------------------------------------------------------ *)
 (* Watchdog (view-change timer).                                        *)
 
 (* PBFT's exponential backoff: the effective timeout doubles for every
@@ -435,7 +540,7 @@ and client_addr_of t client =
 and resolve_item t (item : Message.batch_item) =
   match item with
   | Message.Full rq -> Some rq
-  | Message.Digest_of d -> Hashtbl.find_opt t.bodies d.bd_digest
+  | Message.Digest_of d -> find_body t d.bd_digest
 
 (* Execute one request within a batch. Returns the reply payload and the
    virtual cost of the execution itself. *)
@@ -614,7 +719,7 @@ and check_ckpt_stable t seq =
     | Some (digest, count) when count >= quorum_2f1 ~f:t.cfg.f ->
       if seq > t.stable_ckpt then begin
         t.stable_ckpt <- seq;
-        Log.set_low_watermark t.log seq;
+        retire_through t seq;
         (* Drop older snapshots and vote sets. *)
         List.iter
           (fun s -> if s < seq then Hashtbl.remove t.checkpoints s)
@@ -939,6 +1044,7 @@ and try_execute t =
                 if t.last_committed_exec = next - 1 then t.last_committed_exec <- next
               end;
               t.last_executed <- next;
+              t.seqs_executed <- t.seqs_executed + 1;
               t.n_exec <- t.n_exec + List.length items;
               t.vc_attempts <- 0;
               if t.recovering && t.recovery_done = None then t.recovery_done <- Some (now t);
@@ -1018,12 +1124,15 @@ and emit_pre_prepares t =
             let size = String.length rq.Message.rq_op in
             let big = t.cfg.all_requests_big || size > t.cfg.big_request_threshold in
             if big then begin
-              Hashtbl.replace t.bodies (Message.request_digest rq) rq;
+              let d = Message.request_digest rq in
+              (* Normally still held from intake; re-store one the age
+                 bound took while the request queued. *)
+              if not (Hashtbl.mem t.bodies d) then store_body t d rq;
               Message.Digest_of
                 {
                   bd_client = rq.rq_client;
                   bd_id = rq.rq_id;
-                  bd_digest = Message.request_digest rq;
+                  bd_digest = d;
                   bd_readonly = rq.rq_readonly;
                 }
             end
@@ -1093,9 +1202,11 @@ and handle_request t ~src rq =
     ignore src;
     let size = String.length rq.rq_op in
     let big = t.cfg.all_requests_big || size > t.cfg.big_request_threshold in
-    if big then begin
+    (* A fast-path read is never ordered, so no proposal can name its body. *)
+    let fast_read = rq.rq_readonly && t.cfg.read_only_optimization in
+    if big && not fast_read then begin
       let d = Message.request_digest rq in
-      Hashtbl.replace t.bodies d rq;
+      store_body t d rq;
       Hashtbl.remove t.body_requests d;
       (* A stalled entry may have been waiting for exactly this body. *)
       (match Log.find t.log (t.last_executed + 1) with
@@ -1298,6 +1409,7 @@ and handle_commit t ~src (c_view, c_seq, c_digest) =
          sequence we never saw the pre-prepare for; fetch it. *)
       if
         t.cfg.fetch_missing_entries && entry.batch = None
+        && c_seq > Log.low_watermark t.log
         && Log.commit_count entry >= quorum_f1 ~f:t.cfg.f
         && not (Hashtbl.mem t.entry_requests c_seq)
       then begin
@@ -1360,6 +1472,7 @@ and handle_status t ~src (st_view, st_last_exec) =
       t.in_view_change <- false;
       t.vc_target <- supported;
       t.vc_attempts <- 0;
+      drop_primary_queue t;
       (match t.watchdog with
       | Some timer ->
         Simnet.Engine.cancel timer;
@@ -1398,6 +1511,20 @@ and handle_status t ~src (st_view, st_last_exec) =
              { c_view = e.pp_view; c_seq = seq; c_digest = e.batch_digest; c_replica = t.id })
       | Some _ | None -> ()
     done
+  end
+
+(* Installing a view this replica does not lead ends its primary role:
+   the requests it queued but never proposed belong to the new primary,
+   which the clients' retransmissions reach. Their seq-0 [in_flight]
+   marks go with the queue; left behind, they would shunt every
+   retransmission into the "already being ordered" branch, so the
+   request never reaches this replica's waiting ledger and watchdog. *)
+and drop_primary_queue t =
+  if not (is_primary t) then begin
+    Queue.iter
+      (fun (rq : Message.request) -> Hashtbl.remove t.in_flight (rq.rq_client, rq.rq_id))
+      t.pending;
+    Queue.clear t.pending
   end
 
 and handle_fetch_entry t ~src seq =
@@ -1712,6 +1839,7 @@ and handle_new_view t ~src (nv_view, nv_pre_prepares) =
     t.view <- nv_view;
     t.in_view_change <- false;
     t.vc_target <- nv_view;
+    drop_primary_queue t;
     List.iter
       (fun (seq, batch) ->
         (* Re-run agreement for every re-proposal above the stable
@@ -1862,7 +1990,7 @@ and finish_transfer t tr =
     t.seq_counter <- Int.max t.seq_counter tr.tr_seq
   end;
   t.stable_ckpt <- Int.max t.stable_ckpt tr.tr_seq;
-  Log.set_low_watermark t.log tr.tr_seq;
+  retire_through t tr.tr_seq;
   (* The transferred state already reflects every request ordered at or
      below [tr_seq], but we never walked those batches — entries on the
      waiting ledger that they satisfied would sit there forever with
@@ -1942,7 +2070,7 @@ and handle_join_response t ~src:_ (jr_addr, jr_proof, jr_pubkey, jr_idbuf) =
         { Message.rq_client = 0; rq_id; rq_op = op; rq_readonly = false; rq_timestamp = 0.0 }
       in
       let d = Message.request_digest rq in
-      Hashtbl.replace t.bodies d rq;
+      store_body t d rq;
       (* The ordered batch may already be committed and waiting for
          exactly this body (the copies fan out to replicas at different
          times). *)
@@ -1981,7 +2109,7 @@ and handle_leave t ~src (lv_client : client_id) =
       { Message.rq_client = 0; rq_id; rq_op = op; rq_readonly = false; rq_timestamp = 0.0 }
     in
     let d = Message.request_digest rq in
-    Hashtbl.replace t.bodies d rq;
+    store_body t d rq;
     (match Log.find t.log (t.last_executed + 1) with
     | Some e when List.mem d e.missing_bodies -> try_execute t
     | Some _ | None -> ());
@@ -2032,7 +2160,7 @@ and dispatch t ~src (msg : Message.t) =
   | Message.Fetch_pages f -> handle_fetch_pages t ~src (f.fp_seq, f.fp_pages)
   | Message.State_pages s -> handle_state_pages t ~src (s.sp_seq, s.sp_pages)
   | Message.Fetch_body f -> begin
-    match Hashtbl.find_opt t.bodies f.fb_digest with
+    match find_body t f.fb_digest with
     | Some rq -> send_to t ~dst:src (Message.Body { b_request = rq })
     | None -> ()
   end
@@ -2094,6 +2222,7 @@ let create ~cfg ~costs ~engine ~net ~id ~signer ~registry ~service:service_spec 
       keys_peers_chose = Hashtbl.create 16;
       keys_peers_prev = Hashtbl.create 16;
       bodies = Hashtbl.create 256;
+      body_arrivals = Queue.create ();
       pending = Queue.create ();
       in_flight = Hashtbl.create 64;
       ro_replies = Util.Lru.create ~capacity:(Int.max 1 cfg.max_clients);
@@ -2140,6 +2269,9 @@ let create ~cfg ~costs ~engine ~net ~id ~signer ~registry ~service:service_spec 
       n_pages_full = 0;
       n_spec_exec = 0;
       n_rollbacks = 0;
+      seqs_executed = 0;
+      n_aged_out = 0;
+      n_aged_unanswered = 0;
       record_journal = false;
       exec_journal = [];
     }
@@ -2222,7 +2354,7 @@ let restart t =
     fresh.last_committed_exec <- seq;
     fresh.seq_counter <- seq;
     fresh.stable_ckpt <- seq;
-    Log.set_low_watermark fresh.log seq;
+    retire_through fresh seq;
     (* Re-register the reloaded state as our own checkpoint so we can
        vote for it and serve transfers from it. *)
     let own = Statemgr.Checkpoint.take ~seqno:seq fresh.pages fresh.merkle in

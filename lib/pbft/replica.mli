@@ -114,6 +114,41 @@ val view_change_attempts : t -> int
     exponent of the current view-change timeout backoff; 0 after any
     request commits. *)
 
+(** Sizes of the tables that grow with requests. With the stable
+    checkpoint advancing they stay within a few log windows of work,
+    however long the run. *)
+type retained = {
+  bodies : int;  (** big-request bodies held *)
+  body_arrivals : int;  (** age-out FIFO entries, stale ones included *)
+  pending : int;  (** requests queued by a primary, not yet proposed *)
+  in_flight : int;  (** (client, id) keys queued, ordered or executing read-only *)
+  waiting : int;  (** requests on the view-change watchdog's ledger *)
+  entry_requests : int;  (** outstanding §2.5 log-entry fetches *)
+  body_requests : int;  (** outstanding §2.4 body fetches *)
+  log_slots : int;  (** agreement-log slots *)
+  ckpt_votes : int;  (** checkpoint sequence numbers with a vote set *)
+}
+
+val retained : t -> retained
+
+val retained_fields : retained -> (string * int) list
+(** The counts with their names, in declaration order. *)
+
+val bodies_aged_out : t -> int
+(** Bodies dropped by the age bound: no live log entry referenced them
+    and this replica executed [Config.log_window] sequence numbers since
+    they last arrived (retransmissions of answered requests, requests a
+    deposed primary never proposed, requests of clients that left). *)
+
+val aged_out_unanswered : t -> int
+(** Of {!bodies_aged_out}, the bodies whose request was still on this
+    replica's waiting ledger or in flight. Nonzero means the age bound
+    was too short for the load and a later proposal may stall on the
+    §2.4 missing-body path. *)
+
+val holds_body : t -> Types.digest -> bool
+(** Whether the body with this request digest is held. *)
+
 val signer : t -> Crypto.Keychain.signer
 (** This replica's signing key. Exposed for the fault-injection harness:
     a Byzantine wrapper forges protocol messages that carry the replica's

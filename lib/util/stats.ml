@@ -1,24 +1,40 @@
+(* Samples live unboxed in the first [n] slots of a growable float array
+   (8 bytes each, not a boxed float in a list cell), sorted in place the
+   first time an order statistic is asked for after an [add]. *)
 type t = {
-  mutable samples : float list;
+  mutable samples : Float.Array.t;
   mutable n : int;
   mutable sum : float;
   mutable sumsq : float;
   mutable mn : float;
   mutable mx : float;
-  mutable sorted : float array option;
+  mutable sorted : bool;
 }
 
 let create () =
-  { samples = []; n = 0; sum = 0.0; sumsq = 0.0; mn = infinity; mx = neg_infinity; sorted = None }
+  {
+    samples = Float.Array.create 0;
+    n = 0;
+    sum = 0.0;
+    sumsq = 0.0;
+    mn = infinity;
+    mx = neg_infinity;
+    sorted = true;
+  }
 
 let add t x =
-  t.samples <- x :: t.samples;
+  if t.n = Float.Array.length t.samples then begin
+    let grown = Float.Array.create (Stdlib.max 16 (2 * t.n)) in
+    Float.Array.blit t.samples 0 grown 0 t.n;
+    t.samples <- grown
+  end;
+  Float.Array.set t.samples t.n x;
   t.n <- t.n + 1;
   t.sum <- t.sum +. x;
   t.sumsq <- t.sumsq +. (x *. x);
   if x < t.mn then t.mn <- x;
   if x > t.mx then t.mx <- x;
-  t.sorted <- None
+  t.sorted <- false
 
 let count t = t.n
 let total t = t.sum
@@ -35,21 +51,20 @@ let stdev t =
 let min t = t.mn
 let max t = t.mx
 
-let sorted t =
-  match t.sorted with
-  | Some a -> a
-  | None ->
-    let a = Array.of_list t.samples in
-    Array.sort compare a;
-    t.sorted <- Some a;
-    a
+(* The sort covers the whole array, so spare capacity is trimmed first. *)
+let sort_samples t =
+  if not t.sorted then begin
+    if Float.Array.length t.samples > t.n then t.samples <- Float.Array.sub t.samples 0 t.n;
+    Float.Array.sort Float.compare t.samples;
+    t.sorted <- true
+  end
 
 let percentile t p =
   if t.n = 0 then invalid_arg "Stats.percentile: empty";
-  let a = sorted t in
+  sort_samples t;
   let rank = int_of_float (ceil (p /. 100.0 *. float_of_int t.n)) in
   let idx = Stdlib.max 0 (Stdlib.min (t.n - 1) (rank - 1)) in
-  a.(idx)
+  Float.Array.get t.samples idx
 
 let median t = percentile t 50.0
 let pct_or_zero t p = if t.n = 0 then 0.0 else percentile t p

@@ -257,7 +257,8 @@ let test_log_watermark_gc () =
   for i = 1 to 10 do
     ignore (Log.entry log i)
   done;
-  Log.set_low_watermark log 5;
+  let retired = Log.set_low_watermark log 5 in
+  Alcotest.(check (list string)) "no bodies named" [] retired.Log.orphaned;
   Alcotest.(check bool) "gc'd" true (Log.find log 3 = None);
   Alcotest.(check bool) "kept" true (Log.find log 6 <> None);
   Alcotest.(check int) "low" 5 (Log.low_watermark log)
@@ -1108,6 +1109,139 @@ let test_restart_primary_relearns_its_view () =
         (Replica.last_executed r0) (Replica.last_executed r))
     (Cluster.replicas cluster)
 
+(* --- bounded memory --- *)
+
+let digest_item c d =
+  Message.Digest_of { bd_client = c; bd_id = c; bd_digest = d; bd_readonly = false }
+
+let test_log_retire_keeps_referenced () =
+  (* A new primary may re-propose, above the stable checkpoint, a request
+     an earlier sequence number also carried: retiring the old slot must
+     not orphan a body the live one still names. *)
+  let log = Log.create () in
+  let set seq items = (Log.entry log seq).Log.batch <- Some items in
+  let x = String.make 32 'x' and y = String.make 32 'y' and z = String.make 32 'z' in
+  set 2 [ digest_item 1 y; digest_item 2 x ];
+  set 3 [ Message.Full sample_request; digest_item 1 y ];
+  set 4 [ digest_item 3 z ];
+  set 7 [ digest_item 2 x ];
+  let retired = Log.set_low_watermark log 5 in
+  Alcotest.(check (list string)) "orphaned in slot order" [ y; y; z ] retired.Log.orphaned;
+  Alcotest.(check bool) "re-proposed digest survives" true (retired.Log.still_live x);
+  Alcotest.(check bool) "retired digest is not live" false (retired.Log.still_live y);
+  Alcotest.(check int) "only the slot above the mark is left" 1 (Log.length log)
+
+let test_table1_retained_bounded () =
+  (* Every table that grows with requests must stay within a ceiling
+     derived from [log_window] (Scenario.retained_bound), and that
+     ceiling does not depend on how long the run is: the 3 s run is held
+     to the same numbers as the 1 s run. *)
+  let cfg =
+    Harness.Experiments.with_flags ~dynamic:false ~macs:true ~allbig:true ~batching:true
+      (Config.default ~f:1)
+  in
+  List.iter
+    (fun seconds ->
+      let spec =
+        { (Harness.Scenario.default_spec cfg) with Harness.Scenario.seed = 1; duration = seconds }
+      in
+      let outcome, cluster = Harness.Scenario.run_cluster spec in
+      let completed = outcome.Harness.Scenario.completed in
+      let bound = Replica.retained_fields (Harness.Scenario.retained_bound spec) in
+      Alcotest.(check bool) (Printf.sprintf "%.0f s run made progress" seconds) true (completed > 1000);
+      Array.iter
+        (fun r ->
+          List.iter2
+            (fun (name, v) (_, ceiling) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%.0f s, replica %d: %s %d <= %d" seconds (Replica.id r) name v
+                   ceiling)
+                true (v <= ceiling))
+            (Replica.retained_fields (Replica.retained r))
+            bound;
+          Alcotest.(check int) "no unanswered body aged out" 0 (Replica.aged_out_unanswered r))
+        (Cluster.replicas cluster))
+    [ 1.0; 3.0 ]
+
+let test_orphan_body_aged_out () =
+  (* A retransmission of a request that executed long ago re-stores its
+     body, and no proposal will ever name it again. The age bound must
+     reclaim it once the replica has executed [log_window] more sequence
+     numbers — without counting it as unanswered. *)
+  let cfg = { (Config.default ~f:1) with Config.checkpoint_interval = 16; log_window = 32 } in
+  let cluster = Cluster.create ~seed:66 ~num_clients:2 cfg in
+  Simnet.Trace.set_enabled (Cluster.trace cluster) false;
+  let cl0 = Cluster.client cluster 0 and cl1 = Cluster.client cluster 1 in
+  let rq =
+    {
+      Message.rq_client = Option.get (Client.client_id cl0);
+      rq_id = 1;
+      rq_op = "first";
+      rq_readonly = false;
+      rq_timestamp = 0.0;
+    }
+  in
+  let answered = ref false in
+  Client.invoke cl0 rq.rq_op (fun _ -> answered := true);
+  let filler = ref true in
+  let rec loop _ = if !filler then Client.invoke cl1 "filler" loop in
+  loop "";
+  Cluster.run cluster ~seconds:1.0;
+  Alcotest.(check bool) "original answered" true !answered;
+  let r2 = Cluster.replica cluster 2 in
+  let d = Message.request_digest rq in
+  Alcotest.(check bool) "executed body retired with its checkpoint" false (Replica.holds_body r2 d);
+  let payload = Message.Request_msg rq in
+  let auth =
+    Message.Authenticated
+      (Crypto.Authenticator.compute
+         ~keys:[ (2, Client.session_key_for cl0 2) ]
+         (Message.payload_bytes payload))
+  in
+  Simnet.Net.send (Cluster.net cluster) ~src:(Client.addr cl0) ~dst:2
+    (Message.encode { Message.payload; auth });
+  Cluster.run cluster ~seconds:0.01;
+  Alcotest.(check bool) "retransmission re-stored the body" true (Replica.holds_body r2 d);
+  let aged = Replica.bodies_aged_out r2 and seqs = Replica.last_executed r2 in
+  Cluster.run cluster ~seconds:1.0;
+  filler := false;
+  Alcotest.(check bool)
+    "replica executed past the age bound and a checkpoint"
+    true
+    (Replica.last_executed r2 - seqs > cfg.log_window + cfg.checkpoint_interval);
+  Alcotest.(check bool) "orphan aged out" false (Replica.holds_body r2 d);
+  Alcotest.(check bool) "counted as aged out" true (Replica.bodies_aged_out r2 > aged);
+  Alcotest.(check int) "not counted as unanswered" 0 (Replica.aged_out_unanswered r2)
+
+let test_demoted_primary_drops_queue () =
+  (* Regression: a restarted view-0 primary comes back believing it leads
+     and queues the requests clients multicast to it; the one batch it
+     proposes is ignored by the view-1 group, so the rest of the queue
+     never drains. When status gossip teaches it view 1, the queue and
+     the in_flight marks that route retransmissions away from its
+     watchdog must go with the role. *)
+  let cfg = crash_cfg () in
+  let cluster = Cluster.create ~seed:123 ~num_clients:6 cfg in
+  Simnet.Trace.set_enabled (Cluster.trace cluster) false;
+  let engine = Cluster.engine cluster in
+  let stop = ref false in
+  Array.iter
+    (fun cl ->
+      let rec loop _ = if not !stop then Client.invoke cl "op" loop in
+      loop "")
+    (Cluster.clients cluster);
+  Simnet.Engine.schedule engine ~delay:0.2 (fun () -> Cluster.crash_replica cluster 0);
+  Simnet.Engine.schedule engine ~delay:0.6 (fun () -> Cluster.restart_replica cluster 0);
+  Cluster.run cluster ~seconds:3.0;
+  stop := true;
+  Cluster.run cluster ~seconds:1.0;
+  let r0 = Cluster.replica cluster 0 in
+  Alcotest.(check bool) "group moved past view 0" true (Replica.view (Cluster.replica cluster 1) > 0);
+  Alcotest.(check int) "restarted replica adopted the group's view"
+    (Replica.view (Cluster.replica cluster 1)) (Replica.view r0);
+  Alcotest.(check bool) "and does not lead it" false (Replica.is_primary r0);
+  Alcotest.(check int) "no stale primary queue" 0 (Replica.retained r0).Replica.pending
+
 (* --- session state (§3.3.2) --- *)
 
 let test_session_state_unit () =
@@ -1354,6 +1488,16 @@ let () =
           Alcotest.test_case "batch digest" `Quick test_batch_digest;
         ] );
       ("config", [ Alcotest.test_case "validation & naming" `Quick test_config_validation ]);
+      ( "memory-bound",
+        [
+          Alcotest.test_case "watermark keeps re-proposed bodies" `Quick
+            test_log_retire_keeps_referenced;
+          Alcotest.test_case "table-1 retained state independent of run length" `Slow
+            test_table1_retained_bounded;
+          Alcotest.test_case "orphan body aged out" `Quick test_orphan_body_aged_out;
+          Alcotest.test_case "demoted primary drops its queue" `Slow
+            test_demoted_primary_drops_queue;
+        ] );
       ("nondet", [ Alcotest.test_case "policies" `Quick test_nondet_produce_validate ]);
       ( "membership",
         [

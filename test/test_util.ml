@@ -337,6 +337,79 @@ let test_stats_latency_percentiles () =
   Alcotest.(check (float 0.0)) "empty p95" 0.0 (Util.Stats.p95 e);
   Alcotest.(check (float 0.0)) "empty p99" 0.0 (Util.Stats.p99 e)
 
+(* The list-backed accumulator [Util.Stats] replaced, kept as the
+   reference: samples consed onto a list, copied and sorted per query. *)
+module Ref_stats = struct
+  type t = {
+    mutable samples : float list;
+    mutable n : int;
+    mutable sum : float;
+    mutable sumsq : float;
+  }
+
+  let create () = { samples = []; n = 0; sum = 0.0; sumsq = 0.0 }
+
+  let add t x =
+    t.samples <- x :: t.samples;
+    t.n <- t.n + 1;
+    t.sum <- t.sum +. x;
+    t.sumsq <- t.sumsq +. (x *. x)
+
+  let mean t = if t.n = 0 then 0.0 else t.sum /. float_of_int t.n
+
+  let stdev t =
+    if t.n < 2 then 0.0
+    else begin
+      let n = float_of_int t.n in
+      let var = (t.sumsq -. (t.sum *. t.sum /. n)) /. (n -. 1.0) in
+      if var < 0.0 then 0.0 else sqrt var
+    end
+
+  let percentile t p =
+    let a = Array.of_list t.samples in
+    Array.sort Float.compare a;
+    let rank = int_of_float (ceil (p /. 100.0 *. float_of_int t.n)) in
+    a.(Stdlib.max 0 (Stdlib.min (t.n - 1) (rank - 1)))
+end
+
+type stats_op = Add of float | Query of float
+
+(* Latency-like samples: many ties, a wide range, no signed zeros or NaNs
+   (whose order among equals no sort pins down). *)
+let gen_stats_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map (fun i -> Add (float_of_int i)) (int_bound 20));
+        (3, map (fun x -> Add (Float.abs x +. 0.0)) (float_bound_inclusive 1e9));
+        (2, map (fun p -> Query p) (float_bound_inclusive 100.0));
+      ])
+
+let prop_stats_matches_reference =
+  QCheck.Test.make ~name:"unboxed samples = list reference (bit-identical)" ~count:500
+    (QCheck.make QCheck.Gen.(list_size (int_bound 300) gen_stats_op))
+    (fun ops ->
+      let s = Util.Stats.create () and r = Ref_stats.create () in
+      let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+      let agree () =
+        Util.Stats.count s = r.Ref_stats.n
+        && same (Util.Stats.mean s) (Ref_stats.mean r)
+        && same (Util.Stats.stdev s) (Ref_stats.stdev r)
+      in
+      List.for_all
+        (function
+          | Add x ->
+            Util.Stats.add s x;
+            Ref_stats.add r x;
+            agree ()
+          | Query p ->
+            agree ()
+            && (r.Ref_stats.n = 0
+               || List.for_all
+                    (fun p -> same (Util.Stats.percentile s p) (Ref_stats.percentile r p))
+                    [ p; 0.0; 50.0; 99.7; 100.0 ]))
+        (ops @ [ Query 95.0 ]))
+
 (* --- Hexdump --- *)
 
 let test_hex_known () =
@@ -448,6 +521,7 @@ let () =
           Alcotest.test_case "percentiles" `Quick test_stats_percentiles;
           Alcotest.test_case "empty" `Quick test_stats_empty;
           Alcotest.test_case "latency shorthands" `Quick test_stats_latency_percentiles;
+          qcheck prop_stats_matches_reference;
         ] );
       ( "hexdump",
         [

@@ -209,10 +209,11 @@ let run_digest () =
 (* Deterministic-proxy regression gate on the relsql read path: heap words
    allocated per completed sql:indexed_point request, boot fill included
    (as in BENCH.json's alloc_per_request), so a shorter run reads higher.
-   Set from the in-place B-tree probe's value under --quick, the CI run
-   (1,930,701), plus 25% headroom; the copy-and-decode read path it
-   replaced measured 6,430,090. *)
-let sqlidx_words_budget = 2_413_000.0
+   Set from the value under --quick, the CI run (586,117 with the boot
+   fill run once per service value), plus 25% headroom. The in-place
+   B-tree probe measured 1,930,701 while every replica still ran the
+   fill, and the copy-and-decode read path it replaced 6,430,090. *)
+let sqlidx_words_budget = 733_000.0
 
 (* Access-path comparison with a pass/fail gate: the identical point-
    SELECT stream, indexed versus forced scan, must differ by at least 5x

@@ -188,10 +188,16 @@ let finalize ctx =
   compress ctx ctx.block 0;
   ctx.fill <- 0;
   let out = Bytes.create 32 in
-  List.iteri
-    (fun i h -> Bytes.set_int32_be out (i * 4) (Int32.of_int h))
-    [ ctx.h0; ctx.h1; ctx.h2; ctx.h3; ctx.h4; ctx.h5; ctx.h6; ctx.h7 ];
-  Bytes.to_string out
+  Bytes.set_int32_be out 0 (Int32.of_int ctx.h0);
+  Bytes.set_int32_be out 4 (Int32.of_int ctx.h1);
+  Bytes.set_int32_be out 8 (Int32.of_int ctx.h2);
+  Bytes.set_int32_be out 12 (Int32.of_int ctx.h3);
+  Bytes.set_int32_be out 16 (Int32.of_int ctx.h4);
+  Bytes.set_int32_be out 20 (Int32.of_int ctx.h5);
+  Bytes.set_int32_be out 24 (Int32.of_int ctx.h6);
+  Bytes.set_int32_be out 28 (Int32.of_int ctx.h7);
+  (* [out] is fresh and never escapes as bytes. *)
+  Bytes.unsafe_to_string out
 
 (* One-shot digests reuse a scratch context instead of allocating a fresh
    block + schedule per call. Single-domain only, like [hashed]. *)

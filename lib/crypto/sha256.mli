@@ -22,6 +22,10 @@ val copy : ctx -> ctx
 (** Snapshot of the running state — lets a caller cache a midstate (e.g.
     HMAC's key pads) and branch many messages off it. *)
 
+val reset : ctx -> unit
+(** Return a context to the initial state, so one context can hash many
+    messages in turn without allocating. *)
+
 val feed : ctx -> string -> unit
 val feed_bytes : ctx -> bytes -> pos:int -> len:int -> unit
 val finalize : ctx -> string

@@ -224,6 +224,31 @@ let child_index seps key =
   in
   go 0 seps
 
+(* Where to split a full node's items: the count midpoint, unless skewed
+   item sizes would leave a half too big for its page ([fits] says
+   whether the two halves of a split fit) — then wherever the larger
+   half is smallest, which fits because no item exceeds
+   [max_entry_bytes]. *)
+let split_index arr ~size ~fits =
+  let n = Array.length arr in
+  let mid = n / 2 in
+  if fits mid then mid
+  else begin
+    let total = Array.fold_left (fun acc x -> acc + size x) 0 arr in
+    let best = ref mid and best_max = ref max_int and left = ref 0 in
+    for k = 1 to n - 1 do
+      left := !left + size arr.(k - 1);
+      let larger = Int.max !left (total - !left) in
+      if larger < !best_max then begin
+        best := k;
+        best_max := larger
+      end
+    done;
+    !best
+  end
+
+let encoded_bytes node = Util.Codec.W.length (encode_node node)
+
 (* Insert; returns Some (separator, right page) if the node split. *)
 let rec insert_in t page key value =
   match load t page with
@@ -245,11 +270,18 @@ let rec insert_in t page key value =
       None
     end
     else begin
-      (* Split in half by entry count. *)
       let arr = Array.of_list entries in
-      let mid = Array.length arr / 2 in
-      let left = Array.to_list (Array.sub arr 0 mid) in
-      let right = Array.to_list (Array.sub arr mid (Array.length arr - mid)) in
+      let halves mid =
+        (Array.to_list (Array.sub arr 0 mid), Array.to_list (Array.sub arr mid (Array.length arr - mid)))
+      in
+      let fits mid =
+        let left, right = halves mid in
+        encoded_bytes (Leaf { entries = left; next }) <= Pager.page_size
+        && encoded_bytes (Leaf { entries = right; next }) <= Pager.page_size
+      in
+      let left, right =
+        halves (split_index arr ~size:(fun (k, v) -> String.length k + String.length v) ~fits)
+      in
       let right_page = Pager.allocate_page t.pager in
       store t right_page (Leaf { entries = right; next });
       store t page (Leaf { entries = left; next = right_page });
@@ -273,16 +305,26 @@ let rec insert_in t page key value =
       end
       else begin
         let sarr = Array.of_list seps and carr = Array.of_list children in
-        let mid = Array.length sarr / 2 in
-        let promoted = sarr.(mid) in
-        let left_seps = Array.to_list (Array.sub sarr 0 mid) in
-        let right_seps = Array.to_list (Array.sub sarr (mid + 1) (Array.length sarr - mid - 1)) in
-        let left_children = Array.to_list (Array.sub carr 0 (mid + 1)) in
-        let right_children = Array.to_list (Array.sub carr (mid + 1) (Array.length carr - mid - 1)) in
+        (* The separator at [mid] moves up; each half keeps its children. *)
+        let halves mid =
+          let sub a lo hi = Array.to_list (Array.sub a lo (hi - lo)) in
+          ( Interior { seps = sub sarr 0 mid; children = sub carr 0 (mid + 1) },
+            Interior
+              {
+                seps = sub sarr (mid + 1) (Array.length sarr);
+                children = sub carr (mid + 1) (Array.length carr);
+              } )
+        in
+        let fits mid =
+          let left, right = halves mid in
+          encoded_bytes left <= Pager.page_size && encoded_bytes right <= Pager.page_size
+        in
+        let mid = split_index sarr ~size:String.length ~fits in
+        let left, right = halves mid in
         let right_pg = Pager.allocate_page t.pager in
-        store t right_pg (Interior { seps = right_seps; children = right_children });
-        store t page (Interior { seps = left_seps; children = left_children });
-        Some (promoted, right_pg)
+        store t right_pg right;
+        store t page left;
+        Some (sarr.(mid), right_pg)
       end)
 
 let insert t ~key ~value =

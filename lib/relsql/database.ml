@@ -4,7 +4,7 @@ type t = {
   cat : Catalog.t;
   mutable explicit_txn : bool;
   mutable rows_scanned : int;
-  stmt_cache : (string, Ast.stmt list) Hashtbl.t;
+  mutable stmt_cache : (string, Ast.stmt list) Hashtbl.t;
   mutable cache_hits : int;
   mutable cache_misses : int;
   mutable planner_enabled : bool;
@@ -55,6 +55,19 @@ let in_transaction t = t.explicit_txn
 let table_names t = Catalog.table_names t.cat
 let stmt_cache_stats t = (t.cache_hits, t.cache_misses)
 let set_planner_enabled t on = t.planner_enabled <- on
+
+type stmt_cache = { entries : (string, Ast.stmt list) Hashtbl.t; hits : int; misses : int }
+
+(* [Hashtbl.copy] keeps the bucket array, so the copy fills and is wiped
+   exactly when the original would be; the parsed statements are
+   immutable and shared. *)
+let stmt_cache t =
+  { entries = Hashtbl.copy t.stmt_cache; hits = t.cache_hits; misses = t.cache_misses }
+
+let adopt_stmt_cache t c =
+  t.stmt_cache <- Hashtbl.copy c.entries;
+  t.cache_hits <- c.hits;
+  t.cache_misses <- c.misses
 
 (* --- row & key encodings --- *)
 

@@ -38,6 +38,18 @@ val table_names : t -> string list
 val stmt_cache_stats : t -> int * int
 (** (hits, misses) of the per-connection statement cache since open. *)
 
+type stmt_cache
+(** A captured statement cache: its entries and hit/miss counts. *)
+
+val stmt_cache : t -> stmt_cache
+(** Capture the connection's statement cache (a private copy). *)
+
+val adopt_stmt_cache : t -> stmt_cache -> unit
+(** Give the connection a private copy of a captured cache, counts
+    included. A connection opened on a copy of another's file then
+    prices its statements ([cached] or parsed) exactly as the original
+    would, and wipes its cache at the same statement. *)
+
 val set_planner_enabled : t -> bool -> unit
 (** Turn access-path planning off (every statement full-scans) — the
     reference executor the planner is property-tested against. On by

@@ -36,14 +36,32 @@ val service :
   unit ->
   Pbft.Service.t
 (** [service ~acid ~schema ()] builds a replicated-SQL service.
-    [schema] is executed when each replica instantiates the service (all
-    replicas run it identically at boot), followed by the [init]
-    statements — deterministic pre-population that lands in the genesis
-    checkpoint (used by the large-state checkpoint benchmark).
+    [schema] and then the [init] statements — deterministic
+    pre-population that lands in the genesis checkpoint — are executed
+    once per service value, by its first [make]. That [make] captures the
+    filled pages, the journal file and the statement cache; every later
+    [make] (the other replicas, a restarted replica, a single-node
+    replay, at any [first_page]) adopts the pages copy-on-write through
+    {!Statemgr.Pages.alias_pages}, rewrites the journal image, opens the
+    database and takes a copy of the cache, so it starts from the same
+    bytes, Merkle root and statement-cache state, and prices every later
+    statement identically. [make] expects a fresh region.
     [acid:false] disables the rollback journal and the commit syncs — the
     No-ACID configuration of §4.2. [sync_latency] calibrates the
     per-fsync virtual cost (default 0.4 ms: a 2011 SATA disk with its
     write cache on). *)
+
+val service_with_db :
+  ?acid:bool ->
+  ?app_pages:int ->
+  ?sync_latency:float ->
+  ?schema:string ->
+  ?init:string list ->
+  unit ->
+  Pbft.Service.t * (Statemgr.Pages.t -> first_page:int -> Database.t * Pbft.Service.instance)
+(** {!service} together with its [make] in a form that also returns the
+    instance's database handle, for inspecting a booted instance (its
+    statement cache) from tests and tools. Both share one boot. *)
 
 val vote_schema : string
 (** The e-voting style schema used by the Figure 5 experiments: a votes

@@ -12,14 +12,23 @@ type t = { width : int; leaves : int; nodes : string array }
 let leaf_prefix = "leaf|"
 let node_prefix = "node|"
 
+(* Every leaf and node digest is computed start to finish in one call, so
+   one context serves them all instead of a fresh one per hash.
+   Single-domain only, like [Crypto.Sha256]'s own scratch context. *)
+let scratch = Crypto.Sha256.init ()
+
+let fresh_ctx () =
+  Crypto.Sha256.reset scratch;
+  scratch
+
 let hash_page contents =
-  let ctx = Crypto.Sha256.init () in
+  let ctx = fresh_ctx () in
   Crypto.Sha256.feed ctx leaf_prefix;
   Crypto.Sha256.feed ctx contents;
   Crypto.Sha256.finalize ctx
 
 let hash_page_bytes b =
-  let ctx = Crypto.Sha256.init () in
+  let ctx = fresh_ctx () in
   Crypto.Sha256.feed ctx leaf_prefix;
   Crypto.Sha256.feed_bytes ctx b ~pos:0 ~len:(Bytes.length b);
   Crypto.Sha256.finalize ctx
@@ -42,7 +51,7 @@ let leaf_digest_of_page pages i =
   | Some b -> hash_page_bytes b
 
 let hash_children l r =
-  let ctx = Crypto.Sha256.init () in
+  let ctx = fresh_ctx () in
   Crypto.Sha256.feed ctx node_prefix;
   Crypto.Sha256.feed ctx l;
   Crypto.Sha256.feed ctx r;

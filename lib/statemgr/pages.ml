@@ -175,6 +175,27 @@ let restore_page t snap i =
   t.generation <- t.generation + 1;
   Hashtbl.replace t.dirty_set i ()
 
+let alias_pages t ~first ~src ~src_first ~count =
+  if src.page_size <> t.page_size then invalid_arg "Pages.alias_pages: page size mismatch";
+  if count < 0 || first < 0 || src_first < 0 || first + count > t.num_pages
+     || src_first + count > src.num_pages
+  then invalid_arg "Pages.alias_pages";
+  for k = 0 to count - 1 do
+    let i = first + k and j = src_first + k in
+    match (src.slots.(j), t.slots.(i)) with
+    | None, None -> () (* unbacked on both sides: nothing changes *)
+    | None, Some _ ->
+      t.slots.(i) <- None;
+      t.shared.(i) <- false;
+      Hashtbl.replace t.dirty_set i ()
+    | (Some _ as slot), _ ->
+      (* One buffer, two owners: whichever side writes first copies. *)
+      t.slots.(i) <- slot;
+      t.shared.(i) <- true;
+      src.shared.(j) <- true;
+      Hashtbl.replace t.dirty_set i ()
+  done
+
 let copy t =
   (* A full logical copy, still O(num_pages) pointer work: both regions
      alias the same buffers and un-share lazily on write. *)

@@ -101,6 +101,25 @@ val restore_page : t -> snapshot -> int -> unit
     snapshot's buffer by reference (still copy-on-write); marks the page
     dirty like {!load_page} does. *)
 
+val alias_pages : t -> first:int -> src:t -> src_first:int -> count:int -> unit
+(** [alias_pages t ~first ~src ~src_first ~count] makes pages
+    [first .. first + count - 1] of [t] hold exactly what pages
+    [src_first .. src_first + count - 1] of [src] hold, by sharing [src]'s
+    buffers — how a captured image (a private region holding one boot's
+    filled pages) is taken from the region that filled it and handed to
+    every later region of the same service. The contract:
+    - both sides mark each aliased buffer shared, so the first {!write}
+      to it on either side duplicates that one page and neither ever
+      observes the other's writes (copy-on-write, as with {!snapshot});
+    - every page of [t] that is backed before or after becomes dirty,
+      so the next Merkle update covers it (a page unbacked on both sides
+      is left alone); [src]'s dirty set is untouched;
+    - no bytes are copied ({!bytes_copied} does not move), no snapshot is
+      counted ({!snapshots_taken} does not move) and {!generation} is not
+      bumped: this installs state before any cache of the region exists.
+    Raises [Invalid_argument] on a page-size mismatch or an out-of-range
+    page. *)
+
 val copy : t -> t
 (** Logical deep copy with lazy materialization: both regions share
     buffers until either writes. *)

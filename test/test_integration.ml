@@ -101,6 +101,243 @@ let test_sql_state_transfer_repairs_engine () =
   Cluster.run cluster ~seconds:5.0;
   Alcotest.(check bool) "read-only quorum reached after recovery" true (!count <> "")
 
+(* --- service boot: one fill per service value --- *)
+
+(* A SQL boot (schema, fill, region size) and 50 statements to run after
+   it. The statements repeat texts, so the statement cache decides part
+   of their cost. *)
+type boot = { schema : string; init : string list; app_pages : int; ops : string list }
+
+let lookup_boot =
+  {
+    schema = Relsql.Pbft_service.lookup_schema;
+    init = Relsql.Pbft_service.lookup_index_sql :: Harness.Experiments.lookup_fill_sql ~rows:640 ();
+    app_pages = 128;
+    ops =
+      List.init 50 (fun i ->
+          if i mod 5 = 4 then
+            Printf.sprintf "INSERT INTO lookup (id, k, pad) VALUES (%d, %d, 'w')" (10_000 + i)
+              (300 + i)
+          else if i mod 7 = 3 then Relsql.Pbft_service.range_select_sql ~lo:(i mod 16) ~hi:40
+          else Relsql.Pbft_service.point_select_sql ~key:(i * 7 mod 16));
+  }
+
+let vote_fill_boot =
+  {
+    schema = Relsql.Pbft_service.vote_schema;
+    init =
+      "CREATE TABLE IF NOT EXISTS fill (id INTEGER PRIMARY KEY, pad TEXT)"
+      :: List.init 4 (fun b ->
+             "INSERT INTO fill (id, pad) VALUES "
+             ^ String.concat ", "
+                 (List.init 40 (fun j ->
+                      let id = (b * 40) + j + 1 in
+                      Printf.sprintf "(%d, '%s')" id (String.make 1500 (Char.chr (97 + (id mod 26)))))));
+    app_pages = 256;
+    ops =
+      List.init 50 (fun i ->
+          if i mod 3 = 2 then "SELECT COUNT(*), SUM(id) FROM fill WHERE id > 100"
+          else
+            Relsql.Pbft_service.insert_vote_sql ~voter:(Printf.sprintf "v%d" (i mod 7))
+              ~choice:"alice");
+  }
+
+let sql_boot b =
+  Relsql.Pbft_service.service_with_db ~app_pages:b.app_pages ~schema:b.schema ~init:b.init ()
+
+type booted = {
+  pages : Statemgr.Pages.t;
+  first_page : int;
+  db : Relsql.Database.t;
+  inst : Service.instance;
+}
+
+(* The service with every [make] recorded, in boot order. *)
+let recording (svc, make_db) =
+  let booted = ref [] in
+  ( {
+      svc with
+      Service.make =
+        (fun pages ~first_page ->
+          let db, inst = make_db pages ~first_page in
+          booted := !booted @ [ { pages; first_page; db; inst } ];
+          inst);
+    },
+    booted )
+
+(* Boot on a fresh region of its own the way a replica does: the Merkle
+   tree is built before the boot and updated with the pages the boot
+   dirtied. Also returns that genesis root. *)
+let boot_standalone make_db ~num_pages ~first_page =
+  let pages = Statemgr.Pages.create ~page_size:Relsql.Pager.page_size ~num_pages () in
+  let merkle = Statemgr.Merkle.build pages in
+  let db, inst = make_db pages ~first_page in
+  Statemgr.Merkle.update merkle pages (Statemgr.Pages.dirty pages);
+  Statemgr.Pages.clear_dirty pages;
+  ({ pages; first_page; db; inst }, Statemgr.Merkle.root merkle)
+
+let app_images b x = List.init b.app_pages (fun i -> Statemgr.Pages.page x.pages (x.first_page + i))
+
+let app_root b x =
+  Statemgr.Merkle.root_of_leaves (List.map Statemgr.Merkle.page_digest (app_images b x))
+
+(* Reply and exact virtual cost of each statement. *)
+let run_ops b x =
+  List.mapi
+    (fun i op ->
+      let reply, cost =
+        x.inst.execute ~op ~client:1 ~timestamp:(float_of_int i) ~nondet:"" ~readonly:false
+      in
+      Printf.sprintf "%s @ %h" reply cost)
+    b.ops
+
+let stats x = Relsql.Database.stmt_cache_stats x.db
+let int_pair = Alcotest.(pair int int)
+
+(* Every replica of a cluster, and a later [make] of the same service
+   value, boot to exactly what a fresh service value's first [make]
+   fills: app-page bytes, Merkle root after the genesis update,
+   statement-cache statistics, and the reply and virtual cost of the
+   next 50 statements. *)
+let test_boot_equivalence b () =
+  let _, make_db as sql = sql_boot b in
+  let svc, booted = recording sql in
+  let cluster = Cluster.create ~seed:1 ~num_clients:1 ~service:svc (Config.default ~f:1) in
+  Alcotest.(check int) "one boot per replica" 4 (List.length !booted);
+  let num_pages = Statemgr.Pages.num_pages (List.hd !booted).pages in
+  let first_page = (List.hd !booted).first_page in
+  let reference, ref_root = boot_standalone (snd (sql_boot b)) ~num_pages ~first_page in
+  Alcotest.(check string) "reference genesis root = rebuilt root"
+    (Statemgr.Merkle.root (Statemgr.Merkle.build reference.pages)) ref_root;
+  let later, later_root = boot_standalone make_db ~num_pages ~first_page in
+  Alcotest.(check string) "later make: genesis root" ref_root later_root;
+  let ref_images = app_images b reference and ref_app_root = app_root b reference in
+  let ref_stats = stats reference in
+  Alcotest.(check bool) "the fill went through the statement cache" true (snd ref_stats > 0);
+  let digests = Array.map state_digest (Cluster.replicas cluster) in
+  Array.iter (fun d -> Alcotest.(check string) "replica roots agree" digests.(0) d) digests;
+  let ref_ops = run_ops b reference in
+  List.iteri
+    (fun i x ->
+      let who = if i < 4 then Printf.sprintf "replica %d" i else "later make" in
+      Alcotest.(check bool) (who ^ ": app pages") true (app_images b x = ref_images);
+      Alcotest.(check string) (who ^ ": app root") ref_app_root (app_root b x);
+      Alcotest.check int_pair (who ^ ": statement cache") ref_stats (stats x);
+      Alcotest.(check (list string)) (who ^ ": next 50 statements") ref_ops (run_ops b x);
+      Alcotest.check int_pair (who ^ ": statement cache after") (stats reference) (stats x))
+    (!booted @ [ later ])
+
+(* Copy-on-write isolation: writes on replica 0 after boot reach neither
+   the other replicas nor a later [make]. *)
+let test_boot_cow_isolation () =
+  let b = lookup_boot in
+  let _, make_db as sql = sql_boot b in
+  let svc, booted = recording sql in
+  let _cluster = Cluster.create ~seed:2 ~num_clients:1 ~service:svc (Config.default ~f:1) in
+  let genesis = app_images b (List.hd !booted) in
+  let r0 = List.hd !booted in
+  ignore (r0.inst.execute ~op:"DELETE FROM lookup WHERE k < 64" ~client:1 ~timestamp:1.0 ~nondet:""
+            ~readonly:false);
+  ignore (r0.inst.execute ~op:"INSERT INTO lookup (id, k, pad) VALUES (99999, 7, 'x')" ~client:1
+            ~timestamp:2.0 ~nondet:"" ~readonly:false);
+  Alcotest.(check bool) "replica 0 changed" false (app_images b r0 = genesis);
+  List.iteri
+    (fun i x ->
+      if i > 0 then
+        Alcotest.(check bool) (Printf.sprintf "replica %d still genesis" i) true
+          (app_images b x = genesis))
+    !booted;
+  let later, _ = boot_standalone make_db ~num_pages:b.app_pages ~first_page:0 in
+  Alcotest.(check bool) "later make still genesis" true (app_images b later = genesis);
+  (* The same without a checkpoint in between: the region that ran the
+     fill writes first, before anything else shares its pages. *)
+  let _, fresh_make = sql_boot b in
+  let filler, _ = boot_standalone fresh_make ~num_pages:b.app_pages ~first_page:0 in
+  ignore (filler.inst.execute ~op:"DELETE FROM lookup WHERE k < 64" ~client:1 ~timestamp:1.0
+            ~nondet:"" ~readonly:false);
+  let after, _ = boot_standalone fresh_make ~num_pages:b.app_pages ~first_page:0 in
+  Alcotest.(check bool) "filler's writes stay its own" true (app_images b after = genesis);
+  let count x =
+    fst (x.inst.execute ~op:"SELECT COUNT(*) FROM lookup" ~client:1 ~timestamp:3.0 ~nondet:""
+           ~readonly:true)
+  in
+  Alcotest.(check bool) "later make sees all 640 rows" true
+    (String.ends_with ~suffix:"640\n" (count later));
+  (* 191 of the 640 rows have k < 64; one row was added. *)
+  Alcotest.(check bool) "replica 0 sees its own writes" true
+    (String.ends_with ~suffix:"450\n" (count r0))
+
+(* A restarted SQL replica boots through a later [make] and rejoins with
+   the same root as the replicas that stayed up. *)
+let test_boot_restart () =
+  let b = lookup_boot in
+  let svc, booted = recording (sql_boot b) in
+  let cluster = Cluster.create ~seed:3 ~num_clients:4 ~service:svc (Config.default ~f:1) in
+  Simnet.Trace.set_enabled (Cluster.trace cluster) false;
+  let stop = ref false in
+  Array.iteri
+    (fun i cl ->
+      let n = ref 0 in
+      let rec loop _ =
+        if not !stop then begin
+          incr n;
+          Client.invoke cl
+            (Printf.sprintf "INSERT INTO lookup (id, k, pad) VALUES (%d, %d, 'r')"
+               (100_000 + (i * 10_000) + !n) (i + 300))
+            loop
+        end
+      in
+      loop "")
+    (Cluster.clients cluster);
+  Cluster.run cluster ~seconds:1.0;
+  Cluster.restart_replica cluster 3;
+  Alcotest.(check int) "restart booted through make" 5 (List.length !booted);
+  Cluster.run cluster ~seconds:2.0;
+  stop := true;
+  Cluster.run cluster ~seconds:3.0;
+  let r3 = Cluster.replica cluster 3 in
+  Alcotest.(check bool) "rejoined" true (Replica.recovery_completed_at r3 <> None);
+  let r0 = Cluster.replica cluster 0 in
+  Alcotest.(check int) "caught up" (Replica.last_executed r0) (Replica.last_executed r3);
+  Alcotest.(check string) "same root" (state_digest r0) (state_digest r3)
+
+(* The single-node replay geometry: a region holding only the app pages,
+   at [first_page:0], booted first or later. *)
+let test_boot_replay_geometry () =
+  let b = lookup_boot in
+  let _, make_db = sql_boot b in
+  let first, _ = boot_standalone make_db ~num_pages:(b.app_pages + 4) ~first_page:4 in
+  let later, later_root = boot_standalone make_db ~num_pages:b.app_pages ~first_page:0 in
+  let fresh, fresh_root = boot_standalone (snd (sql_boot b)) ~num_pages:b.app_pages ~first_page:0 in
+  Alcotest.(check bool) "later replay region = first boot" true (app_images b later = app_images b first);
+  Alcotest.(check bool) "fresh replay region = first boot" true (app_images b fresh = app_images b first);
+  Alcotest.(check string) "same genesis root" fresh_root later_root;
+  Alcotest.(check (list string)) "same replies and costs" (run_ops b fresh) (run_ops b later)
+
+(* The fill runs once per service value, whatever the replica count: the
+   page reads across [Cluster.create] are those of one fill, and the
+   boot takes no snapshot and copies no page beyond the genesis
+   checkpoints a cluster of null services takes too. Deterministic, so a
+   regression back to one fill per replica fails here, not only on a
+   wall clock. *)
+let test_boot_fills_once () =
+  let b = lookup_boot in
+  let cfg = Config.default ~f:1 in
+  let pages_read = Relsql.Database.pages_read_total in
+  let snaps = Statemgr.Pages.snapshots_taken and copied = Statemgr.Pages.bytes_copied in
+  let p0 = pages_read () in
+  ignore (boot_standalone (snd (sql_boot b)) ~num_pages:b.app_pages ~first_page:0);
+  let one_fill = pages_read () - p0 in
+  Alcotest.(check bool) "a fill reads pages" true (one_fill > 0);
+  let s0 = snaps () and c0 = copied () in
+  ignore (Cluster.create ~seed:4 ~num_clients:1 ~service:(Service.null ()) cfg);
+  let null_snaps = snaps () - s0 and null_copied = copied () - c0 in
+  let p1 = pages_read () and s1 = snaps () and c1 = copied () in
+  ignore (Cluster.create ~seed:4 ~num_clients:1 ~service:(fst (sql_boot b)) cfg);
+  Alcotest.(check int) "pages read: one fill for four replicas" one_fill (pages_read () - p1);
+  Alcotest.(check int) "no snapshot beyond genesis checkpoints" null_snaps (snaps () - s1);
+  Alcotest.(check int) "no page copied" null_copied (copied () - c1)
+
 (* --- e-voting --- *)
 
 let voting_cluster () =
@@ -373,6 +610,17 @@ let () =
           Alcotest.test_case "error replies consistent" `Quick test_sql_error_replies_consistent;
           Alcotest.test_case "state transfer repairs engine" `Slow
             test_sql_state_transfer_repairs_engine;
+        ] );
+      ( "service-boot",
+        [
+          Alcotest.test_case "lookup boot: replicas = first fill" `Quick
+            (test_boot_equivalence lookup_boot);
+          Alcotest.test_case "vote + fill boot: replicas = first fill" `Quick
+            (test_boot_equivalence vote_fill_boot);
+          Alcotest.test_case "copy-on-write isolation" `Quick test_boot_cow_isolation;
+          Alcotest.test_case "restart rejoins with the same root" `Slow test_boot_restart;
+          Alcotest.test_case "replay geometry (first_page 0)" `Quick test_boot_replay_geometry;
+          Alcotest.test_case "fills once per service value" `Quick test_boot_fills_once;
         ] );
       ( "evoting",
         [

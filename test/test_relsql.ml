@@ -211,6 +211,21 @@ let test_btree_entry_too_large () =
         (Invalid_argument "Btree.insert: entry too large (no overflow pages)") (fun () ->
           Btree.insert tree ~key:"k" ~value:(String.make 4000 'x')))
 
+(* Four small entries then three near-maximal ones: splitting the leaf
+   by entry count would put one small entry and all three big ones on a
+   single page, past its size. The split moves to where both halves fit. *)
+let test_btree_skewed_split () =
+  with_tree (fun _ tree ->
+      let entries =
+        List.init 4 (fun i -> (Printf.sprintf "a%d" i, String.make 10 's'))
+        @ List.init 3 (fun i -> (Printf.sprintf "z%d" i, String.make 1850 'b'))
+      in
+      List.iter (fun (key, value) -> Btree.insert tree ~key ~value) entries;
+      List.iter
+        (fun (k, v) -> Alcotest.(check (option string)) k (Some v) (Btree.find tree k))
+        entries;
+      Alcotest.(check int) "count" 7 (Btree.count tree))
+
 let test_btree_persistence () =
   let vfs = Vfs.in_memory ~seed:1 () in
   let root =
@@ -1198,6 +1213,8 @@ let () =
           Alcotest.test_case "many keys & order" `Quick test_btree_many_and_order;
           Alcotest.test_case "iter upper bound" `Quick test_btree_iter_upto;
           Alcotest.test_case "entry too large" `Quick test_btree_entry_too_large;
+          Alcotest.test_case "skewed entry sizes split where both halves fit" `Quick
+            test_btree_skewed_split;
           Alcotest.test_case "persistence" `Quick test_btree_persistence;
           qcheck prop_btree_vs_map;
           qcheck prop_probe_matches_reference;

@@ -490,7 +490,7 @@ let () =
           Alcotest.test_case "per-shard plan" `Quick test_plan;
         ] );
       ("twopc", [ Alcotest.test_case "op codec roundtrip" `Quick test_twopc_codec ]);
-      ( "router",
+      ( "frontdoor",
         [
           Alcotest.test_case "abort restores state (COW undo)" `Slow test_abort_restores_state;
           Alcotest.test_case "reply cache keyed on (route, id)" `Slow

@@ -64,6 +64,52 @@ let test_pages_copy_isolated () =
   Statemgr.Pages.write p ~pos:0 "mut!";
   Alcotest.(check string) "copy unchanged" "orig" (Statemgr.Pages.read q ~pos:0 ~len:4)
 
+(* Aliasing a page range hands over buffers, not bytes: the image, the
+   region it came from and the region it went to share them until one
+   writes, and the writer alone sees the write. The adopted pages are
+   dirty; nothing is copied or counted as a snapshot, and the generation
+   stays put. *)
+let test_pages_alias_range () =
+  let module P = Statemgr.Pages in
+  let src = P.create ~page_size:64 ~num_pages:6 () in
+  P.write src ~pos:(2 * 64) (String.make 64 'a');
+  P.write src ~pos:(3 * 64) (String.make 64 'b');
+  P.clear_dirty src;
+  let copied0 = P.bytes_copied () and snaps0 = P.snapshots_taken () in
+  let image = P.create ~page_size:64 ~num_pages:3 () in
+  P.alias_pages image ~first:0 ~src ~src_first:2 ~count:3;
+  let dst = P.create ~page_size:64 ~num_pages:5 () in
+  P.alias_pages dst ~first:1 ~src:image ~src_first:0 ~count:3;
+  Alcotest.(check (list int)) "adopted pages dirty, zero page left alone" [ 1; 2 ] (P.dirty dst);
+  Alcotest.(check (list int)) "source dirty set untouched" [] (P.dirty src);
+  Alcotest.(check int) "no bytes copied" copied0 (P.bytes_copied ());
+  Alcotest.(check int) "no snapshot counted" snaps0 (P.snapshots_taken ());
+  Alcotest.(check int) "generation unchanged" 0 (P.generation dst);
+  Alcotest.(check string) "page adopted" (String.make 64 'a') (P.page dst 1);
+  Alcotest.(check bool) "buffer shared, not copied" true
+    (match (P.page_bytes dst 2, P.page_bytes src 3) with
+    | Some a, Some b -> a == b
+    | _ -> false);
+  Alcotest.(check bool) "zero page stays unbacked" true (P.page_bytes dst 3 = None);
+  P.write dst ~pos:64 "X";
+  Alcotest.(check char) "writer sees its write" 'X' (P.page dst 1).[0];
+  Alcotest.(check string) "source keeps its page" (String.make 64 'a') (P.page src 2);
+  Alcotest.(check string) "image keeps its page" (String.make 64 'a') (P.page image 0);
+  P.write src ~pos:(3 * 64) "Y";
+  Alcotest.(check string) "adopter keeps its page" (String.make 64 'b') (P.page dst 2);
+  Alcotest.(check string) "image unaffected by the source" (String.make 64 'b') (P.page image 1);
+  Alcotest.(check int) "each first write copied one page" (copied0 + 128) (P.bytes_copied ());
+  let over = P.create ~page_size:64 ~num_pages:2 () in
+  P.write over ~pos:0 (String.make 64 'o');
+  P.clear_dirty over;
+  P.alias_pages over ~first:0 ~src:image ~src_first:2 ~count:1;
+  Alcotest.(check bool) "unbacked page replaces data" true (P.page_bytes over 0 = None);
+  Alcotest.(check (list int)) "and is dirty" [ 0 ] (P.dirty over);
+  Alcotest.check_raises "page size mismatch" (Invalid_argument "Pages.alias_pages: page size mismatch")
+    (fun () -> P.alias_pages (P.create ~page_size:32 ~num_pages:3 ()) ~first:0 ~src ~src_first:0 ~count:1);
+  Alcotest.check_raises "out of range" (Invalid_argument "Pages.alias_pages") (fun () ->
+      P.alias_pages dst ~first:3 ~src:image ~src_first:0 ~count:3)
+
 let test_pages_load_page () =
   let p = make_pages () in
   let img = String.make 256 'z' in
@@ -440,6 +486,7 @@ let () =
           Alcotest.test_case "sparse allocation" `Quick test_pages_sparse_allocation;
           Alcotest.test_case "copy isolation" `Quick test_pages_copy_isolated;
           Alcotest.test_case "load_page" `Quick test_pages_load_page;
+          Alcotest.test_case "alias a page range copy-on-write" `Quick test_pages_alias_range;
           Alcotest.test_case "page views and COW snapshots" `Quick test_pages_view_aliasing;
           qcheck prop_cow_matches_deep_copy_model;
         ] );

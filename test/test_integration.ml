@@ -599,6 +599,143 @@ let test_hostbench_measure_and_json () =
       ]
   | _ -> Alcotest.fail "workloads should hold the one measurement"
 
+(* --- equivalence pin ---
+
+   One short seeded run of each deployment shape the harness drives, its
+   virtual numbers rendered in a fixed format and hashed. A refactor of
+   the harness must leave the hash unchanged. Closed-loop latency is left
+   out on purpose; everything else printed here is computed, not a
+   constant. *)
+
+let render_fields name fields =
+  name ^ ":" ^ String.concat ","
+    (List.map (fun (k, v) -> k ^ "=" ^ v) fields) ^ "\n"
+
+let i = string_of_int
+let f = Printf.sprintf "%h"
+let fa a = String.concat ";" (Array.to_list (Array.map f a))
+let ia a = String.concat ";" (Array.to_list (Array.map i a))
+
+let pin_closed () =
+  let cfg = Config.default ~f:1 in
+  let spec =
+    { (Harness.Scenario.default_spec cfg) with Harness.Scenario.warmup = 0.1; duration = 0.3 }
+  in
+  let o = Harness.Scenario.run spec in
+  render_fields "closed"
+    [ ("completed", i o.Harness.Scenario.completed); ("tps", f o.tps);
+      ("vc", i o.view_changes); ("dem_tr", i o.demotion_transfers);
+      ("rejoin_tr", i o.rejoin_transfers); ("pages", i o.transfer_pages_fetched);
+      ("pages_full", i o.transfer_pages_full); ("spec", i o.speculative_execs);
+      ("rollbacks", i o.rollbacks); ("tentative", i o.tentative_completed);
+      ("retrans", i o.retransmissions); ("queue_peak", i o.replica_queue_peak) ]
+
+let pin_openloop () =
+  let spec =
+    {
+      (Harness.Openloop.default_spec (Config.default ~f:1)) with
+      Harness.Openloop.sessions = 200;
+      arrival = Harness.Openloop.Bursty { base = 150.0; burst = 4000.0; period = 0.1; duty = 0.3 };
+      warmup = 0.05;
+      duration = 0.3;
+      op_bytes = 128;
+      gen_conns = 8;
+      retransmit = Some 0.05;
+      gateway =
+        {
+          Webgate.Frontdoor.connections = 4;
+          flush_bytes = 1024;
+          flush_deadline = 0.003;
+          max_queue = 64;
+          max_sessions = 128;
+        };
+    }
+  in
+  let o, _cluster, _door, gen = Harness.Openloop.run spec in
+  Harness.Openloop.stop_generator gen;
+  let b = o.Harness.Openloop.base in
+  render_fields "openloop"
+    [ ("completed", i b.Harness.Scenario.completed); ("tps", f b.tps);
+      ("p50", f b.p50_latency); ("p95", f b.p95_latency); ("p99", f b.p99_latency);
+      ("mean", f b.mean_latency); ("shed", i b.shed); ("evictions", i b.gw_evictions);
+      ("gw_peak", i b.gw_queue_peak); ("vc", i b.view_changes);
+      ("arrivals", i o.arrivals); ("gen_shed", i o.gen_shed);
+      ("gen_retrans", i o.gen_retransmissions); ("cache_hits", i o.reply_cache_hits);
+      ("flush_size", i o.flushes_size); ("flush_deadline", i o.flushes_deadline);
+      ("live", i o.live_sessions) ]
+
+let pin_shards () =
+  let spec =
+    {
+      (Harness.Shards.default_spec ~shards:2 ()) with
+      rows = 64;
+      sessions = 16;
+      warmup = 0.2;
+      duration = 0.5;
+      cross_fraction = 0.1;
+    }
+  in
+  let o, _d = Harness.Shards.run spec in
+  render_fields "shards"
+    [ ("completed", i o.Harness.Shards.so_completed); ("tps", f o.so_vtps);
+      ("shard_tps", fa o.so_shard_tps); ("peaks", ia o.so_shard_queue_peak);
+      ("commits", i o.so_cross_commits); ("aborts", i o.so_cross_aborts);
+      ("timeouts", i o.so_cross_timeouts); ("flush_size", i o.so_flushes_size);
+      ("flush_deadline", i o.so_flushes_deadline); ("p50", f o.so_p50); ("p95", f o.so_p95);
+      ("p99", f o.so_p99); ("shed", i o.so_shed); ("cache_hits", i o.so_cache_hits);
+      ("errors", i o.so_errors) ]
+
+let pin_adversary () =
+  let cfg = { (Config.default ~f:1) with Config.view_change_timeout = 0.25 } in
+  let spec =
+    { (Harness.Scenario.default_spec cfg) with Harness.Scenario.warmup = 0.1; duration = 0.8 }
+  in
+  let adv = ref None in
+  let o, cluster =
+    Harness.Scenario.run_cluster
+      ~hook:(fun cluster ->
+        Simnet.Engine.schedule (Cluster.engine cluster) ~delay:0.2 (fun () ->
+            adv :=
+              Some
+                (Adversary.install ~net:(Cluster.net cluster) ~cfg (Cluster.replica cluster 0)
+                   Adversary.Mute)))
+      spec
+  in
+  let view = Array.fold_left (fun acc r -> Int.max acc (Replica.view r)) 0 (Cluster.replicas cluster) in
+  render_fields "adversary"
+    [ ("completed", i o.Harness.Scenario.completed); ("tps", f o.tps);
+      ("vc", i o.view_changes); ("view", i view);
+      ("mutations", i (match !adv with Some a -> Adversary.mutations a | None -> -1));
+      ("dem_tr", i o.demotion_transfers); ("spec", i o.speculative_execs);
+      ("rollbacks", i o.rollbacks); ("retrans", i o.retransmissions) ]
+
+let pin_churn () =
+  let base = Harness.Churn.default_spec () in
+  let o =
+    Harness.Churn.run
+      { base with Harness.Churn.horizon = 6.0; crash_period = 2.0; downtime = 0.5 }
+  in
+  render_fields "churn"
+    [ ("completed", i o.Harness.Churn.ch_completed); ("tps", f o.ch_tps);
+      ("crashes", i o.ch_crashes); ("restarts", i o.ch_restarts);
+      ("avail", f o.ch_availability); ("mean_rec", f o.ch_mean_recovery);
+      ("max_rec", f o.ch_max_recovery); ("unrecovered", i o.ch_unrecovered);
+      ("dem_tr", i o.ch_demotion_transfers); ("rejoin_tr", i o.ch_rejoin_transfers);
+      ("pages", i o.ch_pages_fetched); ("pages_full", i o.ch_pages_full);
+      ("vc", i o.ch_view_changes); ("view", i o.ch_final_view);
+      ("failures", String.concat "|" o.ch_failures) ]
+
+let pinned_equivalence = "0721f106c2a6375fbbf0e1462a671750dbaee77dd45716deb7fce4b5ff9ea954"
+
+let test_equivalence_pinned () =
+  let rendering =
+    String.concat ""
+      (List.map (fun part -> part ()) [ pin_closed; pin_openloop; pin_shards; pin_adversary; pin_churn ])
+  in
+  print_string rendering;
+  Alcotest.(check string) "virtual numbers of every shape" pinned_equivalence
+    (Crypto.Sha256.hex rendering)
+
 let () =
   Alcotest.run "integration"
     [
@@ -641,6 +778,8 @@ let () =
           Alcotest.test_case "figure traces" `Slow test_figure_traces_nonempty;
           Alcotest.test_case "figure 3 VFS call log pinned" `Quick test_figure3_vfs_calls_pinned;
         ] );
+      ( "equivalence",
+        [ Alcotest.test_case "every shape's virtual numbers" `Slow test_equivalence_pinned ] );
       ( "hostbench",
         [
           Alcotest.test_case "trace digest deterministic" `Slow test_trace_digest_deterministic;

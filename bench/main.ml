@@ -4,11 +4,14 @@
    virtual cost model.
 
    Usage:  dune exec bench/main.exe [-- section ... [--quick]]
+           dune exec bench/main.exe -- vdiff OLD.json NEW.json
    Sections: micro bench digest sqlidx memory pipeline faults openloop
              shards churn table1
              figure1 figure2 figure3 figure4 figure5 acid recovery
              packet-loss nondet wan sizes loss ablation pipesweep all
-             (default)
+             (default); an unknown name prints this list and exits 2.
+   [vdiff] compares two BENCH files' virtual numbers, workload by
+   workload, and exits 1 on any difference.
    [sqlidx] compares the indexed point/range SELECT workloads against the
    forced-scan baseline and exits non-zero unless the indexed point
    stream clears 5x the baseline's virtual TPS and stays within its
@@ -120,6 +123,9 @@ let banner name = Printf.printf "\n######## %s ########\n%!" name
 
 (* --- host-time benchmark (BENCH.json) --- *)
 
+let measure_named ~duration name =
+  Harness.Hostbench.measure ~name (Harness.Hostbench.workload ~seed:!seed ~duration name)
+
 let iso8601 () =
   let tm = Unix.gmtime (Unix.gettimeofday ()) in
   Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1)
@@ -140,55 +146,13 @@ let run_hostbench () =
            m.deep_copy_bytes_per_checkpoint /. m.bytes_copied_per_checkpoint
          else 0.0)
   in
-  let table1 = Harness.Hostbench.table1_workloads ~seed:!seed ~duration:dur () in
-  List.iter print_m table1;
-  let sql = Harness.Hostbench.sql_workload ~seed:!seed ~duration:dur () in
-  print_m sql;
-  let ckpt = Harness.Hostbench.ckpt_sql_large ~seed:!seed ~duration:dur () in
-  print_m ckpt;
-  let idx_point = Harness.Hostbench.sql_indexed_point ~seed:!seed ~duration:dur () in
-  print_m idx_point;
-  let idx_range = Harness.Hostbench.sql_indexed_range ~seed:!seed ~duration:dur () in
-  print_m idx_range;
-  let forced = Harness.Hostbench.sql_forced_scan ~seed:!seed ~duration:dur () in
-  print_m forced;
-  let pipe_serial = Harness.Hostbench.pipeline_serial ~seed:!seed ~duration:dur () in
-  print_m pipe_serial;
-  let pipe_deep = Harness.Hostbench.pipeline_deep ~seed:!seed ~duration:dur () in
-  print_m pipe_deep;
-  let read_mix = Harness.Hostbench.sql_read_mix ~seed:!seed ~duration:dur () in
-  print_m read_mix;
-  (* Representative open-loop front-door rows: steady Poisson load near
-     the closed-loop ceiling, and a bursty square wave that exercises the
-     deadline flush and queue growth. *)
-  let ol_base = Harness.Openloop.default_spec (Pbft.Config.default ~f:1) in
-  let ol_poisson =
-    Harness.Hostbench.measure_openloop ~name:"openloop:poisson12k"
-      {
-        ol_base with
-        Harness.Openloop.seed = !seed;
-        duration = dur;
-        arrival = Harness.Openloop.Poisson 12_000.0;
-      }
-  in
-  print_m ol_poisson;
-  let ol_bursty =
-    Harness.Hostbench.measure_openloop ~name:"openloop:bursty"
-      {
-        ol_base with
-        Harness.Openloop.seed = !seed;
-        duration = dur;
-        arrival =
-          Harness.Openloop.Bursty { base = 2_000.0; burst = 24_000.0; period = 0.2; duty = 0.25 };
-      }
-  in
-  print_m ol_bursty;
   let all =
-    table1
-    @ [
-        sql; ckpt; idx_point; idx_range; forced; pipe_serial; pipe_deep; read_mix; ol_poisson;
-        ol_bursty;
-      ]
+    List.map
+      (fun (name, spec) ->
+        let m = Harness.Hostbench.measure ~name spec in
+        print_m m;
+        m)
+      (Harness.Hostbench.workloads ~seed:!seed ~duration:dur ())
   in
   let json = Harness.Hostbench.to_json ~now:(iso8601 ()) all in
   let oc = open_out "BENCH.json" in
@@ -229,9 +193,9 @@ let run_sqlidx () =
       (per_op m (float_of_int m.pages_read))
       (per_op m (float_of_int m.rows_scanned))
   in
-  let point = Harness.Hostbench.sql_indexed_point ~seed:!seed ~duration:dur () in
-  let range = Harness.Hostbench.sql_indexed_range ~seed:!seed ~duration:dur () in
-  let forced = Harness.Hostbench.sql_forced_scan ~seed:!seed ~duration:dur () in
+  let point = measure_named ~duration:dur "sql:indexed_point" in
+  let range = measure_named ~duration:dur "sql:indexed_range" in
+  let forced = measure_named ~duration:dur "sql:forced_scan" in
   show point;
   show range;
   show forced;
@@ -271,11 +235,10 @@ let run_memory () =
     Harness.Experiments.with_flags ~dynamic:false ~macs:true ~allbig:true ~batching:true
       (Pbft.Config.default ~f:1)
   in
+  let spec = { (Harness.Run.closed cfg) with Harness.Run.seed = !seed } in
   let run seconds =
-    let spec =
-      { (Harness.Scenario.default_spec cfg) with Harness.Scenario.seed = !seed; duration = seconds }
-    in
-    let outcome, cluster = Harness.Scenario.run_cluster spec in
+    let r = Harness.Run.run { spec with Harness.Run.duration = seconds } in
+    let cluster = Harness.Run.cluster r.Harness.Run.deployment 0 in
     (* Engine timers close over every replica and client, so the words
        reachable from the cluster are its whole live heap — an exact
        count, where a GC statistic also sees unswept garbage. *)
@@ -289,13 +252,11 @@ let run_memory () =
     let sum f = List.fold_left (fun acc r -> acc + f r) 0 replicas in
     let unanswered = sum Pbft.Replica.aged_out_unanswered in
     let aged = sum Pbft.Replica.bodies_aged_out in
-    (outcome.Harness.Scenario.completed, live, largest, unanswered, aged)
+    (r.Harness.Run.completed, live, largest, unanswered, aged)
   in
   let ops_s, live_s, largest_s, unanswered_s, aged_s = run short in
   let ops_l, live_l, largest_l, unanswered_l, aged_l = run long in
-  let bound =
-    Pbft.Replica.retained_fields (Harness.Scenario.retained_bound (Harness.Scenario.default_spec cfg))
-  in
+  let bound = Pbft.Replica.retained_fields (Harness.Run.retained_bound spec) in
   let failures = ref [] in
   Printf.printf "  %-22s %10s %10s %10s\n" "largest per replica" (Printf.sprintf "%.0f s" short)
     (Printf.sprintf "%.0f s" long) "bound";
@@ -333,53 +294,41 @@ let run_memory () =
    message log dumped to faults-trace.txt — the artifact CI uploads. *)
 let run_faults () =
   banner "Byzantine fault scenarios (adversarial suite)";
-  let check ~speculative results =
-    List.iter (fun (r, _) -> Printf.printf "  %s\n%!" (Harness.Faults.render r)) results;
-    let failed =
-      List.filter (fun ((r : Harness.Faults.report), _) -> r.fr_failures <> []) results
+  let check ~speculative =
+    let results =
+      List.map
+        (fun scenario ->
+          let report, _ = Harness.Faults.run scenario in
+          Printf.printf "  %s\n%!" (Harness.Faults.render report);
+          (scenario, report))
+        (Harness.Faults.suite ~seed:!seed ~speculative ())
     in
-    if failed <> [] then begin
-      let (worst, _) = List.hd failed in
+    match List.filter (fun (_, (r : Harness.Faults.report)) -> r.failures <> []) results with
+    | [] -> ()
+    | ((scenario, worst) :: _) as failed ->
       (* Re-run the first failing scenario with the trace enabled so the
          dump actually contains the messages that led to the failure. *)
-      let _, cluster =
-        let name = worst.Harness.Faults.fr_behavior in
-        let find pool pfx =
-          List.find_opt
-            (fun b -> String.equal (pfx ^ Pbft.Adversary.behavior_name b) name)
-            pool
-        in
-        if String.equal name "crash-restart" || String.equal name "crash-restart-spec" then
-          Harness.Faults.run_crash_restart ~seed:!seed ~trace:true ~speculative ()
-        else
-          match
-            (find Harness.Faults.behaviors "", find Harness.Faults.gateway_behaviors "gateway-")
-          with
-          | Some behavior, _ ->
-            Harness.Faults.run_behavior ~seed:!seed ~trace:true ~speculative behavior
-          | None, Some behavior ->
-            Harness.Faults.run_gateway_behavior ~seed:!seed ~trace:true behavior
-          | None, None -> Harness.Faults.run_vc_mid_speculation ~seed:!seed ~trace:true ()
-      in
+      let _, result = Harness.Faults.run ~trace:true scenario in
       let oc = open_out "faults-trace.txt" in
       output_string oc
-        (Printf.sprintf "behavior: %s (speculative=%b)\nfailures:\n  %s\n\n" worst.fr_behavior
+        (Printf.sprintf "behavior: %s (speculative=%b)\nfailures:\n  %s\n\n" worst.name
            speculative
-           (String.concat "\n  " worst.fr_failures));
-      output_string oc (Harness.Faults.failure_trace cluster);
+           (String.concat "\n  " worst.failures));
+      output_string oc (Harness.Faults.failure_trace result);
       close_out oc;
       Printf.eprintf "FAIL: %d adversarial scenario(s) failed; trace in faults-trace.txt\n"
         (List.length failed);
       exit 1
-    end
   in
-  check ~speculative:false (Harness.Faults.run_all ~seed:!seed ());
+  check ~speculative:false;
   Printf.printf "  -- with speculation (pipeline depth 4, 2 cores) --\n%!";
-  check ~speculative:true (Harness.Faults.run_all ~seed:!seed ~speculative:true ())
+  check ~speculative:true
 
 (* Pipelined speculation with the PR 6 acceptance gate: the deep pipeline
    must clear 2x both its own serial baseline (same 64-client workload)
    and the Table-1 default row (12 clients) in virtual TPS. *)
+let table1_default = "table1:sta_mac_allbig_batch"
+
 let run_pipeline () =
   banner "Pipelined speculation — serial vs depth 8 x 4 cores";
   let dur = if !quick then 0.3 else !duration in
@@ -387,9 +336,9 @@ let run_pipeline () =
     Printf.printf "  %-28s vTPS %9.1f  core util %4.2f  spec execs %7d  rollbacks %d\n%!" m.name
       m.virtual_tps m.core_utilization m.speculative_executions m.rollbacks
   in
-  let table1 = Harness.Hostbench.table1_default ~seed:!seed ~duration:dur () in
-  let serial = Harness.Hostbench.pipeline_serial ~seed:!seed ~duration:dur () in
-  let deep = Harness.Hostbench.pipeline_deep ~seed:!seed ~duration:dur () in
+  let table1 = measure_named ~duration:dur table1_default in
+  let serial = measure_named ~duration:dur "pipeline:serial" in
+  let deep = measure_named ~duration:dur "pipeline:depth8_cores4" in
   show table1;
   show serial;
   show deep;
@@ -416,13 +365,11 @@ let run_openloop () =
   banner "Open-loop overload — arrival rate x gateway batch size";
   let dur = if !quick then 0.3 else 1.0 in
   let spec_at ~rate ~flush_bytes =
-    let base = Harness.Openloop.default_spec (Pbft.Config.default ~f:1) in
+    let spec = Harness.Experiments.open_loop_spec ~seed:!seed ~duration:dur (Harness.Run.Poisson rate) in
     {
-      base with
-      Harness.Openloop.seed = !seed;
-      duration = dur;
-      arrival = Harness.Openloop.Poisson rate;
-      gateway = { base.Harness.Openloop.gateway with Webgate.Frontdoor.flush_bytes };
+      spec with
+      Harness.Run.door =
+        Option.map (fun door -> { door with Webgate.Frontdoor.flush_bytes }) spec.Harness.Run.door;
     }
   in
   let show (m : Harness.Hostbench.measurement) =
@@ -439,7 +386,7 @@ let run_openloop () =
         List.map
           (fun rate ->
             let name = Printf.sprintf "openloop:r%.0f_f%dk" rate (flush_bytes / 1024) in
-            let m = Harness.Hostbench.measure_openloop ~name (spec_at ~rate ~flush_bytes) in
+            let m = Harness.Hostbench.measure ~name (spec_at ~rate ~flush_bytes) in
             show m;
             (rate, flush_bytes, m))
           rates)
@@ -455,13 +402,13 @@ let run_openloop () =
           if m.virtual_tps > b.virtual_tps then cand else acc)
         first rest
   in
-  let closed = Harness.Hostbench.table1_default ~seed:!seed ~duration:dur () in
+  let closed = measure_named ~duration:dur table1_default in
   Printf.printf "  saturated open-loop vTPS %.1f (rate %.0f/s, flush %dB); closed-loop Table-1 %.1f\n%!"
     sat.Harness.Hostbench.virtual_tps sat_rate sat_flush closed.Harness.Hostbench.virtual_tps;
   (* 80%-of-saturation run: the latency knee should not have been crossed,
      so the tail must stay bounded and the per-request budgets flat. *)
   let backoff =
-    Harness.Hostbench.measure_openloop ~name:"openloop:backoff80"
+    Harness.Hostbench.measure ~name:"openloop:backoff80"
       (spec_at ~rate:(0.8 *. sat_rate) ~flush_bytes:sat_flush)
   in
   show backoff;
@@ -504,10 +451,10 @@ let run_openloop () =
 let run_shards () =
   banner "Sharded PBFT — vTPS vs shard count";
   let dur = if !quick then 0.8 else 2.0 in
-  let spec shards =
+  let spec ?cross shards =
     {
-      (Harness.Shards.default_spec ~shards ()) with
-      Harness.Shards.seed = !seed;
+      (Harness.Shards.spec ~shards ?cross ()) with
+      Harness.Run.seed = !seed;
       duration = dur;
       warmup = (if !quick then 0.25 else 0.5);
     }
@@ -523,7 +470,7 @@ let run_shards () =
     List.map
       (fun shards ->
         let m =
-          Harness.Hostbench.measure_shards
+          Harness.Hostbench.measure
             ~name:(Printf.sprintf "shards:%d" shards)
             (spec shards)
         in
@@ -534,8 +481,8 @@ let run_shards () =
   (* The 2PC tax, informational: same 2-shard deployment with 10% of
      operations becoming cross-shard transfers. *)
   let crossed =
-    Harness.Hostbench.measure_shards ~name:"shards:2_cross10"
-      { (spec 2) with Harness.Shards.cross_fraction = 0.1 }
+    Harness.Hostbench.measure ~name:"shards:2_cross10"
+      (spec ~cross:0.1 2)
   in
   show crossed;
   let vtps n =
@@ -578,9 +525,9 @@ let run_shards () =
    BENCH-churn.json. *)
 let run_churn () =
   banner "Availability under churn — rolling crash/restart plan";
-  let base = Harness.Churn.default_spec () in
+  let churn = Harness.Experiments.churn_spec ~seed:!seed in
   let spec =
-    if !quick then { base with Harness.Churn.seed = !seed; horizon = 60.0; crash_period = 12.0 }
+    if !quick then churn ~horizon:60.0 ~period:12.0 ()
     else
       (* Full mode: a virtual hour of churn — a crash every 2.5 minutes
          (24 in all, every 4th taking the current primary), 20-second
@@ -588,19 +535,14 @@ let run_churn () =
          moderate (~16 req/s): enough that checkpoints advance while a
          victim is down, so every rejoin has a real Merkle diff to
          move, while keeping the hour to a couple of host minutes. *)
+      let spec = churn ~think:0.25 ~horizon:3_600.0 ~period:150.0 ~downtime:20.0 () in
       {
-        base with
-        Harness.Churn.seed = !seed;
-        num_clients = 4;
-        think_time = 0.25;
-        horizon = 3_600.0;
-        crash_period = 150.0;
-        downtime = 20.0;
-        bucket = 10.0;
-        cfg = { base.Harness.Churn.cfg with Pbft.Config.key_refresh_period = 600.0 };
+        spec with
+        Harness.Run.bucket = 10.0;
+        cfg = { spec.Harness.Run.cfg with Pbft.Config.key_refresh_period = 600.0 };
       }
   in
-  let m, outcome = Harness.Hostbench.measure_churn ~name:"churn:rolling" spec in
+  let m = Harness.Hostbench.measure ~name:"churn:rolling" spec in
   Printf.printf
     "  %-24s host %7.3fs  crashes %d  restarts %d  avail %.4f  mean_rec %.3fs  max_rec %.3fs\n%!"
     m.Harness.Hostbench.name m.host_seconds m.crashes m.restarts m.availability m.mean_recovery
@@ -619,37 +561,31 @@ let run_churn () =
   if not !quick then
     List.iter
       (fun period ->
-        let o =
-          Harness.Churn.run
-            { base with Harness.Churn.seed = !seed; horizon = 60.0; crash_period = period }
-        in
-        Printf.printf
-          "  crash every %5.1fs: avail %.4f  crashes %d  mean_rec %.3fs  max_rec %.3fs\n%!"
-          period o.Harness.Churn.ch_availability o.Harness.Churn.ch_crashes
-          o.Harness.Churn.ch_mean_recovery o.Harness.Churn.ch_max_recovery)
+        let r = Harness.Run.run (churn ~horizon:60.0 ~period ()) in
+        match r.Harness.Run.churn with
+        | Some c ->
+          Printf.printf
+            "  crash every %5.1fs: avail %.4f  crashes %d  mean_rec %.3fs  max_rec %.3fs\n%!"
+            period c.availability c.crashes c.mean_recovery c.max_recovery
+        | None -> ())
       [ 30.0; 12.0; 6.0 ];
   let failures = ref [] in
   let gate cond msg = if not cond then failures := msg :: !failures in
+  gate (m.completed > 0) "no client progress over the horizon";
   gate
-    (m.Harness.Hostbench.availability >= 0.99)
-    (Printf.sprintf "availability %.4f under churn is below the 0.99 floor"
-       m.Harness.Hostbench.availability);
+    (m.availability >= 0.99)
+    (Printf.sprintf "availability %.4f under churn is below the 0.99 floor" m.availability);
   gate
-    (m.Harness.Hostbench.restarts = m.Harness.Hostbench.crashes && m.Harness.Hostbench.crashes > 0)
-    (Printf.sprintf "crash plan incomplete: %d crashes, %d restarts" m.Harness.Hostbench.crashes
-       m.Harness.Hostbench.restarts);
+    (m.restarts = m.crashes && m.crashes > 0)
+    (Printf.sprintf "crash plan incomplete: %d crashes, %d restarts" m.crashes m.restarts);
   gate
-    (m.Harness.Hostbench.rejoin_transfers >= m.Harness.Hostbench.restarts)
-    (Printf.sprintf "only %d rejoin transfers for %d restarts" m.Harness.Hostbench.rejoin_transfers
-       m.Harness.Hostbench.restarts);
+    (m.rejoin_transfers >= m.restarts)
+    (Printf.sprintf "only %d rejoin transfers for %d restarts" m.rejoin_transfers m.restarts);
   gate
-    (m.Harness.Hostbench.transfer_pages_full > 0
-    && m.Harness.Hostbench.transfer_pages_fetched < m.Harness.Hostbench.transfer_pages_full)
-    (Printf.sprintf "Merkle diff saved nothing: fetched %d of %d pages"
-       m.Harness.Hostbench.transfer_pages_fetched m.Harness.Hostbench.transfer_pages_full);
-  List.iter
-    (fun f -> gate false (Printf.sprintf "churn run: %s" f))
-    outcome.Harness.Churn.ch_failures;
+    (m.transfer_pages_full > 0 && m.transfer_pages_fetched < m.transfer_pages_full)
+    (Printf.sprintf "Merkle diff saved nothing: fetched %d of %d pages" m.transfer_pages_fetched
+       m.transfer_pages_full);
+  List.iter (fun f -> gate false (Printf.sprintf "churn run: %s" f)) m.failures;
   match !failures with
   | [] -> Printf.printf "  churn gates: PASS\n%!"
   | fs ->
@@ -747,23 +683,72 @@ let sections : (string * (unit -> unit)) list =
              (Harness.Experiments.pipeline_sweep ~seed:!seed ~duration:!duration ())) );
   ]
 
-let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let wanted =
-    List.filter
-      (function
-        | "--quick" ->
-          quick := true;
-          false
-        | "all" -> false
-        | _ -> true)
-      args
+(* [vdiff A.json B.json]: the virtual-number equivalence check between
+   two BENCH files. Workloads are matched by name and compared field by
+   field, skipping the host-time fields; every difference is printed as
+   (workload, field, old, new) and any difference exits 1. *)
+let host_fields =
+  [ "generated"; "host_seconds"; "events_per_sec"; "hashed_mb_per_sec"; "alloc_per_request" ]
+
+let vdiff a b =
+  let load path =
+    let ic = open_in_bin path in
+    let text = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    Webgate.Json.parse text
   in
-  if !quick then duration := 0.3;
-  let run_all = wanted = [] in
-  (* figure4 duplicates table1's sweep; skip it in the default run. *)
-  let default_skip = [ "figure4" ] in
+  let fields = function Webgate.Json.Obj kvs -> kvs | _ -> [] in
+  let workloads doc =
+    match Webgate.Json.member_opt "workloads" doc with
+    | Some (Webgate.Json.Arr ws) ->
+      List.map (fun w -> (Webgate.Json.to_string_exn (Webgate.Json.member "name" w), fields w)) ws
+    | _ -> []
+  in
+  let differences = ref 0 in
+  let compare_fields scope old_kvs new_kvs =
+    let show = function Some v -> Webgate.Json.print v | None -> "(absent)" in
+    let names = List.sort_uniq String.compare (List.map fst old_kvs @ List.map fst new_kvs) in
+    List.iter
+      (fun field ->
+        let o = List.assoc_opt field old_kvs and n = List.assoc_opt field new_kvs in
+        if (not (List.mem field host_fields)) && not (String.equal (show o) (show n)) then begin
+          incr differences;
+          Printf.printf "%s\t%s\t%s\t%s\n" scope field (show o) (show n)
+        end)
+      names
+  in
+  let da = load a and db = load b in
+  let top doc = List.filter (fun (k, _) -> not (String.equal k "workloads")) (fields doc) in
+  compare_fields "(document)" (top da) (top db);
+  let wa = workloads da and wb = workloads db in
   List.iter
-    (fun (name, f) ->
-      if (run_all && not (List.mem name default_skip)) || List.mem name wanted then f ())
-    sections
+    (fun name ->
+      compare_fields name
+        (Option.value ~default:[] (List.assoc_opt name wa))
+        (Option.value ~default:[] (List.assoc_opt name wb)))
+    (List.sort_uniq String.compare (List.map fst wa @ List.map fst wb));
+  Printf.printf "%d difference(s)\n" !differences;
+  if !differences > 0 then exit 1
+
+let () =
+  match List.tl (Array.to_list Sys.argv) with
+  | [ "vdiff"; a; b ] -> vdiff a b
+  | args ->
+    let quick_flag = List.mem "--quick" args in
+    let wanted = List.filter (fun a -> not (String.equal a "--quick" || String.equal a "all")) args in
+    let known = List.map fst sections in
+    (match List.filter (fun a -> not (List.mem a known)) wanted with
+    | [] -> ()
+    | unknown ->
+      Printf.eprintf "unknown section(s): %s\nsections: %s all vdiff (A.json B.json) [--quick]\n"
+        (String.concat " " unknown) (String.concat " " known);
+      exit 2);
+    quick := quick_flag;
+    if !quick then duration := 0.3;
+    let run_all = wanted = [] in
+    (* figure4 duplicates table1's sweep; skip it in the default run. *)
+    let default_skip = [ "figure4" ] in
+    List.iter
+      (fun (name, f) ->
+        if (run_all && not (List.mem name default_skip)) || List.mem name wanted then f ())
+      sections

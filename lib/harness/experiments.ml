@@ -1,4 +1,5 @@
 let null_op = String.make 1024 'q'
+let null_load ?clients ?think () = Run.clients ?clients ?think (fun ~client:_ ~seq:_ -> String.make 1024 'q')
 
 let base_cfg () = Pbft.Config.default ~f:1
 
@@ -27,9 +28,7 @@ let table1_rows =
     ("nosta_nomac_noallbig_nobatch", 1205.0, (true, false, false, false));
   ]
 
-let measure_null ?(seed = 1) ?(duration = 2.0) cfg =
-  let spec = { (Scenario.default_spec cfg) with Scenario.seed; duration } in
-  Scenario.run spec
+let measure_null ?(seed = 1) ?(duration = 2.0) cfg = Run.run { (Run.closed cfg) with Run.seed; duration }
 
 let table1 ?(seed = 1) ?(duration = 2.0) () =
   let rows =
@@ -37,7 +36,7 @@ let table1 ?(seed = 1) ?(duration = 2.0) () =
       (fun (name, paper, (dynamic, macs, allbig, batching)) ->
         let cfg = with_flags ~dynamic ~macs ~allbig ~batching (base_cfg ()) in
         let o = measure_null ~seed ~duration cfg in
-        Report.row ~paper name o.Scenario.tps)
+        Report.row ~paper name o.Run.tps)
       table1_rows
   in
   {
@@ -69,17 +68,18 @@ let figure5_rows =
     ("nosta_nomac_noallbig", Some 534.0, (true, false, false));
   ]
 
+let insert_vote ~client ~seq =
+  Relsql.Pbft_service.insert_vote_sql
+    ~voter:(Printf.sprintf "voter-%d-%d" client seq)
+    ~choice:(if (client + seq) mod 2 = 0 then "alice" else "bob")
+
 let sql_spec ?(seed = 1) ?(duration = 2.0) ~acid cfg =
   {
-    (Scenario.default_spec cfg) with
-    Scenario.seed;
+    (Run.closed cfg) with
+    Run.seed;
     duration;
-    service = Relsql.Pbft_service.service ~acid ();
-    op =
-      (fun ~client ~seq ->
-        Relsql.Pbft_service.insert_vote_sql
-          ~voter:(Printf.sprintf "voter-%d-%d" client seq)
-          ~choice:(if (client + seq) mod 2 = 0 then "alice" else "bob"));
+    groups = Run.Service (Relsql.Pbft_service.service ~acid ());
+    load = Run.clients insert_vote;
   }
 
 (* Large-state checkpoint workload: the database is pre-populated with
@@ -108,16 +108,13 @@ let large_state_fill_sql ?(rows = 1600) ?(row_bytes = 1500) () =
 
 let sql_large_state_spec ?(seed = 1) ?(duration = 2.0) ?(app_pages = 2048) cfg =
   {
-    (Scenario.default_spec cfg) with
-    Scenario.seed;
+    (Run.closed cfg) with
+    Run.seed;
     duration;
-    service =
-      Relsql.Pbft_service.service ~acid:true ~app_pages ~init:(large_state_fill_sql ()) ();
-    op =
-      (fun ~client ~seq ->
-        Relsql.Pbft_service.insert_vote_sql
-          ~voter:(Printf.sprintf "voter-%d-%d" client seq)
-          ~choice:(if (client + seq) mod 2 = 0 then "alice" else "bob"));
+    groups =
+      Run.Service
+        (Relsql.Pbft_service.service ~acid:true ~app_pages ~init:(large_state_fill_sql ()) ());
+    load = Run.clients insert_vote;
   }
 
 (* Read-mostly lookup workload for the access-path comparison: 6400 rows
@@ -154,19 +151,20 @@ let indexed_sql_spec ?(seed = 1) ?(duration = 2.0) ?(app_pages = 512) ~indexed ~
     (if indexed then [ Relsql.Pbft_service.lookup_index_sql ] else []) @ lookup_fill_sql ()
   in
   {
-    (Scenario.default_spec cfg) with
-    Scenario.seed;
+    (Run.closed cfg) with
+    Run.seed;
     duration;
-    service =
-      Relsql.Pbft_service.service ~acid:true ~app_pages
-        ~schema:Relsql.Pbft_service.lookup_schema ~init ();
-    op =
-      (fun ~client ~seq ->
-        if range then begin
-          let lo = seq * 13 mod 240 in
-          Relsql.Pbft_service.range_select_sql ~lo ~hi:(lo + 8)
-        end
-        else Relsql.Pbft_service.point_select_sql ~key:(((seq * 31) + (client * 7)) mod 256));
+    groups =
+      Run.Service
+        (Relsql.Pbft_service.service ~acid:true ~app_pages
+           ~schema:Relsql.Pbft_service.lookup_schema ~init ());
+    load =
+      Run.clients (fun ~client ~seq ->
+          if range then begin
+            let lo = seq * 13 mod 240 in
+            Relsql.Pbft_service.range_select_sql ~lo ~hi:(lo + 8)
+          end
+          else Relsql.Pbft_service.point_select_sql ~key:(((seq * 31) + (client * 7)) mod 256));
   }
 
 (* Pipelined speculation (PR 6): the Table-1 default configuration with
@@ -184,7 +182,12 @@ let pipeline_cfg ~depth ~cores () =
   }
 
 let pipeline_spec ?(seed = 1) ?(duration = 1.5) ?(num_clients = 64) cfg =
-  { (Scenario.default_spec cfg) with Scenario.seed; duration; num_clients }
+  {
+    (Run.closed cfg) with
+    Run.seed;
+    duration;
+    load = null_load ~clients:num_clients ();
+  }
 
 let pipeline_sweep ?(seed = 1) ?(duration = 1.5) () =
   let rows =
@@ -192,12 +195,13 @@ let pipeline_sweep ?(seed = 1) ?(duration = 1.5) () =
       (fun depth ->
         List.map
           (fun cores ->
-            let o = Scenario.run (pipeline_spec ~seed ~duration (pipeline_cfg ~depth ~cores ())) in
+            let o = Run.run (pipeline_spec ~seed ~duration (pipeline_cfg ~depth ~cores ())) in
             Report.row
-              ~note:(Printf.sprintf "%d spec execs, %d rollbacks" o.Scenario.speculative_execs
-                       o.Scenario.rollbacks)
+              ~note:
+                (Printf.sprintf "%d spec execs, %d rollbacks" o.Run.replicas.speculative_execs
+                   o.Run.replicas.rollbacks)
               (Printf.sprintf "depth=%d cores=%d" depth cores)
-              o.Scenario.tps)
+              o.Run.tps)
           [ 1; 2; 4 ])
       [ 1; 2; 4; 8 ]
   in
@@ -221,19 +225,78 @@ let pipeline_sweep ?(seed = 1) ?(duration = 1.5) () =
 let read_mix_spec ?(seed = 1) ?(duration = 1.5) ?(app_pages = 512) cfg =
   let init = Relsql.Pbft_service.lookup_index_sql :: lookup_fill_sql () in
   {
-    (Scenario.default_spec cfg) with
-    Scenario.seed;
+    (Run.closed cfg) with
+    Run.seed;
     duration;
-    service =
-      Relsql.Pbft_service.service ~acid:true ~app_pages
-        ~schema:Relsql.Pbft_service.lookup_schema ~init ();
-    op =
-      (fun ~client ~seq ->
-        if seq mod 20 = 0 then
-          Printf.sprintf "INSERT INTO lookup (id, k, pad) VALUES (%d, %d, 'w')"
-            (1_000_000 + (client * 100_000) + seq)
-            ((client + seq) mod 256)
-        else Relsql.Pbft_service.point_select_sql ~key:(((seq * 31) + (client * 7)) mod 256));
+    groups =
+      Run.Service
+        (Relsql.Pbft_service.service ~acid:true ~app_pages
+           ~schema:Relsql.Pbft_service.lookup_schema ~init ());
+    load =
+      Run.clients (fun ~client ~seq ->
+          if seq mod 20 = 0 then
+            Printf.sprintf "INSERT INTO lookup (id, k, pad) VALUES (%d, %d, 'w')"
+              (1_000_000 + (client * 100_000) + seq)
+              ((client + seq) mod 256)
+          else Relsql.Pbft_service.point_select_sql ~key:(((seq * 31) + (client * 7)) mod 256));
+  }
+
+let open_loop_spec ?(seed = 1) ?(duration = 2.0) arrival =
+  {
+    (Run.closed (base_cfg ())) with
+    Run.seed;
+    duration;
+    door =
+      Some
+        {
+          Webgate.Frontdoor.connections = 16;
+          flush_bytes = 8 * 1024;
+          flush_deadline = 0.005;
+          max_queue = 4096;
+          max_sessions = 10_000;
+        };
+    load = Run.Arrivals { sessions = 10_000; arrival; op_bytes = 256; conns = 64; retransmit = None };
+  }
+
+(* Churn: a rolling crash/repair plan under continuous light load. A
+   state-writing workload — values carry the write sequence so every put
+   changes page bytes — keeps every rejoin's Merkle diff non-trivial. *)
+let churn_spec ?(seed = 7) ?(think = 0.02) ?(horizon = 180.0) ?(period = 15.0) ?(downtime = 1.0) ()
+    =
+  let cfg =
+    {
+      (Pbft.Config.default ~f:1) with
+      Pbft.Config.view_change_timeout = 0.25;
+      (* Rejoin re-keys immediately (Key_request) instead of stalling on
+         the 2 s rebroadcast, and live replicas proactively roll their
+         session keys on the virtual clock. *)
+      rejoin_key_refresh = true;
+      key_refresh_period = 5.0;
+      (* §2.4 remedy, required under churn: every request is big, and a
+         crash window plus a view change can leave a healthy replica
+         holding committed batches whose bodies it never saw (the
+         clients were answered and will not retransmit). Without peer
+         fetch it wedges on the first such entry; once two replicas
+         straggle, checkpoints can never reach 2f+1 votes, the log
+         window fills, and the whole service halts. *)
+      fetch_missing_bodies = true;
+    }
+  in
+  let warmup = 0.5 in
+  {
+    (Run.closed cfg) with
+    Run.seed;
+    groups = Run.Service (Pbft.Service.kv_store ());
+    load =
+      Run.clients ~clients:4 ~think (fun ~client ~seq ->
+          Printf.sprintf "put c%d-%d v%d.%s" client (seq mod 128) seq (String.make 64 'v'));
+    warmup;
+    duration = horizon;
+    drain = 0.3;
+    plan =
+      Run.rotation ~n:cfg.Pbft.Config.n ~start:warmup ~stop:(warmup +. horizon) ~period ~downtime
+        ~primary_every:4;
+    bucket = 0.25;
   }
 
 let figure5 ?(seed = 1) ?(duration = 2.0) () =
@@ -241,8 +304,8 @@ let figure5 ?(seed = 1) ?(duration = 2.0) () =
     List.map
       (fun (name, paper, (dynamic, macs, allbig)) ->
         let cfg = with_flags ~dynamic ~macs ~allbig ~batching:true (base_cfg ()) in
-        let o = Scenario.run (sql_spec ~seed ~duration ~acid:true cfg) in
-        Report.row ?paper name o.Scenario.tps)
+        let o = Run.run (sql_spec ~seed ~duration ~acid:true cfg) in
+        Report.row ?paper name o.Run.tps)
       figure5_rows
   in
   {
@@ -261,17 +324,17 @@ let figure5 ?(seed = 1) ?(duration = 2.0) () =
 
 let acid_comparison ?(seed = 1) ?(duration = 2.0) () =
   let cfg = with_flags ~dynamic:true ~macs:false ~allbig:false ~batching:true (base_cfg ()) in
-  let acid = Scenario.run (sql_spec ~seed ~duration ~acid:true cfg) in
-  let noacid = Scenario.run (sql_spec ~seed ~duration ~acid:false cfg) in
+  let acid = Run.run (sql_spec ~seed ~duration ~acid:true cfg) in
+  let noacid = Run.run (sql_spec ~seed ~duration ~acid:false cfg) in
   {
     Report.title = "§4.2 — ACID versus No-ACID (most robust configuration, dynamic clients)";
     rows =
       [
-        Report.row ~paper:534.0 "ACID (rollback journal + fsync)" acid.Scenario.tps;
-        Report.row ~paper:1155.0 "No-ACID (no journal, no flush)" noacid.Scenario.tps;
+        Report.row ~paper:534.0 "ACID (rollback journal + fsync)" acid.Run.tps;
+        Report.row ~paper:1155.0 "No-ACID (no journal, no flush)" noacid.Run.tps;
         Report.row ~paper:2.16 ~unit_:"x"
           ~note:"No-ACID / ACID throughput ratio" "speedup"
-          (if acid.Scenario.tps > 0.0 then noacid.Scenario.tps /. acid.Scenario.tps else 0.0);
+          (if acid.Run.tps > 0.0 then noacid.Run.tps /. acid.Run.tps else 0.0);
       ];
     commentary = [ "Durability costs about half the throughput, exactly as the paper reports." ];
   }
@@ -389,17 +452,17 @@ let recovery ?(seed = 1) ?(periods = [ 0.5; 1.0; 2.0; 4.0 ]) () =
     List.map
       (fun period ->
         let cfg = { (base_cfg ()) with Pbft.Config.authenticator_rebroadcast = period } in
-        let spec =
-          { (Scenario.default_spec cfg) with Scenario.seed; warmup = 0.4; duration = 2.0 +. (2.0 *. period) }
+        let o =
+          Run.run
+            {
+              (Run.closed cfg) with
+              Run.seed;
+              warmup = 0.4;
+              duration = 2.0 +. (2.0 *. period);
+              plan = [ (restart_at, Run.Restart 2) ];
+            }
         in
-        let _, cluster =
-          Scenario.run_cluster
-            ~hook:(fun cluster ->
-              Simnet.Engine.schedule (Pbft.Cluster.engine cluster) ~delay:restart_at (fun () ->
-                  Pbft.Cluster.restart_replica cluster 2))
-            spec
-        in
-        let r2 = Pbft.Cluster.replica cluster 2 in
+        let r2 = Pbft.Cluster.replica (Run.cluster o.Run.deployment 0) 2 in
         let stall =
           match Pbft.Replica.recovery_completed_at r2 with
           | Some t -> t -. restart_at
@@ -407,7 +470,7 @@ let recovery ?(seed = 1) ?(periods = [ 0.5; 1.0; 2.0; 4.0 ]) () =
         in
         (* Blind rebroadcast load: every node refreshes its keys with every
            replica each period. *)
-        let n = cfg.Pbft.Config.n and clients = spec.Scenario.num_clients in
+        let n = cfg.Pbft.Config.n and clients = 12 in
         let msg_rate = float_of_int ((clients * n) + (n * (n - 1))) /. period in
         Report.row
           ~note:
@@ -436,33 +499,32 @@ let recovery ?(seed = 1) ?(periods = [ 0.5; 1.0; 2.0; 4.0 ]) () =
 let packet_loss ?(seed = 1) () =
   let drop_at = 1.0 in
   let victim = 3 in
-  let run_case ~cfg ~case =
-    let spec = { (Scenario.default_spec cfg) with Scenario.seed; warmup = 0.4; duration = 3.0 } in
-    Scenario.run_cluster
-      ~hook:(fun cluster ->
-        Simnet.Engine.schedule (Pbft.Cluster.engine cluster) ~delay:drop_at (fun () ->
-            match case with
-            | `Body_to_replica ->
-              ignore
-                (Simnet.Net.drop_next_matching (Pbft.Cluster.net cluster)
-                   (fun ~src ~dst ~label ->
-                     src >= Pbft.Types.client_addr_base && dst = victim && label = "request"))
-            | `Request_to_primary ->
-              ignore
-                (Simnet.Net.drop_next_matching (Pbft.Cluster.net cluster)
-                   (fun ~src ~dst ~label ->
-                     src >= Pbft.Types.client_addr_base && dst = 0 && label = "request"))))
-      spec
+  (* One client request lost on its way to [dst]. *)
+  let run_case ~cfg ~dst =
+    let o =
+      Run.run
+        {
+          (Run.closed cfg) with
+          Run.seed;
+          warmup = 0.4;
+          duration = 3.0;
+          plan =
+            [
+              ( drop_at,
+                Run.Drop_next
+                  (fun ~src ~dst:d ~label ->
+                    src >= Pbft.Types.client_addr_base && d = dst && label = "request") );
+            ];
+        }
+    in
+    (o, Pbft.Cluster.replica (Run.cluster o.Run.deployment 0) victim)
   in
   let cfg_a = base_cfg () in
-  let oa, ca = run_case ~cfg:cfg_a ~case:`Body_to_replica in
-  let ra = Pbft.Cluster.replica ca victim in
+  let oa, ra = run_case ~cfg:cfg_a ~dst:victim in
   let cfg_b = { (base_cfg ()) with Pbft.Config.all_requests_big = false; big_request_threshold = 8192 } in
-  let ob, cb = run_case ~cfg:cfg_b ~case:`Request_to_primary in
-  let rb = Pbft.Cluster.replica cb victim in
+  let ob, rb = run_case ~cfg:cfg_b ~dst:0 in
   let cfg_c = { cfg_a with Pbft.Config.fetch_missing_bodies = true } in
-  let oc_, cc = run_case ~cfg:cfg_c ~case:`Body_to_replica in
-  let rc = Pbft.Cluster.replica cc victim in
+  let oc_, rc = run_case ~cfg:cfg_c ~dst:victim in
   {
     Report.title = "§2.4 — a single lost UDP datagram";
     rows =
@@ -470,20 +532,20 @@ let packet_loss ?(seed = 1) () =
         Report.row ~unit_:"transfers"
           ~note:
             (Printf.sprintf "replica %d stalls; recovers by checkpoint state transfer (retrans %d)"
-               victim oa.Scenario.retransmissions)
+               victim oa.Run.retransmissions)
           "A: big-request body lost -> state transfers at victim"
           (float_of_int (Pbft.Replica.state_transfers ra));
         Report.row ~unit_:"transfers"
           ~note:
             (Printf.sprintf "client retransmits after %.0f ms; no replica stalls (retrans %d)"
                (cfg_b.Pbft.Config.client_timeout *. 1000.0)
-               ob.Scenario.retransmissions)
+               ob.Run.retransmissions)
           "B: non-big request to primary lost -> state transfers at victim"
           (float_of_int (Pbft.Replica.state_transfers rb));
         Report.row ~unit_:"transfers"
           ~note:
             (Printf.sprintf "remedy: victim fetches the body from peers (retrans %d)"
-               oc_.Scenario.retransmissions)
+               oc_.Run.retransmissions)
           "C: case A with fetch_missing_bodies remedy"
           (float_of_int (Pbft.Replica.state_transfers rc));
       ];
@@ -514,23 +576,18 @@ let nondet_validation ?(seed = 1) () =
         nondet = policy;
       }
     in
-    let spec =
-      {
-        (Scenario.default_spec cfg) with
-        Scenario.seed;
-        num_clients = 3;
-        think_time = 0.02;
-        warmup = 0.4;
-        duration = 6.0;
-      }
+    let o =
+      Run.run
+        {
+          (Run.closed cfg) with
+          Run.seed;
+          load = null_load ~clients:3 ~think:0.02 ();
+          warmup = 0.4;
+          duration = 6.0;
+          plan = [ (restart_at, Run.Restart 2) ];
+        }
     in
-    let _, cluster =
-      Scenario.run_cluster
-        ~hook:(fun cluster ->
-          Simnet.Engine.schedule (Pbft.Cluster.engine cluster) ~delay:restart_at (fun () ->
-              Pbft.Cluster.restart_replica cluster 2))
-        spec
-    in
+    let cluster = Run.cluster o.Run.deployment 0 in
     let r2 = Pbft.Cluster.replica cluster 2 in
     let caught_up =
       Pbft.Replica.last_executed r2
@@ -569,11 +626,9 @@ let nondet_validation ?(seed = 1) () =
 let wan ?(seed = 1) ?(duration = 3.0) () =
   let run_f f profile =
     let cfg = { (Pbft.Config.default ~f) with Pbft.Config.client_timeout = 2.0 } in
-    let spec =
-      { (Scenario.default_spec cfg) with Scenario.seed; profile; duration; warmup = 1.0 }
-    in
-    Scenario.run spec
+    Run.run { (Run.closed cfg) with Run.seed; profile; duration; warmup = 1.0 }
   in
+  let mean_ms o = Util.Stats.mean o.Run.latency *. 1000.0 in
   let lan1 = run_f 1 Simnet.Net.lan_profile in
   let wan1 = run_f 1 Simnet.Net.wan_profile in
   let wan2 = run_f 2 Simnet.Net.wan_profile in
@@ -581,11 +636,11 @@ let wan ?(seed = 1) ?(duration = 3.0) () =
     Report.title = "§3.3.3 — wide-area deployment (replicas in different physical locations)";
     rows =
       [
-        Report.row ~unit_:"ms" "LAN f=1 mean latency" (lan1.Scenario.mean_latency *. 1000.0);
-        Report.row ~unit_:"ms" "WAN f=1 mean latency" (wan1.Scenario.mean_latency *. 1000.0);
-        Report.row ~unit_:"ms" "WAN f=2 (n=7) mean latency" (wan2.Scenario.mean_latency *. 1000.0);
-        Report.row "WAN f=1 throughput" wan1.Scenario.tps;
-        Report.row "WAN f=2 (n=7) throughput" wan2.Scenario.tps;
+        Report.row ~unit_:"ms" "LAN f=1 mean latency" (mean_ms lan1);
+        Report.row ~unit_:"ms" "WAN f=1 mean latency" (mean_ms wan1);
+        Report.row ~unit_:"ms" "WAN f=2 (n=7) mean latency" (mean_ms wan2);
+        Report.row "WAN f=1 throughput" wan1.Run.tps;
+        Report.row "WAN f=2 (n=7) throughput" wan2.Run.tps;
       ];
     commentary =
       [
@@ -600,17 +655,17 @@ let payload_sweep ?(seed = 1) ?(duration = 1.5) () =
   let rows =
     List.map
       (fun size ->
-        let spec =
-          {
-            (Scenario.default_spec (base_cfg ())) with
-            Scenario.seed;
-            duration;
-            op = (fun ~client:_ ~seq:_ -> String.make size 'q');
-            service = Pbft.Service.null ~reply_size:size ();
-          }
+        let o =
+          Run.run
+            {
+              (Run.closed (base_cfg ())) with
+              Run.seed;
+              duration;
+              groups = Run.Service (Pbft.Service.null ~reply_size:size ());
+              load = Run.clients (fun ~client:_ ~seq:_ -> String.make size 'q');
+            }
         in
-        let o = Scenario.run spec in
-        Report.row (Printf.sprintf "%d-byte request/response" size) o.Scenario.tps)
+        Report.row (Printf.sprintf "%d-byte request/response" size) o.Run.tps)
       [ 256; 1024; 2048; 4096 ]
   in
   {
@@ -623,20 +678,16 @@ let payload_sweep ?(seed = 1) ?(duration = 1.5) () =
 
 let loss_sweep ?(seed = 1) ?(duration = 3.0) () =
   let run_with_loss cfg loss =
-    let spec =
-      { (Scenario.default_spec cfg) with Scenario.seed; duration; warmup = 0.5 }
-    in
-    let o, cluster =
-      Scenario.run_cluster
-        ~hook:(fun cluster -> Simnet.Net.set_loss (Pbft.Cluster.net cluster) loss)
-        spec
+    let o =
+      Run.run
+        { (Run.closed cfg) with Run.seed; duration; profile = { Simnet.Net.lan_profile with loss } }
     in
     let transfers =
       Array.fold_left
         (fun acc r -> acc + Pbft.Replica.state_transfers r)
-        0 (Pbft.Cluster.replicas cluster)
+        0 (Pbft.Cluster.replicas (Run.cluster o.Run.deployment 0))
     in
-    (o.Scenario.tps, transfers)
+    (o.Run.tps, transfers)
   in
   let default = base_cfg () in
   let robust =
@@ -684,7 +735,7 @@ let batching_ablation ?(seed = 1) ?(duration = 1.5) () =
             let o = measure_null ~seed ~duration cfg in
             Report.row
               (Printf.sprintf "window=%d delay=%.0fus" window (delay *. 1e6))
-              o.Scenario.tps)
+              o.Run.tps)
           [ 0.0; 80e-6; 200e-6 ])
       [ 1; 2; 4 ]
   in

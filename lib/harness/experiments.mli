@@ -10,12 +10,12 @@ val table1_rows : (string * float * (bool * bool * bool * bool)) list
 (** The ten rows of Table 1: name, paper TPS, and
     (dynamic, macs, allbig, batching) flags. *)
 
-val sql_spec : ?seed:int -> ?duration:float -> acid:bool -> Pbft.Config.t -> Scenario.spec
+val sql_spec : ?seed:int -> ?duration:float -> acid:bool -> Pbft.Config.t -> Run.spec
 (** The Figure-5 workload: single-row SQL INSERTs against the replicated
     relational engine. *)
 
 val sql_large_state_spec :
-  ?seed:int -> ?duration:float -> ?app_pages:int -> Pbft.Config.t -> Scenario.spec
+  ?seed:int -> ?duration:float -> ?app_pages:int -> Pbft.Config.t -> Run.spec
 (** The checkpoint-cost workload: the same INSERT stream, but the
     database is pre-populated (at boot, into the genesis checkpoint) with
     bulky filler rows so the allocated page count is roughly 16x the
@@ -33,7 +33,7 @@ val indexed_sql_spec :
   indexed:bool ->
   range:bool ->
   Pbft.Config.t ->
-  Scenario.spec
+  Run.spec
 (** Read-mostly access-path workload: point ([range:false]) or
     small-range ([range:true]) aggregate SELECTs over the pre-filled
     lookup table. [indexed] controls only whether the boot-time init
@@ -46,7 +46,7 @@ val pipeline_cfg : depth:int -> cores:int -> unit -> Pbft.Config.t
     baseline. *)
 
 val pipeline_spec :
-  ?seed:int -> ?duration:float -> ?num_clients:int -> Pbft.Config.t -> Scenario.spec
+  ?seed:int -> ?duration:float -> ?num_clients:int -> Pbft.Config.t -> Run.spec
 (** The pipelining workload: 1024-byte null operations from enough
     closed-loop clients (default 64) to keep a deep pipeline fed. *)
 
@@ -55,11 +55,25 @@ val pipeline_sweep : ?seed:int -> ?duration:float -> unit -> Report.t
     pipelining table); each row notes speculative executions and
     rollbacks. *)
 
-val read_mix_spec : ?seed:int -> ?duration:float -> ?app_pages:int -> Pbft.Config.t -> Scenario.spec
+val read_mix_spec : ?seed:int -> ?duration:float -> ?app_pages:int -> Pbft.Config.t -> Run.spec
 (** 95/5 read/write SQL mix over the indexed lookup table. The SELECTs
     are planner-proven read-only ({!Relsql.Pbft_service.is_readonly_sql})
     and ride the fast path as tentative replies; the INSERTs order
     through agreement. *)
+
+val open_loop_spec : ?seed:int -> ?duration:float -> Run.arrival -> Run.spec
+(** Open-loop arrivals from 10k sessions over 64 connections, 256-byte
+    null operations, through a 16-connection front door with 8 KiB / 5 ms
+    flush triggers. *)
+
+val churn_spec :
+  ?seed:int -> ?think:float -> ?horizon:float -> ?period:float -> ?downtime:float -> unit -> Run.spec
+(** Availability under churn: four key-value writers (20 ms think time)
+    against an f=1 group while {!Run.rotation} crashes a replica every
+    [period] seconds (default 15) for [downtime] (1 s) over a [horizon]
+    (180 s) measured window, every fourth crash on the primary; rejoins
+    re-key at once, live replicas roll their keys every 5 s, and
+    availability is sampled in 0.25 s buckets. Seed 7. *)
 
 val table1 : ?seed:int -> ?duration:float -> unit -> Report.t
 (** Table 1: the ten library configurations under 1024-byte null

@@ -1,31 +1,8 @@
 open Pbft
 
-(* Per-behavior scenario report. [safe]/[live] are the two properties
-   every Byzantine scenario must preserve: safety — correct replicas
-   never commit conflicting batches for the same sequence number and
-   their states agree — and liveness — the cluster keeps completing
-   client requests with the adversary still installed (that is the whole
-   point of tolerating f faults). *)
-type report = {
-  fr_behavior : string;
-  fr_mutations : int;  (** adversary activity: datagrams rewritten/dropped, votes injected *)
-  fr_view_changes : int;
-  fr_demotion_transfers : int;  (** transfers by running replicas that fell behind (§2.4) *)
-  fr_rejoin_transfers : int;  (** transfers by the crash/restart rejoin path *)
-  fr_pages_fetched : int;  (** distinct pages pulled by completed transfers (Merkle diff) *)
-  fr_pages_full : int;  (** pages the same transfers would pull without the diff *)
-  fr_demotions : int;
-  fr_rollbacks : int;  (** speculative executions undone by a view change *)
-  fr_spec_execs : int;  (** batches executed before their commit certificate *)
-  fr_auth_failures : int;
-  fr_nondet_rejects : int;
-  fr_final_view : int;  (** max view reached by a correct replica *)
-  fr_baseline : int;  (** requests completed before the fault was armed *)
-  fr_recovered : int;  (** requests completed in the post-recovery window *)
-  fr_safe : bool;
-  fr_live : bool;
-  fr_failures : string list;  (** human-readable reasons when !safe or !live *)
-}
+type check = { result : Run.result; correct : Run.totals; baseline : int; recovered : int }
+
+type scenario = { name : string; spec : Run.spec; expect : (string * (check -> bool)) list }
 
 let adversary_id behavior =
   match behavior with
@@ -35,15 +12,15 @@ let adversary_id behavior =
   | Adversary.Garbage_view_change -> 3
   | _ -> 0
 
-let base_cfg ?(speculative = false) behavior =
-  let cfg = Config.default ~f:1 in
-  let cfg = { cfg with Config.view_change_timeout = 0.25 } in
-  let cfg =
-    (* Speculative variant: the whole suite re-runs with the execution
-       pipeline on, so every Byzantine behavior is also exercised against
-       replicas holding executed-but-uncommitted state. *)
-    if speculative then { cfg with Config.pipeline_depth = 4; cores = 2 } else cfg
-  in
+let base_cfg ~speculative =
+  let cfg = { (Config.default ~f:1) with Config.view_change_timeout = 0.25 } in
+  (* Speculative variant: the scenario re-runs with the execution
+     pipeline on, so the fault also meets replicas holding
+     executed-but-uncommitted state. *)
+  if speculative then { cfg with Config.pipeline_depth = 4; cores = 2 } else cfg
+
+let behavior_cfg ~speculative behavior =
+  let cfg = base_cfg ~speculative in
   match behavior with
   | Adversary.Mutate_nondet ->
     (* §2.5: only a validation policy stands between the backups and the
@@ -67,464 +44,265 @@ let behaviors =
     Adversary.Mutate_nondet;
   ]
 
-let state_digest r = Statemgr.Merkle.root (Statemgr.Merkle.build (Replica.pages r))
+(* Healthy until 0.3 s, then the fault; the measured window is the 1 s
+   recovery window that opens 2.2 s later (the backed-off watchdog needs
+   a couple of timeouts' worth of room), with the fault still in place —
+   a BFT group must make progress with f faulty members present, not
+   merely after they stop. *)
+let fault_at = 0.3
 
-(* Safety predicate 1: pairwise journal agreement. Journals list
-   committed (seq, batch_digest) pairs; replicas that state-transferred
-   past a stretch leave gaps, so only common sequence numbers are
-   compared — disagreement there is a conflicting commit. *)
-let journals_agree correct =
-  let conflicts = ref [] in
-  let rec pairs = function
-    | [] -> ()
-    | a :: rest ->
-      let tbl = Hashtbl.create 1024 in
-      List.iter (fun (s, d) -> Hashtbl.replace tbl s d) (Replica.exec_journal a);
-      List.iter
-        (fun b ->
-          List.iter
-            (fun (s, d) ->
-              match Hashtbl.find_opt tbl s with
-              | Some d' when not (String.equal d d') ->
-                conflicts :=
-                  Printf.sprintf "replicas %d/%d committed different batches at seq %d"
-                    (Replica.id a) (Replica.id b) s
-                  :: !conflicts
-              | Some _ | None -> ())
-            (Replica.exec_journal b))
-        rest;
-      pairs rest
+let scenario_spec ~seed cfg ~op plan =
+  {
+    (Run.closed cfg) with
+    Run.seed;
+    load = Run.clients ~clients:8 op;
+    warmup = 2.5;
+    duration = 1.0;
+    drain = 0.2;
+    plan;
+  }
+
+let null_op ~client:_ ~seq:_ = String.make 512 'f'
+
+let mutated = ("adversary never fired a mutation", fun c -> c.result.Run.mutations > 0)
+let progressed what = (what, fun c -> c.baseline > 0)
+let recovered what = (what, fun c -> c.recovered > 0)
+let new_primary = ("no view change elected a new primary", fun c -> c.correct.Run.view > 0)
+
+let behavior ?(seed = 11) ?(speculative = false) b =
+  let specific =
+    match b with
+    | Adversary.Equivocate | Adversary.Mute -> [ new_primary ]
+    | Adversary.Corrupt_macs ->
+      [
+        new_primary;
+        ( "corrupted authenticators were never rejected",
+          fun c -> c.correct.Run.auth_failures > 0 );
+      ]
+    | Adversary.Mutate_nondet ->
+      [ new_primary; ("poisoned nondet was never rejected", fun c -> c.correct.Run.nondet_rejects > 0) ]
+    | Adversary.Selective_mute _ ->
+      (* The starved backup must demote itself into a state transfer. *)
+      [ ("starved replica was never demoted", fun c -> c.correct.Run.demotions > 0) ]
+    | Adversary.Garbage_view_change ->
+      (* Forged votes must be rejected, and must not drag the view up. *)
+      [
+        ("garbage votes were not rejected", fun c -> c.correct.Run.auth_failures > 0);
+        ("garbage votes disturbed the view", fun c -> c.correct.Run.view = 0);
+      ]
   in
-  pairs correct;
-  !conflicts
+  {
+    name = Adversary.behavior_name b;
+    spec =
+      scenario_spec ~seed (behavior_cfg ~speculative b) ~op:null_op
+        [ (fault_at, Run.Adversary (adversary_id b, b)) ];
+    expect =
+      [
+        mutated;
+        progressed "no progress before the fault";
+        recovered "no progress in the recovery window";
+      ]
+      @ specific;
+  }
 
-(* Safety predicate 2: replicas that executed the same prefix hold the
-   same state. (Replicas at different sequence numbers legitimately
-   differ; the journal check above covers their common prefix.) *)
-let states_agree correct =
-  let mismatches = ref [] in
-  let rec pairs = function
-    | [] -> ()
-    | a :: rest ->
-      List.iter
-        (fun b ->
-          if
-            Replica.last_executed a = Replica.last_executed b
-            && not (String.equal (state_digest a) (state_digest b))
-          then
-            mismatches :=
-              Printf.sprintf "replicas %d/%d at seq %d have diverged state"
-                (Replica.id a) (Replica.id b) (Replica.last_executed a)
-              :: !mismatches)
-        rest;
-      pairs rest
+(* The same faulty primary, but the load arrives open-loop through the
+   front door: sessions multiplexed over a handful of upstream
+   connections, coalesced batches, admission control live. Enough
+   connections and offered load that the primary's pre-prepare batches
+   regularly hold several coalesced requests — the equivocation rewrite
+   needs a batch it can reorder. *)
+let gateway ?(seed = 11) b =
+  let spec = scenario_spec ~seed (behavior_cfg ~speculative:false b) ~op:null_op [] in
+  {
+    name = "gateway-" ^ Adversary.behavior_name b;
+    spec =
+      {
+        spec with
+        Run.door =
+          Some
+            {
+              Webgate.Frontdoor.connections = 8;
+              flush_bytes = 2 * 1024;
+              flush_deadline = 0.002;
+              max_queue = 4096;
+              max_sessions = 512;
+            };
+        load =
+          Run.Arrivals
+            {
+              sessions = 400;
+              arrival = Run.Poisson 4_000.0;
+              op_bytes = 256;
+              conns = 8;
+              retransmit = None;
+            };
+        plan = [ (fault_at, Run.Adversary (adversary_id b, b)) ];
+      };
+    expect =
+      [
+        mutated;
+        progressed "no gateway progress before the fault";
+        recovered "no gateway progress in the recovery window";
+        new_primary;
+      ];
+  }
+
+(* No adversary: the crash itself is the fault, and all four replicas are
+   correct for the safety predicates. A state-writing service, so the
+   post-crash suffix dirties pages and the Merkle diff has something to
+   prune: the restarted replica must fetch the pages written while it
+   was down, and only those. *)
+let crash_restart ?(seed = 11) ?(speculative = false) () =
+  let cfg = { (base_cfg ~speculative) with Config.rejoin_key_refresh = true } in
+  (* The value must change every write — rewriting a key with identical
+     bytes would leave the pages (and the Merkle diff) unchanged once
+     every key has been touched. *)
+  let put ~client ~seq =
+    Printf.sprintf "put c%d-%d v%d.%s" client (seq mod 128) seq (String.make 56 'v')
   in
-  pairs correct;
-  !mismatches
+  let restarted c = Cluster.replica (Run.cluster c.result.Run.deployment 0) 0 in
+  {
+    name = (if speculative then "crash-restart-spec" else "crash-restart");
+    spec =
+      {
+        (scenario_spec ~seed cfg ~op:put [ (fault_at, Run.Crash (Run.Replica 0, 1.0)) ]) with
+        Run.groups = Run.Service (Service.kv_store ());
+        warmup = 3.5;
+      };
+    expect =
+      [
+        progressed "no progress before the crash";
+        ( "victim had no stable checkpoint to persist",
+          fun c ->
+            List.exists
+              (fun r -> Replica.stable_checkpoint r > 0)
+              (Run.retired c.result.Run.deployment) );
+        ( "no progress while the victim was down",
+          fun c ->
+            match c.result.Run.marks with
+            | crashed :: restarted :: _ -> restarted > crashed
+            | _ -> false );
+        recovered "no progress in the recovery window";
+        ("crash of the primary never forced a view change", fun c -> c.correct.Run.view > 0);
+        ( "restarted replica never started a rejoin transfer",
+          fun c -> Replica.rejoin_transfers (restarted c) > 0 );
+        ( "rejoin transfer never completed",
+          fun c -> Replica.recovery_completed_at (restarted c) <> None );
+        (* The Merkle diff must have pruned the fetch: some pages moved
+           (the suffix written during downtime), strictly fewer than a
+           full transfer of every leaf. *)
+        ( "rejoin moved no pages despite a written suffix",
+          fun c -> Replica.transfer_pages_fetched (restarted c) > 0 );
+        ( "rejoin fetched as many pages as a full transfer",
+          fun c ->
+            let r = restarted c in
+            Replica.transfer_pages_full r > 0
+            && Replica.transfer_pages_fetched r < Replica.transfer_pages_full r );
+        ( "restarted replica never caught up to the working view",
+          fun c -> Replica.view (restarted c) = c.correct.Run.view );
+        (* Rejoin must reset the view-change watchdog backoff, or the
+           revived replica re-enters agreement with a stale exponential
+           timeout. *)
+        ( "restarted replica kept stale view-change backoff",
+          fun c -> Replica.view_change_attempts (restarted c) = 0 );
+      ];
+  }
 
-let run_behavior ?(seed = 11) ?(trace = false) ?(speculative = false) behavior =
-  let cfg = base_cfg ~speculative behavior in
-  let adv_id = adversary_id behavior in
-  let cluster = Cluster.create ~seed ~num_clients:8 cfg in
-  Simnet.Trace.set_enabled (Cluster.trace cluster) trace;
-  Array.iter (fun r -> Replica.set_record_journal r true) (Cluster.replicas cluster);
-  (* Closed-loop clients, as in the Table-1 workloads. *)
-  let stop = ref false in
-  Array.iter
-    (fun cl ->
-      let rec loop _ = if not !stop then Client.invoke cl (String.make 512 'f') loop in
-      loop "")
-    (Cluster.clients cluster);
-  (* Healthy phase: establishes session keys and a progress baseline. *)
-  Cluster.run cluster ~seconds:0.3;
-  let baseline = Cluster.total_completed cluster in
-  let adv = Adversary.install ~net:(Cluster.net cluster) ~cfg (Cluster.replica cluster adv_id) behavior in
-  (* Fault phase: view changes / demotions happen in here. The backed-off
-     watchdog needs a couple of timeouts' worth of room. *)
-  Cluster.run cluster ~seconds:2.2;
-  let before_recovery = Cluster.total_completed cluster in
-  (* Recovery window: the adversary stays installed — a BFT group must
-     make progress with f Byzantine members present, not merely after
-     they stop. *)
-  Cluster.run cluster ~seconds:1.0;
-  stop := true;
-  Cluster.run cluster ~seconds:0.2;
-  let recovered = Cluster.total_completed cluster - before_recovery in
-  let reps = Cluster.replicas cluster in
-  let correct = List.filter (fun r -> Replica.id r <> adv_id) (Array.to_list reps) in
-  let sum f = List.fold_left (fun acc r -> acc + f r) 0 correct in
-  let final_view = List.fold_left (fun acc r -> Int.max acc (Replica.view r)) 0 correct in
-  let safety_failures = journals_agree correct @ states_agree correct in
-  let failures = ref safety_failures in
-  let expect what cond = if not cond then failures := what :: !failures in
-  expect "adversary never fired a mutation" (Adversary.mutations adv > 0);
-  expect "no progress before the fault" (baseline > 0);
-  let live_progress = recovered > 0 in
-  expect "no progress in the recovery window" live_progress;
-  (match behavior with
-  | Adversary.Equivocate | Adversary.Mute | Adversary.Corrupt_macs | Adversary.Mutate_nondet ->
-    (* The faulty primary must be voted out. *)
-    expect "no view change elected a new primary" (final_view > 0)
-  | Adversary.Selective_mute _ ->
-    (* The starved backup must demote itself into a state transfer. *)
-    expect "starved replica was never demoted" (sum Replica.demotions > 0)
-  | Adversary.Garbage_view_change ->
-    (* Forged votes must be rejected, and must not drag the view up. *)
-    expect "garbage votes were not rejected" (sum Replica.auth_failures > 0);
-    expect "garbage votes disturbed the view" (final_view = 0));
-  (match behavior with
-  | Adversary.Mutate_nondet ->
-    expect "poisoned nondet was never rejected" (sum Replica.nondet_rejects > 0)
-  | Adversary.Corrupt_macs ->
-    expect "corrupted authenticators were never rejected" (sum Replica.auth_failures > 0)
-  | _ -> ());
-  Adversary.uninstall adv;
-  let report =
-    {
-      fr_behavior = Adversary.behavior_name behavior;
-      fr_mutations = Adversary.mutations adv;
-      fr_view_changes = sum Replica.view_changes;
-      fr_demotion_transfers = sum Replica.demotion_transfers;
-      fr_rejoin_transfers = sum Replica.rejoin_transfers;
-      fr_pages_fetched = sum Replica.transfer_pages_fetched;
-      fr_pages_full = sum Replica.transfer_pages_full;
-      fr_demotions = sum Replica.demotions;
-      fr_rollbacks = sum Replica.rollbacks;
-      fr_spec_execs = sum Replica.speculative_execs;
-      fr_auth_failures = sum Replica.auth_failures;
-      fr_nondet_rejects = sum Replica.nondet_rejects;
-      fr_final_view = final_view;
-      fr_baseline = baseline;
-      fr_recovered = recovered;
-      fr_safe = safety_failures = [];
-      fr_live = live_progress;
-      fr_failures = List.rev !failures;
-    }
-  in
-  (report, cluster)
-
-(* View change mid-speculation: the one scenario PR 6's speculation
-   machinery exists to survive. Commit datagrams are dropped on every
-   link, so pipelined replicas prepare — and speculatively execute —
-   batches they can never commit; replies stay buffered, clients time out
-   and multicast, the watchdogs fire, and the view change must roll the
-   speculated suffix back before the new primary re-proposes it. The drop
-   then heals and the re-proposed batches commit for real, which is what
-   makes the post-rollback journal/state agreement checks meaningful. *)
-let run_vc_mid_speculation ?(seed = 11) ?(trace = false) () =
-  let cfg = Config.default ~f:1 in
+(* Commit datagrams are dropped on every link, so pipelined replicas
+   prepare — and speculatively execute — batches they can never commit;
+   replies stay buffered, clients time out and multicast, the watchdogs
+   fire, and the view change must roll the speculated suffix back before
+   the new primary re-proposes it. The drop heals after the watchdogs
+   have had time to elect view 1 (client timeout 0.15 s + view-change
+   timeout 0.25 s, plus slack), so the re-proposed batches commit for
+   real and the post-rollback agreement checks have teeth. *)
+let vc_mid_speculation ?(seed = 11) () =
   let cfg =
     {
-      cfg with
-      Config.view_change_timeout = 0.25;
-      pipeline_depth = 4;
-      cores = 2;
+      (base_cfg ~speculative:true) with
       (* Status gossip replays missing certificates and would let a
-         backup commit around the dropped datagrams; off, as in the
-         selective-mute scenario. *)
-      status_period = 0.0;
+         backup commit around the dropped datagrams. *)
+      Config.status_period = 0.0;
     }
   in
-  let cluster = Cluster.create ~seed ~num_clients:8 cfg in
-  Simnet.Trace.set_enabled (Cluster.trace cluster) trace;
-  Array.iter (fun r -> Replica.set_record_journal r true) (Cluster.replicas cluster);
-  let stop = ref false in
-  Array.iter
-    (fun cl ->
-      let rec loop _ = if not !stop then Client.invoke cl (String.make 512 'f') loop in
-      loop "")
-    (Cluster.clients cluster);
-  Cluster.run cluster ~seconds:0.3;
-  let baseline = Cluster.total_completed cluster in
-  let net = Cluster.net cluster in
-  let engine = Cluster.engine cluster in
-  (* One sender-wildcard entry per replica: an exact (src, dst) or
-     (src, any) entry is what the link-fault lookup consults — there is
-     deliberately no (any, any) catch-all. *)
-  let replica_addrs = List.init cfg.Config.n (fun i -> i) in
-  List.iter
-    (fun src ->
-      Simnet.Net.set_link_drop net ~src ~dst:Simnet.Net.any_addr (fun ~label ->
-          String.equal label "commit"))
-    replica_addrs;
-  (* Heal after the watchdogs have had time to elect view 1 (client
-     timeout 0.15 s + view-change timeout 0.25 s, plus slack), so the
-     re-proposed batches can commit and the liveness check has teeth. *)
-  Simnet.Engine.schedule engine ~delay:0.8 (fun () ->
-      List.iter
-        (fun src -> Simnet.Net.clear_link net ~src ~dst:Simnet.Net.any_addr)
-        replica_addrs);
-  Cluster.run cluster ~seconds:2.2;
-  let before_recovery = Cluster.total_completed cluster in
-  Cluster.run cluster ~seconds:1.0;
-  stop := true;
-  Cluster.run cluster ~seconds:0.2;
-  let recovered = Cluster.total_completed cluster - before_recovery in
-  let correct = Array.to_list (Cluster.replicas cluster) in
-  let sum f = List.fold_left (fun acc r -> acc + f r) 0 correct in
-  let final_view = List.fold_left (fun acc r -> Int.max acc (Replica.view r)) 0 correct in
-  let safety_failures = journals_agree correct @ states_agree correct in
-  let failures = ref safety_failures in
-  let expect what cond = if not cond then failures := what :: !failures in
-  expect "no progress before the fault" (baseline > 0);
-  let live_progress = recovered > 0 in
-  expect "no progress in the recovery window" live_progress;
-  expect "commit starvation never forced a view change" (final_view > 0);
-  expect "no batch was executed speculatively" (sum Replica.speculative_execs > 0);
-  expect "the view change never rolled back a speculated batch" (sum Replica.rollbacks > 0);
-  let report =
-    {
-      fr_behavior = "vc-mid-speculation";
-      fr_mutations = 0;
-      fr_view_changes = sum Replica.view_changes;
-      fr_demotion_transfers = sum Replica.demotion_transfers;
-      fr_rejoin_transfers = sum Replica.rejoin_transfers;
-      fr_pages_fetched = sum Replica.transfer_pages_fetched;
-      fr_pages_full = sum Replica.transfer_pages_full;
-      fr_demotions = sum Replica.demotions;
-      fr_rollbacks = sum Replica.rollbacks;
-      fr_spec_execs = sum Replica.speculative_execs;
-      fr_auth_failures = sum Replica.auth_failures;
-      fr_nondet_rejects = sum Replica.nondet_rejects;
-      fr_final_view = final_view;
-      fr_baseline = baseline;
-      fr_recovered = recovered;
-      fr_safe = safety_failures = [];
-      fr_live = live_progress;
-      fr_failures = List.rev !failures;
-    }
-  in
-  (report, cluster)
+  {
+    name = "vc-mid-speculation";
+    spec =
+      scenario_spec ~seed cfg ~op:null_op
+        [ (fault_at, Run.Drop "commit"); (fault_at +. 0.8, Run.Heal) ];
+    expect =
+      [
+        progressed "no progress before the fault";
+        recovered "no progress in the recovery window";
+        ("commit starvation never forced a view change", fun c -> c.correct.Run.view > 0);
+        ("no batch was executed speculatively", fun c -> c.correct.Run.speculative_execs > 0);
+        ( "the view change never rolled back a speculated batch",
+          fun c -> c.correct.Run.rollbacks > 0 );
+      ];
+  }
 
-(* Crash/restart: the view-0 primary loses all volatile state mid-run,
-   the survivors elect view 1 and keep committing, and the restarted
-   instance must reload its disk checkpoint, re-key (§2.3 Key_request),
-   rejoin via Merkle-diff state transfer — fetching strictly fewer pages
-   than a full transfer would — and catch up to the working view. No
-   adversary is installed: the crash itself is the fault, and all four
-   replicas are correct for the safety predicates. *)
-let run_crash_restart ?(seed = 11) ?(trace = false) ?(speculative = false) () =
-  let cfg = Config.default ~f:1 in
-  let cfg = { cfg with Config.view_change_timeout = 0.25; rejoin_key_refresh = true } in
-  let cfg = if speculative then { cfg with Config.pipeline_depth = 4; cores = 2 } else cfg in
-  let victim = 0 in
-  (* A state-writing service, so the post-crash suffix actually dirties
-     pages and the Merkle diff has something to prune: the restarted
-     replica must fetch the pages written while it was down, and only
-     those. *)
-  let cluster = Cluster.create ~seed ~num_clients:8 ~service:(Service.kv_store ()) cfg in
-  Simnet.Trace.set_enabled (Cluster.trace cluster) trace;
-  Array.iter (fun r -> Replica.set_record_journal r true) (Cluster.replicas cluster);
-  let stop = ref false in
-  Array.iteri
-    (fun i cl ->
-      let seq = ref 0 in
-      let rec loop _ =
-        if not !stop then begin
-          incr seq;
-          (* The value must change every write — rewriting a key with
-             identical bytes would leave the pages (and the Merkle diff)
-             unchanged once every key has been touched. *)
-          Client.invoke cl
-            (Printf.sprintf "put c%d-%d v%d.%s" i (!seq mod 128) !seq (String.make 56 'v'))
-            loop
-        end
-      in
-      loop "")
-    (Cluster.clients cluster);
-  (* Healthy phase: session keys, a progress baseline, and — crucially —
-     at least one stable checkpoint on the victim's disk. *)
-  Cluster.run cluster ~seconds:0.3;
-  let baseline = Cluster.total_completed cluster in
-  let disk_ckpt = Replica.stable_checkpoint (Cluster.replica cluster victim) in
-  Cluster.crash_replica cluster victim;
-  (* Downtime: the survivors must vote the dead primary out and keep
-     committing with only 2f+1 replicas up. *)
-  Cluster.run cluster ~seconds:1.0;
-  let during_downtime = Cluster.total_completed cluster - baseline in
-  Cluster.restart_replica cluster victim;
-  let restarted = Cluster.replica cluster victim in
-  Replica.set_record_journal restarted true;
-  (* Recovery window: the restarted instance re-keys, state-transfers and
-     rejoins while the workload continues. *)
-  Cluster.run cluster ~seconds:2.2;
-  let before_recovery = Cluster.total_completed cluster in
-  Cluster.run cluster ~seconds:1.0;
-  stop := true;
-  Cluster.run cluster ~seconds:0.2;
-  let recovered = Cluster.total_completed cluster - before_recovery in
-  let correct = Array.to_list (Cluster.replicas cluster) in
-  let sum f = List.fold_left (fun acc r -> acc + f r) 0 correct in
-  let final_view = List.fold_left (fun acc r -> Int.max acc (Replica.view r)) 0 correct in
-  let safety_failures = journals_agree correct @ states_agree correct in
-  let failures = ref safety_failures in
-  let expect what cond = if not cond then failures := what :: !failures in
-  expect "no progress before the crash" (baseline > 0);
-  expect "victim had no stable checkpoint to persist" (disk_ckpt > 0);
-  expect "no progress while the victim was down" (during_downtime > 0);
-  let live_progress = recovered > 0 in
-  expect "no progress in the recovery window" live_progress;
-  expect "crash of the primary never forced a view change" (final_view > 0);
-  expect "restarted replica never started a rejoin transfer"
-    (Replica.rejoin_transfers restarted > 0);
-  expect "rejoin transfer never completed"
-    (Replica.recovery_completed_at restarted <> None);
-  (* The acceptance criterion: the Merkle diff must have pruned the
-     fetch — some pages moved (the kv suffix written during downtime),
-     but strictly fewer than a full transfer of every leaf. *)
-  expect "rejoin moved no pages despite a written suffix"
-    (Replica.transfer_pages_fetched restarted > 0);
-  expect "rejoin fetched as many pages as a full transfer"
-    (Replica.transfer_pages_full restarted > 0
-    && Replica.transfer_pages_fetched restarted < Replica.transfer_pages_full restarted);
-  expect "restarted replica never caught up to the working view"
-    (Replica.view restarted = final_view);
-  (* Satellite regression: rejoin must reset the view-change watchdog
-     backoff, or the revived replica re-enters agreement with a stale
-     exponential timeout. *)
-  expect "restarted replica kept stale view-change backoff"
-    (Replica.view_change_attempts restarted = 0);
-  let report =
-    {
-      fr_behavior = (if speculative then "crash-restart-spec" else "crash-restart");
-      fr_mutations = 0;
-      fr_view_changes = sum Replica.view_changes;
-      fr_demotion_transfers = sum Replica.demotion_transfers;
-      fr_rejoin_transfers = sum Replica.rejoin_transfers;
-      fr_pages_fetched = sum Replica.transfer_pages_fetched;
-      fr_pages_full = sum Replica.transfer_pages_full;
-      fr_demotions = sum Replica.demotions;
-      fr_rollbacks = sum Replica.rollbacks;
-      fr_spec_execs = sum Replica.speculative_execs;
-      fr_auth_failures = sum Replica.auth_failures;
-      fr_nondet_rejects = sum Replica.nondet_rejects;
-      fr_final_view = final_view;
-      fr_baseline = baseline;
-      fr_recovered = recovered;
-      fr_safe = safety_failures = [];
-      fr_live = live_progress;
-      fr_failures = List.rev !failures;
-    }
-  in
-  (report, cluster)
-
-(* Gateway-fronted variants: the same faulty primary, but the load now
-   arrives open-loop through the front door — sessions multiplexed over
-   a handful of upstream connections, coalesced batches, admission
-   control live. The point under test: a mute or equivocating primary
-   behind a loaded gateway is still voted out, the door keeps shedding
-   rather than wedging while agreement stalls, and progress resumes
-   through the same door afterwards. *)
-let gateway_behaviors = [ Adversary.Mute; Adversary.Equivocate ]
-
-let run_gateway_behavior ?(seed = 11) ?(trace = false) behavior =
-  let cfg = base_cfg behavior in
-  (* Enough connections and offered load that the primary's pre-prepare
-     batches regularly hold several coalesced requests — the equivocation
-     rewrite needs a batch it can reorder. *)
-  let cluster =
-    Cluster.create ~seed ~num_clients:8
-      ~service:(Webgate.Frontdoor.wrap_service (Service.null ()))
-      cfg
-  in
-  Simnet.Trace.set_enabled (Cluster.trace cluster) trace;
-  Array.iter (fun r -> Replica.set_record_journal r true) (Cluster.replicas cluster);
-  let engine = Cluster.engine cluster in
-  let net = Cluster.net cluster in
-  let gw_cfg =
-    {
-      Webgate.Frontdoor.connections = 8;
-      flush_bytes = 2 * 1024;
-      flush_deadline = 0.002;
-      max_queue = 4096;
-      max_sessions = 512;
-    }
-  in
-  let door =
-    Webgate.Frontdoor.create ~cfg:gw_cfg ~engine ~net ~clients:(Cluster.clients cluster) ()
-  in
-  let ol_spec =
-    {
-      (Openloop.default_spec cfg) with
-      Openloop.seed;
-      sessions = 400;
-      arrival = Openloop.Poisson 4_000.0;
-      op_bytes = 256;
-      gen_conns = 8;
-      gateway = gw_cfg;
-    }
-  in
-  let gen = Openloop.create_gen ~engine ~net ol_spec in
-  Cluster.run cluster ~seconds:0.3;
-  let baseline = Webgate.Frontdoor.completed door in
-  let adv_id = adversary_id behavior in
-  let adv =
-    Adversary.install ~net ~cfg (Cluster.replica cluster adv_id) behavior
-  in
-  Cluster.run cluster ~seconds:2.2;
-  let before_recovery = Webgate.Frontdoor.completed door in
-  Cluster.run cluster ~seconds:1.0;
-  Openloop.stop_generator gen;
-  Cluster.run cluster ~seconds:0.2;
-  let recovered = Webgate.Frontdoor.completed door - before_recovery in
-  let reps = Cluster.replicas cluster in
-  let correct = List.filter (fun r -> Replica.id r <> adv_id) (Array.to_list reps) in
-  let sum f = List.fold_left (fun acc r -> acc + f r) 0 correct in
-  let final_view = List.fold_left (fun acc r -> Int.max acc (Replica.view r)) 0 correct in
-  let safety_failures = journals_agree correct @ states_agree correct in
-  let failures = ref safety_failures in
-  let expect what cond = if not cond then failures := what :: !failures in
-  expect "adversary never fired a mutation" (Adversary.mutations adv > 0);
-  expect "no gateway progress before the fault" (baseline > 0);
-  let live_progress = recovered > 0 in
-  expect "no gateway progress in the recovery window" live_progress;
-  expect "no view change elected a new primary" (final_view > 0);
-  Adversary.uninstall adv;
-  let report =
-    {
-      fr_behavior = "gateway-" ^ Adversary.behavior_name behavior;
-      fr_mutations = Adversary.mutations adv;
-      fr_view_changes = sum Replica.view_changes;
-      fr_demotion_transfers = sum Replica.demotion_transfers;
-      fr_rejoin_transfers = sum Replica.rejoin_transfers;
-      fr_pages_fetched = sum Replica.transfer_pages_fetched;
-      fr_pages_full = sum Replica.transfer_pages_full;
-      fr_demotions = sum Replica.demotions;
-      fr_rollbacks = sum Replica.rollbacks;
-      fr_spec_execs = sum Replica.speculative_execs;
-      fr_auth_failures = sum Replica.auth_failures;
-      fr_nondet_rejects = sum Replica.nondet_rejects;
-      fr_final_view = final_view;
-      fr_baseline = baseline;
-      fr_recovered = recovered;
-      fr_safe = safety_failures = [];
-      fr_live = live_progress;
-      fr_failures = List.rev !failures;
-    }
-  in
-  (report, cluster)
-
-let run_all ?(seed = 11) ?(speculative = false) () =
-  List.map (fun b -> run_behavior ~seed ~speculative b) behaviors
-  @ [ run_crash_restart ~seed ~speculative () ]
+let suite ?(seed = 11) ~speculative () =
+  List.map (behavior ~seed ~speculative) behaviors
+  @ [ crash_restart ~seed ~speculative () ]
   @
-  if speculative then [ run_vc_mid_speculation ~seed () ]
-  else List.map (fun b -> run_gateway_behavior ~seed b) gateway_behaviors
+  if speculative then [ vc_mid_speculation ~seed () ]
+  else List.map (gateway ~seed) [ Adversary.Mute; Adversary.Equivocate ]
+
+type report = {
+  name : string;
+  mutations : int;
+  correct : Run.totals;
+  baseline : int;
+  recovered : int;
+  safe : bool;
+  live : bool;
+  failures : string list;
+}
+
+let run ?(trace = false) scenario =
+  let result = Run.run { scenario.spec with Run.trace } in
+  let d = result.Run.deployment in
+  let faulty = Run.adversaries scenario.spec in
+  let correct =
+    Run.totals (List.filter (fun r -> not (List.mem (Replica.id r) faulty)) (Run.live d))
+  in
+  let check =
+    {
+      result;
+      correct;
+      baseline = (match result.Run.marks with first :: _ -> first | [] -> 0);
+      recovered = Run.progress d - result.Run.opened;
+    }
+  in
+  let unmet = List.filter_map (fun (what, holds) -> if holds check then None else Some what) in
+  ( {
+      name = scenario.name;
+      mutations = result.Run.mutations;
+      correct;
+      baseline = check.baseline;
+      recovered = check.recovered;
+      safe = result.Run.failures = [];
+      live = check.recovered > 0;
+      failures = result.Run.failures @ unmet scenario.expect;
+    },
+    result )
 
 let render r =
+  let t = r.correct in
   Printf.sprintf
     "%-20s %-4s mutations=%-5d vc=%-3d dem_tr=%-2d rejoin_tr=%-2d pages=%d/%-4d demotions=%-2d \
      spec=%-5d rollbacks=%-2d auth_fail=%-4d nondet_rej=%-4d view=%-2d baseline=%-5d \
      recovered=%-5d%s"
-    r.fr_behavior
-    (if r.fr_safe && r.fr_live && r.fr_failures = [] then "ok" else "FAIL")
-    r.fr_mutations r.fr_view_changes r.fr_demotion_transfers r.fr_rejoin_transfers
-    r.fr_pages_fetched r.fr_pages_full r.fr_demotions r.fr_spec_execs
-    r.fr_rollbacks r.fr_auth_failures r.fr_nondet_rejects r.fr_final_view r.fr_baseline
-    r.fr_recovered
-    (match r.fr_failures with
+    r.name
+    (if r.safe && r.live && r.failures = [] then "ok" else "FAIL")
+    r.mutations t.Run.view_changes t.demotion_transfers t.rejoin_transfers t.pages_fetched
+    t.pages_full t.demotions t.speculative_execs t.rollbacks t.auth_failures t.nondet_rejects
+    t.view r.baseline r.recovered
+    (match r.failures with
     | [] -> ""
     | fs -> "\n    " ^ String.concat "\n    " fs)
 
-let failure_trace cluster =
-  Simnet.Trace.render ~limit:5000 (Cluster.trace cluster) (fun _ -> true)
+let failure_trace result =
+  Simnet.Trace.render ~limit:5000
+    (Cluster.trace (Run.cluster result.Run.deployment 0))
+    (fun _ -> true)

@@ -1,110 +1,88 @@
 (** Byzantine fault scenario suite.
 
-    Runs each {!Pbft.Adversary} behavior against an otherwise-correct
-    f=1 cluster and checks the two BFT properties the paper's robustness
-    analysis turns on:
+    Each scenario is a {!Run.spec} — an otherwise-correct f=1 cluster
+    under load with a fault plan — plus the expectations its outcome
+    must meet. Every scenario checks the two BFT properties the paper's
+    robustness analysis turns on:
 
     - {b safety} — correct replicas never commit conflicting batches for
-      the same sequence number (pairwise comparison of their
-      committed-execution journals) and replicas at the same sequence
-      number hold identical state (Merkle root comparison);
-    - {b liveness} — client requests keep completing with the adversary
-      still installed: the view change votes out a faulty primary, a
+      the same sequence number and replicas at the same sequence number
+      hold identical state ({!Run.safety});
+    - {b liveness} — client requests keep completing with the fault
+      still in place: the view change votes out a faulty primary, a
       starved backup demotes itself into a state transfer, and forged
       votes are rejected without disturbing a healthy view.
 
-    Every scenario runs a healthy phase first (session keys, progress
-    baseline), arms the adversary, and measures progress again in a
-    trailing recovery window. All runs are seeded and deterministic. *)
+    Every scenario runs a 0.3 s healthy phase, arms the fault, and
+    measures progress in a 1 s recovery window that starts 2.2 s later
+    (the run's measured window), then drains for 0.2 s. All runs are
+    seeded and deterministic. *)
 
-type report = {
-  fr_behavior : string;
-  fr_mutations : int;
-  fr_view_changes : int;
-  fr_demotion_transfers : int;
-      (** state transfers by running replicas that fell behind (§2.4) *)
-  fr_rejoin_transfers : int;
-      (** state transfers by the crash/restart rejoin path *)
-  fr_pages_fetched : int;
-      (** distinct pages actually pulled by completed transfers — the
-          Merkle-diff cost *)
-  fr_pages_full : int;
-      (** pages the same transfers would have pulled without the diff *)
-  fr_demotions : int;
-  fr_rollbacks : int;
-  fr_spec_execs : int;
-  fr_auth_failures : int;
-  fr_nondet_rejects : int;
-  fr_final_view : int;
-  fr_baseline : int;
-  fr_recovered : int;
-  fr_safe : bool;
-  fr_live : bool;
-  fr_failures : string list;
+type check = {
+  result : Run.result;
+  correct : Run.totals;  (** over the current incarnations of the correct replicas *)
+  baseline : int;  (** requests completed before the fault was armed *)
+  recovered : int;  (** requests completed from the recovery window's start to the end *)
+}
+
+type scenario = {
+  name : string;
+  spec : Run.spec;
+  expect : (string * (check -> bool)) list;  (** what must hold, with the failure message *)
 }
 
 val behaviors : Pbft.Adversary.behavior list
-(** The five Byzantine behaviors (selective mute is parameterized) in
-    suite order. *)
+(** The Byzantine behaviors (selective mute is parameterized) in suite
+    order. *)
 
-val run_behavior :
-  ?seed:int -> ?trace:bool -> ?speculative:bool -> Pbft.Adversary.behavior -> report * Pbft.Cluster.t
-(** Run one scenario; the cluster is returned for post-hoc inspection
-    (counters, trace dump on failure). [trace] keeps the message trace
-    enabled during the run (default off, for speed) — used when
-    re-running a failed scenario to produce the CI artifact.
-    [speculative] re-runs the scenario with the execution pipeline on
+val behavior : ?seed:int -> ?speculative:bool -> Pbft.Adversary.behavior -> scenario
+(** The behavior installed on the view-0 primary (a backup for forged
+    view-change votes). [speculative] turns the execution pipeline on
     ([pipeline_depth = 4], [cores = 2]), so the adversary also faces
     replicas holding executed-but-uncommitted state. *)
 
-val gateway_behaviors : Pbft.Adversary.behavior list
-(** Behaviors re-run behind a loaded gateway front door (mute and
-    equivocating primary). *)
+val gateway : ?seed:int -> Pbft.Adversary.behavior -> scenario
+(** The behavior with the cluster behind the {!Webgate.Frontdoor}:
+    open-loop sessions through the door's coalescing and admission
+    control instead of direct clients, progress counted at the door.
+    Named ["gateway-<behavior>"]. *)
 
-val run_gateway_behavior :
-  ?seed:int -> ?trace:bool -> Pbft.Adversary.behavior -> report * Pbft.Cluster.t
-(** Run one behavior with the cluster behind the {!Webgate.Frontdoor}:
-    open-loop sessions through the door's coalescing/admission-control
-    path instead of direct closed-loop clients. Progress (baseline,
-    recovery) is measured at the door — the view change must still vote
-    the faulty primary out and requests must keep completing through the
-    gateway. Reported as ["gateway-<behavior>"]. *)
+val crash_restart : ?seed:int -> ?speculative:bool -> unit -> scenario
+(** Crash the view-0 primary of a key-value cluster for 1 s: the
+    survivors elect view 1 and keep committing, and the restarted
+    instance must reload its disk checkpoint, re-key
+    ([rejoin_key_refresh]), rejoin via a Merkle-diff state transfer that
+    fetches strictly fewer pages than a full one, and catch up to the
+    working view with its view-change backoff reset. *)
 
-val run_crash_restart :
-  ?seed:int -> ?trace:bool -> ?speculative:bool -> unit -> report * Pbft.Cluster.t
-(** Crash the view-0 primary mid-run, let the survivors elect view 1 and
-    keep committing, then restart it: the revived instance must reload
-    its disk checkpoint, re-key ([rejoin_key_refresh]), rejoin via a
-    Merkle-diff state transfer that fetches strictly fewer pages than a
-    full transfer, catch up to the working view with the watchdog
-    backoff reset, and leave journals and states in agreement. Reported
-    as ["crash-restart"] (["crash-restart-spec"] with [speculative]). *)
+val vc_mid_speculation : ?seed:int -> unit -> scenario
+(** Commit datagrams are dropped on every link for 0.8 s, so pipelined
+    replicas speculatively execute batches they cannot commit; the view
+    change must roll the speculated suffix back, and once the drop heals
+    the re-proposed batches must commit with journals and states still
+    in agreement. *)
 
-val run_vc_mid_speculation : ?seed:int -> ?trace:bool -> unit -> report * Pbft.Cluster.t
-(** The speculation-specific scenario: commit datagrams are dropped on
-    every link for a window, so pipelined replicas speculatively execute
-    batches they cannot commit; the resulting view change must roll the
-    speculated suffix back ([fr_rollbacks > 0]) and, once the drop heals,
-    the re-proposed batches must commit with journals and states still in
-    agreement. *)
+val suite : ?seed:int -> speculative:bool -> unit -> scenario list
+(** The behaviors and {!crash_restart}, then {!vc_mid_speculation} with
+    [speculative] or the {!gateway} variants without. *)
 
-val run_all : ?seed:int -> ?speculative:bool -> unit -> (report * Pbft.Cluster.t) list
-(** The behavior suite plus {!run_crash_restart}; with [speculative] the
-    pipelined variants plus {!run_vc_mid_speculation} appended. *)
+type report = {
+  name : string;
+  mutations : int;
+  correct : Run.totals;
+  baseline : int;
+  recovered : int;
+  safe : bool;
+  live : bool;
+  failures : string list;  (** safety violations, then unmet expectations *)
+}
 
-val journals_agree : Pbft.Replica.t list -> string list
-(** Pairwise committed-journal agreement over common sequence numbers;
-    returns human-readable conflicts (empty = safe). Exposed for reuse
-    by long-horizon drivers ({!Churn}). *)
-
-val states_agree : Pbft.Replica.t list -> string list
-(** Pairwise Merkle-root agreement between replicas at the same executed
-    sequence number; returns mismatches (empty = safe). *)
+val run : ?trace:bool -> scenario -> report * Run.result
+(** Run the scenario; [trace] keeps the message trace on (re-running a
+    failed scenario for the CI artifact). *)
 
 val render : report -> string
-(** One status line per scenario, with failure reasons appended. *)
+(** One status line, with failure reasons appended. *)
 
-val failure_trace : Pbft.Cluster.t -> string
-(** Human-readable dump of the cluster's message trace — written to an
-    artifact when a scenario fails in CI (pair with
-    [run_behavior ~trace:true]). *)
+val failure_trace : Run.result -> string
+(** The message trace of the run, for a failure artifact. *)

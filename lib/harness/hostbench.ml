@@ -57,401 +57,145 @@ type measurement = {
   availability : float;
   mean_recovery : float;
   max_recovery : float;
+  failures : string list;
 }
 
 (* The host-cost envelope every workload shares: wall clock, SHA-256
-   bytes, COW bytes copied and heap allocation around one run. Host
-   wall-clock on purpose: this measures the benchmark harness itself and
-   never feeds simulation state or the trace digest. *)
-let enveloped run =
+   bytes, COW bytes copied, relational-engine counters and heap
+   allocation around one run. Host wall-clock on purpose: this measures
+   the benchmark harness itself and never feeds simulation state or the
+   trace digest. *)
+let measure ~name spec =
   let[@detlint.allow wall_clock] t0 = Unix.gettimeofday () in
   let h0 = Crypto.Sha256.bytes_hashed () in
   let c0 = Statemgr.Pages.bytes_copied () in
+  let p0 = Relsql.Database.pages_read_total () in
+  let s0 = Relsql.Database.rows_scanned_total () in
   let a0 = Gc.allocated_bytes () in
-  let result = run () in
+  let r = Run.run spec in
   let alloc = Gc.allocated_bytes () -. a0 in
   let[@detlint.allow wall_clock] host_seconds = Unix.gettimeofday () -. t0 in
   let per_sec n = if host_seconds > 0.0 then float_of_int n /. host_seconds else 0.0 in
-  ( result,
-    host_seconds,
-    per_sec,
-    Crypto.Sha256.bytes_hashed () - h0,
-    Statemgr.Pages.bytes_copied () - c0,
-    alloc )
-
-(* Checkpoint and undo-snapshot totals over [reps], COW bytes per
-   snapshot, and the run-average busy fraction of the replicas' virtual
-   cores — the utilization the pipeline's extra cores actually achieve. *)
-let replica_totals reps ~bytes_copied =
-  let sum f = Array.fold_left (fun acc r -> acc + f r) 0 reps in
-  let checkpoints = sum Pbft.Replica.checkpoints_taken in
-  let undos = sum Pbft.Replica.undo_snapshots in
-  let snapshots = checkpoints + undos in
-  let busy =
-    Array.fold_left (fun acc r -> acc +. Simnet.Cpu.utilization (Pbft.Replica.cpu r) ~since:0.0) 0.0
-      reps
+  let bytes_hashed = Crypto.Sha256.bytes_hashed () - h0 in
+  let bytes_copied = Statemgr.Pages.bytes_copied () - c0 in
+  let t = r.Run.replicas in
+  let snapshots = t.Run.checkpoints + t.undo_snapshots in
+  let per_request x = if r.completed > 0 then x /. float_of_int r.completed else 0.0 in
+  (* Schema v7 as it was first written: open-loop rows count events and
+     allocation over the measured window and the door's counters over
+     the whole run; session rows count the door's counters over the
+     window; every other row counts over the whole run. *)
+  let open_loop = Option.is_some r.open_loop in
+  let windowed = match spec.Run.load with Run.Sessions _ -> true | _ -> false in
+  let door f =
+    match r.door with
+    | None -> 0
+    | Some (before, after) -> if windowed then f after - f before else f after
   in
-  ( checkpoints,
-    undos,
-    (if snapshots > 0 then float_of_int bytes_copied /. float_of_int snapshots else 0.0),
-    if Array.length reps = 0 then 0.0 else busy /. float_of_int (Array.length reps) )
-
-let measure ~name spec =
-  let p0 = Relsql.Database.pages_read_total () in
-  let r0 = Relsql.Database.rows_scanned_total () in
-  let (outcome, cluster), host_seconds, per_sec, bytes_hashed, bytes_copied, alloc =
-    enveloped (fun () -> Scenario.run_cluster spec)
-  in
-  let pages_read = Relsql.Database.pages_read_total () - p0 in
-  let rows_scanned = Relsql.Database.rows_scanned_total () - r0 in
-  let events = Simnet.Engine.events (Pbft.Cluster.engine cluster) in
-  let reps = Pbft.Cluster.replicas cluster in
-  let checkpoint_count, undo_snapshots, bytes_copied_per_checkpoint, core_utilization =
-    replica_totals reps ~bytes_copied
-  in
-  (* What a deep-copy checkpointer would move per snapshot: every
-     allocated page of one replica's region (sampled at run end). *)
-  let deep_copy_bytes_per_checkpoint =
-    let total =
-      Array.fold_left
-        (fun acc r ->
-          let pages = Pbft.Replica.pages r in
-          acc + (Statemgr.Pages.allocated_pages pages * Statemgr.Pages.page_size pages))
-        0 reps
-    in
-    if Array.length reps > 0 then float_of_int total /. float_of_int (Array.length reps) else 0.0
-  in
+  let final f = match r.door with None -> 0 | Some (_, after) -> f after in
+  let churn f = match r.churn with None -> 0.0 | Some c -> f c in
   {
     name;
     host_seconds;
-    events;
-    events_per_sec = per_sec events;
+    events = r.events;
+    events_per_sec = per_sec r.events;
     bytes_hashed;
     hashed_mb_per_sec = per_sec bytes_hashed /. 1e6;
-    virtual_tps = outcome.Scenario.tps;
-    completed = outcome.Scenario.completed;
-    checkpoint_count;
-    undo_snapshots;
+    virtual_tps = r.tps;
+    completed = r.completed;
+    checkpoint_count = t.checkpoints;
+    undo_snapshots = t.undo_snapshots;
     bytes_copied;
-    bytes_copied_per_checkpoint;
-    deep_copy_bytes_per_checkpoint;
-    pages_read;
-    rows_scanned;
-    speculative_executions = outcome.Scenario.speculative_execs;
-    rollbacks = outcome.Scenario.rollbacks;
-    tentative_completed = outcome.Scenario.tentative_completed;
-    core_utilization;
-    p50_latency = outcome.Scenario.p50_latency;
-    p95_latency = outcome.Scenario.p95_latency;
-    p99_latency = outcome.Scenario.p99_latency;
-    shed = outcome.Scenario.shed;
-    gw_evictions = outcome.Scenario.gw_evictions;
-    gw_queue_peak = outcome.Scenario.gw_queue_peak;
-    replica_queue_peak = outcome.Scenario.replica_queue_peak;
-    ro_cache_evictions = outcome.Scenario.ro_cache_evictions;
-    sessions = 0;
-    arrivals = 0;
-    offered_load = 0.0;
-    flushes_size = 0;
-    flushes_deadline = 0;
-    reply_cache_hits = 0;
+    bytes_copied_per_checkpoint =
+      (if snapshots > 0 then float_of_int bytes_copied /. float_of_int snapshots else 0.0);
+    deep_copy_bytes_per_checkpoint = t.allocated_bytes;
+    pages_read = Relsql.Database.pages_read_total () - p0;
+    rows_scanned = Relsql.Database.rows_scanned_total () - s0;
+    speculative_executions = t.speculative_execs;
+    rollbacks = t.rollbacks;
+    tentative_completed = r.tentative;
+    core_utilization = t.core_utilization;
+    p50_latency = Util.Stats.p50 r.latency;
+    p95_latency = Util.Stats.p95 r.latency;
+    p99_latency = Util.Stats.p99 r.latency;
+    shed = door (fun d -> d.Run.shed);
+    gw_evictions = final (fun d -> d.Run.evictions);
+    gw_queue_peak = final (fun d -> Array.fold_left Int.max 0 d.Run.queue_peaks);
+    replica_queue_peak = t.queue_peak;
+    ro_cache_evictions = t.ro_cache_evictions;
+    sessions =
+      (match spec.load with
+      | Run.Sessions { sessions; _ } | Run.Arrivals { sessions; _ } -> sessions
+      | Run.Clients _ -> 0);
+    arrivals = (match r.open_loop with Some o -> o.Run.arrivals | None -> 0);
+    offered_load = (match r.open_loop with Some o -> o.Run.offered | None -> 0.0);
+    flushes_size = door (fun d -> d.Run.flushes_size);
+    flushes_deadline = door (fun d -> d.Run.flushes_deadline);
+    reply_cache_hits = door (fun d -> d.Run.reply_cache_hits);
     events_per_request =
-      (if outcome.Scenario.completed > 0 then
-         float_of_int events /. float_of_int outcome.Scenario.completed
-       else 0.0);
-    alloc_per_request =
-      (if outcome.Scenario.completed > 0 then alloc /. float_of_int outcome.Scenario.completed
-       else 0.0);
-    shards = outcome.Scenario.shards;
-    shard_tps = outcome.Scenario.shard_tps;
-    shard_queue_peak = outcome.Scenario.shard_queue_peak;
-    cross_commits = outcome.Scenario.cross_shard_commits;
-    cross_aborts = outcome.Scenario.cross_shard_aborts;
-    cross_timeouts = 0;
-    demotion_transfers = outcome.Scenario.demotion_transfers;
-    rejoin_transfers = outcome.Scenario.rejoin_transfers;
-    transfer_pages_fetched = outcome.Scenario.transfer_pages_fetched;
-    transfer_pages_full = outcome.Scenario.transfer_pages_full;
-    crashes = 0;
-    restarts = 0;
-    availability = 0.0;
-    mean_recovery = 0.0;
-    max_recovery = 0.0;
+      per_request (float_of_int (if open_loop then r.window_events else r.events));
+    alloc_per_request = per_request (if open_loop then r.window_alloc else alloc);
+    shards = Relsql.Shard.shards (Run.topology r.deployment);
+    shard_tps =
+      (match (spec.groups, r.door) with
+      | Run.Accounts _, Some (before, after) ->
+        Array.map2
+          (fun b a -> if r.window > 0.0 then float_of_int (a - b) /. r.window else 0.0)
+          before.Run.lane_completed after.Run.lane_completed
+      | _ -> [| r.tps |]);
+    shard_queue_peak =
+      (match r.door with Some (_, after) -> after.Run.queue_peaks | None -> [| 0 |]);
+    cross_commits = door (fun d -> d.Run.cross_commits);
+    cross_aborts = door (fun d -> d.Run.cross_aborts);
+    cross_timeouts = door (fun d -> d.Run.cross_timeouts);
+    demotion_transfers = t.demotion_transfers;
+    rejoin_transfers = t.rejoin_transfers;
+    transfer_pages_fetched = t.pages_fetched;
+    transfer_pages_full = t.pages_full;
+    crashes = (match r.churn with Some c -> c.Run.crashes | None -> 0);
+    restarts = (match r.churn with Some c -> c.Run.restarts | None -> 0);
+    availability = churn (fun c -> c.Run.availability);
+    mean_recovery = churn (fun c -> c.Run.mean_recovery);
+    max_recovery = churn (fun c -> c.Run.max_recovery);
+    failures = r.failures;
   }
-
-(* Open-loop front-door workload: same host-cost envelope, but driven by
-   the arrival-process generator through the gateway, so the latency
-   distribution and the gateway telemetry are the generator's view. *)
-let measure_openloop ~name spec =
-  let (outcome, cluster, _door, _gen), host_seconds, per_sec, bytes_hashed, bytes_copied, _alloc =
-    enveloped (fun () -> Openloop.run spec)
-  in
-  let events = Simnet.Engine.events (Pbft.Cluster.engine cluster) in
-  let checkpoint_count, undo_snapshots, bytes_copied_per_checkpoint, core_utilization =
-    replica_totals (Pbft.Cluster.replicas cluster) ~bytes_copied
-  in
-  let base = outcome.Openloop.base in
-  {
-    name;
-    host_seconds;
-    events;
-    events_per_sec = per_sec events;
-    bytes_hashed;
-    hashed_mb_per_sec = per_sec bytes_hashed /. 1e6;
-    virtual_tps = base.Scenario.tps;
-    completed = base.Scenario.completed;
-    checkpoint_count;
-    undo_snapshots;
-    bytes_copied;
-    bytes_copied_per_checkpoint;
-    deep_copy_bytes_per_checkpoint = 0.0;
-    pages_read = 0;
-    rows_scanned = 0;
-    speculative_executions = base.Scenario.speculative_execs;
-    rollbacks = base.Scenario.rollbacks;
-    tentative_completed = base.Scenario.tentative_completed;
-    core_utilization;
-    p50_latency = base.Scenario.p50_latency;
-    p95_latency = base.Scenario.p95_latency;
-    p99_latency = base.Scenario.p99_latency;
-    shed = base.Scenario.shed;
-    gw_evictions = base.Scenario.gw_evictions;
-    gw_queue_peak = base.Scenario.gw_queue_peak;
-    replica_queue_peak = base.Scenario.replica_queue_peak;
-    ro_cache_evictions = base.Scenario.ro_cache_evictions;
-    sessions = outcome.Openloop.sessions;
-    arrivals = outcome.Openloop.arrivals;
-    offered_load = outcome.Openloop.offered;
-    flushes_size = outcome.Openloop.flushes_size;
-    flushes_deadline = outcome.Openloop.flushes_deadline;
-    reply_cache_hits = outcome.Openloop.reply_cache_hits;
-    events_per_request = outcome.Openloop.events_per_request;
-    alloc_per_request = outcome.Openloop.alloc_per_request;
-    shards = base.Scenario.shards;
-    shard_tps = base.Scenario.shard_tps;
-    shard_queue_peak = base.Scenario.shard_queue_peak;
-    cross_commits = base.Scenario.cross_shard_commits;
-    cross_aborts = base.Scenario.cross_shard_aborts;
-    cross_timeouts = 0;
-    demotion_transfers = base.Scenario.demotion_transfers;
-    rejoin_transfers = base.Scenario.rejoin_transfers;
-    transfer_pages_fetched = base.Scenario.transfer_pages_fetched;
-    transfer_pages_full = base.Scenario.transfer_pages_full;
-    crashes = 0;
-    restarts = 0;
-    availability = 0.0;
-    mean_recovery = 0.0;
-    max_recovery = 0.0;
-  }
-
-(* Sharded deployment (PR 8): the host-cost envelope around a
-   Shards.run, with the per-shard telemetry block live. *)
-let measure_shards ~name spec =
-  let (outcome, d), host_seconds, per_sec, bytes_hashed, bytes_copied, alloc =
-    enveloped (fun () -> Shards.run spec)
-  in
-  let events = Simnet.Engine.events (Shards.engine d) in
-  let all_reps =
-    Array.concat
-      (List.init spec.Shards.shards (fun s -> Pbft.Cluster.replicas (Shards.cluster d s)))
-  in
-  let sum f = Array.fold_left (fun acc r -> acc + f r) 0 all_reps in
-  let checkpoint_count, undo_snapshots, bytes_copied_per_checkpoint, core_utilization =
-    replica_totals all_reps ~bytes_copied
-  in
-  {
-    name;
-    host_seconds;
-    events;
-    events_per_sec = per_sec events;
-    bytes_hashed;
-    hashed_mb_per_sec = per_sec bytes_hashed /. 1e6;
-    virtual_tps = outcome.Shards.so_vtps;
-    completed = outcome.Shards.so_completed;
-    checkpoint_count;
-    undo_snapshots;
-    bytes_copied;
-    bytes_copied_per_checkpoint;
-    deep_copy_bytes_per_checkpoint = 0.0;
-    pages_read = 0;
-    rows_scanned = 0;
-    speculative_executions = sum Pbft.Replica.speculative_execs;
-    rollbacks = sum Pbft.Replica.rollbacks;
-    tentative_completed = 0;
-    core_utilization;
-    p50_latency = outcome.Shards.so_p50;
-    p95_latency = outcome.Shards.so_p95;
-    p99_latency = outcome.Shards.so_p99;
-    shed = outcome.Shards.so_shed;
-    gw_evictions = Webgate.Frontdoor.session_evictions (Shards.door d);
-    gw_queue_peak = Array.fold_left Int.max 0 outcome.Shards.so_shard_queue_peak;
-    replica_queue_peak =
-      Array.fold_left
-        (fun acc r -> Int.max acc (Simnet.Cpu.peak_queue_length (Pbft.Replica.cpu r)))
-        0 all_reps;
-    ro_cache_evictions = sum Pbft.Replica.ro_reply_evictions;
-    sessions = spec.Shards.sessions;
-    arrivals = 0;
-    offered_load = 0.0;
-    flushes_size = outcome.Shards.so_flushes_size;
-    flushes_deadline = outcome.Shards.so_flushes_deadline;
-    reply_cache_hits = outcome.Shards.so_cache_hits;
-    events_per_request =
-      (if outcome.Shards.so_completed > 0 then
-         float_of_int events /. float_of_int outcome.Shards.so_completed
-       else 0.0);
-    alloc_per_request =
-      (if outcome.Shards.so_completed > 0 then
-         alloc /. float_of_int outcome.Shards.so_completed
-       else 0.0);
-    shards = spec.Shards.shards;
-    shard_tps = outcome.Shards.so_shard_tps;
-    shard_queue_peak = outcome.Shards.so_shard_queue_peak;
-    cross_commits = outcome.Shards.so_cross_commits;
-    cross_aborts = outcome.Shards.so_cross_aborts;
-    cross_timeouts = outcome.Shards.so_cross_timeouts;
-    demotion_transfers = sum Pbft.Replica.demotion_transfers;
-    rejoin_transfers = sum Pbft.Replica.rejoin_transfers;
-    transfer_pages_fetched = sum Pbft.Replica.transfer_pages_fetched;
-    transfer_pages_full = sum Pbft.Replica.transfer_pages_full;
-    crashes = 0;
-    restarts = 0;
-    availability = 0.0;
-    mean_recovery = 0.0;
-    max_recovery = 0.0;
-  }
-
-(* Churn workload (PR 10): the host-cost envelope around a long-horizon
-   crash/repair plan. Latency and gateway telemetry are not meaningful
-   here (closed-loop light load); the transfer and churn blocks are. *)
-let measure_churn ~name spec =
-  let o, host_seconds, per_sec, bytes_hashed, bytes_copied, _alloc =
-    enveloped (fun () -> Churn.run spec)
-  in
-  {
-    name;
-    host_seconds;
-    events = o.Churn.ch_events;
-    events_per_sec = per_sec o.Churn.ch_events;
-    bytes_hashed;
-    hashed_mb_per_sec = per_sec bytes_hashed /. 1e6;
-    virtual_tps = o.Churn.ch_tps;
-    completed = o.Churn.ch_completed;
-    checkpoint_count = 0;
-    undo_snapshots = 0;
-    bytes_copied;
-    bytes_copied_per_checkpoint = 0.0;
-    deep_copy_bytes_per_checkpoint = 0.0;
-    pages_read = 0;
-    rows_scanned = 0;
-    speculative_executions = 0;
-    rollbacks = 0;
-    tentative_completed = 0;
-    core_utilization = 0.0;
-    p50_latency = 0.0;
-    p95_latency = 0.0;
-    p99_latency = 0.0;
-    shed = 0;
-    gw_evictions = 0;
-    gw_queue_peak = 0;
-    replica_queue_peak = 0;
-    ro_cache_evictions = 0;
-    sessions = 0;
-    arrivals = 0;
-    offered_load = 0.0;
-    flushes_size = 0;
-    flushes_deadline = 0;
-    reply_cache_hits = 0;
-    events_per_request =
-      (if o.Churn.ch_completed > 0 then
-         float_of_int o.Churn.ch_events /. float_of_int o.Churn.ch_completed
-       else 0.0);
-    alloc_per_request = 0.0;
-    shards = 1;
-    shard_tps = [| o.Churn.ch_tps |];
-    shard_queue_peak = [| 0 |];
-    cross_commits = 0;
-    cross_aborts = 0;
-    cross_timeouts = 0;
-    demotion_transfers = o.Churn.ch_demotion_transfers;
-    rejoin_transfers = o.Churn.ch_rejoin_transfers;
-    transfer_pages_fetched = o.Churn.ch_pages_fetched;
-    transfer_pages_full = o.Churn.ch_pages_full;
-    crashes = o.Churn.ch_crashes;
-    restarts = o.Churn.ch_restarts;
-    availability = o.Churn.ch_availability;
-    mean_recovery = o.Churn.ch_mean_recovery;
-    max_recovery = o.Churn.ch_max_recovery;
-  },
-  o
-
-let base_cfg () = Pbft.Config.default ~f:1
-
-let null_spec ~seed ~duration cfg =
-  { (Scenario.default_spec cfg) with Scenario.seed; duration }
-
-let row_spec ~seed ~duration (dynamic, macs, allbig, batching) =
-  Experiments.with_flags ~dynamic ~macs ~allbig ~batching (base_cfg ())
-  |> null_spec ~seed ~duration
-
-let table1_workloads ?(seed = 1) ?(duration = 1.5) () =
-  List.map
-    (fun (name, _paper, flags) ->
-      measure ~name:("table1:" ^ name) (row_spec ~seed ~duration flags))
-    Experiments.table1_rows
-
-let default_flags = (false, true, true, true)
-
-let table1_default ?(seed = 1) ?(duration = 1.5) () =
-  measure ~name:"table1:sta_mac_allbig_batch" (row_spec ~seed ~duration default_flags)
-
-let sql_workload ?(seed = 1) ?(duration = 1.5) () =
-  let cfg =
-    Experiments.with_flags ~dynamic:false ~macs:true ~allbig:true ~batching:true (base_cfg ())
-  in
-  measure ~name:"sql:insert_acid" (Experiments.sql_spec ~seed ~duration ~acid:true cfg)
-
-let ckpt_sql_large ?(seed = 1) ?(duration = 1.5) () =
-  let cfg =
-    Experiments.with_flags ~dynamic:false ~macs:true ~allbig:true ~batching:true (base_cfg ())
-  in
-  measure ~name:"ckpt:sql_large_state" (Experiments.sql_large_state_spec ~seed ~duration cfg)
-
-(* Access-path workloads: the same SELECT stream over the same 1600-row
-   table, with and without the secondary index. [pages_read] is the
-   number the paper's "real operations" argument turns on: a point probe
-   should touch O(log n) pages, a forced scan O(n). *)
 
 let default_cfg () =
-  Experiments.with_flags ~dynamic:false ~macs:true ~allbig:true ~batching:true (base_cfg ())
+  Experiments.with_flags ~dynamic:false ~macs:true ~allbig:true ~batching:true
+    (Pbft.Config.default ~f:1)
 
-let sql_indexed_point ?(seed = 1) ?(duration = 1.5) () =
-  measure ~name:"sql:indexed_point"
-    (Experiments.indexed_sql_spec ~seed ~duration ~indexed:true ~range:false (default_cfg ()))
+let workloads ?(seed = 1) ?(duration = 1.5) () =
+  let cfg = default_cfg () in
+  List.map
+    (fun (row, _paper, (dynamic, macs, allbig, batching)) ->
+      let cfg =
+        Experiments.with_flags ~dynamic ~macs ~allbig ~batching (Pbft.Config.default ~f:1)
+      in
+      ("table1:" ^ row, { (Run.closed cfg) with Run.seed; duration }))
+    Experiments.table1_rows
+  @ [
+      ("sql:insert_acid", Experiments.sql_spec ~seed ~duration ~acid:true cfg);
+      ("ckpt:sql_large_state", Experiments.sql_large_state_spec ~seed ~duration cfg);
+      ( "sql:indexed_point",
+        Experiments.indexed_sql_spec ~seed ~duration ~indexed:true ~range:false cfg );
+      ( "sql:indexed_range",
+        Experiments.indexed_sql_spec ~seed ~duration ~indexed:true ~range:true cfg );
+      ("sql:forced_scan", Experiments.indexed_sql_spec ~seed ~duration ~indexed:false ~range:false cfg);
+      ( "pipeline:serial",
+        Experiments.pipeline_spec ~seed ~duration (Experiments.pipeline_cfg ~depth:1 ~cores:1 ()) );
+      ( "pipeline:depth8_cores4",
+        Experiments.pipeline_spec ~seed ~duration (Experiments.pipeline_cfg ~depth:8 ~cores:4 ()) );
+      ("sql:read_mix", Experiments.read_mix_spec ~seed ~duration cfg);
+      (* Representative open-loop front-door rows: steady Poisson load
+         near the closed-loop ceiling, and a bursty square wave that
+         exercises the deadline flush and queue growth. *)
+      ("openloop:poisson12k", Experiments.open_loop_spec ~seed ~duration (Run.Poisson 12_000.0));
+      ( "openloop:bursty",
+        Experiments.open_loop_spec ~seed ~duration
+          (Run.Bursty { base = 2_000.0; burst = 24_000.0; period = 0.2; duty = 0.25 }) );
+    ]
 
-let sql_indexed_range ?(seed = 1) ?(duration = 1.5) () =
-  measure ~name:"sql:indexed_range"
-    (Experiments.indexed_sql_spec ~seed ~duration ~indexed:true ~range:true (default_cfg ()))
-
-let sql_forced_scan ?(seed = 1) ?(duration = 1.5) () =
-  measure ~name:"sql:forced_scan"
-    (Experiments.indexed_sql_spec ~seed ~duration ~indexed:false ~range:false (default_cfg ()))
-
-(* Pipelining (PR 6): the same null workload serial and deeply pipelined.
-   The serial row doubles as the regression anchor — its config is the
-   pinned-digest default — and the deep row carries the >=2x gate
-   bench/main.exe enforces. *)
-
-let pipeline_serial ?(seed = 1) ?(duration = 1.5) () =
-  measure ~name:"pipeline:serial"
-    (Experiments.pipeline_spec ~seed ~duration (Experiments.pipeline_cfg ~depth:1 ~cores:1 ()))
-
-let pipeline_deep ?(seed = 1) ?(duration = 1.5) () =
-  measure ~name:"pipeline:depth8_cores4"
-    (Experiments.pipeline_spec ~seed ~duration (Experiments.pipeline_cfg ~depth:8 ~cores:4 ()))
-
-let sql_read_mix ?(seed = 1) ?(duration = 1.5) () =
-  measure ~name:"sql:read_mix" (Experiments.read_mix_spec ~seed ~duration (default_cfg ()))
+let workload ?seed ?duration name = List.assoc name (workloads ?seed ?duration ())
 
 let digest_trace tr ~completed =
   let ctx = Crypto.Sha256.init () in
@@ -466,20 +210,12 @@ let digest_trace tr ~completed =
   Crypto.Sha256.feed ctx (Printf.sprintf "completed=%d" completed);
   Util.Hexdump.of_string (Crypto.Sha256.finalize ctx)
 
+let traced_digest spec =
+  let r = Run.run { spec with Run.trace = true } in
+  digest_trace (Pbft.Cluster.trace (Run.cluster r.Run.deployment 0)) ~completed:r.completed
+
 let trace_digest ?(seed = 1) ?(seconds = 0.3) () =
-  let dynamic, macs, allbig, batching = default_flags in
-  let cfg = Experiments.with_flags ~dynamic ~macs ~allbig ~batching (base_cfg ()) in
-  let spec =
-    { (Scenario.default_spec cfg) with Scenario.seed; warmup = 0.1; duration = seconds }
-  in
-  (* run_cluster disables tracing for speed; the digest needs the full
-     message log back on. *)
-  let outcome, cluster =
-    Scenario.run_cluster
-      ~hook:(fun cluster -> Simnet.Trace.set_enabled (Pbft.Cluster.trace cluster) true)
-      spec
-  in
-  digest_trace (Pbft.Cluster.trace cluster) ~completed:outcome.Scenario.completed
+  traced_digest { (Run.closed (default_cfg ())) with Run.seed; warmup = 0.1; duration = seconds }
 
 (* The front door's equivalence proof: a short seeded open-loop run whose
    bursty arrivals hit both flush triggers, whose queue bound sheds during
@@ -487,35 +223,30 @@ let trace_digest ?(seed = 1) ?(seconds = 0.3) () =
    occasional lost reply) exercise the reply cache. Any behavioural
    change to the door moves this digest. *)
 let gateway_trace_digest ?(seed = 1) ?(seconds = 0.3) () =
-  let base = Openloop.default_spec (Pbft.Config.default ~f:1) in
-  let spec =
+  traced_digest
     {
-      base with
-      Openloop.seed;
-      sessions = 300;
-      arrival = Openloop.Bursty { base = 300.0; burst = 18000.0; period = 0.1; duty = 0.3 };
-      profile = { Simnet.Net.lan_profile with Simnet.Net.loss = 0.002 };
+      (Experiments.open_loop_spec ~seed ~duration:seconds (Run.Poisson 0.0)) with
+      Run.profile = { Simnet.Net.lan_profile with Simnet.Net.loss = 0.002 };
       warmup = 0.05;
-      duration = seconds;
-      op_bytes = 128;
-      gen_conns = 8;
-      retransmit = Some 0.02;
-      gateway =
-        {
-          Webgate.Frontdoor.connections = 2;
-          flush_bytes = 1024;
-          flush_deadline = 0.003;
-          max_queue = 32;
-          max_sessions = 256;
-        };
+      door =
+        Some
+          {
+            Webgate.Frontdoor.connections = 2;
+            flush_bytes = 1024;
+            flush_deadline = 0.003;
+            max_queue = 32;
+            max_sessions = 256;
+          };
+      load =
+        Run.Arrivals
+          {
+            sessions = 300;
+            arrival = Run.Bursty { base = 300.0; burst = 18000.0; period = 0.1; duty = 0.3 };
+            op_bytes = 128;
+            conns = 8;
+            retransmit = Some 0.02;
+          };
     }
-  in
-  let outcome, cluster, _door, _gen =
-    Openloop.run
-      ~hook:(fun cluster _door -> Simnet.Trace.set_enabled (Pbft.Cluster.trace cluster) true)
-      spec
-  in
-  digest_trace (Pbft.Cluster.trace cluster) ~completed:outcome.Openloop.base.Scenario.completed
 
 let to_json ?(now = "unknown") ms =
   let open Webgate.Json in

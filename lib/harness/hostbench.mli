@@ -72,74 +72,32 @@ type measurement = {
       (** fraction of sampling buckets with client progress (churn only) *)
   mean_recovery : float;  (** mean crash-to-rejoin seconds (churn only) *)
   max_recovery : float;  (** worst crash-to-rejoin seconds (churn only) *)
+  failures : string list;
+      (** safety violations and unfinished rejoins the run found (not
+          written to BENCH.json) *)
 }
 
-val measure : name:string -> Scenario.spec -> measurement
-(** Run the scenario once, sampling host clock, engine event count and the
-    process-wide SHA-256 byte counter around it. *)
+val measure : name:string -> Run.spec -> measurement
+(** Run the spec once, sampling host clock, SHA-256 bytes, copy-on-write
+    bytes, relational-engine counters and heap allocation around it.
+    Blocks that do not apply to the spec (door, shards, churn) read 0. *)
 
-val measure_openloop : name:string -> Openloop.spec -> measurement
-(** Like {!measure} for an open-loop front-door workload: the latency
-    percentiles are the generator's enqueue-to-reply distribution and the
-    gateway telemetry block is live. *)
+val workloads : ?seed:int -> ?duration:float -> unit -> (string * Run.spec) list
+(** The BENCH.json workloads by name: one per Table-1 row
+    (["table1:<row>"], 1024-byte null operations), the Figure-5 SQL
+    INSERT stream (["sql:insert_acid"]), the checkpoint-cost workload
+    over a database pre-filled to ~16x the per-interval working set
+    (["ckpt:sql_large_state"]), point and small-range SELECTs over the
+    indexed lookup table and the same point stream with no index
+    (["sql:indexed_point"], ["sql:indexed_range"], ["sql:forced_scan"]),
+    the 64-client pipelining workload serial and 8-deep on 4 cores
+    (["pipeline:serial"], ["pipeline:depth8_cores4"]), the 95/5
+    read/write mix (["sql:read_mix"]), and open-loop Poisson and bursty
+    arrivals through the front door (["openloop:poisson12k"],
+    ["openloop:bursty"]). Durations default to 1.5 s. *)
 
-val measure_shards : name:string -> Shards.spec -> measurement
-(** Like {!measure} for a sharded deployment driven by closed-loop edge
-    sessions through a sharded {!Webgate.Frontdoor}: the per-shard
-    telemetry block ([shards], [shard_tps], [shard_queue_peak],
-    cross-shard counters) and the door's flush counters are live. *)
-
-val measure_churn : name:string -> Churn.spec -> measurement * Churn.outcome
-(** Like {!measure} for a long-horizon {!Churn} run: the transfer and
-    churn telemetry blocks are live; latency/gateway blocks are zero
-    (the light closed-loop load is not a latency experiment). The raw
-    churn outcome rides along for its safety-failure list. *)
-
-val table1_workloads : ?seed:int -> ?duration:float -> unit -> measurement list
-(** One measurement per Table-1 row (the ten library configurations,
-    1024-byte null operations). *)
-
-val table1_default : ?seed:int -> ?duration:float -> unit -> measurement
-(** Just the default configuration (MACs + all-big + batching) — the
-    headline row used for before/after speedup comparisons. *)
-
-val sql_workload : ?seed:int -> ?duration:float -> unit -> measurement
-(** The Figure-5 SQL INSERT workload (ACID, batching on, default flags). *)
-
-val ckpt_sql_large : ?seed:int -> ?duration:float -> unit -> measurement
-(** The checkpoint-cost workload ["ckpt:sql_large_state"]: the SQL INSERT
-    stream over a database pre-populated to ~16x the per-interval working
-    set, so [bytes_copied_per_checkpoint] versus
-    [deep_copy_bytes_per_checkpoint] exposes the win from copy-on-write
-    snapshots. *)
-
-val sql_indexed_point : ?seed:int -> ?duration:float -> unit -> measurement
-(** ["sql:indexed_point"]: aggregate point SELECTs over the 1600-row
-    lookup table with a secondary index on the probed column. *)
-
-val sql_indexed_range : ?seed:int -> ?duration:float -> unit -> measurement
-(** ["sql:indexed_range"]: small-range aggregate SELECTs over the same
-    indexed table. *)
-
-val sql_forced_scan : ?seed:int -> ?duration:float -> unit -> measurement
-(** ["sql:forced_scan"]: the identical point-SELECT stream with no index
-    — every probe full-scans, the baseline the indexed workloads are
-    compared against. *)
-
-val pipeline_serial : ?seed:int -> ?duration:float -> unit -> measurement
-(** ["pipeline:serial"]: the pipelining workload (64 closed-loop clients,
-    1024-byte null ops) at depth 1 on one core — the serial baseline the
-    pipelined row must beat. *)
-
-val pipeline_deep : ?seed:int -> ?duration:float -> unit -> measurement
-(** ["pipeline:depth8_cores4"]: the same workload with an 8-deep
-    agreement pipeline and 4 virtual cores per replica; bench/main.exe
-    gates this at >= 2x the serial row's virtual TPS. *)
-
-val sql_read_mix : ?seed:int -> ?duration:float -> unit -> measurement
-(** ["sql:read_mix"]: 95% planner-proven read-only SELECTs (fast path,
-    tentative replies) / 5% INSERTs over the indexed lookup table;
-    [tentative_completed] versus [completed] records the split. *)
+val workload : ?seed:int -> ?duration:float -> string -> Run.spec
+(** One of {!workloads} by name. *)
 
 val trace_digest : ?seed:int -> ?seconds:float -> unit -> string
 (** Hex SHA-256 over the full message trace (time, src, dst, label, size,
@@ -150,7 +108,7 @@ val trace_digest : ?seed:int -> ?seconds:float -> unit -> string
 
 val gateway_trace_digest : ?seed:int -> ?seconds:float -> unit -> string
 (** The same digest (identical preimage format) over a short seeded
-    {!Openloop} run through the {!Webgate.Frontdoor}: bursty arrivals
+    open-loop run through the {!Webgate.Frontdoor}: bursty arrivals
     exercise both flush triggers, a small queue bound sheds, a small
     session LRU evicts, and retransmissions hit the reply cache. Pins the
     door's behaviour across refactors. *)

@@ -1,108 +1,41 @@
 (** Sharded deployments: N independent PBFT replica groups on one
-    engine, each owning a hash partition of the `accounts` table, fronted
+    engine, each owning a hash partition of the [accounts] table, fronted
     by a sharded {!Webgate.Frontdoor} and driven by closed-loop edge
-    sessions.
+    sessions ({!Run.Accounts} with {!Run.Sessions}).
 
-    This is the ROADMAP's horizontal-scaling experiment: the per-group
-    protocol work that caps a single group's vTPS is divided across
-    groups, so a shardable workload (single-shard point reads and
-    updates) should scale near-linearly with the shard count at a fixed
-    cost model — the curve `bench -- shards` gates. Cross-shard
-    transactions pay the 2PC premium and serialize through the
-    coordinator; the [cross_fraction] knob measures how quickly that tax
-    erodes the scaling. *)
+    This is the horizontal-scaling experiment: the per-group protocol
+    work that caps a single group's vTPS is divided across groups, so a
+    shardable workload (single-shard point reads and updates) should
+    scale near-linearly with the shard count at a fixed cost model — the
+    curve `bench -- shards` gates. Cross-shard transactions pay the 2PC
+    premium and serialize through the coordinator; the [cross] knob
+    measures how quickly that tax erodes the scaling. *)
 
-type spec = {
-  shards : int;
-  cfg : Pbft.Config.t;  (** per-group configuration (the groups are identical) *)
-  seed : int;
-  sessions : int;
-  pool : int;  (** upstream data connections per shard lane *)
-  rows : int;  (** pre-populated accounts, spread across shards by id hash *)
-  warmup : float;
-  duration : float;
-  cross_fraction : float;  (** fraction of operations that are cross-shard transfers *)
-  read_fraction : float;  (** of single-shard operations, fraction that are point SELECTs *)
-  certs : bool;  (** deal per-group threshold keys; 2PC votes carry real certificates *)
-  profile : Simnet.Net.profile;
-  flush_bytes : int;
-  flush_deadline : float;
-  max_queue : int;
-  prepare_timeout : float;
-  tx_ttl : float;
-}
+val mix : shards:int -> rows:int -> cross:float -> reads:float -> client:int -> seq:int -> string
+(** The session operation stream, a pure function of (session, seq): a
+    [cross] fraction of cross-shard transfers (with more than one
+    shard), and of the rest a [reads] fraction of point SELECTs, the
+    others single-row UPDATEs. *)
 
-val default_spec : ?shards:int -> unit -> spec
-(** f=1 groups, 32 sessions over 8 data connections per shard, 512 rows,
-    0.5 s warmup / 2 s measurement, pure single-shard 70/30 read/update
-    mix, certs off, LAN profile. *)
+val spec :
+  ?shards:int -> ?sessions:int -> ?rows:int -> ?cross:float -> ?certs:bool -> unit -> Run.spec
+(** f=1 groups (default 1), 96 sessions over 8 data connections per
+    shard, 512 rows, 0.5 s warmup / 2 s measurement, a single-shard
+    70/30 read/update mix with no cross-shard transfers, certs off, LAN
+    profile. *)
 
-type deployment
+val key_on_shard : Run.deployment -> int -> int
+(** Smallest account id owned by the given shard. *)
 
-val build : spec -> deployment
-(** Construct engine, per-group nets and clusters, door and topology —
-    without starting any workload (scenarios drive it by hand). *)
-
-val engine : deployment -> Simnet.Engine.t
-val edge : deployment -> Simnet.Net.t
-val door : deployment -> Webgate.Frontdoor.t
-val cluster : deployment -> int -> Pbft.Cluster.t
-val topology : deployment -> Relsql.Shard.topology
-
-val service_first_page : int
-(** First page of the service region on a replica (the middleware keeps
-    the pages before it). *)
-
-val service_app_pages : int
-(** Pages the accounts service asks for. *)
-
-val accounts_schema : string
-
-val init_sql : Relsql.Shard.topology -> shard:int -> rows:int -> string list
-(** Batched INSERTs pre-populating exactly the ids the shard owns; the
-    reference executions in tests use it to seed identical state. *)
-
-val key_on_shard : deployment -> int -> int
-(** Smallest pre-populated account id owned by the given shard. *)
-
-val rpc : ?timeout:float -> deployment -> string -> string
-(** One-shot edge session: send the SQL through the door, drive the
-    engine until the reply lands (or [timeout] virtual seconds pass —
-    then ["error:rpc-timeout"]). *)
-
-val run_for : deployment -> float -> unit
-(** Advance the shared engine. *)
-
-val region_root : deployment -> shard:int -> replica:int -> string
+val region_root : Run.deployment -> shard:int -> replica:int -> string
 (** Merkle root of the service's page region on one replica — the
     per-shard state digest the qcheck property and the fault scenario
     compare. *)
 
 val pages_region_root : Statemgr.Pages.t -> string
 (** The same digest over a bare page set laid out like a replica's
-    (service region at {!service_first_page}) — for reference
+    (service region at {!Run.service_first_page}) — for reference
     executions. *)
-
-type outcome = {
-  so_vtps : float;  (** door-completed operations per virtual second *)
-  so_completed : int;
-  so_shard_tps : float array;
-  so_shard_queue_peak : int array;
-  so_cross_commits : int;
-  so_cross_aborts : int;
-  so_cross_timeouts : int;
-  so_flushes_size : int;
-  so_flushes_deadline : int;
-  so_p50 : float;
-  so_p95 : float;
-  so_p99 : float;
-  so_shed : int;
-  so_cache_hits : int;
-  so_errors : int;  (** session replies carrying an error body *)
-}
-
-val run : spec -> outcome * deployment
-(** Build, start the closed-loop sessions, warm up, measure. *)
 
 (** {2 The Byzantine-coordinator fault scenario}
 
@@ -126,5 +59,5 @@ type byz_report = {
   bz_failures : string list;  (** empty = scenario passed *)
 }
 
-val byzantine_coordinator : ?spec:spec -> unit -> byz_report
+val byzantine_coordinator : ?spec:Run.spec -> unit -> byz_report
 val render_byz : byz_report -> string

@@ -67,6 +67,10 @@ let percentile t p =
   Float.Array.get t.samples idx
 
 let median t = percentile t 50.0
+
+let samples t =
+  sort_samples t;
+  Float.Array.sub t.samples 0 t.n
 let pct_or_zero t p = if t.n = 0 then 0.0 else percentile t p
 let p50 t = pct_or_zero t 50.0
 let p95 t = pct_or_zero t 95.0

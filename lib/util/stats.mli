@@ -21,6 +21,9 @@ val percentile : t -> float -> float
 
 val median : t -> float
 
+val samples : t -> Float.Array.t
+(** Every sample, in ascending order (a copy). *)
+
 val p50 : t -> float
 val p95 : t -> float
 val p99 : t -> float

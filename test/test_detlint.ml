@@ -295,12 +295,12 @@ let test_adversary_cross_check () =
   (* Dynamically: the real replica keeps check_auth on that path, so an
      adversary corrupting MACs is rejected at intake (auth_failures)
      while the cluster stays safe and live. *)
-  let report, _cluster = Harness.Faults.run_behavior Pbft.Adversary.Corrupt_macs in
+  let report, _ = Harness.Faults.run (Harness.Faults.behavior Pbft.Adversary.Corrupt_macs) in
   Alcotest.(check bool) "corrupted MACs rejected at intake" true
-    (report.Harness.Faults.fr_auth_failures > 0);
-  Alcotest.(check (list string)) "scenario failures" [] report.Harness.Faults.fr_failures;
-  Alcotest.(check bool) "safety held" true report.Harness.Faults.fr_safe;
-  Alcotest.(check bool) "liveness held" true report.Harness.Faults.fr_live
+    (report.Harness.Faults.correct.Harness.Run.auth_failures > 0);
+  Alcotest.(check (list string)) "scenario failures" [] report.Harness.Faults.failures;
+  Alcotest.(check bool) "safety held" true report.Harness.Faults.safe;
+  Alcotest.(check bool) "liveness held" true report.Harness.Faults.live
 
 (* --- end to end: the repository itself lints clean --- *)
 

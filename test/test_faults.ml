@@ -6,27 +6,27 @@
    a new primary, starved backup demotes, forged votes bounce — live in
    Harness.Faults; a scenario fails if any expectation does. *)
 
-let check_behavior ?speculative behavior () =
-  let report, _cluster = Harness.Faults.run_behavior ~seed:11 ?speculative behavior in
-  (match report.Harness.Faults.fr_failures with
+let run scenario =
+  let report, _ = Harness.Faults.run scenario in
+  (match report.Harness.Faults.failures with
   | [] -> ()
   | fs -> Alcotest.failf "%s" (String.concat "; " fs));
-  Alcotest.(check bool) "safe" true report.Harness.Faults.fr_safe;
-  Alcotest.(check bool) "live" true report.Harness.Faults.fr_live
+  Alcotest.(check bool) "safe" true report.Harness.Faults.safe;
+  Alcotest.(check bool) "live" true report.Harness.Faults.live;
+  report
+
+let check_behavior ?speculative behavior () =
+  ignore (run (Harness.Faults.behavior ~seed:11 ?speculative behavior) : Harness.Faults.report)
 
 (* The PR 6 regression: a view change that lands while replicas hold
    executed-but-uncommitted batches must roll the speculation back (for
    real — the scenario fails unless rollbacks actually happened) and
    still satisfy every safety and liveness predicate afterwards. *)
 let test_vc_mid_speculation () =
-  let report, _cluster = Harness.Faults.run_vc_mid_speculation ~seed:11 () in
-  (match report.Harness.Faults.fr_failures with
-  | [] -> ()
-  | fs -> Alcotest.failf "%s" (String.concat "; " fs));
-  Alcotest.(check bool) "safe" true report.Harness.Faults.fr_safe;
-  Alcotest.(check bool) "live" true report.Harness.Faults.fr_live;
-  Alcotest.(check bool) "speculated" true (report.Harness.Faults.fr_spec_execs > 0);
-  Alcotest.(check bool) "rolled back" true (report.Harness.Faults.fr_rollbacks > 0)
+  let report = run (Harness.Faults.vc_mid_speculation ~seed:11 ()) in
+  let t = report.Harness.Faults.correct in
+  Alcotest.(check bool) "speculated" true (t.Harness.Run.speculative_execs > 0);
+  Alcotest.(check bool) "rolled back" true (t.Harness.Run.rollbacks > 0)
 
 let test_suite_covers_all_behaviors () =
   (* The suite list is the contract CI runs; a behavior added to the

@@ -435,25 +435,67 @@ let test_certificates_absent_without_key () =
 
 (* --- harness smoke --- *)
 
+module Run = Harness.Run
+
 let test_scenario_runs_and_measures () =
-  let spec =
-    { (Harness.Scenario.default_spec (Config.default ~f:1)) with
-      Harness.Scenario.duration = 0.3; warmup = 0.1 }
+  let r =
+    Run.run { (Run.closed (Config.default ~f:1)) with Run.duration = 0.3; warmup = 0.1 }
   in
-  let o = Harness.Scenario.run spec in
-  Alcotest.(check bool) "throughput positive" true (o.Harness.Scenario.tps > 1000.0);
-  Alcotest.(check bool) "latency sane" true
-    (o.Harness.Scenario.mean_latency > 0.0 && o.Harness.Scenario.mean_latency < 0.1);
-  Alcotest.(check int) "no view changes" 0 o.Harness.Scenario.view_changes
+  let mean = Util.Stats.mean r.Run.latency in
+  Alcotest.(check bool) "throughput positive" true (r.Run.tps > 1000.0);
+  Alcotest.(check bool) "latency sane" true (mean > 0.0 && mean < 0.1);
+  Alcotest.(check int) "no view changes" 0 r.Run.replicas.Run.view_changes
 
 let test_scenario_dynamic_mode () =
   let cfg = { (Config.default ~f:1) with Config.dynamic_clients = true } in
-  let spec =
-    { (Harness.Scenario.default_spec cfg) with
-      Harness.Scenario.duration = 0.3; warmup = 0.1; num_clients = 4 }
+  let r =
+    Run.run
+      {
+        (Run.closed cfg) with
+        Run.duration = 0.3;
+        warmup = 0.1;
+        load = Run.clients ~clients:4 (fun ~client:_ ~seq:_ -> String.make 1024 'q');
+      }
   in
-  let o = Harness.Scenario.run spec in
-  Alcotest.(check bool) "dynamic workload runs" true (o.Harness.Scenario.tps > 100.0)
+  Alcotest.(check bool) "dynamic workload runs" true (r.Run.tps > 100.0)
+
+(* Closed-loop latency covers every client's requests in the measured
+   window. With no warmup the window is the whole run, so the reference
+   is simply every client's own samples pooled. *)
+let test_latency_pools_every_client () =
+  let r =
+    Run.run { (Run.closed (Config.default ~f:1)) with Run.warmup = 0.0; duration = 0.3 }
+  in
+  let pooled = Util.Stats.create () in
+  Array.iter
+    (fun cl -> Float.Array.iter (Util.Stats.add pooled) (Util.Stats.samples (Client.latency_stats cl)))
+    (Cluster.clients (Run.cluster r.Run.deployment 0));
+  Alcotest.(check int) "one sample per completed request" (Util.Stats.count pooled)
+    (Util.Stats.count r.Run.latency);
+  List.iter
+    (fun p ->
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "p%.0f" p)
+        (Util.Stats.percentile pooled p)
+        (Util.Stats.percentile r.Run.latency p))
+    [ 50.0; 95.0; 99.0 ];
+  Alcotest.(check (float 1e-12)) "mean" (Util.Stats.mean pooled) (Util.Stats.mean r.Run.latency)
+
+(* And the window excludes the warmup: a second run with a warmup sees
+   fewer samples than its clients recorded overall. *)
+let test_latency_excludes_warmup () =
+  let r =
+    Run.run { (Run.closed (Config.default ~f:1)) with Run.warmup = 0.1; duration = 0.2 }
+  in
+  let all =
+    Array.fold_left
+      (fun acc cl -> acc + Util.Stats.count (Client.latency_stats cl))
+      0
+      (Cluster.clients (Run.cluster r.Run.deployment 0))
+  in
+  Alcotest.(check int) "window samples = window completions" r.Run.completed
+    (Util.Stats.count r.Run.latency);
+  Alcotest.(check bool) "warmup samples left out" true (Util.Stats.count r.Run.latency < all)
 
 (* Substring containment without extra libraries. *)
 let contains haystack needle =
@@ -549,7 +591,8 @@ let test_trace_digest_deterministic () =
 
 let test_hostbench_measure_and_json () =
   let m =
-    { (Harness.Hostbench.table1_default ~seed:3 ~duration:0.2 ()) with Harness.Hostbench.name = "smoke" }
+    Harness.Hostbench.measure ~name:"smoke"
+      (Harness.Hostbench.workload ~seed:3 ~duration:0.2 "table1:sta_mac_allbig_batch")
   in
   Alcotest.(check bool) "events counted" true (m.Harness.Hostbench.events > 0);
   Alcotest.(check bool) "bytes hashed" true (m.Harness.Hostbench.bytes_hashed > 0);
@@ -617,113 +660,159 @@ let fa a = String.concat ";" (Array.to_list (Array.map f a))
 let ia a = String.concat ";" (Array.to_list (Array.map i a))
 
 let pin_closed () =
-  let cfg = Config.default ~f:1 in
-  let spec =
-    { (Harness.Scenario.default_spec cfg) with Harness.Scenario.warmup = 0.1; duration = 0.3 }
-  in
-  let o = Harness.Scenario.run spec in
+  let r = Run.run { (Run.closed (Config.default ~f:1)) with Run.warmup = 0.1; duration = 0.3 } in
+  let t = r.Run.replicas in
   render_fields "closed"
-    [ ("completed", i o.Harness.Scenario.completed); ("tps", f o.tps);
-      ("vc", i o.view_changes); ("dem_tr", i o.demotion_transfers);
-      ("rejoin_tr", i o.rejoin_transfers); ("pages", i o.transfer_pages_fetched);
-      ("pages_full", i o.transfer_pages_full); ("spec", i o.speculative_execs);
-      ("rollbacks", i o.rollbacks); ("tentative", i o.tentative_completed);
-      ("retrans", i o.retransmissions); ("queue_peak", i o.replica_queue_peak) ]
+    [ ("completed", i r.Run.completed); ("tps", f r.tps);
+      ("vc", i t.Run.view_changes); ("dem_tr", i t.demotion_transfers);
+      ("rejoin_tr", i t.rejoin_transfers); ("pages", i t.pages_fetched);
+      ("pages_full", i t.pages_full); ("spec", i t.speculative_execs);
+      ("rollbacks", i t.rollbacks); ("tentative", i r.tentative);
+      ("retrans", i r.retransmissions); ("queue_peak", i t.queue_peak) ]
 
 let pin_openloop () =
-  let spec =
-    {
-      (Harness.Openloop.default_spec (Config.default ~f:1)) with
-      Harness.Openloop.sessions = 200;
-      arrival = Harness.Openloop.Bursty { base = 150.0; burst = 4000.0; period = 0.1; duty = 0.3 };
-      warmup = 0.05;
-      duration = 0.3;
-      op_bytes = 128;
-      gen_conns = 8;
-      retransmit = Some 0.05;
-      gateway =
-        {
-          Webgate.Frontdoor.connections = 4;
-          flush_bytes = 1024;
-          flush_deadline = 0.003;
-          max_queue = 64;
-          max_sessions = 128;
-        };
-    }
+  let r =
+    Run.run
+      {
+        (Run.closed (Config.default ~f:1)) with
+        Run.door =
+          Some
+            {
+              Webgate.Frontdoor.connections = 4;
+              flush_bytes = 1024;
+              flush_deadline = 0.003;
+              max_queue = 64;
+              max_sessions = 128;
+            };
+        load =
+          Run.Arrivals
+            {
+              sessions = 200;
+              arrival = Run.Bursty { base = 150.0; burst = 4000.0; period = 0.1; duty = 0.3 };
+              op_bytes = 128;
+              conns = 8;
+              retransmit = Some 0.05;
+            };
+        warmup = 0.05;
+        duration = 0.3;
+      }
   in
-  let o, _cluster, _door, gen = Harness.Openloop.run spec in
-  Harness.Openloop.stop_generator gen;
-  let b = o.Harness.Openloop.base in
+  let door = Option.get (Run.door r.Run.deployment) in
+  let o = Option.get r.Run.open_loop in
+  let lat = r.Run.latency in
   render_fields "openloop"
-    [ ("completed", i b.Harness.Scenario.completed); ("tps", f b.tps);
-      ("p50", f b.p50_latency); ("p95", f b.p95_latency); ("p99", f b.p99_latency);
-      ("mean", f b.mean_latency); ("shed", i b.shed); ("evictions", i b.gw_evictions);
-      ("gw_peak", i b.gw_queue_peak); ("vc", i b.view_changes);
-      ("arrivals", i o.arrivals); ("gen_shed", i o.gen_shed);
-      ("gen_retrans", i o.gen_retransmissions); ("cache_hits", i o.reply_cache_hits);
-      ("flush_size", i o.flushes_size); ("flush_deadline", i o.flushes_deadline);
-      ("live", i o.live_sessions) ]
+    [ ("completed", i r.Run.completed); ("tps", f r.tps);
+      ("p50", f (Util.Stats.p50 lat)); ("p95", f (Util.Stats.p95 lat));
+      ("p99", f (Util.Stats.p99 lat)); ("mean", f (Util.Stats.mean lat));
+      ("shed", i (Webgate.Frontdoor.shed door));
+      ("evictions", i (Webgate.Frontdoor.session_evictions door));
+      ("gw_peak", i (Webgate.Frontdoor.queue_peak door));
+      ("vc", i r.replicas.Run.view_changes);
+      ("arrivals", i o.Run.arrivals); ("gen_shed", i o.gen_shed);
+      ("gen_retrans", i o.gen_retransmissions);
+      ("cache_hits", i (Webgate.Frontdoor.reply_cache_hits door));
+      ("flush_size", i (Webgate.Frontdoor.flushes_size door));
+      ("flush_deadline", i (Webgate.Frontdoor.flushes_deadline door));
+      ("live", i (Webgate.Frontdoor.live_sessions door)) ]
 
 let pin_shards () =
-  let spec =
-    {
-      (Harness.Shards.default_spec ~shards:2 ()) with
-      rows = 64;
-      sessions = 16;
-      warmup = 0.2;
-      duration = 0.5;
-      cross_fraction = 0.1;
-    }
+  let r =
+    Run.run
+      {
+        (Harness.Shards.spec ~shards:2 ~sessions:16 ~rows:64 ~cross:0.1 ()) with
+        Run.warmup = 0.2;
+        duration = 0.5;
+      }
   in
-  let o, _d = Harness.Shards.run spec in
+  let before, after = Option.get r.Run.door in
+  let window g = g after - g before in
+  let lat = r.Run.latency in
   render_fields "shards"
-    [ ("completed", i o.Harness.Shards.so_completed); ("tps", f o.so_vtps);
-      ("shard_tps", fa o.so_shard_tps); ("peaks", ia o.so_shard_queue_peak);
-      ("commits", i o.so_cross_commits); ("aborts", i o.so_cross_aborts);
-      ("timeouts", i o.so_cross_timeouts); ("flush_size", i o.so_flushes_size);
-      ("flush_deadline", i o.so_flushes_deadline); ("p50", f o.so_p50); ("p95", f o.so_p95);
-      ("p99", f o.so_p99); ("shed", i o.so_shed); ("cache_hits", i o.so_cache_hits);
-      ("errors", i o.so_errors) ]
+    [ ("completed", i r.Run.completed); ("tps", f r.tps);
+      ( "shard_tps",
+        fa
+          (Array.map2
+             (fun b a -> float_of_int (a - b) /. r.Run.window)
+             before.Run.lane_completed after.Run.lane_completed) );
+      ("peaks", ia after.Run.queue_peaks);
+      ("commits", i (window (fun d -> d.Run.cross_commits)));
+      ("aborts", i (window (fun d -> d.Run.cross_aborts)));
+      ("timeouts", i (window (fun d -> d.Run.cross_timeouts)));
+      ("flush_size", i (window (fun d -> d.Run.flushes_size)));
+      ("flush_deadline", i (window (fun d -> d.Run.flushes_deadline)));
+      ("p50", f (Util.Stats.p50 lat)); ("p95", f (Util.Stats.p95 lat));
+      ("p99", f (Util.Stats.p99 lat));
+      ("shed", i (window (fun d -> d.Run.shed)));
+      ("cache_hits", i (window (fun d -> d.Run.reply_cache_hits)));
+      ("errors", i (window (fun d -> d.Run.errors))) ]
 
 let pin_adversary () =
   let cfg = { (Config.default ~f:1) with Config.view_change_timeout = 0.25 } in
-  let spec =
-    { (Harness.Scenario.default_spec cfg) with Harness.Scenario.warmup = 0.1; duration = 0.8 }
+  let r =
+    Run.run
+      {
+        (Run.closed cfg) with
+        Run.warmup = 0.1;
+        duration = 0.8;
+        plan = [ (0.2, Run.Adversary (0, Adversary.Mute)) ];
+      }
   in
-  let adv = ref None in
-  let o, cluster =
-    Harness.Scenario.run_cluster
-      ~hook:(fun cluster ->
-        Simnet.Engine.schedule (Cluster.engine cluster) ~delay:0.2 (fun () ->
-            adv :=
-              Some
-                (Adversary.install ~net:(Cluster.net cluster) ~cfg (Cluster.replica cluster 0)
-                   Adversary.Mute)))
-      spec
-  in
-  let view = Array.fold_left (fun acc r -> Int.max acc (Replica.view r)) 0 (Cluster.replicas cluster) in
+  let t = r.Run.replicas in
   render_fields "adversary"
-    [ ("completed", i o.Harness.Scenario.completed); ("tps", f o.tps);
-      ("vc", i o.view_changes); ("view", i view);
-      ("mutations", i (match !adv with Some a -> Adversary.mutations a | None -> -1));
-      ("dem_tr", i o.demotion_transfers); ("spec", i o.speculative_execs);
-      ("rollbacks", i o.rollbacks); ("retrans", i o.retransmissions) ]
+    [ ("completed", i r.Run.completed); ("tps", f r.tps);
+      ("vc", i t.Run.view_changes); ("view", i t.view);
+      ("mutations", i r.mutations);
+      ("dem_tr", i t.demotion_transfers); ("spec", i t.speculative_execs);
+      ("rollbacks", i t.rollbacks); ("retrans", i r.retransmissions) ]
 
 let pin_churn () =
-  let base = Harness.Churn.default_spec () in
-  let o =
-    Harness.Churn.run
-      { base with Harness.Churn.horizon = 6.0; crash_period = 2.0; downtime = 0.5 }
-  in
+  let r = Run.run (Harness.Experiments.churn_spec ~horizon:6.0 ~period:2.0 ~downtime:0.5 ()) in
+  let t = r.Run.replicas and c = Option.get r.Run.churn in
   render_fields "churn"
-    [ ("completed", i o.Harness.Churn.ch_completed); ("tps", f o.ch_tps);
-      ("crashes", i o.ch_crashes); ("restarts", i o.ch_restarts);
-      ("avail", f o.ch_availability); ("mean_rec", f o.ch_mean_recovery);
-      ("max_rec", f o.ch_max_recovery); ("unrecovered", i o.ch_unrecovered);
-      ("dem_tr", i o.ch_demotion_transfers); ("rejoin_tr", i o.ch_rejoin_transfers);
-      ("pages", i o.ch_pages_fetched); ("pages_full", i o.ch_pages_full);
-      ("vc", i o.ch_view_changes); ("view", i o.ch_final_view);
-      ("failures", String.concat "|" o.ch_failures) ]
+    [ ("completed", i r.Run.completed); ("tps", f r.tps);
+      ("crashes", i c.Run.crashes); ("restarts", i c.restarts);
+      ("avail", f c.availability); ("mean_rec", f c.mean_recovery);
+      ("max_rec", f c.max_recovery); ("unrecovered", i c.unrecovered);
+      ("dem_tr", i t.Run.demotion_transfers); ("rejoin_tr", i t.rejoin_transfers);
+      ("pages", i t.pages_fetched); ("pages_full", i t.pages_full);
+      ("vc", i t.view_changes);
+      ("view", i (List.fold_left (fun acc r -> Int.max acc (Replica.view r)) 0 (Run.live r.deployment)));
+      ("failures", String.concat "|" r.failures) ]
+
+(* --- churn: the crash/repair rotation as a fault plan --- *)
+
+let test_churn_rotation () =
+  let spec = Harness.Experiments.churn_spec ~horizon:5.0 ~period:1.5 ~downtime:0.5 () in
+  let r = Run.run spec in
+  let c = Option.get r.Run.churn and t = r.Run.replicas in
+  Alcotest.(check int) "one crash per plan entry" (List.length spec.Run.plan) c.Run.crashes;
+  Alcotest.(check bool) "crashes happened" true (c.crashes > 0);
+  Alcotest.(check int) "every crash restarted" c.crashes c.restarts;
+  Alcotest.(check int) "every incident rejoined" 0 c.unrecovered;
+  Alcotest.(check bool) "rejoins used the transfer" true (t.Run.rejoin_transfers >= c.restarts);
+  Alcotest.(check bool) "Merkle diff fetched fewer pages than a full transfer" true
+    (t.pages_full > 0 && t.pages_fetched < t.pages_full);
+  Alcotest.(check (list string)) "journals and states agree" [] r.failures;
+  Alcotest.(check (float 0.0)) "no outage with one replica down" 1.0 c.availability
+
+(* f+1 replicas down at once leave no quorum: the sampler must see the
+   outage. *)
+let test_churn_outage_detected () =
+  let r =
+    Run.run
+      {
+        (Run.closed (Config.default ~f:1)) with
+        Run.warmup = 0.5;
+        duration = 2.0;
+        bucket = 0.25;
+        plan =
+          [ (1.0, Run.Crash (Run.Replica 1, 0.5)); (1.0, Run.Crash (Run.Replica 2, 0.5)) ];
+      }
+  in
+  let c = Option.get r.Run.churn in
+  Alcotest.(check int) "both crashed" 2 c.Run.crashes;
+  Alcotest.(check bool) "availability below 1" true (c.availability < 1.0);
+  Alcotest.(check bool) "progress outside the outage" true (c.availability > 0.0)
 
 let pinned_equivalence = "0721f106c2a6375fbbf0e1462a671750dbaee77dd45716deb7fce4b5ff9ea954"
 
@@ -777,6 +866,13 @@ let () =
           Alcotest.test_case "report rendering" `Quick test_report_rendering;
           Alcotest.test_case "figure traces" `Slow test_figure_traces_nonempty;
           Alcotest.test_case "figure 3 VFS call log pinned" `Quick test_figure3_vfs_calls_pinned;
+          Alcotest.test_case "latency pools every client" `Slow test_latency_pools_every_client;
+          Alcotest.test_case "latency excludes warmup" `Slow test_latency_excludes_warmup;
+        ] );
+      ( "churn",
+        [
+          Alcotest.test_case "rotation plan rejoins cleanly" `Slow test_churn_rotation;
+          Alcotest.test_case "f+1 down is an outage" `Slow test_churn_outage_detected;
         ] );
       ( "equivalence",
         [ Alcotest.test_case "every shape's virtual numbers" `Slow test_equivalence_pinned ] );

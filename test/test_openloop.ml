@@ -2,6 +2,7 @@
    admission control, session churn and the reply cache. *)
 
 open Webgate
+module Run = Harness.Run
 
 (* --- frame & coalescing codecs --- *)
 
@@ -34,15 +35,14 @@ let test_coalesced_roundtrip () =
 (* --- arrival processes --- *)
 
 let test_arrival_rates () =
-  Alcotest.(check (float 1e-9)) "poisson flat" 500.0
-    (Harness.Openloop.rate_at (Harness.Openloop.Poisson 500.0) 12.34);
-  let b = Harness.Openloop.Bursty { base = 100.0; burst = 900.0; period = 1.0; duty = 0.25 } in
-  Alcotest.(check (float 1e-9)) "burst phase" 900.0 (Harness.Openloop.rate_at b 0.1);
-  Alcotest.(check (float 1e-9)) "base phase" 100.0 (Harness.Openloop.rate_at b 0.5);
-  Alcotest.(check (float 1e-9)) "bursty mean" 300.0 (Harness.Openloop.mean_rate b);
-  let d = Harness.Openloop.Diurnal { mean = 200.0; amplitude = 0.5; period = 1.0 } in
-  Alcotest.(check (float 1e-9)) "diurnal mean" 200.0 (Harness.Openloop.mean_rate d);
-  Alcotest.(check (float 1e-6)) "diurnal peak" 300.0 (Harness.Openloop.rate_at d 0.25)
+  Alcotest.(check (float 1e-9)) "poisson flat" 500.0 (Run.rate_at (Run.Poisson 500.0) 12.34);
+  let b = Run.Bursty { base = 100.0; burst = 900.0; period = 1.0; duty = 0.25 } in
+  Alcotest.(check (float 1e-9)) "burst phase" 900.0 (Run.rate_at b 0.1);
+  Alcotest.(check (float 1e-9)) "base phase" 100.0 (Run.rate_at b 0.5);
+  Alcotest.(check (float 1e-9)) "bursty mean" 300.0 (Run.mean_rate b);
+  let d = Run.Diurnal { mean = 200.0; amplitude = 0.5; period = 1.0 } in
+  Alcotest.(check (float 1e-9)) "diurnal mean" 200.0 (Run.mean_rate d);
+  Alcotest.(check (float 1e-6)) "diurnal peak" 300.0 (Run.rate_at d 0.25)
 
 (* --- deterministic flush boundaries --- *)
 
@@ -51,25 +51,32 @@ let test_arrival_rates () =
    leaves partial batches to the deadline timer. Two runs of the same
    spec must produce bit-identical message traces — the size/deadline
    race is resolved by the virtual clock, never by host state. *)
-let small_spec () =
-  let cfg = Pbft.Config.default ~f:1 in
+let valid_gateway =
   {
-    (Harness.Openloop.default_spec cfg) with
-    Harness.Openloop.sessions = 200;
-    arrival = Harness.Openloop.Bursty { base = 150.0; burst = 4000.0; period = 0.1; duty = 0.3 };
-    warmup = 0.05;
-    duration = 0.35;
-    op_bytes = 128;
-    gen_conns = 8;
-    gateway =
-      {
-        Frontdoor.connections = 4;
-        flush_bytes = 1024;
-        flush_deadline = 0.003;
-        max_queue = 4096;
-        max_sessions = 256;
-      };
+    Frontdoor.connections = 4;
+    flush_bytes = 1024;
+    flush_deadline = 0.003;
+    max_queue = 4096;
+    max_sessions = 256;
   }
+
+let small_spec ?(sessions = 200)
+    ?(arrival = Run.Bursty { base = 150.0; burst = 4000.0; period = 0.1; duty = 0.3 })
+    ?(duration = 0.35) ?retransmit ?(door = valid_gateway) () =
+  {
+    (Run.closed (Pbft.Config.default ~f:1)) with
+    Run.door = Some door;
+    load = Run.Arrivals { sessions; arrival; op_bytes = 128; conns = 8; retransmit };
+    warmup = 0.05;
+    duration;
+  }
+
+(* Run the spec and hand back the result with its door, shut down. *)
+let run_door spec =
+  let r = Run.run spec in
+  let door = Option.get (Run.door r.Run.deployment) in
+  Frontdoor.shutdown door;
+  (r, door)
 
 let trace_digest cluster =
   let buf = Buffer.create 4096 in
@@ -82,25 +89,19 @@ let trace_digest cluster =
 
 let test_flush_triggers_deterministic () =
   let run () =
-    let o, cluster, door, gen = Harness.Openloop.run (small_spec ()) in
-    Harness.Openloop.stop_generator gen;
-    let d = trace_digest cluster in
-    Frontdoor.shutdown door;
-    (o, d)
+    let r, door = run_door { (small_spec ()) with Run.trace = true } in
+    (r.Run.completed, Frontdoor.flushes_size door, Frontdoor.flushes_deadline door,
+     trace_digest (Run.cluster r.Run.deployment 0))
   in
-  let o1, d1 = run () in
-  let o2, d2 = run () in
-  Alcotest.(check bool) "size flushes occur" true (o1.Harness.Openloop.flushes_size > 0);
-  Alcotest.(check bool) "deadline flushes occur" true (o1.Harness.Openloop.flushes_deadline > 0);
-  Alcotest.(check bool) "requests complete" true (o1.Harness.Openloop.base.Harness.Scenario.completed > 0);
+  let completed1, size1, deadline1, d1 = run () in
+  let completed2, size2, deadline2, d2 = run () in
+  Alcotest.(check bool) "size flushes occur" true (size1 > 0);
+  Alcotest.(check bool) "deadline flushes occur" true (deadline1 > 0);
+  Alcotest.(check bool) "requests complete" true (completed1 > 0);
   Alcotest.(check string) "bit-identical trace" d1 d2;
-  Alcotest.(check int) "same completions"
-    o1.Harness.Openloop.base.Harness.Scenario.completed
-    o2.Harness.Openloop.base.Harness.Scenario.completed;
-  Alcotest.(check int) "same size flushes" o1.Harness.Openloop.flushes_size
-    o2.Harness.Openloop.flushes_size;
-  Alcotest.(check int) "same deadline flushes" o1.Harness.Openloop.flushes_deadline
-    o2.Harness.Openloop.flushes_deadline
+  Alcotest.(check int) "same completions" completed1 completed2;
+  Alcotest.(check int) "same size flushes" size1 size2;
+  Alcotest.(check int) "same deadline flushes" deadline1 deadline2
 
 (* --- admission control --- *)
 
@@ -108,30 +109,18 @@ let test_shed_is_distinguishable () =
   (* A queue bound far below the offered load forces shedding; the
      generator must observe the distinct Shed status (not timeouts, not
      garbled results) and the counts must reconcile with the door's. *)
-  let spec =
-    {
-      (small_spec ()) with
-      Harness.Openloop.arrival = Harness.Openloop.Poisson 20000.0;
-      duration = 0.3;
-      gateway =
-        {
-          (small_spec ()).Harness.Openloop.gateway with
-          Frontdoor.connections = 2;
-          max_queue = 32;
-        };
-      sessions = 300;
-    }
+  let r, door =
+    run_door
+      (small_spec ~sessions:300 ~arrival:(Run.Poisson 20000.0) ~duration:0.3
+         ~door:{ valid_gateway with Frontdoor.connections = 2; max_queue = 32 }
+         ())
   in
-  let o, _cluster, door, gen = Harness.Openloop.run spec in
-  Harness.Openloop.stop_generator gen;
+  let gen_shed = (Option.get r.Run.open_loop).Run.gen_shed in
   Alcotest.(check bool) "door sheds" true (Frontdoor.shed door > 0);
-  Alcotest.(check bool) "generator sees shed replies" true (o.Harness.Openloop.gen_shed > 0);
-  Alcotest.(check bool) "still completes under overload" true
-    (o.Harness.Openloop.base.Harness.Scenario.completed > 0);
+  Alcotest.(check bool) "generator sees shed replies" true (gen_shed > 0);
+  Alcotest.(check bool) "still completes under overload" true (r.Run.completed > 0);
   Alcotest.(check int) "no malformed frames" 0 (Frontdoor.rejected door);
-  Alcotest.(check bool) "shed observed <= shed sent" true
-    (o.Harness.Openloop.gen_shed <= Frontdoor.shed door);
-  Frontdoor.shutdown door
+  Alcotest.(check bool) "shed observed <= shed sent" true (gen_shed <= Frontdoor.shed door)
 
 (* --- session churn --- *)
 
@@ -140,25 +129,17 @@ let test_eviction_readmission () =
      retransmission from an evicted session must be re-admitted as a
      fresh record and answered — eviction loses the reply cache, never
      the ability to make progress. *)
-  let spec =
-    {
-      (small_spec ()) with
-      Harness.Openloop.arrival = Harness.Openloop.Poisson 1200.0;
-      sessions = 256;
-      duration = 0.5;
-      retransmit = Some 0.06;
-      gateway = { (small_spec ()).Harness.Openloop.gateway with Frontdoor.max_sessions = 32 };
-    }
+  let r, door =
+    run_door
+      (small_spec ~sessions:256 ~arrival:(Run.Poisson 1200.0) ~duration:0.5 ~retransmit:0.06
+         ~door:{ valid_gateway with Frontdoor.max_sessions = 32 }
+         ())
   in
-  let o, _cluster, door, gen = Harness.Openloop.run spec in
-  Harness.Openloop.stop_generator gen;
   Alcotest.(check bool) "sessions evicted" true (Frontdoor.session_evictions door > 0);
   Alcotest.(check int) "live sessions bounded" 32 (Frontdoor.live_sessions door);
-  Alcotest.(check bool) "progress continues under churn" true
-    (o.Harness.Openloop.base.Harness.Scenario.completed > 200);
+  Alcotest.(check bool) "progress continues under churn" true (r.Run.completed > 200);
   Alcotest.(check int) "evicted retransmissions accepted, not rejected" 0
-    (Frontdoor.rejected door);
-  Frontdoor.shutdown door
+    (Frontdoor.rejected door)
 
 (* --- reply cache --- *)
 
@@ -214,8 +195,6 @@ let check_rejected field gateway =
   with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.failf "%s accepted" field
-
-let valid_gateway = (small_spec ()).Harness.Openloop.gateway
 
 let test_rejects_flush_bytes () =
   check_rejected "flush_bytes = 0" { valid_gateway with Frontdoor.flush_bytes = 0 }

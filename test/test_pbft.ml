@@ -790,7 +790,7 @@ let prop_crash_restart_equivalent =
       (* No replica — restarted one included — may have committed a
          different batch at any sequence the others also journaled, nor
          diverged in state at equal execution points. *)
-      (match Harness.Faults.journals_agree live @ Harness.Faults.states_agree live with
+      (match Harness.Run.safety live with
       | [] -> ()
       | fs -> QCheck.Test.fail_reportf "%s" (String.concat "; " fs));
       (* Every replica converges to the exact bytes of the run that
@@ -951,7 +951,7 @@ let test_restart_mid_speculation_safe () =
   in
   let cluster = run_single_client_workload ~crash:(Some (2, 0.6, 0.2)) cfg in
   let live = Array.to_list (Cluster.replicas cluster) in
-  (match Harness.Faults.journals_agree live @ Harness.Faults.states_agree live with
+  (match Harness.Run.safety live with
   | [] -> ()
   | fs -> Alcotest.failf "%s" (String.concat "; " fs));
   let r2 = Cluster.replica cluster 2 in
@@ -1133,7 +1133,7 @@ let test_log_retire_keeps_referenced () =
 
 let test_table1_retained_bounded () =
   (* Every table that grows with requests must stay within a ceiling
-     derived from [log_window] (Scenario.retained_bound), and that
+     derived from [log_window] (Run.retained_bound), and that
      ceiling does not depend on how long the run is: the 3 s run is held
      to the same numbers as the 1 s run. *)
   let cfg =
@@ -1142,12 +1142,11 @@ let test_table1_retained_bounded () =
   in
   List.iter
     (fun seconds ->
-      let spec =
-        { (Harness.Scenario.default_spec cfg) with Harness.Scenario.seed = 1; duration = seconds }
-      in
-      let outcome, cluster = Harness.Scenario.run_cluster spec in
-      let completed = outcome.Harness.Scenario.completed in
-      let bound = Replica.retained_fields (Harness.Scenario.retained_bound spec) in
+      let spec = { (Harness.Run.closed cfg) with Harness.Run.seed = 1; duration = seconds } in
+      let result = Harness.Run.run spec in
+      let cluster = Harness.Run.cluster result.Harness.Run.deployment 0 in
+      let completed = result.Harness.Run.completed in
+      let bound = Replica.retained_fields (Harness.Run.retained_bound spec) in
       Alcotest.(check bool) (Printf.sprintf "%.0f s run made progress" seconds) true (completed > 1000);
       Array.iter
         (fun r ->

@@ -7,6 +7,7 @@ let qcheck = QCheck_alcotest.to_alcotest
 module Shard = Relsql.Shard
 module Twopc = Relsql.Twopc
 module Shards = Harness.Shards
+module Run = Harness.Run
 
 let topo2 = Shard.topology ~shards:2 [ { Shard.sr_table = "accounts"; sr_column = "id" } ]
 let topo4 = Shard.topology ~shards:4 [ { Shard.sr_table = "accounts"; sr_column = "id" } ]
@@ -136,45 +137,44 @@ let test_twopc_codec () =
 
 (* --- deployment helpers --- *)
 
-let small_spec ?(shards = 2) ?(certs = false) () =
+let small_spec ?(sessions = 8) ?(cross = 0.0) () =
   {
-    (Shards.default_spec ~shards ()) with
-    rows = 32;
-    sessions = 8;
-    certs;
-    warmup = 0.2;
+    (Shards.spec ~shards:2 ~sessions ~rows:32 ~cross ()) with
+    Run.warmup = 0.2;
     duration = 0.5;
   }
+
+let door d = Option.get (Run.door d)
 
 (* --- 2PC abort restores state via COW undo --- *)
 
 let test_abort_restores_state () =
-  let d = Shards.build (small_spec ()) in
-  Shards.run_for d 0.2;
+  let d = Run.build (small_spec ()) in
+  Run.run_for d 0.2;
   let k1 = Shards.key_on_shard d 1 in
-  let bal () = Shards.rpc d (Printf.sprintf "SELECT bal FROM accounts WHERE id = %d" k1) in
+  let bal () = Run.rpc d (Printf.sprintf "SELECT bal FROM accounts WHERE id = %d" k1) in
   let before = bal () in
   let aborts0 = Twopc.aborts () in
-  let r = Shards.door d in
+  let r = door d in
   let xa0 = Webgate.Frontdoor.cross_aborts r in
   (* Shard 1's piece succeeds and prepares; shard 0's piece (unlisted
      table routes to shard 0) errors and votes abort — shard 1 must roll
      back its applied update. *)
   let doomed =
-    Shards.rpc d
+    Run.rpc d
       (Printf.sprintf
          "UPDATE accounts SET bal = bal - 1 WHERE id = %d; UPDATE nosuch SET a = 1" k1)
   in
   Alcotest.(check bool) "doomed reply is an abort" true
     (String.length doomed >= 17 && String.equal (String.sub doomed 0 17) "error:2pc-aborted");
-  Shards.run_for d 0.5;
+  Run.run_for d 0.5;
   Alcotest.(check string) "balance restored" before (bal ());
   Alcotest.(check bool) "undo restore counted" true (Twopc.aborts () > aborts0);
   Alcotest.(check bool) "door abort counted" true (Webgate.Frontdoor.cross_aborts r > xa0);
   (* The shard is fully released: a fresh cross-shard transfer commits. *)
   let k0 = Shards.key_on_shard d 0 in
   let recovery =
-    Shards.rpc d
+    Run.rpc d
       (Printf.sprintf
          "UPDATE accounts SET bal = bal - 2 WHERE id = %d; UPDATE accounts SET bal = bal + 2 \
           WHERE id = %d"
@@ -186,11 +186,11 @@ let test_abort_restores_state () =
 (* --- reply cache keyed on (route, id) --- *)
 
 let test_reply_cache_route_keyed () =
-  let d = Shards.build (small_spec ()) in
-  Shards.run_for d 0.2;
-  let engine = Shards.engine d in
-  let net = Shards.edge d in
-  let r = Shards.door d in
+  let d = Run.build (small_spec ()) in
+  Run.run_for d 0.2;
+  let engine = Run.engine d in
+  let net = Run.edge d in
+  let r = door d in
   let k0 = Shards.key_on_shard d 0 and k1 = Shards.key_on_shard d 1 in
   let addr = 98_765 in
   let last = ref None in
@@ -204,7 +204,7 @@ let test_reply_cache_route_keyed () =
     Simnet.Net.send net ~label:"t" ~src:addr ~dst:Webgate.Frontdoor.frontdoor_addr frame;
     let deadline = Simnet.Engine.now engine +. 5.0 in
     while Option.is_none !last && Simnet.Engine.now engine < deadline do
-      Shards.run_for d 0.05
+      Run.run_for d 0.05
     done;
     match !last with Some x -> x | None -> Alcotest.fail "no reply"
   in
@@ -234,10 +234,10 @@ let test_reply_cache_route_keyed () =
    arrive while another is in flight wait in its queue and must all
    commit — without a retransmission to paper over a dropped one. *)
 let test_queued_cross_commit () =
-  let d = Shards.build (small_spec ()) in
-  Shards.run_for d 0.2;
-  let net = Shards.edge d in
-  let door = Shards.door d in
+  let d = Run.build (small_spec ()) in
+  Run.run_for d 0.2;
+  let net = Run.edge d in
+  let door = door d in
   let k0 = Shards.key_on_shard d 0 and k1 = Shards.key_on_shard d 1 in
   let addr = 97_654 in
   let answered = ref [] in
@@ -258,7 +258,7 @@ let test_queued_cross_commit () =
       Simnet.Net.send net ~label:"t" ~src:addr ~dst:Webgate.Frontdoor.frontdoor_addr
         (Webgate.Frontdoor.encode_request ~session ~req_id:1 ~op))
     sessions;
-  Shards.run_for d 3.0;
+  Run.run_for d 3.0;
   Alcotest.(check (list int)) "every session answered" sessions
     (List.sort Int.compare (List.map fst !answered));
   List.iter
@@ -335,18 +335,17 @@ type refshard = { rs_exec : op:string -> string; rs_pages : Statemgr.Pages.t }
 let make_reference topo rows =
   let svc shard =
     Twopc.wrap ~verify:ref_verify
-      (Relsql.Pbft_service.service ~app_pages:Shards.service_app_pages
-         ~schema:Shards.accounts_schema
-         ~init:(Shards.init_sql topo ~shard ~rows) ())
+      (Relsql.Pbft_service.service ~app_pages:Run.service_app_pages ~schema:Run.accounts_schema
+         ~init:(Run.init_sql topo ~shard ~rows) ())
   in
   let ts = ref 0.0 in
   Array.init (Shard.shards topo) (fun shard ->
       let s = svc shard in
       let pages =
         Statemgr.Pages.create ~page_size:s.Pbft.Service.page_size
-          ~num_pages:(Shards.service_first_page + s.Pbft.Service.app_pages) ()
+          ~num_pages:(Run.service_first_page + s.Pbft.Service.app_pages) ()
       in
-      let inst = s.Pbft.Service.make pages ~first_page:Shards.service_first_page in
+      let inst = s.Pbft.Service.make pages ~first_page:Run.service_first_page in
       let exec ~op =
         ts := !ts +. 1.0;
         fst (inst.Pbft.Service.execute ~op ~client:0 ~timestamp:!ts ~nondet:"" ~readonly:false)
@@ -435,13 +434,12 @@ let prop_serial_equivalence =
        ~print:(fun ops -> String.concat "\n" ops)
        QCheck.Gen.(list_size (int_range 1 20) (op_gen 32)))
     (fun ops ->
-      let spec = small_spec () in
-      let d = Shards.build spec in
-      Shards.run_for d 0.2;
-      List.iter (fun op -> ignore (Shards.rpc d op : string)) ops;
-      Shards.run_for d 1.0;
-      let topo = Shards.topology d in
-      let refs = make_reference topo spec.Shards.rows in
+      let d = Run.build (small_spec ()) in
+      Run.run_for d 0.2;
+      List.iter (fun op -> ignore (Run.rpc d op : string)) ops;
+      Run.run_for d 1.0;
+      let topo = Run.topology d in
+      let refs = make_reference topo 32 in
       let tx = ref 0 in
       List.iter (fun op -> reference_apply topo refs tx op) ops;
       let ok = ref true in
@@ -454,20 +452,26 @@ let prop_serial_equivalence =
 
 (* --- scaling smoke + Byzantine coordinator --- *)
 
+(* Door counters over the measured window. *)
+let window r f =
+  match r.Run.door with
+  | Some (before, after) -> f after - f before
+  | None -> Alcotest.fail "no door"
+
 let test_two_shard_smoke () =
-  let outcome, _d = Shards.run { (small_spec ()) with sessions = 16; duration = 1.0 } in
-  Alcotest.(check bool) "completed work" true (outcome.Shards.so_completed > 0);
-  Alcotest.(check int) "no errors" 0 outcome.Shards.so_errors;
-  Array.iter
-    (fun tps -> Alcotest.(check bool) "both shards active" true (tps > 0.0))
-    outcome.Shards.so_shard_tps
+  let r = Run.run { (small_spec ~sessions:16 ()) with duration = 1.0 } in
+  Alcotest.(check bool) "completed work" true (r.Run.completed > 0);
+  Alcotest.(check int) "no errors" 0 (window r (fun d -> d.Run.errors));
+  List.iter
+    (fun lane ->
+      Alcotest.(check bool) "both shards active" true
+        (window r (fun d -> d.Run.lane_completed.(lane)) > 0))
+    [ 0; 1 ]
 
 let test_cross_shard_commits () =
-  let outcome, _d =
-    Shards.run { (small_spec ()) with sessions = 8; duration = 1.0; cross_fraction = 0.3 }
-  in
-  Alcotest.(check bool) "cross commits happened" true (outcome.Shards.so_cross_commits > 0);
-  Alcotest.(check int) "no errors" 0 outcome.Shards.so_errors
+  let r = Run.run { (small_spec ~cross:0.3 ()) with duration = 1.0 } in
+  Alcotest.(check bool) "cross commits happened" true (window r (fun d -> d.Run.cross_commits) > 0);
+  Alcotest.(check int) "no errors" 0 (window r (fun d -> d.Run.errors))
 
 let test_byzantine_coordinator () =
   let r = Shards.byzantine_coordinator () in

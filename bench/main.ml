@@ -314,7 +314,10 @@ let run_faults () =
         (Printf.sprintf "behavior: %s (speculative=%b)\nfailures:\n  %s\n\n" worst.name
            speculative
            (String.concat "\n  " worst.failures));
-      output_string oc (Harness.Faults.failure_trace result);
+      output_string oc
+        (Simnet.Trace.render ~limit:5000
+           (Pbft.Cluster.trace (Harness.Run.cluster result.Harness.Run.deployment 0))
+           (fun _ -> true));
       close_out oc;
       Printf.eprintf "FAIL: %d adversarial scenario(s) failed; trace in faults-trace.txt\n"
         (List.length failed);
@@ -365,7 +368,9 @@ let run_openloop () =
   banner "Open-loop overload — arrival rate x gateway batch size";
   let dur = if !quick then 0.3 else 1.0 in
   let spec_at ~rate ~flush_bytes =
-    let spec = Harness.Experiments.open_loop_spec ~seed:!seed ~duration:dur (Harness.Run.Poisson rate) in
+    let spec =
+      Harness.Experiments.open_loop_spec ~seed:!seed ~duration:dur (Harness.Run.Poisson rate)
+    in
     {
       spec with
       Harness.Run.door =
@@ -735,7 +740,7 @@ let () =
   | [ "vdiff"; a; b ] -> vdiff a b
   | args ->
     let quick_flag = List.mem "--quick" args in
-    let wanted = List.filter (fun a -> not (String.equal a "--quick" || String.equal a "all")) args in
+    let wanted = List.filter (fun a -> not (List.mem a [ "--quick"; "all" ])) args in
     let known = List.map fst sections in
     (match List.filter (fun a -> not (List.mem a known)) wanted with
     | [] -> ()

@@ -1,5 +1,6 @@
 let null_op = String.make 1024 'q'
-let null_load ?clients ?think () = Run.clients ?clients ?think (fun ~client:_ ~seq:_ -> String.make 1024 'q')
+let null_load ?clients ?think () =
+  Run.clients ?clients ?think (fun ~client:_ ~seq:_ -> String.make 1024 'q')
 
 let base_cfg () = Pbft.Config.default ~f:1
 
@@ -28,7 +29,8 @@ let table1_rows =
     ("nosta_nomac_noallbig_nobatch", 1205.0, (true, false, false, false));
   ]
 
-let measure_null ?(seed = 1) ?(duration = 2.0) cfg = Run.run { (Run.closed cfg) with Run.seed; duration }
+let measure_null ?(seed = 1) ?(duration = 2.0) cfg =
+  Run.run { (Run.closed cfg) with Run.seed; duration }
 
 let table1 ?(seed = 1) ?(duration = 2.0) () =
   let rows =
@@ -82,6 +84,14 @@ let sql_spec ?(seed = 1) ?(duration = 2.0) ~acid cfg =
     load = Run.clients insert_vote;
   }
 
+(* INSERTs of [rows] rows numbered from 1, 40 to a statement. *)
+let batched_inserts ~into ~rows row =
+  List.init ((rows + 39) / 40) (fun b ->
+      let first = b * 40 in
+      into ^ String.concat ", " (List.init (Int.min 40 (rows - first)) (fun j -> row (first + j + 1))))
+
+let pad ~bytes id = String.make bytes (Char.chr (Char.code 'a' + (id mod 26)))
+
 (* Large-state checkpoint workload: the database is pre-populated with
    bulky filler rows so the allocated page count is roughly 16x the pages
    an INSERT workload dirties per checkpoint interval. A deep-copy
@@ -89,22 +99,9 @@ let sql_spec ?(seed = 1) ?(duration = 2.0) ~acid cfg =
    copy-on-write one pays only for the working set. *)
 
 let large_state_fill_sql ?(rows = 1600) ?(row_bytes = 1500) () =
-  let batch = 40 in
-  let rec mk i acc =
-    if i >= rows then List.rev acc
-    else begin
-      let hi = min rows (i + batch) in
-      let values =
-        String.concat ", "
-          (List.init (hi - i) (fun k ->
-               let id = i + k + 1 in
-               Printf.sprintf "(%d, '%s')" id
-                 (String.make row_bytes (Char.chr (Char.code 'a' + (id mod 26))))))
-      in
-      mk hi (("INSERT INTO fill (id, pad) VALUES " ^ values) :: acc)
-    end
-  in
-  "CREATE TABLE IF NOT EXISTS fill (id INTEGER PRIMARY KEY, pad TEXT)" :: mk 0 []
+  "CREATE TABLE IF NOT EXISTS fill (id INTEGER PRIMARY KEY, pad TEXT)"
+  :: batched_inserts ~into:"INSERT INTO fill (id, pad) VALUES " ~rows (fun id ->
+         Printf.sprintf "(%d, '%s')" id (pad ~bytes:row_bytes id))
 
 let sql_large_state_spec ?(seed = 1) ?(duration = 2.0) ?(app_pages = 2048) cfg =
   {
@@ -127,22 +124,8 @@ let sql_large_state_spec ?(seed = 1) ?(duration = 2.0) ?(app_pages = 2048) cfg =
    probe stays far below it. *)
 
 let lookup_fill_sql ?(rows = 6400) ?(row_bytes = 64) () =
-  let batch = 40 in
-  let rec mk i acc =
-    if i >= rows then List.rev acc
-    else begin
-      let hi = min rows (i + batch) in
-      let values =
-        String.concat ", "
-          (List.init (hi - i) (fun j ->
-               let id = i + j + 1 in
-               Printf.sprintf "(%d, %d, '%s')" id (id mod 256)
-                 (String.make row_bytes (Char.chr (Char.code 'a' + (id mod 26))))))
-      in
-      mk hi (("INSERT INTO lookup (id, k, pad) VALUES " ^ values) :: acc)
-    end
-  in
-  mk 0 []
+  batched_inserts ~into:"INSERT INTO lookup (id, k, pad) VALUES " ~rows (fun id ->
+      Printf.sprintf "(%d, %d, '%s')" id (id mod 256) (pad ~bytes:row_bytes id))
 
 let indexed_sql_spec ?(seed = 1) ?(duration = 2.0) ?(app_pages = 512) ~indexed ~range cfg =
   let init =
@@ -255,7 +238,8 @@ let open_loop_spec ?(seed = 1) ?(duration = 2.0) arrival =
           max_queue = 4096;
           max_sessions = 10_000;
         };
-    load = Run.Arrivals { sessions = 10_000; arrival; op_bytes = 256; conns = 64; retransmit = None };
+    load =
+      Run.Arrivals { sessions = 10_000; arrival; op_bytes = 256; conns = 64; retransmit = None };
   }
 
 (* Churn: a rolling crash/repair plan under continuous light load. A

@@ -67,7 +67,13 @@ val open_loop_spec : ?seed:int -> ?duration:float -> Run.arrival -> Run.spec
     flush triggers. *)
 
 val churn_spec :
-  ?seed:int -> ?think:float -> ?horizon:float -> ?period:float -> ?downtime:float -> unit -> Run.spec
+  ?seed:int ->
+  ?think:float ->
+  ?horizon:float ->
+  ?period:float ->
+  ?downtime:float ->
+  unit ->
+  Run.spec
 (** Availability under churn: four key-value writers (20 ms think time)
     against an f=1 group while {!Run.rotation} crashes a replica every
     [period] seconds (default 15) for [downtime] (1 s) over a [horizon]

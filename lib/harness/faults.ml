@@ -80,7 +80,10 @@ let behavior ?(seed = 11) ?(speculative = false) b =
           fun c -> c.correct.Run.auth_failures > 0 );
       ]
     | Adversary.Mutate_nondet ->
-      [ new_primary; ("poisoned nondet was never rejected", fun c -> c.correct.Run.nondet_rejects > 0) ]
+      [
+        new_primary;
+        ("poisoned nondet was never rejected", fun c -> c.correct.Run.nondet_rejects > 0);
+      ]
     | Adversary.Selective_mute _ ->
       (* The starved backup must demote itself into a state transfer. *)
       [ ("starved replica was never demoted", fun c -> c.correct.Run.demotions > 0) ]
@@ -301,8 +304,3 @@ let render r =
     (match r.failures with
     | [] -> ""
     | fs -> "\n    " ^ String.concat "\n    " fs)
-
-let failure_trace result =
-  Simnet.Trace.render ~limit:5000
-    (Cluster.trace (Run.cluster result.Run.deployment 0))
-    (fun _ -> true)

@@ -83,6 +83,3 @@ val run : ?trace:bool -> scenario -> report * Run.result
 
 val render : report -> string
 (** One status line, with failure reasons appended. *)
-
-val failure_trace : Run.result -> string
-(** The message trace of the run, for a failure artifact. *)

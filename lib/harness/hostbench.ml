@@ -180,7 +180,8 @@ let workloads ?(seed = 1) ?(duration = 1.5) () =
         Experiments.indexed_sql_spec ~seed ~duration ~indexed:true ~range:false cfg );
       ( "sql:indexed_range",
         Experiments.indexed_sql_spec ~seed ~duration ~indexed:true ~range:true cfg );
-      ("sql:forced_scan", Experiments.indexed_sql_spec ~seed ~duration ~indexed:false ~range:false cfg);
+      ( "sql:forced_scan",
+        Experiments.indexed_sql_spec ~seed ~duration ~indexed:false ~range:false cfg );
       ( "pipeline:serial",
         Experiments.pipeline_spec ~seed ~duration (Experiments.pipeline_cfg ~depth:1 ~cores:1 ()) );
       ( "pipeline:depth8_cores4",

@@ -312,55 +312,40 @@ let rpc ?(timeout = 30.0) d op =
 
 (* --- safety --- *)
 
-let state_digest r = Statemgr.Merkle.root (Statemgr.Merkle.build (Pbft.Replica.pages r))
-
 (* Journals list committed (seq, batch_digest) pairs; replicas that
    state-transferred past a stretch leave gaps, so only common sequence
    numbers are compared — disagreement there is a conflicting commit.
    Replicas at different sequence numbers legitimately differ in state;
    the journal check covers their common prefix. *)
 let safety replicas =
-  let conflicts = ref [] in
-  let rec pairs = function
-    | [] -> ()
-    | a :: rest ->
-      let tbl = Hashtbl.create 1024 in
-      List.iter (fun (s, d) -> Hashtbl.replace tbl s d) (Pbft.Replica.exec_journal a);
-      List.iter
-        (fun b ->
-          List.iter
-            (fun (s, d) ->
-              match Hashtbl.find_opt tbl s with
-              | Some d' when not (String.equal d d') ->
-                conflicts :=
-                  Printf.sprintf "replicas %d/%d committed different batches at seq %d"
-                    (Pbft.Replica.id a) (Pbft.Replica.id b) s
-                  :: !conflicts
-              | Some _ | None -> ())
-            (Pbft.Replica.exec_journal b))
-        rest;
-      pairs rest
-  in
-  pairs replicas;
-  let mismatches = ref [] in
-  let rec pairs = function
-    | [] -> ()
-    | a :: rest ->
-      List.iter
-        (fun b ->
-          if
-            Pbft.Replica.last_executed a = Pbft.Replica.last_executed b
-            && not (String.equal (state_digest a) (state_digest b))
-          then
-            mismatches :=
-              Printf.sprintf "replicas %d/%d at seq %d have diverged state" (Pbft.Replica.id a)
-                (Pbft.Replica.id b) (Pbft.Replica.last_executed a)
-              :: !mismatches)
-        rest;
-      pairs rest
-  in
-  pairs replicas;
-  !conflicts @ !mismatches
+  let module R = Pbft.Replica in
+  let root r = Statemgr.Merkle.root (Statemgr.Merkle.build (R.pages r)) in
+  let rec pairs = function [] -> [] | a :: rest -> List.map (fun b -> (a, b)) rest @ pairs rest in
+  let pairs = pairs replicas in
+  List.concat_map
+    (fun (a, b) ->
+      let journal = Hashtbl.of_seq (List.to_seq (R.exec_journal a)) in
+      List.filter_map
+        (fun (s, d) ->
+          match Hashtbl.find_opt journal s with
+          | Some d' when not (String.equal d d') ->
+            Some
+              (Printf.sprintf "replicas %d/%d committed different batches at seq %d" (R.id a)
+                 (R.id b) s)
+          | Some _ | None -> None)
+        (R.exec_journal b))
+    pairs
+  @ List.filter_map
+      (fun (a, b) ->
+        if
+          R.last_executed a = R.last_executed b
+          && not (String.equal (root a) (root b))
+        then
+          Some
+            (Printf.sprintf "replicas %d/%d at seq %d have diverged state" (R.id a) (R.id b)
+               (R.last_executed a))
+        else None)
+      pairs
 
 (* --- results --- *)
 
@@ -419,7 +404,6 @@ let totals reps =
   }
 
 type door = {
-  answered : int;
   lane_completed : int array;
   cross_commits : int;
   cross_aborts : int;
@@ -468,7 +452,6 @@ type result = {
 let door_counters door ~errors =
   let module F = Webgate.Frontdoor in
   {
-    answered = F.completed door;
     lane_completed = F.shard_completed door;
     cross_commits = F.cross_commits door;
     cross_aborts = F.cross_aborts door;
@@ -502,24 +485,18 @@ let all_clients d = Array.concat (List.map Pbft.Cluster.clients (Array.to_list d
 
 (* Dynamic mode: every client performs the two-phase join before the
    workload begins. *)
-let join_all cluster =
+let join_all d cluster =
   let clients = Pbft.Cluster.clients cluster in
   let joined = ref 0 in
   Array.iteri
     (fun i cl ->
       Pbft.Client.join cl
         ~idbuf:(Printf.sprintf "user%d:password%d" (i + 1) (i + 1))
-        (function
-          | Some _ -> incr joined
-          | None -> ()))
+        (fun c -> if Option.is_some c then incr joined))
     clients;
-  let deadline = Simnet.Engine.now (Pbft.Cluster.engine cluster) +. 30.0 in
-  while
-    !joined < Array.length clients && Simnet.Engine.now (Pbft.Cluster.engine cluster) < deadline
-  do
-    Simnet.Engine.run
-      ~until:(Simnet.Engine.now (Pbft.Cluster.engine cluster) +. 0.1)
-      (Pbft.Cluster.engine cluster)
+  let deadline = Simnet.Engine.now d.d_engine +. 30.0 in
+  while !joined < Array.length clients && Simnet.Engine.now d.d_engine < deadline do
+    run_for d 0.1
   done;
   if !joined < Array.length clients then failwith "Run: dynamic join did not complete"
 
@@ -543,7 +520,7 @@ let window_latency clients () =
 
 let start_clients d service ~op ~readonly ~think =
   let cluster = d.d_clusters.(0) in
-  if (Pbft.Cluster.config cluster).Pbft.Config.dynamic_clients then join_all cluster;
+  if (Pbft.Cluster.config cluster).Pbft.Config.dynamic_clients then join_all d cluster;
   let stop = ref false in
   let classify = service.Pbft.Service.classify_readonly in
   let drive i cl =
@@ -572,10 +549,6 @@ let start_clients d service ~op ~readonly ~think =
   }
 
 let session_addr_base = 100_000
-
-let has_prefix ~prefix s =
-  String.length s >= String.length prefix
-  && String.equal (String.sub s 0 (String.length prefix)) prefix
 
 type sess = {
   sd_id : int;
@@ -645,7 +618,7 @@ let start_sessions d door ~sessions ~op =
             match status with
             | Webgate.Frontdoor.Done ->
               cancel s;
-              if has_prefix ~prefix:"error:" result then s.sd_errors <- s.sd_errors + 1;
+              if String.starts_with ~prefix:"error:" result then s.sd_errors <- s.sd_errors + 1;
               submit s
             | Webgate.Frontdoor.Shed ->
               (* Backpressure: retry the same request after a beat. *)
@@ -807,7 +780,8 @@ let run spec =
       let victim =
         match target with
         | Replica i -> i
-        | Primary k -> ((List.fold_left (fun acc r -> Int.max acc (Pbft.Replica.view r)) 0 (live d)) + k) mod n
+        | Primary k ->
+          (List.fold_left (fun acc r -> Int.max acc (Pbft.Replica.view r)) 0 (live d) + k) mod n
       in
       let since = Simnet.Engine.now engine in
       Pbft.Cluster.crash_replica group victim;
@@ -843,7 +817,8 @@ let run spec =
     | Sessions { sessions; op }, _, Some door -> start_sessions d door ~sessions ~op
     | Arrivals { sessions; arrival; op_bytes; conns; retransmit }, _, _ ->
       start_arrivals d ~sessions ~arrival ~op_bytes ~conns ~retransmit
-    | Clients _, Accounts _, _ | Sessions _, _, None -> invalid_arg "Run: load does not fit the groups"
+    | Clients _, Accounts _, _ | Sessions _, _, None ->
+      invalid_arg "Run: load does not fit the groups"
   in
   (* Availability: a bucket counts when at least one request completed
      since the previous tick. *)

@@ -56,7 +56,9 @@ type load =
 
 type target =
   | Replica of int
-  | Primary of int  (** the replica [k] places after the current primary, resolved when the action fires *)
+  | Primary of int
+      (** the replica [k] places after the current primary, resolved
+          when the action fires *)
 
 type action =
   | Adversary of int * Pbft.Adversary.behavior  (** make the replica Byzantine *)
@@ -176,7 +178,6 @@ val totals : Pbft.Replica.t list -> totals
 (** Sums (maxima, means where noted) over the given replicas. *)
 
 type door = {
-  answered : int;  (** operations the door answered with a quorum result *)
   lane_completed : int array;
   cross_commits : int;
   cross_aborts : int;
@@ -213,8 +214,9 @@ type result = {
   window : float;  (** length of the measured window, virtual seconds *)
   tps : float;
   latency : Util.Stats.t;
-      (** client requests completed in the measured window; door-side
-          (whole run) for {!Sessions} *)
+      (** requests completed in the measured window, timed by their
+          client or generator; door-side over the whole run for
+          {!Sessions} *)
   tentative : int;  (** window requests accepted on a tentative quorum *)
   retransmissions : int;  (** client retransmissions, whole run *)
   events : int;  (** simulation events, whole run *)

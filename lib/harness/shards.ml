@@ -1,7 +1,3 @@
-let has_prefix ~prefix s =
-  String.length s >= String.length prefix
-  && String.equal (String.sub s 0 (String.length prefix)) prefix
-
 (* Smallest id after [k] (cyclically) owned by a different shard. *)
 let partner_key topo ~rows k =
   let home = Relsql.Shard.shard_of_int topo k in
@@ -126,7 +122,7 @@ let byzantine_coordinator ?spec:given () =
      we break it. *)
   let healthy = Run.rpc d (transfer ~amount:10 k0 k1) in
   expect
-    (has_prefix ~prefix:"s0=" healthy)
+    (String.starts_with ~prefix:"s0=" healthy)
     (Printf.sprintf "healthy cross-shard transfer failed: %s" healthy);
   let b0 = Run.rpc d (balance_sql k0) and b1 = Run.rpc d (balance_sql k1) in
   let commits0 = Webgate.Frontdoor.cross_commits door in
@@ -149,7 +145,7 @@ let byzantine_coordinator ?spec:given () =
   in
   let abort_reply = Run.rpc d (transfer ~amount:7 k0 k1) in
   expect
-    (has_prefix ~prefix:"error:2pc-aborted" abort_reply)
+    (String.starts_with ~prefix:"error:2pc-aborted" abort_reply)
     (Printf.sprintf "doomed transfer did not abort: %s" abort_reply);
   (* Let shard 1's group view-change past the mute primary; the late
      prepare then completes and the door's deferred abort lands. *)
@@ -177,7 +173,7 @@ let byzantine_coordinator ?spec:given () =
      fresh transfer must commit on both shards. *)
   let recovery = Run.rpc d (transfer ~amount:3 k0 k1) in
   expect
-    (has_prefix ~prefix:"s0=" recovery)
+    (String.starts_with ~prefix:"s0=" recovery)
     (Printf.sprintf "post-fault transfer did not commit: %s" recovery);
   {
     bz_abort_reply = abort_reply;

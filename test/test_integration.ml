@@ -468,7 +468,8 @@ let test_latency_pools_every_client () =
   in
   let pooled = Util.Stats.create () in
   Array.iter
-    (fun cl -> Float.Array.iter (Util.Stats.add pooled) (Util.Stats.samples (Client.latency_stats cl)))
+    (fun cl ->
+      Float.Array.iter (Util.Stats.add pooled) (Util.Stats.samples (Client.latency_stats cl)))
     (Cluster.clients (Run.cluster r.Run.deployment 0));
   Alcotest.(check int) "one sample per completed request" (Util.Stats.count pooled)
     (Util.Stats.count r.Run.latency);
@@ -776,7 +777,7 @@ let pin_churn () =
       ("dem_tr", i t.Run.demotion_transfers); ("rejoin_tr", i t.rejoin_transfers);
       ("pages", i t.pages_fetched); ("pages_full", i t.pages_full);
       ("vc", i t.view_changes);
-      ("view", i (List.fold_left (fun acc r -> Int.max acc (Replica.view r)) 0 (Run.live r.deployment)));
+      ("view", i (Run.totals (Run.live r.deployment)).Run.view);
       ("failures", String.concat "|" r.failures) ]
 
 (* --- churn: the crash/repair rotation as a fault plan --- *)
@@ -819,7 +820,9 @@ let pinned_equivalence = "0721f106c2a6375fbbf0e1462a671750dbaee77dd45716deb7fce4
 let test_equivalence_pinned () =
   let rendering =
     String.concat ""
-      (List.map (fun part -> part ()) [ pin_closed; pin_openloop; pin_shards; pin_adversary; pin_churn ])
+      (List.map
+         (fun part -> part ())
+         [ pin_closed; pin_openloop; pin_shards; pin_adversary; pin_churn ])
   in
   print_string rendering;
   Alcotest.(check string) "virtual numbers of every shape" pinned_equivalence

@@ -803,11 +803,12 @@ let test_churn_outage_detected () =
     Run.run
       {
         (Run.closed (Config.default ~f:1)) with
-        Run.warmup = 0.5;
-        duration = 2.0;
-        bucket = 0.25;
+        Run.load = Run.clients ~clients:4 (fun ~client:_ ~seq:_ -> String.make 64 'q');
+        warmup = 0.2;
+        duration = 1.2;
+        bucket = 0.1;
         plan =
-          [ (1.0, Run.Crash (Run.Replica 1, 0.5)); (1.0, Run.Crash (Run.Replica 2, 0.5)) ];
+          [ (0.5, Run.Crash (Run.Replica 1, 0.4)); (0.5, Run.Crash (Run.Replica 2, 0.4)) ];
       }
   in
   let c = Option.get r.Run.churn in

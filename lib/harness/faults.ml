@@ -284,9 +284,9 @@ let run ?(trace = false) scenario =
       correct;
       baseline = check.baseline;
       recovered = check.recovered;
-      safe = result.Run.failures = [];
+      safe = Lazy.force result.Run.failures = [];
       live = check.recovered > 0;
-      failures = result.Run.failures @ unmet scenario.expect;
+      failures = Lazy.force result.Run.failures @ unmet scenario.expect;
     },
     result )
 

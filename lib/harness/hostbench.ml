@@ -138,7 +138,7 @@ let measure ~name spec =
     shards = Relsql.Shard.shards (Run.topology r.deployment);
     shard_tps =
       (match (spec.groups, r.door) with
-      | Run.Accounts _, Some (before, after) ->
+      | Run.Sharded _, Some (before, after) ->
         Array.map2
           (fun b a -> if r.window > 0.0 then float_of_int (a - b) /. r.window else 0.0)
           before.Run.lane_completed after.Run.lane_completed
@@ -157,7 +157,7 @@ let measure ~name spec =
     availability = churn (fun c -> c.Run.availability);
     mean_recovery = churn (fun c -> c.Run.mean_recovery);
     max_recovery = churn (fun c -> c.Run.max_recovery);
-    failures = r.failures;
+    failures = Lazy.force r.failures;
   }
 
 let default_cfg () =

@@ -35,7 +35,7 @@ type measurement = {
   rollbacks : int;  (** view changes that undid speculative executions, summed over replicas *)
   tentative_completed : int;
       (** requests the clients accepted on a 2f+1 tentative-reply quorum
-          (read-only fast path and tentative execution) *)
+          (read-only fast path and tentative execution); 0 on door rows *)
   core_utilization : float;
       (** run-average busy fraction of the replicas' virtual CPU cores *)
   p50_latency : float;  (** request latency percentiles, virtual seconds *)

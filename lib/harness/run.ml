@@ -24,13 +24,12 @@ let mean_rate arrival =
 
 type groups =
   | Service of Pbft.Service.t
-  | Accounts of { shards : int; rows : int; certs : bool; prepare_timeout : float; tx_ttl : float }
+  | Sharded of { topology : Relsql.Shard.topology; service : int -> Pbft.Service.t; certs : bool }
 
 type load =
   | Clients of {
       clients : int;
       op : client:int -> seq:int -> string;
-      readonly : bool;
       think : float;
     }
   | Sessions of { sessions : int; op : client:int -> seq:int -> string }
@@ -67,8 +66,7 @@ type spec = {
   trace : bool;
 }
 
-let clients ?(clients = 12) ?(readonly = false) ?(think = 0.0) op =
-  Clients { clients; op; readonly; think }
+let clients ?(clients = 12) ?(think = 0.0) op = Clients { clients; op; think }
 
 let closed cfg =
   {
@@ -125,38 +123,6 @@ let retained_bound spec : Pbft.Replica.retained =
 
 (* --- deployments --- *)
 
-(* The replica reserves this many pages of middleware state ahead of the
-   service region (see Replica.create); the service's partition starts
-   right after it. *)
-let service_first_page = 4
-let service_app_pages = 128
-
-let accounts_schema =
-  "CREATE TABLE IF NOT EXISTS accounts (id INTEGER PRIMARY KEY, bal INTEGER, pad TEXT)"
-
-let accounts_topology ~shards =
-  Relsql.Shard.topology ~shards [ { Relsql.Shard.sr_table = "accounts"; sr_column = "id" } ]
-
-(* Deterministic pre-population: the same total row set regardless of the
-   shard count, each shard holding exactly the ids it owns — so the 1-,
-   2- and 4-shard deployments answer identical queries identically. *)
-let init_sql topo ~shard ~rows =
-  let owned =
-    List.filter
-      (fun id -> Int.equal (Relsql.Shard.shard_of_int topo id) shard)
-      (List.init rows (fun i -> i + 1))
-  in
-  let rec chunks = function
-    | [] -> []
-    | l -> List.filteri (fun i _ -> i < 32) l :: chunks (List.filteri (fun i _ -> i >= 32) l)
-  in
-  List.map
-    (fun batch ->
-      "INSERT INTO accounts (id, bal, pad) VALUES "
-      ^ String.concat ", "
-          (List.map (fun id -> Printf.sprintf "(%d, 100, 'p%d')" id id) batch))
-    (chunks owned)
-
 type deployment = {
   d_engine : Simnet.Engine.t;
   d_edge : Simnet.Net.t;
@@ -210,12 +176,12 @@ let build_service spec service =
     d_rpc_seq = 0;
   }
 
-let build_accounts spec ~shards ~rows ~certs ~prepare_timeout ~tx_ttl =
+let build_sharded spec ~topology ~service ~certs =
   let door_cfg = door_config spec in
   let pool = door_cfg.Webgate.Frontdoor.connections in
   let engine = Simnet.Engine.create ~seed:spec.seed in
   let edge = Simnet.Net.create engine ~name:"edge" spec.profile in
-  let topo = accounts_topology ~shards in
+  let shards = Relsql.Shard.shards topology in
   (* The per-group threshold publics land here once the clusters exist;
      the 2PC wrappers capture the array and read it at execute time. *)
   let publics = Array.make shards None in
@@ -226,17 +192,12 @@ let build_accounts spec ~shards ~rows ~certs ~prepare_timeout ~tx_ttl =
       | Some pk -> Pbft.Certificate.verify pk ~client ~rq_id ~result cert
       | None -> false
   in
-  let service shard =
-    Webgate.Frontdoor.wrap_service
-      (Relsql.Twopc.wrap ~verify
-         (Relsql.Pbft_service.service ~app_pages:service_app_pages ~schema:accounts_schema
-            ~init:(init_sql topo ~shard ~rows) ()))
-  in
+  let wrapped shard = Webgate.Frontdoor.wrap_service (Relsql.Twopc.wrap ~verify (service shard)) in
   let clusters =
     Array.init shards (fun s ->
         let net = Simnet.Net.create engine ~name:(Printf.sprintf "shard%d" s) spec.profile in
         let c =
-          Pbft.Cluster.create ~num_clients:(pool + 1) ~service:(service s)
+          Pbft.Cluster.create ~num_clients:(pool + 1) ~service:(wrapped s)
             ~threshold_replies:certs ~engine ~net spec.cfg
         in
         Simnet.Trace.set_enabled (Pbft.Cluster.trace c) spec.trace;
@@ -248,16 +209,18 @@ let build_accounts spec ~shards ~rows ~certs ~prepare_timeout ~tx_ttl =
       (fun c -> (Array.init pool (fun j -> Pbft.Cluster.client c (j + 1)), Pbft.Cluster.client c 0))
       clusters
   in
+  (* The coordinator waits 0.4 s for prepare votes; shards agree on a
+     2 s prepare deadline. *)
   let door =
-    Webgate.Frontdoor.create_sharded ~cfg:door_cfg ~topology:topo ~prepare_timeout ~tx_ttl
-      ~classify:(service 0).Pbft.Service.classify_readonly ~engine ~net:edge ~lanes ()
+    Webgate.Frontdoor.create_sharded ~cfg:door_cfg ~topology ~prepare_timeout:0.4 ~tx_ttl:2.0
+      ~classify:(wrapped 0).Pbft.Service.classify_readonly ~engine ~net:edge ~lanes ()
   in
   {
     d_engine = engine;
     d_edge = edge;
     d_clusters = clusters;
     d_door = Some door;
-    d_topology = topo;
+    d_topology = topology;
     d_retired = [];
     d_rpc_seq = 0;
   }
@@ -265,8 +228,7 @@ let build_accounts spec ~shards ~rows ~certs ~prepare_timeout ~tx_ttl =
 let build spec =
   match spec.groups with
   | Service service -> build_service spec service
-  | Accounts { shards; rows; certs; prepare_timeout; tx_ttl } ->
-    build_accounts spec ~shards ~rows ~certs ~prepare_timeout ~tx_ttl
+  | Sharded { topology; service; certs } -> build_sharded spec ~topology ~service ~certs
 
 let run_for d seconds =
   Simnet.Engine.run ~until:(Simnet.Engine.now d.d_engine +. seconds) d.d_engine
@@ -443,7 +405,7 @@ type result = {
   opened : int;
   marks : int list;
   mutations : int;
-  failures : string list;
+  failures : string list Lazy.t;
   door : (door * door) option;
   open_loop : open_loop option;
   churn : churn option;
@@ -518,7 +480,7 @@ let window_latency clients () =
       clients;
     lat
 
-let start_clients d service ~op ~readonly ~think =
+let start_clients d service ~op ~think =
   let cluster = d.d_clusters.(0) in
   if (Pbft.Cluster.config cluster).Pbft.Config.dynamic_clients then join_all d cluster;
   let stop = ref false in
@@ -529,11 +491,9 @@ let start_clients d service ~op ~readonly ~think =
       if not !stop then begin
         incr seq;
         let op = op ~client:i ~seq:!seq in
-        (* Per-operation auto-classification: ops the service proves
-           read-only (e.g. planner-classified SELECTs) ride the fast path
-           even in a mixed workload submitted read-write. *)
-        let readonly = readonly || classify op in
-        Pbft.Client.invoke cl ~readonly op (fun _ ->
+        (* Per-operation classification: ops the service proves read-only
+           (e.g. planner-classified SELECTs) ride the fast path. *)
+        Pbft.Client.invoke cl ~readonly:(classify op) op (fun _ ->
             if think > 0.0 then Simnet.Engine.schedule d.d_engine ~delay:think next else next ())
       end
     in
@@ -812,12 +772,11 @@ let run spec =
     spec.plan;
   let load =
     match (spec.load, spec.groups, d.d_door) with
-    | Clients { op; readonly; think; _ }, Service service, _ ->
-      start_clients d service ~op ~readonly ~think
+    | Clients { op; think; _ }, Service service, _ -> start_clients d service ~op ~think
     | Sessions { sessions; op }, _, Some door -> start_sessions d door ~sessions ~op
     | Arrivals { sessions; arrival; op_bytes; conns; retransmit }, _, _ ->
       start_arrivals d ~sessions ~arrival ~op_bytes ~conns ~retransmit
-    | Clients _, Accounts _, _ | Sessions _, _, None ->
+    | Clients _, Sharded _, _ | Sessions _, _, None ->
       invalid_arg "Run: load does not fit the groups"
   in
   (* Availability: a bucket counts when at least one request completed
@@ -832,8 +791,13 @@ let run spec =
              if completed > !last then incr buckets_ok
            end;
            last := completed));
+  (* A door invoke carries a coalesced batch of session requests, so the
+     clients' tentative count is per request only without a door. *)
   let tentative () =
-    Array.fold_left (fun acc cl -> acc + Pbft.Client.tentative_completed cl) 0 (all_clients d)
+    match spec.load with
+    | Clients _ ->
+      Array.fold_left (fun acc cl -> acc + Pbft.Client.tentative_completed cl) 0 (all_clients d)
+    | Sessions _ | Arrivals _ -> 0
   in
   let snapshot () =
     Option.map (fun door -> door_counters door ~errors:(load.errors ())) d.d_door
@@ -871,11 +835,12 @@ let run spec =
       ([], 0) !incidents
   in
   let failures =
-    if spec.plan = [] then []
-    else
-      let faulty = adversaries spec in
-      safety (List.filter (fun r -> not (List.mem (Pbft.Replica.id r) faulty)) (live d))
-      @ if unrecovered > 0 then [ "an incident never completed its rejoin" ] else []
+    lazy
+      (if spec.plan = [] then []
+       else
+         let faulty = adversaries spec in
+         safety (List.filter (fun r -> not (List.mem (Pbft.Replica.id r) faulty)) (live d))
+         @ if unrecovered > 0 then [ "an incident never completed its rejoin" ] else [])
   in
   let churn =
     if !crashes + !restarts = 0 then None

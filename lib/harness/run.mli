@@ -25,22 +25,20 @@ val mean_rate : arrival -> float
 
 type groups =
   | Service of Pbft.Service.t  (** one replica group running the service *)
-  | Accounts of { shards : int; rows : int; certs : bool; prepare_timeout : float; tx_ttl : float }
-      (** [shards] groups, each owning a hash partition of an [accounts]
-          table pre-filled with [rows] rows, behind a sharded door.
-          [certs] deals per-group threshold keys so 2PC votes carry real
-          certificates; [prepare_timeout] is the coordinator's patience,
-          [tx_ttl] the agreed prepare deadline. *)
+  | Sharded of { topology : Relsql.Shard.topology; service : int -> Pbft.Service.t; certs : bool }
+      (** one group per shard of [topology], group [s] running [service s]
+          under two-phase commit behind a sharded door; [certs] deals
+          per-group threshold keys so 2PC votes carry real certificates *)
 
 type load =
   | Clients of {
       clients : int;
       op : client:int -> seq:int -> string;
-      readonly : bool;  (** submit every operation read-only *)
       think : float;  (** client delay between requests; 0 = closed loop *)
     }
       (** closed-loop {!Pbft.Client}s, one request outstanding each, no
-          door; dynamic configurations join every client first *)
+          door; an operation goes read-only when the service classifies
+          it so; dynamic configurations join every client first *)
   | Sessions of { sessions : int; op : client:int -> seq:int -> string }
       (** closed-loop sessions through the door, retransmitting until
           answered and retrying shed requests *)
@@ -74,22 +72,21 @@ type spec = {
   seed : int;
   profile : Simnet.Net.profile;
   groups : groups;
-  door : Webgate.Frontdoor.config option;  (** required by door loads and {!Accounts} *)
+  door : Webgate.Frontdoor.config option;  (** required by door loads and {!Sharded} *)
   load : load;
   warmup : float;  (** seconds before the measured window *)
   duration : float;  (** measured seconds *)
   drain : float;  (** seconds run after the load stops, before counters are read *)
   plan : (float * action) list;
       (** actions on the first group at absolute virtual times; a
-          non-empty plan also records execution journals and checks
-          safety at the end *)
+          non-empty plan also makes every replica record its execution
+          journal, which {!result.failures} checks *)
   bucket : float;  (** availability sampling period over the measured window; 0 = off *)
   trace : bool;  (** keep the message trace on *)
 }
 
-val clients :
-  ?clients:int -> ?readonly:bool -> ?think:float -> (client:int -> seq:int -> string) -> load
-(** Closed-loop clients (default 12, read-write, no think time). *)
+val clients : ?clients:int -> ?think:float -> (client:int -> seq:int -> string) -> load
+(** Closed-loop clients (default 12, no think time). *)
 
 val closed : Pbft.Config.t -> spec
 (** The Table-1 shape: 12 clients sending 1024-byte null operations to
@@ -126,7 +123,7 @@ val edge : deployment -> Simnet.Net.t
 (** The net sessions reach the door on. *)
 
 val topology : deployment -> Relsql.Shard.topology
-(** The accounts partitioning (one shard for a {!Service} deployment). *)
+(** The partitioning (one shard for a {!Service} deployment). *)
 
 val run_for : deployment -> float -> unit
 (** Advance the shared engine. *)
@@ -135,22 +132,6 @@ val rpc : ?timeout:float -> deployment -> string -> string
 (** One-shot session: send the operation through the door and drive the
     engine until the reply lands (or [timeout] virtual seconds pass —
     then ["error:rpc-timeout"]). *)
-
-(** {2 The accounts table} *)
-
-val accounts_schema : string
-
-val service_first_page : int
-(** First page of the service region on a replica (the middleware keeps
-    the pages before it). *)
-
-val service_app_pages : int
-(** Pages the accounts service asks for. *)
-
-val accounts_topology : shards:int -> Relsql.Shard.topology
-
-val init_sql : Relsql.Shard.topology -> shard:int -> rows:int -> string list
-(** Batched INSERTs pre-populating exactly the ids the shard owns. *)
 
 (** {1 Results} *)
 
@@ -217,7 +198,9 @@ type result = {
       (** requests completed in the measured window, timed by their
           client or generator; door-side over the whole run for
           {!Sessions} *)
-  tentative : int;  (** window requests accepted on a tentative quorum *)
+  tentative : int;
+      (** window requests accepted on a tentative quorum; 0 for door
+          loads, whose invokes each carry a coalesced batch *)
   retransmissions : int;  (** client retransmissions, whole run *)
   events : int;  (** simulation events, whole run *)
   window_events : int;
@@ -228,9 +211,10 @@ type result = {
       (** {!progress} when each plan action fired and when each crashed
           replica came back, in time order *)
   mutations : int;  (** adversary activity *)
-  failures : string list;
+  failures : string list Lazy.t;
       (** safety violations between correct replicas and crash incidents
-          that never rejoined; checked when the plan is non-empty *)
+          that never rejoined; empty when the plan is; computed (journal
+          comparison, Merkle roots) when forced *)
   door : (door * door) option;  (** at the start and at the end of the measured window *)
   open_loop : open_loop option;
   churn : churn option;  (** when the plan crashes or restarts a replica *)

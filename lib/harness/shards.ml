@@ -1,3 +1,37 @@
+(* --- the accounts table --- *)
+
+(* The replica reserves this many pages of middleware state ahead of the
+   service region (see Replica.create); the service's partition starts
+   right after it. *)
+let service_first_page = 4
+let service_app_pages = 128
+
+let accounts_schema =
+  "CREATE TABLE IF NOT EXISTS accounts (id INTEGER PRIMARY KEY, bal INTEGER, pad TEXT)"
+
+let accounts_topology ~shards =
+  Relsql.Shard.topology ~shards [ { Relsql.Shard.sr_table = "accounts"; sr_column = "id" } ]
+
+(* Deterministic pre-population: the same total row set regardless of the
+   shard count, each shard holding exactly the ids it owns — so the 1-,
+   2- and 4-shard deployments answer identical queries identically. *)
+let init_sql topo ~shard ~rows =
+  let owned =
+    List.filter
+      (fun id -> Int.equal (Relsql.Shard.shard_of_int topo id) shard)
+      (List.init rows (fun i -> i + 1))
+  in
+  let rec chunks = function
+    | [] -> []
+    | l -> List.filteri (fun i _ -> i < 32) l :: chunks (List.filteri (fun i _ -> i >= 32) l)
+  in
+  List.map
+    (fun batch ->
+      "INSERT INTO accounts (id, bal, pad) VALUES "
+      ^ String.concat ", "
+          (List.map (fun id -> Printf.sprintf "(%d, 100, 'p%d')" id id) batch))
+    (chunks owned)
+
 (* Smallest id after [k] (cyclically) owned by a different shard. *)
 let partner_key topo ~rows k =
   let home = Relsql.Shard.shard_of_int topo k in
@@ -12,7 +46,7 @@ let partner_key topo ~rows k =
 (* Deterministic operation mix: no RNG — the stream is a pure function of
    (session, seq), so a given spec replays bit-identically. *)
 let mix ~shards ~rows ~cross ~reads =
-  let topo = Run.accounts_topology ~shards in
+  let topo = accounts_topology ~shards in
   fun ~client:session ~seq ->
     let mix = ((session * 7919) + (seq * 104729)) mod 1000 in
     let key = 1 + (((session * 613) + (seq * 769)) mod rows) in
@@ -26,9 +60,14 @@ let mix ~shards ~rows ~cross ~reads =
     else Printf.sprintf "UPDATE accounts SET bal = bal + 1 WHERE id = %d" key
 
 let spec ?(shards = 1) ?(sessions = 96) ?(rows = 512) ?(cross = 0.0) ?(certs = false) () =
+  let topology = accounts_topology ~shards in
+  let service shard =
+    Relsql.Pbft_service.service ~app_pages:service_app_pages ~schema:accounts_schema
+      ~init:(init_sql topology ~shard ~rows) ()
+  in
   {
     (Run.closed (Pbft.Config.default ~f:1)) with
-    Run.groups = Run.Accounts { shards; rows; certs; prepare_timeout = 0.4; tx_ttl = 2.0 };
+    Run.groups = Run.Sharded { topology; service; certs };
     door =
       Some
         {
@@ -49,8 +88,8 @@ let key_on_shard d s =
 
 let pages_region_root pages =
   Statemgr.Merkle.root_of_leaves
-    (List.init Run.service_app_pages (fun i ->
-         Statemgr.Merkle.page_digest (Statemgr.Pages.page pages (Run.service_first_page + i))))
+    (List.init service_app_pages (fun i ->
+         Statemgr.Merkle.page_digest (Statemgr.Pages.page pages (service_first_page + i))))
 
 let region_root d ~shard ~replica =
   pages_region_root (Pbft.Replica.pages (Pbft.Cluster.replica (Run.cluster d shard) replica))

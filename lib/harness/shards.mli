@@ -1,7 +1,7 @@
 (** Sharded deployments: N independent PBFT replica groups on one
     engine, each owning a hash partition of the [accounts] table, fronted
     by a sharded {!Webgate.Frontdoor} and driven by closed-loop edge
-    sessions ({!Run.Accounts} with {!Run.Sessions}).
+    sessions ({!Run.Sharded} with {!Run.Sessions}).
 
     This is the horizontal-scaling experiment: the per-group protocol
     work that caps a single group's vTPS is divided across groups, so a
@@ -10,6 +10,20 @@
     curve `bench -- shards` gates. Cross-shard transactions pay the 2PC
     premium and serialize through the coordinator; the [cross] knob
     measures how quickly that tax erodes the scaling. *)
+
+(** {1 The accounts table} *)
+
+val accounts_schema : string
+
+val service_first_page : int
+(** First page of the service region on a replica (the middleware keeps
+    the pages before it). *)
+
+val service_app_pages : int
+(** Pages the accounts service asks for. *)
+
+val init_sql : Relsql.Shard.topology -> shard:int -> rows:int -> string list
+(** Batched INSERTs pre-populating exactly the ids the shard owns. *)
 
 val mix : shards:int -> rows:int -> cross:float -> reads:float -> client:int -> seq:int -> string
 (** The session operation stream, a pure function of (session, seq): a
@@ -34,7 +48,7 @@ val region_root : Run.deployment -> shard:int -> replica:int -> string
 
 val pages_region_root : Statemgr.Pages.t -> string
 (** The same digest over a bare page set laid out like a replica's
-    (service region at {!Run.service_first_page}) — for reference
+    (service region at {!service_first_page}) — for reference
     executions. *)
 
 (** {2 The Byzantine-coordinator fault scenario}

@@ -335,17 +335,17 @@ type refshard = { rs_exec : op:string -> string; rs_pages : Statemgr.Pages.t }
 let make_reference topo rows =
   let svc shard =
     Twopc.wrap ~verify:ref_verify
-      (Relsql.Pbft_service.service ~app_pages:Run.service_app_pages ~schema:Run.accounts_schema
-         ~init:(Run.init_sql topo ~shard ~rows) ())
+      (Relsql.Pbft_service.service ~app_pages:Shards.service_app_pages
+         ~schema:Shards.accounts_schema ~init:(Shards.init_sql topo ~shard ~rows) ())
   in
   let ts = ref 0.0 in
   Array.init (Shard.shards topo) (fun shard ->
       let s = svc shard in
       let pages =
         Statemgr.Pages.create ~page_size:s.Pbft.Service.page_size
-          ~num_pages:(Run.service_first_page + s.Pbft.Service.app_pages) ()
+          ~num_pages:(Shards.service_first_page + s.Pbft.Service.app_pages) ()
       in
-      let inst = s.Pbft.Service.make pages ~first_page:Run.service_first_page in
+      let inst = s.Pbft.Service.make pages ~first_page:Shards.service_first_page in
       let exec ~op =
         ts := !ts +. 1.0;
         fst (inst.Pbft.Service.execute ~op ~client:0 ~timestamp:!ts ~nondet:"" ~readonly:false)

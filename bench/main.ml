@@ -163,12 +163,14 @@ let run_hostbench () =
     (Harness.Hostbench.trace_digest ())
     (List.length all)
 
-(* Just the seeded trace digest: cheap enough for CI to run twice and
+(* Just the seeded trace digests: cheap enough for CI to run twice and
    diff, pinning simulation determinism without a full bench pass. *)
 let run_digest () =
   Printf.printf "trace digest: %s\n%!" (Harness.Hostbench.trace_digest ~seed:!seed ());
   Printf.printf "gateway trace digest: %s\n%!"
-    (Harness.Hostbench.gateway_trace_digest ~seed:!seed ())
+    (Harness.Hostbench.gateway_trace_digest ~seed:!seed ());
+  Printf.printf "replica trace digest: %s\n%!"
+    (Harness.Hostbench.replica_trace_digest ~seed:!seed ())
 
 (* Deterministic-proxy regression gate on the relsql read path: heap words
    allocated per completed sql:indexed_point request, boot fill included

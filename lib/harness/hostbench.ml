@@ -211,12 +211,47 @@ let digest_trace tr ~completed =
   Crypto.Sha256.feed ctx (Printf.sprintf "completed=%d" completed);
   Util.Hexdump.of_string (Crypto.Sha256.finalize ctx)
 
-let traced_digest spec =
+let traced spec =
   let r = Run.run { spec with Run.trace = true } in
-  digest_trace (Pbft.Cluster.trace (Run.cluster r.Run.deployment 0)) ~completed:r.completed
+  (digest_trace (Pbft.Cluster.trace (Run.cluster r.Run.deployment 0)) ~completed:r.completed, r)
+
+let traced_digest spec = fst (traced spec)
 
 let trace_digest ?(seed = 1) ?(seconds = 0.3) () =
   traced_digest { (Run.closed (default_cfg ())) with Run.seed; warmup = 0.1; duration = seconds }
+
+(* The replica's equivalence proof: pipelined speculation (depth 8 on 4
+   cores) with dynamic clients, whose joins ride the system-op intake.
+   Dropped commits starve the speculated suffix until a view change rolls
+   it back; the next primary (replica 1) then goes mute and is voted out;
+   last, a backup crashes and rejoins by state transfer, re-keying at
+   once. *)
+let replica_digest_spec ?(seed = 1) () =
+  let cfg =
+    {
+      (Experiments.pipeline_cfg ~depth:8 ~cores:4 ()) with
+      Pbft.Config.dynamic_clients = true;
+      view_change_timeout = 0.25;
+      rejoin_key_refresh = true;
+    }
+  in
+  {
+    (Run.closed cfg) with
+    Run.seed;
+    load = Run.clients ~clients:4 (fun ~client:_ ~seq:_ -> String.make 256 'r');
+    warmup = 0.1;
+    duration = 1.2;
+    plan =
+      [
+        (0.2, Run.Drop "commit");
+        (0.5, Run.Heal);
+        (0.6, Run.Adversary (1, Pbft.Adversary.Mute));
+        (1.0, Run.Heal);
+        (1.05, Run.Crash (Run.Replica 3, 0.05));
+      ];
+  }
+
+let replica_trace_digest ?seed () = traced_digest (replica_digest_spec ?seed ())
 
 (* The front door's equivalence proof: a short seeded open-loop run whose
    bursty arrivals hit both flush triggers, whose queue bound sheds during

@@ -113,6 +113,20 @@ val gateway_trace_digest : ?seed:int -> ?seconds:float -> unit -> string
     session LRU evicts, and retransmissions hit the reply cache. Pins the
     door's behaviour across refactors. *)
 
+val replica_digest_spec : ?seed:int -> unit -> Run.spec
+(** A short seeded run that walks the replica's recovery paths: pipelined
+    speculation on 4 cores, dynamic-client joins through the system-op
+    intake, a view change that rolls speculation back, a mute primary
+    voted out, and a backup's crash and Merkle-diff rejoin. *)
+
+val replica_trace_digest : ?seed:int -> unit -> string
+(** The same digest over {!replica_digest_spec}. Pins the replica's
+    behaviour across refactors. *)
+
+val traced : Run.spec -> string * Run.result
+(** Run the spec with the message trace on; its digest (the preimage
+    format of {!trace_digest}) and the result. *)
+
 val to_json : ?now:string -> measurement list -> string
 (** Render the BENCH.json document (see README.md for the schema). [now]
     is an ISO-8601 timestamp recorded verbatim; omitted → ["unknown"]. *)

@@ -829,6 +829,29 @@ let test_equivalence_pinned () =
   Alcotest.(check string) "virtual numbers of every shape" pinned_equivalence
     (Crypto.Sha256.hex rendering)
 
+(* The replica's pin: pipelined speculation, its rollback, the system-op
+   intake (dynamic joins), a mute primary's view change and a backup's
+   rejoin in one seeded traced run. A refactor of [Replica] must leave
+   the digest unchanged; the counters prove the run reached those
+   paths. *)
+let pinned_replica_digest = "c29ad647262a4e9fd0cb1be3a084d31cc9885c9928d33f0df40b29fa8007cac0"
+
+let test_replica_digest_pinned () =
+  let spec = Harness.Hostbench.replica_digest_spec () in
+  let digest, r = Harness.Hostbench.traced spec in
+  let t = r.Run.replicas in
+  Alcotest.(check bool) "speculative executions" true (t.Run.speculative_execs > 0);
+  Alcotest.(check bool) "rollbacks" true (t.rollbacks > 0);
+  Alcotest.(check bool) "a view change installed" true (t.view_changes > 0 && t.view > 0);
+  Alcotest.(check bool) "a rejoin transfer" true (t.rejoin_transfers > 0);
+  Alcotest.(check bool) "the mute primary fired" true (r.mutations > 0);
+  Array.iter
+    (fun rep ->
+      Alcotest.(check int) "every client joined" 4 (Membership.count (Replica.membership rep)))
+    (Cluster.replicas (Run.cluster r.deployment 0));
+  Alcotest.(check (list string)) "journals and states agree" [] (Lazy.force r.failures);
+  Alcotest.(check string) "replica trace digest" pinned_replica_digest digest
+
 let () =
   Alcotest.run "integration"
     [
@@ -879,7 +902,10 @@ let () =
           Alcotest.test_case "f+1 down is an outage" `Slow test_churn_outage_detected;
         ] );
       ( "equivalence",
-        [ Alcotest.test_case "every shape's virtual numbers" `Slow test_equivalence_pinned ] );
+        [
+          Alcotest.test_case "every shape's virtual numbers" `Slow test_equivalence_pinned;
+          Alcotest.test_case "replica paths' trace digest" `Slow test_replica_digest_pinned;
+        ] );
       ( "hostbench",
         [
           Alcotest.test_case "trace digest deterministic" `Slow test_trace_digest_deterministic;

@@ -638,6 +638,56 @@ let test_dynamic_leave () =
   Alcotest.(check int) "membership empty after leave" 0
     (Membership.count (Replica.membership (Cluster.replica cluster 0)))
 
+(* A Leave runs as an ordered system op: every replica drops the client
+   and rewrites the same membership pages, and the freed slot takes a
+   later join. A Leave naming the client but sent from another member's
+   address (with that member's valid MAC) is ignored. *)
+let test_dynamic_ordered_leave () =
+  let cfg = { (Config.default ~f:1) with Config.dynamic_clients = true; max_clients = 2 } in
+  let cluster = Cluster.create ~seed:92 ~num_clients:3 ~service:(Service.counter ()) cfg in
+  Simnet.Trace.set_enabled (Cluster.trace cluster) false;
+  let a = Cluster.client cluster 0 and b = Cluster.client cluster 1 in
+  let result = ref "" in
+  Client.join a ~idbuf:"alice:pw" (function
+    | Some _ -> Client.invoke a "incr" (fun r -> result := r)
+    | None -> Alcotest.fail "join denied");
+  Client.join b ~idbuf:"bob:pw" (fun _ -> ());
+  Cluster.run cluster ~seconds:5.0;
+  Alcotest.(check string) "joined client completed a request" "1" !result;
+  let cid = Option.get (Client.client_id a) in
+  let members () = Array.map Replica.membership (Cluster.replicas cluster) in
+  let payload = Message.Leave_msg { lv_client = cid } in
+  let pb = Message.payload_bytes payload in
+  for dst = 0 to cfg.n - 1 do
+    let auth =
+      Message.Authenticated
+        (Crypto.Authenticator.compute ~keys:[ (dst, Client.session_key_for b dst) ] pb)
+    in
+    Simnet.Net.send (Cluster.net cluster) ~src:(Client.addr b) ~dst
+      (Message.encode_wire ~payload_bytes:pb auth)
+  done;
+  Cluster.run cluster ~seconds:2.0;
+  Array.iter
+    (fun m -> Alcotest.(check bool) "forged leave ignored" true (Membership.lookup m cid <> None))
+    (members ());
+  Client.leave a;
+  Cluster.run cluster ~seconds:2.0;
+  Array.iter
+    (fun m ->
+      Alcotest.(check bool) "client dropped" true (Membership.lookup m cid = None);
+      Alcotest.(check int) "one member left" 1 (Membership.count m))
+    (members ());
+  let image r =
+    let pages = Replica.pages r in
+    Statemgr.Pages.read pages ~pos:0 ~len:(4 * Statemgr.Pages.page_size pages)
+  in
+  let images = Array.map image (Cluster.replicas cluster) in
+  Array.iter (fun i -> Alcotest.(check string) "membership pages agree" images.(0) i) images;
+  let c = Cluster.client cluster 2 and joined = ref false in
+  Client.join c ~idbuf:"carol:pw" (fun r -> joined := r <> None);
+  Cluster.run cluster ~seconds:5.0;
+  Alcotest.(check bool) "freed slot takes a later join" true !joined
+
 let test_nondet_delta_blocks_replay () =
   (* Condensed version of the §2.5 experiment: with plain delta
      validation a restarted replica rejects replayed entries; with the
@@ -1585,6 +1635,7 @@ let () =
           Alcotest.test_case "join then request" `Quick test_dynamic_join_and_request;
           Alcotest.test_case "join denied" `Quick test_dynamic_join_denied_bad_credentials;
           Alcotest.test_case "leave" `Quick test_dynamic_leave;
+          Alcotest.test_case "ordered leave frees the slot" `Quick test_dynamic_ordered_leave;
           Alcotest.test_case "one lying challenger cannot wedge a join" `Quick
             test_dynamic_join_lying_challenge;
         ] );

@@ -81,6 +81,8 @@ let validate t =
   else if t.client_timeout <= 0.0 then Error "client_timeout must be positive"
   else if t.join_request_timeout <= 0.0 then Error "join_request_timeout must be positive"
   else if t.view_change_timeout <= 0.0 then Error "view_change_timeout must be positive"
+  else if t.authenticator_rebroadcast <= 0.0 then
+    Error "authenticator_rebroadcast must be positive"
   else if t.max_clients < 1 then Error "max_clients must be at least 1"
   else if t.pipeline_depth < 1 then Error "pipeline_depth must be at least 1"
   else if t.cores < 1 then Error "cores must be at least 1"

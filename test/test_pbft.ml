@@ -123,6 +123,10 @@ let test_config_validation () =
   Alcotest.(check bool) "n mismatch" true (Config.validate { ok with Config.n = 5 } <> Ok ());
   Alcotest.(check bool) "window" true
     (Config.validate { ok with Config.log_window = 1 } <> Ok ());
+  (* A zero rebroadcast period re-arms at the same virtual instant
+     forever, so the clock would never advance. *)
+  Alcotest.(check bool) "rebroadcast period" true
+    (Config.validate { ok with Config.authenticator_rebroadcast = 0.0 } <> Ok ());
   Alcotest.(check string) "naming" "sta_mac_allbig_batch" (Config.name ok);
   Alcotest.(check string) "robust naming" "sta_nomac_noallbig_batch" (Config.name (Config.robust ~f:1))
 

@@ -32,13 +32,7 @@ let mutations t = t.n_mutations
 (* Authentication for forged / rewritten messages. The adversary is a
    real group member, so it holds a legitimate signing key and (in MAC
    mode) the per-peer session keys it chose — its lies verify. *)
-let reauth t ~dst pb =
-  if t.cfg.use_macs then begin
-    match Replica.session_key_for t.replica dst with
-    | Some k -> Message.Authenticated (Crypto.Authenticator.compute ~keys:[ (dst, k) ] pb)
-    | None -> Message.Signed (Crypto.Keychain.sign (Replica.signer t.replica) pb)
-  end
-  else Message.Signed (Crypto.Keychain.sign (Replica.signer t.replica) pb)
+let reauth t ~dst pb = Replica.authenticate_to t.replica ~dst pb
 
 (* Decode a wire, rewrite its payload through [f], re-encode with fresh
    (valid) authentication for the concrete destination. [f] returning

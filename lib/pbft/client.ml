@@ -274,7 +274,7 @@ let f1_value t tbl =
 let arm_join_retry t js k =
   js.j_timer <-
     Some
-      (Simnet.Engine.timer t.engine ~delay:t.cfg.join_request_timeout (fun () ->
+      (Simnet.Engine.timer t.engine ~delay:Config.join_request_timeout (fun () ->
            let[@detlint.allow physical_eq] active =
              match t.joining with Some js' -> js' == js | None -> false
            in

@@ -11,7 +11,6 @@ type t = {
   big_request_threshold : int;
   batching : bool;
   congestion_window : int;
-  max_batch_bytes : int;
   batch_delay : float;
   dynamic_clients : bool;
   max_clients : int;
@@ -19,21 +18,20 @@ type t = {
   checkpoint_interval : int;
   log_window : int;
   client_timeout : float;
-  join_request_timeout : float;
   view_change_timeout : float;
   status_period : float;
   authenticator_rebroadcast : float;
-  tentative_execution : bool;
-  read_only_optimization : bool;
   fetch_missing_bodies : bool;
   fetch_missing_entries : bool;
   nondet : nondet_validation;
-  sign_bits : int;
   pipeline_depth : int;
   cores : int;
   rejoin_key_refresh : bool;
   key_refresh_period : float;
 }
+
+let max_batch_bytes = 8 * 1024
+let join_request_timeout = 1.0
 
 let default ~f =
   {
@@ -44,7 +42,6 @@ let default ~f =
     big_request_threshold = 0;
     batching = true;
     congestion_window = 1;
-    max_batch_bytes = 8 * 1024;
     batch_delay = 80e-6;
     dynamic_clients = false;
     max_clients = 64;
@@ -52,16 +49,12 @@ let default ~f =
     checkpoint_interval = 128;
     log_window = 256;
     client_timeout = 0.150;
-    join_request_timeout = 1.0;
     view_change_timeout = 5.0;
     status_period = 0.25;
     authenticator_rebroadcast = 2.0;
-    tentative_execution = true;
-    read_only_optimization = true;
     fetch_missing_bodies = false;
     fetch_missing_entries = false;
     nondet = No_validation;
-    sign_bits = 512;
     pipeline_depth = 1;
     cores = 1;
     rejoin_key_refresh = false;
@@ -79,7 +72,6 @@ let validate t =
     Error "log_window must be at least two checkpoint intervals"
   else if t.congestion_window < 1 then Error "congestion_window must be at least 1"
   else if t.client_timeout <= 0.0 then Error "client_timeout must be positive"
-  else if t.join_request_timeout <= 0.0 then Error "join_request_timeout must be positive"
   else if t.view_change_timeout <= 0.0 then Error "view_change_timeout must be positive"
   else if t.authenticator_rebroadcast <= 0.0 then
     Error "authenticator_rebroadcast must be positive"

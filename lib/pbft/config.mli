@@ -25,7 +25,6 @@ type t = {
   congestion_window : int;
       (** max requests received-but-not-executed at the primary before it
           withholds pre-prepares to batch (§2.1) *)
-  max_batch_bytes : int;  (** datagram budget for one pre-prepare *)
   batch_delay : float;
       (** how long the primary lingers after the window frees before
           issuing the next pre-prepare, gathering straggler requests into
@@ -37,10 +36,6 @@ type t = {
   checkpoint_interval : int;  (** executions per checkpoint *)
   log_window : int;  (** high − low watermark distance *)
   client_timeout : float;  (** client retransmission period *)
-  join_request_timeout : float;
-      (** retransmission period for the two-phase join handshake (§3.1);
-          join traffic is signed and pre-agreement, so it runs on its own
-          timer rather than [client_timeout] *)
   view_change_timeout : float;
       (** base watchdog delay before a backup starts a view change; the
           effective timeout doubles per consecutive failed view change
@@ -52,8 +47,6 @@ type t = {
   authenticator_rebroadcast : float;
       (** period of the blind session-key rebroadcast that unblocks a
           recovering replica (§2.3) *)
-  tentative_execution : bool;
-  read_only_optimization : bool;
   fetch_missing_bodies : bool;
       (** remedy for §2.4: a replica missing a big-request body asks its
           peers for it instead of stalling until the next checkpoint.
@@ -65,7 +58,6 @@ type t = {
           path whose interaction with delta validation §2.5 dissects.
           Off by default. *)
   nondet : nondet_validation;
-  sign_bits : int;  (** Rabin key size when [use_macs] is false *)
   pipeline_depth : int;
       (** how many congestion windows of batches may be in flight through
           the three agreement phases at once. 1 (default) is the paper's
@@ -93,6 +85,14 @@ type t = {
           useful). 0 (default) disables; the previous epoch's key is kept
           verifiable so in-flight authenticators survive the rollover *)
 }
+
+val max_batch_bytes : int
+(** Datagram budget for one pre-prepare: 8 KiB. *)
+
+val join_request_timeout : float
+(** Retransmission period for the two-phase join handshake (§3.1): 1 s.
+    Join traffic is signed and pre-agreement, so it runs on its own timer
+    rather than [client_timeout]. *)
 
 val default : f:int -> t
 (** Castro's preferred configuration: MACs, all-big, batching, tentative

@@ -54,7 +54,6 @@ type t = {
   threshold : (Crypto.Threshold.public * Crypto.Threshold.share) option;
   service_spec : Service.t;
   service : Service.instance;
-  mid_pages : int;  (** middleware partition size, pages *)
   pages : Statemgr.Pages.t;
   merkle : Statemgr.Merkle.t;
   membership : Membership.t;
@@ -172,7 +171,6 @@ let transfer_pages_fetched t = t.n_pages_fetched
 let transfer_pages_full t = t.n_pages_full
 let key_epoch t = t.key_epoch
 let signer t = t.signer
-let session_key_for t peer = Hashtbl.find_opt t.keys_i_chose peer
 let set_record_journal t v = t.record_journal <- v
 let exec_journal t = List.rev t.exec_journal
 
@@ -215,12 +213,17 @@ let is_recovering t = t.recovering
 let recovery_completed_at t = t.recovery_done
 let now t = Simnet.Engine.now t.engine
 
+(* Execution resumed after a restart: note when, once. *)
+let note_caught_up t = if t.recovering && t.recovery_done = None then t.recovery_done <- Some (now t)
+
 (* ------------------------------------------------------------------ *)
 (* Middleware partition: page 0 holds the serialized membership table.  *)
 
+let mid_partition_pages = 4
+
 let sync_membership_to_pages t =
   let image = Membership.serialize t.membership in
-  let cap = t.mid_pages * Statemgr.Pages.page_size t.pages in
+  let cap = mid_partition_pages * Statemgr.Pages.page_size t.pages in
   if String.length image + 8 > cap then failwith "middleware partition full";
   Statemgr.Pages.notify_modify t.pages ~pos:0 ~len:(8 + String.length image);
   Statemgr.Pages.write t.pages ~pos:0 (Printf.sprintf "%07d " (String.length image));
@@ -256,30 +259,25 @@ let charge_fanout t ~n ~unit_cost k =
 (* ------------------------------------------------------------------ *)
 (* Authentication.                                                      *)
 
-let replica_addrs t = List.init t.cfg.n (fun i -> i)
+(* The other replicas, in id order. *)
+let peers t = List.filter (fun peer -> peer <> t.id) (List.init t.cfg.n Fun.id)
 
 let make_auth_multicast t payload_bytes =
   if t.cfg.use_macs then begin
     let keys =
       List.filter_map
-        (fun peer ->
-          if peer = t.id then None
-          else
-            Option.map (fun k -> (peer, k)) (Hashtbl.find_opt t.keys_i_chose peer))
-        (replica_addrs t)
+        (fun peer -> Option.map (fun k -> (peer, k)) (Hashtbl.find_opt t.keys_i_chose peer))
+        (peers t)
     in
     Message.Authenticated (Crypto.Authenticator.compute ~keys payload_bytes)
   end
   else Message.Signed (Crypto.Keychain.sign t.signer payload_bytes)
 
-let make_auth_to t payload_bytes dst =
-  if t.cfg.use_macs then begin
-    match Hashtbl.find_opt t.keys_i_chose dst with
-    | Some k ->
-      Message.Authenticated (Crypto.Authenticator.compute ~keys:[ (dst, k) ] payload_bytes)
-    | None -> Message.Signed (Crypto.Keychain.sign t.signer payload_bytes)
-  end
-  else Message.Signed (Crypto.Keychain.sign t.signer payload_bytes)
+let authenticate_to t ~dst payload_bytes =
+  match Hashtbl.find_opt t.keys_i_chose dst with
+  | Some k when t.cfg.use_macs ->
+    Message.Authenticated (Crypto.Authenticator.compute ~keys:[ (dst, k) ] payload_bytes)
+  | Some _ | None -> Message.Signed (Crypto.Keychain.sign t.signer payload_bytes)
 
 let verifier_for_addr t addr =
   if addr < t.cfg.n then Some t.registry.reg_verifiers.(addr)
@@ -338,13 +336,13 @@ let send_wire t ~dst ~already_charged ~label ~detail wire =
 
 let send_to t ?(already_charged = false) ~dst payload =
   let pb = Message.payload_bytes payload in
-  let auth = make_auth_to t pb dst in
-  let wire = Message.encode_wire ~payload_bytes:pb auth in
+  let wire = Message.encode_wire ~payload_bytes:pb (authenticate_to t ~dst pb) in
   let label = Message.label payload in
   let detail () = Message.describe payload in
-  let auth_cost = if already_charged then 0.0 else Costmodel.auth_gen t.costs t.cfg in
   if already_charged then send_wire t ~dst ~already_charged:true ~label ~detail wire
-  else charge t auth_cost (fun () -> send_wire t ~dst ~already_charged:false ~label ~detail wire)
+  else
+    charge t (Costmodel.auth_gen t.costs t.cfg) (fun () ->
+        send_wire t ~dst ~already_charged:false ~label ~detail wire)
 
 let multicast_replicas t ?(already_charged = false) payload =
   let pb = Message.payload_bytes payload in
@@ -355,18 +353,25 @@ let multicast_replicas t ?(already_charged = false) payload =
   let wire = Message.encode_wire ~payload_bytes:pb auth in
   let label = Message.label payload in
   let detail () = Message.describe payload in
-  let auth_cost = if already_charged then 0.0 else Costmodel.auth_gen t.costs t.cfg in
-  let go () =
-    List.iter
-      (fun peer ->
-        if peer <> t.id then send_wire t ~dst:peer ~already_charged ~label ~detail wire)
-      (replica_addrs t)
-  in
+  let go () = List.iter (fun dst -> send_wire t ~dst ~already_charged ~label ~detail wire) (peers t) in
   if already_charged then go ()
   else if Simnet.Cpu.cores t.cpu > 1 then
     (* The n−1 MAC tags are independent work; fan them across cores. *)
     Simnet.Cpu.execute_split t.cpu ~costs:(Costmodel.auth_gen_costs t.costs t.cfg) go
-  else charge t auth_cost go
+  else charge t (Costmodel.auth_gen t.costs t.cfg) go
+
+(* Key establishment always uses signatures (the MAC keys are what is
+   being distributed): one signature covers every destination. *)
+let send_signed t ~dsts payload =
+  let pb = Message.payload_bytes payload in
+  let wire =
+    Message.encode_wire ~payload_bytes:pb (Message.Signed (Crypto.Keychain.sign t.signer pb))
+  in
+  let label = Message.label payload in
+  let detail () = Message.describe payload in
+  charge t
+    (t.costs.sign +. send_cost t ((String.length pb + 80) * List.length dsts))
+    (fun () -> List.iter (fun dst -> send_wire t ~dst ~already_charged:true ~label ~detail wire) dsts)
 
 (* ------------------------------------------------------------------ *)
 (* Session keys.                                                        *)
@@ -396,19 +401,10 @@ let send_session_key t peer =
       Hashtbl.replace t.keys_i_chose peer k;
       k
   in
-  let payload = Message.Session_key { sk_sender = t.id; sk_target = peer; sk_key_box = key } in
-  (* Key establishment always uses signatures (the MAC keys are what
-     is being distributed). *)
-  let pb = Message.payload_bytes payload in
-  let auth = Message.Signed (Crypto.Keychain.sign t.signer pb) in
-  let wire = Message.encode_wire ~payload_bytes:pb auth in
-  let label = Message.label payload in
-  let detail () = Message.describe payload in
-  charge t (t.costs.sign +. send_cost t (String.length pb + 80)) (fun () ->
-      send_wire t ~dst:peer ~already_charged:true ~label ~detail wire)
+  send_signed t ~dsts:[ peer ]
+    (Message.Session_key { sk_sender = t.id; sk_target = peer; sk_key_box = key })
 
-let broadcast_session_keys t =
-  List.iter (fun peer -> if peer <> t.id then send_session_key t peer) (replica_addrs t)
+let broadcast_session_keys t = List.iter (send_session_key t) (peers t)
 
 (* Proactive key refresh (on the virtual clock): advance the epoch,
    re-derive every outbound session key, and rebroadcast. Bounds the
@@ -418,30 +414,16 @@ let refresh_session_keys t =
   t.key_epoch <- t.key_epoch + 1;
   List.iter
     (fun peer ->
-      if peer <> t.id then
-        Hashtbl.replace t.keys_i_chose peer
-          (Crypto.Keychain.derive_session_key t.signer ~peer ~epoch:t.key_epoch))
-    (replica_addrs t);
+      Hashtbl.replace t.keys_i_chose peer
+        (Crypto.Keychain.derive_session_key t.signer ~peer ~epoch:t.key_epoch))
+    (peers t);
   broadcast_session_keys t
 
 (* §2.3 remedy (gated by [rejoin_key_refresh]): a restarted replica lost
    every key its peers chose for it, so it multicasts a signed
    Key_request; each peer answers with its Session_key immediately
    instead of recovery stalling until the next blind rebroadcast. *)
-let request_session_keys t =
-  let payload = Message.Key_request { kq_replica = t.id } in
-  let pb = Message.payload_bytes payload in
-  let auth = Message.Signed (Crypto.Keychain.sign t.signer pb) in
-  let wire = Message.encode_wire ~payload_bytes:pb auth in
-  let label = Message.label payload in
-  let detail () = Message.describe payload in
-  charge t
-    (t.costs.sign +. send_cost t ((String.length pb + 80) * Int.max 1 (t.cfg.n - 1)))
-    (fun () ->
-      List.iter
-        (fun peer ->
-          if peer <> t.id then send_wire t ~dst:peer ~already_charged:true ~label ~detail wire)
-        (replica_addrs t))
+let request_session_keys t = send_signed t ~dsts:(peers t) (Message.Key_request { kq_replica = t.id })
 
 (* ------------------------------------------------------------------ *)
 (* Request bodies.                                                      *)
@@ -491,6 +473,50 @@ let retire_through t seq =
     (Util.Sorted_tbl.keys t.entry_requests);
   age_out_bodies t ~still_live:retired.still_live
 
+(* Fold the dirty pages into the Merkle tree and take a COW snapshot. *)
+let snapshot t ~seqno =
+  Statemgr.Merkle.update t.merkle t.pages (Statemgr.Pages.dirty t.pages);
+  Statemgr.Pages.clear_dirty t.pages;
+  Statemgr.Checkpoint.take ~seqno t.pages t.merkle
+
+(* Register the current state as our own checkpoint at [seq], so we can
+   vote for it and serve transfers from it. *)
+let register_checkpoint t seq =
+  t.n_ckpt <- t.n_ckpt + 1;
+  Hashtbl.replace t.checkpoints seq (snapshot t ~seqno:seq)
+
+(* Pages of a transfer not yet received. *)
+let missing_pages tr =
+  List.filter (fun w -> not (List.mem_assoc w tr.tr_received)) tr.tr_wanted
+
+(* The vote set for [key], created on first use. *)
+let votes_for tbl key =
+  match Hashtbl.find_opt tbl key with
+  | Some votes -> votes
+  | None ->
+    let votes = Hashtbl.create 8 in
+    Hashtbl.add tbl key votes;
+    votes
+
+(* Write a proposal into its log slot. *)
+let set_proposal (e : Log.entry) ~view ~batch ~nondet ~digest =
+  e.pp_view <- view;
+  e.batch <- Some batch;
+  e.nondet <- nondet;
+  e.batch_digest <- digest
+
+(* The agreement messages for a log slot, built from what it holds. *)
+let pre_prepare_of (e : Log.entry) =
+  Message.Pre_prepare
+    { pp_view = e.pp_view; pp_seq = e.seq; pp_batch = Option.value ~default:[] e.batch;
+      pp_nondet = e.nondet }
+
+let prepare_of t (e : Log.entry) =
+  Message.Prepare { p_view = e.pp_view; p_seq = e.seq; p_digest = e.batch_digest; p_replica = t.id }
+
+let commit_of t (e : Log.entry) =
+  Message.Commit { c_view = e.pp_view; c_seq = e.seq; c_digest = e.batch_digest; c_replica = t.id }
+
 (* ------------------------------------------------------------------ *)
 (* Watchdog (view-change timer).                                        *)
 
@@ -500,6 +526,10 @@ let retire_through t seq =
    primaries livelock the group — each view change fires on the same
    fixed timer before the previous one can complete. *)
 let vc_timeout t = t.cfg.view_change_timeout *. float_of_int (1 lsl Int.min t.vc_attempts 16)
+
+let cancel_watchdog t =
+  Option.iter Simnet.Engine.cancel t.watchdog;
+  t.watchdog <- None
 
 let rec arm_watchdog t =
   match t.watchdog with
@@ -513,6 +543,16 @@ let rec arm_watchdog t =
       in
       t.watchdog <- Some timer
     end
+
+(* Put a request on the watchdog's ledger, stamped now, and arm the
+   watchdog; false if the request was already there. *)
+and await t key =
+  let fresh = not (Hashtbl.mem t.waiting key) in
+  if fresh then begin
+    Hashtbl.replace t.waiting key (now t);
+    arm_watchdog t
+  end;
+  fresh
 
 and check_watchdog t =
   (* Order-free: Float.min is commutative and the timestamps carry no NaN. *)
@@ -531,11 +571,6 @@ and check_watchdog t =
 
 (* ------------------------------------------------------------------ *)
 (* Execution.                                                           *)
-
-and client_addr_of t client =
-  match Membership.lookup t.membership client with
-  | Some e -> Some e.me_addr
-  | None -> None
 
 and resolve_item t (item : Message.batch_item) =
   match item with
@@ -569,14 +604,8 @@ and execute_request t rq ~nondet ~tentative ~speculative =
 (* System operations ordered through the normal request path (§3.1):
    "\x01J..." = join, "\x01L..." = leave. *)
 and execute_system_op t rq ~ts =
-  let body = String.sub rq.rq_op 1 (String.length rq.rq_op - 1) in
-  match execute_system_op_body t ~ts body with
-  | result -> result
-  | exception Util.Codec.R.Truncated -> "error: bad system op"
-
-and execute_system_op_body t ~ts body =
-  begin
-    let r = Util.Codec.R.of_string body in
+  let r = Util.Codec.R.of_string (String.sub rq.rq_op 1 (String.length rq.rq_op - 1)) in
+  try
     let kind = Util.Codec.R.u8 r in
     if kind = Char.code 'J' then begin
       let addr = Util.Codec.R.varint r in
@@ -626,20 +655,21 @@ and execute_system_op_body t ~ts body =
            reply-cache entry is the ordered session teardown"];
         Util.Lru.remove t.ro_replies client;
         t.service.on_session_end client;
-        sync_membership_to_pages t
-      end;
-      if ok then "left" else "error: unknown client"
+        sync_membership_to_pages t;
+        "left"
+      end
+      else "error: unknown client"
     end
     else "error: unknown system op"
-  end
+  with Util.Codec.R.Truncated -> "error: bad system op"
 
 and send_join_reply t ~addr ~client ~ok =
   send_to t ~dst:addr (Message.Join_reply { jl_replica = t.id; jl_client = client; jl_ok = ok })
 
 and send_reply t rq ~result ~tentative ~already_charged =
-  match client_addr_of t rq.Message.rq_client with
+  match Membership.lookup t.membership rq.Message.rq_client with
   | None -> ()
-  | Some addr ->
+  | Some { me_addr = addr; _ } ->
     let r_partial =
       match t.threshold with
       | None -> None
@@ -668,9 +698,7 @@ and snapshot_state t =
     Simnet.Cpu.execute_split t.cpu
       ~costs:(List.map (fun _ -> t.costs.merkle_leaf) dirty)
       (fun () -> ());
-  Statemgr.Merkle.update t.merkle t.pages dirty;
-  Statemgr.Pages.clear_dirty t.pages;
-  Statemgr.Checkpoint.take ~seqno:t.last_executed t.pages t.merkle
+  snapshot t ~seqno:t.last_executed
 
 and announce_checkpoint t ~seq ck =
   t.n_ckpt <- t.n_ckpt + 1;
@@ -689,15 +717,7 @@ and take_pending_checkpoint t =
   Hashtbl.replace t.pending_ckpts t.last_executed (snapshot_state t)
 
 and record_ckpt_vote t ~seq ~replica ~digest =
-  let votes =
-    match Hashtbl.find_opt t.ckpt_votes seq with
-    | Some v -> v
-    | None ->
-      let v = Hashtbl.create 8 in
-      Hashtbl.add t.ckpt_votes seq v;
-      v
-  in
-  Hashtbl.replace votes replica digest
+  Hashtbl.replace (votes_for t.ckpt_votes seq) replica digest
 
 and check_ckpt_stable t seq =
   match Hashtbl.find_opt t.ckpt_votes seq with
@@ -754,40 +774,17 @@ and check_ckpt_stable t seq =
          does not match, we diverged — discard the speculation and let
          the demotion branch below transfer the certified state. *)
       if t.last_committed_exec < seq && t.last_executed >= seq then begin
-        let mine =
-          match Hashtbl.find_opt t.pending_ckpts seq with
-          | Some ck -> Some ck
-          | None -> Hashtbl.find_opt t.checkpoints seq
-        in
-        match mine with
+        let deferred = Hashtbl.find_opt t.pending_ckpts seq in
+        match if Option.is_some deferred then deferred else Hashtbl.find_opt t.checkpoints seq with
         | Some ck when String.equal (Statemgr.Checkpoint.root ck) digest ->
           let lo = t.last_committed_exec in
           t.last_committed_exec <- seq;
           List.iter
             (fun (e : Log.entry) ->
-              if e.seq > lo && e.seq <= seq && (e.executed || e.tentatively_executed) then begin
-                if not e.executed then journal_commit t e.seq e.batch_digest;
-                e.executed <- true;
-                (match e.batch with
-                | Some items ->
-                  List.iter
-                    (fun it ->
-                      let ((client, id) as key) = Message.batch_item_client_id it in
-                      Hashtbl.remove t.waiting key;
-                      match Log.cached_reply t.log client with
-                      | Some cr when cr.cr_id = id && cr.cr_tentative && not cr.cr_speculative ->
-                        Log.cache_reply t.log client { cr with cr_tentative = false }
-                      | Some _ | None -> ())
-                    items
-                | None -> ());
-                flush_speculative t e
-              end)
+              if e.seq > lo && e.seq <= seq && (e.executed || e.tentatively_executed) then
+                finalize t e)
             (Log.entries_between t.log ~lo ~hi:seq);
-          (match Hashtbl.find_opt t.pending_ckpts seq with
-          | Some pck ->
-            Hashtbl.remove t.pending_ckpts seq;
-            announce_checkpoint t ~seq pck
-          | None -> ());
+          announce_deferred t seq;
           advance_committed t;
           (* The undo snapshot predates the finalized prefix; a later
              rollback restoring it would drag committed state backwards.
@@ -816,18 +813,22 @@ and check_ckpt_stable t seq =
     | Some _ | None -> ())
 
 and start_state_transfer t ~kind ?(attempt = 0) ~seq ~peer ~digest () =
-  t.transfer <-
-    Some
-      { tr_kind = kind; tr_attempt = attempt; tr_seq = seq; tr_peer = peer; tr_digest = digest;
-        tr_leaves = [||]; tr_wanted = []; tr_received = [] };
+  let tr =
+    { tr_kind = kind; tr_attempt = attempt; tr_seq = seq; tr_peer = peer; tr_digest = digest;
+      tr_leaves = [||]; tr_wanted = []; tr_received = [] }
+  in
+  t.transfer <- Some tr;
   t.n_transfers <- t.n_transfers + 1;
   (match kind with
   | Demotion -> t.n_demotion_transfers <- t.n_demotion_transfers + 1
   | Rejoin -> t.n_rejoin_transfers <- t.n_rejoin_transfers + 1);
-  (* fm_seq = 0 asks for the peer's latest stable checkpoint (the rejoin
-     path, which does not know how far the group has advanced). *)
-  send_to t ~dst:peer (Message.Fetch_meta { fm_seq = Int.max 0 seq; fm_replica = t.id });
+  fetch_meta t tr;
   arm_transfer_retry t
+
+(* fm_seq = 0 asks for the peer's latest stable checkpoint (the rejoin
+   path, which does not know how far the group has advanced). *)
+and fetch_meta t tr =
+  send_to t ~dst:tr.tr_peer (Message.Fetch_meta { fm_seq = Int.max 0 tr.tr_seq; fm_replica = t.id })
 
 (* Rejoin after restart: pull the latest stable checkpoint from peers in
    ring order, starting just after ourselves and rotating on a peer that
@@ -849,18 +850,13 @@ and arm_transfer_retry t =
           match t.transfer with
           | None -> ()
           | Some tr ->
-            (if tr.tr_wanted = [] then
-               send_to t ~dst:tr.tr_peer
-                 (Message.Fetch_meta { fm_seq = Int.max 0 tr.tr_seq; fm_replica = t.id })
-             else begin
-               let have = List.map fst tr.tr_received in
-               let missing = List.filter (fun w -> not (List.mem w have)) tr.tr_wanted in
+            (if tr.tr_wanted = [] then fetch_meta t tr
+             else
                List.iter
                  (fun page ->
                    send_to t ~dst:tr.tr_peer
                      (Message.Fetch_pages { fp_seq = tr.tr_seq; fp_pages = [ page ]; fp_replica = t.id }))
-                 missing
-             end);
+                 (missing_pages tr));
             arm_transfer_retry t
         end)
   in
@@ -877,66 +873,67 @@ and advance_committed t =
     if next <= t.last_executed then begin
       match Log.find t.log next with
       | Some e when e.committed && (e.executed || e.tentatively_executed) ->
-        if not e.executed then journal_commit t next e.batch_digest;
-        e.executed <- true;
         t.last_committed_exec <- next;
-        (match e.batch with
-        | Some items ->
-          List.iter
-            (fun it ->
-              let ((client, id) as key) = Message.batch_item_client_id it in
-              Hashtbl.remove t.waiting key;
-              (* Serial tentative execution already sent the reply marked
-                 tentative and cached it that way; now that the commit
-                 certificate landed the cached copy is stable, so
-                 retransmissions must be answered with a stable reply —
-                 otherwise a client facing f mute replicas can collect
-                 2f tentative + 1 stale-stable replies forever and reach
-                 neither quorum. (The pipelined path is upgraded by
-                 [flush_speculative] below.) *)
-              match Log.cached_reply t.log client with
-              | Some cr when cr.cr_id = id && cr.cr_tentative && not cr.cr_speculative ->
-                Log.cache_reply t.log client { cr with cr_tentative = false }
-              | Some _ | None -> ())
-            items
-        | None -> ());
-        flush_speculative t e;
-        (match Hashtbl.find_opt t.pending_ckpts next with
-        | Some ck ->
-          Hashtbl.remove t.pending_ckpts next;
-          announce_checkpoint t ~seq:next ck
-        | None -> ());
+        finalize t e;
+        announce_deferred t next;
         progress := true
       | Some _ | None -> ()
     end
   done;
   if t.last_committed_exec >= t.last_executed then t.undo <- None
 
-(* The commit certificate landed for a speculatively executed batch:
-   release its buffered replies (now stable, tentative = false) and flip
-   the reply-cache entries so client retransmissions can be answered. *)
-and flush_speculative t (e : Log.entry) =
-  match e.pending_replies with
-  | [] -> ()
-  | pending ->
-    e.pending_replies <- [];
-    let total_cost = ref 0.0 in
-    let partial_cost = match t.threshold with Some _ -> t.costs.sign | None -> 0.0 in
-    List.iter
-      (fun ((rq : Message.request), result, ts) ->
-        Log.cache_reply t.log rq.rq_client
-          { cr_id = rq.rq_id; cr_result = result; cr_view = t.view; cr_tentative = false;
-            cr_timestamp = ts; cr_speculative = false };
-        total_cost :=
-          !total_cost +. partial_cost
-          +. Costmodel.auth_gen t.costs t.cfg
-          +. send_cost t (String.length result + 64))
-      pending;
-    charge t !total_cost (fun () ->
-        List.iter
-          (fun (rq, result, _) ->
-            send_reply t rq ~result ~tentative:false ~already_charged:true)
-          pending)
+(* An executed entry's commit certificate landed: journal it, take its
+   requests off the waiting ledger, and make its replies stable. Serial
+   tentative execution already sent the reply marked tentative and cached
+   it that way, so the cached copy turns stable — otherwise a client
+   facing f mute replicas can collect 2f tentative + 1 stale-stable
+   replies forever and reach neither quorum. Pipelined speculation
+   withheld its replies: they go out now, stable. *)
+and finalize t (e : Log.entry) =
+  if not e.executed then journal_commit t e.seq e.batch_digest;
+  e.executed <- true;
+  List.iter
+    (fun it ->
+      let ((client, id) as key) = Message.batch_item_client_id it in
+      Hashtbl.remove t.waiting key;
+      match Log.cached_reply t.log client with
+      | Some cr when cr.cr_id = id && cr.cr_tentative && not cr.cr_speculative ->
+        Log.cache_reply t.log client { cr with cr_tentative = false }
+      | Some _ | None -> ())
+    (Option.value ~default:[] e.batch);
+  let pending = e.pending_replies in
+  e.pending_replies <- [];
+  List.iter
+    (fun ((rq : Message.request), result, ts) ->
+      Log.cache_reply t.log rq.rq_client
+        { cr_id = rq.rq_id; cr_result = result; cr_view = t.view; cr_tentative = false;
+          cr_timestamp = ts; cr_speculative = false })
+    pending;
+  if pending <> [] then send_replies t ~cost:0.0 ~sum:pending ~tentative:false pending
+
+(* A checkpoint deferred at [seq] is announced once [seq] commits. *)
+and announce_deferred t seq =
+  match Hashtbl.find_opt t.pending_ckpts seq with
+  | Some ck ->
+    Hashtbl.remove t.pending_ckpts seq;
+    announce_checkpoint t ~seq ck
+  | None -> ()
+
+(* Reply I/O and authentication, charged as one block on top of [cost].
+   The pieces are added in [sum]'s order: the pinned float order. *)
+and send_replies t ~cost ~sum ~tentative replies =
+  let partial_cost = match t.threshold with Some _ -> t.costs.sign | None -> 0.0 in
+  let total =
+    List.fold_left
+      (fun acc (_, result, _) ->
+        acc +. partial_cost +. Costmodel.auth_gen t.costs t.cfg
+        +. send_cost t (String.length result + 64))
+      cost sum
+  in
+  charge t total (fun () ->
+      List.iter
+        (fun (rq, result, _) -> send_reply t rq ~result ~tentative ~already_charged:true)
+        replies)
 
 (* Try to execute everything executable in sequence order. *)
 and try_execute t =
@@ -948,9 +945,7 @@ and try_execute t =
     | None -> ()
     | Some entry ->
       let can_stable = entry.committed in
-      let can_tentative =
-        t.cfg.tentative_execution && entry.prepared && not t.in_view_change
-      in
+      let can_tentative = entry.prepared && not t.in_view_change in
       if (can_stable || can_tentative) && not entry.executed then begin
         match entry.batch with
         | None -> ()
@@ -978,11 +973,9 @@ and try_execute t =
                   if not (Hashtbl.mem t.body_requests d) then begin
                     Hashtbl.replace t.body_requests d ();
                     List.iter
-                      (fun peer ->
-                        if peer <> t.id then
-                          send_to t ~dst:peer
-                            (Message.Fetch_body { fb_digest = d; fb_replica = t.id }))
-                      (replica_addrs t)
+                      (fun dst ->
+                        send_to t ~dst (Message.Fetch_body { fb_digest = d; fb_replica = t.id }))
+                      (peers t)
                   end)
                 missing
           end
@@ -1017,23 +1010,8 @@ and try_execute t =
                 entry.pending_replies <- List.rev !replies;
                 charge t !total_cost (fun () -> ())
               end
-              else begin
-                (* Reply I/O and authentication, charged as one block. *)
-                let partial_cost = match t.threshold with Some _ -> t.costs.sign | None -> 0.0 in
-                List.iter
-                  (fun (_, result, _) ->
-                    total_cost :=
-                      !total_cost +. partial_cost
-                      +. Costmodel.auth_gen t.costs t.cfg
-                      +. send_cost t (String.length result + 64))
-                  !replies;
-                let replies_now = List.rev !replies in
-                charge t !total_cost (fun () ->
-                    List.iter
-                      (fun (rq, result, _) ->
-                        send_reply t rq ~result ~tentative ~already_charged:true)
-                      replies_now)
-              end;
+              else
+                send_replies t ~cost:!total_cost ~sum:!replies ~tentative (List.rev !replies);
               if tentative then begin
                 entry.tentatively_executed <- true;
                 t.n_spec_exec <- t.n_spec_exec + 1
@@ -1047,7 +1025,7 @@ and try_execute t =
               t.seqs_executed <- t.seqs_executed + 1;
               t.n_exec <- t.n_exec + List.length items;
               t.vc_attempts <- 0;
-              if t.recovering && t.recovery_done = None then t.recovery_done <- Some (now t);
+              note_caught_up t;
               if t.last_executed mod t.cfg.checkpoint_interval = 0 then begin
                 (* A boundary whose state still contains uncommitted
                    speculation must not be voted; snapshot and defer. *)
@@ -1062,11 +1040,7 @@ and try_execute t =
   done;
   advance_committed t;
   if Hashtbl.length t.waiting = 0 then begin
-    (match t.watchdog with
-    | Some timer ->
-      Simnet.Engine.cancel timer;
-      t.watchdog <- None
-    | None -> ());
+    cancel_watchdog t;
     (* A view change we started alone (no quorum joined) is abandoned once
        everything we were waiting for has executed in the current view. *)
     if t.in_view_change && primary_of_view ~n:t.cfg.n t.vc_target <> t.id then begin
@@ -1146,26 +1120,21 @@ and emit_pre_prepares t =
         in
         take_one ();
         if t.cfg.batching then begin
-          while (not (Queue.is_empty t.pending)) && !bytes < t.cfg.max_batch_bytes do
+          while (not (Queue.is_empty t.pending)) && !bytes < Config.max_batch_bytes do
             take_one ()
           done
         end;
         let items = List.rev !batch in
         t.seq_counter <- t.seq_counter + 1;
         let seq = t.seq_counter in
-        let nondet = Nondet.produce ~now:(now t) t.rng in
         let entry = Log.entry t.log seq in
-        entry.pp_view <- t.view;
-        entry.batch <- Some items;
-        entry.nondet <- nondet;
-        entry.batch_digest <- Message.batch_digest items;
+        set_proposal entry ~view:t.view ~batch:items ~nondet:(Nondet.produce ~now:(now t) t.rng)
+          ~digest:(Message.batch_digest items);
         List.iter
           (fun item -> Hashtbl.replace t.in_flight (Message.batch_item_client_id item) seq)
           items;
         Log.record_prepare entry t.id;
-        let payload =
-          Message.Pre_prepare { pp_view = t.view; pp_seq = seq; pp_batch = items; pp_nondet = nondet }
-        in
+        let payload = pre_prepare_of entry in
         let digest_costs =
           List.map
             (fun it ->
@@ -1191,27 +1160,19 @@ and emit_pre_prepares t =
 (* ------------------------------------------------------------------ *)
 (* Request intake.                                                      *)
 
-and handle_request t ~src rq =
+and handle_request t rq =
   let client = rq.Message.rq_client in
   (* Redirection-table check: unknown identifiers are dismissed before any
      signature work (§3.1). System client 0 is reserved. *)
   match Membership.lookup t.membership client with
   | None -> t.n_auth_fail <- t.n_auth_fail + 1
-  | Some entry ->
-    ignore entry;
-    ignore src;
-    let size = String.length rq.rq_op in
-    let big = t.cfg.all_requests_big || size > t.cfg.big_request_threshold in
+  | Some _ ->
+    let big = t.cfg.all_requests_big || String.length rq.rq_op > t.cfg.big_request_threshold in
     (* A fast-path read is never ordered, so no proposal can name its body. *)
-    let fast_read = rq.rq_readonly && t.cfg.read_only_optimization in
-    if big && not fast_read then begin
+    if big && not rq.rq_readonly then begin
       let d = Message.request_digest rq in
-      store_body t d rq;
       Hashtbl.remove t.body_requests d;
-      (* A stalled entry may have been waiting for exactly this body. *)
-      (match Log.find t.log (t.last_executed + 1) with
-      | Some e when List.mem d e.missing_bodies -> try_execute t
-      | Some _ | None -> ())
+      body_arrived t d rq
     end;
     (* Retransmission of an executed request: resend the cached reply. *)
     (match Log.cached_reply t.log client with
@@ -1223,7 +1184,7 @@ and handle_request t ~src rq =
          the client retransmitting until the flush answers it. *)
       ()
     | Some _ | None ->
-      if rq.rq_readonly && t.cfg.read_only_optimization then begin
+      if rq.rq_readonly then begin
         (* Read-only path: execute immediately against the current state.
            Retransmissions must not re-execute the read — for expensive
            reads that turns one slow reply into a storm of duplicate work.
@@ -1254,38 +1215,33 @@ and handle_request t ~src rq =
         | Some seq when seq > 0 && is_primary t -> begin
           match Log.find t.log seq with
           | Some entry when (not entry.executed) && entry.batch <> None ->
-            multicast_replicas t
-              (Message.Pre_prepare
-                 {
-                   pp_view = entry.pp_view;
-                   pp_seq = seq;
-                   pp_batch = Option.value ~default:[] entry.batch;
-                   pp_nondet = entry.nondet;
-                 })
+            multicast_replicas t (pre_prepare_of entry)
           | Some _ | None -> ()
         end
         | Some _ | None -> ()
       end
-      else if is_primary t then begin
-        Hashtbl.replace t.in_flight (client, rq.rq_id) 0;
-        Queue.push rq t.pending;
-        try_emit_pre_prepare t
-      end
-      else begin
-        (* Backup. First copy: just remember it for the view-change
-           watchdog (for big requests the client multicast included the
-           primary). A second copy is a client retransmission — the
-           client timed out — so relay it to the primary, which is the
-           PBFT trigger for suspecting the primary. *)
-        if not (Hashtbl.mem t.waiting (client, rq.rq_id)) then begin
-          Hashtbl.replace t.waiting (client, rq.rq_id) (now t);
-          arm_watchdog t
-        end
-        else begin
-          let primary = primary_of_view ~n:t.cfg.n t.view in
-          send_to t ~dst:primary (Message.Request_msg rq)
-        end
-      end)
+      else if is_primary t then enqueue t rq
+      (* Backup. First copy: just remember it for the view-change
+         watchdog (for big requests the client multicast included the
+         primary). A second copy is a client retransmission — the client
+         timed out — so relay it to the primary, which is the PBFT trigger
+         for suspecting the primary. *)
+      else if not (await t (client, rq.rq_id)) then
+        send_to t ~dst:(primary_of_view ~n:t.cfg.n t.view) (Message.Request_msg rq))
+
+(* Primary: queue a request for the next pre-prepare. *)
+and enqueue t (rq : Message.request) =
+  Hashtbl.replace t.in_flight (rq.rq_client, rq.rq_id) 0;
+  Queue.push rq t.pending;
+  try_emit_pre_prepare t
+
+(* Store a big-request body; a stalled entry may have been waiting for
+   exactly this one (the copies fan out to replicas at different times). *)
+and body_arrived t d rq =
+  store_body t d rq;
+  match Log.find t.log (t.last_executed + 1) with
+  | Some e when List.mem d e.missing_bodies -> try_execute t
+  | Some _ | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Agreement message handlers.                                          *)
@@ -1337,32 +1293,24 @@ and handle_pre_prepare t ~src (pp_view, pp_seq, pp_batch, pp_nondet) =
         in
         if not clients_ok then t.n_auth_fail <- t.n_auth_fail + 1
         else begin
-          entry.pp_view <- pp_view;
-          entry.batch <- Some pp_batch;
-          entry.nondet <- pp_nondet;
-          entry.batch_digest <- digest;
+          set_proposal entry ~view:pp_view ~batch:pp_batch ~nondet:pp_nondet ~digest;
           Log.record_prepare entry src;
           Log.record_prepare entry t.id;
           (* Track pending work for the watchdog. *)
           List.iter
             (fun item ->
-              let client, rid = Message.batch_item_client_id item in
-              if client > 0 && not (Hashtbl.mem t.waiting (client, rid)) then
-                Hashtbl.replace t.waiting (client, rid) (now t))
+              let ((client, _) as key) = Message.batch_item_client_id item in
+              if client > 0 then ignore (await t key))
             pp_batch;
           arm_watchdog t;
           maybe_fill_gap t ~src ~seen_seq:pp_seq;
+          let prepare = prepare_of t entry in
           charge_fanout t ~n:(List.length pp_batch)
             ~unit_cost:(Costmodel.auth_verify t.costs t.cfg) (fun () ->
-              multicast_replicas t
-                (Message.Prepare
-                   { p_view = pp_view; p_seq = pp_seq; p_digest = digest; p_replica = t.id }));
+              multicast_replicas t prepare);
           (* If this was a retransmitted pre-prepare and we are already
              prepared, our commit may have been lost too — resend it. *)
-          if entry.prepared then
-            multicast_replicas t
-              (Message.Commit
-                 { c_view = entry.pp_view; c_seq = pp_seq; c_digest = digest; c_replica = t.id });
+          if entry.prepared then multicast_replicas t (commit_of t entry);
           check_prepared t entry
         end
       end
@@ -1375,10 +1323,7 @@ and check_prepared t entry =
   then begin
     entry.prepared <- true;
     Log.record_commit entry t.id;
-    multicast_replicas t
-      (Message.Commit
-         { c_view = entry.pp_view; c_seq = entry.seq; c_digest = entry.batch_digest;
-           c_replica = t.id });
+    multicast_replicas t (commit_of t entry);
     check_committed t entry;
     try_execute t
   end
@@ -1464,20 +1409,9 @@ and handle_status t ~src (st_view, st_last_exec) =
       vs.(quorum_f1 ~f:t.cfg.f - 1)
     in
     if supported > t.view then begin
-      (* Same precaution as installing a New_view: tentative executions
-         from the old view may be re-ordered by the new primary's
-         re-proposals, so fall back to the committed prefix first. *)
-      if t.last_executed > t.last_committed_exec then rollback_tentative t;
-      t.view <- supported;
-      t.in_view_change <- false;
-      t.vc_target <- supported;
+      install_view t supported;
       t.vc_attempts <- 0;
-      drop_primary_queue t;
-      (match t.watchdog with
-      | Some timer ->
-        Simnet.Engine.cancel timer;
-        t.watchdog <- None
-      | None -> ());
+      cancel_watchdog t;
       arm_watchdog t
     end
   end;
@@ -1493,33 +1427,28 @@ and handle_status t ~src (st_view, st_last_exec) =
       | None -> ());
     let hi = Int.min t.last_executed (st_last_exec + 64) in
     for seq = st_last_exec + 1 to hi do
-      match Log.find t.log seq with
-      | Some e when e.batch <> None ->
-        send_to t ~dst:src
-          (Message.Entry
-             {
-               en_seq = seq;
-               en_view = e.pp_view;
-               en_batch = Option.value ~default:[] e.batch;
-               en_nondet = e.nondet;
-             });
-        send_to t ~dst:src
-          (Message.Prepare
-             { p_view = e.pp_view; p_seq = seq; p_digest = e.batch_digest; p_replica = t.id });
-        send_to t ~dst:src
-          (Message.Commit
-             { c_view = e.pp_view; c_seq = seq; c_digest = e.batch_digest; c_replica = t.id })
-      | Some _ | None -> ()
+      Option.iter
+        (fun e ->
+          send_to t ~dst:src (prepare_of t e);
+          send_to t ~dst:src (commit_of t e))
+        (replay_entry t ~src seq)
     done
   end
 
-(* Installing a view this replica does not lead ends its primary role:
-   the requests it queued but never proposed belong to the new primary,
-   which the clients' retransmissions reach. Their seq-0 [in_flight]
-   marks go with the queue; left behind, they would shunt every
-   retransmission into the "already being ordered" branch, so the
-   request never reaches this replica's waiting ledger and watchdog. *)
-and drop_primary_queue t =
+(* Enter view [v]. Tentative executions from the old view may be
+   re-ordered by the new primary's re-proposals (divergent commit), so
+   fall back to the committed prefix first. Installing a view this
+   replica does not lead also ends its primary role: the requests it
+   queued but never proposed belong to the new primary, which the
+   clients' retransmissions reach. Their seq-0 [in_flight] marks go with
+   the queue; left behind, they would shunt every retransmission into the
+   "already being ordered" branch, so the request never reaches this
+   replica's waiting ledger and watchdog. *)
+and install_view t v =
+  if t.last_executed > t.last_committed_exec then rollback_tentative t;
+  t.view <- v;
+  t.in_view_change <- false;
+  t.vc_target <- v;
   if not (is_primary t) then begin
     Queue.iter
       (fun (rq : Message.request) -> Hashtbl.remove t.in_flight (rq.rq_client, rq.rq_id))
@@ -1527,18 +1456,14 @@ and drop_primary_queue t =
     Queue.clear t.pending
   end
 
-and handle_fetch_entry t ~src seq =
+(* Replay a log entry to [src], if we hold its batch. *)
+and replay_entry t ~src seq =
   match Log.find t.log seq with
-  | Some e when e.batch <> None ->
+  | Some ({ batch = Some en_batch; _ } as e) ->
     send_to t ~dst:src
-      (Message.Entry
-         {
-           en_seq = seq;
-           en_view = e.pp_view;
-           en_batch = Option.value ~default:[] e.batch;
-           en_nondet = e.nondet;
-         })
-  | Some _ | None -> ()
+      (Message.Entry { en_seq = seq; en_view = e.pp_view; en_batch; en_nondet = e.nondet });
+    Some e
+  | Some _ | None -> None
 
 and handle_entry t ~src:_ (en_seq, en_view, en_batch, en_nondet) =
   let entry = Log.entry t.log en_seq in
@@ -1549,15 +1474,11 @@ and handle_entry t ~src:_ (en_seq, en_view, en_batch, en_nondet) =
     if not (Nondet.validate t.cfg.nondet ~now:(now t) ~recovering:true en_nondet) then
       t.n_nondet_reject <- t.n_nondet_reject + 1
     else begin
-      entry.pp_view <- en_view;
-      entry.batch <- Some en_batch;
-      entry.nondet <- en_nondet;
-      entry.batch_digest <- Message.batch_digest en_batch;
+      set_proposal entry ~view:en_view ~batch:en_batch ~nondet:en_nondet
+        ~digest:(Message.batch_digest en_batch);
       Log.record_prepare entry t.id;
       Hashtbl.remove t.entry_requests en_seq;
-      multicast_replicas t
-        (Message.Prepare
-           { p_view = en_view; p_seq = en_seq; p_digest = entry.batch_digest; p_replica = t.id });
+      multicast_replicas t (prepare_of t entry);
       check_prepared t entry;
       check_committed t entry;
       try_execute t
@@ -1623,11 +1544,7 @@ and start_view_change t v =
     t.n_vc <- t.n_vc + 1;
     t.vc_attempts <- t.vc_attempts + 1;
     rollback_tentative t;
-    (match t.watchdog with
-    | Some timer ->
-      Simnet.Engine.cancel timer;
-      t.watchdog <- None
-    | None -> ());
+    cancel_watchdog t;
     let stable_digest =
       match Hashtbl.find_opt t.checkpoints t.stable_ckpt with
       | Some ck -> Statemgr.Checkpoint.root ck
@@ -1682,15 +1599,7 @@ and record_view_change t ~src payload =
           | Some tbl -> Hashtbl.remove tbl src
           | None -> ())
       (Util.Sorted_tbl.keys t.vc_msgs);
-    let tbl =
-      match Hashtbl.find_opt t.vc_msgs vc.vc_new_view with
-      | Some tbl -> tbl
-      | None ->
-        let tbl = Hashtbl.create 8 in
-        Hashtbl.add t.vc_msgs vc.vc_new_view tbl;
-        tbl
-    in
-    Hashtbl.replace tbl src payload
+    Hashtbl.replace (votes_for t.vc_msgs vc.vc_new_view) src payload
   | _ -> ()
 
 (* Sanity-check a remote view-change vote before it can influence the
@@ -1780,9 +1689,7 @@ and check_new_view t v =
       let vc_digests =
         List.map (fun (src, p) -> (src, Message.digest_of_payload p)) msgs
       in
-      t.view <- v;
-      t.in_view_change <- false;
-      t.vc_target <- v;
+      install_view t v;
       t.seq_counter <- Int.max max_s t.seq_counter;
       if t.last_executed < min_s then begin
         (* We are behind the quorum's stable checkpoint; fetch it. *)
@@ -1807,10 +1714,8 @@ and check_new_view t v =
         (fun (seq, batch) ->
           let entry = Log.entry t.log seq in
           Log.reset_votes entry;
-          entry.pp_view <- v;
-          entry.batch <- Some batch;
-          entry.nondet <- Nondet.produce ~now:(now t) t.rng;
-          entry.batch_digest <- Message.batch_digest batch;
+          set_proposal entry ~view:v ~batch ~nondet:(Nondet.produce ~now:(now t) t.rng)
+            ~digest:(Message.batch_digest batch);
           Log.record_prepare entry t.id)
         reproposals;
       let nv_payload =
@@ -1831,15 +1736,9 @@ and check_new_view t v =
 and handle_new_view t ~src (nv_view, nv_pre_prepares) =
   if src = primary_of_view ~n:t.cfg.n nv_view && nv_view >= t.view then begin
     (* A replica that never timed out still holds speculative executions
-       from the old view; the new primary's re-proposals may order those
-       sequences differently (divergent commit). Roll back to the
-       committed prefix before installing, so re-proposals re-execute
-       against committed state. *)
-    if t.last_executed > t.last_committed_exec then rollback_tentative t;
-    t.view <- nv_view;
-    t.in_view_change <- false;
-    t.vc_target <- nv_view;
-    drop_primary_queue t;
+       from the old view: [install_view] rolls them back, so re-proposals
+       re-execute against committed state. *)
+    install_view t nv_view;
     List.iter
       (fun (seq, batch) ->
         (* Re-run agreement for every re-proposal above the stable
@@ -1855,14 +1754,11 @@ and handle_new_view t ~src (nv_view, nv_pre_prepares) =
              stale prepared flag that would suppress the commit round
              here) do not certify the re-proposal. *)
           Log.reset_votes entry;
-          entry.pp_view <- nv_view;
-          entry.batch <- Some batch;
-          entry.batch_digest <- Message.batch_digest batch;
+          set_proposal entry ~view:nv_view ~batch ~nondet:entry.nondet
+            ~digest:(Message.batch_digest batch);
           Log.record_prepare entry src;
           Log.record_prepare entry t.id;
-          multicast_replicas t
-            (Message.Prepare
-               { p_view = nv_view; p_seq = seq; p_digest = entry.batch_digest; p_replica = t.id });
+          multicast_replicas t (prepare_of t entry);
           check_prepared t entry
         end)
       nv_pre_prepares;
@@ -1896,7 +1792,7 @@ and handle_state_meta t ~src (seq, leaves) =
     t.transfer <- None;
     if tr.tr_attempt < t.cfg.n - 2 then start_rejoin_transfer t ~attempt:(tr.tr_attempt + 1)
     else begin
-      if t.recovering && t.recovery_done = None then t.recovery_done <- Some (now t);
+      note_caught_up t;
       try_execute t
     end
   | Some tr when (tr.tr_seq = seq || tr.tr_seq < 0) && tr.tr_peer = src ->
@@ -1926,16 +1822,7 @@ and handle_state_meta t ~src (seq, leaves) =
       (* Fetch in chunks of 8 pages. *)
       let rec chunks = function
         | [] -> []
-        | l ->
-          let rec take n = function
-            | [] -> ([], [])
-            | x :: rest when n > 0 ->
-              let a, b = take (n - 1) rest in
-              (x :: a, b)
-            | rest -> ([], rest)
-          in
-          let chunk, rest = take 8 l in
-          chunk :: chunks rest
+        | l -> List.filteri (fun i _ -> i < 8) l :: chunks (List.filteri (fun i _ -> i >= 8) l)
       in
       List.iter
         (fun chunk ->
@@ -1966,8 +1853,7 @@ and handle_state_pages t ~src (seq, got) =
     in
     if got = [] then t.n_auth_fail <- t.n_auth_fail + 1;
     tr.tr_received <- got @ tr.tr_received;
-    let have = List.map fst tr.tr_received in
-    if List.for_all (fun w -> List.mem w have) tr.tr_wanted then finish_transfer t tr
+    if missing_pages tr = [] then finish_transfer t tr
   | Some _ | None -> ()
 
 and finish_transfer t tr =
@@ -2000,19 +1886,13 @@ and finish_transfer t tr =
      request that is genuinely still unserved is re-added with a fresh
      timestamp by the client's next retransmission. *)
   Hashtbl.reset t.waiting;
-  (* Snapshot the transferred state as our own checkpoint so we can serve
-     transfers and votes for it. *)
-  Statemgr.Merkle.update t.merkle t.pages (Statemgr.Pages.dirty t.pages);
-  Statemgr.Pages.clear_dirty t.pages;
-  let ck = Statemgr.Checkpoint.take ~seqno:tr.tr_seq t.pages t.merkle in
-  t.n_ckpt <- t.n_ckpt + 1;
-  Hashtbl.replace t.checkpoints tr.tr_seq ck;
+  register_checkpoint t tr.tr_seq;
   (* Catching up by transfer is execution progress: reset the view-change
      backoff so the next watchdog arming starts from the base timeout —
      without this a rejoined replica inherits pre-crash-style escalation
      and times out its healthy primary. *)
   t.vc_attempts <- 0;
-  if t.recovering && t.recovery_done = None then t.recovery_done <- Some (now t);
+  note_caught_up t;
   try_execute t
 
 (* ------------------------------------------------------------------ *)
@@ -2056,40 +1936,12 @@ and handle_join_response t ~src:_ (jr_addr, jr_proof, jr_pubkey, jr_idbuf) =
               Util.Codec.W.lstring w jr_idbuf)
             ()
       in
-      let rq_id =
-        (* Deterministic id so all replicas deduplicate identically. *)
-        Char.code (Crypto.Sha256.digest op).[0]
-        lor (Char.code (Crypto.Sha256.digest op).[1] lsl 8)
-        lor (jr_addr lsl 16)
-      in
-      (* The system request must be bit-identical at every replica (its
-         digest is what the pre-prepare references), so its timestamp
-         field is fixed at zero; ordering time comes from the agreed
-         non-deterministic data instead. *)
-      let rq =
-        { Message.rq_client = 0; rq_id; rq_op = op; rq_readonly = false; rq_timestamp = 0.0 }
-      in
-      let d = Message.request_digest rq in
-      store_body t d rq;
-      (* The ordered batch may already be committed and waiting for
-         exactly this body (the copies fan out to replicas at different
-         times). *)
-      (match Log.find t.log (t.last_executed + 1) with
-      | Some e when List.mem d e.missing_bodies -> try_execute t
-      | Some _ | None -> ());
-      if is_primary t then begin
-        if not (Hashtbl.mem t.in_flight (0, rq_id)) then begin
-          Hashtbl.replace t.in_flight (0, rq_id) 0;
-          Queue.push rq t.pending;
-          try_emit_pre_prepare t
-        end
-      end
-      else begin
-        if not (Hashtbl.mem t.waiting (0, rq_id)) then begin
-          Hashtbl.replace t.waiting (0, rq_id) (now t);
-          arm_watchdog t
-        end
-      end
+      (* Deterministic id so all replicas deduplicate identically. *)
+      submit_system_op t op
+        ~rq_id:
+          (Char.code (Crypto.Sha256.digest op).[0]
+          lor (Char.code (Crypto.Sha256.digest op).[1] lsl 8)
+          lor (jr_addr lsl 16))
     end
   end
 
@@ -2104,29 +1956,19 @@ and handle_leave t ~src (lv_client : client_id) =
             Util.Codec.W.varint w lv_client)
           ()
     in
-    let rq_id = 0x4c000000 lor lv_client in
-    let rq =
-      { Message.rq_client = 0; rq_id; rq_op = op; rq_readonly = false; rq_timestamp = 0.0 }
-    in
-    let d = Message.request_digest rq in
-    store_body t d rq;
-    (match Log.find t.log (t.last_executed + 1) with
-    | Some e when List.mem d e.missing_bodies -> try_execute t
-    | Some _ | None -> ());
-    if is_primary t then begin
-      if not (Hashtbl.mem t.in_flight (0, rq_id)) then begin
-        Hashtbl.replace t.in_flight (0, rq_id) 0;
-        Queue.push rq t.pending;
-        try_emit_pre_prepare t
-      end
-    end
-    else begin
-      if not (Hashtbl.mem t.waiting (0, rq_id)) then begin
-        Hashtbl.replace t.waiting (0, rq_id) (now t);
-        arm_watchdog t
-      end
-    end
+    submit_system_op t op ~rq_id:(0x4c000000 lor lv_client)
   | Some _ | None -> ()
+
+(* Every replica that received the system op submits it as client 0's
+   request. It must be bit-identical at every replica (its digest is what
+   the pre-prepare references), so its timestamp field is fixed at zero;
+   ordering time comes from the agreed non-deterministic data instead.
+   The primary queues it once; a backup puts it on the waiting ledger. *)
+and submit_system_op t op ~rq_id =
+  let rq = { Message.rq_client = 0; rq_id; rq_op = op; rq_readonly = false; rq_timestamp = 0.0 } in
+  body_arrived t (Message.request_digest rq) rq;
+  if not (is_primary t) then ignore (await t (0, rq_id))
+  else if not (Hashtbl.mem t.in_flight (0, rq_id)) then enqueue t rq
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch.                                                            *)
@@ -2135,8 +1977,8 @@ and dispatch t ~src (msg : Message.t) =
   match msg.payload with
   | Message.Request_msg rq ->
     let extra = if t.cfg.dynamic_clients then t.costs.log_bookkeeping else 0.0 in
-    charge t extra (fun () -> handle_request t ~src rq)
-  | Message.Body { b_request } -> handle_request t ~src b_request
+    charge t extra (fun () -> handle_request t rq)
+  | Message.Body { b_request } -> handle_request t b_request
   | Message.Pre_prepare pp -> handle_pre_prepare t ~src (pp.pp_view, pp.pp_seq, pp.pp_batch, pp.pp_nondet)
   | Message.Prepare p -> handle_prepare t ~src (p.p_view, p.p_seq, p.p_digest)
   | Message.Commit c -> handle_commit t ~src (c.c_view, c.c_seq, c.c_digest)
@@ -2164,7 +2006,7 @@ and dispatch t ~src (msg : Message.t) =
     | Some rq -> send_to t ~dst:src (Message.Body { b_request = rq })
     | None -> ()
   end
-  | Message.Fetch_entry f -> handle_fetch_entry t ~src f.fe_seq
+  | Message.Fetch_entry f -> ignore (replay_entry t ~src f.fe_seq)
   | Message.Entry e -> handle_entry t ~src (e.en_seq, e.en_view, e.en_batch, e.en_nondet)
   | Message.Status st -> handle_status t ~src (st.st_view, st.st_last_exec)
   | Message.Reply _ | Message.Join_challenge _ | Message.Join_reply _ ->
@@ -2186,19 +2028,16 @@ and on_datagram t ~src wire =
 (* ------------------------------------------------------------------ *)
 (* Construction.                                                        *)
 
-let mid_partition_pages = 4
-
 let create ~cfg ~costs ~engine ~net ~id ~signer ~registry ~service:service_spec ?threshold () =
   let rng = Util.Rng.split (Simnet.Engine.rng engine) in
-  let mid_pages = mid_partition_pages in
-  let num_pages = mid_pages + service_spec.Service.app_pages in
+  let num_pages = mid_partition_pages + service_spec.Service.app_pages in
   let pages =
     Statemgr.Pages.create ~page_size:service_spec.Service.page_size ~num_pages ()
   in
   let merkle = Statemgr.Merkle.build pages in
   let membership = Membership.create ~max_clients:cfg.Config.max_clients ~dynamic:cfg.dynamic_clients in
   if not cfg.dynamic_clients then Membership.populate_static membership registry.reg_static_clients;
-  let service = service_spec.Service.make pages ~first_page:mid_pages in
+  let service = service_spec.Service.make pages ~first_page:mid_partition_pages in
   let t =
     {
       cfg;
@@ -2213,7 +2052,6 @@ let create ~cfg ~costs ~engine ~net ~id ~signer ~registry ~service:service_spec 
       threshold;
       service_spec;
       service;
-      mid_pages;
       pages;
       merkle;
       membership;
@@ -2277,11 +2115,8 @@ let create ~cfg ~costs ~engine ~net ~id ~signer ~registry ~service:service_spec 
     }
   in
   sync_membership_to_pages t;
-  Statemgr.Merkle.update t.merkle t.pages (Statemgr.Pages.dirty t.pages);
-  Statemgr.Pages.clear_dirty t.pages;
   (* Sequence 0 is the genesis checkpoint. *)
-  t.n_ckpt <- t.n_ckpt + 1;
-  Hashtbl.replace t.checkpoints 0 (Statemgr.Checkpoint.take ~seqno:0 t.pages t.merkle);
+  register_checkpoint t 0;
   Simnet.Net.register net id (fun ~src wire -> on_datagram t ~src wire);
   Simnet.Net.set_backlog_probe net id (fun () -> Simnet.Cpu.queue_length t.cpu);
   if cfg.status_period > 0.0 then
@@ -2309,27 +2144,20 @@ let create ~cfg ~costs ~engine ~net ~id ~signer ~registry ~service:service_spec 
 let shutdown t =
   t.alive <- false;
   Simnet.Net.unregister t.net t.id;
-  (match t.watchdog with Some timer -> Simnet.Engine.cancel timer | None -> ());
-  (match t.rebroadcast with Some timer -> Simnet.Engine.cancel timer | None -> ());
-  (match t.status_timer with Some timer -> Simnet.Engine.cancel timer | None -> ());
-  (match t.refresh_timer with Some timer -> Simnet.Engine.cancel timer | None -> ())
+  (* The fields keep their timers: work still queued on a dead replica's
+     CPU must not arm fresh ones. *)
+  List.iter (Option.iter Simnet.Engine.cancel)
+    [ t.watchdog; t.rebroadcast; t.status_timer; t.refresh_timer ]
 
 (* Crash: kill the process, keeping only what survives on disk — the
    newest checkpoint at or below the stable point. Everything else (log,
    votes, session keys, caches, tallies, speculative state) is volatile
    and dies here. *)
 let crash t =
-  (match
-     List.fold_left
-       (fun acc s -> if s > 0 && s <= t.stable_ckpt then Some s else acc)
-       None
-       (Util.Sorted_tbl.keys t.checkpoints)
-   with
-  | Some seq -> (
-    match Hashtbl.find_opt t.checkpoints seq with
-    | Some ck -> t.disk <- Some ck
-    | None -> ())
-  | None -> ());
+  (* Ascending order: the newest qualifying checkpoint is written last. *)
+  List.iter
+    (fun s -> if s > 0 && s <= t.stable_ckpt then t.disk <- Hashtbl.find_opt t.checkpoints s)
+    (Util.Sorted_tbl.keys t.checkpoints);
   if t.alive then shutdown t
 
 let restart t =
@@ -2355,11 +2183,7 @@ let restart t =
     fresh.seq_counter <- seq;
     fresh.stable_ckpt <- seq;
     retire_through fresh seq;
-    (* Re-register the reloaded state as our own checkpoint so we can
-       vote for it and serve transfers from it. *)
-    let own = Statemgr.Checkpoint.take ~seqno:seq fresh.pages fresh.merkle in
-    fresh.n_ckpt <- fresh.n_ckpt + 1;
-    Hashtbl.replace fresh.checkpoints seq own
+    register_checkpoint fresh seq
   | Some _ | None -> ());
   (* §2.3: without the gated remedy, recovery stalls until the peers'
      periodic key rebroadcast; with it, a signed Key_request makes them

@@ -154,10 +154,11 @@ val signer : t -> Crypto.Keychain.signer
     a Byzantine wrapper forges protocol messages that carry the replica's
     legitimate authentication ({!Adversary}). *)
 
-val session_key_for : t -> replica_id -> Crypto.Mac.key option
-(** The MAC session key this replica chose for authenticating messages
-    it sends to [peer], once established. Exposed for {!Adversary}, which
-    must re-authenticate messages it rewrites in flight. *)
+val authenticate_to : t -> dst:int -> string -> Message.auth
+(** Authentication for payload bytes sent to [dst] alone: a MAC under the
+    session key this replica chose for [dst] once established, otherwise
+    a signature. Exposed for {!Adversary}, which must re-authenticate
+    messages it rewrites in flight. *)
 
 val set_record_journal : t -> bool -> unit
 (** Enable the committed-execution journal (off by default — benign runs

@@ -225,7 +225,8 @@ let trace_digest ?(seed = 1) ?(seconds = 0.3) () =
    Dropped commits starve the speculated suffix until a view change rolls
    it back; the next primary (replica 1) then goes mute and is voted out;
    last, a backup crashes and rejoins by state transfer, re-keying at
-   once. *)
+   once. The run stays within the trace's capacity, so every datagram is
+   hashed. *)
 let replica_digest_spec ?(seed = 1) () =
   let cfg =
     {

@@ -29,14 +29,11 @@ let replica t = t.replica
 let replica_id t = Replica.id t.replica
 let mutations t = t.n_mutations
 
-(* Authentication for forged / rewritten messages. The adversary is a
-   real group member, so it holds a legitimate signing key and (in MAC
-   mode) the per-peer session keys it chose — its lies verify. *)
-let reauth t ~dst pb = Replica.authenticate_to t.replica ~dst pb
-
 (* Decode a wire, rewrite its payload through [f], re-encode with fresh
    (valid) authentication for the concrete destination. [f] returning
-   None leaves the datagram untouched. *)
+   None leaves the datagram untouched. The adversary is a real group
+   member, so it holds a legitimate signing key and (in MAC mode) the
+   per-peer session keys it chose — its lies verify. *)
 let rewrite t ~dst wire f =
   match Message.decode wire with
   | None -> wire
@@ -46,7 +43,7 @@ let rewrite t ~dst wire f =
     | Some payload' ->
       t.n_mutations <- t.n_mutations + 1;
       let pb = Message.payload_bytes payload' in
-      Message.encode_wire ~payload_bytes:pb (reauth t ~dst pb)
+      Message.encode_wire ~payload_bytes:pb (Replica.authenticate_to t.replica ~dst pb)
   end
 
 (* Equivocation payload: swap the first two batch items. Item order is
@@ -112,7 +109,9 @@ let inject_garbage_view_change t =
   List.iter
     (fun peer ->
       if peer <> id then begin
-        let wire = Message.encode_wire ~payload_bytes:pb (reauth t ~dst:peer pb) in
+        let wire =
+          Message.encode_wire ~payload_bytes:pb (Replica.authenticate_to t.replica ~dst:peer pb)
+        in
         Simnet.Net.send t.net ~label ~src:id ~dst:peer wire
       end)
     (replica_addrs t)

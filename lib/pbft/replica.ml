@@ -1006,7 +1006,7 @@ and try_execute t =
                 resolved;
               if speculative then begin
                 (* Replies are withheld until the commit certificate lands
-                   (flush_speculative); only the execution is charged now. *)
+                   ([finalize]); only the execution is charged now. *)
                 entry.pending_replies <- List.rev !replies;
                 charge t !total_cost (fun () -> ())
               end

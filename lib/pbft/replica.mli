@@ -150,9 +150,8 @@ val holds_body : t -> Types.digest -> bool
 (** Whether the body with this request digest is held. *)
 
 val signer : t -> Crypto.Keychain.signer
-(** This replica's signing key. Exposed for the fault-injection harness:
-    a Byzantine wrapper forges protocol messages that carry the replica's
-    legitimate authentication ({!Adversary}). *)
+(** This replica's signing key. Exposed for fault injection: a Byzantine
+    replica forges messages that carry its legitimate signature. *)
 
 val authenticate_to : t -> dst:int -> string -> Message.auth
 (** Authentication for payload bytes sent to [dst] alone: a MAC under the

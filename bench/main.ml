@@ -5,8 +5,8 @@
 
    Usage:  dune exec bench/main.exe [-- section ... [--quick]]
            dune exec bench/main.exe -- vdiff OLD.json NEW.json
-   Sections: micro bench digest sqlidx memory pipeline faults openloop
-             shards churn table1
+   Sections: micro bench digest sqlidx memory hashing pipeline faults
+             openloop shards churn table1
              figure1 figure2 figure3 figure4 figure5 acid recovery
              packet-loss nondet wan sizes loss ablation pipesweep all
              (default); an unknown name prints this list and exits 2.
@@ -20,6 +20,10 @@
    non-zero if a replica table that grows with requests outgrows its
    log-window bound, if a body was aged out unanswered, or if the live
    heap grows more per extra request than its budget.
+   [hashing] prints SHA-256 MB/s and Hmac.mac ns/call (informational)
+   and exits non-zero unless Cluster.create over the sql_vote_insert-
+   shaped service hashes at most 1.1x its app region and a 1 KiB
+   Hmac.mac allocates at most 16 minor words.
    [pipeline] runs the 64-client null workload serial and with an 8-deep
    agreement pipeline on 4 virtual cores, and exits non-zero unless the
    pipelined run clears 2x both the serial baseline and the Table-1
@@ -285,6 +289,81 @@ let run_memory () =
       :: !failures;
   match List.rev !failures with
   | [] -> Printf.printf "  memory gate: PASS\n%!"
+  | fs ->
+    List.iter (fun f -> Printf.eprintf "FAIL: %s\n" f) fs;
+    exit 1
+
+(* Deterministic hashing gates. Cluster.create over the sql_vote_insert-
+   shaped service (2,048 app pages, 1,600 filler rows of 1.5 KB) must hash
+   at most 1.1x its 8 MiB app region: the first replica's genesis Merkle
+   update hashes the boot image, and the other replicas, whose pages
+   alias that image, take its leaf digests from the frozen-page memo.
+   When every replica hashed its own tree this read 3.34x. A 1 KiB
+   Hmac.mac must allocate at most 16 minor words; restoring the midstates
+   into one working context measures 14, copying them 60. The speeds are
+   informational. *)
+let genesis_hash_budget = 1.1
+let hmac_words_budget = 16.0
+
+let run_hashing () =
+  banner "Hashing — SHA-256 speed, HMAC allocation, genesis Merkle bytes";
+  (* Best of 7 timed batches of about 4 MiB each. *)
+  let best_seconds ~calls f =
+    let best = ref infinity in
+    for _ = 1 to 7 do
+      let t0 = Unix.gettimeofday () in
+      for _ = 1 to calls do
+        ignore (Sys.opaque_identity (f ()))
+      done;
+      best := Float.min !best (Unix.gettimeofday () -. t0)
+    done;
+    !best
+  in
+  List.iter
+    (fun n ->
+      let msg = String.make n 'x' in
+      let calls = (4 lsl 20) / n in
+      let s = best_seconds ~calls (fun () -> Crypto.Sha256.digest msg) in
+      Printf.printf "  sha256 %4d B    %7.1f MB/s\n%!" n (float_of_int (calls * n) /. s /. 1e6))
+    [ 4096; 1024; 74 ];
+  let key = String.make 16 'k' in
+  let kib = String.make 1024 'm' in
+  let calls = 4096 in
+  let s = best_seconds ~calls (fun () -> Crypto.Hmac.mac ~key kib) in
+  Printf.printf "  hmac 1 KiB       %7.0f ns/call\n%!" (s /. float_of_int calls *. 1e9);
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (Crypto.Hmac.mac ~key kib))
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int calls in
+  Printf.printf "  hmac 1 KiB       %7.1f minor words/call (budget %.0f)\n%!" words
+    hmac_words_budget;
+  let cfg = Pbft.Config.default ~f:1 in
+  let service =
+    match (Harness.Experiments.sql_large_state_spec cfg).Harness.Run.groups with
+    | Harness.Run.Service s -> s
+    | Harness.Run.Sharded _ -> invalid_arg "run_hashing: sharded spec"
+  in
+  let region = service.Pbft.Service.app_pages * service.Pbft.Service.page_size in
+  let h0 = Crypto.Sha256.bytes_hashed () in
+  ignore (Pbft.Cluster.create ~seed:!seed ~num_clients:12 ~service cfg);
+  let hashed = Crypto.Sha256.bytes_hashed () - h0 in
+  let ratio = float_of_int hashed /. float_of_int region in
+  Printf.printf "  Cluster.create   %d bytes hashed = %.2fx the %d-byte app region (budget %.2fx)\n%!"
+    hashed ratio region genesis_hash_budget;
+  let failures =
+    (if ratio > genesis_hash_budget then
+       [ Printf.sprintf "Cluster.create hashed %.2fx its app region (budget %.2fx)" ratio
+           genesis_hash_budget ]
+     else [])
+    @
+    if words > hmac_words_budget then
+      [ Printf.sprintf "Hmac.mac allocates %.1f minor words per call (budget %.0f)" words
+          hmac_words_budget ]
+    else []
+  in
+  match failures with
+  | [] -> Printf.printf "  hashing gate: PASS\n%!"
   | fs ->
     List.iter (fun f -> Printf.eprintf "FAIL: %s\n" f) fs;
     exit 1
@@ -606,6 +685,7 @@ let sections : (string * (unit -> unit)) list =
     ("digest", run_digest);
     ("sqlidx", run_sqlidx);
     ("memory", run_memory);
+    ("hashing", run_hashing);
     ("pipeline", run_pipeline);
     ("faults", run_faults);
     ("openloop", run_openloop);

@@ -10,8 +10,8 @@ let xor_with s c = String.map (fun x -> Char.chr (Char.code x lxor c)) s
 
 (* HMAC's first compression block on each side depends only on the key.
    Session keys are long-lived (they authenticate every message of a
-   connection), so cache the two midstates per key and branch each
-   message off a copy — no pad allocation, no key xor, no message
+   connection), so cache the two midstates per key and start each
+   message from them — no pad allocation, no key xor, no message
    concatenation per call. *)
 type midstate = { inner : Sha256.ctx; outer : Sha256.ctx }
 
@@ -31,14 +31,20 @@ let midstate_for key =
     Hashtbl.add midstates key m;
     m
 
+(* Each tag is computed start to finish in one call, so one working
+   context serves them all: the cached midstate is copied into it rather
+   than into a fresh context per side. Single-domain only, like
+   [Sha256]'s own scratch context. *)
+let work = Sha256.init ()
+
 let mac ~key msg =
   let m = midstate_for key in
-  let c = Sha256.copy m.inner in
-  Sha256.feed c msg;
-  let inner = Sha256.finalize c in
-  let c = Sha256.copy m.outer in
-  Sha256.feed c inner;
-  Sha256.finalize c
+  Sha256.copy_into m.inner ~dst:work;
+  Sha256.feed work msg;
+  let inner = Sha256.finalize work in
+  Sha256.copy_into m.outer ~dst:work;
+  Sha256.feed work inner;
+  Sha256.finalize work
 
 let verify ~key msg ~tag =
   let expected = mac ~key msg in

@@ -4,7 +4,17 @@
    words (OCaml ints are 63-bit, so every intermediate fits), masking back
    to 32 bits where overflow matters. This avoids the per-operation boxing
    of an [Int32] implementation — the digest path under MAC authenticators
-   is the hottest host-side loop in the simulator. *)
+   is the hottest host-side loop in the simulator.
+
+   Round structure. A textbook round computes T1 and T2, then shifts all
+   eight working variables down one place (h <- g, ..., b <- a) with
+   e <- d + T1 and a <- T1 + T2. [compress] runs eight rounds per loop
+   iteration and renames the roles instead of moving values: round j of
+   an iteration reads the variables (a, b, ..., h) rotated right j
+   places, and writes only its new e (into the variable that held d) and
+   its new a (into the variable that held h). After eight rounds every
+   role is back in its own variable. Each word of the block is loaded
+   with one [Bytes.get_int32_be], at any offset. *)
 
 let digest_size = 32
 
@@ -57,13 +67,23 @@ let init () =
     w = Array.make 64 0;
   }
 
-(* The message schedule [w] is scratch within one [compress] call (fully
-   written before it is read), so copies may share it — single-domain. *)
+let copy_into src ~dst =
+  dst.h0 <- src.h0;
+  dst.h1 <- src.h1;
+  dst.h2 <- src.h2;
+  dst.h3 <- src.h3;
+  dst.h4 <- src.h4;
+  dst.h5 <- src.h5;
+  dst.h6 <- src.h6;
+  dst.h7 <- src.h7;
+  Bytes.blit src.block 0 dst.block 0 src.fill;
+  dst.fill <- src.fill;
+  dst.total <- src.total
+
 let copy ctx =
-  {
-    ctx with
-    block = Bytes.copy ctx.block;
-  }
+  let c = init () in
+  copy_into ctx ~dst:c;
+  c
 
 let reset ctx =
   ctx.h0 <- 0x6a09e667;
@@ -78,24 +98,43 @@ let reset ctx =
   ctx.total <- 0
 
 let mask = 0xffffffff
-let[@inline] rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
+
+(* A 32-bit word duplicated as [x lor (x lsl 32)] holds every rotation
+   of [x] in a 32-bit window: [rotr x n] is bits [n .. n + 31] of the
+   duplicate. Bit 31 of the upper copy falls off the 63-bit int, but no
+   window with 1 <= n <= 31 reaches it. These return the Σ/σ functions
+   with garbage above bit 31; every caller adds them into a sum that is
+   masked before it is rotated or stored. *)
+let[@inline] big_sigma0 x =
+  let d = x lor (x lsl 32) in
+  (d lsr 2) lxor (d lsr 13) lxor (d lsr 22)
+
+let[@inline] big_sigma1 x =
+  let d = x lor (x lsl 32) in
+  (d lsr 6) lxor (d lsr 11) lxor (d lsr 25)
+
+let[@inline] small_sigma0 x =
+  let d = x lor (x lsl 32) in
+  (d lsr 7) lxor (d lsr 18) lxor (x lsr 3)
+
+let[@inline] small_sigma1 x =
+  let d = x lor (x lsl 32) in
+  (d lsr 17) lxor (d lsr 19) lxor (x lsr 10)
+
+(* Unchecked indexing for the round loop; every index is below 64. *)
+let[@inline] ( .%() ) a i = Array.unsafe_get a i
+
+let[@inline] ch e f g = g lxor (e land (f lxor g))
+let[@inline] maj a b c = (a land b) lor (c land (a lor b))
 
 let compress ctx buf off =
   let w = ctx.w in
   for i = 0 to 15 do
-    let j = off + (i * 4) in
-    w.(i) <-
-      (Char.code (Bytes.unsafe_get buf j) lsl 24)
-      lor (Char.code (Bytes.unsafe_get buf (j + 1)) lsl 16)
-      lor (Char.code (Bytes.unsafe_get buf (j + 2)) lsl 8)
-      lor Char.code (Bytes.unsafe_get buf (j + 3))
+    Array.unsafe_set w i (Int32.to_int (Bytes.get_int32_be buf (off + (i * 4))) land mask)
   done;
   for i = 16 to 63 do
-    let x15 = Array.unsafe_get w (i - 15) and x2 = Array.unsafe_get w (i - 2) in
-    let s0 = rotr x15 7 lxor rotr x15 18 lxor (x15 lsr 3) in
-    let s1 = rotr x2 17 lxor rotr x2 19 lxor (x2 lsr 10) in
     Array.unsafe_set w i
-      ((Array.unsafe_get w (i - 16) + s0 + Array.unsafe_get w (i - 7) + s1) land mask)
+      ((w.%(i - 16) + small_sigma0 w.%(i - 15) + w.%(i - 7) + small_sigma1 w.%(i - 2)) land mask)
   done;
   let a = ref ctx.h0
   and b = ref ctx.h1
@@ -105,23 +144,33 @@ let compress ctx buf off =
   and f = ref ctx.h5
   and g = ref ctx.h6
   and h = ref ctx.h7 in
-  for i = 0 to 63 do
-    let e' = !e in
-    let s1 = rotr e' 6 lxor rotr e' 11 lxor rotr e' 25 in
-    let ch = (e' land !f) lxor (lnot e' land mask land !g) in
-    let temp1 = (!h + s1 + ch + Array.unsafe_get k i + Array.unsafe_get w i) land mask in
-    let a' = !a in
-    let s0 = rotr a' 2 lxor rotr a' 13 lxor rotr a' 22 in
-    let maj = (a' land !b) lxor (a' land !c) lxor (!b land !c) in
-    let temp2 = s0 + maj in
-    h := !g;
-    g := !f;
-    f := e';
-    e := (!d + temp1) land mask;
-    d := !c;
-    c := !b;
-    b := a';
-    a := (temp1 + temp2) land mask
+  for r = 0 to 7 do
+    let i = r * 8 in
+    (* Rounds i .. i + 7; see the header for the role renaming. *)
+    let t1 = !h + big_sigma1 !e + ch !e !f !g + k.%(i) + w.%(i) in
+    d := (!d + t1) land mask;
+    h := (t1 + big_sigma0 !a + maj !a !b !c) land mask;
+    let t1 = !g + big_sigma1 !d + ch !d !e !f + k.%(i + 1) + w.%(i + 1) in
+    c := (!c + t1) land mask;
+    g := (t1 + big_sigma0 !h + maj !h !a !b) land mask;
+    let t1 = !f + big_sigma1 !c + ch !c !d !e + k.%(i + 2) + w.%(i + 2) in
+    b := (!b + t1) land mask;
+    f := (t1 + big_sigma0 !g + maj !g !h !a) land mask;
+    let t1 = !e + big_sigma1 !b + ch !b !c !d + k.%(i + 3) + w.%(i + 3) in
+    a := (!a + t1) land mask;
+    e := (t1 + big_sigma0 !f + maj !f !g !h) land mask;
+    let t1 = !d + big_sigma1 !a + ch !a !b !c + k.%(i + 4) + w.%(i + 4) in
+    h := (!h + t1) land mask;
+    d := (t1 + big_sigma0 !e + maj !e !f !g) land mask;
+    let t1 = !c + big_sigma1 !h + ch !h !a !b + k.%(i + 5) + w.%(i + 5) in
+    g := (!g + t1) land mask;
+    c := (t1 + big_sigma0 !d + maj !d !e !f) land mask;
+    let t1 = !b + big_sigma1 !g + ch !g !h !a + k.%(i + 6) + w.%(i + 6) in
+    f := (!f + t1) land mask;
+    b := (t1 + big_sigma0 !c + maj !c !d !e) land mask;
+    let t1 = !a + big_sigma1 !f + ch !f !g !h + k.%(i + 7) + w.%(i + 7) in
+    e := (!e + t1) land mask;
+    a := (t1 + big_sigma0 !b + maj !b !c !d) land mask
   done;
   ctx.h0 <- (ctx.h0 + !a) land mask;
   ctx.h1 <- (ctx.h1 + !b) land mask;
@@ -166,26 +215,20 @@ let feed_bytes ctx b ~pos ~len =
 let feed ctx s = feed_bytes ctx (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
 
 let finalize ctx =
-  let bitlen = Int64.of_int (ctx.total * 8) in
   (* Padding: 0x80, zeros, 8-byte big-endian bit length. *)
-  let pad_block () =
-    while ctx.fill < 64 do
-      Bytes.set ctx.block ctx.fill '\000';
-      ctx.fill <- ctx.fill + 1
-    done;
-    compress ctx ctx.block 0;
-    ctx.fill <- 0
+  let b = ctx.block and fill = ctx.fill in
+  Bytes.set b fill '\x80';
+  let zeros_from =
+    if fill < 56 then fill + 1
+    else begin
+      Bytes.fill b (fill + 1) (63 - fill) '\000';
+      compress ctx b 0;
+      0
+    end
   in
-  Bytes.set ctx.block ctx.fill '\x80';
-  ctx.fill <- ctx.fill + 1;
-  if ctx.fill > 56 then pad_block ();
-  while ctx.fill < 56 do
-    Bytes.set ctx.block ctx.fill '\000';
-    ctx.fill <- ctx.fill + 1
-  done;
-  Bytes.set_int64_be ctx.block 56 bitlen;
-  ctx.fill <- 64;
-  compress ctx ctx.block 0;
+  Bytes.fill b zeros_from (56 - zeros_from) '\000';
+  Bytes.set_int64_be b 56 (Int64.of_int (ctx.total * 8));
+  compress ctx b 0;
   ctx.fill <- 0;
   let out = Bytes.create 32 in
   Bytes.set_int32_be out 0 (Int32.of_int ctx.h0);

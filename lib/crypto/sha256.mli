@@ -19,8 +19,13 @@ type ctx
 val init : unit -> ctx
 
 val copy : ctx -> ctx
-(** Snapshot of the running state — lets a caller cache a midstate (e.g.
-    HMAC's key pads) and branch many messages off it. *)
+(** A fresh context in the same running state — lets a caller branch
+    several messages off one hashed prefix. *)
+
+val copy_into : ctx -> dst:ctx -> unit
+(** [copy_into src ~dst] puts [dst] in [src]'s running state without
+    allocating, so a caller can restore a cached midstate into one
+    reused working context. [src] is unchanged. *)
 
 val reset : ctx -> unit
 (** Return a context to the initial state, so one context can hash many

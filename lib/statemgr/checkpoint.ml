@@ -16,5 +16,8 @@ let divergent_pages ~local t = Merkle.diff local t.tree
 let restore t target tree =
   let divergent, _ = Merkle.diff tree t.tree in
   List.iter (fun i -> Pages.restore_page target t.snap i) divergent;
-  Merkle.update tree target divergent;
+  (* Every leaf now equals the snapshot's: the divergent pages hold the
+     snapshot's buffers and the rest compared equal. So the tree is the
+     checkpoint's, and nothing needs hashing. *)
+  Merkle.copy_into t.tree ~dst:tree;
   Pages.clear_dirty target

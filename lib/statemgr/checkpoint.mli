@@ -14,7 +14,8 @@
 type t
 
 val take : seqno:int -> Pages.t -> Merkle.t -> t
-(** Snapshot the region as of executed sequence number [seqno]. Near-free:
+(** Snapshot the region as of executed sequence number [seqno]; the tree
+    must be current for the region (every dirty page folded in). Near-free:
     no page bytes are copied until the live region writes again. *)
 
 val seqno : t -> int
@@ -30,4 +31,7 @@ val divergent_pages : local:Merkle.t -> t -> int list * int
 
 val restore : t -> Pages.t -> Merkle.t -> unit
 (** Overwrite the local region and tree with the snapshot's contents
-    (full state transfer). *)
+    (full state transfer). The tree must be current for the region, as
+    the one given to {!take} was: only the pages where the two trees
+    diverge are restored, after which the local tree takes the
+    checkpoint tree's digests without hashing a page. *)

@@ -45,10 +45,34 @@ let zero_leaf page_size =
     Hashtbl.add zero_leaf_cache page_size d;
     d
 
+(* Leaf digests of frozen buffers (see [Pages.frozen_page_bytes]): a
+   direct-mapped table indexed by page number, confirmed by the buffer's
+   physical identity. Every replica's pages alias one boot image, so the
+   first replica's genesis update hashes it and the rest hit here; so do
+   pages [Pages.restore_page] installs. 4,096 slots hold every page of
+   the largest region a workload builds (2,052 pages) without a
+   collision. Single-domain only. *)
+let memo_slots = 4096
+let memo_buf = Array.make memo_slots Bytes.empty
+let memo_digest = Array.make memo_slots ""
+
 let leaf_digest_of_page pages i =
-  match Pages.page_bytes pages i with
-  | None -> zero_leaf (Pages.page_size pages)
-  | Some b -> hash_page_bytes b
+  match Pages.frozen_page_bytes pages i with
+  | Some b ->
+    let slot = i land (memo_slots - 1) in
+    (* Pointer equality on purpose: a frozen buffer's bytes never change,
+       and a miss on an equal-but-distinct buffer only costs a rehash. *)
+    if (memo_buf.(slot) == b) [@detlint.allow physical_eq] then memo_digest.(slot)
+    else begin
+      let d = hash_page_bytes b in
+      memo_buf.(slot) <- b;
+      memo_digest.(slot) <- d;
+      d
+    end
+  | None -> (
+    match Pages.page_bytes pages i with
+    | None -> zero_leaf (Pages.page_size pages)
+    | Some b -> hash_page_bytes b)
 
 let hash_children l r =
   let ctx = fresh_ctx () in
@@ -143,3 +167,8 @@ let root_of_leaves leaves =
 let page_digest contents = hash_page contents
 
 let copy t = { t with nodes = Array.copy t.nodes }
+
+let copy_into src ~dst =
+  if src.width <> dst.width || src.leaves <> dst.leaves then
+    invalid_arg "Merkle.copy_into: shape mismatch";
+  Array.blit src.nodes 0 dst.nodes 0 (Array.length src.nodes)

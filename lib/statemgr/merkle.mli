@@ -10,7 +10,19 @@
     Page bytes are hashed in place through the streaming SHA-256
     interface (no per-page string copies), and the all-zero page digest
     of a sparse region is computed once per page size — the preimages,
-    and therefore every digest, are unchanged. *)
+    and therefore every digest, are unchanged.
+
+    No frozen page is hashed twice. A page buffer that a region shares
+    (with a snapshot, a {!Pages.copy} or another region through
+    {!Pages.alias_pages}) is frozen: [Pages] duplicates a shared buffer
+    before any write to it, on either side, so its bytes never change
+    again. A leaf digest computed from a buffer read through
+    {!Pages.frozen_page_bytes} is therefore memoized on the buffer's
+    physical identity, in a direct-mapped table indexed by page number.
+    Every replica's pages alias one boot image, so the genesis trees of
+    a cluster hash that image once; pages installed by
+    {!Pages.restore_page} are covered too. An unshared buffer is hashed
+    each time. *)
 
 type t
 
@@ -40,3 +52,9 @@ val page_digest : string -> string
 (** The leaf digest of one page's contents. *)
 
 val copy : t -> t
+
+val copy_into : t -> dst:t -> unit
+(** [copy_into src ~dst] makes [dst] hold exactly [src]'s digests, with
+    no hashing: the checkpoint restore, once every leaf of the live
+    region equals the checkpoint's. Raises [Invalid_argument] unless the
+    trees have the same shape. *)

@@ -128,6 +128,10 @@ let page_bytes t i =
   if i < 0 || i >= t.num_pages then invalid_arg "Pages.page_bytes";
   t.slots.(i)
 
+let frozen_page_bytes t i =
+  if i < 0 || i >= t.num_pages then invalid_arg "Pages.frozen_page_bytes";
+  if t.shared.(i) then t.slots.(i) else None
+
 let load_page t i contents =
   if i < 0 || i >= t.num_pages then invalid_arg "Pages.load_page";
   if String.length contents <> t.page_size then invalid_arg "Pages.load_page: size mismatch";

@@ -59,6 +59,16 @@ val page_bytes : t -> int -> Bytes.t option
     copying. The buffer MUST NOT be mutated by the caller — it may be
     shared with live snapshots. Intended for zero-copy hashing. *)
 
+val frozen_page_bytes : t -> int -> Bytes.t option
+(** The page's backing buffer while it is shared — with a snapshot, a
+    {!copy} or another region through {!alias_pages} — and [None]
+    otherwise (an unshared or untouched page). A shared buffer is frozen:
+    every writer duplicates it first, on whichever side, so its bytes
+    never change again, not even after this region's slot moves on. That
+    makes it safe to key a cache of a pure function of the page bytes on
+    the buffer's physical identity. The caller MUST NOT mutate it. Raises
+    [Invalid_argument] for an index out of range. *)
+
 val load_page : t -> int -> string -> unit
 [@@trust.sink "wholesale page install into the replicated state region"]
 (** Install page contents wholesale (state transfer); marks it dirty. *)

@@ -101,6 +101,143 @@ let test_sha_feed_bytes_bounds () =
   Alcotest.check_raises "bad range" (Invalid_argument "Sha256.feed_bytes") (fun () ->
       Crypto.Sha256.feed_bytes ctx (Bytes.create 4) ~pos:2 ~len:3)
 
+(* --- SHA-256 against a reference oracle --- *)
+
+(* The straightforward FIPS 180-4 compression loop — one round per
+   iteration, every working variable shifted down each round, each word
+   assembled from four byte loads — kept as the oracle for the unrolled
+   core in [Crypto.Sha256]. Its constants are derived from first
+   principles (fractional parts of the square and cube roots of the first
+   primes), so the oracle shares no table with the code it checks. *)
+module Reference_sha256 = struct
+  let mask = 0xffffffff
+  let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
+
+  let primes =
+    let rec sieve acc n =
+      if List.length acc = 64 then List.rev acc
+      else if List.for_all (fun p -> n mod p <> 0) acc then sieve (n :: acc) (n + 1)
+      else sieve acc (n + 1)
+    in
+    Array.of_list (sieve [] 2)
+
+  let frac_bits x = int_of_float (Float.of_int (1 lsl 32) *. (x -. Float.trunc x))
+  let k = Array.map (fun p -> frac_bits (Float.cbrt (float_of_int p))) primes
+  let h_init = Array.init 8 (fun i -> frac_bits (Float.sqrt (float_of_int primes.(i))))
+
+  let compress h buf off =
+    let w = Array.make 64 0 in
+    for i = 0 to 15 do
+      let j = off + (i * 4) in
+      w.(i) <-
+        (Char.code (Bytes.get buf j) lsl 24)
+        lor (Char.code (Bytes.get buf (j + 1)) lsl 16)
+        lor (Char.code (Bytes.get buf (j + 2)) lsl 8)
+        lor Char.code (Bytes.get buf (j + 3))
+    done;
+    for i = 16 to 63 do
+      let x15 = w.(i - 15) and x2 = w.(i - 2) in
+      let s0 = rotr x15 7 lxor rotr x15 18 lxor (x15 lsr 3) in
+      let s1 = rotr x2 17 lxor rotr x2 19 lxor (x2 lsr 10) in
+      w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land mask
+    done;
+    let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
+    let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
+    for i = 0 to 63 do
+      let e' = !e in
+      let s1 = rotr e' 6 lxor rotr e' 11 lxor rotr e' 25 in
+      let ch = (e' land !f) lxor (lnot e' land mask land !g) in
+      let temp1 = (!hh + s1 + ch + k.(i) + w.(i)) land mask in
+      let a' = !a in
+      let s0 = rotr a' 2 lxor rotr a' 13 lxor rotr a' 22 in
+      let maj = (a' land !b) lxor (a' land !c) lxor (!b land !c) in
+      let temp2 = s0 + maj in
+      hh := !g;
+      g := !f;
+      f := e';
+      e := (!d + temp1) land mask;
+      d := !c;
+      c := !b;
+      b := a';
+      a := (temp1 + temp2) land mask
+    done;
+    List.iteri
+      (fun i v -> h.(i) <- (h.(i) + v) land mask)
+      [ !a; !b; !c; !d; !e; !f; !g; !hh ]
+
+  let digest msg =
+    let n = String.length msg in
+    let padded = (((n + 8) / 64) + 1) * 64 in
+    let buf = Bytes.make padded '\000' in
+    Bytes.blit_string msg 0 buf 0 n;
+    Bytes.set buf n '\x80';
+    Bytes.set_int64_be buf (padded - 8) (Int64.of_int (n * 8));
+    let h = Array.copy h_init in
+    for block = 0 to (padded / 64) - 1 do
+      compress h buf (block * 64)
+    done;
+    String.concat "" (Array.to_list (Array.map (Printf.sprintf "%08x") h))
+end
+
+let test_sha_reference_vectors () =
+  List.iter
+    (fun (msg, want) -> Alcotest.(check string) ("reference " ^ msg) want (Reference_sha256.digest msg))
+    sha_vectors
+
+(* Feed one chunk either as a string or, at a non-zero [offset], out of
+   a larger buffer through [feed_bytes] — the compression function loads
+   words straight from the caller's buffer at any alignment. *)
+let feed_chunk ctx chunk ~offset =
+  if offset = 0 then Crypto.Sha256.feed ctx chunk
+  else begin
+    let n = String.length chunk in
+    let buf = Bytes.make (offset + n + 5) '\xa5' in
+    Bytes.blit_string chunk 0 buf offset n;
+    Crypto.Sha256.feed_bytes ctx buf ~pos:offset ~len:n
+  end
+
+(* A message of 0-3 blocks (the padding edges weighted in), a chunking
+   of it with a buffer offset per chunk, the chunk boundary at which to
+   branch a copy, and the suffix the copy hashes instead. *)
+let sha_case =
+  let open QCheck.Gen in
+  let len = oneof [ oneofl [ 0; 1; 55; 56; 63; 64; 65; 119; 120; 128; 191; 192 ]; int_bound 192 ] in
+  let msg = string_size ~gen:char len in
+  let chunks = list_size (int_bound 6) (pair (int_bound 80) (int_bound 7)) in
+  let suffix = string_size ~gen:char (int_bound 130) in
+  QCheck.make
+    ~print:(fun (m, cs, at, sfx) ->
+      Printf.sprintf "len %d, chunks [%s], branch at %d, suffix len %d" (String.length m)
+        (String.concat "; " (List.map (fun (l, o) -> Printf.sprintf "%d@+%d" l o) cs))
+        at (String.length sfx))
+    (quad msg chunks (int_bound 7) suffix)
+
+let prop_sha_matches_reference =
+  QCheck.Test.make ~name:"matches the reference compression loop" ~count:500 sha_case
+    (fun (msg, chunks, branch_at, suffix) ->
+      let n = String.length msg in
+      let ctx = Crypto.Sha256.init () in
+      let branch_ok = ref true in
+      let branch pos =
+        let copy = Crypto.Sha256.copy ctx in
+        feed_chunk copy suffix ~offset:(pos mod 8);
+        let got = Util.Hexdump.of_string (Crypto.Sha256.finalize copy) in
+        branch_ok := String.equal got (Reference_sha256.digest (String.sub msg 0 pos ^ suffix))
+      in
+      let rec go pos i = function
+        | [] ->
+          if i <= branch_at then branch pos;
+          feed_chunk ctx (String.sub msg pos (n - pos)) ~offset:0
+        | (len, offset) :: rest ->
+          if i = branch_at then branch pos;
+          let len = min len (n - pos) in
+          feed_chunk ctx (String.sub msg pos len) ~offset;
+          go (pos + len) (i + 1) rest
+      in
+      go 0 0 chunks;
+      let got = Util.Hexdump.of_string (Crypto.Sha256.finalize ctx) in
+      String.equal got (Reference_sha256.digest msg) && !branch_ok)
+
 (* --- HMAC (RFC 4231) --- *)
 
 let test_hmac_rfc4231 () =
@@ -124,6 +261,22 @@ let test_hmac_verify () =
   Alcotest.(check bool) "rejects msg" false (Crypto.Hmac.verify ~key "m2" ~tag);
   Alcotest.(check bool) "rejects key" false (Crypto.Hmac.verify ~key:"k2" msg ~tag);
   Alcotest.(check bool) "rejects short" false (Crypto.Hmac.verify ~key msg ~tag:"short")
+
+(* The per-key midstates are restored into one reused working context,
+   so a tag allocates only its two 32-byte digests and the midstate
+   lookup's option: 14 words. Copying each midstate, as before, cost 60. *)
+let test_hmac_minor_words () =
+  let key = String.make 16 'k' and msg = String.make 1024 'm' in
+  ignore (Crypto.Hmac.mac ~key msg);
+  let calls = 1000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (Crypto.Hmac.mac ~key msg))
+  done;
+  let per_call = (Gc.minor_words () -. before) /. float_of_int calls in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per 1 KiB mac (at most 16)" per_call)
+    true (per_call <= 16.0)
 
 (* --- short MACs --- *)
 
@@ -376,11 +529,14 @@ let () =
           Alcotest.test_case "copy branches" `Quick test_sha_copy_branches;
           Alcotest.test_case "bytes_hashed counter" `Quick test_sha_bytes_hashed_counter;
           qcheck prop_sha_streaming_matches_oneshot;
+          Alcotest.test_case "reference oracle vectors" `Quick test_sha_reference_vectors;
+          qcheck prop_sha_matches_reference;
         ] );
       ( "hmac",
         [
           Alcotest.test_case "RFC 4231 vectors" `Quick test_hmac_rfc4231;
           Alcotest.test_case "verify" `Quick test_hmac_verify;
+          Alcotest.test_case "minor words per mac" `Quick test_hmac_minor_words;
         ] );
       ( "mac",
         [

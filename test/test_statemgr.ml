@@ -274,6 +274,114 @@ let test_merkle_non_power_of_two () =
   Alcotest.(check bool) "rebuild agrees" true
     (String.equal (Statemgr.Merkle.root t) (Statemgr.Merkle.root (Statemgr.Merkle.build p)))
 
+(* --- the frozen-page leaf memo --- *)
+
+(* The oracle root of a region: every leaf from [Pages.page], a fresh
+   string, so it never reads a buffer the leaf memo could answer for. *)
+let oracle_root p =
+  Statemgr.Merkle.root_of_leaves
+    (List.init (Statemgr.Pages.num_pages p) (fun i ->
+         Statemgr.Merkle.page_digest (Statemgr.Pages.page p i)))
+
+type memo_op =
+  | Write of int * int * string (* region, byte offset, bytes *)
+  | Alias of int * int * int * int (* destination region, first, src_first, count *)
+  | Snapshot of int
+  | Restore of int * int * int (* region, snapshot index, page *)
+  | Load of int * int * char (* region, page, fill *)
+  | Copy of int (* the other region becomes a copy of this one *)
+
+let show_memo_op = function
+  | Write (r, pos, s) -> Printf.sprintf "Write(%d, %d, %S)" r pos s
+  | Alias (r, first, src_first, count) -> Printf.sprintf "Alias(%d, %d, %d, %d)" r first src_first count
+  | Snapshot r -> Printf.sprintf "Snapshot %d" r
+  | Restore (r, k, i) -> Printf.sprintf "Restore(%d, %d, %d)" r k i
+  | Load (r, i, c) -> Printf.sprintf "Load(%d, %d, %C)" r i c
+  | Copy r -> Printf.sprintf "Copy %d" r
+
+let prop_frozen_page_memo_sound =
+  let num_pages = 8 and page_size = 64 in
+  let op =
+    let open QCheck.Gen in
+    let region = int_bound 1 and page = int_bound (num_pages - 1) in
+    frequency
+      [
+        ( 4,
+          map3
+            (fun r pos s -> Write (r, pos, s))
+            region
+            (int_bound ((num_pages * page_size) - 20))
+            (string_size ~gen:printable (int_range 1 20)) );
+        ( 3,
+          map3
+            (fun r (first, src_first) count ->
+              let count = min count (num_pages - max first src_first) in
+              Alias (r, first, src_first, count))
+            region (pair page page) (int_range 1 num_pages) );
+        (2, map (fun r -> Snapshot r) region);
+        (2, map3 (fun r k i -> Restore (r, k, i)) region (int_bound 3) page);
+        (1, map3 (fun r i c -> Load (r, i, c)) region page printable);
+        (1, map (fun r -> Copy r) region);
+      ]
+  in
+  QCheck.Test.make ~name:"leaf memo: incremental roots = fresh-page oracle" ~count:300
+    (QCheck.make ~print:(QCheck.Print.list show_memo_op) (QCheck.Gen.list_size (QCheck.Gen.int_bound 40) op))
+    (fun ops ->
+      let regions = Array.init 2 (fun _ -> Statemgr.Pages.create ~page_size ~num_pages ()) in
+      let trees = Array.map Statemgr.Merkle.build regions in
+      let snaps = ref [] in
+      let step = function
+        | Write (r, pos, s) -> Statemgr.Pages.write regions.(r) ~pos s
+        | Alias (r, first, src_first, count) ->
+          Statemgr.Pages.alias_pages regions.(r) ~first ~src:regions.(1 - r) ~src_first ~count
+        | Snapshot r -> snaps := Statemgr.Pages.snapshot regions.(r) :: !snaps
+        | Restore (r, k, i) -> (
+          match !snaps with
+          | [] -> ()
+          | l -> Statemgr.Pages.restore_page regions.(r) (List.nth l (k mod List.length l)) i)
+        | Load (r, i, c) -> Statemgr.Pages.load_page regions.(r) i (String.make page_size c)
+        | Copy r ->
+          regions.(1 - r) <- Statemgr.Pages.copy regions.(r);
+          trees.(1 - r) <- Statemgr.Merkle.copy trees.(r)
+      in
+      List.for_all
+        (fun o ->
+          step o;
+          Array.for_all2
+            (fun p t ->
+              Statemgr.Merkle.update t p (Statemgr.Pages.dirty p);
+              Statemgr.Pages.clear_dirty p;
+              String.equal (Statemgr.Merkle.root t) (oracle_root p))
+            regions trees)
+        ops)
+
+(* Two regions sharing every buffer hash them once; a write to one side
+   un-shares only that side's page, so only that side's root moves. *)
+let test_memo_alias_then_write_one_side () =
+  let a = make_pages ~num_pages:8 () and b = make_pages ~num_pages:8 () in
+  for i = 0 to 7 do
+    Statemgr.Pages.write a ~pos:(i * 256) (Printf.sprintf "page %d of the image" i)
+  done;
+  Statemgr.Pages.alias_pages b ~first:0 ~src:a ~src_first:0 ~count:8;
+  let ta = Statemgr.Merkle.build a in
+  let hashed = Crypto.Sha256.bytes_hashed () in
+  let tb = Statemgr.Merkle.build b in
+  (* Seven inner nodes, each "node|" and two 32-byte children; no page. *)
+  Alcotest.(check int) "the aliased pages are not hashed again" (7 * (5 + 64))
+    (Crypto.Sha256.bytes_hashed () - hashed);
+  Alcotest.(check string) "same root" (Statemgr.Merkle.root ta) (Statemgr.Merkle.root tb);
+  let root0 = Statemgr.Merkle.root ta in
+  Statemgr.Pages.clear_dirty a;
+  Statemgr.Pages.clear_dirty b;
+  Statemgr.Pages.write b ~pos:(3 * 256) "b's own page 3";
+  Statemgr.Merkle.update ta a (Statemgr.Pages.dirty a);
+  Statemgr.Merkle.update tb b (Statemgr.Pages.dirty b);
+  Alcotest.(check string) "the unwritten side's root holds" root0 (Statemgr.Merkle.root ta);
+  Alcotest.(check bool) "the written side's root moves" false
+    (String.equal root0 (Statemgr.Merkle.root tb));
+  Alcotest.(check string) "a matches its pages" (oracle_root a) (Statemgr.Merkle.root ta);
+  Alcotest.(check string) "b matches its pages" (oracle_root b) (Statemgr.Merkle.root tb)
+
 (* --- checkpoints --- *)
 
 let test_checkpoint_roundtrip () =
@@ -290,6 +398,29 @@ let test_checkpoint_roundtrip () =
   Statemgr.Checkpoint.restore ck p t;
   Alcotest.(check string) "state restored" "state at 10" (Statemgr.Pages.read p ~pos:0 ~len:11);
   Alcotest.(check string) "root restored" (Statemgr.Checkpoint.root ck) (Statemgr.Merkle.root t)
+
+(* The restore takes the checkpoint tree's digests instead of rehashing
+   the pages it put back. *)
+let test_checkpoint_restore_hashes_nothing () =
+  let p = make_pages () in
+  Statemgr.Pages.write p ~pos:0 "state at 10";
+  Statemgr.Pages.write p ~pos:(9 * 256) "page nine";
+  let t = Statemgr.Merkle.build p in
+  Statemgr.Pages.clear_dirty p;
+  let ck = Statemgr.Checkpoint.take ~seqno:10 p t in
+  Statemgr.Pages.write p ~pos:0 "DIVERGED!!!";
+  Statemgr.Pages.write p ~pos:(9 * 256) "page 9 changed";
+  Statemgr.Pages.write p ~pos:(14 * 256) "new page";
+  Statemgr.Merkle.update t p (Statemgr.Pages.dirty p);
+  let hashed = Crypto.Sha256.bytes_hashed () in
+  Statemgr.Checkpoint.restore ck p t;
+  Alcotest.(check int) "no bytes hashed" hashed (Crypto.Sha256.bytes_hashed ());
+  Alcotest.(check string) "root = checkpoint root" (Statemgr.Checkpoint.root ck)
+    (Statemgr.Merkle.root t);
+  Alcotest.(check string) "root = rebuilt root"
+    (Statemgr.Merkle.root (Statemgr.Merkle.build p))
+    (Statemgr.Merkle.root t);
+  Alcotest.(check string) "root = fresh-page oracle" (oracle_root p) (Statemgr.Merkle.root t)
 
 let test_checkpoint_snapshot_isolated () =
   let p = make_pages () in
@@ -498,10 +629,14 @@ let () =
           Alcotest.test_case "non-power-of-two leaves" `Quick test_merkle_non_power_of_two;
           qcheck prop_merkle_update_equals_rebuild;
           qcheck prop_merkle_diff_finds_changes;
+          Alcotest.test_case "alias, then write one side" `Quick
+            test_memo_alias_then_write_one_side;
+          qcheck prop_frozen_page_memo_sound;
         ] );
       ( "checkpoint",
         [
           Alcotest.test_case "take/restore roundtrip" `Quick test_checkpoint_roundtrip;
+          Alcotest.test_case "restore hashes nothing" `Quick test_checkpoint_restore_hashes_nothing;
           Alcotest.test_case "snapshot isolation" `Quick test_checkpoint_snapshot_isolated;
           Alcotest.test_case "divergent pages" `Quick test_checkpoint_divergent_pages;
           Alcotest.test_case "root from claimed leaves (transfer verification)" `Quick

@@ -91,7 +91,7 @@ type t = {
   mutable seq_counter : seqno;
   mutable last_executed : seqno;
   mutable last_committed_exec : seqno;
-  mutable undo : Statemgr.Checkpoint.t option;
+  mutable undo : Statemgr.Checkpoint.undo option;
   mutable stable_ckpt : seqno;
   mutable in_view_change : bool;
   mutable vc_target : view;
@@ -790,7 +790,8 @@ and check_ckpt_stable t seq =
              rollback restoring it would drag committed state backwards.
              The certified checkpoint is the new rollback floor for
              whatever speculation still runs ahead of it. *)
-          if t.last_committed_exec < t.last_executed then t.undo <- Some ck
+          if t.last_committed_exec < t.last_executed then
+            t.undo <- Some (Statemgr.Checkpoint.undo_of ck)
         | Some _ ->
           rollback_tentative t
         | None -> ()
@@ -986,9 +987,8 @@ and try_execute t =
             begin
               if tentative && t.undo = None then begin
                 (* Snapshot for rollback before speculative execution. *)
-                Statemgr.Merkle.update t.merkle t.pages (Statemgr.Pages.dirty t.pages);
                 t.n_undo <- t.n_undo + 1;
-                t.undo <- Some (Statemgr.Checkpoint.take ~seqno:t.last_committed_exec t.pages t.merkle)
+                t.undo <- Some (Statemgr.Checkpoint.take_undo t.pages)
               end;
               let total_cost = ref t.costs.log_bookkeeping in
               if speculative then total_cost := !total_cost +. t.costs.spec_overhead;
@@ -1492,10 +1492,9 @@ and rollback_tentative t =
   let undoing = t.last_executed > t.last_committed_exec in
   (match t.undo with
   | None -> ()
-  | Some snap ->
+  | Some undo ->
     let dirty_pages = List.length (Statemgr.Pages.dirty t.pages) in
-    Statemgr.Merkle.update t.merkle t.pages (Statemgr.Pages.dirty t.pages);
-    Statemgr.Checkpoint.restore snap t.pages t.merkle;
+    Statemgr.Checkpoint.restore_undo undo t.pages t.merkle;
     load_membership_from_pages t;
     t.undo <- None;
     if pipelined t then
@@ -1886,6 +1885,14 @@ and finish_transfer t tr =
      request that is genuinely still unserved is re-added with a fresh
      timestamp by the client's next retransmission. *)
   Hashtbl.reset t.waiting;
+  (* The same holds for in_flight marks of batches proposed at or below
+     [tr_seq]: this replica will never execute them, and a mark left
+     behind routes the client's retransmission into the "already being
+     ordered" branch for good, so a primary holding it never proposes
+     the request again. *)
+  Hashtbl.filter_map_inplace
+    (fun _ seq -> if 0 < seq && seq <= tr.tr_seq then None else Some seq)
+    t.in_flight;
   register_checkpoint t tr.tr_seq;
   (* Catching up by transfer is execution progress: reset the view-change
      backoff so the next watchdog arming starts from the base timeout —

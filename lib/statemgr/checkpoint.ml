@@ -1,9 +1,9 @@
 type t = { seq : int; tree : Merkle.t; snap : Pages.snapshot }
 
 let take ~seqno pages tree =
-  (* O(pages dirtied since the last snapshot): the snapshot aliases the
-     live buffers and the tree copy is an array of shared digest refs;
-     page bytes are duplicated lazily, on the next write. *)
+  (* O(num_pages) pointer work plus an O(tree nodes) array copy: the
+     snapshot aliases every live buffer and the tree copy shares its
+     digest strings. Page bytes are duplicated lazily, on the next write. *)
   { seq = seqno; tree = Merkle.copy tree; snap = Pages.snapshot pages }
 
 let seqno t = t.seq
@@ -21,3 +21,16 @@ let restore t target tree =
      checkpoint's, and nothing needs hashing. *)
   Merkle.copy_into t.tree ~dst:tree;
   Pages.clear_dirty target
+
+type undo = Pages.snapshot
+
+let take_undo pages = Pages.snapshot pages
+let undo_of t = t.snap
+
+let restore_undo undo pages tree =
+  Pages.restore_changed pages undo;
+  (* The tree was current outside [Pages.dirty] before the restore, and
+     the restore only changed pages it marked dirty: folding the dirty
+     set makes the tree current everywhere again. *)
+  Merkle.update tree pages (Pages.dirty pages);
+  Pages.clear_dirty pages

@@ -96,7 +96,16 @@ let build pages =
       (if i < leaves then leaf_digest_of_page pages i else empty_leaf)
   done;
   for i = width - 2 downto 0 do
-    nodes.(i) <- hash_children nodes.((2 * i) + 1) nodes.((2 * i) + 2)
+    let l = nodes.((2 * i) + 1) and r = nodes.((2 * i) + 2) in
+    (* Untouched pages share one zero-leaf string and the filler shares
+       [empty_leaf], so runs of identical subtrees share their digest
+       strings too: a node whose children are physically its right
+       neighbour's has that neighbour's digest. *)
+    nodes.(i) <-
+      (if i < width - 2 && (l == nodes.((2 * i) + 3) && r == nodes.((2 * i) + 4))
+            [@detlint.allow physical_eq]
+       then nodes.(i + 1)
+       else hash_children l r)
   done;
   { width; leaves; nodes }
 

@@ -27,7 +27,9 @@
 type t
 
 val build : Pages.t -> t
-(** Hash every page. *)
+(** Hash every page, then every inner node, except that a run of
+    identical subtrees (untouched zero pages, the filler past the last
+    page) hashes its common node once. *)
 
 val update : t -> Pages.t -> int list -> unit
 (** [update t pages dirty] recomputes the given leaves and all affected

@@ -179,6 +179,22 @@ let restore_page t snap i =
   t.generation <- t.generation + 1;
   Hashtbl.replace t.dirty_set i ()
 
+let restore_changed t snap =
+  if Array.length snap.snap_slots <> t.num_pages then invalid_arg "Pages.restore_changed";
+  let differs s b = not (String.equal s (Bytes.unsafe_to_string b)) in
+  let changed i =
+    match (t.slots.(i), snap.snap_slots.(i)) with
+    | None, None -> false
+    | Some b, None | None, Some b -> differs t.zero b
+    | Some live, Some old ->
+      (* Pointer equality on purpose: a slot still holding the snapshot's
+         own buffer was never written since, so its bytes cannot differ. *)
+      (not (live == old) [@detlint.allow physical_eq]) && differs (Bytes.unsafe_to_string live) old
+  in
+  for i = 0 to t.num_pages - 1 do
+    if changed i then restore_page t snap i
+  done
+
 let alias_pages t ~first ~src ~src_first ~count =
   if src.page_size <> t.page_size then invalid_arg "Pages.alias_pages: page size mismatch";
   if count < 0 || first < 0 || src_first < 0 || first + count > t.num_pages

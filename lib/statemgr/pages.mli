@@ -111,6 +111,15 @@ val restore_page : t -> snapshot -> int -> unit
     snapshot's buffer by reference (still copy-on-write); marks the page
     dirty like {!load_page} does. *)
 
+val restore_changed : t -> snapshot -> unit
+(** Put back, as {!restore_page} does, exactly the pages whose bytes
+    differ from the snapshot's; each is marked dirty. A slot that still
+    holds the snapshot's own buffer is skipped without a byte comparison:
+    a shared buffer is frozen. Pages whose bytes are equal keep their
+    live buffer, so no {!generation} bump and no later copy-on-write is
+    spent on them. The snapshot must come from a region with the same
+    number of pages; raises [Invalid_argument] otherwise. *)
+
 val alias_pages : t -> first:int -> src:t -> src_first:int -> count:int -> unit
 (** [alias_pages t ~first ~src ~src_first ~count] makes pages
     [first .. first + count - 1] of [t] hold exactly what pages

@@ -1266,34 +1266,60 @@ let test_orphan_body_aged_out () =
   Alcotest.(check bool) "counted as aged out" true (Replica.bodies_aged_out r2 > aged);
   Alcotest.(check int) "not counted as unanswered" 0 (Replica.aged_out_unanswered r2)
 
+(* A restarted view-0 primary comes back believing it leads and queues
+   the requests clients multicast to it; it proposes what it can before
+   status gossip teaches it the group's view, and rejoins by transfer.
+   Shared by the two regressions below: six looping clients, the primary
+   down from 0.2 s to 0.6 s, then one quiet second. *)
+let demoted_primary_run =
+  lazy
+    (let cfg = crash_cfg () in
+     let cluster = Cluster.create ~seed:123 ~num_clients:6 cfg in
+     Simnet.Trace.set_enabled (Cluster.trace cluster) false;
+     let engine = Cluster.engine cluster in
+     let stop = ref false in
+     Array.iter
+       (fun cl ->
+         let rec loop _ = if not !stop then Client.invoke cl "op" loop in
+         loop "")
+       (Cluster.clients cluster);
+     Simnet.Engine.schedule engine ~delay:0.2 (fun () -> Cluster.crash_replica cluster 0);
+     Simnet.Engine.schedule engine ~delay:0.6 (fun () -> Cluster.restart_replica cluster 0);
+     Cluster.run cluster ~seconds:3.0;
+     stop := true;
+     Cluster.run cluster ~seconds:1.0;
+     cluster)
+
 let test_demoted_primary_drops_queue () =
-  (* Regression: a restarted view-0 primary comes back believing it leads
-     and queues the requests clients multicast to it; the one batch it
-     proposes is ignored by the view-1 group, so the rest of the queue
-     never drains. When status gossip teaches it view 1, the queue and
-     the in_flight marks that route retransmissions away from its
-     watchdog must go with the role. *)
-  let cfg = crash_cfg () in
-  let cluster = Cluster.create ~seed:123 ~num_clients:6 cfg in
-  Simnet.Trace.set_enabled (Cluster.trace cluster) false;
-  let engine = Cluster.engine cluster in
-  let stop = ref false in
-  Array.iter
-    (fun cl ->
-      let rec loop _ = if not !stop then Client.invoke cl "op" loop in
-      loop "")
-    (Cluster.clients cluster);
-  Simnet.Engine.schedule engine ~delay:0.2 (fun () -> Cluster.crash_replica cluster 0);
-  Simnet.Engine.schedule engine ~delay:0.6 (fun () -> Cluster.restart_replica cluster 0);
-  Cluster.run cluster ~seconds:3.0;
-  stop := true;
-  Cluster.run cluster ~seconds:1.0;
+  (* Regression: the one batch the restarted primary proposes is ignored
+     by the view-1 group, so the rest of its queue never drains. When
+     status gossip teaches it view 1, the queue and the in_flight marks
+     that route retransmissions away from its watchdog must go with the
+     role. *)
+  let cluster = Lazy.force demoted_primary_run in
   let r0 = Cluster.replica cluster 0 in
   Alcotest.(check bool) "group moved past view 0" true (Replica.view (Cluster.replica cluster 1) > 0);
   Alcotest.(check int) "restarted replica adopted the group's view"
     (Replica.view (Cluster.replica cluster 1)) (Replica.view r0);
   Alcotest.(check bool) "and does not lead it" false (Replica.is_primary r0);
   Alcotest.(check int) "no stale primary queue" 0 (Replica.retained r0).Replica.pending
+
+let test_rejoin_drops_transferred_in_flight () =
+  (* Regression: the batches the restarted primary proposed mark their
+     requests in flight at sequence numbers the rejoin transfer then
+     installs state past, so they are never executed here and nothing
+     else removes the marks. A replica that later leads with such a mark
+     treats the client's retransmission as already being ordered and
+     never proposes it. After the rejoin and quiescence no replica may
+     hold a mark. *)
+  let cluster = Lazy.force demoted_primary_run in
+  Alcotest.(check bool) "the restarted replica rejoined by transfer" true
+    (Replica.rejoin_transfers (Cluster.replica cluster 0) > 0);
+  Array.iteri
+    (fun i r ->
+      Alcotest.(check int) (Printf.sprintf "replica %d holds no in_flight mark" i) 0
+        (Replica.retained r).Replica.in_flight)
+    (Cluster.replicas cluster)
 
 (* --- session state (§3.3.2) --- *)
 
@@ -1550,6 +1576,8 @@ let () =
           Alcotest.test_case "orphan body aged out" `Quick test_orphan_body_aged_out;
           Alcotest.test_case "demoted primary drops its queue" `Slow
             test_demoted_primary_drops_queue;
+          Alcotest.test_case "rejoin drops transferred in_flight marks" `Slow
+            test_rejoin_drops_transferred_in_flight;
         ] );
       ("nondet", [ Alcotest.test_case "policies" `Quick test_nondet_produce_validate ]);
       ( "membership",

@@ -382,6 +382,42 @@ let test_memo_alias_then_write_one_side () =
   Alcotest.(check string) "a matches its pages" (oracle_root a) (Statemgr.Merkle.root ta);
   Alcotest.(check string) "b matches its pages" (oracle_root b) (Statemgr.Merkle.root tb)
 
+(* [Merkle.build] hashes a node whose children are physically its right
+   neighbour's only once. Zero pages share one leaf string and the filler
+   past the last page shares another, so a sparse region of any size
+   exercises the reuse; the root must still be the oracle's. *)
+let prop_build_equals_oracle =
+  let page_size = 32 in
+  let write =
+    let open QCheck.Gen in
+    map3 (fun page zeros len -> (page, zeros, len)) small_nat bool (int_range 1 page_size)
+  in
+  QCheck.Test.make ~name:"build = fresh-page oracle (zero runs, any size)" ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(pair int (list (triple int bool int)))
+       QCheck.Gen.(pair (int_range 1 70) (list_size (int_bound 12) write)))
+    (fun (num_pages, writes) ->
+      let p = Statemgr.Pages.create ~page_size ~num_pages () in
+      List.iter
+        (fun (page, zeros, len) ->
+          let page = page mod num_pages in
+          (* A backed page of zeros has the zero page's digest but its own
+             string: the reuse must not be fooled either way. *)
+          let c = if zeros then '\000' else Char.chr (65 + (page mod 26)) in
+          Statemgr.Pages.write p ~pos:(page * page_size) (String.make len c))
+        writes;
+      String.equal (Statemgr.Merkle.root (Statemgr.Merkle.build p)) (oracle_root p))
+
+let test_build_zero_run_hashes_one_node_per_level () =
+  let p = make_pages () in
+  ignore (Statemgr.Merkle.build p);
+  let hashed = Crypto.Sha256.bytes_hashed () in
+  let t = Statemgr.Merkle.build p in
+  (* 16 untouched pages: the zero leaf is cached, and each of the four
+     inner levels hashes one "node|" preimage of two 32-byte children. *)
+  Alcotest.(check int) "one node per level" (4 * (5 + 64)) (Crypto.Sha256.bytes_hashed () - hashed);
+  Alcotest.(check string) "root = fresh-page oracle" (oracle_root p) (Statemgr.Merkle.root t)
+
 (* --- checkpoints --- *)
 
 let test_checkpoint_roundtrip () =
@@ -546,10 +582,9 @@ let prop_speculate_rollback_reexecute =
       let pages = Statemgr.Pages.create ~page_size ~num_pages () in
       let tree = Statemgr.Merkle.build pages in
       apply pages tree prefix;
-      let undo = Statemgr.Checkpoint.take ~seqno:1 pages tree in
+      let undo = Statemgr.Checkpoint.take_undo pages in
       List.iter (apply pages tree) speculated;
-      Statemgr.Checkpoint.restore undo pages tree;
-      Statemgr.Pages.clear_dirty pages;
+      Statemgr.Checkpoint.restore_undo undo pages tree;
       List.iter (apply pages tree) committed;
       (* Serial replica: the committed order only, no speculation. *)
       let pages' = Statemgr.Pages.create ~page_size ~num_pages () in
@@ -557,6 +592,105 @@ let prop_speculate_rollback_reexecute =
       apply pages' tree' prefix;
       List.iter (apply pages' tree') committed;
       String.equal (Statemgr.Merkle.root tree) (Statemgr.Merkle.root tree'))
+
+(* The undo guarding speculation: random writes, optionally folded into
+   the tree mid-way the way a pipelined [take_pending_checkpoint] folds
+   and clears the dirty set while the undo is held, some pages written
+   back to their undo-time bytes, more writes, then the restore. The
+   region must hold the undo's bytes, the tree must be current (root =
+   fresh-page oracle) and the dirty set empty. *)
+type undo_op =
+  | U_write of int * int * string (* page, offset, bytes *)
+  | U_revert of int (* the page's undo-time bytes, written back *)
+  | U_fold
+
+let show_undo_op = function
+  | U_write (pg, off, s) -> Printf.sprintf "Write(%d, %d, %S)" pg off s
+  | U_revert pg -> Printf.sprintf "Revert %d" pg
+  | U_fold -> "Fold"
+
+let prop_undo_restore_is_current =
+  let num_pages = 8 and page_size = 64 in
+  let op =
+    let open QCheck.Gen in
+    let page = int_bound (num_pages - 1) in
+    frequency
+      [
+        ( 6,
+          map3
+            (fun pg off s -> U_write (pg, off, s))
+            page (int_bound (page_size - 8))
+            (string_size ~gen:printable (int_range 1 8)) );
+        (2, map (fun pg -> U_revert pg) page);
+        (1, return U_fold);
+      ]
+  in
+  let ops = QCheck.Gen.list_size (QCheck.Gen.int_bound 30) op in
+  QCheck.Test.make ~name:"undo restore through folds: bytes, root, dirty" ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(triple (list show_undo_op) (list show_undo_op) (list show_undo_op))
+       (QCheck.Gen.triple ops ops ops))
+    (fun (folded, unfolded, after) ->
+      let pages = Statemgr.Pages.create ~page_size ~num_pages () in
+      let tree = Statemgr.Merkle.build pages in
+      let images = ref [||] in
+      let fold () =
+        Statemgr.Merkle.update tree pages (Statemgr.Pages.dirty pages);
+        Statemgr.Pages.clear_dirty pages
+      in
+      let step = function
+        | U_write (pg, off, s) -> Statemgr.Pages.write pages ~pos:((pg * page_size) + off) s
+        | U_revert pg ->
+          if !images <> [||] then Statemgr.Pages.write pages ~pos:(pg * page_size) !images.(pg)
+        | U_fold -> fold ()
+      in
+      (* Before the undo: some writes folded, some left dirty. *)
+      List.iter step folded;
+      fold ();
+      List.iter step unfolded;
+      images := Array.init num_pages (Statemgr.Pages.page pages);
+      let undo = Statemgr.Checkpoint.take_undo pages in
+      List.iter step after;
+      Statemgr.Checkpoint.restore_undo undo pages tree;
+      Array.for_all2 String.equal !images (Array.init num_pages (Statemgr.Pages.page pages))
+      && String.equal (Statemgr.Merkle.root tree) (oracle_root pages)
+      && Statemgr.Pages.dirty pages = [])
+
+let test_take_undo_hashes_nothing () =
+  let p = make_pages () in
+  Statemgr.Pages.write p ~pos:0 "folded";
+  let t = Statemgr.Merkle.build p in
+  Statemgr.Pages.clear_dirty p;
+  Statemgr.Pages.write p ~pos:(3 * 256) "dirty, not yet folded";
+  let hashed = Crypto.Sha256.bytes_hashed () in
+  let undo = Statemgr.Checkpoint.take_undo p in
+  Alcotest.(check int) "no bytes hashed" hashed (Crypto.Sha256.bytes_hashed ());
+  Alcotest.(check (list int)) "the dirty page stays dirty" [ 3 ] (Statemgr.Pages.dirty p);
+  Statemgr.Pages.write p ~pos:(5 * 256) "speculative";
+  Statemgr.Checkpoint.restore_undo undo p t;
+  Alcotest.(check string) "root = fresh-page oracle" (oracle_root p) (Statemgr.Merkle.root t);
+  Alcotest.(check string) "page 5 back to zero" (String.make 256 '\000') (Statemgr.Pages.page p 5)
+
+(* A page written after the undo, folded by a pending checkpoint and then
+   written back to its undo-time bytes needs no restore — its bytes
+   already match — but its leaf holds the folded digest. The page is
+   dirty again, which is why the restore folds the whole dirty set and
+   not just the pages it put back. *)
+let test_undo_restore_refolds_written_back_page () =
+  let p = make_pages () in
+  Statemgr.Pages.write p ~pos:(2 * 256) "original";
+  let t = Statemgr.Merkle.build p in
+  Statemgr.Pages.clear_dirty p;
+  let undo = Statemgr.Checkpoint.take_undo p in
+  Statemgr.Pages.write p ~pos:(2 * 256) "speculat";
+  Statemgr.Merkle.update t p (Statemgr.Pages.dirty p);
+  Statemgr.Pages.clear_dirty p;
+  Statemgr.Pages.write p ~pos:(2 * 256) "original";
+  let generation = Statemgr.Pages.generation p in
+  Statemgr.Checkpoint.restore_undo undo p t;
+  Alcotest.(check int) "nothing put back" generation (Statemgr.Pages.generation p);
+  Alcotest.(check string) "root = fresh-page oracle" (oracle_root p) (Statemgr.Merkle.root t);
+  Alcotest.(check (list int)) "dirty set empty" [] (Statemgr.Pages.dirty p)
 
 let test_tentative_undo_cow () =
   let pages = Statemgr.Pages.create ~page_size:4096 ~num_pages:32 () in
@@ -572,7 +706,7 @@ let test_tentative_undo_cow () =
   let tree = Statemgr.Merkle.build pages in
   Statemgr.Pages.clear_dirty pages;
   (* Undo snapshot before speculating. *)
-  let ck = Statemgr.Checkpoint.take ~seqno:7 pages tree in
+  let undo = Statemgr.Checkpoint.take_undo pages in
   let root0 = Statemgr.Merkle.root tree in
   let images0 = List.init 32 (Statemgr.Pages.page pages) in
   let count0 = Relsql.Pager.page_count pager in
@@ -584,7 +718,7 @@ let test_tentative_undo_cow () =
   Alcotest.(check bool) "speculation moved the root" false
     (String.equal root0 (Statemgr.Merkle.root tree));
   (* Roll back. *)
-  Statemgr.Checkpoint.restore ck pages tree;
+  Statemgr.Checkpoint.restore_undo undo pages tree;
   Relsql.Pager.refresh pager;
   Alcotest.(check string) "merkle root back to pre-speculation" root0
     (Statemgr.Merkle.root tree);
@@ -632,6 +766,9 @@ let () =
           Alcotest.test_case "alias, then write one side" `Quick
             test_memo_alias_then_write_one_side;
           qcheck prop_frozen_page_memo_sound;
+          qcheck prop_build_equals_oracle;
+          Alcotest.test_case "build hashes a zero run once per level" `Quick
+            test_build_zero_run_hashes_one_node_per_level;
         ] );
       ( "checkpoint",
         [
@@ -644,5 +781,9 @@ let () =
           Alcotest.test_case "tentative-execution undo via COW (§2.2)" `Quick
             test_tentative_undo_cow;
           qcheck prop_speculate_rollback_reexecute;
+          Alcotest.test_case "take_undo hashes nothing" `Quick test_take_undo_hashes_nothing;
+          Alcotest.test_case "undo restore refolds a written-back page" `Quick
+            test_undo_restore_refolds_written_back_page;
+          qcheck prop_undo_restore_is_current;
         ] );
     ]

@@ -5,9 +5,12 @@
      leaf      u8 0, u32 next, varint n, n x (lstring key, lstring value)
      interior  u8 1, varint n, n x lstring sep, varint n+1, (n+1) x varint child
 
-   Lookups ([find], and the descent that starts [iter]) walk this encoding
-   in place on a borrowed page view; writes decode a node, edit it and
-   encode it once. *)
+   Reads walk this encoding in place. [find_many] routes a sorted batch
+   of keys down the tree on borrowed page views, visiting each node once
+   for the keys that pass through it ([find] is a batch of one). [iter]
+   finds each leaf's entries in range on the view, copies that run of
+   the page once and yields copies of its keys and values from there.
+   Writes decode a node, edit it and encode it once. *)
 
 type node =
   | Leaf of { entries : (string * string) list; next : int }
@@ -70,11 +73,11 @@ let store t page node = write_node t page (encode_node node)
 
 (* --- reading a node in place ---
 
-   A cursor over a borrowed page view. Every read is bounds-checked
-   against the image, so a malformed page raises [Pager.Corrupt], never
-   [Invalid_argument]; only the value a lookup returns is copied out. The
-   loops are top-level recursive functions, not closures, so a probe
-   allocates only its cursor and its result. *)
+   A cursor over a page image: a borrowed view, or [iter]'s copy of a
+   leaf. Every read is bounds-checked against the image, so a malformed
+   page raises [Pager.Corrupt], never [Invalid_argument]; only the keys
+   and values a read returns are copied out. The loops are top-level
+   recursive functions, not closures. *)
 
 type cursor = { mutable img : string; mutable pos : int }
 
@@ -84,9 +87,11 @@ let u8 c =
   c.pos <- c.pos + 1;
   b
 
-let skip_u32 c =
+let u32 c =
   if c.pos + 4 > String.length c.img then corrupt "node truncated";
-  c.pos <- c.pos + 4
+  let v = Int32.to_int (String.get_int32_le c.img c.pos) land 0xffff_ffff in
+  c.pos <- c.pos + 4;
+  v
 
 (* Same acceptance as Util.Codec.R.varint: at most 9 bytes, no overflow
    into the sign bit. *)
@@ -148,21 +153,6 @@ let rec skip_varints_from img pos n =
 
 let skip_varints c n = c.pos <- skip_varints_from c.img c.pos n
 
-(* The value stored under [key] in a leaf whose entry count [n] was just
-   read. Entries are sorted, so the scan stops at the first larger key. *)
-let rec leaf_find c key n =
-  if n = 0 then None
-  else begin
-    let klen = varint c in
-    let koff = span c klen in
-    let vlen = varint c in
-    let voff = span c vlen in
-    let cmp = compare_at key c.img koff klen 0 in
-    if cmp = 0 then Some (String.sub c.img voff vlen)
-    else if cmp < 0 then None
-    else leaf_find c key (n - 1)
-  end
-
 (* Child slot for [key] among the [n] separators of an interior node: the
    first separator > key goes left of it; equal keys descend right
    (separators are copied-up leaf keys, the right child holds keys >=
@@ -194,18 +184,128 @@ let enter c t img depth =
   c.img <- img;
   c.pos <- 0
 
-let rec find_in c t page key depth =
+(* --- batched lookup ---
+
+   [find_many] routes a run of strictly ascending keys down the tree
+   together, borrowing each node on the way once for the run of keys
+   routed to it. At an interior node, one pass merges the separators
+   against the run and records each key's child slot; a second, monotone
+   pass over the child page numbers visits each child once for the keys
+   routed to it. A leaf is merged against its run. A run is the first
+   [n] keys of a list, and every step returns the keys after its run. A
+   lookup allocates its cursor, one slot array per interior node visited
+   and the values it returns. *)
+
+(* Each of the first [n] keys is absent. *)
+let rec absent keys n f =
+  match keys with
+  | key :: rest when n > 0 ->
+    f key None;
+    absent rest (n - 1) f
+  | _ -> keys
+
+(* Merge a run of [n] keys against the [m] entries of a leaf still
+   unread at the cursor. *)
+let rec leaf_merge c keys n m f =
+  if n = 0 then keys
+  else if m = 0 then absent keys n f
+  else begin
+    let klen = varint c in
+    let koff = span c klen in
+    let vlen = varint c in
+    let voff = span c vlen in
+    leaf_match c keys n (m - 1) f koff klen voff vlen
+  end
+
+(* The run against one entry: a smaller key is absent, an equal key
+   takes the entry's value, a larger key moves on to the next entry. *)
+and leaf_match c keys n m f koff klen voff vlen =
+  match keys with
+  | key :: rest when n > 0 ->
+    let cmp = compare_at key c.img koff klen 0 in
+    if cmp > 0 then leaf_merge c keys n m f
+    else if cmp = 0 then begin
+      f key (Some (String.sub c.img voff vlen));
+      leaf_merge c rest (n - 1) m f
+    end
+    else begin
+      f key None;
+      leaf_match c rest (n - 1) m f koff klen voff vlen
+    end
+  | _ -> keys
+
+(* Route the run's keys from [j] on against separator [i], at [off] and
+   [len], and the separators after it, by [sep_slot]'s rule: a key below
+   separator [i] goes to slot [i]. [slots] starts filled with [nseps],
+   the slot of keys past every separator. Once the run is routed the
+   remaining separators are only stepped over; the cursor ends past the
+   last one. *)
+let rec route c keys slots j n i nseps off len =
+  match keys with
+  | key :: rest when j < n ->
+    if compare_at key c.img off len 0 < 0 then begin
+      slots.(j) <- i;
+      route c rest slots (j + 1) n i nseps off len
+    end
+    else if i + 1 < nseps then begin
+      let len = varint c in
+      let off = span c len in
+      route c keys slots j n (i + 1) nseps off len
+    end
+  | _ -> skip_strings c (nseps - i - 1)
+
+(* The length of the run of equal slots that starts at [j]. *)
+let rec same_slot slots j n k =
+  if j + k < n && slots.(j + k) = slots.(j) then same_slot slots j n (k + 1) else k
+
+let rec find_node c t page keys n depth f =
   enter c t (Pager.view_page t.pager page) depth;
   match u8 c with
   | 0 ->
-    skip_u32 c;
-    leaf_find c key (varint c)
+    ignore (u32 c);
+    leaf_merge c keys n (varint c) f
   | 1 ->
-    let slot = sep_slot c key 0 (varint c) in
-    find_in c t (child_at c slot) key (depth + 1)
+    let img = c.img in
+    let nseps = varint c in
+    let slots = Array.make n nseps in
+    if nseps > 0 then begin
+      let len = varint c in
+      let off = span c len in
+      route c keys slots 0 n 0 nseps off len
+    end;
+    if varint c <> nseps + 1 then corrupt "child count";
+    visit_children c t img depth f keys slots 0 n c.pos 0
   | _ -> corrupt "node tag"
 
-let find t key = find_in { img = ""; pos = 0 } t t.root_page key 0
+(* Visit, in slot order, each child of the interior node [img] that keys
+   [j] on were routed to; child [at]'s page number starts at [child]. *)
+and visit_children c t img depth f keys slots j n child at =
+  if j = n then keys
+  else begin
+    let slot = slots.(j) in
+    let run = same_slot slots j n 1 in
+    c.img <- img;
+    c.pos <- skip_varints_from img child (slot - at);
+    let page = varint c in
+    let next = c.pos in
+    let rest = find_node c t page keys run (depth + 1) f in
+    visit_children c t img depth f rest slots (j + run) n next (slot + 1)
+  end
+
+let rec ascending = function
+  | a :: (b :: _ as rest) -> String.compare a b < 0 && ascending rest
+  | _ -> true
+
+let find_many t keys f =
+  if not (ascending keys) then invalid_arg "Btree.find_many: keys not strictly ascending";
+  match keys with
+  | [] -> ()
+  | _ -> ignore (find_node { img = ""; pos = 0 } t t.root_page keys (List.length keys) 0 f)
+
+let find t key =
+  let found = ref None in
+  find_many t [ key ] (fun _ v -> found := v);
+  !found
 
 let create pager =
   let page = Pager.allocate_page pager in
@@ -371,33 +471,83 @@ let rec descend_leaf c t page key depth =
     descend_leaf c t (child_at c slot) key (depth + 1)
   | _ -> corrupt "node tag"
 
-(* Each leaf is decoded before the callback runs, so [f] sees copies and
-   may write the tree. Like a descent, the leaf chain visits distinct
-   pages: a walk longer than the page count is a corrupt [next] cycle. *)
-let iter t ?from ?upto f =
-  let start = descend_leaf { img = ""; pos = 0 } t t.root_page from 0 in
-  let rec walk page steps =
-    if page <> 0 then begin
-      if steps > Pager.page_count t.pager then corrupt "leaf chain cycle";
-      match decode_node (Pager.view_page_quiet t.pager page) with
-      | Interior _ -> corrupt "leaf chain reached interior node"
-      | Leaf { entries; next } ->
-        if entries <> [] then Pager.touch_page t.pager page;
-        let continue =
-          List.for_all
-            (fun (k, v) ->
-              match (from, upto) with
-              | Some lo, _ when String.compare k lo < 0 -> true
-              | _, Some hi when String.compare k hi > 0 -> false
-              | _ -> f k v)
-            entries
-        in
-        (* A leaf ending above [upto] already returned false above; only
-           chains still inside the bound keep walking. *)
-        if continue then walk next (steps + 1)
+(* A leaf's entries are scanned in two passes. The first runs on the
+   borrowed view, with no callback: it steps over the keys below [from]
+   and finds the run of entries up to [upto]. That run alone is copied,
+   and the second pass hands [f] copies of its keys and values from the
+   private copy, so [f] may write the tree. *)
+
+(* Step over the entry at the cursor; the sign of [String.compare b key]
+   for the bound [Some b], 0 for [None]. *)
+let compare_entry c bound =
+  let klen = varint c in
+  let koff = span c klen in
+  ignore (span c (varint c));
+  match bound with Some b -> compare_at b c.img koff klen 0 | None -> 0
+
+(* Of the [m] entries at the cursor, step over those below [from];
+   returns how many are left, the cursor at the first of them. *)
+let rec skip_below c from m =
+  if m = 0 || Option.is_none from then m
+  else begin
+    let start = c.pos in
+    if compare_entry c from > 0 then skip_below c from (m - 1)
+    else begin
+      c.pos <- start;
+      m
     end
-  in
-  walk start 0
+  end
+
+(* How many of the [m] entries at the cursor are not above [upto]; the
+   cursor ends past them. *)
+let rec count_upto c upto m k =
+  if k = m then k
+  else begin
+    let start = c.pos in
+    if compare_entry c upto < 0 then begin
+      c.pos <- start;
+      k
+    end
+    else count_upto c upto m (k + 1)
+  end
+
+(* Pass [n] entries at the cursor to [f]; false once [f] says stop. *)
+let rec yield c f n =
+  n = 0
+  ||
+  let klen = varint c in
+  let koff = span c klen in
+  let vlen = varint c in
+  let voff = span c vlen in
+  f (String.sub c.img koff klen) (String.sub c.img voff vlen) && yield c f (n - 1)
+
+(* Like a descent, the leaf chain visits distinct pages: a walk longer
+   than the page count is a corrupt [next] cycle. *)
+let rec walk_leaves c t from upto f page steps =
+  if page <> 0 then begin
+    if steps > Pager.page_count t.pager then corrupt "leaf chain cycle";
+    c.img <- Pager.view_page_quiet t.pager page;
+    c.pos <- 0;
+    match u8 c with
+    | 0 ->
+      let next = u32 c in
+      let m = varint c in
+      if m > 0 then Pager.touch_page t.pager page;
+      let left = skip_below c from m in
+      let start = c.pos in
+      let n = count_upto c upto left 0 in
+      c.img <- String.sub c.img start (c.pos - start);
+      c.pos <- 0;
+      (* A key above [upto] ends the scan; only chains still inside the
+         bound keep walking. *)
+      if yield c f n && n = left then walk_leaves c t from upto f next (steps + 1)
+    | 1 -> corrupt "leaf chain reached interior node"
+    | _ -> corrupt "node tag"
+  end
+
+let iter t ?from ?upto f =
+  let c = { img = ""; pos = 0 } in
+  walk_leaves c t from upto f (descend_leaf c t t.root_page from 0) 0
 
 let count t =
   let n = ref 0 in

@@ -23,6 +23,17 @@ val root : t -> int
     splits change it). *)
 
 val find : t -> string -> string option
+(** [find_many] with the one key. *)
+
+val find_many : t -> string list -> (string -> string option -> unit) -> unit
+(** [find_many t keys f] calls [f k (find t k)] for each key of [keys],
+    in order, while walking each node on the keys' paths once for the run
+    of keys routed to it: the pages touched are the union of what the
+    per-key lookups touch. The keys must be strictly ascending
+    ([Invalid_argument] otherwise, before any lookup). The values passed
+    to [f] are copies, but the walk reads borrowed page views, so [f] must
+    not write the pager until [find_many] returns. *)
+
 val insert : t -> key:string -> value:string -> unit
 (** Inserts or replaces. *)
 
@@ -33,7 +44,11 @@ val iter : t -> ?from:string -> ?upto:string -> (string -> string -> bool) -> un
 (** In-order traversal starting at the first key ≥ [from] (or the
     smallest); stops when the callback returns false or the next key
     exceeds the inclusive upper bound [upto]. Lazily-emptied leaves on
-    the chain are stepped over without charging a page touch. *)
+    the chain are stepped over without charging a page touch. Each leaf
+    is read in place: the bounds are compared on the borrowed page, and
+    only the run of entries in range is copied, once, before the
+    callback sees any of it. So the callback may write the tree; the
+    scan then yields the entries in range before it started. *)
 
 val count : t -> int
 val drop : t -> unit

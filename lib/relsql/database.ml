@@ -326,15 +326,14 @@ let candidate_rows t (tbl : Catalog.table) (where : Ast.expr option) =
     Btree.iter tree ?from:lo ?upto:hi (fun k _ ->
         row_keys := String.sub k (String.length k - 8) 8 :: !row_keys;
         true);
-    let main = tree_of t tbl in
     (* Sort the raw keys, not decoded rowids: byte order is what a full
        scan of the row tree yields, and signed order differs from it for
-       negative rowids. *)
-    List.filter_map
-      (fun rk ->
+       negative rowids. One batched lookup walks each row-tree node once. *)
+    let rows = ref [] in
+    Btree.find_many (tree_of t tbl) (List.sort_uniq String.compare !row_keys) (fun rk rv ->
         t.rows_scanned <- t.rows_scanned + 1;
-        Option.map (fun rv -> (rowid_of_key rk, decode_row rv)) (Btree.find main rk))
-      (List.sort_uniq String.compare !row_keys)
+        Option.iter (fun rv -> rows := (rowid_of_key rk, decode_row rv) :: !rows) rv);
+    List.rev !rows
 
 (* Candidate rows with the predicate evaluated exactly once per row; the
    surviving environment is returned so SELECT/UPDATE/DELETE never pay a

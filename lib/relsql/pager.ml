@@ -5,13 +5,13 @@ let magic = "RELSQL01"
 
 type t = {
   vfs : Vfs.t;
-  mutable journaled : (int, string) Hashtbl.t;  (** original images this txn *)
+  journaled : (int, string) Hashtbl.t;  (** original images this txn *)
   mutable txn : bool;
   mutable page_count : int;
   mutable freelist : int;
   mutable catalog_root : int;
   mutable header_dirty : bool;  (** header fields changed this txn; image written at commit *)
-  mutable touched : (int, unit) Hashtbl.t;
+  touched : (int, unit) Hashtbl.t;
 }
 
 (* --- header --- *)
@@ -172,7 +172,7 @@ let begin_txn t =
   if t.txn then invalid_arg "Pager.begin_txn: nested transaction";
   t.txn <- true;
   t.header_dirty <- false;
-  t.journaled <- Hashtbl.create 16
+  Hashtbl.reset t.journaled
 
 let in_txn t = t.txn
 
@@ -192,7 +192,7 @@ let commit t =
     (* Barrier 3: resetting the journal is the commit point. *)
     journal_reset jf
   | None -> ());
-  t.journaled <- Hashtbl.create 16;
+  Hashtbl.reset t.journaled;
   t.txn <- false
 
 let rollback t =
@@ -202,22 +202,24 @@ let rollback t =
     (fun page original -> t.vfs.Vfs.main.write ~pos:(page * page_size) original)
     t.journaled;
   (match t.vfs.Vfs.journal with Some jf -> journal_reset jf | None -> ());
-  t.journaled <- Hashtbl.create 16;
+  Hashtbl.reset t.journaled;
   t.txn <- false;
   t.header_dirty <- false;
   (* The header may have been rolled back too; re-read it. *)
   parse_header t (read_page t 0)
 
+(* Runs before every statement outside a transaction, so it parses the
+   borrowed header view in place rather than copying the page. *)
 let refresh t =
   if t.txn then invalid_arg "Pager.refresh: inside a transaction";
-  let img = raw_read t 0 in
-  if String.length img >= 8 && String.sub img 0 8 = magic then parse_header t img
+  let img = raw_view t 0 in
+  if String.starts_with ~prefix:magic img then parse_header t img
 
 let pages_touched t = Hashtbl.length t.touched
 
 let take_pages_touched t =
   let n = Hashtbl.length t.touched in
-  t.touched <- Hashtbl.create 64;
+  Hashtbl.reset t.touched;
   n
 
 (* --- open & crash recovery --- *)

@@ -410,6 +410,41 @@ let prop_probe_matches_reference =
              got = ref_range pager root ~from ~upto && got = expect)
            ((None, None) :: c.ranges))
 
+(* A case's probes and inserted keys, sorted: present and absent keys. *)
+let batch_keys c = List.sort_uniq String.compare (c.probes @ List.map fst c.inserts)
+
+let find_many_list tree keys =
+  let acc = ref [] in
+  Btree.find_many tree keys (fun k v -> acc := (k, v) :: !acc);
+  List.rev !acc
+
+(* The batched lookup answers every key exactly as [find] does, in key
+   order, touches the same pages as the per-key lookups, and rejects
+   unsorted or repeated keys before looking anything up. *)
+let prop_find_many_matches_find =
+  QCheck.Test.make ~name:"find_many matches per-key find, pages included" ~count:150
+    (QCheck.make ~print:print_probe_case probe_case_gen)
+    (fun c ->
+      let _, pager, tree, _ = build_probe_tree c in
+      let keys = batch_keys c in
+      ignore (Pager.take_pages_touched pager);
+      let got = find_many_list tree keys in
+      let batched_pages = Pager.take_pages_touched pager in
+      let expect = List.map (fun k -> (k, Btree.find tree k)) keys in
+      let per_key_pages = Pager.take_pages_touched pager in
+      let rejected ks =
+        match Btree.find_many tree ks (fun _ _ -> Alcotest.fail "lookup before the key check") with
+        | () -> false
+        | exception Invalid_argument _ -> true
+      in
+      let misordered =
+        match keys with
+        | a :: b :: rest -> [ b :: a :: rest; keys @ [ List.nth keys (List.length keys - 1) ] ]
+        | [ a ] -> [ [ a; a ] ]
+        | [] -> []
+      in
+      got = expect && batched_pages = per_key_pages && List.for_all rejected misordered)
+
 (* The generator's long keys really do reach three levels. *)
 let test_probe_three_levels () =
   let c =
@@ -426,6 +461,10 @@ let test_probe_three_levels () =
   List.iter
     (fun (k, v) -> Alcotest.(check (option string)) "find" (Some v) (Btree.find tree k))
     model;
+  Alcotest.(check (list (pair string (option string))))
+    "find_many"
+    (List.map (fun (k, v) -> (k, Some v)) model)
+    (find_many_list tree (List.map fst model));
   Alcotest.(check int) "iter" 24 (List.length (iter_range tree ~from:None ~upto:None))
 
 (* The tree as seen through a VFS that replaces page [victim]'s image by
@@ -469,6 +508,7 @@ let prop_probe_corrupt_images =
       List.iter
         (fun k -> safely (fun () -> Btree.find tree' k))
         (c.probes @ List.map fst c.inserts);
+      safely (fun () -> find_many_list tree' (batch_keys c));
       List.iter
         (fun (from, upto) -> safely (fun () -> iter_range tree' ~from ~upto))
         ((None, None) :: c.ranges);
@@ -501,9 +541,45 @@ let test_probe_cycles_raise_corrupt () =
   in
   let looped = tampered_tree pages tree ~victim:first (fun _ -> Pager.read_page pager root) in
   expect_corrupt "find" (fun () -> Btree.find looped (fst (List.hd model)));
+  expect_corrupt "find_many" (fun () -> find_many_list looped (List.map fst model));
   expect_corrupt "iter" (fun () -> iter_range looped ~from:None ~upto:None);
   let self_chain = tampered_tree pages tree ~victim:second (fun _ -> Pager.read_page pager first) in
   expect_corrupt "chain" (fun () -> iter_range self_chain ~from:None ~upto:None)
+
+(* [iter]'s callback may write the tree. The scan walks a one-leaf tree
+   in a region, where the leaf is a borrowed live page, and each of its
+   first callbacks inserts a big entry just above [upto]; the fourth
+   splits the leaf being walked, moving the rest of the range to a new
+   right page. The scan still yields exactly the entries in range before
+   it started. *)
+let test_iter_callback_splits_leaf () =
+  let c =
+    {
+      inserts =
+        List.init 20 (fun i -> (Printf.sprintf "a%02d" i, "small"))
+        @ List.init 10 (fun i -> (Printf.sprintf "c%02d" i, "small"));
+      deletes = [];
+      probes = [];
+      ranges = [];
+    }
+  in
+  let _, pager, tree, model = build_probe_tree c in
+  Alcotest.(check int) "one leaf" 1 (ref_depth pager (Btree.root tree));
+  let from = Some "a05" and upto = Some "a19" in
+  let before = List.filter (fun (k, _) -> in_bounds ~from ~upto k) model in
+  let seen = ref [] in
+  Pager.begin_txn pager;
+  Btree.iter tree ?from ?upto (fun k v ->
+      seen := (k, v) :: !seen;
+      if List.length !seen <= 4 then
+        Btree.insert tree
+          ~key:(Printf.sprintf "b%02d" (List.length !seen))
+          ~value:(String.make 900 'w');
+      true);
+  Pager.commit pager;
+  Alcotest.(check int) "the leaf split" 2 (ref_depth pager (Btree.root tree));
+  Alcotest.(check (list (pair string string))) "yields the pre-scan entries" before (List.rev !seen);
+  Alcotest.(check int) "every insert landed" 34 (Btree.count tree)
 
 (* --- page views never leak into stored images --- *)
 
@@ -1219,8 +1295,10 @@ let () =
           qcheck prop_btree_vs_map;
           qcheck prop_probe_matches_reference;
           Alcotest.test_case "probe on a three-level tree" `Quick test_probe_three_levels;
+          qcheck prop_find_many_matches_find;
           qcheck prop_probe_corrupt_images;
           Alcotest.test_case "corrupt cycles raise Corrupt" `Quick test_probe_cycles_raise_corrupt;
+          Alcotest.test_case "iter callback splits the leaf" `Quick test_iter_callback_splits_leaf;
           Alcotest.test_case "index-scan DML matches forced scan (region bytes)" `Quick
             test_index_dml_matches_forced_scan;
           Alcotest.test_case "ROLLBACK restores the exact region" `Quick

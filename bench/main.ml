@@ -14,8 +14,8 @@
    workload, and exits 1 on any difference.
    [sqlidx] compares the indexed point/range SELECT workloads against the
    forced-scan baseline and exits non-zero unless the indexed point
-   stream clears 5x the baseline's virtual TPS and both it and
-   sql:read_mix stay within their words-allocated-per-request budgets.
+   stream clears 5x the baseline's virtual TPS and it, sql:read_mix and
+   sql:insert_acid stay within their words-allocated-per-request budgets.
    [memory] runs the Table-1 default row at two lengths and exits
    non-zero if a replica table that grows with requests outgrows its
    log-window bound, if a body was aged out unanswered, or if the live
@@ -182,18 +182,30 @@ let run_digest () =
    allocated per completed sql:indexed_point request, boot fill included
    (as in BENCH.json's alloc_per_request), so a shorter run reads higher.
    Set from the value under --quick, the CI run, plus 25% headroom:
-   536,084 with the batched row-tree lookup and the in-place leaf walk
-   (budget 733,000 before, set from 586,117 with the boot fill run once
-   per service value). The in-place B-tree probe measured 1,930,701
+   174,621 once the boot fill's INSERTs edit B-tree pages in place
+   (budget 670,000 before, set from 536,084 with the batched row-tree
+   lookup and the in-place leaf walk; 733,000 before that, set from
+   586,117 with the boot fill run once per service value). The in-place B-tree probe measured 1,930,701
    while every replica still ran the fill, and the copy-and-decode read
    path it replaced 6,430,090. *)
-let sqlidx_words_budget = 670_000.0
+let sqlidx_words_budget = 218_000.0
 
 (* The same gate on sql:read_mix, whose SELECTs fetch 25 rows each
    through the index: the multi-row path of Index_scan. Set from its
-   --quick value, 528,799 with the batched lookup (572,348 with one
-   descent per row and whole leaves decoded), plus 25% headroom. *)
-let read_mix_words_budget = 661_000.0
+   --quick value, 167,440 with in-place B-tree writes in the boot fill
+   (528,799 with the batched lookup and decode-and-encode writes;
+   572,348 with one descent per row and whole leaves decoded), plus 25%
+   headroom. *)
+let read_mix_words_budget = 209_000.0
+
+(* The same gate on the write path, sql:insert_acid: one vote INSERT per
+   request under the rollback journal, boot fill included. Set from its
+   --quick value, 53,533 with B-tree pages edited in place, each original
+   journaled once from the page view and Simdisk files that grow
+   geometrically, plus 25% headroom; the decode-and-encode write path
+   measured 132,542. A rise means the write path copies or re-encodes
+   whole pages again. *)
+let insert_words_budget = 67_000.0
 
 (* Access-path comparison with a pass/fail gate: the identical point-
    SELECT stream, indexed versus forced scan, must differ by at least 5x
@@ -222,10 +234,13 @@ let run_sqlidx () =
   in
   Printf.printf "  indexed point vs forced scan: %.1fx virtual TPS\n%!" speedup;
   let mix = measure_named ~duration:dur "sql:read_mix" in
+  let insert = measure_named ~duration:dur "sql:insert_acid" in
   let words (m : Harness.Hostbench.measurement) =
     m.alloc_per_request /. float_of_int (Sys.word_size / 8)
   in
-  let budgets = [ (point, sqlidx_words_budget); (mix, read_mix_words_budget) ] in
+  let budgets =
+    [ (point, sqlidx_words_budget); (mix, read_mix_words_budget); (insert, insert_words_budget) ]
+  in
   List.iter
     (fun ((m : Harness.Hostbench.measurement), budget) ->
       Printf.printf "  %s allocation: %.0f words/request (budget %.0f)\n%!" m.name (words m) budget)

@@ -10,7 +10,10 @@
    for the keys that pass through it ([find] is a batch of one). [iter]
    finds each leaf's entries in range on the view, copies that run of
    the page once and yields copies of its keys and values from there.
-   Writes decode a node, edit it and encode it once. *)
+   Inserts and deletes descend on the views too and edit the encoding of
+   the node they change: its new image is assembled from runs of the old
+   one and the changed bytes. Only a node that must split is decoded and
+   encoded; so are the nodes [create] writes and [drop] frees. *)
 
 type node =
   | Leaf of { entries : (string * string) list; next : int }
@@ -184,6 +187,27 @@ let enter c t img depth =
   c.img <- img;
   c.pos <- 0
 
+(* Step over the leaf entry at the cursor; the sign of
+   [String.compare b key] for the bound [Some b], 0 for [None]. *)
+let compare_entry c bound =
+  let klen = varint c in
+  let koff = span c klen in
+  ignore (span c (varint c));
+  match bound with Some b -> compare_at b c.img koff klen 0 | None -> 0
+
+(* Of the [m] leaf entries at the cursor, step over those below [from];
+   returns how many are left, the cursor at the first of them. *)
+let rec skip_below c from m =
+  if m = 0 || Option.is_none from then m
+  else begin
+    let start = c.pos in
+    if compare_entry c from > 0 then skip_below c from (m - 1)
+    else begin
+      c.pos <- start;
+      m
+    end
+  end
+
 (* --- batched lookup ---
 
    [find_many] routes a run of strictly ascending keys down the tree
@@ -316,13 +340,11 @@ let create pager =
 let open_tree pager ~root = { pager; root_page = root }
 let root t = t.root_page
 
-(* The same routing rule over a decoded node, for the write paths. *)
-let child_index seps key =
-  let rec go i = function
-    | [] -> i
-    | sep :: rest -> if String.compare key sep < 0 then i else go (i + 1) rest
-  in
-  go 0 seps
+(* --- splitting a node ---
+
+   A node that outgrows [max_node_bytes] is decoded and split whole; the
+   edit that overflowed it is applied to the decoded node first. A
+   parent takes its child's new separator the same way. *)
 
 (* Where to split a full node's items: the count midpoint, unless skewed
    item sizes would leave a half too big for its page ([fits] says
@@ -349,105 +371,178 @@ let split_index arr ~size ~fits =
 
 let encoded_bytes node = Util.Codec.W.length (encode_node node)
 
-(* Insert; returns Some (separator, right page) if the node split. *)
-let rec insert_in t page key value =
+(* Returns the separator (the right half's first key) and the new right
+   page. *)
+let split_leaf t page entries next =
+  let arr = Array.of_list entries in
+  let halves mid =
+    (Array.to_list (Array.sub arr 0 mid), Array.to_list (Array.sub arr mid (Array.length arr - mid)))
+  in
+  let fits mid =
+    let left, right = halves mid in
+    encoded_bytes (Leaf { entries = left; next }) <= Pager.page_size
+    && encoded_bytes (Leaf { entries = right; next }) <= Pager.page_size
+  in
+  let left, right =
+    halves (split_index arr ~size:(fun (k, v) -> String.length k + String.length v) ~fits)
+  in
+  let right_page = Pager.allocate_page t.pager in
+  store t right_page (Leaf { entries = right; next });
+  store t page (Leaf { entries = left; next = right_page });
+  Some (fst (List.hd right), right_page)
+
+let rec place key value = function
+  | [] -> [ (key, value) ]
+  | (k, v) :: rest ->
+    let c = String.compare key k in
+    if c = 0 then (key, value) :: rest
+    else if c < 0 then (key, value) :: (k, v) :: rest
+    else (k, v) :: place key value rest
+
+let rec insert_at i x l =
+  match l with
+  | y :: rest when i > 0 -> y :: insert_at (i - 1) x rest
+  | _ -> x :: l
+
+(* The child in [slot] of interior node [page] split off [right]: add
+   [sep] as separator [slot] and [right] as child [slot + 1], splitting
+   the node if it no longer fits. The node is read again, since the
+   child's writes ended the view the descent used. *)
+let add_child t page slot sep right =
   match load t page with
-  | Leaf { entries; next } ->
-    let entries =
-      let rec place = function
-        | [] -> [ (key, value) ]
-        | (k, v) :: rest ->
-          let c = String.compare key k in
-          if c = 0 then (key, value) :: rest
-          else if c < 0 then (key, value) :: (k, v) :: rest
-          else (k, v) :: place rest
-      in
-      place entries
-    in
-    let w = encode_node (Leaf { entries; next }) in
+  | Leaf _ -> corrupt "node tag"
+  | Interior { seps; children } ->
+    let seps = insert_at slot sep seps and children = insert_at (slot + 1) right children in
+    let w = encode_node (Interior { seps; children }) in
     if Util.Codec.W.length w <= max_node_bytes then begin
       write_node t page w;
       None
     end
     else begin
-      let arr = Array.of_list entries in
+      let sarr = Array.of_list seps and carr = Array.of_list children in
+      (* The separator at [mid] moves up; each half keeps its children. *)
       let halves mid =
-        (Array.to_list (Array.sub arr 0 mid), Array.to_list (Array.sub arr mid (Array.length arr - mid)))
+        let sub a lo hi = Array.to_list (Array.sub a lo (hi - lo)) in
+        ( Interior { seps = sub sarr 0 mid; children = sub carr 0 (mid + 1) },
+          Interior
+            {
+              seps = sub sarr (mid + 1) (Array.length sarr);
+              children = sub carr (mid + 1) (Array.length carr);
+            } )
       in
       let fits mid =
         let left, right = halves mid in
-        encoded_bytes (Leaf { entries = left; next }) <= Pager.page_size
-        && encoded_bytes (Leaf { entries = right; next }) <= Pager.page_size
+        encoded_bytes left <= Pager.page_size && encoded_bytes right <= Pager.page_size
       in
-      let left, right =
-        halves (split_index arr ~size:(fun (k, v) -> String.length k + String.length v) ~fits)
-      in
-      let right_page = Pager.allocate_page t.pager in
-      store t right_page (Leaf { entries = right; next });
-      store t page (Leaf { entries = left; next = right_page });
-      Some (fst (List.hd right), right_page)
+      let mid = split_index sarr ~size:String.length ~fits in
+      let left, right = halves mid in
+      let right_pg = Pager.allocate_page t.pager in
+      store t right_pg right;
+      store t page left;
+      Some (sarr.(mid), right_pg)
     end
-  | Interior { seps; children } ->
-    let idx = child_index seps key in
-    let child = List.nth children idx in
-    (match insert_in t child key value with
+
+(* --- editing a node in place ---
+
+   An insert or delete that leaves its node within [max_node_bytes] edits
+   the encoding, not a decoded node: the new image is assembled in one
+   zeroed page-sized buffer from runs of the borrowed old image and the
+   bytes that change, so it is exactly the encoding of the edited node.
+   Each [put] writes at [pos] and returns the position after. *)
+
+let rec varint_len v = if v < 0x80 then 1 else 1 + varint_len (v lsr 7)
+let lstring_len s = varint_len (String.length s) + String.length s
+
+let rec put_varint b pos v =
+  if v < 0x80 then begin
+    Bytes.set b pos (Char.chr v);
+    pos + 1
+  end
+  else begin
+    Bytes.set b pos (Char.chr (0x80 lor (v land 0x7f)));
+    put_varint b (pos + 1) (v lsr 7)
+  end
+
+let put_run b pos img off len =
+  Bytes.blit_string img off b pos len;
+  pos + len
+
+let put_lstring b pos s = put_run b (put_varint b pos (String.length s)) s 0 (String.length s)
+
+(* The buffer is never touched once written. *)
+let write_image t page b = Pager.write_page t.pager page (Bytes.unsafe_to_string b)
+
+(* Tag and next-leaf pointer. *)
+let leaf_header = 5
+
+(* Write [page] as the leaf at the cursor with its entries [at, after)
+   replaced by [entry], [n] entries in all. The old entries start at
+   [counted] and end at the cursor. *)
+let write_leaf c t page ~n ~counted ~at ~after entry =
+  let b = Bytes.make Pager.page_size '\000' in
+  let p = put_run b 0 c.img 0 leaf_header in
+  let p = put_varint b p n in
+  let p = put_run b p c.img counted (at - counted) in
+  let p = match entry with Some (k, v) -> put_lstring b (put_lstring b p k) v | None -> p in
+  ignore (put_run b p c.img after (c.pos - after));
+  write_image t page b
+
+(* The cursor past a leaf's tag: find [key]'s slot. Returns the entry
+   count, where the entries start, and where [key]'s entry starts and
+   ends (both where it would go if absent); the cursor ends past the
+   last entry. *)
+let leaf_slot c key =
+  ignore (u32 c);
+  let n = varint c in
+  let counted = c.pos in
+  let left = skip_below c (Some key) n in
+  let at = c.pos in
+  let found = left > 0 && Int.equal (compare_entry c (Some key)) 0 in
+  if not found then c.pos <- at;
+  let after = c.pos in
+  skip_strings c (2 * if found then left - 1 else left);
+  (n, counted, at, after)
+
+(* The cursor past a leaf's tag: insert or replace [key]'s entry. *)
+let insert_leaf c t page key value =
+  let n, counted, at, after = leaf_slot c key in
+  let n = if after > at then n else n + 1 in
+  let len =
+    leaf_header + varint_len n + (at - counted) + lstring_len key + lstring_len value
+    + (c.pos - after)
+  in
+  if len <= max_node_bytes then begin
+    write_leaf c t page ~n ~counted ~at ~after (Some (key, value));
+    None
+  end
+  else
+    match decode_node c.img with
+    | Leaf { entries; next } -> split_leaf t page (place key value entries) next
+    | Interior _ -> corrupt "node tag"
+
+(* Insert; returns Some (separator, right page) if the node split. The
+   path is descended on borrowed views. *)
+let rec insert_in c t page key value depth =
+  enter c t (Pager.view_page t.pager page) depth;
+  match u8 c with
+  | 0 -> insert_leaf c t page key value
+  | 1 ->
+    let nseps = varint c in
+    let slot = sep_slot c key 0 nseps in
+    (match insert_in c t (child_at c slot) key value (depth + 1) with
     | None -> None
-    | Some (sep, right_page) ->
-      let seps = List.filteri (fun i _ -> i < idx) seps @ (sep :: List.filteri (fun i _ -> i >= idx) seps) in
-      let children =
-        List.filteri (fun i _ -> i <= idx) children
-        @ (right_page :: List.filteri (fun i _ -> i > idx) children)
-      in
-      let w = encode_node (Interior { seps; children }) in
-      if Util.Codec.W.length w <= max_node_bytes then begin
-        write_node t page w;
-        None
-      end
-      else begin
-        let sarr = Array.of_list seps and carr = Array.of_list children in
-        (* The separator at [mid] moves up; each half keeps its children. *)
-        let halves mid =
-          let sub a lo hi = Array.to_list (Array.sub a lo (hi - lo)) in
-          ( Interior { seps = sub sarr 0 mid; children = sub carr 0 (mid + 1) },
-            Interior
-              {
-                seps = sub sarr (mid + 1) (Array.length sarr);
-                children = sub carr (mid + 1) (Array.length carr);
-              } )
-        in
-        let fits mid =
-          let left, right = halves mid in
-          encoded_bytes left <= Pager.page_size && encoded_bytes right <= Pager.page_size
-        in
-        let mid = split_index sarr ~size:String.length ~fits in
-        let left, right = halves mid in
-        let right_pg = Pager.allocate_page t.pager in
-        store t right_pg right;
-        store t page left;
-        Some (sarr.(mid), right_pg)
-      end)
+    | Some (sep, right) -> add_child t page slot sep right)
+  | _ -> corrupt "node tag"
 
 let insert t ~key ~value =
   if String.length key + String.length value > max_entry_bytes then
     invalid_arg "Btree.insert: entry too large (no overflow pages)";
-  match insert_in t t.root_page key value with
+  match insert_in { img = ""; pos = 0 } t t.root_page key value 0 with
   | None -> ()
   | Some (sep, right_page) ->
     let new_root = Pager.allocate_page t.pager in
     store t new_root (Interior { seps = [ sep ]; children = [ t.root_page; right_page ] });
     t.root_page <- new_root
-
-let rec delete_in t page key =
-  match load t page with
-  | Leaf { entries; next } ->
-    if List.mem_assoc key entries then begin
-      store t page (Leaf { entries = List.remove_assoc key entries; next });
-      true
-    end
-    else false
-  | Interior { seps; children } -> delete_in t (List.nth children (child_index seps key)) key
-
-let delete t key = delete_in t t.root_page key
 
 (* Descend to the leaf that would hold [key] (or the leftmost). Interior
    pages are genuine traversal work and count as touches; the leaf itself
@@ -471,32 +566,22 @@ let rec descend_leaf c t page key depth =
     descend_leaf c t (child_at c slot) key (depth + 1)
   | _ -> corrupt "node tag"
 
+(* A delete charges a page touch for every node on its path, the leaf
+   included, as an insert does. *)
+let delete t key =
+  let c = { img = ""; pos = 0 } in
+  let page = descend_leaf c t t.root_page (Some key) 0 in
+  Pager.touch_page t.pager page;
+  let n, counted, at, after = leaf_slot c key in
+  let found = after > at in
+  if found then write_leaf c t page ~n:(n - 1) ~counted ~at ~after None;
+  found
+
 (* A leaf's entries are scanned in two passes. The first runs on the
    borrowed view, with no callback: it steps over the keys below [from]
    and finds the run of entries up to [upto]. That run alone is copied,
    and the second pass hands [f] copies of its keys and values from the
    private copy, so [f] may write the tree. *)
-
-(* Step over the entry at the cursor; the sign of [String.compare b key]
-   for the bound [Some b], 0 for [None]. *)
-let compare_entry c bound =
-  let klen = varint c in
-  let koff = span c klen in
-  ignore (span c (varint c));
-  match bound with Some b -> compare_at b c.img koff klen 0 | None -> 0
-
-(* Of the [m] entries at the cursor, step over those below [from];
-   returns how many are left, the cursor at the first of them. *)
-let rec skip_below c from m =
-  if m = 0 || Option.is_none from then m
-  else begin
-    let start = c.pos in
-    if compare_entry c from > 0 then skip_below c from (m - 1)
-    else begin
-      c.pos <- start;
-      m
-    end
-  end
 
 (* How many of the [m] entries at the cursor are not above [upto]; the
    cursor ends past them. *)

@@ -5,7 +5,9 @@ let magic = "RELSQL01"
 
 type t = {
   vfs : Vfs.t;
-  journaled : (int, string) Hashtbl.t;  (** original images this txn *)
+  journaled : (int, unit) Hashtbl.t;  (** pages whose original this txn has kept *)
+  originals : (int, string) Hashtbl.t;
+      (** their images, in memory, when there is no journal file *)
   mutable txn : bool;
   mutable page_count : int;
   mutable freelist : int;
@@ -66,6 +68,13 @@ let journal_record jf index =
   in
   (page, jf.Vfs.read ~pos:(pos + 4) ~len:page_size)
 
+(* Write every journaled original back over the main file. *)
+let replay_journal vfs jf =
+  for i = 0 to journal_count jf - 1 do
+    let page, image = journal_record jf i in
+    vfs.Vfs.main.write ~pos:(page * page_size) image
+  done
+
 (* --- page access --- *)
 
 let touch t page = Hashtbl.replace t.touched page ()
@@ -101,21 +110,20 @@ let write_page t page image =
   if not t.txn then invalid_arg "Pager.write_page: no transaction";
   if String.length image <> page_size then invalid_arg "Pager.write_page: bad size";
   touch t page;
-  (* The in-memory undo table always records originals (so ROLLBACK works
-     even in no-ACID mode); the on-disk journal record is what makes the
-     undo crash-safe and is written only when a journal is configured. *)
+  (* Each original is kept once per transaction: appended to the journal
+     file straight from the borrowed view, which makes the undo crash-safe
+     and serves ROLLBACK; without a journal (no-ACID mode) a copy is kept
+     in memory, so ROLLBACK still works. The raw accessors are pager
+     bookkeeping, not application page touches. *)
   if not (Hashtbl.mem t.journaled page) then begin
-    (* raw_read, not read_page: journaling the original image is pager
-       bookkeeping, and must not count as an application page touch. *)
-    let original = raw_read t page in
     (match t.vfs.Vfs.journal with
-    | Some jf -> journal_append jf (Hashtbl.length t.journaled) page original
-    | None -> ());
-    Hashtbl.replace t.journaled page original
+    | Some jf -> journal_append jf (Hashtbl.length t.journaled) page (raw_view t page)
+    | None -> Hashtbl.replace t.originals page (raw_read t page));
+    Hashtbl.replace t.journaled page ()
   end;
-  (* Write-through: the region is memory (or a heap file); there is no
-     separate cache to go stale when PBFT state transfer rewrites the
-     pages underneath the engine. *)
+  (* Write-through: the region is memory (or a simulated disk file);
+     there is no separate cache to go stale when PBFT state transfer
+     rewrites the pages underneath the engine. *)
   t.vfs.Vfs.main.write ~pos:(page * page_size) image
 
 let write_header t =
@@ -172,7 +180,8 @@ let begin_txn t =
   if t.txn then invalid_arg "Pager.begin_txn: nested transaction";
   t.txn <- true;
   t.header_dirty <- false;
-  Hashtbl.reset t.journaled
+  Hashtbl.reset t.journaled;
+  Hashtbl.reset t.originals
 
 let in_txn t = t.txn
 
@@ -193,16 +202,22 @@ let commit t =
     journal_reset jf
   | None -> ());
   Hashtbl.reset t.journaled;
+  Hashtbl.reset t.originals;
   t.txn <- false
 
 let rollback t =
   if not t.txn then invalid_arg "Pager.rollback: no transaction";
-  (* Write the journaled original images back. *)
-  Hashtbl.iter
-    (fun page original -> t.vfs.Vfs.main.write ~pos:(page * page_size) original)
-    t.journaled;
-  (match t.vfs.Vfs.journal with Some jf -> journal_reset jf | None -> ());
+  (* Write the original images back. *)
+  (match t.vfs.Vfs.journal with
+  | Some jf ->
+    replay_journal t.vfs jf;
+    journal_reset jf
+  | None ->
+    Hashtbl.iter
+      (fun page original -> t.vfs.Vfs.main.write ~pos:(page * page_size) original)
+      t.originals);
   Hashtbl.reset t.journaled;
+  Hashtbl.reset t.originals;
   t.txn <- false;
   t.header_dirty <- false;
   (* The header may have been rolled back too; re-read it. *)
@@ -229,6 +244,7 @@ let open_pager vfs =
     {
       vfs;
       journaled = Hashtbl.create 16;
+      originals = Hashtbl.create 16;
       txn = false;
       page_count = 1;
       freelist = 0;
@@ -241,12 +257,8 @@ let open_pager vfs =
      anything else. *)
   (match vfs.Vfs.journal with
   | Some jf ->
-    let count = journal_count jf in
-    if count > 0 then begin
-      for i = 0 to count - 1 do
-        let page, image = journal_record jf i in
-        vfs.Vfs.main.write ~pos:(page * page_size) image
-      done;
+    if journal_count jf > 0 then begin
+      replay_journal vfs jf;
       vfs.Vfs.main.sync ();
       journal_reset jf
     end

@@ -4,9 +4,12 @@
     header (magic, page count, freelist head, catalog root). All reads
     and writes go through the cache; the first modification of a page
     inside a transaction journals its original image, giving SQLite-style
-    rollback-journal ACID (§3.2). Without a journal (no-ACID mode) writes
-    land directly and only crash consistency is lost — the configuration
-    the paper's §4.2 compares against. *)
+    rollback-journal ACID (§3.2). Each original is kept once: with a
+    journal it lives only in the journal file, appended from the page
+    view, and {!rollback} replays the file as crash recovery does;
+    without one (no-ACID mode) it is copied into memory for {!rollback},
+    writes land directly and only crash consistency is lost — the
+    configuration the paper's §4.2 compares against. *)
 
 type t
 
@@ -60,6 +63,9 @@ val commit : t -> unit
     sync, journal reset. *)
 
 val rollback : t -> unit
+(** Restores every page written in the transaction to its original:
+    from the journal file, or from memory in no-ACID mode; then resets
+    the journal. *)
 
 val refresh : t -> unit
 (** Re-read the header from the file — required after an external agent

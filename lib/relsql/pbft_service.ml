@@ -82,23 +82,6 @@ let pages_file pages ~first_page ~app_pages ~(disk : Simdisk.Disk.t) ~cost =
     truncate = (fun _ -> ());
   }
 
-let disk_journal disk f ~cost =
-  let read ~pos ~len = Simdisk.Disk.read f ~pos ~len in
-  {
-    Vfs.read;
-    view = read;
-    write =
-      (fun ~pos s ->
-        cost := !cost +. Simdisk.Disk.write_cost disk (String.length s);
-        Simdisk.Disk.write f ~pos s);
-    sync =
-      (fun () ->
-        cost := !cost +. Simdisk.Disk.sync_cost disk;
-        Simdisk.Disk.sync f);
-    size = (fun () -> Simdisk.Disk.size f);
-    truncate = (fun n -> Simdisk.Disk.truncate f n);
-  }
-
 (* What the first [make] of a service value leaves for every later one:
    the filled database pages (aliased, not copied), the journal file and
    the statement cache. A later [make] that adopts all three is
@@ -121,7 +104,7 @@ let service_with_db ?(acid = true) ?(app_pages = 128) ?(sync_latency = 0.4e-3)
     let vfs =
       {
         Vfs.main = pages_file pages ~first_page ~app_pages ~disk ~cost;
-        journal = Option.map (fun f -> disk_journal disk f ~cost) journal_file;
+        journal = Option.map (fun f -> Vfs.disk_file disk f ~cost) journal_file;
         time = (fun () -> !env_time);
         random =
           (fun () ->

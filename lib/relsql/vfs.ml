@@ -20,34 +20,6 @@ let take_cost t =
   t.cost := 0.0;
   c
 
-let heap_file () =
-  let buf = ref (Bytes.create 0) in
-  let size () = Bytes.length !buf in
-  let ensure n =
-    if n > size () then begin
-      let grown = Bytes.make n '\000' in
-      Bytes.blit !buf 0 grown 0 (size ());
-      buf := grown
-    end
-  in
-  let read ~pos ~len =
-    if pos < 0 || len < 0 || pos + len > size () then invalid_arg "heap_file.read";
-    Bytes.sub_string !buf pos len
-  in
-  {
-    read;
-    view = read;
-    write =
-      (fun ~pos s ->
-        ensure (pos + String.length s);
-        Bytes.blit_string s 0 !buf pos (String.length s));
-    sync = (fun () -> ());
-    size;
-    truncate =
-      (fun n ->
-        if n < size () then buf := Bytes.sub !buf 0 n else ensure n);
-  }
-
 let env_of_seed seed =
   let rng = Util.Rng.create seed in
   let clock = ref 0.0 in
@@ -59,18 +31,7 @@ let env_of_seed seed =
   let random () = Util.Rng.next_int64 rng in
   (time, random)
 
-let in_memory ?(acid = true) ~seed () =
-  let time, random = env_of_seed seed in
-  {
-    main = heap_file ();
-    journal = (if acid then Some (heap_file ()) else None);
-    time;
-    random;
-    cost = ref 0.0;
-  }
-
-let disk_file disk cost name =
-  let f = Simdisk.Disk.open_file disk name in
+let disk_file disk f ~cost =
   let read ~pos ~len = Simdisk.Disk.read f ~pos ~len in
   {
     read;
@@ -90,10 +51,16 @@ let disk_file disk cost name =
 let on_disk ?(acid = true) disk ~name ~seed =
   let time, random = env_of_seed seed in
   let cost = ref 0.0 in
+  let file name = disk_file disk (Simdisk.Disk.open_file disk name) ~cost in
   {
-    main = disk_file disk cost name;
-    journal = (if acid then Some (disk_file disk cost (name ^ "-journal")) else None);
+    main = file name;
+    journal = (if acid then Some (file (name ^ "-journal")) else None);
     time;
     random;
     cost;
   }
+
+(* Free I/O: every write and sync adds 0.0 to the cost. *)
+let in_memory ?acid ~seed () =
+  on_disk ?acid (Simdisk.Disk.create ~write_latency_per_byte:0.0 ~sync_latency:0.0 ()) ~name:"db"
+    ~seed

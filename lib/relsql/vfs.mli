@@ -35,8 +35,13 @@ val take_cost : t -> float
 (** Read and reset the accumulator. *)
 
 val in_memory : ?acid:bool -> seed:int -> unit -> t
-(** Self-contained heap-backed VFS (costless, deterministic env) for
-    standalone use and tests. *)
+(** Self-contained VFS (costless, deterministic env) for standalone use
+    and tests: {!on_disk} over a private disk with zero write and sync
+    latency, so the cost stays 0.0. *)
 
 val on_disk : ?acid:bool -> Simdisk.Disk.t -> name:string -> seed:int -> t
 (** Files on a simulated disk; write and sync costs are accumulated. *)
+
+val disk_file : Simdisk.Disk.t -> Simdisk.Disk.file -> cost:float ref -> file
+(** One open file of a simulated disk; each write and sync adds its cost
+    to [cost]. [view] copies, like [read]. *)

@@ -7,7 +7,13 @@
     [sync] makes them durable, and [crash] discards everything volatile.
     Write and sync latencies are surfaced as costs the owning node charges
     to its virtual CPU, so the ACID experiments (Fig. 5, §4.2) are
-    disk-bound exactly as in the paper. *)
+    disk-bound exactly as in the paper.
+
+    A file's images are growable buffers whose capacity may exceed the
+    file's size: capacity grows geometrically, so an append copies the
+    file only now and then, and [sync] and [crash] copy into the buffers
+    already there. Bytes past the size always read as zeros once the
+    file grows over them again, after a [truncate] too. *)
 
 type t
 (** One node's disk. *)
@@ -22,10 +28,6 @@ val open_file : t -> string -> file
 (** Opens (creating if absent) the named file; reopening after a crash
     yields the durable image. *)
 
-val exists : t -> string -> bool
-val delete : t -> string -> unit
-(** Deletion is durable immediately (models unlink + directory sync). *)
-
 val size : file -> int
 (** Current (volatile) size in bytes. *)
 
@@ -35,9 +37,11 @@ val read : file -> pos:int -> len:int -> string
     [pos + len] exceeds the size. *)
 
 val write : file -> pos:int -> string -> unit
-(** Buffered write, extending the file if needed. *)
+(** Buffered write, extending the file if needed; a gap between the old
+    size and [pos] reads as zeros. *)
 
 val truncate : file -> int -> unit
+(** Sets the size; growing it this way appends zeros. *)
 
 val sync : file -> unit
 (** Make all buffered writes durable. *)
@@ -52,4 +56,3 @@ val crash : t -> unit
 (** Discard all volatile state on every file of this disk. *)
 
 val sync_count : t -> int
-val bytes_written : t -> int

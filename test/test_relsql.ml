@@ -205,6 +205,129 @@ let prop_btree_vs_map =
           Hashtbl.fold (fun k v acc -> acc && Btree.find tree k = Some v) reference true
           && Btree.count tree = Hashtbl.length reference))
 
+(* --- leaf images: the documented encoding, byte for byte --- *)
+
+module Smap = Map.Make (String)
+
+(* Btree's max_node_bytes: a node whose encoding is longer splits. *)
+let max_node_bytes = Pager.page_size - 256
+
+(* The node layouts of btree.ml's header comment, written with
+   Util.Codec and zero-padded to a page. *)
+let leaf_encoding ?(next = 0) entries =
+  let w = Util.Codec.W.create () in
+  Util.Codec.W.u8 w 0;
+  Util.Codec.W.u32 w next;
+  Util.Codec.W.varint w (List.length entries);
+  List.iter
+    (fun (k, v) ->
+      Util.Codec.W.lstring w k;
+      Util.Codec.W.lstring w v)
+    entries;
+  w
+
+let leaf_oracle ?next entries =
+  Util.Codec.W.contents_padded (leaf_encoding ?next entries) Pager.page_size
+
+let interior_oracle seps children =
+  let w = Util.Codec.W.create () in
+  Util.Codec.W.u8 w 1;
+  Util.Codec.W.list w Util.Codec.W.lstring seps;
+  Util.Codec.W.list w Util.Codec.W.varint children;
+  Util.Codec.W.contents_padded w Pager.page_size
+
+type leaf_op = Put of string * string | Del of string
+
+let print_leaf_ops ops =
+  String.concat "; "
+    (List.map
+       (function
+         | Put (k, v) -> Printf.sprintf "put %S(%d) %d" (String.sub k 0 (min 4 (String.length k)))
+                           (String.length k) (String.length v)
+         | Del k -> Printf.sprintf "del %S(%d)" (String.sub k 0 (min 4 (String.length k)))
+                      (String.length k))
+       ops)
+
+(* Apply [ops] to a one-leaf tree and compare the leaf with the oracle
+   after each; a put that would overflow the leaf is skipped. *)
+let leaf_matches_oracle ops =
+  with_tree (fun pager tree ->
+      let leaf = Btree.root tree in
+      let model = ref Smap.empty in
+      List.for_all
+        (fun op ->
+          let next =
+            match op with Put (k, v) -> Smap.add k v !model | Del k -> Smap.remove k !model
+          in
+          Util.Codec.W.length (leaf_encoding (Smap.bindings next)) > max_node_bytes
+          ||
+          let applied =
+            match op with
+            | Put (key, value) ->
+              Btree.insert tree ~key ~value;
+              true
+            | Del k -> Bool.equal (Btree.delete tree k) (Smap.mem k !model)
+          in
+          model := next;
+          applied
+          && Int.equal (Btree.root tree) leaf
+          && String.equal (Pager.read_page pager leaf) (leaf_oracle (Smap.bindings next)))
+        ops)
+
+let leaf_op_gen =
+  let open QCheck.Gen in
+  let sized lens = string_size ~gen:(char_range 'a' 'c') (oneofl lens) in
+  let key = frequency [ (8, map (Printf.sprintf "k%03d") (int_bound 300)); (1, sized [ 0; 127; 128 ]) ] in
+  let value = frequency [ (8, sized [ 0; 1; 2; 3 ]); (1, sized [ 127; 128 ]) ] in
+  frequency [ (4, map2 (fun k v -> Put (k, v)) key value); (1, map (fun k -> Del k) key) ]
+
+let prop_leaf_image =
+  QCheck.Test.make ~name:"one-leaf inserts, replaces and deletes match the encoding" ~count:100
+    (QCheck.make ~print:print_leaf_ops QCheck.Gen.(list_size (int_range 0 300) leaf_op_gen))
+    leaf_matches_oracle
+
+(* The count varint grows to two bytes at 128 entries and back at 127;
+   lengths 127 and 128 are the one- and two-byte varint edges. *)
+let test_leaf_image_varint_edges () =
+  let puts = List.init 128 (fun i -> Put (Printf.sprintf "%03d" i, "")) in
+  let long n c = String.make n c in
+  let ops =
+    puts
+    @ [ Del "064"; Put ("064", "x"); Put (long 127 'a', long 128 'b'); Put (long 128 'c', long 127 'd');
+        Put (long 127 'a', long 127 'e'); Del (long 128 'c'); Del (long 127 'a') ]
+  in
+  Alcotest.(check bool) "every step matches the oracle" true (leaf_matches_oracle ops)
+
+(* Two entries of a 10-byte key and a 1,904-byte value encode to exactly
+   max_node_bytes (5 + 1 + 2 x (11 + 2 + 1904)): no split. One byte more
+   splits, into the next fresh page, under a new root; a second split
+   adds its separator to that root in place. *)
+let test_leaf_split_boundary () =
+  let k1 = String.make 10 'a' and k2 = String.make 10 'b' and k3 = String.make 10 'c' in
+  let v = String.make 1904 'v' in
+  let v' = v ^ "w" in
+  Alcotest.(check int) "exact fit" max_node_bytes
+    (Util.Codec.W.length (leaf_encoding [ (k1, v); (k2, v) ]));
+  with_tree (fun pager tree ->
+      let leaf = Btree.root tree in
+      let page = Pager.read_page pager in
+      Btree.insert tree ~key:k1 ~value:v;
+      Btree.insert tree ~key:k2 ~value:v;
+      Alcotest.(check int) "no split at max_node_bytes" leaf (Btree.root tree);
+      Alcotest.(check string) "full leaf" (leaf_oracle [ (k1, v); (k2, v) ]) (page leaf);
+      let right = Pager.page_count pager in
+      Btree.insert tree ~key:k2 ~value:v';
+      Alcotest.(check int) "new root" (right + 1) (Btree.root tree);
+      Alcotest.(check string) "left half" (leaf_oracle ~next:right [ (k1, v) ]) (page leaf);
+      Alcotest.(check string) "right half" (leaf_oracle [ (k2, v') ]) (page right);
+      Alcotest.(check string) "root" (interior_oracle [ k2 ] [ leaf; right ]) (page (right + 1));
+      let right2 = Pager.page_count pager in
+      Btree.insert tree ~key:k3 ~value:v;
+      Alcotest.(check string) "second right half" (leaf_oracle [ (k3, v) ]) (page right2);
+      Alcotest.(check string) "separator added in place"
+        (interior_oracle [ k2; k3 ] [ leaf; right; right2 ])
+        (page (right + 1)))
+
 let test_btree_entry_too_large () =
   with_tree (fun _ tree ->
       Alcotest.check_raises "oversized entry"
@@ -248,10 +371,10 @@ let test_btree_persistence () =
 
 (* A VFS whose main file is a Pages region, lending whole pages as views
    the way the replicated service does — so the probe reads live buffers. *)
-let region_vfs pages =
+let region_vfs ?acid pages =
   let ps = Statemgr.Pages.page_size pages in
   let read ~pos ~len = Statemgr.Pages.read pages ~pos ~len in
-  let heap = Vfs.in_memory ~seed:1 () in
+  let heap = Vfs.in_memory ?acid ~seed:1 () in
   {
     heap with
     Vfs.main =
@@ -657,6 +780,28 @@ let test_rollback_restores_region () =
         Alcotest.failf "page %d differs after ROLLBACK" i)
     before;
   check_rows "rows back" db "SELECT COUNT(*), SUM(k) FROM t" [ "400|80200" ]
+
+(* A statement that fails after writing pages restores the region
+   exactly: from the journal file in ACID mode, from the in-memory
+   originals without one. The multi-row INSERT's first row writes its
+   table leaf, the catalog and its index leaf before the second row's
+   duplicate rowid fails. *)
+let test_failed_insert_restores_region ~acid () =
+  let pages = region () in
+  let db = Database.open_db (region_vfs ~acid pages) in
+  fill_indexed db;
+  let before = List.init (Statemgr.Pages.num_pages pages) (Statemgr.Pages.page pages) in
+  Statemgr.Pages.clear_dirty pages;
+  let err = expect_error db "INSERT INTO t (id, k, pad) VALUES (1000, 7, 'new'), (5, 8, 'dup')" in
+  Alcotest.(check string) "second row fails" "UNIQUE constraint failed: rowid 5" err;
+  let written = List.length (Statemgr.Pages.dirty pages) in
+  if written < 2 then Alcotest.failf "only %d pages written before the failure" written;
+  List.iteri
+    (fun i img ->
+      if not (String.equal img (Statemgr.Pages.page pages i)) then
+        Alcotest.failf "page %d differs after the failed INSERT" i)
+    before;
+  check_rows "rows unchanged" db "SELECT COUNT(*), SUM(k) FROM t" [ "400|80200" ]
 
 (* --- pager transactions & crash recovery --- *)
 
@@ -1293,6 +1438,9 @@ let () =
             test_btree_skewed_split;
           Alcotest.test_case "persistence" `Quick test_btree_persistence;
           qcheck prop_btree_vs_map;
+          qcheck prop_leaf_image;
+          Alcotest.test_case "leaf image at varint edges" `Quick test_leaf_image_varint_edges;
+          Alcotest.test_case "leaf split at max_node_bytes + 1" `Quick test_leaf_split_boundary;
           qcheck prop_probe_matches_reference;
           Alcotest.test_case "probe on a three-level tree" `Quick test_probe_three_levels;
           qcheck prop_find_many_matches_find;
@@ -1303,6 +1451,10 @@ let () =
             test_index_dml_matches_forced_scan;
           Alcotest.test_case "ROLLBACK restores the exact region" `Quick
             test_rollback_restores_region;
+          Alcotest.test_case "failed INSERT restores the region (journal file)" `Quick
+            (test_failed_insert_restores_region ~acid:true);
+          Alcotest.test_case "failed INSERT restores the region (no-ACID, memory)" `Quick
+            (test_failed_insert_restores_region ~acid:false);
         ] );
       ( "pager",
         [

@@ -414,6 +414,75 @@ let test_disk_truncate_and_costs () =
   Simdisk.Disk.sync f;
   Alcotest.(check int) "sync counted" 1 (Simdisk.Disk.sync_count d)
 
+(* Growing a file over bytes a truncate dropped reads zeros, whether the
+   growth is a truncate or a write past the end. *)
+let test_disk_truncate_then_extend () =
+  let d = Simdisk.Disk.create () in
+  let f = Simdisk.Disk.open_file d "f" in
+  Simdisk.Disk.write f ~pos:0 "abcdef";
+  Simdisk.Disk.truncate f 2;
+  Simdisk.Disk.truncate f 6;
+  Alcotest.(check string) "truncate up" "ab\000\000\000\000" (Simdisk.Disk.read f ~pos:0 ~len:6);
+  Simdisk.Disk.truncate f 1;
+  Simdisk.Disk.write f ~pos:4 "x";
+  Alcotest.(check string) "write past the end" "a\000\000\000x" (Simdisk.Disk.read f ~pos:0 ~len:5)
+
+(* Random sequences against a naive model: the volatile and the durable
+   contents of one file as strings. *)
+type disk_op = Write of int * string | Truncate of int | Sync | Crash
+
+let print_disk_op = function
+  | Write (pos, s) -> Printf.sprintf "write %d %S" pos s
+  | Truncate n -> Printf.sprintf "truncate %d" n
+  | Sync -> "sync"
+  | Crash -> "crash"
+
+let disk_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (5, map2 (fun pos s -> Write (pos, s)) (int_bound 300) (string_size ~gen:printable (int_bound 100)));
+        (2, map (fun n -> Truncate n) (int_bound 400));
+        (1, return Sync);
+        (1, return Crash);
+      ])
+
+let resized s n =
+  if n <= String.length s then String.sub s 0 n else s ^ String.make (n - String.length s) '\000'
+
+let prop_disk_model =
+  QCheck.Test.make ~name:"disk agrees with a string model" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map print_disk_op ops))
+       QCheck.Gen.(list_size (int_range 0 60) disk_op_gen))
+    (fun ops ->
+      let d = Simdisk.Disk.create () in
+      let volatile = ref "" and durable = ref "" and syncs = ref 0 in
+      List.for_all
+        (fun op ->
+          let f = Simdisk.Disk.open_file d "f" in
+          (match op with
+          | Write (pos, s) ->
+            Simdisk.Disk.write f ~pos s;
+            let base = resized !volatile (Int.max (String.length !volatile) (pos + String.length s)) in
+            let stop = pos + String.length s in
+            volatile := String.sub base 0 pos ^ s ^ String.sub base stop (String.length base - stop)
+          | Truncate n ->
+            Simdisk.Disk.truncate f n;
+            volatile := resized !volatile n
+          | Sync ->
+            Simdisk.Disk.sync f;
+            durable := !volatile;
+            incr syncs
+          | Crash ->
+            Simdisk.Disk.crash d;
+            volatile := !durable);
+          let n = String.length !volatile in
+          Simdisk.Disk.size f = n
+          && String.equal (Simdisk.Disk.read f ~pos:0 ~len:n) !volatile
+          && Simdisk.Disk.sync_count d = !syncs)
+        ops)
+
 let () =
   Alcotest.run "simnet"
     [
@@ -465,5 +534,7 @@ let () =
           Alcotest.test_case "crash keeps only synced" `Quick test_disk_crash_semantics;
           Alcotest.test_case "crash loses unsynced file" `Quick test_disk_crash_loses_everything_unsynced;
           Alcotest.test_case "truncate & costs" `Quick test_disk_truncate_and_costs;
+          Alcotest.test_case "truncate then extend reads zeros" `Quick test_disk_truncate_then_extend;
+          QCheck_alcotest.to_alcotest prop_disk_model;
         ] );
     ]

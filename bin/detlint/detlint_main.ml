@@ -8,11 +8,14 @@ let usage () =
     "usage: detlint [--trust | --all] [--json] [-o FILE] [--root DIR] [--allow FILE] \
      [--list-rules] [DIR...]\n\n\
      Lints every .ml under DIR... (default: lib). The default pass checks\n\
-     determinism and replay-safety; --trust runs the taint pass proving\n\
+     determinism and replay-safety, and flags every val in a .mli under\n\
+     DIR... that no unit under lib, bin, bench, examples or benchmark\n\
+     references (unused_export); --trust runs the taint pass proving\n\
      every wire-decode -> state-write flow crosses a cryptographic\n\
      sanitizer; --all runs both. --json emits one JSON object per finding.\n\
      Exemptions: [@detlint.allow <rule>] / [@trustlint.allow \"why\"]\n\
-     attributes in source, or entries in <root>/detlint.allow (override\n\
+     attributes in source ([@@detlint.allow unused_export \"why\"] on a\n\
+     val), or entries in <root>/detlint.allow (override\n\
      with --allow). Stale allow entries fail the run.";
   exit 2
 

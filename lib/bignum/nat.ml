@@ -279,33 +279,6 @@ let mod_inverse a m =
     go a m one false zero false
   end
 
-let jacobi a n =
-  if is_even n then invalid_arg "Nat.jacobi: even modulus";
-  let rec go a n acc =
-    let a = rem a n in
-    if is_zero a then if equal n one then acc else 0
-    else begin
-      (* Pull out factors of two. *)
-      let rec twos a acc =
-        if is_even a then begin
-          let nmod8 = (if Array.length n > 0 then n.(0) else 0) land 7 in
-          let flip = nmod8 = 3 || nmod8 = 5 in
-          twos (shift_right a 1) (if flip then -acc else acc)
-        end
-        else (a, acc)
-      in
-      let a, acc = twos a acc in
-      if equal a one then acc
-      else begin
-        (* Quadratic reciprocity: flip sign if both ≡ 3 (mod 4). *)
-        let amod4 = a.(0) land 3 and nmod4 = n.(0) land 3 in
-        let acc = if amod4 = 3 && nmod4 = 3 then -acc else acc in
-        go n a acc
-      end
-    end
-  in
-  go a n 1
-
 let of_bytes_be s =
   let r = ref zero in
   String.iter (fun c -> r := add (shift_left !r 8) (of_int (Char.code c))) s;
@@ -345,5 +318,3 @@ let random_below rng bound =
     if compare v bound < 0 then v else try_draw ()
   in
   try_draw ()
-
-let pp fmt a = Format.pp_print_string fmt (to_hex a)

@@ -14,8 +14,6 @@ let encode w t =
       Util.Codec.W.lstring w tag)
     t.tags
 
-let wire_size t = String.length (Util.Codec.encode encode t)
-
 let decode r =
   let tags =
     Util.Codec.R.list r (fun r ->

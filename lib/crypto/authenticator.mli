@@ -22,9 +22,6 @@ val check : key:Mac.key -> replica:int -> string -> t -> bool
 (** [check ~key ~replica msg t] verifies the tag addressed to [replica];
     false if the entry is missing or does not verify. *)
 
-val wire_size : t -> int
-(** Bytes this authenticator occupies on the wire. *)
-
 val encode : Util.Codec.W.t -> t -> unit
 
 val decode : Util.Codec.R.t -> t

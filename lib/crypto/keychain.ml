@@ -46,12 +46,6 @@ let verify verifier msg ~signature =
     String.length signature = simulated_signature_size
     && Hmac.verify ~key msg ~tag:(String.sub signature 0 32)
 
-let signature_size = function
-  | Real_verifier (_, pk) ->
-    (* counter varint + length prefix + root bytes *)
-    4 + String.length (Bignum.Nat.to_bytes_be (Rabin.modulus pk))
-  | Sim_verifier _ -> simulated_signature_size
-
 let verifier_to_string = function
   | Real_verifier (id, pk) ->
     Util.Codec.encode
@@ -93,5 +87,4 @@ let derive_session_key signer ~peer ~epoch =
   let tag = sign signer (Printf.sprintf "session-key|%d|%d" peer epoch) in
   String.sub (Sha256.digest ("sk|" ^ tag)) 0 16
 
-let signer_id = function Real_signer (id, _) | Sim_signer (id, _) -> id
 let verifier_id = function Real_verifier (id, _) | Sim_verifier (id, _) -> id

@@ -27,9 +27,6 @@ val sign : signer -> string -> string
 val verify : verifier -> string -> signature:string -> bool
 [@@trust.sanitizer "public-key signature check: true vouches for the signed bytes"]
 
-val signature_size : verifier -> int
-(** Nominal wire size of one signature (for the network size model). *)
-
 val verifier_to_string : verifier -> string
 (** Wire encoding of the public half, e.g. for Join requests and the
     membership table. *)
@@ -43,5 +40,5 @@ val derive_session_key : signer -> peer:int -> epoch:int -> string
     derives epoch [e+1] keys without consuming any simulation randomness,
     keeping refresh-free runs bit-identical. *)
 
-val signer_id : signer -> int
 val verifier_id : verifier -> int
+[@@detlint.allow unused_export "the verifier codec round-trip test checks the id"]

@@ -6,6 +6,7 @@ type key = string
 (** Symmetric key; any length (hashed into the HMAC block). *)
 
 val tag_size : int
+[@@detlint.allow unused_export "the MAC tests check tag lengths against it"]
 (** 8 bytes. *)
 
 val compute : key:key -> string -> string

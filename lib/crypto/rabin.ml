@@ -41,7 +41,6 @@ let generate rng ~bits =
   }
 
 let public kp = { pk_n = kp.n }
-let modulus pk = pk.pk_n
 
 (* Map (message, counter) to an element of Z_n by hashing with domain
    separation and reducing. *)

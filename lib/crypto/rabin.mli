@@ -19,7 +19,6 @@ val generate : Util.Rng.t -> bits:int -> keypair
     512-bit keys are ample for the simulation and keep tests fast. *)
 
 val public : keypair -> public_key
-val modulus : public_key -> Bignum.Nat.t
 
 val sign : keypair -> string -> signature
 (** Sign an arbitrary message (it is hashed internally). *)

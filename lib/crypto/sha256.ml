@@ -16,8 +16,6 @@
    role is back in its own variable. Each word of the block is loaded
    with one [Bytes.get_int32_be], at any offset. *)
 
-let digest_size = 32
-
 (* Host-side instrumentation: total message bytes fed through the
    compression function, across all contexts. Single-domain only. *)
 let hashed = ref 0
@@ -250,5 +248,3 @@ let digest msg =
   reset scratch;
   feed scratch msg;
   finalize scratch
-
-let hex msg = Util.Hexdump.of_string (digest msg)

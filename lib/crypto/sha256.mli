@@ -4,14 +4,8 @@
     (see DESIGN.md) — the digest's role (request identity, Merkle hashing,
     checkpoint digests) only needs collision resistance. *)
 
-val digest_size : int
-(** 32 bytes. *)
-
 val digest : string -> string
 (** [digest msg] is the 32-byte SHA-256 of [msg]. *)
-
-val hex : string -> string
-(** Convenience: lowercase hex of [digest msg]. *)
 
 type ctx
 (** Streaming interface for hashing large state pages without copying. *)
@@ -19,6 +13,7 @@ type ctx
 val init : unit -> ctx
 
 val copy : ctx -> ctx
+[@@detlint.allow unused_export "midstate branching, checked against the reference compression loop"]
 (** A fresh context in the same running state — lets a caller branch
     several messages off one hashed prefix. *)
 

@@ -43,40 +43,3 @@ let combine ~field shares =
         (Nat.mod_add acc (Nat.mod_mul s.value li field) field, i + 1))
       (Nat.zero, 0) shares
     |> fst
-
-module Feldman = struct
-  type group = { p : Nat.t; q : Nat.t; g : Nat.t }
-
-  let generate_group rng ~bits =
-    (* Search for a Sophie Germain pair: q prime with 2q + 1 also prime. *)
-    let rec go () =
-      let q = Prime.generate rng ~bits in
-      let p = Nat.add (Nat.shift_left q 1) Nat.one in
-      if Prime.is_probable_prime ~rounds:20 rng p then (p, q) else go ()
-    in
-    let p, q = go () in
-    (* g = h² is a generator of the order-q subgroup for any h ∉ {±1}. *)
-    let rec gen () =
-      let h = Nat.add Nat.two (Nat.random_below rng (Nat.sub p (Nat.of_int 4))) in
-      let g = Nat.mod_mul h h p in
-      if Nat.equal g Nat.one then gen () else g
-    in
-    { p; q; g = gen () }
-
-  type commitments = Nat.t list
-
-  let commit group coeffs = List.map (fun c -> Nat.mod_exp group.g c group.p) coeffs
-
-  let verify_share group commitments share =
-    let x = Nat.of_int share.index in
-    (* Π C_j^{x^j}, computing x^j incrementally mod q (exponents live in
-       the order-q subgroup). *)
-    let expected, _ =
-      List.fold_left
-        (fun (acc, xj) c ->
-          let acc = Nat.mod_mul acc (Nat.mod_exp c xj group.p) group.p in
-          (acc, Nat.mod_mul xj x group.q))
-        (Nat.one, Nat.one) commitments
-    in
-    Nat.equal (Nat.mod_exp group.g share.value group.p) expected
-end

@@ -1,5 +1,4 @@
-(** Shamir secret sharing over a prime field, with optional Feldman
-    verifiable-secret-sharing commitments.
+(** Shamir secret sharing over a prime field.
 
     §3.3.1 of the paper proposes an (f+1, n) threshold signature scheme
     as the remedy for PBFT's weak support for strong cryptography (a
@@ -17,26 +16,6 @@ val split :
     secret. Raises [Invalid_argument] on bad parameters. *)
 
 val combine : field:Bignum.Nat.t -> share list -> Bignum.Nat.t
+[@@detlint.allow unused_export "the reconstruction oracle for the split tests"]
 (** Lagrange interpolation at zero. The list must contain at least
     [threshold] distinct shares; extra shares are harmless. *)
-
-(** Feldman commitments: the dealer publishes [g^{a_j} mod p] for every
-    polynomial coefficient; any holder can then check its share against
-    the commitments without learning the polynomial. The group is the
-    order-[q] subgroup of [Z_p*] with [p = 2q + 1]. *)
-module Feldman : sig
-  type group = { p : Bignum.Nat.t; q : Bignum.Nat.t; g : Bignum.Nat.t }
-
-  val generate_group : Util.Rng.t -> bits:int -> group
-  (** Finds a Sophie Germain pair (q, p = 2q+1) with [q] of [bits] bits and
-      a generator of the order-q subgroup. Intended for modest sizes in
-      tests; key generation is offline in the simulated deployment. *)
-
-  type commitments = Bignum.Nat.t list
-
-  val commit : group -> Bignum.Nat.t list -> commitments
-  (** Commitments to the polynomial coefficients (constant term first). *)
-
-  val verify_share : group -> commitments -> share -> bool
-  (** Check [g^{share} = Π C_j^{index^j}]. *)
-end

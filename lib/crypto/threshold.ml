@@ -4,10 +4,6 @@ type public = { n : Nat.t; e : Nat.t; parties : int; threshold : int; delta : in
 type share = { idx : int; value_s : Nat.t }
 type partial = { party : int; value : Nat.t }
 
-let share_index sh = sh.idx
-let threshold_of pk = pk.threshold
-let parties_of pk = pk.parties
-
 let rec factorial k = if k <= 1 then 1 else k * factorial (k - 1)
 
 let generate_safe_prime rng ~bits =
@@ -142,28 +138,3 @@ let partial_of_string s =
 let signature_to_string s = Nat.to_bytes_be s
 
 let signature_of_string s = if String.equal s "" then None else Some (Nat.of_bytes_be s)
-
-let public_to_string pk =
-  Util.Codec.encode
-    (fun w () ->
-      Util.Codec.W.lstring w (Nat.to_bytes_be pk.n);
-      Util.Codec.W.lstring w (Nat.to_bytes_be pk.e);
-      Util.Codec.W.varint w pk.parties;
-      Util.Codec.W.varint w pk.threshold;
-      Util.Codec.W.varint w pk.delta)
-    ()
-
-let public_of_string s =
-  match
-    Util.Codec.decode
-      (fun r ->
-        let n = Nat.of_bytes_be (Util.Codec.R.lstring r) in
-        let e = Nat.of_bytes_be (Util.Codec.R.lstring r) in
-        let parties = Util.Codec.R.varint r in
-        let threshold = Util.Codec.R.varint r in
-        let delta = Util.Codec.R.varint r in
-        { n; e; parties; threshold; delta })
-      s
-  with
-  | pk -> Some pk
-  | exception Util.Codec.R.Truncated -> None

@@ -25,8 +25,6 @@ val deal : Util.Rng.t -> bits:int -> threshold:int -> parties:int -> public * sh
     primes have [bits/2] bits, and deals one share per party. Any
     [threshold] partial signatures combine into a full signature. *)
 
-val share_index : share -> int
-
 val partial_sign : public -> share -> string -> partial
 (** Deterministic partial signature on (the hash of) a message. *)
 
@@ -40,9 +38,6 @@ val verify : public -> string -> Bignum.Nat.t -> bool
   "threshold RSA verification: true vouches that f+1 shareholders signed the message"]
 (** Standard RSA verification: [s^e = H(msg)² (mod n)]. *)
 
-val threshold_of : public -> int
-val parties_of : public -> int
-
 (** {2 Wire encodings} (for embedding in protocol messages) *)
 
 val partial_to_string : partial -> string
@@ -54,6 +49,3 @@ val signature_to_string : Bignum.Nat.t -> string
 
 val signature_of_string : string -> Bignum.Nat.t option
 [@@trust.source "threshold signature parsed from wire bytes"]
-
-val public_to_string : public -> string
-val public_of_string : string -> public option

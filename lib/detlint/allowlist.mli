@@ -24,6 +24,7 @@ exception Malformed of string
 val empty : t
 val load : string -> t
 val of_string : string -> t
+[@@detlint.allow unused_export "the allow-file parser tests feed it strings"]
 val suppresses : t -> Finding.t -> bool
 (** Marks the matching entry used. *)
 

@@ -63,25 +63,20 @@ let collect ~ext ~root dirs =
     dirs
   |> List.sort String.compare
 
-(* The trust pass's declaration layer: [@@trust.*] attributes harvested
-   off every interface under the scanned dirs, plus the convention
-   table. Interfaces that fail to parse are reported like sources. *)
-let harvest_specs ~root ~errors dirs =
-  let specs =
-    List.concat_map
-      (fun path ->
-        let rel = relativize ~root path in
-        match Trust.parse_interface ~filename:rel (read_file path) with
-        | sg -> Trust.harvest_interface ~rel sg
-        | exception exn -> (
-          match Location.error_of_exn exn with
-          | Some (`Ok report) ->
-            errors := Format.asprintf "%s: %a" rel Location.print_report report :: !errors;
-            []
-          | Some `Already_displayed | None -> raise exn))
-      (collect ~ext:".mli" ~root dirs)
-  in
-  specs @ Trust.conventions
+(* Parse one file; a syntax error is recorded in [errors] and skipped. *)
+let parse_file ~root ~errors parse path =
+  let rel = relativize ~root path in
+  let src = read_file path in
+  match parse ~filename:rel src with
+  | ast -> Some (rel, src, ast)
+  | exception exn -> (
+    match Location.error_of_exn exn with
+    | Some (`Ok report) ->
+      errors := Format.asprintf "%s: %a" rel Location.print_report report :: !errors;
+      None
+    | Some `Already_displayed | None -> raise exn)
+
+let lines_of src = Array.of_list (String.split_on_char '\n' src)
 
 (* Which pass can produce a given rule — an allow entry is only stale
    with respect to runs that could have matched it. *)
@@ -95,39 +90,57 @@ let run ?(passes = [ Determinism ]) ?(dirs = [ "lib" ]) ?allow_file ~root () =
   in
   let allow = if Sys.file_exists allow_path then Allowlist.load allow_path else Allowlist.empty in
   let files = collect ~ext:".ml" ~root dirs in
-  let findings = ref [] in
   let errors = ref [] in
-  let suppressed = ref 0 in
-  let specs =
-    if List.mem Trust passes then harvest_specs ~root ~errors dirs else Trust.conventions
+  let interfaces =
+    List.filter_map (parse_file ~root ~errors Trust.parse_interface) (collect ~ext:".mli" ~root dirs)
   in
-  List.iter
-    (fun path ->
-      let rel = relativize ~root path in
-      match
-        let src = read_file path in
-        let str = parse_string ~filename:rel src in
-        let lines = Array.of_list (String.split_on_char '\n' src) in
+  let sources = List.filter_map (parse_file ~root ~errors parse_string) files in
+  (* The trust pass's declaration layer: [@@trust.*] attributes harvested
+     off every interface under the scanned dirs, plus the convention
+     table. *)
+  let specs =
+    (if List.mem Trust passes then
+       List.concat_map (fun (rel, _, sg) -> Trust.harvest_interface ~rel sg) interfaces
+     else [])
+    @ Trust.conventions
+  in
+  let per_file =
+    List.concat_map
+      (fun (rel, src, str) ->
+        let lines = lines_of src in
         List.concat_map
           (function
             | Determinism -> Rules.lint_structure ~rel ~lines str
             | Trust -> Taint.lint_structure ~rel ~lines ~specs str)
-          passes
-      with
-      | fs ->
-        List.iter
-          (fun f -> if Allowlist.suppresses allow f then incr suppressed else findings := f :: !findings)
-          fs
-      | exception exn -> (
-        match Location.error_of_exn exn with
-        | Some (`Ok report) ->
-          errors := Format.asprintf "%s: %a" rel Location.print_report report :: !errors
-        | Some `Already_displayed | None -> raise exn))
-    files;
+          passes)
+      sources
+  in
+  (* unused_export reads every consumer unit, whatever [dirs] is; the
+     scanned sources are parsed once. *)
+  let exports =
+    if not (List.mem Determinism passes) then []
+    else
+      let units =
+        List.map (fun (rel, _, str) -> (rel, str)) sources
+        @ List.filter_map
+            (fun path ->
+              if List.mem path files then None
+              else
+                Option.map (fun (rel, _, str) -> (rel, str))
+                  (parse_file ~root ~errors parse_string path))
+            (collect ~ext:".ml" ~root Exports.consumer_dirs)
+      in
+      Exports.lint
+        ~interfaces:(List.map (fun (rel, src, sg) -> (rel, lines_of src, sg)) interfaces)
+        ~units
+  in
+  let findings, suppressed =
+    List.partition (fun f -> not (Allowlist.suppresses allow f)) (per_file @ exports)
+  in
   {
     files_scanned = List.length files;
-    findings = List.sort Finding.compare !findings;
-    suppressed = !suppressed;
+    findings = List.sort Finding.compare findings;
+    suppressed = List.length suppressed;
     stale_allows =
       List.filter
         (fun (e : Allowlist.entry) ->

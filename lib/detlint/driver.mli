@@ -1,14 +1,17 @@
 (** Walking the tree, parsing, and assembling the report for both
-    passes: the syntactic determinism rules ({!Rules}) and the
-    trustlint taint analysis ({!Taint}). *)
+    passes: the syntactic determinism rules ({!Rules}) with the
+    [unused_export] rule ({!Exports}), and the trustlint taint analysis
+    ({!Taint}). *)
 
 val lint_source : rel:string -> string -> Finding.t list
+[@@detlint.allow unused_export "the rule fixture tests lint strings"]
 (** Parse one compilation unit from a string (fixtures, tests) and run
     the determinism rules under the classification its pseudo-path
     [rel] implies. Raises the parser's exceptions on syntax errors. *)
 
 val lint_trust_source :
   ?interfaces:(string * string) list -> rel:string -> string -> Finding.t list
+[@@detlint.allow unused_export "the taint fixture tests lint strings"]
 (** Same, for the trust pass: [interfaces] is a list of
     [(pseudo-path, .mli source)] pairs whose [@@trust.*] attributes are
     harvested and layered over the convention table. *)
@@ -28,6 +31,8 @@ val run :
 (** Lint every [.ml] under [root]/[dirs] (default [["lib"]]), in sorted
     path order, with the requested passes (default
     [[Determinism]]). When the trust pass runs, every [.mli] under the
-    same dirs is harvested for [@@trust.*] declarations first.
+    same dirs is harvested for [@@trust.*] declarations first; the
+    determinism pass also checks those [.mli]s' exports against every
+    [.ml] under {!Exports.consumer_dirs}, whatever [dirs] is.
     [allow_file] defaults to [root]/detlint.allow and is optional on
     disk; a malformed allow file raises {!Allowlist.Malformed}. *)

@@ -9,6 +9,7 @@ type rule =
   | Catch_all
   | Dispatch_catch_all
   | Tainted_sink
+  | Unused_export
 
 let rule_name = function
   | Hashtbl_order -> "hashtbl_order"
@@ -21,6 +22,7 @@ let rule_name = function
   | Catch_all -> "catch_all"
   | Dispatch_catch_all -> "dispatch_catch_all"
   | Tainted_sink -> "tainted_sink"
+  | Unused_export -> "unused_export"
 
 let all_rules =
   [
@@ -34,6 +36,7 @@ let all_rules =
     Catch_all;
     Dispatch_catch_all;
     Tainted_sink;
+    Unused_export;
   ]
 
 let rule_of_name s = List.find_opt (fun r -> String.equal (rule_name r) s) all_rules

@@ -15,6 +15,10 @@ type rule =
   | Tainted_sink
       (** wire-decoded data reaches a state-mutation sink without crossing a
           cryptographic sanitizer (the trustlint pass, see {!Taint}) *)
+  | Unused_export
+      (** a [val] in a scanned [.mli] that no other unit under [lib/],
+          [bin/], [bench/], [examples/] or [benchmark/] references (see
+          {!Exports}) *)
 
 val rule_name : rule -> string
 val rule_of_name : string -> rule option

@@ -20,8 +20,9 @@
     on the enclosing expression or [let]-binding; file-level exemptions
     go through the checked-in [detlint.allow] file (see {!Allowlist}). *)
 
-val is_replay_critical : string -> bool
-(** On the repo-root-relative path, e.g. ["lib/pbft/replica.ml"]. *)
+val flatten_lid : Longident.t -> string list
+(** ["A.B.c"] as [["A"; "B"; "c"]]; a functor application contributes
+    both paths. *)
 
 val lint_structure :
   rel:string -> lines:string array -> Parsetree.structure -> Finding.t list

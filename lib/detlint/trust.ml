@@ -19,8 +19,6 @@ open Parsetree
 
 type role = Source | Sanitizer | Sink
 
-let role_name = function Source -> "source" | Sanitizer -> "sanitizer" | Sink -> "sink"
-
 type spec = {
   sp_path : string list;
       (* suffix of the flattened applied identifier, e.g. ["Mac"; "verify"]

@@ -9,8 +9,6 @@
 
 type role = Source | Sanitizer | Sink
 
-val role_name : role -> string
-
 type spec = {
   sp_path : string list;
       (** suffix of the flattened applied identifier; [["Mac"; "verify"]]
@@ -22,8 +20,6 @@ type spec = {
   sp_desc : string;  (** what the boundary is, for finding messages *)
 }
 
-val in_scope : spec -> rel:string -> bool
-val path_matches : spec -> string list -> bool
 val find_spec : spec list -> rel:string -> role:role -> string list -> spec option
 (** First spec of [role] whose scope covers [rel] and whose path is a
     suffix of the flattened identifier. *)

@@ -13,9 +13,6 @@
 
 (** {1 Server side} *)
 
-val schema : string
-(** Tables: elections, choices, ballots. *)
-
 val service : ?acid:bool -> unit -> Pbft.Service.t
 (** The replicated service: SQL on the PBFT state region. *)
 

@@ -23,6 +23,7 @@ val sql_large_state_spec :
     here; copy-on-write is O(working set). *)
 
 val lookup_fill_sql : ?rows:int -> ?row_bytes:int -> unit -> string list
+[@@detlint.allow unused_export "the service-boot tests build the lookup fill"]
 (** INSERT batches pre-populating the lookup table ([rows] rows whose key
     column cycles through 256 values, [row_bytes] of pad each; defaults 6400 rows). *)
 

@@ -31,40 +31,15 @@ type scenario = {
   expect : (string * (check -> bool)) list;  (** what must hold, with the failure message *)
 }
 
-val behaviors : Pbft.Adversary.behavior list
-(** The Byzantine behaviors (selective mute is parameterized) in suite
-    order. *)
-
-val behavior : ?seed:int -> ?speculative:bool -> Pbft.Adversary.behavior -> scenario
-(** The behavior installed on the view-0 primary (a backup for forged
-    view-change votes). [speculative] turns the execution pipeline on
-    ([pipeline_depth = 4], [cores = 2]), so the adversary also faces
-    replicas holding executed-but-uncommitted state. *)
-
-val gateway : ?seed:int -> Pbft.Adversary.behavior -> scenario
-(** The behavior with the cluster behind the {!Webgate.Frontdoor}:
-    open-loop sessions through the door's coalescing and admission
-    control instead of direct clients, progress counted at the door.
-    Named ["gateway-<behavior>"]. *)
-
-val crash_restart : ?seed:int -> ?speculative:bool -> unit -> scenario
-(** Crash the view-0 primary of a key-value cluster for 1 s: the
-    survivors elect view 1 and keep committing, and the restarted
-    instance must reload its disk checkpoint, re-key
-    ([rejoin_key_refresh]), rejoin via a Merkle-diff state transfer that
-    fetches strictly fewer pages than a full one, and catch up to the
-    working view with its view-change backoff reset. *)
-
-val vc_mid_speculation : ?seed:int -> unit -> scenario
-(** Commit datagrams are dropped on every link for 0.8 s, so pipelined
-    replicas speculatively execute batches they cannot commit; the view
-    change must roll the speculated suffix back, and once the drop heals
-    the re-proposed batches must commit with journals and states still
-    in agreement. *)
-
 val suite : ?seed:int -> speculative:bool -> unit -> scenario list
-(** The behaviors and {!crash_restart}, then {!vc_mid_speculation} with
-    [speculative] or the {!gateway} variants without. *)
+(** Every {!Pbft.Adversary.behavior} (selective mute of replica 2) on the
+    view-0 primary (a backup for forged view-change votes), each named
+    by {!Pbft.Adversary.behavior_name}, and a crash-restart of the view-0
+    primary (rejoin by Merkle-diff state transfer). With [speculative]
+    (pipeline depth 4 on 2 cores, so the adversary also faces replicas
+    holding executed-but-uncommitted state) then ["vc-mid-speculation"],
+    a view change that must roll speculated batches back; without it
+    the mute and equivocating primary behind the {!Webgate.Frontdoor}. *)
 
 type report = {
   name : string;

@@ -114,6 +114,7 @@ val gateway_trace_digest : ?seed:int -> ?seconds:float -> unit -> string
     door's behaviour across refactors. *)
 
 val replica_digest_spec : ?seed:int -> unit -> Run.spec
+[@@detlint.allow unused_export "the equivalence test pins this run's digest and counters"]
 (** A short seeded run that walks the replica's recovery paths: pipelined
     speculation on 4 cores, dynamic-client joins through the system-op
     intake, a view change that rolls speculation back, a mute primary
@@ -124,6 +125,7 @@ val replica_trace_digest : ?seed:int -> unit -> string
     behaviour across refactors. *)
 
 val traced : Run.spec -> string * Run.result
+[@@detlint.allow unused_export "the equivalence test reads the run's counters next to its digest"]
 (** Run the spec with the message trace on; its digest (the preimage
     format of {!trace_digest}) and the result. *)
 

@@ -180,7 +180,7 @@ let build_sharded spec ~topology ~service ~certs =
   let door_cfg = door_config spec in
   let pool = door_cfg.Webgate.Frontdoor.connections in
   let engine = Simnet.Engine.create ~seed:spec.seed in
-  let edge = Simnet.Net.create engine ~name:"edge" spec.profile in
+  let edge = Simnet.Net.create engine spec.profile in
   let shards = Relsql.Shard.shards topology in
   (* The per-group threshold publics land here once the clusters exist;
      the 2PC wrappers capture the array and read it at execute time. *)
@@ -195,7 +195,7 @@ let build_sharded spec ~topology ~service ~certs =
   let wrapped shard = Webgate.Frontdoor.wrap_service (Relsql.Twopc.wrap ~verify (service shard)) in
   let clusters =
     Array.init shards (fun s ->
-        let net = Simnet.Net.create engine ~name:(Printf.sprintf "shard%d" s) spec.profile in
+        let net = Simnet.Net.create engine spec.profile in
         let c =
           Pbft.Cluster.create ~num_clients:(pool + 1) ~service:(wrapped s)
             ~threshold_replies:certs ~engine ~net spec.cfg

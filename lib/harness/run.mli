@@ -18,9 +18,11 @@ type arrival =
       (** sinusoid: mean·(1 + amplitude·sin(2πt/period)) *)
 
 val rate_at : arrival -> float -> float
+[@@detlint.allow unused_export "the arrival-process tests check the rate curves"]
 (** Instantaneous rate at virtual time [t]. *)
 
 val mean_rate : arrival -> float
+[@@detlint.allow unused_export "the arrival-process tests check the mean rates"]
 (** Long-run mean of the process, for offered-load reporting. *)
 
 type groups =
@@ -116,10 +118,12 @@ val build : spec -> deployment
 (** Engine, groups and door, with no load started and no plan armed. *)
 
 val engine : deployment -> Simnet.Engine.t
+[@@detlint.allow unused_export "the shard tests schedule faults on the deployment's engine"]
 val cluster : deployment -> int -> Pbft.Cluster.t
 val door : deployment -> Webgate.Frontdoor.t option
 
 val edge : deployment -> Simnet.Net.t
+[@@detlint.allow unused_export "the shard tests inject faults on the edge net"]
 (** The net sessions reach the door on. *)
 
 val topology : deployment -> Relsql.Shard.topology
@@ -236,6 +240,7 @@ val adversaries : spec -> int list
 (** Replicas the plan makes Byzantine. *)
 
 val safety : Pbft.Replica.t list -> string list
+[@@detlint.allow unused_export "the crash tests check safety on a live deployment"]
 (** Pairwise committed-journal agreement over common sequence numbers,
     then Merkle-root agreement between replicas at the same executed
     sequence number; human-readable violations (empty = safe). *)

@@ -14,22 +14,20 @@
 (** {1 The accounts table} *)
 
 val accounts_schema : string
+[@@detlint.allow unused_export "the reference-replay test rebuilds each shard alone"]
 
 val service_first_page : int
+[@@detlint.allow unused_export "the reference-replay test rebuilds each shard alone"]
 (** First page of the service region on a replica (the middleware keeps
     the pages before it). *)
 
 val service_app_pages : int
+[@@detlint.allow unused_export "the reference-replay test rebuilds each shard alone"]
 (** Pages the accounts service asks for. *)
 
 val init_sql : Relsql.Shard.topology -> shard:int -> rows:int -> string list
+[@@detlint.allow unused_export "the reference-replay test rebuilds each shard alone"]
 (** Batched INSERTs pre-populating exactly the ids the shard owns. *)
-
-val mix : shards:int -> rows:int -> cross:float -> reads:float -> client:int -> seq:int -> string
-(** The session operation stream, a pure function of (session, seq): a
-    [cross] fraction of cross-shard transfers (with more than one
-    shard), and of the rest a [reads] fraction of point SELECTs, the
-    others single-row UPDATEs. *)
 
 val spec :
   ?shards:int -> ?sessions:int -> ?rows:int -> ?cross:float -> ?certs:bool -> unit -> Run.spec
@@ -39,14 +37,17 @@ val spec :
     profile. *)
 
 val key_on_shard : Run.deployment -> int -> int
+[@@detlint.allow unused_export "the shard tests pick keys on a given shard"]
 (** Smallest account id owned by the given shard. *)
 
 val region_root : Run.deployment -> shard:int -> replica:int -> string
+[@@detlint.allow unused_export "the reference-replay test compares deployed roots"]
 (** Merkle root of the service's page region on one replica — the
     per-shard state digest the qcheck property and the fault scenario
     compare. *)
 
 val pages_region_root : Statemgr.Pages.t -> string
+[@@detlint.allow unused_export "the reference-replay test compares reference roots"]
 (** The same digest over a bare page set laid out like a replica's
     (service region at {!service_first_page}) — for reference
     executions. *)

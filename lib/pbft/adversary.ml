@@ -25,7 +25,6 @@ type t = {
   mutable n_mutations : int;
 }
 
-let replica t = t.replica
 let replica_id t = Replica.id t.replica
 let mutations t = t.n_mutations
 

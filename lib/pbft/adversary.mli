@@ -53,9 +53,6 @@ val uninstall : t -> unit
 (** Remove the link hooks and stop the injector; the replica reverts to
     correct behavior. *)
 
-val replica : t -> Replica.t
-val replica_id : t -> replica_id
-
 val mutations : t -> int
 (** Datagrams dropped/rewritten or votes injected so far — scenario
     assertions use this to prove the fault actually fired. *)

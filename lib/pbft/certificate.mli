@@ -12,9 +12,6 @@
 
 open Types
 
-val signed_payload : client:client_id -> rq_id:int -> result:string -> string
-(** Canonical byte string the partials sign. *)
-
 val partial : Crypto.Threshold.public -> Crypto.Threshold.share ->
   client:client_id -> rq_id:int -> result:string -> string
 (** A replica's partial signature, wire-encoded for the Reply message. *)

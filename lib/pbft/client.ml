@@ -43,12 +43,10 @@ type t = {
   mutable view_guess : view;
   mutable out : outstanding option;
   mutable joining : join_state option;
-  mutable rebroadcast : Simnet.Engine.timer option;
   mutable n_completed : int;
   mutable n_tentative : int;
   mutable n_retrans : int;
   latencies : Util.Stats.t;
-  mutable alive : bool;
 }
 
 let addr t = t.caddr
@@ -125,7 +123,7 @@ let rec arm_retransmit t o =
            let[@detlint.allow physical_eq] still_out =
              match t.out with Some o' -> o' == o | None -> false
            in
-           if t.alive && still_out then begin
+           if still_out then begin
              t.n_retrans <- t.n_retrans + 1;
              (* On timeout PBFT clients multicast to all replicas, which
                 both reaches a correct primary and triggers the backups'
@@ -278,7 +276,7 @@ let arm_join_retry t js k =
            let[@detlint.allow physical_eq] active =
              match t.joining with Some js' -> js' == js | None -> false
            in
-           if t.alive && active && t.cid = None then k ()))
+           if active && t.cid = None then k ()))
 
 let rec send_join_phase1 t js =
   multicast t ~signed:true
@@ -378,34 +376,32 @@ let verify_reply_auth t ~src (msg : Message.t) =
   end
 
 let on_datagram t ~src wire =
-  if t.alive then begin
-    let decoded, cost = t.transport.Transport.unframe wire in
-    charge t cost (fun () ->
-        match decoded with
-        | None -> ()
-        | Some msg ->
-          let cost, ok = verify_reply_auth t ~src msg in
-          charge t cost (fun () ->
-              if ok then begin
-                match msg.payload with
-                | Message.Reply r ->
-                  handle_reply t ~src ~r_view:r.r_view ~r_id:r.r_id ~r_replica:r.r_replica
-                    ~r_result:r.r_result ~r_tentative:r.r_tentative ~r_partial:r.r_partial
-                | Message.Join_challenge jc ->
-                  if jc.jc_addr = t.caddr then handle_join_challenge t ~src jc.jc_nonce
-                | Message.Join_reply jl -> handle_join_reply t ~src (jl.jl_client, jl.jl_ok)
-                (* Replica-to-replica traffic; a client is never a valid
-                   destination. Enumerated so that a new message kind fails
-                   to compile until someone decides whether clients see it. *)
-                | Message.Request_msg _ | Message.Pre_prepare _ | Message.Prepare _
-                | Message.Commit _ | Message.Checkpoint_msg _ | Message.View_change _
-                | Message.New_view _ | Message.Session_key _ | Message.Join_request _
-                | Message.Join_response _ | Message.Leave_msg _ | Message.Fetch_meta _
-                | Message.State_meta _ | Message.Fetch_pages _ | Message.State_pages _
-                | Message.Fetch_body _ | Message.Body _ | Message.Fetch_entry _
-                | Message.Entry _ | Message.Status _ | Message.Key_request _ -> ()
-              end))
-  end
+  let decoded, cost = t.transport.Transport.unframe wire in
+  charge t cost (fun () ->
+      match decoded with
+      | None -> ()
+      | Some msg ->
+        let cost, ok = verify_reply_auth t ~src msg in
+        charge t cost (fun () ->
+            if ok then begin
+              match msg.payload with
+              | Message.Reply r ->
+                handle_reply t ~src ~r_view:r.r_view ~r_id:r.r_id ~r_replica:r.r_replica
+                  ~r_result:r.r_result ~r_tentative:r.r_tentative ~r_partial:r.r_partial
+              | Message.Join_challenge jc ->
+                if jc.jc_addr = t.caddr then handle_join_challenge t ~src jc.jc_nonce
+              | Message.Join_reply jl -> handle_join_reply t ~src (jl.jl_client, jl.jl_ok)
+              (* Replica-to-replica traffic; a client is never a valid
+                 destination. Enumerated so that a new message kind fails
+                 to compile until someone decides whether clients see it. *)
+              | Message.Request_msg _ | Message.Pre_prepare _ | Message.Prepare _
+              | Message.Commit _ | Message.Checkpoint_msg _ | Message.View_change _
+              | Message.New_view _ | Message.Session_key _ | Message.Join_request _
+              | Message.Join_response _ | Message.Leave_msg _ | Message.Fetch_meta _
+              | Message.State_meta _ | Message.Fetch_pages _ | Message.State_pages _
+              | Message.Fetch_body _ | Message.Body _ | Message.Fetch_entry _
+              | Message.Entry _ | Message.Status _ | Message.Key_request _ -> ()
+            end))
 
 let create ~cfg ~costs ~engine ~net ~addr ?transport ~signer ~registry ?threshold_public ?client_id
     () =
@@ -428,27 +424,16 @@ let create ~cfg ~costs ~engine ~net ~addr ?transport ~signer ~registry ?threshol
       view_guess = 0;
       out = None;
       joining = None;
-      rebroadcast = None;
       n_completed = 0;
       n_tentative = 0;
       n_retrans = 0;
       latencies = Util.Stats.create ();
-      alive = true;
     }
   in
   Simnet.Net.register net addr (fun ~src wire -> on_datagram t ~src wire);
   Simnet.Net.set_backlog_probe net addr (fun () -> Simnet.Cpu.queue_length t.cpu);
   if cfg.use_macs then
-    t.rebroadcast <-
-      Some
-        (Simnet.Engine.periodic engine ~interval:cfg.authenticator_rebroadcast (fun () ->
-             if t.alive && t.cid <> None then announce_session_keys t));
+    ignore
+      (Simnet.Engine.periodic engine ~interval:cfg.authenticator_rebroadcast (fun () ->
+           if t.cid <> None then announce_session_keys t));
   t
-
-let shutdown t =
-  t.alive <- false;
-  Simnet.Net.unregister t.net t.caddr;
-  (match t.rebroadcast with Some timer -> Simnet.Engine.cancel timer | None -> ());
-  match t.out with
-  | Some o -> ( match o.o_timer with Some timer -> Simnet.Engine.cancel timer | None -> ())
-  | None -> ()

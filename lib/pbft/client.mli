@@ -39,16 +39,10 @@ val create :
 
 val addr : t -> int
 val client_id : t -> client_id option
-val verifier_string : t -> string
-(** Wire form of this client's public key (for the static table). *)
 
 val session_key_for : t -> replica_id -> Crypto.Mac.key
 (** The MAC key this client chose for the given replica (created on
     demand); static-mode setup installs these into replicas directly. *)
-
-val announce_session_keys : t -> unit
-(** Send Session_key messages to every replica now (also runs
-    periodically in MAC mode). *)
 
 val join : t -> idbuf:string -> (client_id option -> unit) -> unit
 (** Dynamic two-phase join; the callback receives the assigned client id,
@@ -82,4 +76,3 @@ val tentative_completed : t -> int
 
 val retransmissions : t -> int
 val latency_stats : t -> Util.Stats.t
-val shutdown : t -> unit

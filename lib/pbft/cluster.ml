@@ -102,9 +102,6 @@ let run t ~seconds =
   let target = Simnet.Engine.now t.engine +. seconds in
   Simnet.Engine.run ~until:target t.engine
 
-let run_until_quiet ?(max_seconds = 60.0) t =
-  Simnet.Engine.run ~until:(Simnet.Engine.now t.engine +. max_seconds) t.engine
-
 let restart_replica t i =
   t.reps.(i) <- Replica.restart t.reps.(i);
   (* Static mode: the restarted replica lost the client-chosen session

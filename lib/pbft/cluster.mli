@@ -47,9 +47,6 @@ val client : t -> int -> Client.t
 val run : t -> seconds:float -> unit
 (** Advance virtual time. *)
 
-val run_until_quiet : ?max_seconds:float -> t -> unit
-(** Drain events until the simulation is idle or the horizon passes. *)
-
 val restart_replica : t -> replica_id -> unit
 (** Stop-and-restart the given replica (§2.3); the array entry is
     replaced with the recovering instance. If the replica was previously

@@ -80,10 +80,3 @@ let validate t =
   else if t.cores < 1 then Error "cores must be at least 1"
   else if t.key_refresh_period < 0.0 then Error "key_refresh_period must be non-negative"
   else Ok ()
-
-let name t =
-  Printf.sprintf "%s_%s_%s_%s"
-    (if t.dynamic_clients then "nosta" else "sta")
-    (if t.use_macs then "mac" else "nomac")
-    (if t.all_requests_big then "allbig" else "noallbig")
-    (if t.batching then "batch" else "nobatch")

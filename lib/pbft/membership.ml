@@ -21,7 +21,6 @@ end)
 
 type t = {
   max : int;
-  dynamic : bool;
   mutable next_id : int;
   table : (client_id, entry) Hashtbl.t;
   by_addr : (int, client_id) Hashtbl.t;
@@ -32,10 +31,9 @@ type t = {
          instead of folding over the whole table *)
 }
 
-let create ~max_clients ~dynamic =
+let create ~max_clients =
   {
     max = max_clients;
-    dynamic;
     next_id = 1;
     table = Hashtbl.create 64;
     by_addr = Hashtbl.create 64;
@@ -146,7 +144,6 @@ let touch t c now =
 
 let count t = Hashtbl.length t.table
 let capacity t = t.max
-let is_dynamic t = t.dynamic
 let clients t = Util.Sorted_tbl.keys t.table
 
 let serialize t =

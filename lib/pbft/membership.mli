@@ -29,7 +29,7 @@ type entry = {
 
 type t
 
-val create : max_clients:int -> dynamic:bool -> t
+val create : max_clients:int -> t
 
 val populate_static : t -> (client_id * int * string) list -> unit
 (** Install the a-priori client table of a static deployment
@@ -60,7 +60,6 @@ val touch : t -> client_id -> float -> unit
 
 val count : t -> int
 val capacity : t -> int
-val is_dynamic : t -> bool
 val clients : t -> client_id list
 
 val serialize : t -> string

@@ -169,7 +169,6 @@ let demotion_transfers t = t.n_demotion_transfers
 let rejoin_transfers t = t.n_rejoin_transfers
 let transfer_pages_fetched t = t.n_pages_fetched
 let transfer_pages_full t = t.n_pages_full
-let key_epoch t = t.key_epoch
 let signer t = t.signer
 let set_record_journal t v = t.record_journal <- v
 let exec_journal t = List.rev t.exec_journal
@@ -2042,7 +2041,7 @@ let create ~cfg ~costs ~engine ~net ~id ~signer ~registry ~service:service_spec 
     Statemgr.Pages.create ~page_size:service_spec.Service.page_size ~num_pages ()
   in
   let merkle = Statemgr.Merkle.build pages in
-  let membership = Membership.create ~max_clients:cfg.Config.max_clients ~dynamic:cfg.dynamic_clients in
+  let membership = Membership.create ~max_clients:cfg.Config.max_clients in
   if not cfg.dynamic_clients then Membership.populate_static membership registry.reg_static_clients;
   let service = service_spec.Service.make pages ~first_page:mid_partition_pages in
   let t =

@@ -47,6 +47,7 @@ val create :
 val id : t -> replica_id
 val view : t -> view
 val is_primary : t -> bool
+[@@detlint.allow unused_export "the protocol tests check who leads a view"]
 val last_executed : t -> seqno
 val stable_checkpoint : t -> seqno
 val executed_requests : t -> int
@@ -147,9 +148,11 @@ val aged_out_unanswered : t -> int
     §2.4 missing-body path. *)
 
 val holds_body : t -> Types.digest -> bool
+[@@detlint.allow unused_export "the memory-bound tests check body retirement"]
 (** Whether the body with this request digest is held. *)
 
 val signer : t -> Crypto.Keychain.signer
+[@@detlint.allow unused_export "fault-injection tests forge messages under a replica's key"]
 (** This replica's signing key. Exposed for fault injection: a Byzantine
     replica forges messages that carry its legitimate signature. *)
 
@@ -197,10 +200,8 @@ val restart : t -> t
     replica also re-establishes session keys immediately instead of
     stalling on the lost authenticator vector. *)
 
-val key_epoch : t -> int
-(** Current proactive key-refresh epoch (0 until the first refresh). *)
-
 val is_recovering : t -> bool
+[@@detlint.allow unused_export "the crash-restart tests check the recovery flag"]
 val recovery_completed_at : t -> float option
 (** Virtual time at which the post-restart state transfer finished and
     normal execution resumed; [None] if never restarted / not yet done. *)

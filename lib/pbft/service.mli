@@ -51,10 +51,6 @@ type t = {
           every replica. [never_readonly] is the safe default. *)
 }
 
-val never_readonly : string -> bool
-(** Classifier that opts nothing in — the default for services without a
-    statically analyzable operation language. *)
-
 val null : ?reply_size:int -> unit -> t
 (** The benchmarking service of §4.1: does nothing, replies with
     [reply_size] bytes (default 1024, the paper's representative size). *)
@@ -68,6 +64,7 @@ val kv_store : unit -> t
     ops are "put k v" / "get k" / "del k". *)
 
 val session_kv : unit -> t
+[@@detlint.allow unused_export "the paper's 3.3.2 session-state service; the session tests drive it"]
 (** A stateful service built on the §3.3.2 session-state subsystem: each
     client gets a private key-value area ("sput k v" / "sget k" /
     "skeys"), wiped automatically when its session ends. *)

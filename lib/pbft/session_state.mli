@@ -29,6 +29,7 @@ val set : t -> client:client_id -> key:string -> string -> unit
 
 val remove : t -> client:client_id -> key:string -> unit
 [@@trust.sink "session-state removal in the replicated region"]
+[@@detlint.allow unused_export "the session-state tests remove single keys"]
 
 val end_session : t -> client:client_id -> unit
 (** Drop everything the session stored — invoked by the middleware when a
@@ -36,6 +37,7 @@ val end_session : t -> client:client_id -> unit
 
 val session_keys : t -> client:client_id -> string list
 val sessions : t -> client_id list
+[@@detlint.allow unused_export "the session-state tests list live sessions"]
 
 val pages_needed : int
 (** Suggested partition size (8 pages). *)

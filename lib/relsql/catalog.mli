@@ -25,7 +25,6 @@ val create_table : t -> table -> unit
 val update_table : t -> table -> unit
 val drop_table : t -> string -> unit
 val table_names : t -> string list
-val tables : t -> table list
 
 val find_index : t -> string -> (table * index_def) option
 (** Look an index up by name (case-insensitive) across every table;

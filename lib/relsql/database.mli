@@ -32,10 +32,13 @@ val exec_exn : t -> string -> result
 (** [exec] or [Failure]. *)
 
 val in_transaction : t -> bool
+[@@detlint.allow unused_export "the transaction tests check BEGIN and ROLLBACK"]
 
 val table_names : t -> string list
+[@@detlint.allow unused_export "the DDL tests list tables"]
 
 val stmt_cache_stats : t -> int * int
+[@@detlint.allow unused_export "the statement-cache tests read hits and misses"]
 (** (hits, misses) of the per-connection statement cache since open. *)
 
 type stmt_cache
@@ -51,6 +54,7 @@ val adopt_stmt_cache : t -> stmt_cache -> unit
     would, and wipes its cache at the same statement. *)
 
 val set_planner_enabled : t -> bool -> unit
+[@@detlint.allow unused_export "the planner property test's reference executor"]
 (** Turn access-path planning off (every statement full-scans) — the
     reference executor the planner is property-tested against. On by
     default. *)

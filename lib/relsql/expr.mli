@@ -20,6 +20,3 @@ val eval : env -> Ast.expr -> Value.t
 
 val is_aggregate : Ast.expr -> bool
 (** Does the expression contain an aggregate function call? *)
-
-val like_match : pattern:string -> string -> bool
-(** SQL LIKE with % and _ wildcards. *)

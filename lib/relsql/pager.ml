@@ -230,8 +230,6 @@ let refresh t =
   let img = raw_view t 0 in
   if String.starts_with ~prefix:magic img then parse_header t img
 
-let pages_touched t = Hashtbl.length t.touched
-
 let take_pages_touched t =
   let n = Hashtbl.length t.touched in
   Hashtbl.reset t.touched;

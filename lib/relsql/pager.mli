@@ -23,6 +23,7 @@ val open_pager : Vfs.t -> t
     present — runs crash recovery by rolling the journal back. *)
 
 val read_page : t -> int -> string
+[@@detlint.allow unused_export "the pager tests read private page copies"]
 (** A private copy of the page image (pages past the end of the file read
     as zeros). Records an application page touch. *)
 
@@ -71,8 +72,5 @@ val refresh : t -> unit
 (** Re-read the header from the file — required after an external agent
     (PBFT state transfer) rewrites the underlying region. Must be called
     outside any transaction. *)
-
-val pages_touched : t -> int
-(** Distinct pages read or written since the counter was last taken. *)
 
 val take_pages_touched : t -> int

@@ -19,6 +19,7 @@
     sets or error text. *)
 
 val is_readonly_sql : string -> bool
+[@@detlint.allow unused_export "the read-only classifier tests call it directly"]
 (** Planner-proven read-only classification: true iff the text parses and
     every statement is a SELECT whose expressions are free of the
     non-deterministic functions NOW() and RANDOM(). Such a batch is safe
@@ -59,6 +60,7 @@ val service_with_db :
   ?init:string list ->
   unit ->
   Pbft.Service.t * (Statemgr.Pages.t -> first_page:int -> Database.t * Pbft.Service.instance)
+[@@detlint.allow unused_export "the SQL service tests read a replica's database"]
 (** {!service} together with its [make] in a form that also returns the
     instance's database handle, for inspecting a booted instance (its
     statement cache) from tests and tools. Both share one boot. *)

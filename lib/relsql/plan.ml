@@ -350,12 +350,3 @@ let choose (tbl : Catalog.table) (where : Ast.expr option) =
       in
       (match best with Some (_, access) -> access | None -> Full_scan)
   end
-
-let describe = function
-  | Full_scan -> "full-scan"
-  | No_rows -> "no-rows"
-  | Pk_probe rowid -> Printf.sprintf "pk-probe(%d)" rowid
-  | Index_scan { idx; lo; hi } ->
-    Printf.sprintf "index-scan(%s%s%s)" idx.Catalog.idx_name
-      (match lo with Some _ -> ",lo" | None -> "")
-      (match hi with Some _ -> ",hi" | None -> "")

@@ -26,9 +26,6 @@ val coerce : Ast.column_def -> Value.t -> Value.t
     write path, whose use of it establishes the storage invariants the
     planner's bounds rely on. *)
 
-val describe : access -> string
-(** One-line rendering for tests and debugging. *)
-
 val col_names : Catalog.table -> string list
 (** Lower-cased column names, in declaration order. *)
 

@@ -7,7 +7,6 @@ let topology ~shards rules =
   { t_shards = shards; t_rules = rules }
 
 let shards t = t.t_shards
-let rules t = t.t_rules
 
 let name_eq a b = String.equal (String.lowercase_ascii a) (String.lowercase_ascii b)
 

@@ -28,9 +28,9 @@ val topology : shards:int -> rule list -> topology
 (** Raises [Invalid_argument] unless [shards >= 1]. *)
 
 val shards : topology -> int
-val rules : topology -> rule list
 
 val shard_of_value : topology -> Value.t -> int
+[@@detlint.allow unused_export "the partitioning tests check the hash"]
 (** Owning shard of a partition-column value (FNV-1a over the value's
     canonical key encoding; integral REALs coerce to INTEGER first so
     [id = 5] and [id = 5.0] agree). *)
@@ -40,6 +40,7 @@ val shard_of_int : topology -> int -> int
     helper. *)
 
 val split_statements : string -> string list
+[@@detlint.allow unused_export "the statement-splitting tests call it directly"]
 (** Split a multi-statement SQL string on top-level [';'] boundaries
     (quoted strings and [--]/[/*] comments respected), trimmed, empty
     pieces dropped. Purely textual — never raises. *)
@@ -47,9 +48,6 @@ val split_statements : string -> string list
 type route =
   | Single of int  (** every statement touches exactly this shard *)
   | Cross of int list  (** distinct ascending shards, length >= 2 *)
-
-val statement_shards : topology -> Ast.stmt -> int list
-(** Distinct ascending shards one parsed statement touches. *)
 
 val classify : topology -> string -> route
 (** Route a whole operation: the union of its statements' shards.

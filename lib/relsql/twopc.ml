@@ -84,18 +84,10 @@ let has_prefix ~prefix s =
   String.length s >= String.length prefix
   && String.equal (String.sub s 0 (String.length prefix)) prefix
 
-(* Process-wide counters, the Pages.bytes_copied idiom. *)
-let n_prepares = ref 0
-let n_commits = ref 0
+(* Process-wide counter, the Pages.bytes_copied idiom. *)
 let n_aborts = ref 0
-let n_expired = ref 0
-let n_vote_rejections = ref 0
 
-let prepares () = !n_prepares
-let commits () = !n_commits
 let aborts () = !n_aborts
-let expired () = !n_expired
-let vote_rejections () = !n_vote_rejections
 
 type prep = {
   p_tx : int;
@@ -147,7 +139,6 @@ let wrap ~verify ?(vote_verify_cost = 1e-4) ?(max_recent_aborts = 512) (inner : 
           match !prepared with
           | Some p when timestamp > p.p_deadline ->
             restore p;
-            incr n_expired;
             remember_abort p.p_tx;
             prepared := None
           | Some _ | None -> ()
@@ -163,7 +154,6 @@ let wrap ~verify ?(vote_verify_cost = 1e-4) ?(max_recent_aborts = 512) (inner : 
               (Printf.sprintf "2pc-abort:%d:expired" tx, tiny_cost)
             end
             else begin
-              incr n_prepares;
               let snapshot = Statemgr.Pages.snapshot pages in
               let reply, cost =
                 (instance.Pbft.Service.execute ~op:script ~client ~timestamp ~nondet
@@ -218,13 +208,11 @@ let wrap ~verify ?(vote_verify_cost = 1e-4) ?(max_recent_aborts = 512) (inner : 
             let cost = float_of_int (List.length p.p_shards) *. vote_verify_cost in
             if all_ok then begin
               prepared := None;
-              incr n_commits;
               (Printf.sprintf "2pc-committed:%d" tx, cost)
             end
             else begin
               (* Byzantine or confused coordinator: refuse, stay
                  prepared — the agreed deadline bounds the lock. *)
-              incr n_vote_rejections;
               (Printf.sprintf "error:2pc-bad-certificate:%d" tx, cost)
             end
           | Some _ | None ->

@@ -53,9 +53,11 @@ val encode_op : op -> string
 
 val decode_op : string -> op option
 [@@trust.source "2PC operation decoded from an ordered op authored by the untrusted coordinator"]
+[@@detlint.allow unused_export "the 2PC codec round-trip tests"]
 (** [None] when the string does not carry the 2PC magic or is malformed. *)
 
 val is_twopc_op : string -> bool
+[@@detlint.allow unused_export "the 2PC codec tests classify operations"]
 
 val prepared_prefix : int -> string
 (** ["2pc-prepared:<tx>:"] — a successful vote is this prefix followed
@@ -76,13 +78,5 @@ val wrap :
 (** {2 Process-wide instrumentation} (the {!Statemgr.Pages.bytes_copied}
     idiom: sample before/after a run and subtract) *)
 
-val prepares : unit -> int
-val commits : unit -> int
 val aborts : unit -> int
 (** Abort events that rolled state back via snapshot restore. *)
-
-val expired : unit -> int
-(** Of {!aborts}, those triggered by the agreed deadline passing. *)
-
-val vote_rejections : unit -> int
-(** Commit attempts refused because a vote failed verification. *)

@@ -33,12 +33,6 @@ let as_number = function
   | Text s -> float_of_string_opt s
   | Null -> None
 
-let as_int = function
-  | Int i -> Some i
-  | Real f -> Some (int_of_float f)
-  | Text s -> int_of_string_opt s
-  | Null -> None
-
 let truthy = function
   | Int i -> i <> 0
   | Real f -> f <> 0.0

@@ -11,12 +11,12 @@ val compare_sql : t -> t -> int
     numerically with each other. *)
 
 val equal : t -> t -> bool
+[@@detlint.allow unused_export "the relsql tests compare values"]
 val is_null : t -> bool
 val to_string : t -> string
 (** Rendering for result rows ("NULL" for Null). *)
 
 val as_number : t -> float option
-val as_int : t -> int option
 
 val truthy : t -> bool
 (** SQL boolean interpretation: nonzero number; Null and text are false. *)

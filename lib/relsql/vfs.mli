@@ -40,6 +40,7 @@ val in_memory : ?acid:bool -> seed:int -> unit -> t
     latency, so the cost stays 0.0. *)
 
 val on_disk : ?acid:bool -> Simdisk.Disk.t -> name:string -> seed:int -> t
+[@@detlint.allow unused_export "the durability tests open databases on a simulated disk"]
 (** Files on a simulated disk; write and sync costs are accumulated. *)
 
 val disk_file : Simdisk.Disk.t -> Simdisk.Disk.file -> cost:float ref -> file

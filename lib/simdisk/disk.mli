@@ -53,6 +53,8 @@ val write_cost : t -> int -> float
 (** Virtual seconds a buffered write of n bytes costs the caller. *)
 
 val crash : t -> unit
+[@@detlint.allow unused_export "the durability tests crash the disk"]
 (** Discard all volatile state on every file of this disk. *)
 
 val sync_count : t -> int
+[@@detlint.allow unused_export "the disk tests count syncs"]

@@ -53,7 +53,6 @@ let execute_split t ~costs f =
           t.queued <- t.queued - 1;
           f ())
 
-let busy_until t = Array.fold_left Float.max t.free_at.(0) t.free_at
 let queue_length t = t.queued
 let peak_queue_length t = t.peak_queued
 let total_busy t = t.busy_accum

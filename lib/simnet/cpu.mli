@@ -32,10 +32,6 @@ val execute_split : t -> costs:float list -> (unit -> unit) -> unit
     piece finishes. On a single core this is serial execution of the sum;
     on [k] cores the pieces overlap. *)
 
-val busy_until : t -> float
-(** Time at which the last currently-queued work item drains (max over
-    cores). *)
-
 val utilization : t -> since:float -> float
 (** Fraction of [since, now] × cores the CPU spent busy (for experiment
     reports). *)

@@ -38,9 +38,6 @@ val run : ?until:float -> ?max_events:int -> t -> unit
 (** Drain the queue, stopping when empty, when virtual time would exceed
     [until], or after [max_events] events. *)
 
-val step : t -> bool
-(** Process one event; false if the queue is empty. *)
-
 val pending : t -> int
 
 val events : t -> int

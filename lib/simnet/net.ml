@@ -35,7 +35,6 @@ type link_fault = {
 
 type t = {
   engine : Engine.t;
-  name : string;
   trace : Trace.t;
   rng : Util.Rng.t;
   mutable prof : profile;
@@ -51,11 +50,10 @@ type t = {
   mutable bytes : int;
 }
 
-let create engine ?(name = "") ?trace prof =
+let create engine ?trace prof =
   let trace = match trace with Some tr -> tr | None -> Trace.create () in
   {
     engine;
-    name;
     trace;
     rng = Util.Rng.split (Engine.rng engine);
     prof;
@@ -72,7 +70,6 @@ let create engine ?(name = "") ?trace prof =
   }
 
 let engine t = t.engine
-let name t = t.name
 let trace t = t.trace
 let register t a h = Hashtbl.replace t.handlers a h
 let unregister t a = Hashtbl.remove t.handlers a
@@ -142,7 +139,6 @@ let set_link_drop t ~src ~dst pred = (get_link t ~src ~dst).lf_drop <- Some pred
 let set_link_corrupt t ~src ~dst f = (get_link t ~src ~dst).lf_corrupt <- Some f
 let set_link_duplicate t ~src ~dst n = (get_link t ~src ~dst).lf_duplicate <- Int.max 0 n
 let clear_link t ~src ~dst = Hashtbl.remove t.links (link_key ~src ~dst)
-let clear_link_faults t = Hashtbl.reset t.links
 
 let crosses_partition t src dst =
   match t.partitioned with

@@ -43,13 +43,11 @@ val wan_profile : profile
 
 type t
 
-val create : Engine.t -> ?name:string -> ?trace:Trace.t -> profile -> t
+val create : Engine.t -> ?trace:Trace.t -> profile -> t
 (** Several nets may share one engine — a sharded deployment gives each
-    replica group its own address space plus an edge net for sessions.
-    [name] labels the net in multi-net trace dumps (default [""]). *)
+    replica group its own address space plus an edge net for sessions. *)
 
 val engine : t -> Engine.t
-val name : t -> string
 val trace : t -> Trace.t
 
 val register : t -> addr -> (src:addr -> string -> unit) -> unit
@@ -64,7 +62,9 @@ val send : t -> ?label:string -> ?detail:(unit -> string) -> src:addr -> dst:add
     enabled, so hot-path senders pay nothing for rich trace lines. *)
 
 val set_loss : t -> float -> unit
+[@@detlint.allow unused_export "fault-plan API that README documents; the simnet tests drive it"]
 val loss : t -> float
+[@@detlint.allow unused_export "fault-plan API that README documents; the simnet tests drive it"]
 
 (** {2 One-shot targeted drops} *)
 
@@ -80,12 +80,15 @@ val drop_next_matching :
     phase. The returned handle can disarm it early via {!cancel_drop}. *)
 
 val cancel_drop : drop_handle -> unit
+[@@detlint.allow unused_export "fault-plan API that README documents; the simnet tests drive it"]
 (** Disarm a pending drop; no-op if it already matched or expired. *)
 
 val drop_armed : drop_handle -> bool
+[@@detlint.allow unused_export "fault-plan API that README documents; the simnet tests drive it"]
 (** True while the drop has neither matched nor been cancelled. *)
 
 val pending_drops : t -> int
+[@@detlint.allow unused_export "fault-plan API that README documents; the simnet tests drive it"]
 (** Armed, unexpired one-shot drops still waiting to match. *)
 
 val drain_drops : t -> int
@@ -95,9 +98,11 @@ val drain_drops : t -> int
 (** {2 Partitions} *)
 
 val partition : t -> addr list -> addr list -> unit
+[@@detlint.allow unused_export "fault-plan API that README documents; the simnet tests drive it"]
 (** Drop everything between the two groups until {!heal}. *)
 
 val heal : t -> unit
+[@@detlint.allow unused_export "fault-plan API that README documents; the simnet tests drive it"]
 
 (** {2 Scripted fault plans}
 
@@ -106,11 +111,13 @@ val heal : t -> unit
     replay deterministically. *)
 
 val schedule_loss_window : t -> start:float -> duration:float -> float -> unit
+[@@detlint.allow unused_export "fault-plan API that README documents; the simnet tests drive it"]
 (** [schedule_loss_window t ~start ~duration p] sets Bernoulli loss to
     [p] at engine time [start] and restores the previous value at
     [start +. duration]. Windows must not overlap. *)
 
 val schedule_partition : t -> start:float -> duration:float -> addr list -> addr list -> unit
+[@@detlint.allow unused_export "fault-plan API that README documents; the simnet tests drive it"]
 (** Partition the two groups at [start]; auto-heal at [start +.
     duration]. Overlapping scheduled partitions are not supported (the
     heal is unconditional). *)
@@ -133,16 +140,17 @@ val set_link_corrupt : t -> src:addr -> dst:addr -> (dst:addr -> label:string ->
     serialization. *)
 
 val set_link_duplicate : t -> src:addr -> dst:addr -> int -> unit
+[@@detlint.allow unused_export "fault-plan API that README documents; the simnet tests drive it"]
 (** Deliver [n] extra copies of every datagram on the link, each with an
     independent propagation sample (at-least-twice delivery). *)
 
 val clear_link : t -> src:addr -> dst:addr -> unit
-val clear_link_faults : t -> unit
 
 (** {2 Counters for experiment reports} *)
 
 val sent_count : t -> int
 val delivered_count : t -> int
+[@@detlint.allow unused_export "the simnet tests count deliveries"]
 val dropped_count : t -> int
 val bytes_sent : t -> int
 

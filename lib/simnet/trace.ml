@@ -24,11 +24,6 @@ let record t e =
 
 let entries t = List.rev (List.filteri (fun i _ -> i < t.capacity) t.items)
 
-let clear t =
-  t.items <- [];
-  t.n <- 0
-
-let count t = t.n
 let filter t pred = List.filter pred (entries t)
 
 let render ?(limit = 200) t pred =

@@ -28,10 +28,8 @@ val record : t -> entry -> unit
 val entries : t -> entry list
 (** Oldest first. *)
 
-val clear : t -> unit
-val count : t -> int
-
 val filter : t -> (entry -> bool) -> entry list
+[@@detlint.allow unused_export "the simnet trace tests select entries"]
 
 val render : ?limit:int -> t -> (entry -> bool) -> string
 (** Human-readable sequence rendering used by the figure regenerators. *)

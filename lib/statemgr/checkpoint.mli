@@ -33,6 +33,7 @@ val page : t -> int -> string
 val merkle : t -> Merkle.t
 
 val divergent_pages : local:Merkle.t -> t -> int list * int
+[@@detlint.allow unused_export "the top-down walk of the paper's 2.1; the checkpoint tests check it"]
 (** Pages where the local tree disagrees with the snapshot, plus tree
     nodes visited (the efficient top-down walk of §2.1). *)
 

@@ -161,10 +161,6 @@ let snapshot_page s i =
   | None -> String.make s.snap_page_size '\000'
   | Some b -> Bytes.to_string b
 
-let snapshot_page_bytes s i =
-  if i < 0 || i >= Array.length s.snap_slots then invalid_arg "Pages.snapshot_page_bytes";
-  s.snap_slots.(i)
-
 let restore_page t snap i =
   if i < 0 || i >= t.num_pages then invalid_arg "Pages.restore_page";
   (match snap.snap_slots.(i) with

@@ -24,6 +24,7 @@ val create : ?strict:bool -> page_size:int -> num_pages:int -> unit -> t
 val page_size : t -> int
 val num_pages : t -> int
 val total_size : t -> int
+[@@detlint.allow unused_export "the statemgr tests size regions"]
 
 val read : t -> pos:int -> len:int -> string
 (** Free read access anywhere in the region; unallocated pages read as
@@ -101,10 +102,6 @@ val snapshot : t -> snapshot
 
 val snapshot_page : snapshot -> int -> string
 (** Contents of one page at snapshot time, as a fresh string. *)
-
-val snapshot_page_bytes : snapshot -> int -> Bytes.t option
-(** Zero-copy view of one snapshot page ([None] = zero page). The buffer
-    MUST NOT be mutated by the caller. *)
 
 val restore_page : t -> snapshot -> int -> unit
 (** Overwrite one live page with the snapshot's version, adopting the

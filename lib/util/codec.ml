@@ -60,21 +60,11 @@ module W = struct
 
   let bool t v = u8 t (if v then 1 else 0)
 
-  let bytes t b =
-    let n = Bytes.length b in
-    ensure t n;
-    Bytes.blit b 0 t.buf t.len n;
-    t.len <- t.len + n
-
   let string t s =
     let n = String.length s in
     ensure t n;
     Bytes.blit_string s 0 t.buf t.len n;
     t.len <- t.len + n
-
-  let lbytes t b =
-    varint t (Bytes.length b);
-    bytes t b
 
   let lstring t s =
     varint t (String.length s);
@@ -155,8 +145,6 @@ module R = struct
     t.pos <- t.pos + n;
     s
 
-  let bytes t n = Bytes.of_string (string t n)
-  let lbytes t = bytes t (varint t)
   let lstring t = string t (varint t)
 
   let list t dec =

@@ -21,14 +21,8 @@ module W : sig
   val varint : t -> int -> unit
   val bool : t -> bool -> unit
 
-  val bytes : t -> bytes -> unit
-  (** Raw bytes, no length prefix. *)
-
   val string : t -> string -> unit
   (** Raw string contents, no length prefix. *)
-
-  val lbytes : t -> bytes -> unit
-  (** Varint length prefix followed by the bytes. *)
 
   val lstring : t -> string -> unit
 
@@ -56,7 +50,6 @@ module R : sig
       by receivers as an authentication failure. *)
 
   val of_string : string -> t
-  val remaining : t -> int
   val u8 : t -> int
   val u16 : t -> int
   val u32 : t -> int
@@ -65,13 +58,10 @@ module R : sig
   val f64 : t -> float
   val varint : t -> int
   val bool : t -> bool
-  val bytes : t -> int -> bytes
   val string : t -> int -> string
-  val lbytes : t -> bytes
   val lstring : t -> string
   val list : t -> (t -> 'a) -> 'a list
   val option : t -> (t -> 'a) -> 'a option
-  val expect_end : t -> unit
 end
 
 val encode : (W.t -> 'a -> unit) -> 'a -> string

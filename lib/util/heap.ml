@@ -7,7 +7,6 @@ type 'a t = {
 }
 
 let create () = { data = [||]; len = 0; next_seq = 0 }
-let is_empty t = t.len = 0
 let size t = t.len
 
 let less a b = a.prio < b.prio || (a.prio = b.prio && a.seq < b.seq)
@@ -65,7 +64,3 @@ let pop t =
     end;
     Some (top.prio, top.value)
   end
-
-let clear t =
-  t.data <- [||];
-  t.len <- 0

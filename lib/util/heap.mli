@@ -5,7 +5,6 @@
 type 'a t
 
 val create : unit -> 'a t
-val is_empty : 'a t -> bool
 val size : 'a t -> int
 
 val push : 'a t -> float -> 'a -> unit
@@ -16,5 +15,3 @@ val pop : 'a t -> (float * 'a) option
     insertion order. *)
 
 val peek : 'a t -> (float * 'a) option
-
-val clear : 'a t -> unit

@@ -88,6 +88,4 @@ let put ?(on_evict = fun _ _ -> ()) t k v =
     Hashtbl.replace t.tbl k n;
     push_mru t n
 
-let lru t = Option.map (fun n -> n.key) t.head
-let mru t = Option.map (fun n -> n.key) t.tail
 let mem t k = Hashtbl.mem t.tbl k

@@ -13,15 +13,18 @@ val create : capacity:int -> ('k, 'v) t
 (** Raises [Invalid_argument] if [capacity < 1]. *)
 
 val capacity : ('k, 'v) t -> int
+[@@detlint.allow unused_export "the LRU contract tests"]
 val length : ('k, 'v) t -> int
 
 val find : ('k, 'v) t -> 'k -> 'v option
 (** Lookup that refreshes the entry's recency. *)
 
 val peek : ('k, 'v) t -> 'k -> 'v option
+[@@detlint.allow unused_export "the LRU contract tests"]
 (** Lookup without touching recency. *)
 
 val mem : ('k, 'v) t -> 'k -> bool
+[@@detlint.allow unused_export "the LRU contract tests"]
 
 val put : ?on_evict:('k -> 'v -> unit) -> ('k, 'v) t -> 'k -> 'v -> unit
 [@@trust.sink "bounded-cache insert (reply caches, session records)"]
@@ -32,13 +35,9 @@ val put : ?on_evict:('k -> 'v -> unit) -> ('k, 'v) t -> 'k -> 'v -> unit
 val remove : ('k, 'v) t -> 'k -> unit
 
 val evict_lru : ('k, 'v) t -> ('k * 'v) option
+[@@detlint.allow unused_export "the LRU contract tests"]
 (** Force out the coldest entry (counted as an eviction). *)
 
 val evictions : ('k, 'v) t -> int
 (** Entries displaced by capacity pressure since creation — the counter
     overload reports surface. [remove] does not count. *)
-
-val lru : ('k, 'v) t -> 'k option
-(** Coldest key, if any (for tests and debugging). *)
-
-val mru : ('k, 'v) t -> 'k option

@@ -59,7 +59,3 @@ let shuffle t a =
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
-
-let pick t a =
-  assert (Array.length a > 0);
-  a.(int t (Array.length a))

@@ -21,6 +21,7 @@ val int : t -> int -> int
 (** [int t bound] is uniform in [0, bound); [bound] must be positive. *)
 
 val int_in : t -> int -> int -> int
+[@@detlint.allow unused_export "the Rng tests check its bounds"]
 (** [int_in t lo hi] is uniform in [lo, hi] inclusive. *)
 
 val float : t -> float -> float
@@ -41,7 +42,5 @@ val bytes : t -> int -> bytes
 (** [bytes t n] is [n] random bytes. *)
 
 val shuffle : t -> 'a array -> unit
+[@@detlint.allow unused_export "the Rng tests check it permutes"]
 (** In-place Fisher–Yates shuffle. *)
-
-val pick : t -> 'a array -> 'a
-(** Uniformly random element of a non-empty array. *)

@@ -48,10 +48,12 @@ val encode_request : session:int -> req_id:int -> op:string -> string
 
 val decode_request : string -> (int * int * string) option
 [@@trust.source "edge-session frame decoded off the wire (unauthenticated until the replicas' MAC check)"]
+[@@detlint.allow unused_export "the front-door codec round-trip tests"]
 
 type status = Done | Shed  (** [Shed] marks an admission-control rejection. *)
 
 val encode_reply : status:status -> session:int -> req_id:int -> result:string -> string
+[@@detlint.allow unused_export "the front-door codec round-trip tests"]
 
 val decode_reply : string -> (status * int * int * string) option
 [@@trust.source "gateway reply frame decoded off the wire"]
@@ -59,16 +61,20 @@ val decode_reply : string -> (status * int * int * string) option
 (** {1 Coalesced upstream operations} *)
 
 val encode_coalesced : (int * string) list -> string
+[@@detlint.allow unused_export "the front-door codec round-trip tests"]
 (** Pack [(session, op)] pairs into one upstream operation. *)
 
 val decode_coalesced : string -> (int * string) list option
 [@@trust.source "coalesced batch unpacked from an ordered operation"]
+[@@detlint.allow unused_export "the front-door codec round-trip tests"]
 (** [None] when the operation is not a coalesced batch. *)
 
 val encode_results : string list -> string
+[@@detlint.allow unused_export "the front-door codec round-trip tests"]
 
 val decode_results : string -> string list option
 [@@trust.source "per-session results unpacked from an upstream reply"]
+[@@detlint.allow unused_export "the front-door codec round-trip tests"]
 
 val wrap_service : Pbft.Service.t -> Pbft.Service.t
 (** Wrap a service so coalesced operations execute element-wise against
@@ -144,6 +150,7 @@ val shed : t -> int
 (** Operations rejected by admission control. *)
 
 val rejected : t -> int
+[@@detlint.allow unused_export "the malformed-frame tests count drops"]
 (** Malformed frames dropped. *)
 
 val reply_cache_hits : t -> int
@@ -163,9 +170,11 @@ val session_evictions : t -> int
 (** Session records displaced by LRU capacity pressure ([max_sessions]). *)
 
 val live_sessions : t -> int
+[@@detlint.allow unused_export "the session-LRU tests and the equivalence hash read it"]
 
 val latency_stats : t -> Util.Stats.t
 (** Enqueue-to-reply latency of completed operations (virtual seconds);
     shed operations are not recorded. *)
 
 val shutdown : t -> unit
+[@@detlint.allow unused_export "the open-loop tests stop the door after a run"]

@@ -197,29 +197,24 @@ module Bridge = struct
     replica : replica_id;
     mutable translated : int;
     mutable n_rejected : int;
-    mutable alive : bool;
   }
 
   let attach ~cfg:_ ~costs:_ ~engine ~net ~replica =
     let t =
-      { net; cpu = Simnet.Cpu.create engine; replica; translated = 0; n_rejected = 0; alive = true }
+      { net; cpu = Simnet.Cpu.create engine; replica; translated = 0; n_rejected = 0 }
     in
     Simnet.Net.register net (bridge_addr replica) (fun ~src frame ->
-        if t.alive then
-          Simnet.Cpu.execute t.cpu ~cost:(json_cost (String.length frame)) (fun () ->
-              match decode_frame frame with
-              | None -> t.n_rejected <- t.n_rejected + 1
-              | Some msg ->
-                t.translated <- t.translated + 1;
-                (* Local hop into the co-located replica, preserving the
-                   browser as the datagram source. *)
-                Simnet.Net.send t.net ~label:"ws-bridged" ~src ~dst:t.replica (M.encode msg)));
+        Simnet.Cpu.execute t.cpu ~cost:(json_cost (String.length frame)) (fun () ->
+            match decode_frame frame with
+            | None -> t.n_rejected <- t.n_rejected + 1
+            | Some msg ->
+              t.translated <- t.translated + 1;
+              (* Local hop into the co-located replica, preserving the
+                 browser as the datagram source. *)
+              Simnet.Net.send t.net ~label:"ws-bridged" ~src ~dst:t.replica (M.encode msg)));
     t
 
   let frames_translated t = t.translated
   let rejected t = t.n_rejected
 
-  let detach t =
-    t.alive <- false;
-    Simnet.Net.unregister t.net (bridge_addr t.replica)
 end

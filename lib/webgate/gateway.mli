@@ -31,15 +31,18 @@
 open Pbft.Types
 
 val bridge_addr : replica_id -> int
+[@@detlint.allow unused_export "the JSON bridge tests address the bridge"]
 (** Network address of the JSON endpoint co-located with a replica. *)
 
 val frame_of_message : Pbft.Message.t -> Json.t option
+[@@detlint.allow unused_export "the JSON bridge codec round-trip property"]
 (** The JSON frame for a message a client sends or receives (request,
     join request/response, leave, session key; reply, join challenge,
     join reply), or [None] for replica-to-replica traffic. *)
 
 val message_of_frame : Json.t -> Pbft.Message.t option
 [@@trust.source "browser JSON frame decoded into a protocol message"]
+[@@detlint.allow unused_export "the JSON bridge codec round-trip property"]
 (** Inverse of {!frame_of_message}; [None] for any frame of unknown
     type, missing or mistyped field, fractional or out-of-range number,
     or negative id or address. *)
@@ -67,5 +70,4 @@ module Bridge : sig
       frame. Every frame received is counted in exactly one of
       {!frames_translated} and {!rejected}. *)
 
-  val detach : t -> unit
 end

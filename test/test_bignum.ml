@@ -119,16 +119,11 @@ let test_gcd_known () =
   Alcotest.(check int) "gcd(48,18)" 6 (Nat.to_int (Nat.gcd (Nat.of_int 48) (Nat.of_int 18)));
   Alcotest.(check int) "gcd(17,31)" 1 (Nat.to_int (Nat.gcd (Nat.of_int 17) (Nat.of_int 31)))
 
-(* Jacobi symbol vs Euler's criterion for an odd prime. *)
-let test_jacobi_euler () =
-  let p = 1009 in
-  let pn = Nat.of_int p in
-  for a = 1 to 60 do
-    let jac = Nat.jacobi (Nat.of_int a) pn in
-    let euler = Nat.to_int (Nat.mod_exp (Nat.of_int a) (Nat.of_int ((p - 1) / 2)) pn) in
-    let expected = if euler = 1 then 1 else if euler = p - 1 then -1 else 0 in
-    Alcotest.(check int) (Printf.sprintf "(%d/%d)" a p) expected jac
-  done
+let test_mod_inverse_known () =
+  let inv a m = Option.map Nat.to_int (Nat.mod_inverse (Nat.of_int a) (Nat.of_int m)) in
+  Alcotest.(check (option int)) "3^-1 mod 11" (Some 4) (inv 3 11);
+  Alcotest.(check (option int)) "7^-1 mod 40" (Some 23) (inv 7 40);
+  Alcotest.(check (option int)) "6 mod 9 not invertible" None (inv 6 9)
 
 (* --- encodings --- *)
 
@@ -206,7 +201,7 @@ let () =
         [
           Alcotest.test_case "mod_exp known" `Quick test_mod_exp_known;
           Alcotest.test_case "gcd known" `Quick test_gcd_known;
-          Alcotest.test_case "jacobi vs euler" `Quick test_jacobi_euler;
+          Alcotest.test_case "mod_inverse known" `Quick test_mod_inverse_known;
           qcheck prop_mod_exp_matches_naive;
           qcheck prop_mod_inverse;
         ] );

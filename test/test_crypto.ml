@@ -3,6 +3,7 @@
    threshold scheme. *)
 
 let qcheck = QCheck_alcotest.to_alcotest
+let sha_hex msg = Util.Hexdump.of_string (Crypto.Sha256.digest msg)
 
 (* --- SHA-256 (FIPS 180-4 / NIST vectors) --- *)
 
@@ -18,13 +19,13 @@ let sha_vectors =
 
 let test_sha_vectors () =
   List.iter
-    (fun (msg, want) -> Alcotest.(check string) ("sha " ^ msg) want (Crypto.Sha256.hex msg))
+    (fun (msg, want) -> Alcotest.(check string) ("sha " ^ msg) want (sha_hex msg))
     sha_vectors
 
 let test_sha_million_a () =
   Alcotest.(check string) "million a"
     "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-    (Crypto.Sha256.hex (String.make 1_000_000 'a'))
+    (sha_hex (String.make 1_000_000 'a'))
 
 let prop_sha_streaming_matches_oneshot =
   QCheck.Test.make ~name:"streaming = one-shot for any chunking" ~count:200
@@ -79,15 +80,15 @@ let test_sha_copy_branches () =
   Crypto.Sha256.feed a "left";
   Crypto.Sha256.feed b "right-side suffix";
   Alcotest.(check string) "branch a"
-    (Crypto.Sha256.hex (prefix ^ "left"))
+    (sha_hex (prefix ^ "left"))
     (Util.Hexdump.of_string (Crypto.Sha256.finalize a));
   Alcotest.(check string) "branch b"
-    (Crypto.Sha256.hex (prefix ^ "right-side suffix"))
+    (sha_hex (prefix ^ "right-side suffix"))
     (Util.Hexdump.of_string (Crypto.Sha256.finalize b));
   (* The original must be unaffected by what its copies hashed. *)
   Crypto.Sha256.feed ctx "tail";
   Alcotest.(check string) "original intact"
-    (Crypto.Sha256.hex (prefix ^ "tail"))
+    (sha_hex (prefix ^ "tail"))
     (Util.Hexdump.of_string (Crypto.Sha256.finalize ctx))
 
 let test_sha_bytes_hashed_counter () =
@@ -333,8 +334,6 @@ let test_authenticator_codec () =
   let auth = Crypto.Authenticator.compute ~keys "m" in
   let wire = Util.Codec.encode Crypto.Authenticator.encode auth in
   let back = Util.Codec.decode Crypto.Authenticator.decode wire in
-  Alcotest.(check int) "wire size accounted" (Crypto.Authenticator.wire_size auth)
-    (String.length wire);
   List.iter
     (fun (i, key) ->
       Alcotest.(check bool) "decoded verifies" true
@@ -429,32 +428,6 @@ let test_shamir_bad_params () =
   let field = Lazy.force field in
   Alcotest.check_raises "bad threshold" (Invalid_argument "Shamir.split: bad threshold")
     (fun () -> ignore (Crypto.Shamir.split rng ~field ~threshold:5 ~shares:3 Bignum.Nat.one))
-
-let test_feldman () =
-  let rng = Util.Rng.create 35 in
-  let group = Crypto.Shamir.Feldman.generate_group rng ~bits:48 in
-  let secret = Bignum.Nat.random_below rng group.Crypto.Shamir.Feldman.q in
-  (* Deal manually so we hold the coefficients for the commitments. *)
-  let field = group.Crypto.Shamir.Feldman.q in
-  let coeffs = [ secret; Bignum.Nat.random_below rng field; Bignum.Nat.random_below rng field ] in
-  let commitments = Crypto.Shamir.Feldman.commit group coeffs in
-  (* Recreate shares by evaluating the same polynomial via split's logic:
-     use split with a rigged rng is not possible, so evaluate directly. *)
-  let eval x =
-    List.fold_left
-      (fun acc c -> Bignum.Nat.mod_add (Bignum.Nat.mod_mul acc x field) c field)
-      Bignum.Nat.zero (List.rev coeffs)
-  in
-  for i = 1 to 5 do
-    let share = { Crypto.Shamir.index = i; value = eval (Bignum.Nat.of_int i) } in
-    Alcotest.(check bool)
-      (Printf.sprintf "share %d verifies" i)
-      true
-      (Crypto.Shamir.Feldman.verify_share group commitments share);
-    let bad = { share with Crypto.Shamir.value = Bignum.Nat.add share.Crypto.Shamir.value Bignum.Nat.one } in
-    Alcotest.(check bool) "tampered share rejected" false
-      (Crypto.Shamir.Feldman.verify_share group commitments bad)
-  done
 
 (* --- threshold RSA --- *)
 
@@ -560,7 +533,6 @@ let () =
           Alcotest.test_case "reconstruct from any k" `Quick test_shamir_reconstruct_subsets;
           Alcotest.test_case "k-1 shares insufficient" `Quick test_shamir_too_few_shares;
           Alcotest.test_case "bad parameters" `Quick test_shamir_bad_params;
-          Alcotest.test_case "Feldman VSS" `Quick test_feldman;
         ] );
       ( "threshold",
         [

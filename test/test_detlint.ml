@@ -295,12 +295,70 @@ let test_adversary_cross_check () =
   (* Dynamically: the real replica keeps check_auth on that path, so an
      adversary corrupting MACs is rejected at intake (auth_failures)
      while the cluster stays safe and live. *)
-  let report, _ = Harness.Faults.run (Harness.Faults.behavior Pbft.Adversary.Corrupt_macs) in
+  let scenario =
+    List.find
+      (fun (s : Harness.Faults.scenario) -> String.equal s.name "corrupt-macs")
+      (Harness.Faults.suite ~speculative:false ())
+  in
+  let report, _ = Harness.Faults.run scenario in
   Alcotest.(check bool) "corrupted MACs rejected at intake" true
     (report.Harness.Faults.correct.Harness.Run.auth_failures > 0);
   Alcotest.(check (list string)) "scenario failures" [] report.Harness.Faults.failures;
   Alcotest.(check bool) "safety held" true report.Harness.Faults.safe;
   Alcotest.(check bool) "liveness held" true report.Harness.Faults.live
+
+(* --- unused_export: interface [lib/pbft/m.mli] against consumer units --- *)
+
+(* The [val] lines the rule flags, given [m.mli] and the consumer units. *)
+let flagged_exports iface units =
+  let rel = "lib/pbft/m.mli" in
+  let parse (u, src) =
+    let lexbuf = Lexing.from_string src in
+    Lexing.set_filename lexbuf u;
+    (u, Parse.implementation lexbuf)
+  in
+  Exports.lint
+    ~interfaces:
+      [ (rel, Array.of_list (String.split_on_char '\n' iface), Trust.parse_interface ~filename:rel iface) ]
+    ~units:(List.map parse (("lib/pbft/m.ml", "let a = 1\nlet b = a\nmodule W = struct let u = 0 end") :: units))
+  |> List.map (fun (f : Finding.t) -> f.Finding.snippet)
+
+let iface = "val a : int\nval b : int\nmodule W : sig\n  val u : int\nend"
+
+let test_unused_export_flagged () =
+  Alcotest.(check (list string)) "nothing references the interface"
+    [ "val a : int"; "val b : int"; "val u : int" ] (flagged_exports iface []);
+  (* [b] is read inside m.ml itself, which does not count. *)
+  Alcotest.(check (list string)) "own-unit use only"
+    [ "val b : int"; "val u : int" ]
+    (flagged_exports iface [ ("bin/main.ml", "let () = print_int M.a") ])
+
+let test_unused_export_references () =
+  List.iter
+    (fun (how, src) ->
+      Alcotest.(check (list string)) how [] (flagged_exports iface [ ("bench/user.ml", src) ]))
+    [
+      ("wrapper-qualified", "let x = Pbft.M.a + Pbft.M.b + Pbft.M.W.u");
+      ("unwrapped, as inside the library", "let x = M.a + M.b + M.W.u");
+      ("module alias", "module F = Pbft.M\nmodule G = F.W\nlet x = F.a + F.b + G.u");
+      ("let module alias", "let x = let module F = Pbft.M in F.a + F.b + F.W.u");
+      ("open", "open Pbft\nopen M\nlet x = a + b + W.u");
+      ("let open", "let x = let open Pbft.M in a + b + W.u");
+      ("M.( ... )", "let x = Pbft.M.(a + b + W.u)");
+      ("nested open", "open Pbft.M.W\nlet x = Pbft.M.a + Pbft.M.b + u");
+      ("whole-module use", "module S = Set.Make (Pbft.M)\ninclude Pbft.M");
+    ]
+
+let test_unused_export_allow () =
+  let allowed = "val a : int\n[@@detlint.allow unused_export \"tests only\"]" in
+  Alcotest.(check (list string)) "reasoned allow suppresses" [] (flagged_exports allowed []);
+  let bare = "val a : int\n[@@detlint.allow unused_export]" in
+  Alcotest.(check (list string)) "allow without a reason" [ "val a : int" ] (flagged_exports bare []);
+  Alcotest.(check (list string)) "stale allow on a used export" [ "val a : int" ]
+    (flagged_exports allowed [ ("examples/ex.ml", "let x = Pbft.M.a") ]);
+  (* Tests are not consumers: a test-only export still needs the allow. *)
+  Alcotest.(check (list string)) "test/ does not count" [ "val a : int" ]
+    (flagged_exports "val a : int" [ ("test/test_m.ml", "let x = Pbft.M.a") ])
 
 (* --- end to end: the repository itself lints clean --- *)
 
@@ -309,6 +367,12 @@ let test_repo_clean () =
      (source_tree ../lib) dependency materialises the sources next to
      it; under `dune exec` from the checkout the root is ".". *)
   let root = if Sys.file_exists "lib" then "." else ".." in
+  (* unused_export resolves references from these dirs (test/dune copies
+     them next to lib/), so a missing one would turn live exports into
+     findings. *)
+  List.iter
+    (fun d -> Alcotest.(check bool) (d ^ "/ visible") true (Sys.file_exists (Filename.concat root d)))
+    Exports.consumer_dirs;
   let outcome = Driver.run ~passes:[ Driver.Determinism; Driver.Trust ] ~root () in
   Alcotest.(check bool) "scanned a real tree" true (outcome.Driver.files_scanned > 40);
   Alcotest.(check (list string)) "no parse errors" [] outcome.Driver.errors;
@@ -347,6 +411,12 @@ let () =
           Alcotest.test_case "suppression" `Quick test_trust_suppression;
           Alcotest.test_case "dispatch catch-all" `Quick test_dispatch_catch_all;
           Alcotest.test_case "adversary cross-check" `Quick test_adversary_cross_check;
+        ] );
+      ( "unused_export",
+        [
+          Alcotest.test_case "unreferenced vals flagged" `Quick test_unused_export_flagged;
+          Alcotest.test_case "references resolved" `Quick test_unused_export_references;
+          Alcotest.test_case "allow attribute" `Quick test_unused_export_allow;
         ] );
       ("repo", [ Alcotest.test_case "repository lints clean" `Quick test_repo_clean ]);
     ]

@@ -15,15 +15,21 @@ let run scenario =
   Alcotest.(check bool) "live" true report.Harness.Faults.live;
   report
 
+let scenario ?(speculative = false) name =
+  List.find
+    (fun (s : Harness.Faults.scenario) -> String.equal s.name name)
+    (Harness.Faults.suite ~seed:11 ~speculative ())
+
 let check_behavior ?speculative behavior () =
-  ignore (run (Harness.Faults.behavior ~seed:11 ?speculative behavior) : Harness.Faults.report)
+  ignore
+    (run (scenario ?speculative (Pbft.Adversary.behavior_name behavior)) : Harness.Faults.report)
 
 (* The PR 6 regression: a view change that lands while replicas hold
    executed-but-uncommitted batches must roll the speculation back (for
    real — the scenario fails unless rollbacks actually happened) and
    still satisfy every safety and liveness predicate afterwards. *)
 let test_vc_mid_speculation () =
-  let report = run (Harness.Faults.vc_mid_speculation ~seed:11 ()) in
+  let report = run (scenario ~speculative:true "vc-mid-speculation") in
   let t = report.Harness.Faults.correct in
   Alcotest.(check bool) "speculated" true (t.Harness.Run.speculative_execs > 0);
   Alcotest.(check bool) "rolled back" true (t.Harness.Run.rollbacks > 0)
@@ -31,7 +37,9 @@ let test_vc_mid_speculation () =
 let test_suite_covers_all_behaviors () =
   (* The suite list is the contract CI runs; a behavior added to the
      adversary but not to the suite would silently go untested. *)
-  let names = List.map Pbft.Adversary.behavior_name Harness.Faults.behaviors in
+  let names =
+    List.map (fun (s : Harness.Faults.scenario) -> s.name) (Harness.Faults.suite ~speculative:false ())
+  in
   List.iter
     (fun expected ->
       Alcotest.(check bool)

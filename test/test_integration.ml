@@ -3,6 +3,7 @@
 
 open Pbft
 
+let sha_hex msg = Util.Hexdump.of_string (Crypto.Sha256.digest msg)
 let state_digest r = Statemgr.Merkle.root (Statemgr.Merkle.build (Replica.pages r))
 
 (* --- replicated SQL --- *)
@@ -459,6 +460,8 @@ let test_scenario_dynamic_mode () =
   in
   Alcotest.(check bool) "dynamic workload runs" true (r.Run.tps > 100.0)
 
+let count s = Float.Array.length (Util.Stats.samples s)
+
 (* Closed-loop latency covers every client's requests in the measured
    window. With no warmup the window is the whole run, so the reference
    is simply every client's own samples pooled. *)
@@ -471,8 +474,8 @@ let test_latency_pools_every_client () =
     (fun cl ->
       Float.Array.iter (Util.Stats.add pooled) (Util.Stats.samples (Client.latency_stats cl)))
     (Cluster.clients (Run.cluster r.Run.deployment 0));
-  Alcotest.(check int) "one sample per completed request" (Util.Stats.count pooled)
-    (Util.Stats.count r.Run.latency);
+  Alcotest.(check int) "one sample per completed request" (count pooled)
+    (count r.Run.latency);
   List.iter
     (fun p ->
       Alcotest.(check (float 0.0))
@@ -490,13 +493,13 @@ let test_latency_excludes_warmup () =
   in
   let all =
     Array.fold_left
-      (fun acc cl -> acc + Util.Stats.count (Client.latency_stats cl))
+      (fun acc cl -> acc + count (Client.latency_stats cl))
       0
       (Cluster.clients (Run.cluster r.Run.deployment 0))
   in
   Alcotest.(check int) "window samples = window completions" r.Run.completed
-    (Util.Stats.count r.Run.latency);
-  Alcotest.(check bool) "warmup samples left out" true (Util.Stats.count r.Run.latency < all)
+    (count r.Run.latency);
+  Alcotest.(check bool) "warmup samples left out" true (count r.Run.latency < all)
 
 (* Substring containment without extra libraries. *)
 let contains haystack needle =
@@ -576,7 +579,7 @@ let test_figure3_vfs_calls_pinned () =
   Alcotest.(check (list string)) "one ACID insert at the VFS seam" figure3_insert_calls
     (until_blank (after_marker lines));
   Alcotest.(check string) "whole figure" pinned_figure3_digest
-    (Crypto.Sha256.hex fig)
+    (sha_hex fig)
 
 (* --- host-time benchmark harness --- *)
 
@@ -827,7 +830,7 @@ let test_equivalence_pinned () =
   in
   print_string rendering;
   Alcotest.(check string) "virtual numbers of every shape" pinned_equivalence
-    (Crypto.Sha256.hex rendering)
+    (sha_hex rendering)
 
 (* The replica's pin: pipelined speculation, its rollback, the system-op
    intake (dynamic joins), a mute primary's view change and a backup's

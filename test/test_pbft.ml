@@ -126,9 +126,7 @@ let test_config_validation () =
   (* A zero rebroadcast period re-arms at the same virtual instant
      forever, so the clock would never advance. *)
   Alcotest.(check bool) "rebroadcast period" true
-    (Config.validate { ok with Config.authenticator_rebroadcast = 0.0 } <> Ok ());
-  Alcotest.(check string) "naming" "sta_mac_allbig_batch" (Config.name ok);
-  Alcotest.(check string) "robust naming" "sta_nomac_noallbig_batch" (Config.name (Config.robust ~f:1))
+    (Config.validate { ok with Config.authenticator_rebroadcast = 0.0 } <> Ok ())
 
 (* --- nondet --- *)
 
@@ -152,7 +150,7 @@ let test_nondet_produce_validate () =
 (* --- membership --- *)
 
 let test_membership_static () =
-  let m = Membership.create ~max_clients:10 ~dynamic:false in
+  let m = Membership.create ~max_clients:10 in
   Membership.populate_static m [ (1, 1001, "pk1"); (2, 1002, "pk2") ];
   Alcotest.(check int) "count" 2 (Membership.count m);
   Alcotest.(check bool) "lookup" true (Membership.lookup m 1 <> None);
@@ -160,7 +158,7 @@ let test_membership_static () =
   Alcotest.(check (option int)) "unknown addr" None (Membership.lookup_addr m 9999)
 
 let test_membership_join_assigns_ids () =
-  let m = Membership.create ~max_clients:10 ~dynamic:true in
+  let m = Membership.create ~max_clients:10 in
   (match Membership.join m ~addr:1001 ~pubkey:"p" ~identity:"u1" ~now:0.0 ~stale_threshold:10.0 with
   | Membership.Joined { client; _ } -> Alcotest.(check int) "first id" 1 client
   | Membership.Table_full -> Alcotest.fail "full");
@@ -169,7 +167,7 @@ let test_membership_join_assigns_ids () =
   | Membership.Table_full -> Alcotest.fail "full"
 
 let test_membership_single_session_per_identity () =
-  let m = Membership.create ~max_clients:10 ~dynamic:true in
+  let m = Membership.create ~max_clients:10 in
   let j addr = Membership.join m ~addr ~pubkey:"p" ~identity:"alice" ~now:0.0 ~stale_threshold:10.0 in
   (match j 1001 with Membership.Joined _ -> () | Membership.Table_full -> Alcotest.fail "full");
   match j 1002 with
@@ -179,7 +177,7 @@ let test_membership_single_session_per_identity () =
   | Membership.Table_full -> Alcotest.fail "full"
 
 let test_membership_full_and_cleanup () =
-  let m = Membership.create ~max_clients:2 ~dynamic:true in
+  let m = Membership.create ~max_clients:2 in
   let j addr identity now =
     Membership.join m ~addr ~pubkey:"p" ~identity ~now ~stale_threshold:5.0
   in
@@ -197,7 +195,7 @@ let test_membership_full_and_cleanup () =
   | Membership.Table_full -> Alcotest.fail "cleanup failed"
 
 let test_membership_leave () =
-  let m = Membership.create ~max_clients:2 ~dynamic:true in
+  let m = Membership.create ~max_clients:2 in
   (match Membership.join m ~addr:1001 ~pubkey:"p" ~identity:"a" ~now:0.0 ~stale_threshold:5.0 with
   | Membership.Joined { client; _ } ->
     Alcotest.(check bool) "leave" true (Membership.leave m client);
@@ -206,12 +204,12 @@ let test_membership_leave () =
   | Membership.Table_full -> Alcotest.fail "full")
 
 let test_membership_serialize_roundtrip () =
-  let m = Membership.create ~max_clients:8 ~dynamic:true in
+  let m = Membership.create ~max_clients:8 in
   ignore (Membership.join m ~addr:1001 ~pubkey:"pk1" ~identity:"a" ~now:1.0 ~stale_threshold:5.0);
   ignore (Membership.join m ~addr:1002 ~pubkey:"pk2" ~identity:"b" ~now:2.0 ~stale_threshold:5.0);
   Membership.touch m 1 3.5;
   let image = Membership.serialize m in
-  let m2 = Membership.create ~max_clients:8 ~dynamic:true in
+  let m2 = Membership.create ~max_clients:8 in
   Membership.load m2 image;
   Alcotest.(check (list int)) "clients" (Membership.clients m) (Membership.clients m2);
   Alcotest.(check string) "identical re-serialization" image (Membership.serialize m2);
@@ -225,7 +223,7 @@ let test_membership_stale_cleanup_order () =
      in a canonical deterministic order (Join replies carry the list on
      the wire), and touch must reposition entries so a recently active
      session survives the sweep. *)
-  let m = Membership.create ~max_clients:4 ~dynamic:true in
+  let m = Membership.create ~max_clients:4 in
   let j addr identity now =
     Membership.join m ~addr ~pubkey:"p" ~identity ~now ~stale_threshold:5.0
   in

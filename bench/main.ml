@@ -30,10 +30,9 @@
    agreement pipeline on 4 virtual cores, and exits non-zero unless the
    pipelined run clears 2x both the serial baseline and the Table-1
    default row.
-   [bench] measures host wall-clock / events-per-sec / SHA-256 bytes-per-sec
-   for the Table-1 and SQL workloads and writes BENCH.json (schema in
-   README.md); [--quick] shortens every virtual duration to 0.3 s for CI
-   smoke runs. *)
+   [bench] runs the Table-1, SQL, pipelining and open-loop workloads once
+   each and writes their metrics to BENCH.json (schema in README.md);
+   [--quick] shortens every virtual duration to 0.3 s for CI smoke runs. *)
 
 open Bechamel
 open Toolkit
@@ -132,6 +131,17 @@ let banner name = Printf.printf "\n######## %s ########\n%!" name
 let measure_named ~duration name =
   Harness.Hostbench.measure ~name (Harness.Hostbench.workload ~seed:!seed ~duration name)
 
+(* A row's end-to-end numbers; its layers are read with
+   [Util.Metrics.total]. *)
+let e2e (m : Harness.Hostbench.row) name =
+  Util.Metrics.(to_float (find m.metrics ~node:run_node ~layer:"end_to_end" name))
+
+let write_json path json =
+  let oc = open_out path in
+  output_string oc json;
+  output_char oc '\n';
+  close_out oc
+
 let iso8601 () =
   let tm = Unix.gmtime (Unix.gettimeofday ()) in
   Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1)
@@ -140,17 +150,17 @@ let iso8601 () =
 let run_hostbench () =
   banner "Host-time benchmark (BENCH.json)";
   let dur = if !quick then 0.3 else !duration in
-  let print_m (m : Harness.Hostbench.measurement) =
-    Printf.printf "  %-32s host %7.3fs  %9.0f ev/s  %7.2f MB/s hashed  vTPS %9.1f\n%!" m.name
-      m.host_seconds m.events_per_sec m.hashed_mb_per_sec m.virtual_tps;
-    if m.checkpoint_count > 0 then
-      Printf.printf
-        "  %-32s ckpts %d  undo %d  copied/ckpt %10.0f B  deep-copy/ckpt %10.0f B  (%.1fx)\n%!" ""
-        m.checkpoint_count m.undo_snapshots m.bytes_copied_per_checkpoint
-        m.deep_copy_bytes_per_checkpoint
-        (if m.bytes_copied_per_checkpoint > 0.0 then
-           m.deep_copy_bytes_per_checkpoint /. m.bytes_copied_per_checkpoint
-         else 0.0)
+  let print_m (m : Harness.Hostbench.row) =
+    Printf.printf "  %-32s %9.0f events  %10d B hashed  vTPS %9.1f\n%!" m.name (e2e m "events")
+      (Util.Metrics.total m.metrics ~layer:"crypto" "bytes_hashed") (e2e m "virtual_tps");
+    let snapshots = Util.Metrics.total m.metrics ~layer:"statemgr" "checkpoint_count" + Util.Metrics.total m.metrics ~layer:"statemgr" "undo_snapshots" in
+    if snapshots > 0 then begin
+      let copied = float_of_int (Util.Metrics.total m.metrics ~layer:"statemgr" "bytes_copied") /. float_of_int snapshots in
+      let deep = Util.Metrics.(to_float (find m.metrics ~node:run_node ~layer:"statemgr" "allocated_page_bytes")) in
+      Printf.printf "  %-32s copied/snapshot %10.0f B  deep-copy %10.0f B  (%.1fx)\n%!" "" copied
+        deep
+        (if copied > 0.0 then deep /. copied else 0.0)
+    end
   in
   let all =
     List.map
@@ -160,11 +170,7 @@ let run_hostbench () =
         m)
       (Harness.Hostbench.workloads ~seed:!seed ~duration:dur ())
   in
-  let json = Harness.Hostbench.to_json ~now:(iso8601 ()) all in
-  let oc = open_out "BENCH.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
+  write_json "BENCH.json" (Harness.Hostbench.to_json ~now:(iso8601 ()) all);
   Printf.printf "  trace digest: %s\n  wrote BENCH.json (%d workloads)\n%!"
     (Harness.Hostbench.trace_digest ())
     (List.length all)
@@ -213,13 +219,13 @@ let insert_words_budget = 67_000.0
 let run_sqlidx () =
   banner "SQL access paths — indexed vs forced scan";
   let dur = if !quick then 0.3 else !duration in
-  let per_op (m : Harness.Hostbench.measurement) v =
-    if m.completed > 0 then v /. float_of_int m.completed else 0.0
+  let per_op m name =
+    let completed = e2e m "completed" in
+    if completed > 0.0 then float_of_int (Util.Metrics.total m.metrics ~layer:"relsql" name) /. completed else 0.0
   in
-  let show (m : Harness.Hostbench.measurement) =
-    Printf.printf "  %-32s vTPS %9.1f  pages/op %8.1f  rows/op %8.1f\n%!" m.name m.virtual_tps
-      (per_op m (float_of_int m.pages_read))
-      (per_op m (float_of_int m.rows_scanned))
+  let show (m : Harness.Hostbench.row) =
+    Printf.printf "  %-32s vTPS %9.1f  pages/op %8.1f  rows/op %8.1f\n%!" m.name
+      (e2e m "virtual_tps") (per_op m "pages_read") (per_op m "rows_scanned")
   in
   let point = measure_named ~duration:dur "sql:indexed_point" in
   let range = measure_named ~duration:dur "sql:indexed_range" in
@@ -228,21 +234,18 @@ let run_sqlidx () =
   show range;
   show forced;
   let speedup =
-    if forced.Harness.Hostbench.virtual_tps > 0.0 then
-      point.Harness.Hostbench.virtual_tps /. forced.Harness.Hostbench.virtual_tps
+    if e2e forced "virtual_tps" > 0.0 then e2e point "virtual_tps" /. e2e forced "virtual_tps"
     else 0.0
   in
   Printf.printf "  indexed point vs forced scan: %.1fx virtual TPS\n%!" speedup;
   let mix = measure_named ~duration:dur "sql:read_mix" in
   let insert = measure_named ~duration:dur "sql:insert_acid" in
-  let words (m : Harness.Hostbench.measurement) =
-    m.alloc_per_request /. float_of_int (Sys.word_size / 8)
-  in
+  let words m = e2e m "alloc_words_per_request" in
   let budgets =
     [ (point, sqlidx_words_budget); (mix, read_mix_words_budget); (insert, insert_words_budget) ]
   in
   List.iter
-    (fun ((m : Harness.Hostbench.measurement), budget) ->
+    (fun ((m : Harness.Hostbench.row), budget) ->
       Printf.printf "  %s allocation: %.0f words/request (budget %.0f)\n%!" m.name (words m) budget)
     budgets;
   if speedup < 5.0 then begin
@@ -251,7 +254,7 @@ let run_sqlidx () =
     exit 1
   end;
   List.iter
-    (fun ((m : Harness.Hostbench.measurement), budget) ->
+    (fun ((m : Harness.Hostbench.row), budget) ->
       if words m > budget then begin
         Printf.eprintf "FAIL: %s allocates %.0f words/request (budget %.0f)\n" m.name (words m)
           budget;
@@ -289,9 +292,9 @@ let run_memory () =
       List.fold_left (fun acc r -> List.map2 Int.max acc (counts r)) (counts (List.hd replicas))
         replicas
     in
-    let sum f = List.fold_left (fun acc r -> acc + f r) 0 replicas in
-    let unanswered = sum Pbft.Replica.aged_out_unanswered in
-    let aged = sum Pbft.Replica.bodies_aged_out in
+    let sum name = Util.Metrics.total r.Harness.Run.metrics ~layer:"pbft" name in
+    let unanswered = sum "aged_out_unanswered" in
+    let aged = sum "bodies_aged_out" in
     (r.Harness.Run.completed, live, largest, unanswered, aged)
   in
   let ops_s, live_s, largest_s, unanswered_s, aged_s = run short in
@@ -478,9 +481,12 @@ let table1_default = "table1:sta_mac_allbig_batch"
 let run_pipeline () =
   banner "Pipelined speculation — serial vs depth 8 x 4 cores";
   let dur = if !quick then 0.3 else !duration in
-  let show (m : Harness.Hostbench.measurement) =
+  let show (m : Harness.Hostbench.row) =
     Printf.printf "  %-28s vTPS %9.1f  core util %4.2f  spec execs %7d  rollbacks %d\n%!" m.name
-      m.virtual_tps m.core_utilization m.speculative_executions m.rollbacks
+      (e2e m "virtual_tps")
+      Util.Metrics.(to_float (find m.metrics ~node:run_node ~layer:"simnet" "core_utilization"))
+      (Util.Metrics.total m.metrics ~layer:"pbft" "speculative_executions")
+      (Util.Metrics.total m.metrics ~layer:"pbft" "rollbacks")
   in
   let table1 = measure_named ~duration:dur table1_default in
   let serial = measure_named ~duration:dur "pipeline:serial" in
@@ -488,9 +494,8 @@ let run_pipeline () =
   show table1;
   show serial;
   show deep;
-  let ratio b (m : Harness.Hostbench.measurement) =
-    if b.Harness.Hostbench.virtual_tps > 0.0 then m.virtual_tps /. b.Harness.Hostbench.virtual_tps
-    else 0.0
+  let ratio b m =
+    if e2e b "virtual_tps" > 0.0 then e2e m "virtual_tps" /. e2e b "virtual_tps" else 0.0
   in
   Printf.printf "  pipelined vs serial baseline: %.2fx;  vs Table-1 default: %.2fx\n%!"
     (ratio serial deep) (ratio table1 deep);
@@ -520,11 +525,15 @@ let run_openloop () =
         Option.map (fun door -> { door with Webgate.Frontdoor.flush_bytes }) spec.Harness.Run.door;
     }
   in
-  let show (m : Harness.Hostbench.measurement) =
+  let show (m : Harness.Hostbench.row) =
     Printf.printf
       "  %-28s offered %8.0f/s  vTPS %8.1f  p50 %6.1fms  p99 %7.1fms  shed %6d  gw-peak %5d\n%!"
-      m.name m.offered_load m.virtual_tps (m.p50_latency *. 1e3) (m.p99_latency *. 1e3) m.shed
-      m.gw_queue_peak
+      m.name
+      Util.Metrics.(to_float (find m.metrics ~node:run_node ~layer:"load" "offered_load"))
+      (e2e m "virtual_tps")
+      (e2e m "p50_latency" *. 1e3)
+      (e2e m "p99_latency" *. 1e3)
+      (Util.Metrics.total m.metrics ~layer:"webgate" "shed") (Util.Metrics.total m.metrics ~layer:"webgate" "queue_peak")
   in
   let rates = [ 2_000.0; 8_000.0; 16_000.0; 32_000.0 ] in
   let flushes = [ 4 * 1024; 16 * 1024 ] in
@@ -545,14 +554,13 @@ let run_openloop () =
     | [] -> assert false
     | first :: rest ->
       List.fold_left
-        (fun ((_, _, (b : Harness.Hostbench.measurement)) as acc)
-             ((_, _, (m : Harness.Hostbench.measurement)) as cand) ->
-          if m.virtual_tps > b.virtual_tps then cand else acc)
+        (fun ((_, _, b) as acc) ((_, _, m) as cand) ->
+          if e2e m "virtual_tps" > e2e b "virtual_tps" then cand else acc)
         first rest
   in
   let closed = measure_named ~duration:dur table1_default in
   Printf.printf "  saturated open-loop vTPS %.1f (rate %.0f/s, flush %dB); closed-loop Table-1 %.1f\n%!"
-    sat.Harness.Hostbench.virtual_tps sat_rate sat_flush closed.Harness.Hostbench.virtual_tps;
+    (e2e sat "virtual_tps") sat_rate sat_flush (e2e closed "virtual_tps");
   (* 80%-of-saturation run: the latency knee should not have been crossed,
      so the tail must stay bounded and the per-request budgets flat. *)
   let backoff =
@@ -560,30 +568,30 @@ let run_openloop () =
       (spec_at ~rate:(0.8 *. sat_rate) ~flush_bytes:sat_flush)
   in
   show backoff;
+  let alloc_bytes m = e2e m "alloc_words_per_request" *. float_of_int (Sys.word_size / 8) in
   Printf.printf "  backoff80: events/req %.1f  alloc/req %.0fB  sessions %d  evictions %d\n%!"
-    backoff.Harness.Hostbench.events_per_request backoff.Harness.Hostbench.alloc_per_request
-    backoff.Harness.Hostbench.sessions backoff.Harness.Hostbench.gw_evictions;
+    (e2e backoff "events_per_request") (alloc_bytes backoff) (Util.Metrics.total backoff.metrics ~layer:"load" "sessions")
+    (Util.Metrics.total backoff.metrics ~layer:"webgate" "session_evictions");
   let p99_bound = 0.25 in
   let events_budget = 200.0 in
   let alloc_budget = 2_000_000.0 in
   let failures = ref [] in
   let gate cond msg = if not cond then failures := msg :: !failures in
   gate
-    (sat.Harness.Hostbench.virtual_tps >= closed.Harness.Hostbench.virtual_tps)
+    (e2e sat "virtual_tps" >= e2e closed "virtual_tps")
     (Printf.sprintf "saturated open-loop vTPS %.1f < closed-loop Table-1 default %.1f"
-       sat.Harness.Hostbench.virtual_tps closed.Harness.Hostbench.virtual_tps);
+       (e2e sat "virtual_tps") (e2e closed "virtual_tps"));
   gate
-    (backoff.Harness.Hostbench.p99_latency <= p99_bound)
-    (Printf.sprintf "p99 at 80%% of saturation %.3fs > %.3fs bound"
-       backoff.Harness.Hostbench.p99_latency p99_bound);
+    (e2e backoff "p99_latency" <= p99_bound)
+    (Printf.sprintf "p99 at 80%% of saturation %.3fs > %.3fs bound" (e2e backoff "p99_latency")
+       p99_bound);
   gate
-    (backoff.Harness.Hostbench.events_per_request <= events_budget)
-    (Printf.sprintf "events/request %.1f > %.1f budget"
-       backoff.Harness.Hostbench.events_per_request events_budget);
+    (e2e backoff "events_per_request" <= events_budget)
+    (Printf.sprintf "events/request %.1f > %.1f budget" (e2e backoff "events_per_request")
+       events_budget);
   gate
-    (backoff.Harness.Hostbench.alloc_per_request <= alloc_budget)
-    (Printf.sprintf "alloc/request %.0fB > %.0fB budget"
-       backoff.Harness.Hostbench.alloc_per_request alloc_budget);
+    (alloc_bytes backoff <= alloc_budget)
+    (Printf.sprintf "alloc/request %.0fB > %.0fB budget" (alloc_bytes backoff) alloc_budget);
   match !failures with
   | [] -> Printf.printf "  openloop gates: PASS\n%!"
   | fs ->
@@ -607,12 +615,21 @@ let run_shards () =
       warmup = (if !quick then 0.25 else 0.5);
     }
   in
-  let show (m : Harness.Hostbench.measurement) =
+  let show (m : Harness.Hostbench.row) =
+    let lanes =
+      List.filter_map
+        (fun ((k : Util.Metrics.key), v) ->
+          if String.equal k.layer "shards" && String.equal k.name "completed" then
+            Some (Printf.sprintf "%.0f" (Util.Metrics.to_float v /. e2e m "window"))
+          else None)
+        m.metrics
+    in
     Printf.printf
       "  %-24s vTPS %9.1f  p99 %6.1fms  shed %6d  cross %d/%d  shard vTPS [%s]\n%!" m.name
-      m.virtual_tps (m.p99_latency *. 1e3) m.shed m.cross_commits m.cross_aborts
-      (String.concat "; "
-         (Array.to_list (Array.map (fun t -> Printf.sprintf "%.0f" t) m.shard_tps)))
+      (e2e m "virtual_tps")
+      (e2e m "p99_latency" *. 1e3)
+      (Util.Metrics.total m.metrics ~layer:"webgate" "shed") (Util.Metrics.total m.metrics ~layer:"shards" "cross_commits")
+      (Util.Metrics.total m.metrics ~layer:"shards" "cross_aborts") (String.concat "; " lanes)
   in
   let sweep =
     List.map
@@ -635,7 +652,7 @@ let run_shards () =
   show crossed;
   let vtps n =
     match List.nth_opt sweep n with
-    | Some (m : Harness.Hostbench.measurement) -> m.virtual_tps
+    | Some m -> e2e m "virtual_tps"
     | None -> 0.0
   in
   let ratio2 = if vtps 0 > 0.0 then vtps 1 /. vtps 0 else 0.0 in
@@ -644,11 +661,7 @@ let run_shards () =
     ratio4;
   let byz = Harness.Shards.byzantine_coordinator () in
   print_string (Harness.Shards.render_byz byz);
-  let json = Harness.Hostbench.to_json ~now:(iso8601 ()) (sweep @ [ crossed ]) in
-  let oc = open_out "BENCH-shards.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
+  write_json "BENCH-shards.json" (Harness.Hostbench.to_json ~now:(iso8601 ()) (sweep @ [ crossed ]));
   Printf.printf "  wrote BENCH-shards.json (%d workloads)\n%!" (List.length sweep + 1);
   let failures = ref [] in
   let gate cond msg = if not cond then failures := msg :: !failures in
@@ -691,17 +704,22 @@ let run_churn () =
       }
   in
   let m = Harness.Hostbench.measure ~name:"churn:rolling" spec in
+  let reading snap name =
+    Util.Metrics.(to_float (find snap ~node:run_node ~layer:"churn" name))
+  in
+  let crashes = Util.Metrics.total m.metrics ~layer:"churn" "crashes" and restarts = Util.Metrics.total m.metrics ~layer:"churn" "restarts" in
+  let availability = reading m.metrics "availability" in
+  let rejoins = Util.Metrics.total m.metrics ~layer:"pbft" "rejoin_transfers" in
+  let fetched = Util.Metrics.total m.metrics ~layer:"statemgr" "transfer_pages_fetched"
+  and full = Util.Metrics.total m.metrics ~layer:"statemgr" "transfer_pages_full" in
   Printf.printf
-    "  %-24s host %7.3fs  crashes %d  restarts %d  avail %.4f  mean_rec %.3fs  max_rec %.3fs\n%!"
-    m.Harness.Hostbench.name m.host_seconds m.crashes m.restarts m.availability m.mean_recovery
-    m.max_recovery;
+    "  %-24s crashes %d  restarts %d  avail %.4f  mean_rec %.3fs  max_rec %.3fs\n%!"
+    m.Harness.Hostbench.name crashes restarts availability
+    (reading m.metrics "mean_recovery")
+    (reading m.metrics "max_recovery");
   Printf.printf "  %-24s rejoin transfers %d  demotion transfers %d  pages %d/%d (diff/full)\n%!"
-    "" m.rejoin_transfers m.demotion_transfers m.transfer_pages_fetched m.transfer_pages_full;
-  let json = Harness.Hostbench.to_json ~now:(iso8601 ()) [ m ] in
-  let oc = open_out "BENCH-churn.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
+    "" rejoins (Util.Metrics.total m.metrics ~layer:"pbft" "demotion_transfers") fetched full;
+  write_json "BENCH-churn.json" (Harness.Hostbench.to_json ~now:(iso8601 ()) [ m ]);
   Printf.printf "  wrote BENCH-churn.json\n%!";
   (* Full mode only: a short availability-vs-crash-rate sweep on the
      60 s spec, for the EXPERIMENTS.md table. Informative, not gated —
@@ -710,29 +728,26 @@ let run_churn () =
     List.iter
       (fun period ->
         let r = Harness.Run.run (churn ~horizon:60.0 ~period ()) in
-        match r.Harness.Run.churn with
-        | Some c ->
-          Printf.printf
-            "  crash every %5.1fs: avail %.4f  crashes %d  mean_rec %.3fs  max_rec %.3fs\n%!"
-            period c.availability c.crashes c.mean_recovery c.max_recovery
-        | None -> ())
+        let snap = r.Harness.Run.metrics in
+        Printf.printf
+          "  crash every %5.1fs: avail %.4f  crashes %d  mean_rec %.3fs  max_rec %.3fs\n%!" period
+          (reading snap "availability")
+          (Util.Metrics.get snap ~node:Util.Metrics.run_node ~layer:"churn" "crashes")
+          (reading snap "mean_recovery") (reading snap "max_recovery"))
       [ 30.0; 12.0; 6.0 ];
   let failures = ref [] in
   let gate cond msg = if not cond then failures := msg :: !failures in
-  gate (m.completed > 0) "no client progress over the horizon";
+  gate (e2e m "completed" > 0.0) "no client progress over the horizon";
+  gate (availability >= 0.99)
+    (Printf.sprintf "availability %.4f under churn is below the 0.99 floor" availability);
   gate
-    (m.availability >= 0.99)
-    (Printf.sprintf "availability %.4f under churn is below the 0.99 floor" m.availability);
+    (restarts = crashes && crashes > 0)
+    (Printf.sprintf "crash plan incomplete: %d crashes, %d restarts" crashes restarts);
+  gate (rejoins >= restarts)
+    (Printf.sprintf "only %d rejoin transfers for %d restarts" rejoins restarts);
   gate
-    (m.restarts = m.crashes && m.crashes > 0)
-    (Printf.sprintf "crash plan incomplete: %d crashes, %d restarts" m.crashes m.restarts);
-  gate
-    (m.rejoin_transfers >= m.restarts)
-    (Printf.sprintf "only %d rejoin transfers for %d restarts" m.rejoin_transfers m.restarts);
-  gate
-    (m.transfer_pages_full > 0 && m.transfer_pages_fetched < m.transfer_pages_full)
-    (Printf.sprintf "Merkle diff saved nothing: fetched %d of %d pages" m.transfer_pages_fetched
-       m.transfer_pages_full);
+    (full > 0 && fetched < full)
+    (Printf.sprintf "Merkle diff saved nothing: fetched %d of %d pages" fetched full);
   List.iter (fun f -> gate false (Printf.sprintf "churn run: %s" f)) m.failures;
   match !failures with
   | [] -> Printf.printf "  churn gates: PASS\n%!"
@@ -833,11 +848,11 @@ let sections : (string * (unit -> unit)) list =
   ]
 
 (* [vdiff A.json B.json]: the virtual-number equivalence check between
-   two BENCH files. Workloads are matched by name and compared field by
-   field, skipping the host-time fields; every difference is printed as
+   two BENCH v8 files. Workloads are matched by name and compared field
+   by field, a nested field named by its path ("layers.pbft.rollbacks"),
+   skipping the host-dependent fields; every difference is printed as
    (workload, field, old, new) and any difference exits 1. *)
-let host_fields =
-  [ "generated"; "host_seconds"; "events_per_sec"; "hashed_mb_per_sec"; "alloc_per_request" ]
+let host_fields = [ "generated"; "end_to_end.alloc_words_per_request" ]
 
 let vdiff a b =
   let load path =
@@ -846,7 +861,16 @@ let vdiff a b =
     close_in ic;
     Webgate.Json.parse text
   in
-  let fields = function Webgate.Json.Obj kvs -> kvs | _ -> [] in
+  let rec fields = function
+    | Webgate.Json.Obj kvs ->
+      List.concat_map
+        (fun (k, v) ->
+          match v with
+          | Webgate.Json.Obj _ -> List.map (fun (k', v') -> (k ^ "." ^ k', v')) (fields v)
+          | _ -> [ (k, v) ])
+        kvs
+    | _ -> []
+  in
   let workloads doc =
     match Webgate.Json.member_opt "workloads" doc with
     | Some (Webgate.Json.Arr ws) ->

@@ -29,9 +29,15 @@ let () =
   Cluster.run cluster ~seconds:4.0;
   stop := true;
   let r2 = Cluster.replica cluster 2 in
+  (* Replica counters live on the engine's metrics registry, one key per
+     (replica id, layer, name), summed over the replica's incarnations. *)
+  let counted cluster ~node name =
+    Util.Metrics.get (Util.Metrics.snapshot (Simnet.Engine.metrics (Cluster.engine cluster)))
+      ~node ~layer:"pbft" name
+  in
   (match Replica.recovery_completed_at r2 with
   | Some t -> Printf.printf "replica 2 resumed at t=%.2fs (stall %.2fs, auth failures %d)\n" t (t -. 1.0)
-                (Replica.auth_failures r2)
+                (counted cluster ~node:2 "auth_failures")
   | None -> print_endline "replica 2 never recovered (unexpected)");
 
   (* 2. One lost datagram stalls a replica until the next checkpoint
@@ -46,9 +52,8 @@ let () =
              src >= Types.client_addr_base && dst = 3 && label = "request")));
   Cluster.run cluster ~seconds:3.0;
   stop := true;
-  let r3 = Cluster.replica cluster 3 in
   Printf.printf "replica 3: state transfers=%d (stalled until checkpoint, then caught up)\n"
-    (Replica.state_transfers r3);
+    (counted cluster ~node:3 "demotion_transfers" + counted cluster ~node:3 "rejoin_transfers");
 
   (* 3. Primary crash: backups time out and elect a new primary. *)
   section "primary failure -> view change";

@@ -4,6 +4,10 @@ let null_load ?clients ?think () =
 
 let base_cfg () = Pbft.Config.default ~f:1
 
+(* A replica counter of a run, summed over every incarnation of one
+   replica id. *)
+let counted o ~node name = Util.Metrics.get o.Run.metrics ~node ~layer:"pbft" name
+
 let with_flags ~dynamic ~macs ~allbig ~batching cfg =
   {
     cfg with
@@ -181,8 +185,9 @@ let pipeline_sweep ?(seed = 1) ?(duration = 1.5) () =
             let o = Run.run (pipeline_spec ~seed ~duration (pipeline_cfg ~depth ~cores ())) in
             Report.row
               ~note:
-                (Printf.sprintf "%d spec execs, %d rollbacks" o.Run.replicas.speculative_execs
-                   o.Run.replicas.rollbacks)
+                (Printf.sprintf "%d spec execs, %d rollbacks"
+                   (Util.Metrics.total o.Run.metrics ~layer:"pbft" "speculative_executions")
+                   (Util.Metrics.total o.Run.metrics ~layer:"pbft" "rollbacks"))
               (Printf.sprintf "depth=%d cores=%d" depth cores)
               o.Run.tps)
           [ 1; 2; 4 ])
@@ -459,7 +464,7 @@ let recovery ?(seed = 1) ?(periods = [ 0.5; 1.0; 2.0; 4.0 ]) () =
         Report.row
           ~note:
             (Printf.sprintf "rebroadcast load %.0f msg/s; auth failures %d" msg_rate
-               (Pbft.Replica.auth_failures r2))
+               (counted o ~node:2 "auth_failures"))
           ~unit_:"s"
           (Printf.sprintf "rebroadcast period %.1fs" period)
           stall)
@@ -501,7 +506,10 @@ let packet_loss ?(seed = 1) () =
             ];
         }
     in
-    (o, Pbft.Cluster.replica (Run.cluster o.Run.deployment 0) victim)
+    ( o,
+      float_of_int
+        (counted o ~node:victim "demotion_transfers" + counted o ~node:victim "rejoin_transfers")
+    )
   in
   let cfg_a = base_cfg () in
   let oa, ra = run_case ~cfg:cfg_a ~dst:victim in
@@ -518,20 +526,20 @@ let packet_loss ?(seed = 1) () =
             (Printf.sprintf "replica %d stalls; recovers by checkpoint state transfer (retrans %d)"
                victim oa.Run.retransmissions)
           "A: big-request body lost -> state transfers at victim"
-          (float_of_int (Pbft.Replica.state_transfers ra));
+          ra;
         Report.row ~unit_:"transfers"
           ~note:
             (Printf.sprintf "client retransmits after %.0f ms; no replica stalls (retrans %d)"
                (cfg_b.Pbft.Config.client_timeout *. 1000.0)
                ob.Run.retransmissions)
           "B: non-big request to primary lost -> state transfers at victim"
-          (float_of_int (Pbft.Replica.state_transfers rb));
+          rb;
         Report.row ~unit_:"transfers"
           ~note:
             (Printf.sprintf "remedy: victim fetches the body from peers (retrans %d)"
                oc_.Run.retransmissions)
           "C: case A with fetch_missing_bodies remedy"
-          (float_of_int (Pbft.Replica.state_transfers rc));
+          rc;
       ];
     commentary =
       [
@@ -577,7 +585,7 @@ let nondet_validation ?(seed = 1) () =
       Pbft.Replica.last_executed r2
       >= Pbft.Replica.last_executed (Pbft.Cluster.replica cluster 0) - 5
     in
-    (Pbft.Replica.nondet_rejects r2, caught_up)
+    (counted o ~node:2 "nondet_rejects", caught_up)
   in
   let rej_none, ok_none = run_policy Pbft.Config.No_validation in
   let rej_delta, ok_delta = run_policy (Pbft.Config.Delta 1.0) in
@@ -666,12 +674,8 @@ let loss_sweep ?(seed = 1) ?(duration = 3.0) () =
       Run.run
         { (Run.closed cfg) with Run.seed; duration; profile = { Simnet.Net.lan_profile with loss } }
     in
-    let transfers =
-      Array.fold_left
-        (fun acc r -> acc + Pbft.Replica.state_transfers r)
-        0 (Pbft.Cluster.replicas (Run.cluster o.Run.deployment 0))
-    in
-    (o.Run.tps, transfers)
+    let pbft = Util.Metrics.total o.Run.metrics ~layer:"pbft" in
+    (o.Run.tps, pbft "demotion_transfers" + pbft "rejoin_transfers")
   in
   let default = base_cfg () in
   let robust =

@@ -1,6 +1,14 @@
 open Pbft
 
-type check = { result : Run.result; correct : Run.totals; baseline : int; recovered : int }
+type check = {
+  result : Run.result;
+  correct : Util.Metrics.snapshot;
+  view : int;
+  baseline : int;
+  recovered : int;
+}
+
+let counted c name = Util.Metrics.total c.correct ~layer:"pbft" name
 
 type scenario = { name : string; spec : Run.spec; expect : (string * (check -> bool)) list }
 
@@ -67,7 +75,7 @@ let null_op ~client:_ ~seq:_ = String.make 512 'f'
 let mutated = ("adversary never fired a mutation", fun c -> c.result.Run.mutations > 0)
 let progressed what = (what, fun c -> c.baseline > 0)
 let recovered what = (what, fun c -> c.recovered > 0)
-let new_primary = ("no view change elected a new primary", fun c -> c.correct.Run.view > 0)
+let new_primary = ("no view change elected a new primary", fun c -> c.view > 0)
 
 let behavior ?(seed = 11) ?(speculative = false) b =
   let specific =
@@ -77,21 +85,21 @@ let behavior ?(seed = 11) ?(speculative = false) b =
       [
         new_primary;
         ( "corrupted authenticators were never rejected",
-          fun c -> c.correct.Run.auth_failures > 0 );
+          fun c -> counted c "auth_failures" > 0 );
       ]
     | Adversary.Mutate_nondet ->
       [
         new_primary;
-        ("poisoned nondet was never rejected", fun c -> c.correct.Run.nondet_rejects > 0);
+        ("poisoned nondet was never rejected", fun c -> counted c "nondet_rejects" > 0);
       ]
     | Adversary.Selective_mute _ ->
       (* The starved backup must demote itself into a state transfer. *)
-      [ ("starved replica was never demoted", fun c -> c.correct.Run.demotions > 0) ]
+      [ ("starved replica was never demoted", fun c -> counted c "demotions" > 0) ]
     | Adversary.Garbage_view_change ->
       (* Forged votes must be rejected, and must not drag the view up. *)
       [
-        ("garbage votes were not rejected", fun c -> c.correct.Run.auth_failures > 0);
-        ("garbage votes disturbed the view", fun c -> c.correct.Run.view = 0);
+        ("garbage votes were not rejected", fun c -> counted c "auth_failures" > 0);
+        ("garbage votes disturbed the view", fun c -> c.view = 0);
       ]
   in
   {
@@ -186,9 +194,9 @@ let crash_restart ?(seed = 11) ?(speculative = false) () =
             | crashed :: restarted :: _ -> restarted > crashed
             | _ -> false );
         recovered "no progress in the recovery window";
-        ("crash of the primary never forced a view change", fun c -> c.correct.Run.view > 0);
+        ("crash of the primary never forced a view change", fun c -> c.view > 0);
         ( "restarted replica never started a rejoin transfer",
-          fun c -> Replica.rejoin_transfers (restarted c) > 0 );
+          fun c -> Util.Metrics.get c.correct ~node:0 ~layer:"pbft" "rejoin_transfers" > 0 );
         ( "rejoin transfer never completed",
           fun c -> Replica.recovery_completed_at (restarted c) <> None );
         (* The Merkle diff must have pruned the fetch: some pages moved
@@ -202,7 +210,7 @@ let crash_restart ?(seed = 11) ?(speculative = false) () =
             Replica.transfer_pages_full r > 0
             && Replica.transfer_pages_fetched r < Replica.transfer_pages_full r );
         ( "restarted replica never caught up to the working view",
-          fun c -> Replica.view (restarted c) = c.correct.Run.view );
+          fun c -> Replica.view (restarted c) = c.view );
         (* Rejoin must reset the view-change watchdog backoff, or the
            revived replica re-enters agreement with a stale exponential
            timeout. *)
@@ -237,10 +245,10 @@ let vc_mid_speculation ?(seed = 11) () =
       [
         progressed "no progress before the fault";
         recovered "no progress in the recovery window";
-        ("commit starvation never forced a view change", fun c -> c.correct.Run.view > 0);
-        ("no batch was executed speculatively", fun c -> c.correct.Run.speculative_execs > 0);
+        ("commit starvation never forced a view change", fun c -> c.view > 0);
+        ("no batch was executed speculatively", fun c -> counted c "speculative_executions" > 0);
         ( "the view change never rolled back a speculated batch",
-          fun c -> c.correct.Run.rollbacks > 0 );
+          fun c -> counted c "rollbacks" > 0 );
       ];
   }
 
@@ -254,7 +262,8 @@ let suite ?(seed = 11) ~speculative () =
 type report = {
   name : string;
   mutations : int;
-  correct : Run.totals;
+  correct : Util.Metrics.snapshot;
+  view : int;
   baseline : int;
   recovered : int;
   safe : bool;
@@ -267,12 +276,18 @@ let run ?(trace = false) scenario =
   let d = result.Run.deployment in
   let faulty = Run.adversaries scenario.spec in
   let correct =
-    Run.totals (List.filter (fun r -> not (List.mem (Replica.id r) faulty)) (Run.live d))
+    List.filter (fun (k, _) -> not (List.mem k.Util.Metrics.node faulty)) result.Run.metrics
+  in
+  let view =
+    List.fold_left
+      (fun acc r -> if List.mem (Replica.id r) faulty then acc else Int.max acc (Replica.view r))
+      0 (Run.live d)
   in
   let check =
     {
       result;
       correct;
+      view;
       baseline = (match result.Run.marks with first :: _ -> first | [] -> 0);
       recovered = Run.progress d - result.Run.opened;
     }
@@ -282,6 +297,7 @@ let run ?(trace = false) scenario =
       name = scenario.name;
       mutations = result.Run.mutations;
       correct;
+      view;
       baseline = check.baseline;
       recovered = check.recovered;
       safe = Lazy.force result.Run.failures = [];
@@ -291,16 +307,18 @@ let run ?(trace = false) scenario =
     result )
 
 let render r =
-  let t = r.correct in
+  let pbft = Util.Metrics.total r.correct ~layer:"pbft"
+  and statemgr = Util.Metrics.total r.correct ~layer:"statemgr" in
   Printf.sprintf
     "%-20s %-4s mutations=%-5d vc=%-3d dem_tr=%-2d rejoin_tr=%-2d pages=%d/%-4d demotions=%-2d \
      spec=%-5d rollbacks=%-2d auth_fail=%-4d nondet_rej=%-4d view=%-2d baseline=%-5d \
      recovered=%-5d%s"
     r.name
     (if r.safe && r.live && r.failures = [] then "ok" else "FAIL")
-    r.mutations t.Run.view_changes t.demotion_transfers t.rejoin_transfers t.pages_fetched
-    t.pages_full t.demotions t.speculative_execs t.rollbacks t.auth_failures t.nondet_rejects
-    t.view r.baseline r.recovered
+    r.mutations (pbft "view_changes") (pbft "demotion_transfers") (pbft "rejoin_transfers")
+    (statemgr "transfer_pages_fetched") (statemgr "transfer_pages_full") (pbft "demotions")
+    (pbft "speculative_executions") (pbft "rollbacks") (pbft "auth_failures")
+    (pbft "nondet_rejects") r.view r.baseline r.recovered
     (match r.failures with
     | [] -> ""
     | fs -> "\n    " ^ String.concat "\n    " fs)

@@ -20,7 +20,10 @@
 
 type check = {
   result : Run.result;
-  correct : Run.totals;  (** over the current incarnations of the correct replicas *)
+  correct : Util.Metrics.snapshot;
+      (** the run's metrics without the adversaries' nodes; a replica's
+          counters cover every incarnation *)
+  view : int;  (** the highest view a correct replica's current incarnation reached *)
   baseline : int;  (** requests completed before the fault was armed *)
   recovered : int;  (** requests completed from the recovery window's start to the end *)
 }
@@ -44,7 +47,8 @@ val suite : ?seed:int -> speculative:bool -> unit -> scenario list
 type report = {
   name : string;
   mutations : int;
-  correct : Run.totals;
+  correct : Util.Metrics.snapshot;
+  view : int;
   baseline : int;
   recovered : int;
   safe : bool;

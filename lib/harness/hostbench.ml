@@ -1,72 +1,9 @@
-type measurement = {
-  name : string;
-  host_seconds : float;
-  events : int;
-  events_per_sec : float;
-  bytes_hashed : int;
-  hashed_mb_per_sec : float;
-  virtual_tps : float;
-  completed : int;
-  checkpoint_count : int;
-  undo_snapshots : int;
-  bytes_copied : int;
-  bytes_copied_per_checkpoint : float;
-  deep_copy_bytes_per_checkpoint : float;
-  pages_read : int;
-  rows_scanned : int;
-  speculative_executions : int;
-  rollbacks : int;
-  tentative_completed : int;
-  core_utilization : float;
-  (* v5: latency distribution and overload/gateway telemetry. Closed-loop
-     workloads leave the gateway block zero. *)
-  p50_latency : float;
-  p95_latency : float;
-  p99_latency : float;
-  shed : int;
-  gw_evictions : int;
-  gw_queue_peak : int;
-  replica_queue_peak : int;
-  ro_cache_evictions : int;
-  sessions : int;
-  arrivals : int;
-  offered_load : float;
-  flushes_size : int;
-  flushes_deadline : int;
-  reply_cache_hits : int;
-  events_per_request : float;
-  alloc_per_request : float;
-  (* v6: sharded-deployment telemetry. Single-group workloads report one
-     shard and no cross-shard traffic. *)
-  shards : int;
-  shard_tps : float array;
-  shard_queue_peak : int array;
-  cross_commits : int;
-  cross_aborts : int;
-  cross_timeouts : int;
-  (* v7: crash/restart and state-transfer telemetry. The transfer block
-     splits §2.4 demotions from crash/restart rejoins and exposes the
-     Merkle-diff page savings; the churn block is zero everywhere except
-     the churn workload. *)
-  demotion_transfers : int;
-  rejoin_transfers : int;
-  transfer_pages_fetched : int;
-  transfer_pages_full : int;
-  crashes : int;
-  restarts : int;
-  availability : float;
-  mean_recovery : float;
-  max_recovery : float;
-  failures : string list;
-}
+type row = { name : string; metrics : Util.Metrics.snapshot; failures : string list }
 
-(* The host-cost envelope every workload shares: wall clock, SHA-256
-   bytes, COW bytes copied, relational-engine counters and heap
-   allocation around one run. Host wall-clock on purpose: this measures
-   the benchmark harness itself and never feeds simulation state or the
-   trace digest. *)
+(* One run and the process-wide deltas around it: SHA-256 bytes, COW
+   bytes copied, relational-engine counters and heap allocation, all
+   read before the safety check, whose Merkle roots hash every page. *)
 let measure ~name spec =
-  let[@detlint.allow wall_clock] t0 = Unix.gettimeofday () in
   let h0 = Crypto.Sha256.bytes_hashed () in
   let c0 = Statemgr.Pages.bytes_copied () in
   let p0 = Relsql.Database.pages_read_total () in
@@ -74,89 +11,57 @@ let measure ~name spec =
   let a0 = Gc.allocated_bytes () in
   let r = Run.run spec in
   let alloc = Gc.allocated_bytes () -. a0 in
-  let[@detlint.allow wall_clock] host_seconds = Unix.gettimeofday () -. t0 in
-  let per_sec n = if host_seconds > 0.0 then float_of_int n /. host_seconds else 0.0 in
-  let bytes_hashed = Crypto.Sha256.bytes_hashed () - h0 in
-  let bytes_copied = Statemgr.Pages.bytes_copied () - c0 in
-  let t = r.Run.replicas in
-  let snapshots = t.Run.checkpoints + t.undo_snapshots in
+  let hashed = Crypto.Sha256.bytes_hashed () - h0 in
+  let copied = Statemgr.Pages.bytes_copied () - c0 in
+  let pages_read = Relsql.Database.pages_read_total () - p0 in
+  let rows_scanned = Relsql.Database.rows_scanned_total () - s0 in
   let per_request x = if r.completed > 0 then x /. float_of_int r.completed else 0.0 in
-  (* Schema v7 as it was first written: open-loop rows count events and
-     allocation over the measured window and the door's counters over
-     the whole run; session rows count the door's counters over the
-     window; every other row counts over the whole run. *)
-  let open_loop = Option.is_some r.open_loop in
-  let windowed = match spec.Run.load with Run.Sessions _ -> true | _ -> false in
-  let door f =
-    match r.door with
-    | None -> 0
-    | Some (before, after) -> if windowed then f after - f before else f after
+  (* An open-loop row counts events and allocation over the measured
+     window, every other row over the whole run, boot included. *)
+  let open_loop = match spec.Run.load with Run.Arrivals _ -> true | _ -> false in
+  let whole layer name = { Util.Metrics.node = Util.Metrics.run_node; layer; name } in
+  let open Util.Metrics in
+  let end_to_end =
+    [
+      ("completed", Count r.completed);
+      ("window", Real r.window);
+      ("virtual_tps", Real r.tps);
+      ("p50_latency", Real (Util.Stats.p50 r.latency));
+      ("p95_latency", Real (Util.Stats.p95 r.latency));
+      ("p99_latency", Real (Util.Stats.p99 r.latency));
+      ("events", Count r.events);
+      ( "events_per_request",
+        Real (per_request (float_of_int (if open_loop then r.window_events else r.events))) );
+      ( "alloc_words_per_request",
+        Real
+          (per_request (if open_loop then r.window_alloc else alloc)
+          /. float_of_int (Sys.word_size / 8)) );
+    ]
+    @
+    match spec.load with
+    | Run.Clients _ -> [ ("tentative_completed", Count r.tentative) ]
+    | Run.Sessions _ | Run.Arrivals _ -> []
   in
-  let final f = match r.door with None -> 0 | Some (_, after) -> f after in
-  let churn f = match r.churn with None -> 0.0 | Some c -> f c in
+  (* A run that never reached the relational engine has no relsql
+     section. *)
+  let relsql =
+    if pages_read = 0 then []
+    else
+      [
+        (whole "relsql" "pages_read", Count pages_read);
+        (whole "relsql" "rows_scanned", Count rows_scanned);
+      ]
+  in
   {
     name;
-    host_seconds;
-    events = r.events;
-    events_per_sec = per_sec r.events;
-    bytes_hashed;
-    hashed_mb_per_sec = per_sec bytes_hashed /. 1e6;
-    virtual_tps = r.tps;
-    completed = r.completed;
-    checkpoint_count = t.checkpoints;
-    undo_snapshots = t.undo_snapshots;
-    bytes_copied;
-    bytes_copied_per_checkpoint =
-      (if snapshots > 0 then float_of_int bytes_copied /. float_of_int snapshots else 0.0);
-    deep_copy_bytes_per_checkpoint = t.allocated_bytes;
-    pages_read = Relsql.Database.pages_read_total () - p0;
-    rows_scanned = Relsql.Database.rows_scanned_total () - s0;
-    speculative_executions = t.speculative_execs;
-    rollbacks = t.rollbacks;
-    tentative_completed = r.tentative;
-    core_utilization = t.core_utilization;
-    p50_latency = Util.Stats.p50 r.latency;
-    p95_latency = Util.Stats.p95 r.latency;
-    p99_latency = Util.Stats.p99 r.latency;
-    shed = door (fun d -> d.Run.shed);
-    gw_evictions = final (fun d -> d.Run.evictions);
-    gw_queue_peak = final (fun d -> Array.fold_left Int.max 0 d.Run.queue_peaks);
-    replica_queue_peak = t.queue_peak;
-    ro_cache_evictions = t.ro_cache_evictions;
-    sessions =
-      (match spec.load with
-      | Run.Sessions { sessions; _ } | Run.Arrivals { sessions; _ } -> sessions
-      | Run.Clients _ -> 0);
-    arrivals = (match r.open_loop with Some o -> o.Run.arrivals | None -> 0);
-    offered_load = (match r.open_loop with Some o -> o.Run.offered | None -> 0.0);
-    flushes_size = door (fun d -> d.Run.flushes_size);
-    flushes_deadline = door (fun d -> d.Run.flushes_deadline);
-    reply_cache_hits = door (fun d -> d.Run.reply_cache_hits);
-    events_per_request =
-      per_request (float_of_int (if open_loop then r.window_events else r.events));
-    alloc_per_request = per_request (if open_loop then r.window_alloc else alloc);
-    shards = Relsql.Shard.shards (Run.topology r.deployment);
-    shard_tps =
-      (match (spec.groups, r.door) with
-      | Run.Sharded _, Some (before, after) ->
-        Array.map2
-          (fun b a -> if r.window > 0.0 then float_of_int (a - b) /. r.window else 0.0)
-          before.Run.lane_completed after.Run.lane_completed
-      | _ -> [| r.tps |]);
-    shard_queue_peak =
-      (match r.door with Some (_, after) -> after.Run.queue_peaks | None -> [| 0 |]);
-    cross_commits = door (fun d -> d.Run.cross_commits);
-    cross_aborts = door (fun d -> d.Run.cross_aborts);
-    cross_timeouts = door (fun d -> d.Run.cross_timeouts);
-    demotion_transfers = t.demotion_transfers;
-    rejoin_transfers = t.rejoin_transfers;
-    transfer_pages_fetched = t.pages_fetched;
-    transfer_pages_full = t.pages_full;
-    crashes = (match r.churn with Some c -> c.Run.crashes | None -> 0);
-    restarts = (match r.churn with Some c -> c.Run.restarts | None -> 0);
-    availability = churn (fun c -> c.Run.availability);
-    mean_recovery = churn (fun c -> c.Run.mean_recovery);
-    max_recovery = churn (fun c -> c.Run.max_recovery);
+    metrics =
+      with_values r.metrics
+        (List.map (fun (n, v) -> (whole "end_to_end" n, v)) end_to_end
+        @ [
+            (whole "crypto" "bytes_hashed", Count hashed);
+            (whole "statemgr" "bytes_copied", Count copied);
+          ]
+        @ relsql);
     failures = Lazy.force r.failures;
   }
 
@@ -285,70 +190,33 @@ let gateway_trace_digest ?(seed = 1) ?(seconds = 0.3) () =
           };
     }
 
-let to_json ?(now = "unknown") ms =
+let to_json ?(now = "unknown") rows =
   let open Webgate.Json in
-  let workload m =
+  let num v = Num (Util.Metrics.to_float v) in
+  let workload row =
+    let sections = Util.Metrics.layers row.metrics in
     Obj
       [
-        ("name", Str m.name);
-        ("host_seconds", Num m.host_seconds);
-        ("events", Num (float_of_int m.events));
-        ("events_per_sec", Num m.events_per_sec);
-        ("bytes_hashed", Num (float_of_int m.bytes_hashed));
-        ("hashed_mb_per_sec", Num m.hashed_mb_per_sec);
-        ("virtual_tps", Num m.virtual_tps);
-        ("completed", Num (float_of_int m.completed));
-        ("checkpoint_count", Num (float_of_int m.checkpoint_count));
-        ("undo_snapshots", Num (float_of_int m.undo_snapshots));
-        ("bytes_copied", Num (float_of_int m.bytes_copied));
-        ("bytes_copied_per_checkpoint", Num m.bytes_copied_per_checkpoint);
-        ("deep_copy_bytes_per_checkpoint", Num m.deep_copy_bytes_per_checkpoint);
-        ("pages_read", Num (float_of_int m.pages_read));
-        ("rows_scanned", Num (float_of_int m.rows_scanned));
-        ("speculative_executions", Num (float_of_int m.speculative_executions));
-        ("rollbacks", Num (float_of_int m.rollbacks));
-        ("tentative_completed", Num (float_of_int m.tentative_completed));
-        ("stable_completed", Num (float_of_int (m.completed - m.tentative_completed)));
-        ("core_utilization", Num m.core_utilization);
-        ("p50_latency", Num m.p50_latency);
-        ("p95_latency", Num m.p95_latency);
-        ("p99_latency", Num m.p99_latency);
-        ("shed", Num (float_of_int m.shed));
-        ("gw_evictions", Num (float_of_int m.gw_evictions));
-        ("gw_queue_peak", Num (float_of_int m.gw_queue_peak));
-        ("replica_queue_peak", Num (float_of_int m.replica_queue_peak));
-        ("ro_cache_evictions", Num (float_of_int m.ro_cache_evictions));
-        ("sessions", Num (float_of_int m.sessions));
-        ("arrivals", Num (float_of_int m.arrivals));
-        ("offered_load", Num m.offered_load);
-        ("flushes_size", Num (float_of_int m.flushes_size));
-        ("flushes_deadline", Num (float_of_int m.flushes_deadline));
-        ("reply_cache_hits", Num (float_of_int m.reply_cache_hits));
-        ("events_per_request", Num m.events_per_request);
-        ("alloc_per_request", Num m.alloc_per_request);
-        ("shards", Num (float_of_int m.shards));
-        ("shard_tps", Arr (Array.to_list (Array.map (fun t -> Num t) m.shard_tps)));
-        ( "shard_queue_peak",
-          Arr (Array.to_list (Array.map (fun q -> Num (float_of_int q)) m.shard_queue_peak)) );
-        ("cross_commits", Num (float_of_int m.cross_commits));
-        ("cross_aborts", Num (float_of_int m.cross_aborts));
-        ("cross_timeouts", Num (float_of_int m.cross_timeouts));
-        ("demotion_transfers", Num (float_of_int m.demotion_transfers));
-        ("rejoin_transfers", Num (float_of_int m.rejoin_transfers));
-        ("transfer_pages_fetched", Num (float_of_int m.transfer_pages_fetched));
-        ("transfer_pages_full", Num (float_of_int m.transfer_pages_full));
-        ("crashes", Num (float_of_int m.crashes));
-        ("restarts", Num (float_of_int m.restarts));
-        ("availability", Num m.availability);
-        ("mean_recovery", Num m.mean_recovery);
-        ("max_recovery", Num m.max_recovery);
+        ("name", Str row.name);
+        ( "end_to_end",
+          Obj
+            (List.map
+               (fun (n, v) -> (n, num v))
+               (Option.value ~default:[] (List.assoc_opt "end_to_end" sections))) );
+        ( "layers",
+          Obj
+            (List.filter_map
+               (fun (layer, entries) ->
+                 if String.equal layer "end_to_end" then None
+                 else Some (layer, Obj (List.map (fun (n, v) -> (n, num v)) entries)))
+               sections) );
       ]
   in
   pretty
     (Obj
        [
-         ("schema", Str "pbft-repro/bench/v7");
+         ("schema", Str "pbft-repro/bench/v8");
          ("generated", Str now);
          ("trace_digest", Str (trace_digest ()));
-         ("workloads", Arr (List.map workload ms));
+         ("workloads", Arr (List.map workload rows));
        ])

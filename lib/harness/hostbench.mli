@@ -1,86 +1,32 @@
-(** Host wall-clock benchmark harness.
+(** The BENCH.json rows.
 
-    Every regenerator in {!Experiments} reports *virtual*-time results; the
-    binding constraint on how large an experiment we can afford is the
-    *host* CPU cost of replaying simulated messages through the
-    encode → MAC → digest → decode hot path. This module measures that
-    cost: host seconds, simulator events/sec and SHA-256 bytes/sec for the
-    Table-1 workloads and the SQL INSERT workload, next to the virtual TPS
-    they produce. [to_json] renders the BENCH.json perf-trajectory
-    artifact that later optimization PRs are judged against. *)
+    Every regenerator in {!Experiments} reports *virtual*-time results;
+    this module runs the named workloads once each and renders the
+    BENCH.json artifact later changes are compared against. A row is the
+    run's {!Util.Metrics} snapshot ({!Run.result.metrics}) plus what the
+    row itself measured around the run, under
+    {!Util.Metrics.run_node}: layer ["end_to_end"] and the process-wide
+    deltas. Host wall-clock time is not measured here. *)
 
-type measurement = {
+type row = {
   name : string;  (** workload identifier, e.g. ["table1:sta_mac_allbig_batch"] *)
-  host_seconds : float;  (** host wall-clock for the whole run (incl. warmup) *)
-  events : int;  (** simulator events executed *)
-  events_per_sec : float;  (** events / host_seconds *)
-  bytes_hashed : int;  (** SHA-256 input bytes consumed by the run *)
-  hashed_mb_per_sec : float;  (** bytes_hashed / host_seconds, in MB/s *)
-  virtual_tps : float;  (** virtual-time requests/sec from the scenario *)
-  completed : int;  (** requests completed in the measured window *)
-  checkpoint_count : int;  (** stable/tentative checkpoints taken, summed over replicas *)
-  undo_snapshots : int;  (** tentative-execution undo snapshots, summed over replicas *)
-  bytes_copied : int;  (** page bytes duplicated by copy-on-write during the run *)
-  bytes_copied_per_checkpoint : float;
-      (** bytes_copied / (checkpoint_count + undo_snapshots); 0 if no snapshots *)
-  deep_copy_bytes_per_checkpoint : float;
-      (** what a deep-copy checkpointer would move per snapshot: one replica's
-          allocated pages x page size, averaged over replicas at run end *)
-  pages_read : int;  (** B-tree pages touched by the relational engine during the run *)
-  rows_scanned : int;  (** candidate rows the engine materialized and evaluated *)
-  speculative_executions : int;
-      (** batches executed before their commit certificate landed, summed
-          over replicas — serial tentative execution and pipelined
-          speculation both count *)
-  rollbacks : int;  (** view changes that undid speculative executions, summed over replicas *)
-  tentative_completed : int;
-      (** requests the clients accepted on a 2f+1 tentative-reply quorum
-          (read-only fast path and tentative execution); 0 on door rows *)
-  core_utilization : float;
-      (** run-average busy fraction of the replicas' virtual CPU cores *)
-  p50_latency : float;  (** request latency percentiles, virtual seconds *)
-  p95_latency : float;
-  p99_latency : float;
-  shed : int;  (** gateway admission-control rejections (0 closed-loop) *)
-  gw_evictions : int;  (** gateway session-LRU evictions *)
-  gw_queue_peak : int;  (** gateway pending-queue high-water mark *)
-  replica_queue_peak : int;  (** max replica CPU dispatch-queue high-water mark *)
-  ro_cache_evictions : int;  (** replica read-only reply-cache LRU evictions *)
-  sessions : int;  (** open-loop sessions simulated (0 closed-loop) *)
-  arrivals : int;  (** open-loop arrivals in the measured window *)
-  offered_load : float;  (** mean offered arrival rate, requests/s *)
-  flushes_size : int;  (** gateway batches flushed by the size trigger *)
-  flushes_deadline : int;  (** gateway batches flushed by the deadline trigger *)
-  reply_cache_hits : int;  (** retransmissions answered from the gateway reply cache *)
-  events_per_request : float;  (** simulation events per completed request *)
-  alloc_per_request : float;  (** host heap bytes allocated per completed request *)
-  shards : int;  (** replica groups serving the workload (1 single-group) *)
-  shard_tps : float array;  (** per-shard completed ops per virtual second *)
-  shard_queue_peak : int array;  (** per-shard front-door queue high-water marks *)
-  cross_commits : int;  (** 2PC transactions committed on every participant *)
-  cross_aborts : int;  (** 2PC transactions aborted (vote or timeout) *)
-  cross_timeouts : int;  (** of [cross_aborts], coordinator-timeout triggered *)
-  demotion_transfers : int;  (** §2.4 fell-behind transfers, summed over replicas *)
-  rejoin_transfers : int;  (** crash/restart rejoin transfers, summed over replicas *)
-  transfer_pages_fetched : int;
-      (** pages actually moved by completed transfers — the Merkle-diff cost *)
-  transfer_pages_full : int;
-      (** pages the same transfers would move without the diff (every leaf) *)
-  crashes : int;  (** replica crashes scheduled (churn workload only) *)
-  restarts : int;  (** replica restarts completed (churn workload only) *)
-  availability : float;
-      (** fraction of sampling buckets with client progress (churn only) *)
-  mean_recovery : float;  (** mean crash-to-rejoin seconds (churn only) *)
-  max_recovery : float;  (** worst crash-to-rejoin seconds (churn only) *)
+  metrics : Util.Metrics.snapshot;
   failures : string list;
       (** safety violations and unfinished rejoins the run found (not
           written to BENCH.json) *)
 }
 
-val measure : name:string -> Run.spec -> measurement
-(** Run the spec once, sampling host clock, SHA-256 bytes, copy-on-write
-    bytes, relational-engine counters and heap allocation around it.
-    Blocks that do not apply to the spec (door, shards, churn) read 0. *)
+val measure : name:string -> Run.spec -> row
+(** Run the spec once and add to its snapshot:
+    - ["end_to_end"]: [completed], [window], [virtual_tps],
+      [p50_latency]/[p95_latency]/[p99_latency] (virtual seconds),
+      [events], [events_per_request], [alloc_words_per_request] (host
+      heap words allocated per completed request, boot included; an
+      open-loop row counts events and allocation over the measured
+      window), and [tentative_completed] for closed-loop client loads;
+    - [crypto.bytes_hashed] and [statemgr.bytes_copied] over the run;
+    - [relsql.pages_read] and [relsql.rows_scanned] when the run read
+      any page. *)
 
 val workloads : ?seed:int -> ?duration:float -> unit -> (string * Run.spec) list
 (** The BENCH.json workloads by name: one per Table-1 row
@@ -129,6 +75,9 @@ val traced : Run.spec -> string * Run.result
 (** Run the spec with the message trace on; its digest (the preimage
     format of {!trace_digest}) and the result. *)
 
-val to_json : ?now:string -> measurement list -> string
-(** Render the BENCH.json document (see README.md for the schema). [now]
-    is an ISO-8601 timestamp recorded verbatim; omitted → ["unknown"]. *)
+val to_json : ?now:string -> row list -> string
+(** Render the BENCH.json document, schema v8 (see README.md): per row
+    its name, ["end_to_end"] and ["layers"], each layer's names merged
+    over its nodes ({!Util.Metrics.layers}). A section nobody registered
+    is absent. [now] is an ISO-8601 timestamp recorded verbatim; omitted
+    → ["unknown"]. *)

@@ -311,85 +311,6 @@ let safety replicas =
 
 (* --- results --- *)
 
-type totals = {
-  view_changes : int;
-  demotion_transfers : int;
-  rejoin_transfers : int;
-  pages_fetched : int;
-  pages_full : int;
-  demotions : int;
-  rollbacks : int;
-  speculative_execs : int;
-  auth_failures : int;
-  nondet_rejects : int;
-  checkpoints : int;
-  undo_snapshots : int;
-  ro_cache_evictions : int;
-  queue_peak : int;
-  core_utilization : float;
-  allocated_bytes : float;
-  view : int;
-}
-
-let totals reps =
-  let module R = Pbft.Replica in
-  let sum f = List.fold_left (fun acc r -> acc + f r) 0 reps in
-  let top f = List.fold_left (fun acc r -> Int.max acc (f r)) 0 reps in
-  let mean f =
-    match reps with
-    | [] -> 0.0
-    | _ -> List.fold_left (fun acc r -> acc +. f r) 0.0 reps /. float_of_int (List.length reps)
-  in
-  {
-    view_changes = sum R.view_changes;
-    demotion_transfers = sum R.demotion_transfers;
-    rejoin_transfers = sum R.rejoin_transfers;
-    pages_fetched = sum R.transfer_pages_fetched;
-    pages_full = sum R.transfer_pages_full;
-    demotions = sum R.demotions;
-    rollbacks = sum R.rollbacks;
-    speculative_execs = sum R.speculative_execs;
-    auth_failures = sum R.auth_failures;
-    nondet_rejects = sum R.nondet_rejects;
-    checkpoints = sum R.checkpoints_taken;
-    undo_snapshots = sum R.undo_snapshots;
-    ro_cache_evictions = sum R.ro_reply_evictions;
-    queue_peak = top (fun r -> Simnet.Cpu.peak_queue_length (R.cpu r));
-    core_utilization = mean (fun r -> Simnet.Cpu.utilization (R.cpu r) ~since:0.0);
-    allocated_bytes =
-      float_of_int
-        (sum (fun r ->
-             let pages = R.pages r in
-             Statemgr.Pages.allocated_pages pages * Statemgr.Pages.page_size pages))
-      /. float_of_int (Int.max 1 (List.length reps));
-    view = top R.view;
-  }
-
-type door = {
-  lane_completed : int array;
-  cross_commits : int;
-  cross_aborts : int;
-  cross_timeouts : int;
-  shed : int;
-  reply_cache_hits : int;
-  flushes_size : int;
-  flushes_deadline : int;
-  evictions : int;
-  queue_peaks : int array;
-  errors : int;
-}
-
-type open_loop = { offered : float; arrivals : int; gen_shed : int; gen_retransmissions : int }
-
-type churn = {
-  crashes : int;
-  restarts : int;
-  availability : float;
-  mean_recovery : float;
-  max_recovery : float;
-  unrecovered : int;
-}
-
 type result = {
   deployment : deployment;
   completed : int;
@@ -401,31 +322,39 @@ type result = {
   events : int;
   window_events : int;
   window_alloc : float;
-  replicas : totals;
   opened : int;
   marks : int list;
   mutations : int;
   failures : string list Lazy.t;
-  door : (door * door) option;
-  open_loop : open_loop option;
-  churn : churn option;
+  metrics : Util.Metrics.snapshot;
 }
 
-let door_counters door ~errors =
-  let module F = Webgate.Frontdoor in
-  {
-    lane_completed = F.shard_completed door;
-    cross_commits = F.cross_commits door;
-    cross_aborts = F.cross_aborts door;
-    cross_timeouts = F.cross_timeouts door;
-    shed = F.shed door;
-    reply_cache_hits = F.reply_cache_hits door;
-    flushes_size = F.flushes_size door;
-    flushes_deadline = F.flushes_deadline door;
-    evictions = F.session_evictions door;
-    queue_peaks = F.queue_peaks door;
-    errors;
-  }
+let whole layer name = { Util.Metrics.node = Util.Metrics.run_node; layer; name }
+
+(* Readings of every incarnation's virtual CPU and page region at the
+   end of the run: they are state, not counters, so they join the
+   registry's snapshot here. *)
+let incarnation_readings reps =
+  let module R = Pbft.Replica in
+  let mean f =
+    match reps with
+    | [] -> 0.0
+    | _ -> List.fold_left (fun acc r -> acc +. f r) 0.0 reps /. float_of_int (List.length reps)
+  in
+  let bytes r = Statemgr.Pages.allocated_pages (R.pages r) * Statemgr.Pages.page_size (R.pages r) in
+  List.map
+    (fun r ->
+      ( { Util.Metrics.node = R.id r; layer = "simnet"; name = "cpu_queue_peak" },
+        Util.Metrics.Peak (Simnet.Cpu.peak_queue_length (R.cpu r)) ))
+    reps
+  @ [
+      ( whole "simnet" "core_utilization",
+        Util.Metrics.Real (mean (fun r -> Simnet.Cpu.utilization (R.cpu r) ~since:0.0)) );
+      ( whole "statemgr" "allocated_page_bytes",
+        Util.Metrics.Real
+          (float_of_int (List.fold_left (fun acc r -> acc + bytes r) 0 reps)
+          /. float_of_int (Int.max 1 (List.length reps))) );
+    ]
 
 let adversaries spec =
   List.filter_map (function _, Adversary (id, _) -> Some id | _ -> None) spec.plan
@@ -438,9 +367,9 @@ let adversaries spec =
 type running = {
   completed : unit -> int;
   open_window : unit -> unit -> Util.Stats.t;
-  errors : unit -> int;
   stop : unit -> unit;
-  open_loop : unit -> open_loop option;
+  readings : unit -> (Util.Metrics.key * Util.Metrics.value) list;
+      (** the load's own numbers, read when the window closes *)
 }
 
 let all_clients d = Array.concat (List.map Pbft.Cluster.clients (Array.to_list d.d_clusters))
@@ -503,9 +432,8 @@ let start_clients d service ~op ~think =
   {
     completed = (fun () -> Pbft.Cluster.total_completed cluster);
     open_window = window_latency (Pbft.Cluster.clients cluster);
-    errors = (fun () -> 0);
     stop = (fun () -> stop := true);
-    open_loop = (fun () -> None);
+    readings = (fun () -> []);
   }
 
 let session_addr_base = 100_000
@@ -516,11 +444,15 @@ type sess = {
   mutable sd_seq : int;
   mutable sd_op : string;
   mutable sd_timer : Simnet.Engine.timer option;
-  mutable sd_errors : int;
 }
 
 let start_sessions d door ~sessions ~op =
   let stopped = ref false in
+  let errors =
+    Util.Metrics.counter (Simnet.Engine.metrics d.d_engine) ~node:Util.Metrics.run_node
+      ~layer:"load" "errors"
+  in
+  let count = sessions in
   let sessions =
     Array.init sessions (fun i ->
         {
@@ -529,7 +461,6 @@ let start_sessions d door ~sessions ~op =
           sd_seq = 0;
           sd_op = "";
           sd_timer = None;
-          sd_errors = 0;
         })
   in
   let cancel s =
@@ -578,7 +509,7 @@ let start_sessions d door ~sessions ~op =
             match status with
             | Webgate.Frontdoor.Done ->
               cancel s;
-              if String.starts_with ~prefix:"error:" result then s.sd_errors <- s.sd_errors + 1;
+              if String.starts_with ~prefix:"error:" result then Util.Metrics.incr errors;
               submit s
             | Webgate.Frontdoor.Shed ->
               (* Backpressure: retry the same request after a beat. *)
@@ -589,12 +520,11 @@ let start_sessions d door ~sessions ~op =
   {
     completed = (fun () -> Webgate.Frontdoor.completed door);
     open_window = (fun () () -> Webgate.Frontdoor.latency_stats door);
-    errors = (fun () -> Array.fold_left (fun acc s -> acc + s.sd_errors) 0 sessions);
     stop =
       (fun () ->
         stopped := true;
         Array.iter cancel sessions);
-    open_loop = (fun () -> None);
+    readings = (fun () -> [ (whole "load" "sessions", Util.Metrics.Count count) ]);
   }
 
 (* Open-loop arrivals: sessions are a request counter each, multiplexed
@@ -697,17 +627,17 @@ let start_arrivals d ~sessions ~arrival ~op_bytes ~conns ~retransmit =
         g.record <- true;
         base_arrivals := g.n_arrivals;
         fun () -> g.g_latency);
-    errors = (fun () -> 0);
     stop = (fun () -> g.stopped <- true);
-    open_loop =
+    readings =
       (fun () ->
-        Some
-          {
-            offered = mean_rate arrival;
-            arrivals = g.n_arrivals - !base_arrivals;
-            gen_shed = g.n_shed;
-            gen_retransmissions = g.n_retransmissions;
-          });
+        Util.Metrics.
+          [
+            (whole "load" "sessions", Count sessions);
+            (whole "load" "offered_load", Real (mean_rate arrival));
+            (whole "load" "arrivals", Count (g.n_arrivals - !base_arrivals));
+            (whole "load" "gen_shed", Count g.n_shed);
+            (whole "load" "gen_retransmissions", Count g.n_retransmissions);
+          ]);
   }
 
 (* --- the run --- *)
@@ -715,20 +645,26 @@ let start_arrivals d ~sessions ~arrival ~op_bytes ~conns ~retransmit =
 let run spec =
   let d = build spec in
   let engine = d.d_engine in
+  let registry = Simnet.Engine.metrics engine in
   let group = d.d_clusters.(0) in
   let n = spec.cfg.Pbft.Config.n in
   if spec.plan <> [] then List.iter (fun r -> Pbft.Replica.set_record_journal r true) (live d);
   (* The fault plan, armed on the engine before any load starts. *)
-  let marks = ref [] and advs = ref [] in
-  let crashes = ref 0 and restarts = ref 0 and incidents = ref [] in
+  let marks = ref [] and advs = ref [] and incidents = ref [] in
+  let churn =
+    if List.exists (function _, (Crash _ | Restart _) -> true | _ -> false) spec.plan then
+      let counter = Util.Metrics.counter registry ~node:Util.Metrics.run_node ~layer:"churn" in
+      Some (counter "crashes", counter "restarts")
+    else None
+  in
+  let tick pick = Option.iter (fun c -> Util.Metrics.incr (pick c)) churn in
   let restart i ~since =
-    (* The replaced incarnation's counters freeze; bank it for the totals. *)
     d.d_retired <- Pbft.Cluster.replica group i :: d.d_retired;
     Pbft.Cluster.restart_replica group i;
     let fresh = Pbft.Cluster.replica group i in
     Pbft.Replica.set_record_journal fresh true;
     incidents := (since, fresh) :: !incidents;
-    incr restarts
+    tick snd
   in
   let net = Pbft.Cluster.net group in
   let apply = function
@@ -745,7 +681,7 @@ let run spec =
       in
       let since = Simnet.Engine.now engine in
       Pbft.Cluster.crash_replica group victim;
-      incr crashes;
+      tick fst;
       Simnet.Engine.schedule engine ~delay:downtime (fun () ->
           marks := progress d :: !marks;
           restart victim ~since)
@@ -799,14 +735,11 @@ let run spec =
       Array.fold_left (fun acc cl -> acc + Pbft.Client.tentative_completed cl) 0 (all_clients d)
     | Sessions _ | Arrivals _ -> 0
   in
-  let snapshot () =
-    Option.map (fun door -> door_counters door ~errors:(load.errors ())) d.d_door
-  in
   run_for d spec.warmup;
   let close_window = load.open_window () in
   let base_completed = load.completed () and base_tentative = tentative () in
   let base_events = Simnet.Engine.events engine and base_alloc = Gc.allocated_bytes () in
-  let door_before = snapshot () and opened = progress d in
+  let at_open = Util.Metrics.snapshot registry and opened = progress d in
   let measure_start = Simnet.Engine.now engine in
   run_for d spec.duration;
   let completed = load.completed () - base_completed in
@@ -816,8 +749,7 @@ let run spec =
   let window_alloc = Gc.allocated_bytes () -. base_alloc in
   let window_events = Simnet.Engine.events engine - base_events in
   let tentative = tentative () - base_tentative in
-  let door = Option.map (fun before -> (before, Option.get (snapshot ()))) door_before in
-  let open_loop = load.open_loop () in
+  let at_close = Util.Metrics.snapshot registry and readings = load.readings () in
   if spec.drain > 0.0 then run_for d spec.drain;
   (* One-shot drop predicates armed but never matched must not leak into
      whatever runs on these nets next. *)
@@ -842,22 +774,35 @@ let run spec =
          safety (List.filter (fun r -> not (List.mem (Pbft.Replica.id r) faulty)) (live d))
          @ if unrecovered > 0 then [ "an incident never completed its rejoin" ] else [])
   in
-  let churn =
-    if !crashes + !restarts = 0 then None
-    else
-      Some
-        {
-          crashes = !crashes;
-          restarts = !restarts;
-          availability =
-            (if !buckets > 0 then float_of_int !buckets_ok /. float_of_int !buckets else 0.0);
-          mean_recovery =
-            (match recoveries with
-            | [] -> 0.0
-            | ds -> List.fold_left ( +. ) 0.0 ds /. float_of_int (List.length ds));
-          max_recovery = List.fold_left Float.max 0.0 recoveries;
-          unrecovered;
-        }
+  let churn_readings =
+    match churn with
+    | None -> []
+    | Some _ ->
+      Util.Metrics.
+        [
+          ( whole "churn" "availability",
+            Real (if !buckets > 0 then float_of_int !buckets_ok /. float_of_int !buckets else 0.0)
+          );
+          ( whole "churn" "mean_recovery",
+            Real
+              (match recoveries with
+              | [] -> 0.0
+              | ds -> List.fold_left ( +. ) 0.0 ds /. float_of_int (List.length ds)) );
+          (whole "churn" "max_recovery", Real (List.fold_left Float.max 0.0 recoveries));
+          (whole "churn" "unrecovered", Count unrecovered);
+        ]
+  in
+  (* The door's and the sessions' counters of a closed-loop session load
+     cover the measured window, the way its completions do; everything
+     else covers the whole run. *)
+  let final = Util.Metrics.snapshot registry in
+  let final =
+    match spec.load with
+    | Sessions _ ->
+      let windowed = Util.Metrics.since at_open at_close in
+      let door_side (k, _) = List.mem k.Util.Metrics.layer [ "webgate"; "shards"; "load" ] in
+      List.filter (fun e -> not (door_side e)) final @ List.filter door_side windowed
+    | Clients _ | Arrivals _ -> final
   in
   {
     deployment = d;
@@ -871,12 +816,11 @@ let run spec =
     events = Simnet.Engine.events engine;
     window_events;
     window_alloc;
-    replicas = totals everyone;
     opened;
     marks = List.rev !marks;
     mutations = List.fold_left (fun acc a -> acc + Pbft.Adversary.mutations a) 0 !advs;
     failures;
-    door;
-    open_loop;
-    churn;
+    metrics =
+      Util.Metrics.with_values final
+        (readings @ churn_readings @ incarnation_readings everyone);
   }

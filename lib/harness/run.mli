@@ -118,9 +118,9 @@ val build : spec -> deployment
 (** Engine, groups and door, with no load started and no plan armed. *)
 
 val engine : deployment -> Simnet.Engine.t
-[@@detlint.allow unused_export "the shard tests schedule faults on the deployment's engine"]
 val cluster : deployment -> int -> Pbft.Cluster.t
 val door : deployment -> Webgate.Frontdoor.t option
+[@@detlint.allow unused_export "the door tests read its sessions and completions"]
 
 val edge : deployment -> Simnet.Net.t
 [@@detlint.allow unused_export "the shard tests inject faults on the edge net"]
@@ -139,60 +139,6 @@ val rpc : ?timeout:float -> deployment -> string -> string
 
 (** {1 Results} *)
 
-type totals = {
-  view_changes : int;
-  demotion_transfers : int;  (** transfers by running replicas that fell behind (§2.4) *)
-  rejoin_transfers : int;  (** transfers by the crash/restart rejoin path *)
-  pages_fetched : int;  (** distinct pages pulled by completed transfers (Merkle diff) *)
-  pages_full : int;  (** pages the same transfers would pull without the diff *)
-  demotions : int;
-  rollbacks : int;  (** speculative executions undone by a view change *)
-  speculative_execs : int;  (** batches executed before their commit certificate *)
-  auth_failures : int;
-  nondet_rejects : int;
-  checkpoints : int;
-  undo_snapshots : int;
-  ro_cache_evictions : int;
-  queue_peak : int;  (** largest CPU dispatch-queue high-water mark *)
-  core_utilization : float;  (** mean busy fraction of the replicas' cores since time 0 *)
-  allocated_bytes : float;  (** mean allocated page bytes per replica *)
-  view : int;  (** highest view reached *)
-}
-
-val totals : Pbft.Replica.t list -> totals
-(** Sums (maxima, means where noted) over the given replicas. *)
-
-type door = {
-  lane_completed : int array;
-  cross_commits : int;
-  cross_aborts : int;
-  cross_timeouts : int;
-  shed : int;
-  reply_cache_hits : int;
-  flushes_size : int;
-  flushes_deadline : int;
-  evictions : int;
-  queue_peaks : int array;
-  errors : int;  (** session replies carrying an error body *)
-}
-(** Cumulative door counters at one instant. *)
-
-type open_loop = {
-  offered : float;  (** mean offered load, requests/s *)
-  arrivals : int;  (** in the measured window *)
-  gen_shed : int;  (** shed replies the generator saw, whole run *)
-  gen_retransmissions : int;
-}
-
-type churn = {
-  crashes : int;
-  restarts : int;
-  availability : float;  (** fraction of sampled buckets with progress *)
-  mean_recovery : float;  (** crash to rejoin-complete, mean seconds *)
-  max_recovery : float;
-  unrecovered : int;  (** incidents whose rejoin never completed *)
-}
-
 type result = {
   deployment : deployment;
   completed : int;  (** in the measured window, as the load counts it *)
@@ -209,7 +155,6 @@ type result = {
   events : int;  (** simulation events, whole run *)
   window_events : int;
   window_alloc : float;  (** host heap bytes allocated in the window *)
-  replicas : totals;  (** every replica incarnation, retired ones included *)
   opened : int;  (** {!progress} when the measured window opened *)
   marks : int list;
       (** {!progress} when each plan action fired and when each crashed
@@ -219,9 +164,28 @@ type result = {
       (** safety violations between correct replicas and crash incidents
           that never rejoined; empty when the plan is; computed (journal
           comparison, Merkle roots) when forced *)
-  door : (door * door) option;  (** at the start and at the end of the measured window *)
-  open_loop : open_loop option;
-  churn : churn option;  (** when the plan crashes or restarts a replica *)
+  metrics : Util.Metrics.snapshot;
+      (** The engine's registry at the end of the run — every replica
+          incarnation, retired ones included, and the door — plus what
+          the run itself read, under {!Util.Metrics.run_node} unless
+          noted:
+          - ["simnet"]: [cpu_queue_peak] per replica id (every
+            incarnation's CPU dispatch-queue high-water mark) and
+            [core_utilization] (mean busy fraction of the incarnations'
+            cores since time 0);
+          - ["statemgr"]: [allocated_page_bytes], the mean allocated
+            page bytes per incarnation;
+          - ["load"], door loads only: [sessions]; an open-loop load adds
+            [arrivals] (in the window), [offered_load] (mean requests/s),
+            [gen_shed] and [gen_retransmissions] (whole run); a session
+            load counts [errors], replies carrying an error body;
+          - ["churn"], when the plan crashes or restarts a replica:
+            [crashes], [restarts], [availability] (fraction of sampled
+            buckets with progress), [mean_recovery] and [max_recovery]
+            (crash to rejoin-complete, seconds) and [unrecovered].
+
+          For a {!Sessions} load the counters of layers ["webgate"],
+          ["shards"] and ["load"] cover the measured window. *)
 }
 
 val run : spec -> result

@@ -152,7 +152,6 @@ let byzantine_coordinator ?spec:given () =
       }
   in
   let d = Run.build spec in
-  let door = Option.get (Run.door d) in
   let failures = ref [] in
   let expect cond msg = if not cond then failures := msg :: !failures in
   Run.run_for d 0.2;
@@ -164,17 +163,18 @@ let byzantine_coordinator ?spec:given () =
     (String.starts_with ~prefix:"s0=" healthy)
     (Printf.sprintf "healthy cross-shard transfer failed: %s" healthy);
   let b0 = Run.rpc d (balance_sql k0) and b1 = Run.rpc d (balance_sql k1) in
-  let commits0 = Webgate.Frontdoor.cross_commits door in
-  let aborts0 = Webgate.Frontdoor.cross_aborts door in
-  let timeouts0 = Webgate.Frontdoor.cross_timeouts door in
+  let snapshot () = Util.Metrics.snapshot (Simnet.Engine.metrics (Run.engine d)) in
+  let before = snapshot () in
   let undo0 = Relsql.Twopc.aborts () in
   let group1 = Run.cluster d 1 in
-  let view_changes () =
-    Array.fold_left
-      (fun acc rp -> acc + Pbft.Replica.view_changes rp)
-      0 (Pbft.Cluster.replicas group1)
+  (* Read off group 1's replicas, not the registry: every group registers
+     its replicas under the same ids, so a registry total would count
+     shard 0's view changes too. *)
+  let top_view () =
+    Array.fold_left (fun acc rp -> Int.max acc (Pbft.Replica.view rp)) 0
+      (Pbft.Cluster.replicas group1)
   in
-  let vc0 = view_changes () in
+  let view0 = top_view () in
   (* Mute the view-0 primary of shard 1's group mid-2PC: shard 0 will
      prepare and hold its undo snapshot; shard 1 stalls until its view
      change. *)
@@ -191,11 +191,13 @@ let byzantine_coordinator ?spec:given () =
   Run.run_for d 6.0;
   Pbft.Adversary.uninstall adv;
   Run.run_for d 1.0;
-  let commits_fault = Webgate.Frontdoor.cross_commits door - commits0 in
-  let aborts_fault = Webgate.Frontdoor.cross_aborts door - aborts0 in
-  let timeouts_fault = Webgate.Frontdoor.cross_timeouts door - timeouts0 in
+  let fault = Util.Metrics.since before (snapshot ()) in
+  let cross name = Util.Metrics.get fault ~node:Webgate.Frontdoor.frontdoor_addr ~layer:"shards" name in
+  let commits_fault = cross "cross_commits" in
+  let aborts_fault = cross "cross_aborts" in
+  let timeouts_fault = cross "cross_timeouts" in
   let undo_fault = Relsql.Twopc.aborts () - undo0 in
-  let vc_fault = view_changes () - vc0 in
+  let vc_fault = top_view () - view0 in
   expect (Int.equal commits_fault 0)
     (Printf.sprintf "a shard committed the doomed transfer (%d commits)" commits_fault);
   expect (aborts_fault >= 1) "coordinator recorded no abort";

@@ -67,7 +67,7 @@ type byz_report = {
   bz_cross_aborts : int;
   bz_cross_timeouts : int;
   bz_undo_restores : int;  (** {!Relsql.Twopc.aborts} delta — COW roll-backs *)
-  bz_view_changes : int;  (** on the Byzantine shard's group *)
+  bz_view_changes : int;  (** views the Byzantine shard's group advanced during the fault *)
   bz_balances_held : bool;  (** both balances read back unchanged after the abort *)
   bz_states_agree : bool;  (** per-group replica region roots all match *)
   bz_recovery_reply : string;  (** post-view-change transfer (must commit) *)

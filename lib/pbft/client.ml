@@ -46,6 +46,8 @@ type t = {
   mutable n_completed : int;
   mutable n_tentative : int;
   mutable n_retrans : int;
+  mutable rebroadcast : Simnet.Engine.timer option;
+      (** MAC mode: the session-key rebroadcast, cancelled by {!leave} *)
   latencies : Util.Stats.t;
 }
 
@@ -319,12 +321,21 @@ let join t ~idbuf callback =
   t.joining <- Some js;
   send_join_phase1 t js
 
+(* A client that left and joins again takes up the rebroadcast anew. *)
+let arm_rebroadcast t =
+  if t.cfg.use_macs && Option.is_none t.rebroadcast then
+    t.rebroadcast <-
+      Some
+        (Simnet.Engine.periodic t.engine ~interval:t.cfg.authenticator_rebroadcast (fun () ->
+             if t.cid <> None then announce_session_keys t))
+
 let finish_join t js result =
   (match js.j_timer with Some timer -> Simnet.Engine.cancel timer | None -> ());
   t.joining <- None;
   (match result with
   | Some client ->
     t.cid <- Some client;
+    arm_rebroadcast t;
     if t.cfg.use_macs then announce_session_keys t
   | None -> ());
   js.j_callback result
@@ -354,7 +365,9 @@ let leave t =
   | None -> ()
   | Some c ->
     multicast t ~signed:true (Message.Leave_msg { lv_client = c });
-    t.cid <- None
+    t.cid <- None;
+    Option.iter Simnet.Engine.cancel t.rebroadcast;
+    t.rebroadcast <- None
 
 (* ------------------------------------------------------------------ *)
 (* Receive path.                                                        *)
@@ -427,13 +440,11 @@ let create ~cfg ~costs ~engine ~net ~addr ?transport ~signer ~registry ?threshol
       n_completed = 0;
       n_tentative = 0;
       n_retrans = 0;
+      rebroadcast = None;
       latencies = Util.Stats.create ();
     }
   in
   Simnet.Net.register net addr (fun ~src wire -> on_datagram t ~src wire);
   Simnet.Net.set_backlog_probe net addr (fun () -> Simnet.Cpu.queue_length t.cpu);
-  if cfg.use_macs then
-    ignore
-      (Simnet.Engine.periodic engine ~interval:cfg.authenticator_rebroadcast (fun () ->
-           if t.cid <> None then announce_session_keys t));
+  arm_rebroadcast t;
   t

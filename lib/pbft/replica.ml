@@ -122,27 +122,26 @@ type t = {
   mutable recovering : bool;
   mutable recovery_done : float option;
   mutable alive : bool;
-  mutable n_exec : int;
-  mutable n_vc : int;
-  mutable n_transfers : int;
-  mutable n_auth_fail : int;
-  mutable n_nondet_reject : int;
-  mutable n_ckpt : int;  (** checkpoint snapshots taken (incl. genesis & post-transfer) *)
-  mutable n_undo : int;  (** undo snapshots taken for tentative execution *)
   mutable vc_attempts : int;  (** consecutive view changes without execution progress *)
-  mutable n_demotions : int;  (** checkpoint-lag demotions into state transfer (§2.4) *)
-  mutable n_demotion_transfers : int;  (** transfers started because we fell behind while running *)
-  mutable n_rejoin_transfers : int;  (** transfers started by the crash/restart rejoin path *)
-  mutable n_pages_fetched : int;  (** pages actually pulled over the wire by finished transfers *)
-  mutable n_pages_full : int;  (** pages a full (non-diff) transfer would have pulled *)
-  mutable n_spec_exec : int;  (** batches executed before their commit certificate landed *)
-  mutable n_rollbacks : int;  (** rollbacks that actually undid speculative executions *)
   mutable seqs_executed : int;
       (** sequence numbers executed here, re-executions after a rollback
           included; state transfers skip ahead without ticking it. The
           body age-out clock. *)
-  mutable n_aged_out : int;  (** bodies dropped by the age bound *)
-  mutable n_aged_unanswered : int;
+  n_exec : Util.Metrics.counter;
+  n_vc : Util.Metrics.counter;
+  n_auth_fail : Util.Metrics.counter;
+  n_nondet_reject : Util.Metrics.counter;
+  n_ckpt : Util.Metrics.counter;  (** checkpoint snapshots taken (incl. genesis & post-transfer) *)
+  n_undo : Util.Metrics.counter;  (** undo snapshots taken for tentative execution *)
+  n_demotions : Util.Metrics.counter;  (** checkpoint-lag demotions into state transfer (§2.4) *)
+  n_demotion_transfers : Util.Metrics.counter;  (** transfers started because we fell behind *)
+  n_rejoin_transfers : Util.Metrics.counter;  (** transfers started by the rejoin path *)
+  n_pages_fetched : Util.Metrics.counter;  (** pages pulled over the wire by finished transfers *)
+  n_pages_full : Util.Metrics.counter;  (** pages a full (non-diff) transfer would have pulled *)
+  n_spec_exec : Util.Metrics.counter;  (** batches executed before their commit certificate *)
+  n_rollbacks : Util.Metrics.counter;  (** rollbacks that actually undid speculative executions *)
+  n_aged_out : Util.Metrics.counter;  (** bodies dropped by the age bound *)
+  n_aged_unanswered : Util.Metrics.counter;
       (** of those, bodies whose request was still waiting or in flight *)
   mutable record_journal : bool;
   mutable exec_journal : (seqno * digest) list;  (** newest first; committed executions only *)
@@ -153,22 +152,10 @@ let view t = t.view
 let is_primary t = primary_of_view ~n:t.cfg.n t.view = t.id
 let last_executed t = t.last_executed
 let stable_checkpoint t = t.stable_ckpt
-let executed_requests t = t.n_exec
-let view_changes t = t.n_vc
-let state_transfers t = t.n_transfers
-let auth_failures t = t.n_auth_fail
-let nondet_rejects t = t.n_nondet_reject
-let checkpoints_taken t = t.n_ckpt
-let undo_snapshots t = t.n_undo
-let demotions t = t.n_demotions
-let ro_reply_evictions t = Util.Lru.evictions t.ro_replies
-let speculative_execs t = t.n_spec_exec
-let rollbacks t = t.n_rollbacks
+let executed_requests t = Util.Metrics.count t.n_exec
 let view_change_attempts t = t.vc_attempts
-let demotion_transfers t = t.n_demotion_transfers
-let rejoin_transfers t = t.n_rejoin_transfers
-let transfer_pages_fetched t = t.n_pages_fetched
-let transfer_pages_full t = t.n_pages_full
+let transfer_pages_fetched t = Util.Metrics.count t.n_pages_fetched
+let transfer_pages_full t = Util.Metrics.count t.n_pages_full
 let signer t = t.signer
 let set_record_journal t v = t.record_journal <- v
 let exec_journal t = List.rev t.exec_journal
@@ -199,8 +186,6 @@ let retained_fields (x : retained) =
     ("checkpoint vote sets", x.ckpt_votes);
   ]
 
-let bodies_aged_out t = t.n_aged_out
-let aged_out_unanswered t = t.n_aged_unanswered
 let holds_body t d = Hashtbl.mem t.bodies d
 
 let journal_commit t seq digest =
@@ -450,10 +435,10 @@ let age_out_bodies t ~still_live =
         if still_live d then store_body t d b.b_rq
         else begin
           Hashtbl.remove t.bodies d;
-          t.n_aged_out <- t.n_aged_out + 1;
+          Util.Metrics.incr t.n_aged_out;
           let key = (b.b_rq.rq_client, b.b_rq.rq_id) in
           if Hashtbl.mem t.waiting key || Hashtbl.mem t.in_flight key then
-            t.n_aged_unanswered <- t.n_aged_unanswered + 1
+            Util.Metrics.incr t.n_aged_unanswered
         end
       | Some _ | None -> ());
       go ()
@@ -481,7 +466,7 @@ let snapshot t ~seqno =
 (* Register the current state as our own checkpoint at [seq], so we can
    vote for it and serve transfers from it. *)
 let register_checkpoint t seq =
-  t.n_ckpt <- t.n_ckpt + 1;
+  Util.Metrics.incr t.n_ckpt;
   Hashtbl.replace t.checkpoints seq (snapshot t ~seqno:seq)
 
 (* Pages of a transfer not yet received. *)
@@ -700,7 +685,7 @@ and snapshot_state t =
   snapshot t ~seqno:t.last_executed
 
 and announce_checkpoint t ~seq ck =
-  t.n_ckpt <- t.n_ckpt + 1;
+  Util.Metrics.incr t.n_ckpt;
   Hashtbl.replace t.checkpoints seq ck;
   let root = Statemgr.Checkpoint.root ck in
   record_ckpt_vote t ~seq ~replica:t.id ~digest:root;
@@ -806,7 +791,7 @@ and check_ckpt_stable t seq =
         in
         match holder with
         | Some peer ->
-          t.n_demotions <- t.n_demotions + 1;
+          Util.Metrics.incr t.n_demotions;
           start_state_transfer t ~kind:Demotion ~seq ~peer ~digest:(Some digest) ()
         | None -> ()
       end
@@ -818,10 +803,9 @@ and start_state_transfer t ~kind ?(attempt = 0) ~seq ~peer ~digest () =
       tr_leaves = [||]; tr_wanted = []; tr_received = [] }
   in
   t.transfer <- Some tr;
-  t.n_transfers <- t.n_transfers + 1;
   (match kind with
-  | Demotion -> t.n_demotion_transfers <- t.n_demotion_transfers + 1
-  | Rejoin -> t.n_rejoin_transfers <- t.n_rejoin_transfers + 1);
+  | Demotion -> Util.Metrics.incr t.n_demotion_transfers
+  | Rejoin -> Util.Metrics.incr t.n_rejoin_transfers);
   fetch_meta t tr;
   arm_transfer_retry t
 
@@ -986,7 +970,7 @@ and try_execute t =
             begin
               if tentative && t.undo = None then begin
                 (* Snapshot for rollback before speculative execution. *)
-                t.n_undo <- t.n_undo + 1;
+                Util.Metrics.incr t.n_undo;
                 t.undo <- Some (Statemgr.Checkpoint.take_undo t.pages)
               end;
               let total_cost = ref t.costs.log_bookkeeping in
@@ -1013,7 +997,7 @@ and try_execute t =
                 send_replies t ~cost:!total_cost ~sum:!replies ~tentative (List.rev !replies);
               if tentative then begin
                 entry.tentatively_executed <- true;
-                t.n_spec_exec <- t.n_spec_exec + 1
+                Util.Metrics.incr t.n_spec_exec
               end
               else begin
                 entry.executed <- true;
@@ -1022,7 +1006,7 @@ and try_execute t =
               end;
               t.last_executed <- next;
               t.seqs_executed <- t.seqs_executed + 1;
-              t.n_exec <- t.n_exec + List.length items;
+              Util.Metrics.add t.n_exec (List.length items);
               t.vc_attempts <- 0;
               note_caught_up t;
               if t.last_executed mod t.cfg.checkpoint_interval = 0 then begin
@@ -1164,7 +1148,7 @@ and handle_request t rq =
   (* Redirection-table check: unknown identifiers are dismissed before any
      signature work (§3.1). System client 0 is reserved. *)
   match Membership.lookup t.membership client with
-  | None -> t.n_auth_fail <- t.n_auth_fail + 1
+  | None -> Util.Metrics.incr t.n_auth_fail
   | Some _ ->
     let big = t.cfg.all_requests_big || String.length rq.rq_op > t.cfg.big_request_threshold in
     (* A fast-path read is never ordered, so no proposal can name its body. *)
@@ -1253,7 +1237,7 @@ and handle_pre_prepare t ~src (pp_view, pp_seq, pp_batch, pp_nondet) =
     && pp_seq <= Log.low_watermark t.log + t.cfg.log_window
   then begin
     if not (Nondet.validate t.cfg.nondet ~now:(now t) ~recovering:t.recovering pp_nondet) then
-      t.n_nondet_reject <- t.n_nondet_reject + 1
+      Util.Metrics.incr t.n_nondet_reject
     else begin
       let entry = Log.entry t.log pp_seq in
       let digest = Message.batch_digest pp_batch in
@@ -1290,7 +1274,7 @@ and handle_pre_prepare t ~src (pp_view, pp_seq, pp_batch, pp_nondet) =
                 else Hashtbl.mem t.keys_peers_chose e.me_addr)
             pp_batch
         in
-        if not clients_ok then t.n_auth_fail <- t.n_auth_fail + 1
+        if not clients_ok then Util.Metrics.incr t.n_auth_fail
         else begin
           set_proposal entry ~view:pp_view ~batch:pp_batch ~nondet:pp_nondet ~digest;
           Log.record_prepare entry src;
@@ -1471,7 +1455,7 @@ and handle_entry t ~src:_ (en_seq, en_view, en_batch, en_nondet) =
        validation the original (stale) timestamp fails and recovery is
        impeded; the skip-on-recovery policy accepts it. *)
     if not (Nondet.validate t.cfg.nondet ~now:(now t) ~recovering:true en_nondet) then
-      t.n_nondet_reject <- t.n_nondet_reject + 1
+      Util.Metrics.incr t.n_nondet_reject
     else begin
       set_proposal entry ~view:en_view ~batch:en_batch ~nondet:en_nondet
         ~digest:(Message.batch_digest en_batch);
@@ -1522,7 +1506,7 @@ and rollback_tentative t =
   (* Deferred checkpoint snapshots above the committed prefix are for
      states that no longer exist. *)
   Hashtbl.reset t.pending_ckpts;
-  if undoing then t.n_rollbacks <- t.n_rollbacks + 1;
+  if undoing then Util.Metrics.incr t.n_rollbacks;
   t.last_executed <- t.last_committed_exec
 
 and start_view_change t v =
@@ -1539,7 +1523,7 @@ and start_view_change t v =
   else if v > t.vc_target then begin
     t.vc_target <- v;
     t.in_view_change <- true;
-    t.n_vc <- t.n_vc + 1;
+    Util.Metrics.incr t.n_vc;
     t.vc_attempts <- t.vc_attempts + 1;
     rollback_tentative t;
     cancel_watchdog t;
@@ -1628,7 +1612,7 @@ and handle_view_change t ~src payload =
                  ~stable_digest:vc.vc_stable_digest vc.vc_prepared) ->
     (* Garbage vote: count it with the other authentication rejects and
        drop it before it reaches the vote table. *)
-    t.n_auth_fail <- t.n_auth_fail + 1
+    Util.Metrics.incr t.n_auth_fail
   | Message.View_change vc when vc.vc_new_view > t.view ->
     record_view_change t ~src payload;
     let count v = match Hashtbl.find_opt t.vc_msgs v with Some tbl -> Hashtbl.length tbl | None -> 0 in
@@ -1802,7 +1786,7 @@ and handle_state_meta t ~src (seq, leaves) =
       | None -> true
       | Some d -> String.equal d (Statemgr.Merkle.root_of_leaves leaves)
     in
-    if not meta_ok then t.n_auth_fail <- t.n_auth_fail + 1
+    if not meta_ok then Util.Metrics.incr t.n_auth_fail
     else begin
     Statemgr.Merkle.update t.merkle t.pages (Statemgr.Pages.dirty t.pages);
     let wanted = ref [] in
@@ -1849,7 +1833,7 @@ and handle_state_pages t ~src (seq, got) =
           && String.equal (Statemgr.Merkle.page_digest contents) tr.tr_leaves.(i))
         got
     in
-    if got = [] then t.n_auth_fail <- t.n_auth_fail + 1;
+    if got = [] then Util.Metrics.incr t.n_auth_fail;
     tr.tr_received <- got @ tr.tr_received;
     if missing_pages tr = [] then finish_transfer t tr
   | Some _ | None -> ()
@@ -1862,10 +1846,9 @@ and finish_transfer t tr =
   (* Merkle-diff accounting: what crossed the wire vs what a full (every
      leaf) transfer would have pulled. Retries can deliver duplicates, so
      count distinct pages. *)
-  t.n_pages_fetched <-
-    t.n_pages_fetched
-    + List.length (List.sort_uniq Int.compare (List.map fst tr.tr_received));
-  t.n_pages_full <- t.n_pages_full + Array.length tr.tr_leaves;
+  Util.Metrics.add t.n_pages_fetched
+    (List.length (List.sort_uniq Int.compare (List.map fst tr.tr_received)));
+  Util.Metrics.add t.n_pages_full (Array.length tr.tr_leaves);
   t.transfer <- None;
   t.undo <- None;
   if tr.tr_seq > t.last_executed then begin
@@ -2023,12 +2006,12 @@ and on_datagram t ~src wire =
   if t.alive then begin
     charge t (recv_cost t (String.length wire)) (fun () ->
         match Message.decode wire with
-        | None -> t.n_auth_fail <- t.n_auth_fail + 1
+        | None -> Util.Metrics.incr t.n_auth_fail
         | Some msg ->
           let cost, ok = check_auth t ~src msg in
           charge t cost (fun () ->
               if ok then dispatch t ~src msg
-              else t.n_auth_fail <- t.n_auth_fail + 1))
+              else Util.Metrics.incr t.n_auth_fail))
   end
 
 (* ------------------------------------------------------------------ *)
@@ -2044,6 +2027,9 @@ let create ~cfg ~costs ~engine ~net ~id ~signer ~registry ~service:service_spec 
   let membership = Membership.create ~max_clients:cfg.Config.max_clients in
   if not cfg.dynamic_clients then Membership.populate_static membership registry.reg_static_clients;
   let service = service_spec.Service.make pages ~first_page:mid_partition_pages in
+  let metrics = Simnet.Engine.metrics engine in
+  let pbft = Util.Metrics.counter metrics ~node:id ~layer:"pbft" in
+  let statemgr = Util.Metrics.counter metrics ~node:id ~layer:"statemgr" in
   let t =
     {
       cfg;
@@ -2069,7 +2055,12 @@ let create ~cfg ~costs ~engine ~net ~id ~signer ~registry ~service:service_spec 
       body_arrivals = Queue.create ();
       pending = Queue.create ();
       in_flight = Hashtbl.create 64;
-      ro_replies = Util.Lru.create ~capacity:(Int.max 1 cfg.max_clients);
+      ro_replies =
+        (* Read-only replies displaced by the LRU bound. *)
+        (let evicted = pbft "ro_cache_evictions" in
+         Util.Lru.create ~capacity:(Int.max 1 cfg.max_clients)
+           ~on_evict:(fun _ _ -> Util.Metrics.incr evicted)
+           ());
       waiting = Hashtbl.create 64;
       body_requests = Hashtbl.create 16;
       entry_requests = Hashtbl.create 16;
@@ -2098,24 +2089,23 @@ let create ~cfg ~costs ~engine ~net ~id ~signer ~registry ~service:service_spec 
       recovering = false;
       recovery_done = None;
       alive = true;
-      n_exec = 0;
-      n_vc = 0;
-      n_transfers = 0;
-      n_auth_fail = 0;
-      n_nondet_reject = 0;
-      n_ckpt = 0;
-      n_undo = 0;
       vc_attempts = 0;
-      n_demotions = 0;
-      n_demotion_transfers = 0;
-      n_rejoin_transfers = 0;
-      n_pages_fetched = 0;
-      n_pages_full = 0;
-      n_spec_exec = 0;
-      n_rollbacks = 0;
       seqs_executed = 0;
-      n_aged_out = 0;
-      n_aged_unanswered = 0;
+      n_exec = pbft "executed_requests";
+      n_vc = pbft "view_changes";
+      n_auth_fail = pbft "auth_failures";
+      n_nondet_reject = pbft "nondet_rejects";
+      n_ckpt = statemgr "checkpoint_count";
+      n_undo = statemgr "undo_snapshots";
+      n_demotions = pbft "demotions";
+      n_demotion_transfers = pbft "demotion_transfers";
+      n_rejoin_transfers = pbft "rejoin_transfers";
+      n_pages_fetched = statemgr "transfer_pages_fetched";
+      n_pages_full = statemgr "transfer_pages_full";
+      n_spec_exec = pbft "speculative_executions";
+      n_rollbacks = pbft "rollbacks";
+      n_aged_out = pbft "bodies_aged_out";
+      n_aged_unanswered = pbft "aged_out_unanswered";
       record_journal = false;
       exec_journal = [];
     }

@@ -51,69 +51,38 @@ val is_primary : t -> bool
 val last_executed : t -> seqno
 val stable_checkpoint : t -> seqno
 val executed_requests : t -> int
-val view_changes : t -> int
-
-val state_transfers : t -> int
-(** All state transfers started, demotion and rejoin alike (the sum of
-    {!demotion_transfers} and {!rejoin_transfers}). *)
-
-val demotion_transfers : t -> int
-(** Transfers started because this (running) replica fell behind a
-    stable checkpoint (§2.4). *)
-
-val rejoin_transfers : t -> int
-(** Transfers started by the crash/restart rejoin path, including ring
-    rotations past peers that were not ahead of the disk image. *)
+(** Requests this incarnation executed. *)
 
 val transfer_pages_fetched : t -> int
-(** Distinct pages actually pulled over the wire by completed transfers —
-    the Merkle-diff cost. *)
+(** Distinct pages this incarnation's completed transfers pulled over
+    the wire — the Merkle-diff cost. *)
 
 val transfer_pages_full : t -> int
 (** Pages a full (every-leaf) transfer would have pulled for the same
     completed transfers — the baseline the Merkle diff is saving
     against. *)
 
-val auth_failures : t -> int
-(** Messages dropped for failed/unavailable authentication — nonzero on a
-    recovering replica before the key rebroadcast arrives (§2.3). *)
-
-val nondet_rejects : t -> int
-(** Pre-prepares / replayed entries rejected by non-determinism
-    validation (§2.5). *)
-
-val checkpoints_taken : t -> int
-(** Checkpoint snapshots taken so far, including the genesis checkpoint
-    and the snapshot installed after a completed state transfer. *)
-
-val undo_snapshots : t -> int
-(** Copy-on-write undo snapshots taken to guard tentative execution. *)
-
-val demotions : t -> int
-(** Times this replica fell behind a stable checkpoint and had to demote
-    itself into a state transfer to rejoin (the §2.4 packet-loss
-    pathology: a lagging replica is effectively out of the group until
-    the next checkpoint). *)
-
-val ro_reply_evictions : t -> int
-(** Read-only reply-cache entries displaced by LRU capacity pressure
-    (the cache is bounded at [Config.max_clients]; session termination
-    drops entries without counting here). *)
-
-val speculative_execs : t -> int
-(** Batches executed before their commit certificate landed: tentative
-    executions in serial mode, pipelined speculation when
-    [Config.pipeline_depth > 1]. *)
-
-val rollbacks : t -> int
-(** Rollbacks that actually undid speculative executions (a view change
-    or new-view installation struck while [last_executed] was ahead of
-    the committed prefix). *)
-
 val view_change_attempts : t -> int
 (** Consecutive view changes started without execution progress — the
     exponent of the current view-change timeout backoff; 0 after any
     request commits. *)
+
+(** {1 Telemetry}
+
+    Each incarnation registers its counters on the engine's
+    {!Util.Metrics} registry at creation, under its replica id: layer
+    ["pbft"] — [executed_requests], [view_changes], [demotions] (fell
+    behind a stable checkpoint, §2.4), [demotion_transfers] and
+    [rejoin_transfers] (state transfers by cause), [auth_failures]
+    (messages dropped for failed or unavailable authentication, §2.3),
+    [nondet_rejects] (§2.5), [speculative_executions] (batches executed
+    before their commit certificate), [rollbacks] (view changes that
+    undid them), [ro_cache_evictions], [bodies_aged_out] and
+    [aged_out_unanswered] (of those, bodies whose request was still
+    waiting or in flight); layer ["statemgr"] — [checkpoint_count]
+    (genesis and post-transfer snapshots included), [undo_snapshots],
+    [transfer_pages_fetched] and [transfer_pages_full]. The getters
+    above read this incarnation's own cells. *)
 
 (** Sizes of the tables that grow with requests. With the stable
     checkpoint advancing they stay within a few log windows of work,
@@ -134,18 +103,6 @@ val retained : t -> retained
 
 val retained_fields : retained -> (string * int) list
 (** The counts with their names, in declaration order. *)
-
-val bodies_aged_out : t -> int
-(** Bodies dropped by the age bound: no live log entry referenced them
-    and this replica executed [Config.log_window] sequence numbers since
-    they last arrived (retransmissions of answered requests, requests a
-    deposed primary never proposed, requests of clients that left). *)
-
-val aged_out_unanswered : t -> int
-(** Of {!bodies_aged_out}, the bodies whose request was still on this
-    replica's waiting ledger or in flight. Nonzero means the age bound
-    was too short for the load and a later proposal may stall on the
-    §2.4 missing-body path. *)
 
 val holds_body : t -> Types.digest -> bool
 [@@detlint.allow unused_export "the memory-bound tests check body retirement"]

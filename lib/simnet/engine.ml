@@ -7,14 +7,22 @@ type t = {
   queue : event Util.Heap.t;
   root_rng : Util.Rng.t;
   mutable events : int;
+  metrics : Util.Metrics.t;
 }
 
 let create ~seed =
-  { clock = 0.0; queue = Util.Heap.create (); root_rng = Util.Rng.create seed; events = 0 }
+  {
+    clock = 0.0;
+    queue = Util.Heap.create ();
+    root_rng = Util.Rng.create seed;
+    events = 0;
+    metrics = Util.Metrics.create ();
+  }
 
 let now t = t.clock
 let rng t = t.root_rng
 let events t = t.events
+let metrics t = t.metrics
 
 let schedule_at t ~time f =
   let time = if time < t.clock then t.clock else time in

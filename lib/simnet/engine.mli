@@ -18,6 +18,10 @@ val now : t -> float
 val rng : t -> Util.Rng.t
 (** The engine's root generator; components should [Util.Rng.split] it. *)
 
+val metrics : t -> Util.Metrics.t
+(** The run's telemetry registry: every node on this engine registers
+    its counters here. *)
+
 val schedule : t -> delay:float -> (unit -> unit) -> unit
 (** [schedule t ~delay f] fires [f] at [now t +. delay]; negative delays
     are clamped to zero. *)

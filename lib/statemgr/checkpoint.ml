@@ -11,8 +11,6 @@ let root t = Merkle.root t.tree
 let page t i = Pages.snapshot_page t.snap i
 let merkle t = t.tree
 
-let divergent_pages ~local t = Merkle.diff local t.tree
-
 let restore t target tree =
   let divergent, _ = Merkle.diff tree t.tree in
   List.iter (fun i -> Pages.restore_page target t.snap i) divergent;

@@ -15,16 +15,15 @@ type ('k, 'v) t = {
   tbl : ('k, ('k, 'v) node) Hashtbl.t;
   mutable head : ('k, 'v) node option;  (* least recently used *)
   mutable tail : ('k, 'v) node option;  (* most recently used *)
-  mutable n_evictions : int;
+  on_evict : 'k -> 'v -> unit;
 }
 
-let create ~capacity =
+let create ?(on_evict = fun _ _ -> ()) ~capacity () =
   if capacity < 1 then invalid_arg "Lru.create: capacity must be at least 1";
-  { capacity; tbl = Hashtbl.create 64; head = None; tail = None; n_evictions = 0 }
+  { capacity; tbl = Hashtbl.create 64; head = None; tail = None; on_evict }
 
 let capacity t = t.capacity
 let length t = Hashtbl.length t.tbl
-let evictions t = t.n_evictions
 
 let unlink t n =
   (match n.prev with Some p -> p.next <- n.next | None -> t.head <- n.next);
@@ -54,9 +53,6 @@ let find t k =
     touch t n;
     Some n.value
 
-let peek t k =
-  match Hashtbl.find_opt t.tbl k with None -> None | Some n -> Some n.value
-
 let remove t k =
   match Hashtbl.find_opt t.tbl k with
   | None -> ()
@@ -70,10 +66,9 @@ let evict_lru t =
   | Some n ->
     Hashtbl.remove t.tbl n.key;
     unlink t n;
-    t.n_evictions <- t.n_evictions + 1;
     Some (n.key, n.value)
 
-let put ?(on_evict = fun _ _ -> ()) t k v =
+let put t k v =
   match Hashtbl.find_opt t.tbl k with
   | Some n ->
     n.value <- v;
@@ -81,7 +76,7 @@ let put ?(on_evict = fun _ _ -> ()) t k v =
   | None ->
     if Hashtbl.length t.tbl >= t.capacity then begin
       match evict_lru t with
-      | Some (ek, ev) -> on_evict ek ev
+      | Some (ek, ev) -> t.on_evict ek ev
       | None -> ()
     end;
     let n = { key = k; value = v; prev = None; next = None } in

@@ -9,8 +9,9 @@
 
 type ('k, 'v) t
 
-val create : capacity:int -> ('k, 'v) t
-(** Raises [Invalid_argument] if [capacity < 1]. *)
+val create : ?on_evict:('k -> 'v -> unit) -> capacity:int -> unit -> ('k, 'v) t
+(** [on_evict] (default: ignore) observes each entry {!put} displaces.
+    Raises [Invalid_argument] if [capacity < 1]. *)
 
 val capacity : ('k, 'v) t -> int
 [@@detlint.allow unused_export "the LRU contract tests"]
@@ -19,25 +20,17 @@ val length : ('k, 'v) t -> int
 val find : ('k, 'v) t -> 'k -> 'v option
 (** Lookup that refreshes the entry's recency. *)
 
-val peek : ('k, 'v) t -> 'k -> 'v option
-[@@detlint.allow unused_export "the LRU contract tests"]
-(** Lookup without touching recency. *)
-
 val mem : ('k, 'v) t -> 'k -> bool
 [@@detlint.allow unused_export "the LRU contract tests"]
 
-val put : ?on_evict:('k -> 'v -> unit) -> ('k, 'v) t -> 'k -> 'v -> unit
+val put : ('k, 'v) t -> 'k -> 'v -> unit
 [@@trust.sink "bounded-cache insert (reply caches, session records)"]
 (** Insert or replace, refreshing recency. When the table is full and
     the key is new, the least-recently-used entry is evicted first and
-    [on_evict] (default: ignore) observes it. *)
+    the [on_evict] given to {!create} observes it. *)
 
 val remove : ('k, 'v) t -> 'k -> unit
 
 val evict_lru : ('k, 'v) t -> ('k * 'v) option
 [@@detlint.allow unused_export "the LRU contract tests"]
-(** Force out the coldest entry (counted as an eviction). *)
-
-val evictions : ('k, 'v) t -> int
-(** Entries displaced by capacity pressure since creation — the counter
-    overload reports surface. [remove] does not count. *)
+(** Force out the coldest entry; [on_evict] does not observe it. *)

@@ -24,10 +24,6 @@ let int t bound =
   let r = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2) in
   r mod bound
 
-let int_in t lo hi =
-  assert (hi >= lo);
-  lo + int t (hi - lo + 1)
-
 let float t bound =
   let r = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
   bound *. (r /. 9007199254740992.0)
@@ -51,11 +47,3 @@ let bytes t n =
     Bytes.unsafe_set b i (Char.chr (int t 256))
   done;
   b
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done

@@ -20,10 +20,6 @@ val next_int64 : t -> int64
 val int : t -> int -> int
 (** [int t bound] is uniform in [0, bound); [bound] must be positive. *)
 
-val int_in : t -> int -> int -> int
-[@@detlint.allow unused_export "the Rng tests check its bounds"]
-(** [int_in t lo hi] is uniform in [lo, hi] inclusive. *)
-
 val float : t -> float -> float
 (** [float t bound] is uniform in [0, bound). *)
 
@@ -40,7 +36,3 @@ val gaussian : t -> mean:float -> stdev:float -> float
 
 val bytes : t -> int -> bytes
 (** [bytes t n] is [n] random bytes. *)
-
-val shuffle : t -> 'a array -> unit
-[@@detlint.allow unused_export "the Rng tests check it permutes"]
-(** In-place Fisher–Yates shuffle. *)

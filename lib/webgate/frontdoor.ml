@@ -164,9 +164,10 @@ type lane = {
   mutable l_pending_bytes : int;
   mutable l_blocked : bool;  (** involved in the in-flight cross-shard tx *)
   mutable l_timer : Simnet.Engine.timer option;
-  mutable l_completed : int;
-  mutable l_queue_peak : int;
+  l_metrics : lane_metrics option;  (** a sharded door's per-lane telemetry *)
 }
+
+and lane_metrics = { l_completed : Util.Metrics.counter; l_queue_peak : Util.Metrics.gauge }
 
 (* A cross-shard transaction, from admission to its last acknowledgement. *)
 type cross = {
@@ -197,6 +198,9 @@ type coordinator = {
   xq : cross Queue.t;
   mutable current : cross option;
   mutable next_tx : int;
+  n_cross_commits : Util.Metrics.counter;
+  n_cross_aborts : Util.Metrics.counter;
+  n_cross_timeouts : Util.Metrics.counter;  (** of the aborts, those the prepare timer fired *)
 }
 
 (* The session's replay cache is keyed on (route, request id): a cross-
@@ -214,15 +218,13 @@ type t = {
   coord : coordinator option;
   sessions : (int, session) Util.Lru.t;
   latency : Util.Stats.t;
-  mutable n_completed : int;
-  mutable n_shed : int;
-  mutable n_rejected : int;
-  mutable n_cache_hits : int;
-  mutable n_flushes_size : int;
-  mutable n_flushes_deadline : int;
-  mutable n_cross_commits : int;
-  mutable n_cross_aborts : int;
-  mutable n_cross_timeouts : int;
+  n_completed : Util.Metrics.counter;
+  n_shed : Util.Metrics.counter;
+  n_rejected : Util.Metrics.counter;
+  n_cache_hits : Util.Metrics.counter;
+  n_flushes_size : Util.Metrics.counter;
+  n_flushes_deadline : Util.Metrics.counter;
+  queue_peak : Util.Metrics.gauge;  (** the largest lane's *)
   mutable alive : bool;
 }
 
@@ -261,6 +263,9 @@ let cancel_timer = function Some timer -> Simnet.Engine.cancel timer | None -> (
 
 (* --- lanes: coalescing, size/deadline flush --- *)
 
+let count_lane lane =
+  match lane.l_metrics with Some m -> Util.Metrics.incr m.l_completed | None -> ()
+
 (* Dispatch one coalesced batch on one free connection of [lane]. *)
 let rec dispatch t lane trigger =
   if t.alive && not lane.l_blocked then
@@ -289,8 +294,8 @@ let rec dispatch t lane trigger =
       | [] -> Queue.push idx lane.l_free
       | first :: _ as batch ->
         (match trigger with
-        | `Size -> t.n_flushes_size <- t.n_flushes_size + 1
-        | `Deadline -> t.n_flushes_deadline <- t.n_flushes_deadline + 1);
+        | `Size -> Util.Metrics.incr t.n_flushes_size
+        | `Deadline -> Util.Metrics.incr t.n_flushes_deadline);
         let op = encode_coalesced (List.map (fun p -> (p.pr_session, p.pr_op)) batch) in
         let route_key = Relsql.Shard.route_key (Relsql.Shard.Single lane.l_shard) in
         Pbft.Client.invoke lane.l_data.(idx) ~readonly:first.pr_readonly op (fun encoded ->
@@ -303,8 +308,8 @@ let rec dispatch t lane trigger =
               in
               List.iter2
                 (fun p result ->
-                  t.n_completed <- t.n_completed + 1;
-                  lane.l_completed <- lane.l_completed + 1;
+                  Util.Metrics.incr t.n_completed;
+                  count_lane lane;
                   Util.Stats.add t.latency (now t -. p.pr_enq);
                   cache_reply t ~session:p.pr_session ~route_key ~req_id:p.pr_id ~result;
                   send_reply t ~dst:p.pr_addr ~status:Done ~session:p.pr_session ~req_id:p.pr_id
@@ -386,8 +391,8 @@ and start_abort t c xs ~reason ~timed_out =
   if not xs.x_aborting then begin
     xs.x_aborting <- true;
     cancel_timer xs.x_timer;
-    t.n_cross_aborts <- t.n_cross_aborts + 1;
-    if timed_out then t.n_cross_timeouts <- t.n_cross_timeouts + 1;
+    Util.Metrics.incr c.n_cross_aborts;
+    if timed_out then Util.Metrics.incr c.n_cross_timeouts;
     finish_cross t xs ~result:("error:2pc-aborted:" ^ reason);
     (* Shards whose control connection is free get their Abort now; one
        still awaiting a prepare reply (a stalled or Byzantine group) gets
@@ -406,11 +411,11 @@ and commit_cross t c xs =
       Pbft.Client.invoke c.control.(s) op (fun _ ->
           if t.alive then begin
             c.control_busy.(s) <- false;
-            t.lanes.(s).l_completed <- t.lanes.(s).l_completed + 1;
+            count_lane t.lanes.(s);
             xs.x_acks <- xs.x_acks + 1;
             if xs.x_acks >= List.length xs.x_route then begin
-              t.n_cross_commits <- t.n_cross_commits + 1;
-              t.n_completed <- t.n_completed + 1;
+              Util.Metrics.incr c.n_cross_commits;
+              Util.Metrics.incr t.n_completed;
               (* Assemble the session-visible reply from the votes: each
                  shard's script results, in shard order. *)
               let prefix = Relsql.Twopc.prepared_prefix xs.x_tx in
@@ -507,7 +512,7 @@ and try_start_cross t c =
 (* --- admission --- *)
 
 let shed_reply t ~dst ~session ~req_id =
-  t.n_shed <- t.n_shed + 1;
+  Util.Metrics.incr t.n_shed;
   send_reply t ~dst ~status:Shed ~session ~req_id ~result:""
 
 let admit t lane p =
@@ -516,7 +521,11 @@ let admit t lane p =
   else begin
     Queue.push p lane.l_pending;
     (lane.l_pending_bytes <- lane.l_pending_bytes + String.length p.pr_op;
-     lane.l_queue_peak <- Int.max lane.l_queue_peak (Queue.length lane.l_pending))
+     let queued = Queue.length lane.l_pending in
+     Util.Metrics.observe t.queue_peak queued;
+     match lane.l_metrics with
+     | Some m -> Util.Metrics.observe m.l_queue_peak queued
+     | None -> ())
     [@trustlint.allow
       "flow-control accounting must act before any crypto by design: the \
        byte count drives batching and shedding and the peak is telemetry, \
@@ -539,7 +548,7 @@ let on_frame t ~src wire =
   if t.alive then
     Simnet.Cpu.execute t.cpu ~cost:(frame_cost (String.length wire)) (fun () ->
         match decode_request wire with
-        | None -> t.n_rejected <- t.n_rejected + 1
+        | None -> Util.Metrics.incr t.n_rejected
         | Some (session, req_id, op) -> begin
           let s = session_record t session in
           (* An unsharded door never looks inside an op. *)
@@ -553,7 +562,7 @@ let on_frame t ~src wire =
           | Some (key, id, result) when id = req_id && String.equal key route_key ->
             (* Retransmission of an answered request: replay the cached
                reply instead of re-executing. *)
-            t.n_cache_hits <- t.n_cache_hits + 1;
+            Util.Metrics.incr t.n_cache_hits;
             send_reply t ~dst:src ~status:Done ~session ~req_id ~result
           | Some _ | None -> (
             match route with
@@ -594,6 +603,14 @@ let make ~cfg ~engine ~net ~classify ~coord data =
   if cfg.flush_bytes < 1 then invalid_arg "Frontdoor: flush_bytes must be at least 1";
   if not (cfg.flush_deadline > 0.0) then invalid_arg "Frontdoor: flush_deadline must be positive";
   if cfg.max_queue < 1 then invalid_arg "Frontdoor: max_queue must be at least 1";
+  let metrics = Simnet.Engine.metrics engine in
+  let door = Util.Metrics.counter metrics ~node:frontdoor_addr ~layer:"webgate" in
+  let lane_metrics s =
+    {
+      l_completed = Util.Metrics.counter metrics ~node:s ~layer:"shards" "completed";
+      l_queue_peak = Util.Metrics.gauge metrics ~node:s ~layer:"shards" "queue_peak";
+    }
+  in
   let lane i pool =
     if Array.length pool < 1 then invalid_arg "Frontdoor: a lane without upstream connections";
     let free = Queue.create () in
@@ -606,8 +623,7 @@ let make ~cfg ~engine ~net ~classify ~coord data =
       l_pending_bytes = 0;
       l_blocked = false;
       l_timer = None;
-      l_completed = 0;
-      l_queue_peak = 0;
+      l_metrics = Option.map (fun _ -> lane_metrics i) coord;
     }
   in
   let t =
@@ -619,17 +635,17 @@ let make ~cfg ~engine ~net ~classify ~coord data =
       classify;
       lanes = Array.mapi lane data;
       coord;
-      sessions = Util.Lru.create ~capacity:cfg.max_sessions;
+      sessions =
+        (let evicted = door "session_evictions" in
+         Util.Lru.create ~capacity:cfg.max_sessions ~on_evict:(fun _ _ -> Util.Metrics.incr evicted) ());
       latency = Util.Stats.create ();
-      n_completed = 0;
-      n_shed = 0;
-      n_rejected = 0;
-      n_cache_hits = 0;
-      n_flushes_size = 0;
-      n_flushes_deadline = 0;
-      n_cross_commits = 0;
-      n_cross_aborts = 0;
-      n_cross_timeouts = 0;
+      n_completed = door "completed";
+      n_shed = door "shed";
+      n_rejected = door "rejected";
+      n_cache_hits = door "reply_cache_hits";
+      n_flushes_size = door "flushes_size";
+      n_flushes_deadline = door "flushes_deadline";
+      queue_peak = Util.Metrics.gauge metrics ~node:frontdoor_addr ~layer:"webgate" "queue_peak";
       alive = true;
     }
   in
@@ -645,6 +661,7 @@ let create ~cfg ~engine ~net ~clients () =
 let create_sharded ~cfg ~topology ~prepare_timeout ~tx_ttl ~classify ~engine ~net ~lanes () =
   if Array.length lanes <> Relsql.Shard.shards topology then
     invalid_arg "Frontdoor.create_sharded: one lane per shard required";
+  let cross = Util.Metrics.counter (Simnet.Engine.metrics engine) ~node:frontdoor_addr ~layer:"shards" in
   let coord =
     {
       topology;
@@ -655,23 +672,18 @@ let create_sharded ~cfg ~topology ~prepare_timeout ~tx_ttl ~classify ~engine ~ne
       xq = Queue.create ();
       current = None;
       next_tx = 0;
+      n_cross_commits = cross "cross_commits";
+      n_cross_aborts = cross "cross_aborts";
+      n_cross_timeouts = cross "cross_timeouts";
     }
   in
   make ~cfg ~engine ~net ~classify ~coord:(Some coord) (Array.map fst lanes)
 
-let completed t = t.n_completed
-let shard_completed t = Array.map (fun l -> l.l_completed) t.lanes
-let cross_commits t = t.n_cross_commits
-let cross_aborts t = t.n_cross_aborts
-let cross_timeouts t = t.n_cross_timeouts
-let shed t = t.n_shed
-let rejected t = t.n_rejected
-let reply_cache_hits t = t.n_cache_hits
-let flushes_size t = t.n_flushes_size
-let flushes_deadline t = t.n_flushes_deadline
-let queue_peaks t = Array.map (fun l -> l.l_queue_peak) t.lanes
-let queue_peak t = Array.fold_left (fun acc l -> Int.max acc l.l_queue_peak) 0 t.lanes
-let session_evictions t = Util.Lru.evictions t.sessions
+let completed t = Util.Metrics.count t.n_completed
+let shed t = Util.Metrics.count t.n_shed
+let flushes_size t = Util.Metrics.count t.n_flushes_size
+let flushes_deadline t = Util.Metrics.count t.n_flushes_deadline
+let queue_peak t = Util.Metrics.peak t.queue_peak
 let live_sessions t = Util.Lru.length t.sessions
 let latency_stats t = t.latency
 

@@ -136,25 +136,8 @@ val create_sharded :
 val completed : t -> int
 (** Operations answered with a quorum-accepted result. *)
 
-val shard_completed : t -> int array
-(** Session operations completed per lane; a cross-shard commit counts
-    once for every participant. *)
-
-val cross_commits : t -> int
-val cross_aborts : t -> int
-val cross_timeouts : t -> int
-(** Of {!cross_aborts}, those triggered by the coordinator's prepare
-    timer rather than a participant's vote. *)
-
 val shed : t -> int
 (** Operations rejected by admission control. *)
-
-val rejected : t -> int
-[@@detlint.allow unused_export "the malformed-frame tests count drops"]
-(** Malformed frames dropped. *)
-
-val reply_cache_hits : t -> int
-(** Retransmissions answered from the per-session last-reply cache. *)
 
 val flushes_size : t -> int
 val flushes_deadline : t -> int
@@ -163,11 +146,21 @@ val flushes_deadline : t -> int
 val queue_peak : t -> int
 (** High-water mark of the pending queue (the largest lane's). *)
 
-val queue_peaks : t -> int array
-(** Per-lane pending-queue high-water marks. *)
+(** {1 Telemetry}
 
-val session_evictions : t -> int
-(** Session records displaced by LRU capacity pressure ([max_sessions]). *)
+    The door registers its counters on the engine's {!Util.Metrics}
+    registry at creation, under node {!frontdoor_addr}: layer
+    ["webgate"] — [completed], [shed], [rejected] (malformed frames
+    dropped), [reply_cache_hits] (retransmissions answered from the
+    per-session last-reply cache), [flushes_size], [flushes_deadline],
+    [session_evictions] (records displaced by the [max_sessions] LRU
+    bound) and the gauge [queue_peak]. A sharded door adds layer
+    ["shards"]: [cross_commits], [cross_aborts] and [cross_timeouts]
+    (aborts the coordinator's prepare timer triggered) under
+    {!frontdoor_addr}, and per lane, under the shard's index,
+    [completed] (session operations; a cross-shard commit counts once
+    for every participant) and the gauge [queue_peak]. The getters above
+    read the same cells. *)
 
 val live_sessions : t -> int
 [@@detlint.allow unused_export "the session-LRU tests and the equivalence hash read it"]

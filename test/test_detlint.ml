@@ -302,7 +302,7 @@ let test_adversary_cross_check () =
   in
   let report, _ = Harness.Faults.run scenario in
   Alcotest.(check bool) "corrupted MACs rejected at intake" true
-    (report.Harness.Faults.correct.Harness.Run.auth_failures > 0);
+    (Util.Metrics.total report.Harness.Faults.correct ~layer:"pbft" "auth_failures" > 0);
   Alcotest.(check (list string)) "scenario failures" [] report.Harness.Faults.failures;
   Alcotest.(check bool) "safety held" true report.Harness.Faults.safe;
   Alcotest.(check bool) "liveness held" true report.Harness.Faults.live

@@ -30,9 +30,9 @@ let check_behavior ?speculative behavior () =
    still satisfy every safety and liveness predicate afterwards. *)
 let test_vc_mid_speculation () =
   let report = run (scenario ~speculative:true "vc-mid-speculation") in
-  let t = report.Harness.Faults.correct in
-  Alcotest.(check bool) "speculated" true (t.Harness.Run.speculative_execs > 0);
-  Alcotest.(check bool) "rolled back" true (t.Harness.Run.rollbacks > 0)
+  let total = Util.Metrics.total report.Harness.Faults.correct ~layer:"pbft" in
+  Alcotest.(check bool) "speculated" true (total "speculative_executions" > 0);
+  Alcotest.(check bool) "rolled back" true (total "rollbacks" > 0)
 
 let test_suite_covers_all_behaviors () =
   (* The suite list is the contract CI runs; a behavior added to the

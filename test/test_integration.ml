@@ -93,7 +93,10 @@ let test_sql_state_transfer_repairs_engine () =
   stop := true;
   Cluster.run cluster ~seconds:2.0;
   let r2 = Cluster.replica cluster 2 in
-  Alcotest.(check bool) "transfer happened" true (Replica.state_transfers r2 >= 1);
+  let snap = Util.Metrics.snapshot (Simnet.Engine.metrics (Cluster.engine cluster)) in
+  let counted name = Util.Metrics.get snap ~node:(Replica.id r2) ~layer:"pbft" name in
+  Alcotest.(check bool) "transfer happened" true
+    (counted "demotion_transfers" + counted "rejoin_transfers" >= 1);
   (* Ask the recovered replica (read-only executes locally at every
      replica, so matching replies require the victim to be consistent). *)
   let count = ref "" in
@@ -438,6 +441,12 @@ let test_certificates_absent_without_key () =
 
 module Run = Harness.Run
 
+(* A run's number: a layer's name merged over its nodes, or one node's. *)
+let total r layer name = Util.Metrics.total r.Run.metrics ~layer name
+let node r ~node layer name = Util.Metrics.get r.Run.metrics ~node ~layer name
+let whole r layer name = Util.Metrics.(find r.Run.metrics ~node:run_node ~layer name)
+let top_view d = List.fold_left (fun acc r -> Int.max acc (Replica.view r)) 0 (Run.live d)
+
 let test_scenario_runs_and_measures () =
   let r =
     Run.run { (Run.closed (Config.default ~f:1)) with Run.duration = 0.3; warmup = 0.1 }
@@ -445,7 +454,7 @@ let test_scenario_runs_and_measures () =
   let mean = Util.Stats.mean r.Run.latency in
   Alcotest.(check bool) "throughput positive" true (r.Run.tps > 1000.0);
   Alcotest.(check bool) "latency sane" true (mean > 0.0 && mean < 0.1);
-  Alcotest.(check int) "no view changes" 0 r.Run.replicas.Run.view_changes
+  Alcotest.(check int) "no view changes" 0 (total r "pbft" "view_changes")
 
 let test_scenario_dynamic_mode () =
   let cfg = { (Config.default ~f:1) with Config.dynamic_clients = true } in
@@ -598,52 +607,60 @@ let test_hostbench_measure_and_json () =
     Harness.Hostbench.measure ~name:"smoke"
       (Harness.Hostbench.workload ~seed:3 ~duration:0.2 "table1:sta_mac_allbig_batch")
   in
-  Alcotest.(check bool) "events counted" true (m.Harness.Hostbench.events > 0);
-  Alcotest.(check bool) "bytes hashed" true (m.Harness.Hostbench.bytes_hashed > 0);
-  Alcotest.(check bool) "virtual tps positive" true (m.Harness.Hostbench.virtual_tps > 0.0);
-  Alcotest.(check bool) "host time sane" true (m.Harness.Hostbench.host_seconds >= 0.0);
+  let e2e name =
+    Util.Metrics.(to_float (find m.Harness.Hostbench.metrics ~node:run_node ~layer:"end_to_end" name))
+  in
+  Alcotest.(check bool) "events counted" true (e2e "events" > 0.0);
+  Alcotest.(check bool) "virtual tps positive" true (e2e "virtual_tps" > 0.0);
+  Alcotest.(check bool) "bytes hashed" true
+    (Util.Metrics.total m.Harness.Hostbench.metrics ~layer:"crypto" "bytes_hashed" > 0);
   let json = Webgate.Json.parse (Harness.Hostbench.to_json ~now:"test" [ m ]) in
-  Alcotest.(check string) "schema tag" "pbft-repro/bench/v7"
+  Alcotest.(check string) "schema tag" "pbft-repro/bench/v8"
     (Webgate.Json.to_string_exn (Webgate.Json.member "schema" json));
-  Alcotest.(check bool) "checkpoints counted" true (m.Harness.Hostbench.checkpoint_count > 0);
+  let numbers obj names =
+    List.iter
+      (fun field ->
+        match Webgate.Json.member_opt field obj with
+        | Some (Webgate.Json.Num _) -> ()
+        | _ -> Alcotest.fail (field ^ " should be a number"))
+      names
+  in
+  let keys = function Webgate.Json.Obj kvs -> List.map fst kvs | _ -> [] in
   match Webgate.Json.member "workloads" json with
   | Webgate.Json.Arr [ w ] ->
     Alcotest.(check string) "workload name" "smoke"
       (Webgate.Json.to_string_exn (Webgate.Json.member "name" w));
-    List.iter
-      (fun field ->
-        match Webgate.Json.member field w with
-        | Webgate.Json.Num _ -> ()
-        | _ -> Alcotest.fail (field ^ " should be a number"))
+    numbers (Webgate.Json.member "end_to_end" w)
       [
-        "checkpoint_count";
-        "undo_snapshots";
-        "bytes_copied";
-        "bytes_copied_per_checkpoint";
-        "pages_read";
-        "rows_scanned";
-        "speculative_executions";
-        "rollbacks";
-        "tentative_completed";
-        "stable_completed";
-        "core_utilization";
-        "p50_latency";
-        "p95_latency";
-        "p99_latency";
-        "shed";
-        "gw_evictions";
-        "gw_queue_peak";
-        "replica_queue_peak";
-        "ro_cache_evictions";
-        "sessions";
-        "arrivals";
-        "offered_load";
-        "flushes_size";
-        "flushes_deadline";
-        "reply_cache_hits";
-        "events_per_request";
-        "alloc_per_request";
-      ]
+        "completed"; "window"; "virtual_tps"; "p50_latency"; "p95_latency"; "p99_latency";
+        "events"; "events_per_request"; "alloc_words_per_request"; "tentative_completed";
+      ];
+    let layers = Webgate.Json.member "layers" w in
+    (* A closed-loop, single-group, crash-free null-service row: the
+       door, shard, load, churn and relational sections do not apply. *)
+    Alcotest.(check (list string)) "sections" [ "crypto"; "pbft"; "simnet"; "statemgr" ]
+      (keys layers);
+    numbers (Webgate.Json.member "crypto" layers) [ "bytes_hashed" ];
+    numbers (Webgate.Json.member "pbft" layers)
+      [ "view_changes"; "speculative_executions"; "rollbacks"; "ro_cache_evictions" ];
+    numbers (Webgate.Json.member "simnet" layers) [ "cpu_queue_peak"; "core_utilization" ];
+    numbers (Webgate.Json.member "statemgr" layers)
+      [ "checkpoint_count"; "undo_snapshots"; "bytes_copied"; "allocated_page_bytes" ];
+    Alcotest.(check bool) "checkpoints counted" true
+      (Util.Metrics.total m.Harness.Hostbench.metrics ~layer:"statemgr" "checkpoint_count" > 0);
+    (* The churn row has the churn section the table-1 row lacks. *)
+    let churn =
+      Harness.Hostbench.measure ~name:"churn"
+        (Harness.Experiments.churn_spec ~horizon:3.0 ~period:1.0 ~downtime:0.4 ())
+    in
+    (match Webgate.Json.parse (Harness.Hostbench.to_json [ churn ]) with
+    | doc -> (
+      match Webgate.Json.member "workloads" doc with
+      | Webgate.Json.Arr [ w ] ->
+        numbers
+          (Webgate.Json.member "churn" (Webgate.Json.member "layers" w))
+          [ "crashes"; "restarts"; "availability"; "mean_recovery"; "max_recovery"; "unrecovered" ]
+      | _ -> Alcotest.fail "one churn row"))
   | _ -> Alcotest.fail "workloads should hold the one measurement"
 
 (* --- equivalence pin ---
@@ -665,14 +682,14 @@ let ia a = String.concat ";" (Array.to_list (Array.map i a))
 
 let pin_closed () =
   let r = Run.run { (Run.closed (Config.default ~f:1)) with Run.warmup = 0.1; duration = 0.3 } in
-  let t = r.Run.replicas in
+  let pbft = total r "pbft" and statemgr = total r "statemgr" in
   render_fields "closed"
     [ ("completed", i r.Run.completed); ("tps", f r.tps);
-      ("vc", i t.Run.view_changes); ("dem_tr", i t.demotion_transfers);
-      ("rejoin_tr", i t.rejoin_transfers); ("pages", i t.pages_fetched);
-      ("pages_full", i t.pages_full); ("spec", i t.speculative_execs);
-      ("rollbacks", i t.rollbacks); ("tentative", i r.tentative);
-      ("retrans", i r.retransmissions); ("queue_peak", i t.queue_peak) ]
+      ("vc", i (pbft "view_changes")); ("dem_tr", i (pbft "demotion_transfers"));
+      ("rejoin_tr", i (pbft "rejoin_transfers")); ("pages", i (statemgr "transfer_pages_fetched"));
+      ("pages_full", i (statemgr "transfer_pages_full")); ("spec", i (pbft "speculative_executions"));
+      ("rollbacks", i (pbft "rollbacks")); ("tentative", i r.tentative);
+      ("retrans", i r.retransmissions); ("queue_peak", i (total r "simnet" "cpu_queue_peak")) ]
 
 let pin_openloop () =
   let r =
@@ -702,19 +719,19 @@ let pin_openloop () =
       }
   in
   let door = Option.get (Run.door r.Run.deployment) in
-  let o = Option.get r.Run.open_loop in
+  let load name = node r ~node:Util.Metrics.run_node "load" name in
   let lat = r.Run.latency in
   render_fields "openloop"
     [ ("completed", i r.Run.completed); ("tps", f r.tps);
       ("p50", f (Util.Stats.p50 lat)); ("p95", f (Util.Stats.p95 lat));
       ("p99", f (Util.Stats.p99 lat)); ("mean", f (Util.Stats.mean lat));
       ("shed", i (Webgate.Frontdoor.shed door));
-      ("evictions", i (Webgate.Frontdoor.session_evictions door));
+      ("evictions", i (total r "webgate" "session_evictions"));
       ("gw_peak", i (Webgate.Frontdoor.queue_peak door));
-      ("vc", i r.replicas.Run.view_changes);
-      ("arrivals", i o.Run.arrivals); ("gen_shed", i o.gen_shed);
-      ("gen_retrans", i o.gen_retransmissions);
-      ("cache_hits", i (Webgate.Frontdoor.reply_cache_hits door));
+      ("vc", i (total r "pbft" "view_changes"));
+      ("arrivals", i (load "arrivals")); ("gen_shed", i (load "gen_shed"));
+      ("gen_retrans", i (load "gen_retransmissions"));
+      ("cache_hits", i (total r "webgate" "reply_cache_hits"));
       ("flush_size", i (Webgate.Frontdoor.flushes_size door));
       ("flush_deadline", i (Webgate.Frontdoor.flushes_deadline door));
       ("live", i (Webgate.Frontdoor.live_sessions door)) ]
@@ -728,27 +745,25 @@ let pin_shards () =
         duration = 0.5;
       }
   in
-  let before, after = Option.get r.Run.door in
-  let window g = g after - g before in
+  (* A session load's door counters cover the measured window. *)
+  let lanes name = Array.init 2 (fun s -> node r ~node:s "shards" name) in
+  let cross name = node r ~node:Webgate.Frontdoor.frontdoor_addr "shards" name in
   let lat = r.Run.latency in
   render_fields "shards"
     [ ("completed", i r.Run.completed); ("tps", f r.tps);
       ( "shard_tps",
-        fa
-          (Array.map2
-             (fun b a -> float_of_int (a - b) /. r.Run.window)
-             before.Run.lane_completed after.Run.lane_completed) );
-      ("peaks", ia after.Run.queue_peaks);
-      ("commits", i (window (fun d -> d.Run.cross_commits)));
-      ("aborts", i (window (fun d -> d.Run.cross_aborts)));
-      ("timeouts", i (window (fun d -> d.Run.cross_timeouts)));
-      ("flush_size", i (window (fun d -> d.Run.flushes_size)));
-      ("flush_deadline", i (window (fun d -> d.Run.flushes_deadline)));
+        fa (Array.map (fun c -> float_of_int c /. r.Run.window) (lanes "completed")) );
+      ("peaks", ia (lanes "queue_peak"));
+      ("commits", i (cross "cross_commits"));
+      ("aborts", i (cross "cross_aborts"));
+      ("timeouts", i (cross "cross_timeouts"));
+      ("flush_size", i (total r "webgate" "flushes_size"));
+      ("flush_deadline", i (total r "webgate" "flushes_deadline"));
       ("p50", f (Util.Stats.p50 lat)); ("p95", f (Util.Stats.p95 lat));
       ("p99", f (Util.Stats.p99 lat));
-      ("shed", i (window (fun d -> d.Run.shed)));
-      ("cache_hits", i (window (fun d -> d.Run.reply_cache_hits)));
-      ("errors", i (window (fun d -> d.Run.errors))) ]
+      ("shed", i (total r "webgate" "shed"));
+      ("cache_hits", i (total r "webgate" "reply_cache_hits"));
+      ("errors", i (node r ~node:Util.Metrics.run_node "load" "errors")) ]
 
 let pin_adversary () =
   let cfg = { (Config.default ~f:1) with Config.view_change_timeout = 0.25 } in
@@ -761,26 +776,28 @@ let pin_adversary () =
         plan = [ (0.2, Run.Adversary (0, Adversary.Mute)) ];
       }
   in
-  let t = r.Run.replicas in
+  let pbft = total r "pbft" in
   render_fields "adversary"
     [ ("completed", i r.Run.completed); ("tps", f r.tps);
-      ("vc", i t.Run.view_changes); ("view", i t.view);
+      ("vc", i (pbft "view_changes")); ("view", i (top_view r.deployment));
       ("mutations", i r.mutations);
-      ("dem_tr", i t.demotion_transfers); ("spec", i t.speculative_execs);
-      ("rollbacks", i t.rollbacks); ("retrans", i r.retransmissions) ]
+      ("dem_tr", i (pbft "demotion_transfers")); ("spec", i (pbft "speculative_executions"));
+      ("rollbacks", i (pbft "rollbacks")); ("retrans", i r.retransmissions) ]
 
 let pin_churn () =
   let r = Run.run (Harness.Experiments.churn_spec ~horizon:6.0 ~period:2.0 ~downtime:0.5 ()) in
-  let t = r.Run.replicas and c = Option.get r.Run.churn in
+  let churn name = Util.Metrics.to_float (whole r "churn" name) in
+  let pbft = total r "pbft" and statemgr = total r "statemgr" in
   render_fields "churn"
     [ ("completed", i r.Run.completed); ("tps", f r.tps);
-      ("crashes", i c.Run.crashes); ("restarts", i c.restarts);
-      ("avail", f c.availability); ("mean_rec", f c.mean_recovery);
-      ("max_rec", f c.max_recovery); ("unrecovered", i c.unrecovered);
-      ("dem_tr", i t.Run.demotion_transfers); ("rejoin_tr", i t.rejoin_transfers);
-      ("pages", i t.pages_fetched); ("pages_full", i t.pages_full);
-      ("vc", i t.view_changes);
-      ("view", i (Run.totals (Run.live r.deployment)).Run.view);
+      ("crashes", i (total r "churn" "crashes")); ("restarts", i (total r "churn" "restarts"));
+      ("avail", f (churn "availability")); ("mean_rec", f (churn "mean_recovery"));
+      ("max_rec", f (churn "max_recovery")); ("unrecovered", i (total r "churn" "unrecovered"));
+      ("dem_tr", i (pbft "demotion_transfers")); ("rejoin_tr", i (pbft "rejoin_transfers"));
+      ("pages", i (statemgr "transfer_pages_fetched"));
+      ("pages_full", i (statemgr "transfer_pages_full"));
+      ("vc", i (pbft "view_changes"));
+      ("view", i (top_view r.deployment));
       ("failures", String.concat "|" (Lazy.force r.failures)) ]
 
 (* --- churn: the crash/repair rotation as a fault plan --- *)
@@ -788,16 +805,19 @@ let pin_churn () =
 let test_churn_rotation () =
   let spec = Harness.Experiments.churn_spec ~horizon:5.0 ~period:1.5 ~downtime:0.5 () in
   let r = Run.run spec in
-  let c = Option.get r.Run.churn and t = r.Run.replicas in
-  Alcotest.(check int) "one crash per plan entry" (List.length spec.Run.plan) c.Run.crashes;
-  Alcotest.(check bool) "crashes happened" true (c.crashes > 0);
-  Alcotest.(check int) "every crash restarted" c.crashes c.restarts;
-  Alcotest.(check int) "every incident rejoined" 0 c.unrecovered;
-  Alcotest.(check bool) "rejoins used the transfer" true (t.Run.rejoin_transfers >= c.restarts);
+  let crashes = total r "churn" "crashes" and restarts = total r "churn" "restarts" in
+  let full = total r "statemgr" "transfer_pages_full" in
+  Alcotest.(check int) "one crash per plan entry" (List.length spec.Run.plan) crashes;
+  Alcotest.(check bool) "crashes happened" true (crashes > 0);
+  Alcotest.(check int) "every crash restarted" crashes restarts;
+  Alcotest.(check int) "every incident rejoined" 0 (total r "churn" "unrecovered");
+  Alcotest.(check bool) "rejoins used the transfer" true
+    (total r "pbft" "rejoin_transfers" >= restarts);
   Alcotest.(check bool) "Merkle diff fetched fewer pages than a full transfer" true
-    (t.pages_full > 0 && t.pages_fetched < t.pages_full);
+    (full > 0 && total r "statemgr" "transfer_pages_fetched" < full);
   Alcotest.(check (list string)) "journals and states agree" [] (Lazy.force r.failures);
-  Alcotest.(check (float 0.0)) "no outage with one replica down" 1.0 c.availability
+  Alcotest.(check (float 0.0)) "no outage with one replica down" 1.0
+    (Util.Metrics.to_float (whole r "churn" "availability"))
 
 (* f+1 replicas down at once leave no quorum: the sampler must see the
    outage. *)
@@ -814,10 +834,10 @@ let test_churn_outage_detected () =
           [ (0.5, Run.Crash (Run.Replica 1, 0.4)); (0.5, Run.Crash (Run.Replica 2, 0.4)) ];
       }
   in
-  let c = Option.get r.Run.churn in
-  Alcotest.(check int) "both crashed" 2 c.Run.crashes;
-  Alcotest.(check bool) "availability below 1" true (c.availability < 1.0);
-  Alcotest.(check bool) "progress outside the outage" true (c.availability > 0.0)
+  let availability = Util.Metrics.to_float (whole r "churn" "availability") in
+  Alcotest.(check int) "both crashed" 2 (total r "churn" "crashes");
+  Alcotest.(check bool) "availability below 1" true (availability < 1.0);
+  Alcotest.(check bool) "progress outside the outage" true (availability > 0.0)
 
 let pinned_equivalence = "0721f106c2a6375fbbf0e1462a671750dbaee77dd45716deb7fce4b5ff9ea954"
 
@@ -839,14 +859,22 @@ let test_equivalence_pinned () =
    paths. *)
 let pinned_replica_digest = "c29ad647262a4e9fd0cb1be3a084d31cc9885c9928d33f0df40b29fa8007cac0"
 
+(* The Table-1 default row's trace digest, the one BENCH.json records. *)
+let pinned_trace_digest = "8e3d0e727c95f8da1f5fb8a93cf60dca0fb070c771190842cae78b6fd93fbc0d"
+
+let test_trace_digest_pinned () =
+  Alcotest.(check string) "Table-1 trace digest" pinned_trace_digest
+    (Harness.Hostbench.trace_digest ())
+
 let test_replica_digest_pinned () =
   let spec = Harness.Hostbench.replica_digest_spec () in
   let digest, r = Harness.Hostbench.traced spec in
-  let t = r.Run.replicas in
-  Alcotest.(check bool) "speculative executions" true (t.Run.speculative_execs > 0);
-  Alcotest.(check bool) "rollbacks" true (t.rollbacks > 0);
-  Alcotest.(check bool) "a view change installed" true (t.view_changes > 0 && t.view > 0);
-  Alcotest.(check bool) "a rejoin transfer" true (t.rejoin_transfers > 0);
+  let pbft = total r "pbft" in
+  Alcotest.(check bool) "speculative executions" true (pbft "speculative_executions" > 0);
+  Alcotest.(check bool) "rollbacks" true (pbft "rollbacks" > 0);
+  Alcotest.(check bool) "a view change installed" true
+    (pbft "view_changes" > 0 && top_view r.deployment > 0);
+  Alcotest.(check bool) "a rejoin transfer" true (pbft "rejoin_transfers" > 0);
   Alcotest.(check bool) "the mute primary fired" true (r.mutations > 0);
   Array.iter
     (fun rep ->
@@ -908,6 +936,7 @@ let () =
         [
           Alcotest.test_case "every shape's virtual numbers" `Slow test_equivalence_pinned;
           Alcotest.test_case "replica paths' trace digest" `Slow test_replica_digest_pinned;
+          Alcotest.test_case "Table-1 trace digest" `Slow test_trace_digest_pinned;
         ] );
       ( "hostbench",
         [

@@ -78,6 +78,12 @@ let run_door spec =
   Frontdoor.shutdown door;
   (r, door)
 
+(* A door counter or a load number of the run's metrics. *)
+let door_count r name =
+  Util.Metrics.get r.Run.metrics ~node:Frontdoor.frontdoor_addr ~layer:"webgate" name
+
+let load_count r name = Util.Metrics.get r.Run.metrics ~node:Util.Metrics.run_node ~layer:"load" name
+
 let trace_digest cluster =
   let buf = Buffer.create 4096 in
   List.iter
@@ -115,11 +121,11 @@ let test_shed_is_distinguishable () =
          ~door:{ valid_gateway with Frontdoor.connections = 2; max_queue = 32 }
          ())
   in
-  let gen_shed = (Option.get r.Run.open_loop).Run.gen_shed in
+  let gen_shed = load_count r "gen_shed" in
   Alcotest.(check bool) "door sheds" true (Frontdoor.shed door > 0);
   Alcotest.(check bool) "generator sees shed replies" true (gen_shed > 0);
   Alcotest.(check bool) "still completes under overload" true (r.Run.completed > 0);
-  Alcotest.(check int) "no malformed frames" 0 (Frontdoor.rejected door);
+  Alcotest.(check int) "no malformed frames" 0 (door_count r "rejected");
   Alcotest.(check bool) "shed observed <= shed sent" true (gen_shed <= Frontdoor.shed door)
 
 (* --- session churn --- *)
@@ -135,11 +141,11 @@ let test_eviction_readmission () =
          ~door:{ valid_gateway with Frontdoor.max_sessions = 32 }
          ())
   in
-  Alcotest.(check bool) "sessions evicted" true (Frontdoor.session_evictions door > 0);
+  Alcotest.(check bool) "sessions evicted" true (door_count r "session_evictions" > 0);
   Alcotest.(check int) "live sessions bounded" 32 (Frontdoor.live_sessions door);
   Alcotest.(check bool) "progress continues under churn" true (r.Run.completed > 200);
   Alcotest.(check int) "evicted retransmissions accepted, not rejected" 0
-    (Frontdoor.rejected door)
+    (door_count r "rejected")
 
 (* --- reply cache --- *)
 
@@ -175,7 +181,10 @@ let test_reply_cache_replays () =
      cache without re-executing. *)
   Simnet.Net.send net ~src:session_addr ~dst:Frontdoor.frontdoor_addr frame;
   Pbft.Cluster.run cluster ~seconds:0.5;
-  Alcotest.(check int) "cache hit" 1 (Frontdoor.reply_cache_hits door);
+  Alcotest.(check int) "cache hit" 1
+    (Util.Metrics.get
+       (Util.Metrics.snapshot (Simnet.Engine.metrics (Pbft.Cluster.engine cluster)))
+       ~node:Frontdoor.frontdoor_addr ~layer:"webgate" "reply_cache_hits");
   Alcotest.(check int) "not re-executed" 1 (Frontdoor.completed door);
   match List.rev_map Frontdoor.decode_reply !replies with
   | [ Some (Frontdoor.Done, 5, 1, r1); Some (Frontdoor.Done, 5, 1, r2) ] ->

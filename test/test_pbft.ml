@@ -5,6 +5,13 @@ open Pbft
 
 let qcheck = QCheck_alcotest.to_alcotest
 
+(* A replica's counter on its cluster's metrics registry: every
+   incarnation of the replica's id, summed. *)
+let counted cluster r name =
+  Util.Metrics.get
+    (Util.Metrics.snapshot (Simnet.Engine.metrics (Cluster.engine cluster)))
+    ~node:(Replica.id r) ~layer:"pbft" name
+
 (* --- message codecs --- *)
 
 let sample_request =
@@ -301,7 +308,7 @@ let test_cluster_basic_agreement () =
   Array.iter
     (fun r ->
       Alcotest.(check int) "each replica executed all" 20 (Replica.executed_requests r);
-      Alcotest.(check int) "no view change" 0 (Replica.view_changes r))
+      Alcotest.(check int) "no view change" 0 (counted cluster r "view_changes"))
     (Cluster.replicas cluster)
 
 let state_digest r =
@@ -355,7 +362,7 @@ let test_cluster_signatures_mode () =
   let cluster, results = run_requests ~cfg ~per_client:3 () in
   Array.iter (fun rs -> Alcotest.(check int) "replies" 3 (List.length rs)) results;
   Alcotest.(check int) "no auth failures" 0
-    (Array.fold_left (fun a r -> a + Replica.auth_failures r) 0 (Cluster.replicas cluster))
+    (Array.fold_left (fun a r -> a + counted cluster r "auth_failures") 0 (Cluster.replicas cluster))
 
 let test_cluster_f2 () =
   let cfg = Config.default ~f:2 in
@@ -446,7 +453,7 @@ let test_cluster_body_loss_state_transfer () =
   Cluster.run cluster ~seconds:5.0;
   stop := true;
   let r3 = Cluster.replica cluster 3 in
-  Alcotest.(check bool) "victim recovered by state transfer" true (Replica.state_transfers r3 >= 1);
+  Alcotest.(check bool) "victim recovered by state transfer" true (counted cluster r3 "demotion_transfers" + counted cluster r3 "rejoin_transfers" >= 1);
   (* After recovery the victim keeps executing. *)
   Alcotest.(check bool) "victim caught up" true
     (Replica.last_executed r3 > 0
@@ -571,7 +578,7 @@ let test_cluster_restart_recovery () =
   | Some t ->
     Alcotest.(check bool) "recovered within two rebroadcast periods" true (t -. 1.0 < 1.2)
   | None -> Alcotest.fail "replica never recovered");
-  Alcotest.(check bool) "auth failures observed during stall" true (Replica.auth_failures r2 > 0)
+  Alcotest.(check bool) "auth failures observed during stall" true (counted cluster r2 "auth_failures" > 0)
 
 let test_dynamic_join_and_request () =
   let cfg = { (Config.default ~f:1) with Config.dynamic_clients = true } in
@@ -639,6 +646,27 @@ let test_dynamic_leave () =
   Cluster.run cluster ~seconds:5.0;
   Alcotest.(check int) "membership empty after leave" 0
     (Membership.count (Replica.membership (Cluster.replica cluster 0)))
+
+(* A client that left stops its session-key rebroadcast. With every
+   replica shut down the only periodic work left is the client's own, so
+   an idle stretch after the leave runs no engine event at all. *)
+let test_leave_stops_rebroadcast () =
+  let cfg = { (Config.default ~f:1) with Config.authenticator_rebroadcast = 0.5 } in
+  let cluster = Cluster.create ~seed:91 ~num_clients:1 cfg in
+  Simnet.Trace.set_enabled (Cluster.trace cluster) false;
+  Cluster.run cluster ~seconds:1.0;
+  Array.iter Replica.shutdown (Cluster.replicas cluster);
+  Cluster.run cluster ~seconds:1.0;
+  let engine = Cluster.engine cluster in
+  let idle seconds =
+    let before = Simnet.Engine.events engine in
+    Cluster.run cluster ~seconds;
+    Simnet.Engine.events engine - before
+  in
+  Alcotest.(check bool) "a member rebroadcasts its keys" true (idle 5.0 > 0);
+  Client.leave (Cluster.client cluster 0);
+  Cluster.run cluster ~seconds:1.0;
+  Alcotest.(check int) "no event after the leave" 0 (idle 5.0)
 
 (* A Leave runs as an ordered system op: every replica drops the client
    and rewrites the same membership pages, and the freed slot takes a
@@ -724,7 +752,7 @@ let test_nondet_delta_blocks_replay () =
     Cluster.run cluster ~seconds:4.0;
     stop := true;
     let r2 = Cluster.replica cluster 2 in
-    (Replica.nondet_rejects r2, Replica.last_executed r2, Replica.last_executed (Cluster.replica cluster 0))
+    (counted cluster r2 "nondet_rejects", Replica.last_executed r2, Replica.last_executed (Cluster.replica cluster 0))
   in
   let rejects_delta, behind_delta, head_delta = run (Config.Delta 1.0) in
   Alcotest.(check bool) "delta rejects replays" true (rejects_delta > 0);
@@ -786,13 +814,31 @@ let run_single_client_workload ?(total = 160) ?(crash = None) cfg =
   Alcotest.(check int) "workload drained" total !seq;
   cluster
 
+(* The registry keeps a retired incarnation's counts: the snapshot sums
+   both incarnations of the victim's id, while the kept getters read the
+   live incarnation's own cells. *)
+let test_restart_metrics_cover_incarnations () =
+  let cluster = run_single_client_workload ~crash:(Some (2, 0.6, 0.2)) (crash_cfg ()) in
+  let fresh = Cluster.replica cluster 2 in
+  let snap = Util.Metrics.snapshot (Simnet.Engine.metrics (Cluster.engine cluster)) in
+  let executed = Util.Metrics.get snap ~node:2 ~layer:"pbft" "executed_requests" in
+  let own = Replica.executed_requests fresh in
+  Alcotest.(check bool) "the live incarnation executed" true (own > 0);
+  Alcotest.(check bool) "the retired incarnation's executions are kept" true (executed > own);
+  Alcotest.(check int) "pages fetched: only the fresh incarnation transferred"
+    (Util.Metrics.get snap ~node:2 ~layer:"statemgr" "transfer_pages_fetched")
+    (Replica.transfer_pages_fetched fresh);
+  Alcotest.(check int) "a replica that never restarted reads the whole key"
+    (Util.Metrics.get snap ~node:0 ~layer:"pbft" "executed_requests")
+    (Replica.executed_requests (Cluster.replica cluster 0))
+
 let test_restart_merkle_diff_fewer_pages () =
   (* The acceptance property: a crashed replica rejoins by fetching only
      the pages that diverged from its reloaded disk checkpoint —
      strictly fewer than the full page set. *)
   let cluster = run_single_client_workload ~crash:(Some (2, 0.6, 0.2)) (crash_cfg ()) in
   let r2 = Cluster.replica cluster 2 in
-  Alcotest.(check int) "one rejoin transfer" 1 (Replica.rejoin_transfers r2);
+  Alcotest.(check int) "one rejoin transfer" 1 (counted cluster r2 "rejoin_transfers");
   (match Replica.recovery_completed_at r2 with
   | None -> Alcotest.fail "rejoin never completed"
   | Some _ -> ());
@@ -859,8 +905,8 @@ let prop_crash_restart_equivalent =
               (match Replica.recovery_completed_at r with
               | None -> "no"
               | Some t -> Printf.sprintf "%.3f" t)
-              (Replica.rejoin_transfers r) (Replica.demotion_transfers r)
-              (Replica.auth_failures r) (Replica.nondet_rejects r)
+              (counted cluster r "rejoin_transfers") (counted cluster r "demotion_transfers")
+              (counted cluster r "auth_failures") (counted cluster r "nondet_rejects")
               (Replica.view_change_attempts r);
           if not (String.equal (root r) base_root) then
             QCheck.Test.fail_reportf "replica %d Merkle root diverged from never-crashed run"
@@ -907,12 +953,12 @@ let test_restart_client_keys_reinstalled () =
   | Some _ -> ());
   (* Quiesce past the rejoin's transient in-flight window, then continued
      traffic must verify cleanly. *)
-  let before = Replica.auth_failures r1 in
+  let before = counted cluster r1 "auth_failures" in
   Cluster.run cluster ~seconds:1.5;
   stop := true;
   Cluster.run cluster ~seconds:0.5;
   Alcotest.(check int) "no auth failures on post-rejoin client traffic" before
-    (Replica.auth_failures r1);
+    (counted cluster r1 "auth_failures");
   Alcotest.(check int) "caught up with peers" (Replica.last_executed (Cluster.replica cluster 0))
     (Replica.last_executed r1)
 
@@ -1044,15 +1090,15 @@ let test_restart_replays_lost_bodies () =
      stalled on a body it had no way to obtain — and lurched from
      demotion to demotion without ever replaying an entry itself. *)
   Alcotest.(check bool)
-    (Printf.sprintf "at most one demotion (%d)" (Replica.demotion_transfers r2))
+    (Printf.sprintf "at most one demotion (%d)" (counted cluster r2 "demotion_transfers"))
     true
-    (Replica.demotion_transfers r2 <= 1);
-  Alcotest.(check int) "one rejoin transfer" 1 (Replica.rejoin_transfers r2);
+    (counted cluster r2 "demotion_transfers" <= 1);
+  Alcotest.(check int) "one rejoin transfer" 1 (counted cluster r2 "rejoin_transfers");
   Alcotest.(check int) "replayed to the head"
     (Replica.last_executed (Cluster.replica cluster 0))
     (Replica.last_executed r2);
   Alcotest.(check int) "no view changes anywhere" 0
-    (Array.fold_left (fun acc r -> acc + Replica.view_changes r) 0 (Cluster.replicas cluster))
+    (Array.fold_left (fun acc r -> acc + counted cluster r "view_changes") 0 (Cluster.replicas cluster))
 
 let test_restart_no_view_thrash_two_incidents () =
   (* Regression (stale view-change votes): a rejoining replica's solo
@@ -1210,7 +1256,7 @@ let test_table1_retained_bounded () =
                 true (v <= ceiling))
             (Replica.retained_fields (Replica.retained r))
             bound;
-          Alcotest.(check int) "no unanswered body aged out" 0 (Replica.aged_out_unanswered r))
+          Alcotest.(check int) "no unanswered body aged out" 0 (counted cluster r "aged_out_unanswered"))
         (Cluster.replicas cluster))
     [ 1.0; 3.0 ]
 
@@ -1253,7 +1299,7 @@ let test_orphan_body_aged_out () =
     (Message.encode { Message.payload; auth });
   Cluster.run cluster ~seconds:0.01;
   Alcotest.(check bool) "retransmission re-stored the body" true (Replica.holds_body r2 d);
-  let aged = Replica.bodies_aged_out r2 and seqs = Replica.last_executed r2 in
+  let aged = counted cluster r2 "bodies_aged_out" and seqs = Replica.last_executed r2 in
   Cluster.run cluster ~seconds:1.0;
   filler := false;
   Alcotest.(check bool)
@@ -1261,8 +1307,8 @@ let test_orphan_body_aged_out () =
     true
     (Replica.last_executed r2 - seqs > cfg.log_window + cfg.checkpoint_interval);
   Alcotest.(check bool) "orphan aged out" false (Replica.holds_body r2 d);
-  Alcotest.(check bool) "counted as aged out" true (Replica.bodies_aged_out r2 > aged);
-  Alcotest.(check int) "not counted as unanswered" 0 (Replica.aged_out_unanswered r2)
+  Alcotest.(check bool) "counted as aged out" true (counted cluster r2 "bodies_aged_out" > aged);
+  Alcotest.(check int) "not counted as unanswered" 0 (counted cluster r2 "aged_out_unanswered")
 
 (* A restarted view-0 primary comes back believing it leads and queues
    the requests clients multicast to it; it proposes what it can before
@@ -1312,7 +1358,7 @@ let test_rejoin_drops_transferred_in_flight () =
      hold a mark. *)
   let cluster = Lazy.force demoted_primary_run in
   Alcotest.(check bool) "the restarted replica rejoined by transfer" true
-    (Replica.rejoin_transfers (Cluster.replica cluster 0) > 0);
+    (counted cluster (Cluster.replica cluster 0) "rejoin_transfers" > 0);
   Array.iteri
     (fun i r ->
       Alcotest.(check int) (Printf.sprintf "replica %d holds no in_flight mark" i) 0
@@ -1417,7 +1463,8 @@ let test_session_state_survives_transfer () =
   Cluster.run cluster ~seconds:3.0;
   Alcotest.(check string) "session data after state transfer" "value-123" !got;
   Alcotest.(check bool) "a transfer actually happened" true
-    (Replica.state_transfers (Cluster.replica cluster 2) >= 1)
+    (let r2 = Cluster.replica cluster 2 in
+     counted cluster r2 "demotion_transfers" + counted cluster r2 "rejoin_transfers" >= 1)
 
 (* Randomized wire-format fuzzing: arbitrary payloads roundtrip, and
    arbitrary byte strings never crash the decoder. *)
@@ -1529,7 +1576,7 @@ let test_spoofed_messages_ignored () =
   Cluster.run cluster ~seconds:2.0;
   Alcotest.(check string) "no forged executions" "10" !final;
   Alcotest.(check bool) "forgeries counted as auth failures" true
-    (Array.exists (fun r -> Replica.auth_failures r > 0) (Cluster.replicas cluster))
+    (Array.exists (fun r -> counted cluster r "auth_failures" > 0) (Cluster.replicas cluster))
 
 let test_tampered_wire_dropped () =
   (* Bit-flip every 7th datagram in flight by wrapping... simpler: verify
@@ -1643,6 +1690,8 @@ let () =
             test_restart_no_view_thrash_two_incidents;
           Alcotest.test_case "restarted primary relearns its view" `Slow
             test_restart_primary_relearns_its_view;
+          Alcotest.test_case "metrics cover every incarnation" `Slow
+            test_restart_metrics_cover_incarnations;
         ] );
       ( "session-state",
         [
@@ -1668,6 +1717,7 @@ let () =
           Alcotest.test_case "ordered leave frees the slot" `Quick test_dynamic_ordered_leave;
           Alcotest.test_case "one lying challenger cannot wedge a join" `Quick
             test_dynamic_join_lying_challenge;
+          Alcotest.test_case "leave stops the key rebroadcast" `Quick test_leave_stops_rebroadcast;
         ] );
     ]
 

@@ -144,7 +144,11 @@ let small_spec ?(sessions = 8) ?(cross = 0.0) () =
     duration = 0.5;
   }
 
-let door d = Option.get (Run.door d)
+(* The deployment's registry, read now. *)
+let metrics d = Util.Metrics.snapshot (Simnet.Engine.metrics (Run.engine d))
+
+let cross_count snap name =
+  Util.Metrics.get snap ~node:Webgate.Frontdoor.frontdoor_addr ~layer:"shards" name
 
 (* --- 2PC abort restores state via COW undo --- *)
 
@@ -155,8 +159,7 @@ let test_abort_restores_state () =
   let bal () = Run.rpc d (Printf.sprintf "SELECT bal FROM accounts WHERE id = %d" k1) in
   let before = bal () in
   let aborts0 = Twopc.aborts () in
-  let r = door d in
-  let xa0 = Webgate.Frontdoor.cross_aborts r in
+  let xa0 = cross_count (metrics d) "cross_aborts" in
   (* Shard 1's piece succeeds and prepares; shard 0's piece (unlisted
      table routes to shard 0) errors and votes abort — shard 1 must roll
      back its applied update. *)
@@ -170,7 +173,7 @@ let test_abort_restores_state () =
   Run.run_for d 0.5;
   Alcotest.(check string) "balance restored" before (bal ());
   Alcotest.(check bool) "undo restore counted" true (Twopc.aborts () > aborts0);
-  Alcotest.(check bool) "door abort counted" true (Webgate.Frontdoor.cross_aborts r > xa0);
+  Alcotest.(check bool) "door abort counted" true (cross_count (metrics d) "cross_aborts" > xa0);
   (* The shard is fully released: a fresh cross-shard transfer commits. *)
   let k0 = Shards.key_on_shard d 0 in
   let recovery =
@@ -190,7 +193,10 @@ let test_reply_cache_route_keyed () =
   Run.run_for d 0.2;
   let engine = Run.engine d in
   let net = Run.edge d in
-  let r = door d in
+  let hits () =
+    Util.Metrics.get (metrics d) ~node:Webgate.Frontdoor.frontdoor_addr ~layer:"webgate"
+      "reply_cache_hits"
+  in
   let k0 = Shards.key_on_shard d 0 and k1 = Shards.key_on_shard d 1 in
   let addr = 98_765 in
   let last = ref None in
@@ -210,11 +216,11 @@ let test_reply_cache_route_keyed () =
   in
   let single = Printf.sprintf "UPDATE accounts SET bal = bal + 1 WHERE id = %d" k0 in
   let first = ask single in
-  let hits0 = Webgate.Frontdoor.reply_cache_hits r in
+  let hits0 = hits () in
   (* Identical retransmission: served from the cache, not re-executed. *)
   let again = ask single in
   Alcotest.(check string) "retransmit replayed" first again;
-  Alcotest.(check bool) "cache hit counted" true (Webgate.Frontdoor.reply_cache_hits r > hits0);
+  Alcotest.(check bool) "cache hit counted" true (hits () > hits0);
   (* Same request id, different route: the stale single-shard reply must
      NOT satisfy a cross-shard request. *)
   let cross =
@@ -237,7 +243,6 @@ let test_queued_cross_commit () =
   let d = Run.build (small_spec ()) in
   Run.run_for d 0.2;
   let net = Run.edge d in
-  let door = door d in
   let k0 = Shards.key_on_shard d 0 and k1 = Shards.key_on_shard d 1 in
   let addr = 97_654 in
   let answered = ref [] in
@@ -245,7 +250,7 @@ let test_queued_cross_commit () =
       match Webgate.Frontdoor.decode_reply wire with
       | Some (Webgate.Frontdoor.Done, session, _, result) -> answered := (session, result) :: !answered
       | Some _ | None -> ());
-  let commits0 = Webgate.Frontdoor.cross_commits door in
+  let commits0 = cross_count (metrics d) "cross_commits" in
   let sessions = [ 31; 32; 33 ] in
   List.iter
     (fun session ->
@@ -266,7 +271,7 @@ let test_queued_cross_commit () =
       Alcotest.(check bool) "committed" true
         (String.length result >= 3 && String.equal (String.sub result 0 3) "s0="))
     !answered;
-  Alcotest.(check int) "three commits" 3 (Webgate.Frontdoor.cross_commits door - commits0)
+  Alcotest.(check int) "three commits" 3 (cross_count (metrics d) "cross_commits" - commits0)
 
 (* --- session ops stay opaque ---
 
@@ -452,26 +457,24 @@ let prop_serial_equivalence =
 
 (* --- scaling smoke + Byzantine coordinator --- *)
 
-(* Door counters over the measured window. *)
-let window r f =
-  match r.Run.door with
-  | Some (before, after) -> f after - f before
-  | None -> Alcotest.fail "no door"
+(* A session load's door-side counters cover the measured window. *)
+let window r ~node layer name = Util.Metrics.get r.Run.metrics ~node ~layer name
 
 let test_two_shard_smoke () =
   let r = Run.run { (small_spec ~sessions:16 ()) with duration = 1.0 } in
   Alcotest.(check bool) "completed work" true (r.Run.completed > 0);
-  Alcotest.(check int) "no errors" 0 (window r (fun d -> d.Run.errors));
+  Alcotest.(check int) "no errors" 0 (window r ~node:Util.Metrics.run_node "load" "errors");
   List.iter
     (fun lane ->
       Alcotest.(check bool) "both shards active" true
-        (window r (fun d -> d.Run.lane_completed.(lane)) > 0))
+        (window r ~node:lane "shards" "completed" > 0))
     [ 0; 1 ]
 
 let test_cross_shard_commits () =
   let r = Run.run { (small_spec ~cross:0.3 ()) with duration = 1.0 } in
-  Alcotest.(check bool) "cross commits happened" true (window r (fun d -> d.Run.cross_commits) > 0);
-  Alcotest.(check int) "no errors" 0 (window r (fun d -> d.Run.errors))
+  Alcotest.(check bool) "cross commits happened" true
+    (window r ~node:Webgate.Frontdoor.frontdoor_addr "shards" "cross_commits" > 0);
+  Alcotest.(check int) "no errors" 0 (window r ~node:Util.Metrics.run_node "load" "errors")
 
 let test_byzantine_coordinator () =
   let r = Shards.byzantine_coordinator () in

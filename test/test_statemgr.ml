@@ -485,16 +485,6 @@ let test_root_of_leaves_matches_tree () =
     (Statemgr.Merkle.leaf t 5)
     (Statemgr.Merkle.page_digest (Statemgr.Pages.page p 5))
 
-let test_checkpoint_divergent_pages () =
-  let p = make_pages () in
-  let t = Statemgr.Merkle.build p in
-  let ck = Statemgr.Checkpoint.take ~seqno:1 p t in
-  Statemgr.Pages.write p ~pos:(2 * 256) "x";
-  Statemgr.Pages.write p ~pos:(7 * 256) "y";
-  Statemgr.Merkle.update t p (Statemgr.Pages.dirty p);
-  let divergent, _ = Statemgr.Checkpoint.divergent_pages ~local:t ck in
-  Alcotest.(check (list int)) "exactly the mutated pages" [ 2; 7 ] divergent
-
 (* --- tentative execution undo (speculative execution, §2.2) --- *)
 
 (* A VFS whose main file is a window onto a Pages region (the §3.2
@@ -775,7 +765,6 @@ let () =
           Alcotest.test_case "take/restore roundtrip" `Quick test_checkpoint_roundtrip;
           Alcotest.test_case "restore hashes nothing" `Quick test_checkpoint_restore_hashes_nothing;
           Alcotest.test_case "snapshot isolation" `Quick test_checkpoint_snapshot_isolated;
-          Alcotest.test_case "divergent pages" `Quick test_checkpoint_divergent_pages;
           Alcotest.test_case "root from claimed leaves (transfer verification)" `Quick
             test_root_of_leaves_matches_tree;
           Alcotest.test_case "tentative-execution undo via COW (§2.2)" `Quick

@@ -197,13 +197,6 @@ let test_rng_int_bounds () =
     if v < 0 || v >= 17 then Alcotest.failf "out of range: %d" v
   done
 
-let test_rng_int_in () =
-  let rng = Util.Rng.create 2 in
-  for _ = 1 to 1000 do
-    let v = Util.Rng.int_in rng (-5) 5 in
-    if v < -5 || v > 5 then Alcotest.failf "out of range: %d" v
-  done
-
 let test_rng_float_bounds () =
   let rng = Util.Rng.create 3 in
   for _ = 1 to 10_000 do
@@ -247,14 +240,6 @@ let test_rng_gaussian_moments () =
     /. 49_999.0
   in
   if Float.abs (sqrt var -. 2.0) > 0.1 then Alcotest.fail "gaussian stdev off"
-
-let test_rng_shuffle_permutation () =
-  let rng = Util.Rng.create 8 in
-  let a = Array.init 50 Fun.id in
-  Util.Rng.shuffle rng a;
-  let sorted = Array.copy a in
-  Array.sort compare sorted;
-  Alcotest.(check (array int)) "permutation" (Array.init 50 Fun.id) sorted
 
 (* --- Heap --- *)
 
@@ -424,7 +409,7 @@ let prop_hex_roundtrip =
 (* --- Lru --- *)
 
 let test_lru_basic () =
-  let l = Util.Lru.create ~capacity:2 in
+  let l = Util.Lru.create ~capacity:2 () in
   Util.Lru.put l "a" 1;
   Util.Lru.put l "b" 2;
   Alcotest.(check (option int)) "find a" (Some 1) (Util.Lru.find l "a");
@@ -432,45 +417,103 @@ let test_lru_basic () =
   Alcotest.(check int) "capacity" 2 (Util.Lru.capacity l);
   Alcotest.(check bool) "mem" true (Util.Lru.mem l "b");
   Util.Lru.put l "a" 10;
-  Alcotest.(check (option int)) "replace" (Some 10) (Util.Lru.peek l "a");
+  Alcotest.(check (option int)) "replace" (Some 10) (Util.Lru.find l "a");
   Alcotest.(check int) "replace keeps length" 2 (Util.Lru.length l);
   Alcotest.check_raises "capacity 0 rejected"
     (Invalid_argument "Lru.create: capacity must be at least 1") (fun () ->
-      ignore (Util.Lru.create ~capacity:0 : (int, int) Util.Lru.t))
+      ignore (Util.Lru.create ~capacity:0 () : (int, int) Util.Lru.t))
 
 let test_lru_eviction_order () =
-  let l = Util.Lru.create ~capacity:3 in
+  let evicted = ref [] in
+  let l = Util.Lru.create ~capacity:3 ~on_evict:(fun k v -> evicted := (k, v) :: !evicted) () in
   Util.Lru.put l 1 "one";
   Util.Lru.put l 2 "two";
   Util.Lru.put l 3 "three";
   (* Touch 1 so 2 becomes the coldest entry. *)
   ignore (Util.Lru.find l 1);
-  let evicted = ref [] in
-  Util.Lru.put l 4 "four" ~on_evict:(fun k v -> evicted := (k, v) :: !evicted);
+  Util.Lru.put l 4 "four";
   Alcotest.(check (list (pair int string))) "2 displaced" [ (2, "two") ] !evicted;
-  Alcotest.(check bool) "2 gone" false (Util.Lru.mem l 2);
-  Alcotest.(check int) "one eviction" 1 (Util.Lru.evictions l)
-
-let test_lru_peek_does_not_refresh () =
-  let l = Util.Lru.create ~capacity:2 in
-  Util.Lru.put l 1 ();
-  Util.Lru.put l 2 ();
-  (* peek must not promote 1, so it is still the one displaced. *)
-  ignore (Util.Lru.peek l 1);
-  Util.Lru.put l 3 ();
-  Alcotest.(check bool) "1 evicted despite peek" false (Util.Lru.mem l 1);
-  Alcotest.(check bool) "2 kept" true (Util.Lru.mem l 2)
+  Alcotest.(check bool) "2 gone" false (Util.Lru.mem l 2)
 
 let test_lru_remove_and_evict () =
-  let l = Util.Lru.create ~capacity:4 in
+  let l = Util.Lru.create ~capacity:4 () in
   List.iter (fun k -> Util.Lru.put l k (k * k)) [ 1; 2; 3 ];
   Util.Lru.remove l 2;
   Alcotest.(check int) "length after remove" 2 (Util.Lru.length l);
-  Alcotest.(check int) "remove does not count" 0 (Util.Lru.evictions l);
   Alcotest.(check (option (pair int int))) "forced evict" (Some (1, 1)) (Util.Lru.evict_lru l);
-  Alcotest.(check int) "forced evict counts" 1 (Util.Lru.evictions l);
   Alcotest.(check (option (pair int int))) "last" (Some (3, 9)) (Util.Lru.evict_lru l);
   Alcotest.(check (option (pair int int))) "empty" None (Util.Lru.evict_lru l)
+
+(* --- Metrics --- *)
+
+let key node layer name = { Util.Metrics.node; layer; name }
+
+let test_metrics_key_order () =
+  let register order =
+    let m = Util.Metrics.create () in
+    List.iter
+      (fun (node, layer, name) -> Util.Metrics.incr (Util.Metrics.counter m ~node ~layer name))
+      order;
+    List.map fst (Util.Metrics.snapshot m)
+  in
+  let keys = [ (2, "pbft", "b"); (0, "statemgr", "a"); (-1, "load", "z"); (0, "pbft", "c") ] in
+  let expected =
+    [ key (-1) "load" "z"; key 0 "pbft" "c"; key 0 "statemgr" "a"; key 2 "pbft" "b" ]
+  in
+  Alcotest.(check bool) "ascending key order" true (register keys = expected);
+  Alcotest.(check bool) "whatever the registration order" true (register (List.rev keys) = expected)
+
+let test_metrics_incarnations () =
+  let m = Util.Metrics.create () in
+  let old = Util.Metrics.counter m ~node:2 ~layer:"pbft" "executed" in
+  Util.Metrics.add old 5;
+  let fresh = Util.Metrics.counter m ~node:2 ~layer:"pbft" "executed" in
+  Util.Metrics.incr fresh;
+  Alcotest.(check int) "each handle reads its own cell" 1 (Util.Metrics.count fresh);
+  Alcotest.(check int) "the old cell kept its count" 5 (Util.Metrics.count old);
+  let g1 = Util.Metrics.gauge m ~node:2 ~layer:"simnet" "peak" in
+  let g2 = Util.Metrics.gauge m ~node:2 ~layer:"simnet" "peak" in
+  Util.Metrics.observe g1 7;
+  Util.Metrics.observe g1 3;
+  Util.Metrics.observe g2 4;
+  Alcotest.(check int) "a gauge keeps its largest value" 7 (Util.Metrics.peak g1);
+  let snap = Util.Metrics.snapshot m in
+  Alcotest.(check int) "counters sum over cells" 6
+    (Util.Metrics.get snap ~node:2 ~layer:"pbft" "executed");
+  Alcotest.(check int) "gauges take the largest cell" 7
+    (Util.Metrics.get snap ~node:2 ~layer:"simnet" "peak");
+  Alcotest.(check int) "one entry per key" 2 (List.length snap);
+  Util.Metrics.add fresh 10;
+  let later = Util.Metrics.snapshot m in
+  Alcotest.(check int) "since: the counter's increase" 10
+    (Util.Metrics.get (Util.Metrics.since snap later) ~node:2 ~layer:"pbft" "executed")
+
+let test_metrics_unregistered () =
+  let m = Util.Metrics.create () in
+  Util.Metrics.incr (Util.Metrics.counter m ~node:0 ~layer:"pbft" "rollbacks");
+  let snap = Util.Metrics.snapshot m in
+  Alcotest.check_raises "an unregistered key is an error, not 0"
+    (Invalid_argument "Metrics: 1/pbft/rollbacks is not registered") (fun () ->
+      ignore (Util.Metrics.get snap ~node:1 ~layer:"pbft" "rollbacks"));
+  Alcotest.check_raises "so is an unregistered layer total"
+    (Invalid_argument "Metrics: churn/crashes is not registered") (fun () ->
+      ignore (Util.Metrics.total snap ~layer:"churn" "crashes"))
+
+let test_metrics_layers () =
+  let m = Util.Metrics.create () in
+  List.iter
+    (fun node -> Util.Metrics.add (Util.Metrics.counter m ~node ~layer:"pbft" "views") (node + 1))
+    [ 0; 1; 2 ];
+  let snap =
+    Util.Metrics.with_values (Util.Metrics.snapshot m)
+      [ (key (-1) "churn" "availability", Util.Metrics.Real 0.5) ]
+  in
+  match Util.Metrics.layers snap with
+  | [ ("churn", [ ("availability", Util.Metrics.Real a) ]); ("pbft", [ ("views", Util.Metrics.Count v) ]) ]
+    ->
+    Alcotest.(check (float 0.0)) "reading kept" 0.5 a;
+    Alcotest.(check int) "summed over nodes" 6 v
+  | _ -> Alcotest.fail "two layers, one name each"
 
 let () =
   Alcotest.run "util"
@@ -494,12 +537,10 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
           Alcotest.test_case "split independence" `Quick test_rng_split_independent;
           Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
-          Alcotest.test_case "int_in bounds" `Quick test_rng_int_in;
           Alcotest.test_case "float bounds" `Quick test_rng_float_bounds;
           Alcotest.test_case "bernoulli" `Quick test_rng_bernoulli;
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
           Alcotest.test_case "gaussian moments" `Quick test_rng_gaussian_moments;
-          Alcotest.test_case "shuffle is a permutation" `Quick test_rng_shuffle_permutation;
         ] );
       ( "heap",
         [
@@ -525,7 +566,14 @@ let () =
         [
           Alcotest.test_case "basic" `Quick test_lru_basic;
           Alcotest.test_case "eviction order" `Quick test_lru_eviction_order;
-          Alcotest.test_case "peek does not refresh" `Quick test_lru_peek_does_not_refresh;
           Alcotest.test_case "remove & forced evict" `Quick test_lru_remove_and_evict;
+        ] );
+      ( "metrics",
+        [
+          Alcotest.test_case "snapshot in key order" `Quick test_metrics_key_order;
+          Alcotest.test_case "incarnations sum, handles read their own" `Quick
+            test_metrics_incarnations;
+          Alcotest.test_case "unregistered key is an error" `Quick test_metrics_unregistered;
+          Alcotest.test_case "layers merge nodes" `Quick test_metrics_layers;
         ] );
     ]

@@ -52,18 +52,13 @@ let sql_default =
     row_eval = 1.5e-6;
   }
 
-let auth_gen t (cfg : Config.t) =
-  if cfg.use_macs then float_of_int (cfg.n - 1) *. t.mac_gen else t.sign
-
 let auth_verify t (cfg : Config.t) = if cfg.use_macs then t.mac_verify else t.sig_verify
 
-(* Per-piece decomposition of [auth_gen] for multi-core fan-out: one MAC
-   tag per peer (or the single signature), chargeable as independent work
-   items via [Simnet.Cpu.execute_split]. Only meaningful when cores > 1 —
-   single-core callers must keep the lump-sum [auth_gen] expression so
-   historical float arithmetic (and trace digests) are preserved. *)
+(* One MAC tag per peer, or the single signature: independent work items
+   for [Simnet.Cpu.execute_split]. *)
 let auth_gen_costs t (cfg : Config.t) =
   if cfg.use_macs then List.init (Int.max 0 (cfg.n - 1)) (fun _ -> t.mac_gen) else [ t.sign ]
+
 let digest t n = t.digest_base +. (t.digest_per_byte *. float_of_int n)
 
 (* Datagrams above the Ethernet MTU fragment; each fragment costs a fixed

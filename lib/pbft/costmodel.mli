@@ -21,31 +21,24 @@ type t = {
   log_bookkeeping : float;  (** per-protocol-message log maintenance *)
   merkle_leaf : float;
       (** hashing one dirty page into the state Merkle tree when a
-          pipelined replica snapshots at a checkpoint boundary; charged
-          per leaf (and fanned across cores) only in pipelined mode —
-          the serial protocol keeps its historical zero-CPU checkpoints *)
+          replica snapshots at a checkpoint boundary; one work item per
+          leaf, fanned across the cores *)
   spec_overhead : float;
-      (** per-batch bookkeeping to set up speculative execution under an
-          undo snapshot (pipelined mode only) *)
+      (** per-batch bookkeeping of a speculative execution whose replies
+          are held back until it commits (pipelined mode only) *)
   rollback_fixed : float;  (** fixed cost of restoring the undo snapshot on rollback *)
   rollback_per_page : float;  (** per-page cost of the undo restore *)
 }
 
 val default : t
 
-val auth_gen : t -> Config.t -> float
-(** Cost of authenticating one outgoing protocol message: [n − 1] MAC
-    tags in MAC mode, one signature otherwise. *)
-
 val auth_verify : t -> Config.t -> float
 (** Cost of checking one incoming message's authentication. *)
 
 val auth_gen_costs : t -> Config.t -> float list
-(** [auth_gen] decomposed into independent pieces (one per MAC tag, or
-    the single signature) for multi-core fan-out via
-    [Simnet.Cpu.execute_split]. Callers must use the lump-sum
-    {!auth_gen} when running on one core so the historical float
-    arithmetic — and with it the pinned trace digest — is preserved. *)
+(** Cost of authenticating one outgoing multicast, as independent pieces
+    for [Simnet.Cpu.execute_split]: one per MAC tag ([n − 1] of them) in
+    MAC mode, the single signature otherwise. *)
 
 val digest : t -> int -> float
 (** Cost of digesting [n] bytes. *)

@@ -231,15 +231,6 @@ let charge t cost k = Simnet.Cpu.execute t.cpu ~cost k
    and consecutive batches overlap across the agreement phases. *)
 let pipelined t = t.cfg.pipeline_depth > 1
 
-(* [n] independent pieces of [unit_cost] work. On one core this must be
-   the exact historical float expression (a single multiply), so pinned
-   trace digests are unchanged; on several cores the pieces are dispatched
-   as overlapping work items. *)
-let charge_fanout t ~n ~unit_cost k =
-  if Simnet.Cpu.cores t.cpu > 1 && n > 1 then
-    Simnet.Cpu.execute_split t.cpu ~costs:(List.init n (fun _ -> unit_cost)) k
-  else charge t (float_of_int n *. unit_cost) k
-
 (* ------------------------------------------------------------------ *)
 (* Authentication.                                                      *)
 
@@ -257,11 +248,21 @@ let make_auth_multicast t payload_bytes =
   end
   else Message.Signed (Crypto.Keychain.sign t.signer payload_bytes)
 
+(* The key a message to [dst] alone is MACed under: the one this replica
+   chose for a peer replica, or the one a client sent in its Session_key.
+   None in signature mode or while no key is known. *)
+let session_key_to t dst =
+  if not t.cfg.use_macs then None
+  else Hashtbl.find_opt (if dst < t.cfg.n then t.keys_i_chose else t.keys_peers_chose) dst
+
 let authenticate_to t ~dst payload_bytes =
-  match Hashtbl.find_opt t.keys_i_chose dst with
-  | Some k when t.cfg.use_macs ->
-    Message.Authenticated (Crypto.Authenticator.compute ~keys:[ (dst, k) ] payload_bytes)
-  | Some _ | None -> Message.Signed (Crypto.Keychain.sign t.signer payload_bytes)
+  match session_key_to t dst with
+  | Some k -> Message.Authenticated (Crypto.Authenticator.compute ~keys:[ (dst, k) ] payload_bytes)
+  | None -> Message.Signed (Crypto.Keychain.sign t.signer payload_bytes)
+
+(* What [authenticate_to] costs: one MAC tag, or one signature. *)
+let auth_cost_to t ~dst =
+  if Option.is_some (session_key_to t dst) then t.costs.mac_gen else t.costs.sign
 
 let verifier_for_addr t addr =
   if addr < t.cfg.n then Some t.registry.reg_verifiers.(addr)
@@ -325,7 +326,7 @@ let send_to t ?(already_charged = false) ~dst payload =
   let detail () = Message.describe payload in
   if already_charged then send_wire t ~dst ~already_charged:true ~label ~detail wire
   else
-    charge t (Costmodel.auth_gen t.costs t.cfg) (fun () ->
+    charge t (auth_cost_to t ~dst) (fun () ->
         send_wire t ~dst ~already_charged:false ~label ~detail wire)
 
 let multicast_replicas t ?(already_charged = false) payload =
@@ -339,10 +340,7 @@ let multicast_replicas t ?(already_charged = false) payload =
   let detail () = Message.describe payload in
   let go () = List.iter (fun dst -> send_wire t ~dst ~already_charged ~label ~detail wire) (peers t) in
   if already_charged then go ()
-  else if Simnet.Cpu.cores t.cpu > 1 then
-    (* The n−1 MAC tags are independent work; fan them across cores. *)
-    Simnet.Cpu.execute_split t.cpu ~costs:(Costmodel.auth_gen_costs t.costs t.cfg) go
-  else charge t (Costmodel.auth_gen t.costs t.cfg) go
+  else Simnet.Cpu.execute_split t.cpu ~costs:(Costmodel.auth_gen_costs t.costs t.cfg) go
 
 (* Key establishment always uses signatures (the MAC keys are what is
    being distributed): one signature covers every destination. *)
@@ -674,14 +672,10 @@ and send_reply t rq ~result ~tentative ~already_charged =
          })
 
 and snapshot_state t =
-  (* In pipelined or multi-core mode the Merkle leaf rehash is charged as
-     per-page work occupying the cores; the serial protocol keeps its
-     historical zero-CPU checkpoints so pinned trace digests survive. *)
+  (* The Merkle leaf rehash is per-page work occupying the cores. *)
   let dirty = Statemgr.Pages.dirty t.pages in
-  if (pipelined t || Simnet.Cpu.cores t.cpu > 1) && dirty <> [] then
-    Simnet.Cpu.execute_split t.cpu
-      ~costs:(List.map (fun _ -> t.costs.merkle_leaf) dirty)
-      (fun () -> ());
+  if dirty <> [] then
+    Simnet.Cpu.execute_split t.cpu ~costs:(List.map (fun _ -> t.costs.merkle_leaf) dirty) ignore;
   snapshot t ~seqno:t.last_executed
 
 and announce_checkpoint t ~seq ck =
@@ -893,7 +887,7 @@ and finalize t (e : Log.entry) =
         { cr_id = rq.rq_id; cr_result = result; cr_view = t.view; cr_tentative = false;
           cr_timestamp = ts; cr_speculative = false })
     pending;
-  if pending <> [] then send_replies t ~cost:0.0 ~sum:pending ~tentative:false pending
+  if pending <> [] then send_replies t ~cost:0.0 ~tentative:false pending
 
 (* A checkpoint deferred at [seq] is announced once [seq] commits. *)
 and announce_deferred t seq =
@@ -903,17 +897,17 @@ and announce_deferred t seq =
     announce_checkpoint t ~seq ck
   | None -> ()
 
-(* Reply I/O and authentication, charged as one block on top of [cost].
-   The pieces are added in [sum]'s order: the pinned float order. *)
-and send_replies t ~cost ~sum ~tentative replies =
+(* Reply I/O and authentication, charged as one block on top of [cost]:
+   per reply the threshold partial, one MAC or signature, the send. *)
+and send_replies t ~cost ~tentative replies =
   let partial_cost = match t.threshold with Some _ -> t.costs.sign | None -> 0.0 in
-  let total =
-    List.fold_left
-      (fun acc (_, result, _) ->
-        acc +. partial_cost +. Costmodel.auth_gen t.costs t.cfg
-        +. send_cost t (String.length result + 64))
-      cost sum
+  let reply_cost ((rq : Message.request), result, _) =
+    match Membership.lookup t.membership rq.rq_client with
+    | None -> 0.0
+    | Some { me_addr = dst; _ } ->
+      partial_cost +. auth_cost_to t ~dst +. send_cost t (String.length result + 64)
   in
+  let total = List.fold_left (fun acc reply -> acc +. reply_cost reply) cost replies in
   charge t total (fun () ->
       List.iter
         (fun (rq, result, _) -> send_reply t rq ~result ~tentative ~already_charged:true)
@@ -994,7 +988,7 @@ and try_execute t =
                 charge t !total_cost (fun () -> ())
               end
               else
-                send_replies t ~cost:!total_cost ~sum:!replies ~tentative (List.rev !replies);
+                send_replies t ~cost:!total_cost ~tentative (List.rev !replies);
               if tentative then begin
                 entry.tentatively_executed <- true;
                 Util.Metrics.incr t.n_spec_exec
@@ -1127,14 +1121,7 @@ and emit_pre_prepares t =
                 | Message.Digest_of _ -> 32))
             items
         in
-        (if Simnet.Cpu.cores t.cpu > 1 then
-           (* Per-item digests are independent: fan them across cores. *)
-           Simnet.Cpu.execute_split t.cpu ~costs:digest_costs (fun () ->
-               multicast_replicas t payload)
-         else
-           charge t
-             (List.fold_left (fun acc c -> acc +. c) 0.0 digest_costs)
-             (fun () -> multicast_replicas t payload));
+        Simnet.Cpu.execute_split t.cpu ~costs:digest_costs (fun () -> multicast_replicas t payload);
         continue := true
       end
     done
@@ -1288,9 +1275,9 @@ and handle_pre_prepare t ~src (pp_view, pp_seq, pp_batch, pp_nondet) =
           arm_watchdog t;
           maybe_fill_gap t ~src ~seen_seq:pp_seq;
           let prepare = prepare_of t entry in
-          charge_fanout t ~n:(List.length pp_batch)
-            ~unit_cost:(Costmodel.auth_verify t.costs t.cfg) (fun () ->
-              multicast_replicas t prepare);
+          Simnet.Cpu.execute_split t.cpu
+            ~costs:(List.map (fun _ -> Costmodel.auth_verify t.costs t.cfg) pp_batch)
+            (fun () -> multicast_replicas t prepare);
           (* If this was a retransmitted pre-prepare and we are already
              prepared, our commit may have been lost too — resend it. *)
           if entry.prepared then multicast_replicas t (commit_of t entry);
@@ -1480,13 +1467,9 @@ and rollback_tentative t =
     Statemgr.Checkpoint.restore_undo undo t.pages t.merkle;
     load_membership_from_pages t;
     t.undo <- None;
-    if pipelined t then
-      (* Restoring the COW snapshot costs CPU in pipelined mode; serial
-         tentative rollback keeps its historical zero charge. *)
-      charge t
-        (t.costs.rollback_fixed
-        +. (t.costs.rollback_per_page *. float_of_int dirty_pages))
-        (fun () -> ()));
+    charge t
+      (t.costs.rollback_fixed +. (t.costs.rollback_per_page *. float_of_int dirty_pages))
+      ignore);
   (* Speculative executions above the committed prefix are undone: their
      flags must clear too, or a re-proposal would skip re-execution. Any
      buffered replies and speculative reply-cache entries die with them —

@@ -114,10 +114,11 @@ val signer : t -> Crypto.Keychain.signer
     replica forges messages that carry its legitimate signature. *)
 
 val authenticate_to : t -> dst:int -> string -> Message.auth
-(** Authentication for payload bytes sent to [dst] alone: a MAC under the
-    session key this replica chose for [dst] once established, otherwise
-    a signature. Exposed for {!Adversary}, which must re-authenticate
-    messages it rewrites in flight. *)
+(** Authentication for payload bytes sent to [dst] alone: in MAC mode one
+    tag under the session key for [dst] (the one this replica chose for a
+    peer replica, the one a client sent in its [Session_key]), otherwise,
+    or while no key is known, a signature. Exposed for {!Adversary},
+    which must re-authenticate messages it rewrites in flight. *)
 
 val set_record_journal : t -> bool -> unit
 (** Enable the committed-execution journal (off by default — benign runs

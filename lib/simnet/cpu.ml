@@ -10,12 +10,8 @@ let create ?(cores = 1) engine =
   if cores < 1 then invalid_arg "Cpu.create: cores must be at least 1";
   { engine; free_at = Array.make cores 0.0; busy_accum = 0.0; queued = 0; peak_queued = 0 }
 
-let cores t = Array.length t.free_at
-
 (* Earliest-free core, lowest index on ties — a strict order so dispatch
-   is deterministic. With one core this degenerates to index 0 and the
-   arithmetic below is the exact float expression the single-core model
-   used, keeping pinned trace digests bit-identical. *)
+   is deterministic. *)
 let pick t =
   let best = ref 0 in
   for i = 1 to Array.length t.free_at - 1 do

@@ -7,18 +7,12 @@
     single-core FIFO they generalize. Throughput experiments are
     bottleneck-CPU-bound exactly as on the paper's testbed: when the
     primary's CPU saturates, queueing delay — not network latency —
-    dominates.
-
-    With [cores = 1] the model is bit-identical to the historical
-    single-core implementation: same float arithmetic, same event times,
-    so pinned trace digests survive the generalization. *)
+    dominates. *)
 
 type t
 
 val create : ?cores:int -> Engine.t -> t
 (** [cores] defaults to 1; raises [Invalid_argument] if < 1. *)
-
-val cores : t -> int
 
 val execute : t -> cost:float -> (unit -> unit) -> unit
 (** [execute t ~cost f] enqueues a work item taking [cost] virtual
@@ -29,8 +23,8 @@ val execute_split : t -> costs:float list -> (unit -> unit) -> unit
 (** [execute_split t ~costs f] charges each element of [costs] as an
     independent piece of work — MAC fan-out, per-leaf hashing — dispatched
     greedily across the cores in list order; [f] runs once when the last
-    piece finishes. On a single core this is serial execution of the sum;
-    on [k] cores the pieces overlap. *)
+    piece finishes. On a single core the pieces run one after another, so
+    [f] runs at start + Σ[costs]; on [k] cores they overlap. *)
 
 val utilization : t -> since:float -> float
 (** Fraction of [since, now] × cores the CPU spent busy (for experiment

@@ -1,28 +1,29 @@
 type entry = { time : float; src : int; dst : int; label : string; detail : string; size : int }
 
 type t = {
-  mutable items : entry list; (* newest first *)
-  mutable n : int;
   capacity : int;
+  mutable ring : entry array; (* [capacity] slots, allocated by the first record *)
+  mutable next : int; (* the slot the next entry goes to *)
+  mutable n : int; (* entries held, at most [capacity] *)
   mutable on : bool;
 }
 
-let create ?(capacity = 100_000) () = { items = []; n = 0; capacity; on = true }
+let create ?(capacity = 100_000) () = { capacity; ring = [||]; next = 0; n = 0; on = false }
+
 let enabled t = t.on
 let set_enabled t v = t.on <- v
 
 let record t e =
   if t.on then begin
-    t.items <- e :: t.items;
-    t.n <- t.n + 1;
-    if t.n > t.capacity * 2 then begin
-      (* Amortized trim: keep the newest [capacity]. *)
-      t.items <- List.filteri (fun i _ -> i < t.capacity) t.items;
-      t.n <- t.capacity
-    end
+    if Array.length t.ring = 0 then t.ring <- Array.make t.capacity e;
+    t.ring.(t.next) <- e;
+    t.next <- (t.next + 1) mod t.capacity;
+    if t.n < t.capacity then t.n <- t.n + 1
   end
 
-let entries t = List.rev (List.filteri (fun i _ -> i < t.capacity) t.items)
+let entries t =
+  let oldest = t.next - t.n + t.capacity in
+  List.init t.n (fun i -> t.ring.((oldest + i) mod t.capacity))
 
 let filter t pred = List.filter pred (entries t)
 

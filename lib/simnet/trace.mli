@@ -19,7 +19,8 @@ type entry = {
 type t
 
 val create : ?capacity:int -> unit -> t
-(** [capacity] bounds retained entries (oldest dropped); default 100_000. *)
+(** A trace that records nothing until {!set_enabled}. It keeps the newest
+    [capacity] entries in a ring (default 100_000). *)
 
 val enabled : t -> bool
 val set_enabled : t -> bool -> unit

@@ -13,7 +13,6 @@ let test_sql_service_basic () =
     Cluster.create ~seed:1 ~num_clients:2 ~service:(Relsql.Pbft_service.service ())
       (Config.default ~f:1)
   in
-  Simnet.Trace.set_enabled (Cluster.trace cluster) false;
   let c = Cluster.client cluster 0 in
   let count = ref "" in
   Client.invoke c (Relsql.Pbft_service.insert_vote_sql ~voter:"v1" ~choice:"a") (fun r ->
@@ -30,7 +29,6 @@ let test_sql_replicas_converge_with_nondeterminism () =
     Cluster.create ~seed:2 ~num_clients:4 ~service:(Relsql.Pbft_service.service ())
       (Config.default ~f:1)
   in
-  Simnet.Trace.set_enabled (Cluster.trace cluster) false;
   Array.iteri
     (fun i cl ->
       let rec go n =
@@ -53,7 +51,6 @@ let test_sql_error_replies_consistent () =
     Cluster.create ~seed:3 ~num_clients:1 ~service:(Relsql.Pbft_service.service ())
       (Config.default ~f:1)
   in
-  Simnet.Trace.set_enabled (Cluster.trace cluster) false;
   let c = Cluster.client cluster 0 in
   let reply = ref "" in
   Client.invoke c "INSERT INTO nonexistent (x) VALUES (1)" (fun r -> reply := r);
@@ -70,7 +67,6 @@ let test_sql_state_transfer_repairs_engine () =
     Cluster.create ~seed:4 ~num_clients:4 ~service:(Relsql.Pbft_service.service ())
       (Config.default ~f:1)
   in
-  Simnet.Trace.set_enabled (Cluster.trace cluster) false;
   let stop = ref false in
   Array.iteri
     (fun i cl ->
@@ -277,7 +273,6 @@ let test_boot_restart () =
   let b = lookup_boot in
   let svc, booted = recording (sql_boot b) in
   let cluster = Cluster.create ~seed:3 ~num_clients:4 ~service:svc (Config.default ~f:1) in
-  Simnet.Trace.set_enabled (Cluster.trace cluster) false;
   let stop = ref false in
   Array.iteri
     (fun i cl ->
@@ -347,7 +342,6 @@ let test_boot_fills_once () =
 let voting_cluster () =
   let cfg = { (Config.default ~f:1) with Config.dynamic_clients = true } in
   let cluster = Cluster.create ~seed:5 ~num_clients:4 ~service:(Evoting.service ()) cfg in
-  Simnet.Trace.set_enabled (Cluster.trace cluster) false;
   let joined = ref 0 in
   Array.iteri
     (fun i cl ->
@@ -406,7 +400,6 @@ let test_certified_replies () =
     Cluster.create ~seed:9 ~num_clients:2 ~service:(Service.counter ()) ~threshold_replies:true
       (Config.default ~f:1)
   in
-  Simnet.Trace.set_enabled (Cluster.trace cluster) false;
   let pk = Option.get (Cluster.threshold_public cluster) in
   let c = Cluster.client cluster 0 in
   let got = ref None in
@@ -428,7 +421,6 @@ let test_certified_replies () =
 
 let test_certificates_absent_without_key () =
   let cluster = Cluster.create ~seed:10 ~num_clients:1 ~service:(Service.counter ()) (Config.default ~f:1) in
-  Simnet.Trace.set_enabled (Cluster.trace cluster) false;
   let got = ref None in
   Client.invoke_certified (Cluster.client cluster 0) "incr" (fun r c -> got := Some (r, c));
   Cluster.run cluster ~seconds:5.0;
@@ -571,7 +563,7 @@ let figure3_insert_calls =
     "xSync  journal (durability barrier)";
   ]
 
-let pinned_figure3_digest = "7314b887d21554cb4c61aec7a7be60e30e911d493934274c4e5a2da8fcd8d95f"
+let pinned_figure3_digest = "20642ce77f017f65deee45f528fdcfe54fc3527ee1168742be8ec02301d85e17"
 
 let test_figure3_vfs_calls_pinned () =
   let fig = Harness.Experiments.figure3 () in
@@ -839,7 +831,7 @@ let test_churn_outage_detected () =
   Alcotest.(check bool) "availability below 1" true (availability < 1.0);
   Alcotest.(check bool) "progress outside the outage" true (availability > 0.0)
 
-let pinned_equivalence = "0721f106c2a6375fbbf0e1462a671750dbaee77dd45716deb7fce4b5ff9ea954"
+let pinned_equivalence = "16856051f9a4b1c22ed3a2b1aaa6e2bc0ba903da298be26a54f1df222e842c41"
 
 let test_equivalence_pinned () =
   let rendering =
@@ -857,10 +849,10 @@ let test_equivalence_pinned () =
    rejoin in one seeded traced run. A refactor of [Replica] must leave
    the digest unchanged; the counters prove the run reached those
    paths. *)
-let pinned_replica_digest = "c29ad647262a4e9fd0cb1be3a084d31cc9885c9928d33f0df40b29fa8007cac0"
+let pinned_replica_digest = "cea2f45e6f3f229a2ac925cd0e8cffe4071433a96c0816b2a056225a917ecd62"
 
 (* The Table-1 default row's trace digest, the one BENCH.json records. *)
-let pinned_trace_digest = "8e3d0e727c95f8da1f5fb8a93cf60dca0fb070c771190842cae78b6fd93fbc0d"
+let pinned_trace_digest = "a43ce5a58ca19f5682a43fd68987879de38ee2f78ffb2e4293a60546bceae082"
 
 let test_trace_digest_pinned () =
   Alcotest.(check string) "Table-1 trace digest" pinned_trace_digest

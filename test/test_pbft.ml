@@ -287,7 +287,6 @@ let test_log_reply_cache () =
 
 let run_requests ?(cfg = Config.default ~f:1) ?(num_clients = 4) ?(service = Service.null ()) ~per_client () =
   let cluster = Cluster.create ~seed:33 ~num_clients ~service cfg in
-  Simnet.Trace.set_enabled (Cluster.trace cluster) false;
   let results = Array.make num_clients [] in
   Array.iteri
     (fun i cl ->
@@ -384,7 +383,6 @@ let test_cluster_checkpoint_gc () =
 let test_cluster_view_change_on_primary_failure () =
   let cfg = { (Config.default ~f:1) with Config.view_change_timeout = 0.3 } in
   let cluster = Cluster.create ~seed:44 ~num_clients:4 cfg in
-  Simnet.Trace.set_enabled (Cluster.trace cluster) false;
   let stop = ref false in
   Array.iter
     (fun cl ->
@@ -412,7 +410,6 @@ let test_cluster_retransmission_duplicate_suppression () =
      request executes exactly once (reply cache + in-flight dedup). *)
   let cfg = { (Config.default ~f:1) with Config.client_timeout = 0.05 } in
   let cluster = Cluster.create ~seed:55 ~num_clients:2 ~service:(Service.counter ()) cfg in
-  Simnet.Trace.set_enabled (Cluster.trace cluster) false;
   Simnet.Net.set_loss (Cluster.net cluster) 0.15;
   let done_ = ref 0 in
   Array.iter
@@ -439,7 +436,6 @@ let test_cluster_retransmission_duplicate_suppression () =
 
 let test_cluster_body_loss_state_transfer () =
   let cluster = Cluster.create ~seed:66 ~num_clients:4 (Config.default ~f:1) in
-  Simnet.Trace.set_enabled (Cluster.trace cluster) false;
   let stop = ref false in
   Array.iter
     (fun cl ->
@@ -469,7 +465,6 @@ let test_view_change_backoff_consecutive_mute_primaries () =
      ruled out and never accumulate the escalation. *)
   let cfg = { (Config.default ~f:1) with Config.view_change_timeout = 0.2 } in
   let cluster = Cluster.create ~seed:47 ~num_clients:4 cfg in
-  Simnet.Trace.set_enabled (Cluster.trace cluster) false;
   let stop = ref false in
   Array.iter
     (fun cl ->
@@ -511,7 +506,6 @@ let test_cluster_partition_heal_catchup () =
      victim must catch back up after the auto-heal. *)
   let cfg = { (Config.default ~f:1) with Config.view_change_timeout = 3.0 } in
   let cluster = Cluster.create ~seed:67 ~num_clients:4 cfg in
-  Simnet.Trace.set_enabled (Cluster.trace cluster) false;
   let stop = ref false in
   Array.iter
     (fun cl ->
@@ -539,7 +533,6 @@ let test_cluster_overload_recv_buffer_drops () =
   let profile = { Simnet.Net.lan_profile with Simnet.Net.recv_buffer = 16 } in
   let cfg = { (Config.default ~f:1) with Config.client_timeout = 0.2 } in
   let cluster = Cluster.create ~seed:68 ~profile ~num_clients:12 cfg in
-  Simnet.Trace.set_enabled (Cluster.trace cluster) false;
   let stop = ref false in
   Array.iter
     (fun cl ->
@@ -556,7 +549,6 @@ let test_cluster_overload_recv_buffer_drops () =
 let test_cluster_restart_recovery () =
   let cfg = { (Config.default ~f:1) with Config.authenticator_rebroadcast = 0.5 } in
   let cluster = Cluster.create ~seed:77 ~num_clients:4 cfg in
-  Simnet.Trace.set_enabled (Cluster.trace cluster) false;
   let stop = ref false in
   Array.iter
     (fun cl ->
@@ -583,7 +575,6 @@ let test_cluster_restart_recovery () =
 let test_dynamic_join_and_request () =
   let cfg = { (Config.default ~f:1) with Config.dynamic_clients = true } in
   let cluster = Cluster.create ~seed:88 ~num_clients:2 ~service:(Service.counter ()) cfg in
-  Simnet.Trace.set_enabled (Cluster.trace cluster) false;
   let c = Cluster.client cluster 0 in
   let result = ref "" in
   Client.join c ~idbuf:"alice:pw" (function
@@ -598,7 +589,6 @@ let test_dynamic_join_and_request () =
 let test_dynamic_join_denied_bad_credentials () =
   let cfg = { (Config.default ~f:1) with Config.dynamic_clients = true } in
   let cluster = Cluster.create ~seed:89 ~num_clients:1 cfg in
-  Simnet.Trace.set_enabled (Cluster.trace cluster) false;
   let denied = ref false in
   (* The null service's authorize_join requires "user:password". *)
   Client.join (Cluster.client cluster 0) ~idbuf:"no-colon-here" (function
@@ -614,7 +604,6 @@ let test_dynamic_join_denied_bad_credentials () =
 let test_dynamic_join_lying_challenge () =
   let cfg = { (Config.default ~f:1) with Config.dynamic_clients = true } in
   let cluster = Cluster.create ~seed:21 ~num_clients:1 ~service:(Service.counter ()) cfg in
-  Simnet.Trace.set_enabled (Cluster.trace cluster) false;
   let c = Cluster.client cluster 0 in
   let liar = Cluster.replica cluster 3 in
   Simnet.Net.set_link_corrupt (Cluster.net cluster) ~src:3 ~dst:(Client.addr c)
@@ -636,7 +625,6 @@ let test_dynamic_join_lying_challenge () =
 let test_dynamic_leave () =
   let cfg = { (Config.default ~f:1) with Config.dynamic_clients = true } in
   let cluster = Cluster.create ~seed:90 ~num_clients:1 cfg in
-  Simnet.Trace.set_enabled (Cluster.trace cluster) false;
   let c = Cluster.client cluster 0 in
   let joined = ref false in
   Client.join c ~idbuf:"a:b" (function Some _ -> joined := true | None -> ());
@@ -653,7 +641,6 @@ let test_dynamic_leave () =
 let test_leave_stops_rebroadcast () =
   let cfg = { (Config.default ~f:1) with Config.authenticator_rebroadcast = 0.5 } in
   let cluster = Cluster.create ~seed:91 ~num_clients:1 cfg in
-  Simnet.Trace.set_enabled (Cluster.trace cluster) false;
   Cluster.run cluster ~seconds:1.0;
   Array.iter Replica.shutdown (Cluster.replicas cluster);
   Cluster.run cluster ~seconds:1.0;
@@ -675,7 +662,6 @@ let test_leave_stops_rebroadcast () =
 let test_dynamic_ordered_leave () =
   let cfg = { (Config.default ~f:1) with Config.dynamic_clients = true; max_clients = 2 } in
   let cluster = Cluster.create ~seed:92 ~num_clients:3 ~service:(Service.counter ()) cfg in
-  Simnet.Trace.set_enabled (Cluster.trace cluster) false;
   let a = Cluster.client cluster 0 and b = Cluster.client cluster 1 in
   let result = ref "" in
   Client.join a ~idbuf:"alice:pw" (function
@@ -736,7 +722,6 @@ let test_nondet_delta_blocks_replay () =
       }
     in
     let cluster = Cluster.create ~seed:91 ~num_clients:2 cfg in
-    Simnet.Trace.set_enabled (Cluster.trace cluster) false;
     let stop = ref false in
     Array.iter
       (fun cl ->
@@ -789,7 +774,6 @@ let crash_cfg () =
    forward — the §2.4 demotion only triggers on checkpoint gossip.) *)
 let run_single_client_workload ?(total = 160) ?(crash = None) cfg =
   let cluster = Cluster.create ~seed:123 ~num_clients:1 ~service:(Service.kv_store ()) cfg in
-  Simnet.Trace.set_enabled (Cluster.trace cluster) false;
   Array.iter (fun r -> Replica.set_record_journal r true) (Cluster.replicas cluster);
   let engine = Cluster.engine cluster in
   let cl = Cluster.client cluster 0 in
@@ -926,7 +910,6 @@ let test_restart_client_keys_reinstalled () =
      must produce zero new auth failures on the restarted replica. *)
   let cfg = crash_cfg () in
   let cluster = Cluster.create ~seed:31 ~num_clients:2 ~service:(Service.kv_store ()) cfg in
-  Simnet.Trace.set_enabled (Cluster.trace cluster) false;
   let engine = Cluster.engine cluster in
   let stop = ref false in
   Array.iteri
@@ -970,7 +953,6 @@ let test_restart_exactly_once_counter () =
      number of completed invocations exactly. *)
   let cfg = crash_cfg () in
   let cluster = Cluster.create ~seed:32 ~num_clients:2 ~service:(Service.counter ()) cfg in
-  Simnet.Trace.set_enabled (Cluster.trace cluster) false;
   let engine = Cluster.engine cluster in
   let stop = ref false in
   let completed = ref 0 and last = ref "" in
@@ -1009,7 +991,6 @@ let test_restart_dynamic_membership_reload () =
      from clients that joined before the crash. *)
   let cfg = { (crash_cfg ()) with Config.dynamic_clients = true } in
   let cluster = Cluster.create ~seed:33 ~num_clients:1 ~service:(Service.counter ()) cfg in
-  Simnet.Trace.set_enabled (Cluster.trace cluster) false;
   let c = Cluster.client cluster 0 in
   let results = ref [] in
   let invoke_n n k =
@@ -1109,7 +1090,6 @@ let test_restart_no_view_thrash_two_incidents () =
      the view untouched. *)
   let cfg = crash_cfg () in
   let cluster = Cluster.create ~seed:123 ~num_clients:1 ~service:(Service.kv_store ()) cfg in
-  Simnet.Trace.set_enabled (Cluster.trace cluster) false;
   let engine = Cluster.engine cluster in
   let cl = Cluster.client cluster 0 in
   let seq = ref 0 in
@@ -1155,7 +1135,6 @@ let test_restart_primary_relearns_its_view () =
      force yet another view change. *)
   let cfg = crash_cfg () in
   let cluster = Cluster.create ~seed:123 ~num_clients:1 ~service:(Service.kv_store ()) cfg in
-  Simnet.Trace.set_enabled (Cluster.trace cluster) false;
   let engine = Cluster.engine cluster in
   let cl = Cluster.client cluster 0 in
   let phase2 = ref 0 and phase1 = ref 0 in
@@ -1267,7 +1246,6 @@ let test_orphan_body_aged_out () =
      numbers — without counting it as unanswered. *)
   let cfg = { (Config.default ~f:1) with Config.checkpoint_interval = 16; log_window = 32 } in
   let cluster = Cluster.create ~seed:66 ~num_clients:2 cfg in
-  Simnet.Trace.set_enabled (Cluster.trace cluster) false;
   let cl0 = Cluster.client cluster 0 and cl1 = Cluster.client cluster 1 in
   let rq =
     {
@@ -1319,7 +1297,6 @@ let demoted_primary_run =
   lazy
     (let cfg = crash_cfg () in
      let cluster = Cluster.create ~seed:123 ~num_clients:6 cfg in
-     Simnet.Trace.set_enabled (Cluster.trace cluster) false;
      let engine = Cluster.engine cluster in
      let stop = ref false in
      Array.iter
@@ -1424,7 +1401,6 @@ let test_session_state_cleared_on_takeover () =
      middleware must wipe its session-mapped state (§3.3.2). *)
   let cfg = { (Config.default ~f:1) with Config.dynamic_clients = true } in
   let cluster = Cluster.create ~seed:105 ~num_clients:2 ~service:(Service.session_kv ()) cfg in
-  Simnet.Trace.set_enabled (Cluster.trace cluster) false;
   let c0 = Cluster.client cluster 0 and c1 = Cluster.client cluster 1 in
   let phase = ref "start" in
   Client.join c0 ~idbuf:"alice:pw" (function
@@ -1444,7 +1420,6 @@ let test_session_state_cleared_on_takeover () =
 let test_session_state_survives_transfer () =
   let cfg = Config.default ~f:1 in
   let cluster = Cluster.create ~seed:106 ~num_clients:2 ~service:(Service.session_kv ()) cfg in
-  Simnet.Trace.set_enabled (Cluster.trace cluster) false;
   let c0 = Cluster.client cluster 0 in
   let stop = ref false in
   (* background load so checkpoints advance *)
@@ -1533,7 +1508,6 @@ let prop_decoder_never_crashes =
 let test_spoofed_messages_ignored () =
   let cfg = Config.default ~f:1 in
   let cluster = Cluster.create ~seed:101 ~num_clients:2 ~service:(Service.counter ()) cfg in
-  Simnet.Trace.set_enabled (Cluster.trace cluster) false;
   let net = Cluster.net cluster in
   let engine = Cluster.engine cluster in
   (* A "Byzantine" node spoofing replica 3: unsigned and garbage-signed
@@ -1584,7 +1558,6 @@ let test_tampered_wire_dropped () =
      level, then that a cluster under such noise still progresses. *)
   let cfg = Config.default ~f:1 in
   let cluster = Cluster.create ~seed:103 ~num_clients:2 ~service:(Service.counter ()) cfg in
-  Simnet.Trace.set_enabled (Cluster.trace cluster) false;
   let net = Cluster.net cluster in
   let engine = Cluster.engine cluster in
   ignore
@@ -1600,6 +1573,169 @@ let test_tampered_wire_dropped () =
     (Cluster.clients cluster);
   Cluster.run cluster ~seconds:5.0;
   Alcotest.(check int) "progress despite garbage datagrams" 8 !done_
+
+(* --- one cost path: serial mode is pipeline_depth = 1, cores = 1 --- *)
+
+(* Nothing costs CPU but [merkle_leaf] and the rollback charges, so a
+   replica's busy time is exactly those charges. *)
+let zero_costs =
+  {
+    Costmodel.mac_gen = 0.0; mac_verify = 0.0; sign = 0.0; sig_verify = 0.0; digest_base = 0.0;
+    digest_per_byte = 0.0; msg_fixed = 0.0; msg_per_byte = 0.0; exec_null = 0.0;
+    log_bookkeeping = 0.0; merkle_leaf = 0.0; spec_overhead = 0.0; rollback_fixed = 0.0;
+    rollback_per_page = 0.0;
+  }
+
+(* Op "k" writes one byte of page k mod 8 and costs nothing. [observe]
+   sees the region's dirty pages after each write. *)
+let page_writer ?(observe = fun _ -> ()) () =
+  let app_pages = 8 and page_size = 4096 in
+  {
+    Service.name = "page-writer";
+    page_size;
+    app_pages;
+    make =
+      (fun pages ~first_page ->
+        {
+          Service.execute =
+            (fun ~op ~client:_ ~timestamp:_ ~nondet:_ ~readonly:_ ->
+              let pos = (first_page + (int_of_string op mod app_pages)) * page_size in
+              Statemgr.Pages.notify_modify pages ~pos ~len:1;
+              Statemgr.Pages.write pages ~pos op;
+              observe pages;
+              ("ok", 0.0));
+          authorize_join = (fun ~idbuf:_ -> None);
+          on_session_end = ignore;
+        });
+    classify_readonly = (fun _ -> false);
+  }
+
+let rec invoke_from cl k = Client.invoke cl (string_of_int k) (fun _ -> invoke_from cl (k + 1))
+
+(* A serial checkpoint pays its Merkle rehash: d dirty pages add d x
+   merkle_leaf to the replica's CPU. One client, one request per
+   sequence number, so the execute that ends an interval sees the dirty
+   set the checkpoint folds in. *)
+let test_serial_checkpoint_charges_leaves () =
+  let cfg = { (Config.default ~f:1) with Config.checkpoint_interval = 4; log_window = 8 } in
+  let merkle_leaf = 1e-3 in
+  let rep0 = ref None and folded = ref 0 in
+  let observe pages =
+    match !rep0 with
+    | Some r
+      when Replica.pages r == pages
+           && (Replica.last_executed r + 1) mod cfg.checkpoint_interval = 0 ->
+      folded := !folded + List.length (Statemgr.Pages.dirty pages)
+    | Some _ | None -> ()
+  in
+  let cluster =
+    Cluster.create ~seed:36 ~num_clients:1
+      ~costs:{ zero_costs with merkle_leaf }
+      ~service:(page_writer ~observe ()) cfg
+  in
+  let r = Cluster.replica cluster 0 in
+  rep0 := Some r;
+  invoke_from (Cluster.client cluster 0) 0;
+  Cluster.run cluster ~seconds:0.5;
+  Alcotest.(check bool) "checkpoints taken" true (Replica.stable_checkpoint r > 0);
+  Alcotest.(check bool) "pages folded" true (!folded > 0);
+  Alcotest.(check (float 1e-9)) "busy = d x merkle_leaf"
+    (float_of_int !folded *. merkle_leaf)
+    (Simnet.Cpu.total_busy (Replica.cpu r))
+
+(* A serial tentative rollback pays rollback_fixed + rollback_per_page x
+   pages. The backups' commits are dropped, so no batch gathers a commit
+   quorum and every execution stays tentative; the mute primary forces
+   the view change that rolls them back. With a
+   fixed cost of 1 s and 2^-10 s per page (exact in binary) the busy
+   time reads as whole rollbacks plus whole pages. *)
+let test_serial_rollback_charged () =
+  let cfg =
+    { (Config.default ~f:1) with Config.view_change_timeout = 0.25; status_period = 0.0 }
+  in
+  let per_page = 1.0 /. 1024.0 in
+  let cluster =
+    Cluster.create ~seed:37 ~num_clients:1
+      ~costs:{ zero_costs with rollback_fixed = 1.0; rollback_per_page = per_page }
+      ~service:(page_writer ()) cfg
+  in
+  let net = Cluster.net cluster in
+  (* The backups' commits: the primary's own links are left to the mute. *)
+  for src = 1 to cfg.n - 1 do
+    for dst = 0 to cfg.n - 1 do
+      if src <> dst then Simnet.Net.set_link_drop net ~src ~dst (fun ~label -> label = "commit")
+    done
+  done;
+  invoke_from (Cluster.client cluster 0) 0;
+  Cluster.run cluster ~seconds:0.3;
+  ignore (Adversary.install ~net ~cfg (Cluster.replica cluster 0) Adversary.Mute : Adversary.t);
+  Cluster.run cluster ~seconds:2.0;
+  let r = Cluster.replica cluster 1 in
+  let busy = Simnet.Cpu.total_busy (Replica.cpu r) in
+  let charged = Float.to_int busy in
+  let pages = (busy -. Float.of_int charged) /. per_page in
+  Alcotest.(check bool) "a view change happened" true (Replica.view r > 0);
+  Alcotest.(check bool) "rolled back" true (counted cluster r "rollbacks" > 0);
+  Alcotest.(check bool) "every rollback charged rollback_fixed" true
+    (charged >= counted cluster r "rollbacks");
+  Alcotest.(check bool) "restored pages charged per page" true
+    (Float.is_integer pages && pages > 0.0)
+
+(* --- replies: MACed under the client's session key --- *)
+
+(* Every replica -> client link passes each wire through [f]. *)
+let on_reply_links cluster cl f =
+  for r = 0 to (Cluster.config cluster).Config.n - 1 do
+    Simnet.Net.set_link_corrupt (Cluster.net cluster) ~src:r ~dst:(Client.addr cl)
+      (fun ~dst:_ ~label:_ wire -> f r wire)
+  done
+
+let test_reply_one_mac_tag () =
+  let cluster = Cluster.create ~seed:34 ~num_clients:1 (Config.default ~f:1) in
+  let cl = Cluster.client cluster 0 in
+  let caddr = Client.addr cl in
+  let replies = ref 0 in
+  on_reply_links cluster cl (fun r wire ->
+      (match Message.decode wire with
+      | Some { payload = Message.Reply _ as payload; auth } -> begin
+        incr replies;
+        match auth with
+        | Message.Authenticated { tags = [ (dst, _) ] as tags } ->
+          Alcotest.(check int) "the tag is the client's" caddr dst;
+          Alcotest.(check bool) "under the key the client chose" true
+            (Crypto.Authenticator.check ~key:(Client.session_key_for cl r) ~replica:caddr
+               (Message.payload_bytes payload) { tags })
+        | Message.Authenticated _ | Message.Signed _ | Message.No_auth ->
+          Alcotest.fail "a reply is not MACed with one tag"
+      end
+      | Some _ | None -> ());
+      wire);
+  let done_ = ref 0 in
+  let rec go n = if n <= 3 then Client.invoke cl "op" (fun _ -> incr done_; go (n + 1)) in
+  go 1;
+  Cluster.run cluster ~seconds:1.0;
+  Alcotest.(check int) "completed" 3 !done_;
+  Alcotest.(check bool) "replies seen" true (!replies >= 3 * 3)
+
+(* A reply re-tagged under a key the client never chose is rejected like
+   any forgery: with every replica's replies re-tagged no quorum forms. *)
+let test_reply_wrong_key_rejected () =
+  let cluster = Cluster.create ~seed:35 ~num_clients:1 (Config.default ~f:1) in
+  let cl = Cluster.client cluster 0 in
+  let wrong = Crypto.Mac.fresh_key (Util.Rng.create 5) in
+  on_reply_links cluster cl (fun _ wire ->
+      match Message.decode wire with
+      | Some { payload = Message.Reply _ as payload; _ } ->
+        let pb = Message.payload_bytes payload in
+        Message.encode_wire ~payload_bytes:pb
+          (Message.Authenticated
+             (Crypto.Authenticator.compute ~keys:[ (Client.addr cl, wrong) ] pb))
+      | Some _ | None -> wire);
+  let results = ref [] in
+  Client.invoke cl "op" (fun r -> results := r :: !results);
+  Cluster.run cluster ~seconds:2.0;
+  Alcotest.(check (list string)) "no re-tagged reply accepted" [] !results;
+  Alcotest.(check bool) "still retransmitting" true (Client.retransmissions cl > 0)
 
 let () =
   Alcotest.run "pbft"
@@ -1708,6 +1844,16 @@ let () =
         [
           Alcotest.test_case "spoofed messages ignored" `Slow test_spoofed_messages_ignored;
           Alcotest.test_case "garbage datagrams dropped" `Slow test_tampered_wire_dropped;
+          Alcotest.test_case "replies carry one MAC tag for their client" `Quick
+            test_reply_one_mac_tag;
+          Alcotest.test_case "reply under another key rejected" `Quick
+            test_reply_wrong_key_rejected;
+        ] );
+      ( "cost-model",
+        [
+          Alcotest.test_case "serial checkpoint charges d x merkle_leaf" `Quick
+            test_serial_checkpoint_charges_leaves;
+          Alcotest.test_case "serial rollback charged" `Quick test_serial_rollback_charged;
         ] );
       ( "dynamic",
         [

@@ -286,7 +286,6 @@ let test_session_ops_opaque () =
       ~service:(Webgate.Frontdoor.wrap_service (Pbft.Service.session_kv ()))
       (Pbft.Config.default ~f:1)
   in
-  Simnet.Trace.set_enabled (Pbft.Cluster.trace cluster) false;
   let net = Pbft.Cluster.net cluster in
   let _door =
     Webgate.Frontdoor.create_sharded

@@ -127,6 +127,22 @@ let test_cpu_split_serial_vs_parallel () =
   Alcotest.(check (float 1e-9)) "4 cores overlap" 0.5 (run 4);
   Alcotest.(check (float 1e-9)) "2 cores: two rounds" 1.0 (run 2)
 
+(* One path for every CPU shape: on one core the pieces run back to back,
+   from the moment the core frees up. *)
+let test_cpu_split_one_core_sum () =
+  let e = Simnet.Engine.create ~seed:1 in
+  let cpu = Simnet.Cpu.create e in
+  let costs = [ 0.1; 0.25; 0.03; 0.7 ] in
+  let finished = ref Float.nan in
+  Simnet.Engine.schedule_at e ~time:1.5 (fun () ->
+      Simnet.Cpu.execute cpu ~cost:0.4 ignore;
+      Simnet.Cpu.execute_split cpu ~costs (fun () -> finished := Simnet.Engine.now e));
+  Simnet.Engine.run e;
+  Alcotest.(check (float 0.0)) "start + sum of costs" (List.fold_left ( +. ) (1.5 +. 0.4) costs)
+    !finished;
+  Alcotest.(check (float 1e-12)) "busy = every piece" (List.fold_left ( +. ) 0.4 costs)
+    (Simnet.Cpu.total_busy cpu)
+
 let test_cpu_multicore_deterministic () =
   let once () =
     let e = Simnet.Engine.create ~seed:7 in
@@ -255,9 +271,13 @@ let test_trace_capture () =
   let e = Simnet.Engine.create ~seed:1 in
   let net = Simnet.Net.create e quiet_profile in
   Simnet.Net.register net 1 (fun ~src:_ _ -> ());
+  let tr = Simnet.Net.trace net in
+  Simnet.Net.send net ~label:"ping" ~src:0 ~dst:1 "x";
+  Simnet.Engine.run e;
+  Alcotest.(check int) "off until enabled" 0 (List.length (Simnet.Trace.entries tr));
+  Simnet.Trace.set_enabled tr true;
   Simnet.Net.send net ~label:"ping" ~detail:(fun () -> "d") ~src:0 ~dst:1 "x";
   Simnet.Engine.run e;
-  let tr = Simnet.Net.trace net in
   let entries = Simnet.Trace.filter tr (fun en -> en.Simnet.Trace.label = "ping") in
   Alcotest.(check int) "captured" 1 (List.length entries);
   Simnet.Trace.set_enabled tr false;
@@ -265,6 +285,19 @@ let test_trace_capture () =
   Simnet.Engine.run e;
   Alcotest.(check int) "disabled" 1
     (List.length (Simnet.Trace.filter tr (fun en -> en.Simnet.Trace.label = "ping")))
+
+(* The ring keeps the newest [capacity] entries, oldest first. *)
+let test_trace_ring () =
+  let capacity = 4 and extra = 3 in
+  let tr = Simnet.Trace.create ~capacity () in
+  Simnet.Trace.set_enabled tr true;
+  for i = 0 to capacity + extra - 1 do
+    Simnet.Trace.record tr
+      { Simnet.Trace.time = float_of_int i; src = i; dst = 0; label = "x"; detail = ""; size = 0 }
+  done;
+  Alcotest.(check (list int)) "newest capacity, in order"
+    (List.init capacity (fun i -> extra + i))
+    (List.map (fun en -> en.Simnet.Trace.src) (Simnet.Trace.entries tr))
 
 (* --- scripted fault plans --- *)
 
@@ -502,6 +535,7 @@ let () =
           Alcotest.test_case "multi-core overlap & utilization" `Quick test_cpu_multicore_overlap;
           Alcotest.test_case "split work: serial vs parallel" `Quick
             test_cpu_split_serial_vs_parallel;
+          Alcotest.test_case "split on one core = start + sum" `Quick test_cpu_split_one_core_sum;
           Alcotest.test_case "multi-core determinism & validation" `Quick
             test_cpu_multicore_deterministic;
         ] );
@@ -516,6 +550,7 @@ let () =
           Alcotest.test_case "receive-buffer overflow" `Quick test_net_backlog_overflow;
           Alcotest.test_case "NIC serialization" `Quick test_net_bandwidth_serialization;
           Alcotest.test_case "trace capture" `Quick test_trace_capture;
+          Alcotest.test_case "trace ring keeps the newest" `Quick test_trace_ring;
         ] );
       ( "fault plans",
         [

@@ -85,7 +85,6 @@ let dynamic_cfg = { (Pbft.Config.default ~f:1) with Pbft.Config.dynamic_clients 
 
 let web_cluster cfg =
   let cluster = Pbft.Cluster.create ~seed:21 ~num_clients:1 ~service:(Pbft.Service.counter ()) cfg in
-  Simnet.Trace.set_enabled (Pbft.Cluster.trace cluster) false;
   let engine = Pbft.Cluster.engine cluster in
   let net = Pbft.Cluster.net cluster in
   let bridges =
@@ -159,6 +158,32 @@ let test_browser_rejects_tampered_replies () =
   Pbft.Cluster.run cluster ~seconds:10.0;
   Alcotest.(check bool) "joined" true !joined;
   Alcotest.(check (list string)) "no forged result accepted" [] !results;
+  Alcotest.(check bool) "still retransmitting" true (Pbft.Client.retransmissions browser > 0)
+
+(* Replies MACed under a key the browser never chose are rejected after
+   the JSON translation too. *)
+let test_browser_rejects_wrong_key_replies () =
+  let cluster, _bridges, browser = web_cluster dynamic_cfg in
+  let wrong = Crypto.Mac.fresh_key (Util.Rng.create 5) in
+  let retag ~dst:_ ~label:_ wire =
+    match Pbft.Message.decode wire with
+    | Some { payload = Pbft.Message.Reply _ as payload; _ } ->
+      let pb = Pbft.Message.payload_bytes payload in
+      Pbft.Message.encode_wire ~payload_bytes:pb
+        (Pbft.Message.Authenticated
+           (Crypto.Authenticator.compute ~keys:[ (browser_addr, wrong) ] pb))
+    | Some _ | None -> wire
+  in
+  for r = 0 to dynamic_cfg.Pbft.Config.n - 1 do
+    Simnet.Net.set_link_corrupt (Pbft.Cluster.net cluster) ~src:r ~dst:browser_addr retag
+  done;
+  let joined = ref false and results = ref [] in
+  Pbft.Client.join browser ~idbuf:"webuser:pw" (fun c ->
+      joined := c <> None;
+      Pbft.Client.invoke browser "incr" (fun r -> results := r :: !results));
+  Pbft.Cluster.run cluster ~seconds:10.0;
+  Alcotest.(check bool) "joined" true !joined;
+  Alcotest.(check (list string)) "no re-tagged reply accepted" [] !results;
   Alcotest.(check bool) "still retransmitting" true (Pbft.Client.retransmissions browser > 0)
 
 let test_bridge_rejects_garbage () =
@@ -289,6 +314,8 @@ let () =
           Alcotest.test_case "read-only over JSON" `Slow test_browser_readonly;
           Alcotest.test_case "tampered replies not accepted over JSON" `Slow
             test_browser_rejects_tampered_replies;
+          Alcotest.test_case "replies under another key not accepted over JSON" `Slow
+            test_browser_rejects_wrong_key_replies;
           Alcotest.test_case "bridge rejects garbage" `Quick test_bridge_rejects_garbage;
         ] );
       ( "frames",

@@ -1,48 +1,60 @@
-(* The benchmark harness: one regenerator per table and figure of the
-   paper (see DESIGN.md's experiment index), plus a Bechamel
-   micro-benchmark suite for the primitive costs that motivate the
-   virtual cost model.
+(* The experiment front end: one regenerator per table and figure of
+   the paper (see DESIGN.md's experiment index), the CI gates, the
+   BENCH.json writer, and a Bechamel micro-benchmark suite for the
+   primitive costs that motivate the virtual cost model.
 
-   Usage:  dune exec bench/main.exe [-- section ... [--quick]]
+   Usage:  dune exec bench/main.exe [-- section ... [--seed N] [--duration S] [--quick]]
            dune exec bench/main.exe -- vdiff OLD.json NEW.json
-   Sections: micro bench digest sqlidx memory hashing pipeline faults
-             openloop shards churn table1
-             figure1 figure2 figure3 figure4 figure5 acid recovery
-             packet-loss nondet wan sizes loss ablation pipesweep all
-             (default); an unknown name prints this list and exits 2.
+   No section runs them all; an unknown section or a malformed option
+   prints the usage to stderr and exits 2. [--seed] (default 1) seeds
+   every section. [--duration] sets the measured virtual seconds of the
+   paper's sections and of the bench, sqlidx, pipeline, openloop and
+   shards runs; without it a paper section keeps its regenerator's own
+   length and the others their calibrated one. [--quick] shortens those
+   runs to 0.3 s (shards to 0.8 s; memory and churn have their own short
+   shapes) for CI smoke runs.
    [vdiff] compares two BENCH files' virtual numbers, workload by
-   workload, and exits 1 on any difference.
-   [sqlidx] compares the indexed point/range SELECT workloads against the
-   forced-scan baseline and exits non-zero unless the indexed point
-   stream clears 5x the baseline's virtual TPS and it, sql:read_mix and
-   sql:insert_acid stay within their words-allocated-per-request budgets.
-   [memory] runs the Table-1 default row at two lengths and exits
-   non-zero if a replica table that grows with requests outgrows its
-   log-window bound, if a body was aged out unanswered, or if the live
-   heap grows more per extra request than its budget.
-   [hashing] prints SHA-256 MB/s and Hmac.mac ns/call (informational)
-   and the bytes the null service's Cluster.create hashes, and exits
-   non-zero unless Cluster.create over the sql_vote_insert-shaped
-   service hashes at most 1.1x its app region, a one-second run of that
-   workload hashes at most 15,360 bytes per completed op (set-up
-   included), and a 1 KiB Hmac.mac allocates at most 16 minor words.
-   [pipeline] runs the 64-client null workload serial and with an 8-deep
-   agreement pipeline on 4 virtual cores, and exits non-zero unless the
-   pipelined run clears 2x both the serial baseline and the Table-1
-   default row.
-   [bench] runs the Table-1, SQL, pipelining and open-loop workloads once
-   each and writes their metrics to BENCH.json (schema in README.md);
-   [--quick] shortens every virtual duration to 0.3 s for CI smoke runs. *)
+   workload, and exits 1 on any difference. Each gated section's
+   comment below says what it checks; a failed gate exits 1. *)
 
 open Bechamel
 open Toolkit
+
+(* --- the command line --- *)
+
+let seed = ref 1
+let duration : float option ref = ref None
+let quick = ref false
+
+(* The length a section runs for: --duration, else [quick_length] under
+   --quick; [None] leaves the section its own length. *)
+let override ?(quick_length = 0.3) () =
+  match !duration with
+  | Some _ as d -> d
+  | None -> if !quick then Some quick_length else None
+
+let length ?quick_length default = Option.value (override ?quick_length ()) ~default
+
+let banner name = Printf.printf "\n######## %s ########\n%!" name
+
+(* [need cond msg]: a gate condition's failure list. *)
+let need cond msg = if cond then [] else [ msg ]
+
+(* Every gated section ends here: PASS, or each failure on stderr and
+   exit 1. *)
+let verdict section failures =
+  match failures with
+  | [] -> Printf.printf "  %s gates: PASS\n%!" section
+  | fs ->
+    List.iter (Printf.eprintf "FAIL: %s\n") fs;
+    exit 1
 
 (* --- micro benchmarks (P1) --- *)
 
 let kb = String.make 1024 'x'
 
 let micro_tests () =
-  let rng = Util.Rng.create 1 in
+  let rng = Util.Rng.create !seed in
   let rabin = Crypto.Rabin.generate rng ~bits:384 in
   let rabin_pk = Crypto.Rabin.public rabin in
   let rabin_sig = Crypto.Rabin.sign rabin kb in
@@ -50,7 +62,7 @@ let micro_tests () =
   let auth_keys = List.init 4 (fun i -> (i, Crypto.Mac.fresh_key rng)) in
   let pages = Statemgr.Pages.create ~page_size:4096 ~num_pages:64 () in
   let merkle = Statemgr.Merkle.build pages in
-  let sql = Relsql.Database.open_db (Relsql.Vfs.in_memory ~acid:true ~seed:1 ()) in
+  let sql = Relsql.Database.open_db (Relsql.Vfs.in_memory ~acid:true ~seed:!seed ()) in
   ignore (Relsql.Database.exec_exn sql Relsql.Pbft_service.vote_schema);
   let counter = ref 0 in
   let sample_msg =
@@ -118,15 +130,8 @@ let run_micro () =
         raw)
     (micro_tests ())
 
-(* --- experiment regenerators --- *)
-
-let duration = ref 1.5
-let seed = ref 1
-let quick = ref false
-
-let banner name = Printf.printf "\n######## %s ########\n%!" name
-
-(* --- host-time benchmark (BENCH.json) --- *)
+(* --- host-time benchmark: every Hostbench workload once, written to
+   BENCH.json (schema in README.md) --- *)
 
 let measure_named ~duration name =
   Harness.Hostbench.measure ~name (Harness.Hostbench.workload ~seed:!seed ~duration name)
@@ -149,7 +154,6 @@ let iso8601 () =
 
 let run_hostbench () =
   banner "Host-time benchmark (BENCH.json)";
-  let dur = if !quick then 0.3 else !duration in
   let print_m (m : Harness.Hostbench.row) =
     Printf.printf "  %-32s %9.0f events  %10d B hashed  vTPS %9.1f\n%!" m.name (e2e m "events")
       (Util.Metrics.total m.metrics ~layer:"crypto" "bytes_hashed") (e2e m "virtual_tps");
@@ -168,11 +172,11 @@ let run_hostbench () =
         let m = Harness.Hostbench.measure ~name spec in
         print_m m;
         m)
-      (Harness.Hostbench.workloads ~seed:!seed ~duration:dur ())
+      (Harness.Hostbench.workloads ~seed:!seed ~duration:(length 1.5) ())
   in
   write_json "BENCH.json" (Harness.Hostbench.to_json ~now:(iso8601 ()) all);
   Printf.printf "  trace digest: %s\n  wrote BENCH.json (%d workloads)\n%!"
-    (Harness.Hostbench.trace_digest ())
+    (Harness.Hostbench.trace_digest ~seed:!seed ())
     (List.length all)
 
 (* Just the seeded trace digests: cheap enough for CI to run twice and
@@ -218,7 +222,7 @@ let insert_words_budget = 67_000.0
    in virtual TPS and by an order of magnitude in pages per operation. *)
 let run_sqlidx () =
   banner "SQL access paths — indexed vs forced scan";
-  let dur = if !quick then 0.3 else !duration in
+  let dur = length 1.5 in
   let per_op m name =
     let completed = e2e m "completed" in
     if completed > 0.0 then float_of_int (Util.Metrics.total m.metrics ~layer:"relsql" name) /. completed else 0.0
@@ -248,19 +252,15 @@ let run_sqlidx () =
     (fun ((m : Harness.Hostbench.row), budget) ->
       Printf.printf "  %s allocation: %.0f words/request (budget %.0f)\n%!" m.name (words m) budget)
     budgets;
-  if speedup < 5.0 then begin
-    Printf.eprintf "FAIL: indexed point workload is %.1fx the forced-scan baseline (need >= 5x)\n"
-      speedup;
-    exit 1
-  end;
-  List.iter
-    (fun ((m : Harness.Hostbench.row), budget) ->
-      if words m > budget then begin
-        Printf.eprintf "FAIL: %s allocates %.0f words/request (budget %.0f)\n" m.name (words m)
-          budget;
-        exit 1
-      end)
-    budgets
+  verdict "sqlidx"
+    (need (speedup >= 5.0)
+       (Printf.sprintf "indexed point workload is %.1fx the forced-scan baseline (need >= 5x)"
+          speedup)
+    @ List.concat_map
+        (fun ((m : Harness.Hostbench.row), budget) ->
+          need (words m <= budget)
+            (Printf.sprintf "%s allocates %.0f words/request (budget %.0f)" m.name (words m) budget))
+        budgets)
 
 (* Bounded-memory gate on the Table-1 default row, run at two lengths.
    The deterministic proxy is the number of heap words reachable from
@@ -274,11 +274,7 @@ let memory_words_budget = 7.94
 let run_memory () =
   banner "Bounded replica memory — Table-1 default at two lengths";
   let short, long = if !quick then (1.0, 3.0) else (2.0, 6.0) in
-  let cfg =
-    Harness.Experiments.with_flags ~dynamic:false ~macs:true ~allbig:true ~batching:true
-      (Pbft.Config.default ~f:1)
-  in
-  let spec = { (Harness.Run.closed cfg) with Harness.Run.seed = !seed } in
+  let spec = { (Harness.Run.closed (Pbft.Config.default ~f:1)) with Harness.Run.seed = !seed } in
   let run seconds =
     let r = Harness.Run.run { spec with Harness.Run.duration = seconds } in
     let cluster = Harness.Run.cluster r.Harness.Run.deployment 0 in
@@ -300,35 +296,34 @@ let run_memory () =
   let ops_s, live_s, largest_s, unanswered_s, aged_s = run short in
   let ops_l, live_l, largest_l, unanswered_l, aged_l = run long in
   let bound = Pbft.Replica.retained_fields (Harness.Run.retained_bound spec) in
-  let failures = ref [] in
   Printf.printf "  %-22s %10s %10s %10s\n" "largest per replica" (Printf.sprintf "%.0f s" short)
     (Printf.sprintf "%.0f s" long) "bound";
-  List.iteri
-    (fun i (name, bound) ->
-      let a = List.nth largest_s i and b = List.nth largest_l i in
-      Printf.printf "  %-22s %10d %10d %10d\n" name a b bound;
-      if b > Int.max a bound then
-        failures :=
-          Printf.sprintf "%s grew with run length (%d -> %d, bound %d)" name a b bound :: !failures)
-    bound;
+  let tables =
+    List.concat
+      (List.mapi
+         (fun i (name, bound) ->
+           let a = List.nth largest_s i and b = List.nth largest_l i in
+           Printf.printf "  %-22s %10d %10d %10d\n" name a b bound;
+           need (b <= Int.max a bound)
+             (Printf.sprintf "%s grew with run length (%d -> %d, bound %d)" name a b bound))
+         bound)
+  in
   Printf.printf "  bodies aged out: %d / %d (unanswered: %d / %d)\n" aged_s aged_l unanswered_s
     unanswered_l;
-  if unanswered_s + unanswered_l > 0 then
-    failures := "a body was aged out while its request was unanswered" :: !failures;
   let growth = float_of_int (live_l - live_s) /. float_of_int (Int.max 1 (ops_l - ops_s)) in
   Printf.printf "  live words: %d at %d ops, %d at %d ops\n" live_s ops_s live_l ops_l;
   Printf.printf "  growth: %.2f words/op = %.3f KB/op (budget %.2f words/op)\n%!" growth
     (growth *. float_of_int (Sys.word_size / 8) /. 1024.0)
     memory_words_budget;
-  if growth > memory_words_budget then
-    failures :=
-      Printf.sprintf "live words grow %.2f per extra op (budget %.2f)" growth memory_words_budget
-      :: !failures;
-  match List.rev !failures with
-  | [] -> Printf.printf "  memory gate: PASS\n%!"
-  | fs ->
-    List.iter (fun f -> Printf.eprintf "FAIL: %s\n" f) fs;
-    exit 1
+  verdict "memory"
+    (tables
+    @ need
+        (unanswered_s + unanswered_l = 0)
+        "a body was aged out while its request was unanswered"
+    @ need
+        (growth <= memory_words_budget)
+        (Printf.sprintf "live words grow %.2f per extra op (budget %.2f)" growth
+           memory_words_budget))
 
 (* Deterministic hashing gates. Cluster.create over the sql_vote_insert-
    shaped service (2,048 app pages, 1,600 filler rows of 1.5 KB) must hash
@@ -407,31 +402,21 @@ let run_hashing () =
     hashed ratio region genesis_hash_budget;
   let run_hashed, result =
     hashed_by (fun () ->
-        Harness.Run.run (Harness.Experiments.sql_large_state_spec ~duration:1.0 cfg))
+        Harness.Run.run (Harness.Experiments.sql_large_state_spec ~seed:!seed ~duration:1.0 cfg))
   in
   let per_op = float_of_int run_hashed /. float_of_int (max 1 result.Harness.Run.completed) in
   Printf.printf "  1 s run          %d bytes hashed / %d ops = %.0f B/op (budget %.0f)\n%!"
     run_hashed result.Harness.Run.completed per_op run_hash_budget;
-  let failures =
-    (if ratio > genesis_hash_budget then
-       [ Printf.sprintf "Cluster.create hashed %.2fx its app region (budget %.2fx)" ratio
-           genesis_hash_budget ]
-     else [])
-    @ (if per_op > run_hash_budget then
-         [ Printf.sprintf "the 1 s sql_vote_insert run hashed %.0f B per op (budget %.0f)" per_op
-             run_hash_budget ]
-       else [])
-    @
-    if words > hmac_words_budget then
-      [ Printf.sprintf "Hmac.mac allocates %.1f minor words per call (budget %.0f)" words
-          hmac_words_budget ]
-    else []
-  in
-  match failures with
-  | [] -> Printf.printf "  hashing gate: PASS\n%!"
-  | fs ->
-    List.iter (fun f -> Printf.eprintf "FAIL: %s\n" f) fs;
-    exit 1
+  verdict "hashing"
+    (need (ratio <= genesis_hash_budget)
+       (Printf.sprintf "Cluster.create hashed %.2fx its app region (budget %.2fx)" ratio
+          genesis_hash_budget)
+    @ need (per_op <= run_hash_budget)
+        (Printf.sprintf "the 1 s sql_vote_insert run hashed %.0f B per op (budget %.0f)" per_op
+           run_hash_budget)
+    @ need (words <= hmac_words_budget)
+        (Printf.sprintf "Hmac.mac allocates %.1f minor words per call (budget %.0f)" words
+           hmac_words_budget))
 
 (* Byzantine fault scenarios with a pass/fail gate, run twice: serial
    (the PR 5 suite) and with the speculative execution pipeline on,
@@ -444,34 +429,38 @@ let run_faults () =
     let results =
       List.map
         (fun scenario ->
-          let report, _ = Harness.Faults.run scenario in
-          Printf.printf "  %s\n%!" (Harness.Faults.render report);
-          (scenario, report))
+          let outcome = Harness.Faults.run scenario in
+          Printf.printf "  %s\n%!" (Harness.Faults.render scenario outcome);
+          (scenario, snd outcome))
         (Harness.Faults.suite ~seed:!seed ~speculative ())
     in
-    match List.filter (fun (_, (r : Harness.Faults.report)) -> r.failures <> []) results with
-    | [] -> ()
-    | ((scenario, worst) :: _) as failed ->
+    match List.filter (fun (_, failures) -> failures <> []) results with
+    | [] -> []
+    | ((scenario, failures) :: _) as failed ->
       (* Re-run the first failing scenario with the trace enabled so the
          dump actually contains the messages that led to the failure. *)
-      let _, result = Harness.Faults.run ~trace:true scenario in
+      let check, _ = Harness.Faults.run ~trace:true scenario in
       let oc = open_out "faults-trace.txt" in
       output_string oc
-        (Printf.sprintf "behavior: %s (speculative=%b)\nfailures:\n  %s\n\n" worst.name
-           speculative
-           (String.concat "\n  " worst.failures));
+        (Printf.sprintf "behavior: %s (speculative=%b)\nfailures:\n  %s\n\n"
+           scenario.Harness.Faults.name speculative
+           (String.concat "\n  " failures));
       output_string oc
         (Simnet.Trace.render ~limit:5000
-           (Pbft.Cluster.trace (Harness.Run.cluster result.Harness.Run.deployment 0))
+           (Pbft.Cluster.trace (Harness.Run.cluster check.Harness.Faults.result.deployment 0))
            (fun _ -> true));
       close_out oc;
-      Printf.eprintf "FAIL: %d adversarial scenario(s) failed; trace in faults-trace.txt\n"
-        (List.length failed);
-      exit 1
+      [
+        Printf.sprintf "%d adversarial scenario(s) failed; trace in faults-trace.txt"
+          (List.length failed);
+      ]
   in
-  check ~speculative:false;
-  Printf.printf "  -- with speculation (pipeline depth 4, 2 cores) --\n%!";
-  check ~speculative:true
+  verdict "faults"
+    (match check ~speculative:false with
+    | [] ->
+      Printf.printf "  -- with speculation (pipeline depth 4, 2 cores) --\n%!";
+      check ~speculative:true
+    | failed -> failed)
 
 (* Pipelined speculation with the PR 6 acceptance gate: the deep pipeline
    must clear 2x both its own serial baseline (same 64-client workload)
@@ -480,7 +469,7 @@ let table1_default = "table1:sta_mac_allbig_batch"
 
 let run_pipeline () =
   banner "Pipelined speculation — serial vs depth 8 x 4 cores";
-  let dur = if !quick then 0.3 else !duration in
+  let dur = length 1.5 in
   let show (m : Harness.Hostbench.row) =
     Printf.printf "  %-28s vTPS %9.1f  core util %4.2f  spec execs %7d  rollbacks %d\n%!" m.name
       (e2e m "virtual_tps")
@@ -499,12 +488,12 @@ let run_pipeline () =
   in
   Printf.printf "  pipelined vs serial baseline: %.2fx;  vs Table-1 default: %.2fx\n%!"
     (ratio serial deep) (ratio table1 deep);
-  if ratio serial deep < 2.0 || ratio table1 deep < 2.0 then begin
-    Printf.eprintf
-      "FAIL: pipelined throughput is %.2fx the serial baseline / %.2fx Table-1 (need >= 2x both)\n"
-      (ratio serial deep) (ratio table1 deep);
-    exit 1
-  end
+  verdict "pipeline"
+    (need
+       (ratio serial deep >= 2.0 && ratio table1 deep >= 2.0)
+       (Printf.sprintf
+          "pipelined throughput is %.2fx the serial baseline / %.2fx Table-1 (need >= 2x both)"
+          (ratio serial deep) (ratio table1 deep)))
 
 (* Open-loop overload sweep with the PR 7 acceptance gates: arrival rate
    x gateway flush size over 10k sessions through the front door. The
@@ -514,7 +503,7 @@ let run_pipeline () =
    O(1) hot-path refactors are what keep them flat as sessions scale. *)
 let run_openloop () =
   banner "Open-loop overload — arrival rate x gateway batch size";
-  let dur = if !quick then 0.3 else 1.0 in
+  let dur = length 1.0 in
   let spec_at ~rate ~flush_bytes =
     let spec =
       Harness.Experiments.open_loop_spec ~seed:!seed ~duration:dur (Harness.Run.Poisson rate)
@@ -575,28 +564,22 @@ let run_openloop () =
   let p99_bound = 0.25 in
   let events_budget = 200.0 in
   let alloc_budget = 2_000_000.0 in
-  let failures = ref [] in
-  let gate cond msg = if not cond then failures := msg :: !failures in
-  gate
-    (e2e sat "virtual_tps" >= e2e closed "virtual_tps")
-    (Printf.sprintf "saturated open-loop vTPS %.1f < closed-loop Table-1 default %.1f"
-       (e2e sat "virtual_tps") (e2e closed "virtual_tps"));
-  gate
-    (e2e backoff "p99_latency" <= p99_bound)
-    (Printf.sprintf "p99 at 80%% of saturation %.3fs > %.3fs bound" (e2e backoff "p99_latency")
-       p99_bound);
-  gate
-    (e2e backoff "events_per_request" <= events_budget)
-    (Printf.sprintf "events/request %.1f > %.1f budget" (e2e backoff "events_per_request")
-       events_budget);
-  gate
-    (alloc_bytes backoff <= alloc_budget)
-    (Printf.sprintf "alloc/request %.0fB > %.0fB budget" (alloc_bytes backoff) alloc_budget);
-  match !failures with
-  | [] -> Printf.printf "  openloop gates: PASS\n%!"
-  | fs ->
-    List.iter (fun f -> Printf.eprintf "FAIL: %s\n" f) fs;
-    exit 1
+  verdict "openloop"
+    (need
+       (e2e sat "virtual_tps" >= e2e closed "virtual_tps")
+       (Printf.sprintf "saturated open-loop vTPS %.1f < closed-loop Table-1 default %.1f"
+          (e2e sat "virtual_tps") (e2e closed "virtual_tps"))
+    @ need
+        (e2e backoff "p99_latency" <= p99_bound)
+        (Printf.sprintf "p99 at 80%% of saturation %.3fs > %.3fs bound" (e2e backoff "p99_latency")
+           p99_bound)
+    @ need
+        (e2e backoff "events_per_request" <= events_budget)
+        (Printf.sprintf "events/request %.1f > %.1f budget" (e2e backoff "events_per_request")
+           events_budget)
+    @ need
+        (alloc_bytes backoff <= alloc_budget)
+        (Printf.sprintf "alloc/request %.0fB > %.0fB budget" (alloc_bytes backoff) alloc_budget))
 
 (* Sharded PBFT with the PR 8 acceptance gates: virtual TPS versus shard
    count on a purely shardable workload (1/2/4 shards, the 2-shard run
@@ -606,7 +589,7 @@ let run_openloop () =
    snapshot). Writes BENCH-shards.json. *)
 let run_shards () =
   banner "Sharded PBFT — vTPS vs shard count";
-  let dur = if !quick then 0.8 else 2.0 in
+  let dur = length ~quick_length:0.8 2.0 in
   let spec ?cross shards =
     {
       (Harness.Shards.spec ~shards ?cross ()) with
@@ -659,23 +642,16 @@ let run_shards () =
   let ratio4 = if vtps 0 > 0.0 then vtps 2 /. vtps 0 else 0.0 in
   Printf.printf "  scaling: 2 shards %.2fx, 4 shards %.2fx the single-shard baseline\n%!" ratio2
     ratio4;
-  let byz = Harness.Shards.byzantine_coordinator () in
+  let byz = Harness.Shards.byzantine_coordinator ~seed:!seed () in
   print_string (Harness.Shards.render_byz byz);
   write_json "BENCH-shards.json" (Harness.Hostbench.to_json ~now:(iso8601 ()) (sweep @ [ crossed ]));
   Printf.printf "  wrote BENCH-shards.json (%d workloads)\n%!" (List.length sweep + 1);
-  let failures = ref [] in
-  let gate cond msg = if not cond then failures := msg :: !failures in
-  gate (ratio2 >= 1.7)
-    (Printf.sprintf "2-shard vTPS is %.2fx the single-shard baseline (need >= 1.7x)" ratio2);
-  gate
-    (byz.Harness.Shards.bz_failures = [])
-    (Printf.sprintf "Byzantine-coordinator scenario: %s"
-       (String.concat "; " byz.Harness.Shards.bz_failures));
-  match !failures with
-  | [] -> Printf.printf "  shards gates: PASS\n%!"
-  | fs ->
-    List.iter (fun f -> Printf.eprintf "FAIL: %s\n" f) fs;
-    exit 1
+  verdict "shards"
+    (need (ratio2 >= 1.7)
+       (Printf.sprintf "2-shard vTPS is %.2fx the single-shard baseline (need >= 1.7x)" ratio2)
+    @ List.map
+        (Printf.sprintf "Byzantine-coordinator scenario: %s")
+        byz.Harness.Shards.bz_failures)
 
 (* Long-horizon churn with the PR 10 acceptance gates: a rolling
    crash/repair plan (every 4th crash takes the current primary) under
@@ -735,25 +711,50 @@ let run_churn () =
           (Util.Metrics.get snap ~node:Util.Metrics.run_node ~layer:"churn" "crashes")
           (reading snap "mean_recovery") (reading snap "max_recovery"))
       [ 30.0; 12.0; 6.0 ];
-  let failures = ref [] in
-  let gate cond msg = if not cond then failures := msg :: !failures in
-  gate (e2e m "completed" > 0.0) "no client progress over the horizon";
-  gate (availability >= 0.99)
-    (Printf.sprintf "availability %.4f under churn is below the 0.99 floor" availability);
-  gate
-    (restarts = crashes && crashes > 0)
-    (Printf.sprintf "crash plan incomplete: %d crashes, %d restarts" crashes restarts);
-  gate (rejoins >= restarts)
-    (Printf.sprintf "only %d rejoin transfers for %d restarts" rejoins restarts);
-  gate
-    (full > 0 && fetched < full)
-    (Printf.sprintf "Merkle diff saved nothing: fetched %d of %d pages" fetched full);
-  List.iter (fun f -> gate false (Printf.sprintf "churn run: %s" f)) m.failures;
-  match !failures with
-  | [] -> Printf.printf "  churn gates: PASS\n%!"
-  | fs ->
-    List.iter (fun f -> Printf.eprintf "FAIL: %s\n" f) fs;
-    exit 1
+  verdict "churn"
+    (need (e2e m "completed" > 0.0) "no client progress over the horizon"
+    @ need (availability >= 0.99)
+        (Printf.sprintf "availability %.4f under churn is below the 0.99 floor" availability)
+    @ need
+        (restarts = crashes && crashes > 0)
+        (Printf.sprintf "crash plan incomplete: %d crashes, %d restarts" crashes restarts)
+    @ need (rejoins >= restarts)
+        (Printf.sprintf "only %d rejoin transfers for %d restarts" rejoins restarts)
+    @ need
+        (full > 0 && fetched < full)
+        (Printf.sprintf "Merkle diff saved nothing: fetched %d of %d pages" fetched full)
+    @ List.map (Printf.sprintf "churn run: %s") m.failures)
+
+(* --- the paper's tables and figures --- *)
+
+(* Each is (section, banner, regenerator); a regenerator takes the seed
+   and the {!override}. *)
+let timed f seed duration = Harness.Report.render (f ?seed:(Some seed) ?duration ())
+
+let regenerators : (string * string * (int -> float option -> string)) list =
+  Harness.Experiments.
+    [
+      ("figure1", "Figure 1 — normal-case operation", fun seed _ -> figure1 ~seed ());
+      ("figure2", "Figure 2 — dynamic client join", fun seed _ -> figure2 ~seed ());
+      ("figure3", "Figure 3 — SQLite-VFS inside PBFT", fun seed _ -> figure3 ~seed ());
+      ("table1", "Table 1 / Figure 4", timed table1);
+      ("figure5", "Figure 5", timed figure5);
+      ("acid", "ACID vs No-ACID (§4.2)", timed acid_comparison);
+      ( "recovery",
+        "Recovery vs rebroadcast period (§2.3)",
+        fun seed _ -> Harness.Report.render (recovery ~seed ()) );
+      ( "packet-loss",
+        "Single datagram loss (§2.4)",
+        fun seed _ -> Harness.Report.render (packet_loss ~seed ()) );
+      ( "nondet",
+        "Non-determinism validation vs replay (§2.5)",
+        fun seed _ -> Harness.Report.render (nondet_validation ~seed ()) );
+      ("wan", "Wide-area deployment (§3.3.3)", timed wan);
+      ("sizes", "Payload size sweep (§4.1)", timed payload_sweep);
+      ("loss", "Loss sweep (robustness vs optimization)", timed loss_sweep);
+      ("ablation", "Batching ablation", timed batching_ablation);
+      ("pipesweep", "Pipelining sweep — vTPS vs depth x cores", timed pipeline_sweep);
+    ]
 
 let sections : (string * (unit -> unit)) list =
   [
@@ -768,84 +769,14 @@ let sections : (string * (unit -> unit)) list =
     ("openloop", run_openloop);
     ("shards", run_shards);
     ("churn", run_churn);
-    ( "figure1",
-      fun () ->
-        banner "Figure 1 — normal-case operation";
-        print_string (Harness.Experiments.figure1 ~seed:!seed ()) );
-    ( "figure2",
-      fun () ->
-        banner "Figure 2 — dynamic client join";
-        print_string (Harness.Experiments.figure2 ~seed:!seed ()) );
-    ( "figure3",
-      fun () ->
-        banner "Figure 3 — SQLite-VFS inside PBFT";
-        print_string (Harness.Experiments.figure3 ~seed:!seed ()) );
-    ( "table1",
-      fun () ->
-        banner "Table 1";
-        print_string
-          (Harness.Report.render (Harness.Experiments.table1 ~seed:!seed ~duration:!duration ()))
-    );
-    ( "figure4",
-      fun () ->
-        banner "Figure 4";
-        print_string
-          (Harness.Report.render (Harness.Experiments.figure4 ~seed:!seed ~duration:!duration ()))
-    );
-    ( "figure5",
-      fun () ->
-        banner "Figure 5";
-        print_string
-          (Harness.Report.render (Harness.Experiments.figure5 ~seed:!seed ~duration:!duration ()))
-    );
-    ( "acid",
-      fun () ->
-        banner "ACID vs No-ACID (§4.2)";
-        print_string
-          (Harness.Report.render
-             (Harness.Experiments.acid_comparison ~seed:!seed ~duration:!duration ())) );
-    ( "recovery",
-      fun () ->
-        banner "Recovery vs rebroadcast period (§2.3)";
-        print_string (Harness.Report.render (Harness.Experiments.recovery ~seed:!seed ())) );
-    ( "packet-loss",
-      fun () ->
-        banner "Single datagram loss (§2.4)";
-        print_string (Harness.Report.render (Harness.Experiments.packet_loss ~seed:!seed ())) );
-    ( "nondet",
-      fun () ->
-        banner "Non-determinism validation vs replay (§2.5)";
-        print_string
-          (Harness.Report.render (Harness.Experiments.nondet_validation ~seed:!seed ())) );
-    ( "wan",
-      fun () ->
-        banner "Wide-area deployment (§3.3.3)";
-        print_string
-          (Harness.Report.render (Harness.Experiments.wan ~seed:!seed ~duration:!duration ())) );
-    ( "sizes",
-      fun () ->
-        banner "Payload size sweep (§4.1)";
-        print_string
-          (Harness.Report.render
-             (Harness.Experiments.payload_sweep ~seed:!seed ~duration:!duration ())) );
-    ( "loss",
-      fun () ->
-        banner "Loss sweep (robustness vs optimization)";
-        print_string
-          (Harness.Report.render (Harness.Experiments.loss_sweep ~seed:!seed ())) );
-    ( "ablation",
-      fun () ->
-        banner "Batching ablation";
-        print_string
-          (Harness.Report.render
-             (Harness.Experiments.batching_ablation ~seed:!seed ~duration:!duration ())) );
-    ( "pipesweep",
-      fun () ->
-        banner "Pipelining sweep — vTPS vs depth x cores";
-        print_string
-          (Harness.Report.render
-             (Harness.Experiments.pipeline_sweep ~seed:!seed ~duration:!duration ())) );
   ]
+  @ List.map
+      (fun (name, title, regenerate) ->
+        ( name,
+          fun () ->
+            banner title;
+            print_string (regenerate !seed (override ())) ))
+      regenerators
 
 (* [vdiff A.json B.json]: the virtual-number equivalence check between
    two BENCH v8 files. Workloads are matched by name and compared field
@@ -903,25 +834,42 @@ let vdiff a b =
   Printf.printf "%d difference(s)\n" !differences;
   if !differences > 0 then exit 1
 
+let usage () =
+  Printf.sprintf
+    "usage: main.exe [section ...] [--seed N] [--duration S] [--quick]\n\
+    \       main.exe vdiff OLD.json NEW.json\n\
+     sections: %s (default: all)\n"
+    (String.concat " " (List.map fst sections))
+
+let seconds s =
+  match float_of_string_opt s with
+  | Some d when Float.is_finite d && d > 0.0 -> Some d
+  | _ -> None
+
+let bad why =
+  Printf.eprintf "%s\n%s" why (usage ());
+  exit 2
+
 let () =
   match List.tl (Array.to_list Sys.argv) with
   | [ "vdiff"; a; b ] -> vdiff a b
   | args ->
-    let quick_flag = List.mem "--quick" args in
-    let wanted = List.filter (fun a -> not (List.mem a [ "--quick"; "all" ])) args in
-    let known = List.map fst sections in
-    (match List.filter (fun a -> not (List.mem a known)) wanted with
-    | [] -> ()
-    | unknown ->
-      Printf.eprintf "unknown section(s): %s\nsections: %s all vdiff (A.json B.json) [--quick]\n"
-        (String.concat " " unknown) (String.concat " " known);
-      exit 2);
-    quick := quick_flag;
-    if !quick then duration := 0.3;
-    let run_all = wanted = [] in
-    (* figure4 duplicates table1's sweep; skip it in the default run. *)
-    let default_skip = [ "figure4" ] in
-    List.iter
-      (fun (name, f) ->
-        if (run_all && not (List.mem name default_skip)) || List.mem name wanted then f ())
-      sections
+    let rec parse wanted = function
+      | [] -> List.rev wanted
+      | "--quick" :: rest ->
+        quick := true;
+        parse wanted rest
+      | "--seed" :: n :: rest when Option.is_some (int_of_string_opt n) ->
+        seed := int_of_string n;
+        parse wanted rest
+      | "--seed" :: _ -> bad "--seed takes an integer"
+      | "--duration" :: s :: rest when Option.is_some (seconds s) ->
+        duration := seconds s;
+        parse wanted rest
+      | "--duration" :: _ -> bad "--duration takes a positive number of seconds"
+      | "all" :: rest -> parse wanted rest
+      | name :: rest when List.mem_assoc name sections -> parse (name :: wanted) rest
+      | unknown :: _ -> bad ("unknown section or option: " ^ unknown)
+    in
+    let wanted = parse [] args in
+    List.iter (fun (name, f) -> if wanted = [] || List.mem name wanted then f ()) sections

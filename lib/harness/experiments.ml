@@ -46,7 +46,8 @@ let table1 ?(seed = 1) ?(duration = 2.0) () =
       table1_rows
   in
   {
-    Report.title = "Table 1 — null-operation throughput per library configuration (1024 B)";
+    Report.title =
+      "Table 1 / Figure 4 — null-operation throughput per library configuration (1024 B)";
     rows;
     commentary =
       [
@@ -57,10 +58,6 @@ let table1 ?(seed = 1) ?(duration = 2.0) () =
         "well under 1%. See EXPERIMENTS.md for the per-row discussion.";
       ];
   }
-
-let figure4 ?seed ?duration () =
-  let r = table1 ?seed ?duration () in
-  { r with Report.title = "Figure 4 — PBFT tests (same series as Table 1, 1024-byte payloads)" }
 
 (* Figure 5: SQL inserts, batching on, ACID. The paper plots these; the
    text pins only two values (the best configuration, and the most robust
@@ -163,7 +160,7 @@ let indexed_sql_spec ?(seed = 1) ?(duration = 2.0) ?(app_pages = 512) ~indexed ~
 
 let pipeline_cfg ~depth ~cores () =
   {
-    (with_flags ~dynamic:false ~macs:true ~allbig:true ~batching:true (base_cfg ())) with
+    (base_cfg ()) with
     Pbft.Config.pipeline_depth = depth;
     cores;
   }

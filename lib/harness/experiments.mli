@@ -84,11 +84,8 @@ val churn_spec :
 
 val table1 : ?seed:int -> ?duration:float -> unit -> Report.t
 (** Table 1: the ten library configurations under 1024-byte null
-    operations, 12 clients / 4 replicas. *)
-
-val figure4 : ?seed:int -> ?duration:float -> unit -> Report.t
-(** Figure 4 is Table 1's throughput rendered per configuration; the
-    report carries the same series. *)
+    operations, 12 clients / 4 replicas. Figure 4 plots the same
+    series. *)
 
 val figure5 : ?seed:int -> ?duration:float -> unit -> Report.t
 (** Figure 5: single-row INSERT throughput (ACID, rollback journal) with

@@ -259,18 +259,6 @@ let suite ?(seed = 11) ~speculative () =
   if speculative then [ vc_mid_speculation ~seed () ]
   else List.map (gateway ~seed) [ Adversary.Mute; Adversary.Equivocate ]
 
-type report = {
-  name : string;
-  mutations : int;
-  correct : Util.Metrics.snapshot;
-  view : int;
-  baseline : int;
-  recovered : int;
-  safe : bool;
-  live : bool;
-  failures : string list;
-}
-
 let run ?(trace = false) scenario =
   let result = Run.run { scenario.spec with Run.trace } in
   let d = result.Run.deployment in
@@ -293,32 +281,21 @@ let run ?(trace = false) scenario =
     }
   in
   let unmet = List.filter_map (fun (what, holds) -> if holds check then None else Some what) in
-  ( {
-      name = scenario.name;
-      mutations = result.Run.mutations;
-      correct;
-      view;
-      baseline = check.baseline;
-      recovered = check.recovered;
-      safe = Lazy.force result.Run.failures = [];
-      live = check.recovered > 0;
-      failures = Lazy.force result.Run.failures @ unmet scenario.expect;
-    },
-    result )
+  (check, Lazy.force result.Run.failures @ unmet scenario.expect)
 
-let render r =
-  let pbft = Util.Metrics.total r.correct ~layer:"pbft"
-  and statemgr = Util.Metrics.total r.correct ~layer:"statemgr" in
+let render scenario (c, failures) =
+  let pbft = Util.Metrics.total c.correct ~layer:"pbft"
+  and statemgr = Util.Metrics.total c.correct ~layer:"statemgr" in
   Printf.sprintf
     "%-20s %-4s mutations=%-5d vc=%-3d dem_tr=%-2d rejoin_tr=%-2d pages=%d/%-4d demotions=%-2d \
      spec=%-5d rollbacks=%-2d auth_fail=%-4d nondet_rej=%-4d view=%-2d baseline=%-5d \
      recovered=%-5d%s"
-    r.name
-    (if r.safe && r.live && r.failures = [] then "ok" else "FAIL")
-    r.mutations (pbft "view_changes") (pbft "demotion_transfers") (pbft "rejoin_transfers")
+    scenario.name
+    (if failures = [] then "ok" else "FAIL")
+    c.result.Run.mutations (pbft "view_changes") (pbft "demotion_transfers") (pbft "rejoin_transfers")
     (statemgr "transfer_pages_fetched") (statemgr "transfer_pages_full") (pbft "demotions")
     (pbft "speculative_executions") (pbft "rollbacks") (pbft "auth_failures")
-    (pbft "nondet_rejects") r.view r.baseline r.recovered
-    (match r.failures with
+    (pbft "nondet_rejects") c.view c.baseline c.recovered
+    (match failures with
     | [] -> ""
     | fs -> "\n    " ^ String.concat "\n    " fs)

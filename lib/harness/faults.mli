@@ -44,21 +44,12 @@ val suite : ?seed:int -> speculative:bool -> unit -> scenario list
     a view change that must roll speculated batches back; without it
     the mute and equivocating primary behind the {!Webgate.Frontdoor}. *)
 
-type report = {
-  name : string;
-  mutations : int;
-  correct : Util.Metrics.snapshot;
-  view : int;
-  baseline : int;
-  recovered : int;
-  safe : bool;
-  live : bool;
-  failures : string list;  (** safety violations, then unmet expectations *)
-}
+val run : ?trace:bool -> scenario -> check * string list
+(** Run the scenario; its check and its failures: the run's safety
+    violations, then the unmet expectations ([[]] means it passed;
+    every scenario expects progress in the recovery window). [trace]
+    keeps the message trace on (re-running a failed scenario for the CI
+    artifact). *)
 
-val run : ?trace:bool -> scenario -> report * Run.result
-(** Run the scenario; [trace] keeps the message trace on (re-running a
-    failed scenario for the CI artifact). *)
-
-val render : report -> string
+val render : scenario -> check * string list -> string
 (** One status line, with failure reasons appended. *)

@@ -65,12 +65,8 @@ let measure ~name spec =
     failures = Lazy.force r.failures;
   }
 
-let default_cfg () =
-  Experiments.with_flags ~dynamic:false ~macs:true ~allbig:true ~batching:true
-    (Pbft.Config.default ~f:1)
-
 let workloads ?(seed = 1) ?(duration = 1.5) () =
-  let cfg = default_cfg () in
+  let cfg = Pbft.Config.default ~f:1 in
   List.map
     (fun (row, _paper, (dynamic, macs, allbig, batching)) ->
       let cfg =
@@ -123,7 +119,7 @@ let traced spec =
 let traced_digest spec = fst (traced spec)
 
 let trace_digest ?(seed = 1) ?(seconds = 0.3) () =
-  traced_digest { (Run.closed (default_cfg ())) with Run.seed; warmup = 0.1; duration = seconds }
+  traced_digest { (Run.closed (Pbft.Config.default ~f:1)) with Run.seed; warmup = 0.1; duration = seconds }
 
 (* The replica's equivalence proof: pipelined speculation (depth 8 on 4
    cores) with dynamic clients, whose joins ride the system-op intake.

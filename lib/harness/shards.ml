@@ -141,15 +141,13 @@ let group_states_agree d ~shard =
   | [] -> false
   | first :: rest -> List.length roots >= 2 && List.for_all (String.equal first) rest
 
-let byzantine_coordinator ?spec:given () =
+let byzantine_coordinator ?(seed = 1) () =
   let spec =
-    match given with
-    | Some s -> s
-    | None ->
-      {
-        (spec ~shards:2 ~rows:64 ~certs:true ()) with
-        cfg = { (Pbft.Config.default ~f:1) with view_change_timeout = 1.0 };
-      }
+    {
+      (spec ~shards:2 ~rows:64 ~certs:true ()) with
+      seed;
+      cfg = { (Pbft.Config.default ~f:1) with view_change_timeout = 1.0 };
+    }
   in
   let d = Run.build spec in
   let failures = ref [] in

@@ -74,5 +74,7 @@ type byz_report = {
   bz_failures : string list;  (** empty = scenario passed *)
 }
 
-val byzantine_coordinator : ?spec:Run.spec -> unit -> byz_report
+val byzantine_coordinator : ?seed:int -> unit -> byz_report
+(** The scenario on 2 shards of 64 rows with certs on (default seed 1). *)
+
 val render_byz : byz_report -> string

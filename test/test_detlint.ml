@@ -300,12 +300,10 @@ let test_adversary_cross_check () =
       (fun (s : Harness.Faults.scenario) -> String.equal s.name "corrupt-macs")
       (Harness.Faults.suite ~speculative:false ())
   in
-  let report, _ = Harness.Faults.run scenario in
+  let c, failures = Harness.Faults.run scenario in
   Alcotest.(check bool) "corrupted MACs rejected at intake" true
-    (Util.Metrics.total report.Harness.Faults.correct ~layer:"pbft" "auth_failures" > 0);
-  Alcotest.(check (list string)) "scenario failures" [] report.Harness.Faults.failures;
-  Alcotest.(check bool) "safety held" true report.Harness.Faults.safe;
-  Alcotest.(check bool) "liveness held" true report.Harness.Faults.live
+    (Util.Metrics.total c.Harness.Faults.correct ~layer:"pbft" "auth_failures" > 0);
+  Alcotest.(check (list string)) "scenario failures" [] failures
 
 (* --- unused_export: interface [lib/pbft/m.mli] against consumer units --- *)
 

@@ -7,13 +7,11 @@
    Harness.Faults; a scenario fails if any expectation does. *)
 
 let run scenario =
-  let report, _ = Harness.Faults.run scenario in
-  (match report.Harness.Faults.failures with
+  let c, failures = Harness.Faults.run scenario in
+  (match failures with
   | [] -> ()
   | fs -> Alcotest.failf "%s" (String.concat "; " fs));
-  Alcotest.(check bool) "safe" true report.Harness.Faults.safe;
-  Alcotest.(check bool) "live" true report.Harness.Faults.live;
-  report
+  c
 
 let scenario ?(speculative = false) name =
   List.find
@@ -22,15 +20,15 @@ let scenario ?(speculative = false) name =
 
 let check_behavior ?speculative behavior () =
   ignore
-    (run (scenario ?speculative (Pbft.Adversary.behavior_name behavior)) : Harness.Faults.report)
+    (run (scenario ?speculative (Pbft.Adversary.behavior_name behavior)) : Harness.Faults.check)
 
 (* The PR 6 regression: a view change that lands while replicas hold
    executed-but-uncommitted batches must roll the speculation back (for
    real — the scenario fails unless rollbacks actually happened) and
    still satisfy every safety and liveness predicate afterwards. *)
 let test_vc_mid_speculation () =
-  let report = run (scenario ~speculative:true "vc-mid-speculation") in
-  let total = Util.Metrics.total report.Harness.Faults.correct ~layer:"pbft" in
+  let c = run (scenario ~speculative:true "vc-mid-speculation") in
+  let total = Util.Metrics.total c.Harness.Faults.correct ~layer:"pbft" in
   Alcotest.(check bool) "speculated" true (total "speculative_executions" > 0);
   Alcotest.(check bool) "rolled back" true (total "rollbacks" > 0)
 

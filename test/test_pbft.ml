@@ -1213,10 +1213,7 @@ let test_table1_retained_bounded () =
      derived from [log_window] (Run.retained_bound), and that
      ceiling does not depend on how long the run is: the 3 s run is held
      to the same numbers as the 1 s run. *)
-  let cfg =
-    Harness.Experiments.with_flags ~dynamic:false ~macs:true ~allbig:true ~batching:true
-      (Config.default ~f:1)
-  in
+  let cfg = Config.default ~f:1 in
   List.iter
     (fun seconds ->
       let spec = { (Harness.Run.closed cfg) with Harness.Run.seed = 1; duration = seconds } in

@@ -8,11 +8,11 @@
    No section runs them all; an unknown section or a malformed option
    prints the usage to stderr and exits 2. [--seed] (default 1) seeds
    every section. [--duration] sets the measured virtual seconds of the
-   paper's sections and of the bench, sqlidx, pipeline, openloop and
-   shards runs; without it a paper section keeps its regenerator's own
-   length and the others their calibrated one. [--quick] shortens those
-   runs to 0.3 s (shards to 0.8 s; memory and churn have their own short
-   shapes) for CI smoke runs.
+   paper's sections only; without it each keeps its regenerator's own
+   length. The BENCH.json rows and the gates always run at their
+   calibrated lengths. [--quick] shortens every run to 0.3 s (shards to
+   0.8 s; memory and churn have their own short shapes) for CI smoke
+   runs.
    [vdiff] compares two BENCH files' virtual numbers, workload by
    workload, and exits 1 on any difference. Each gated section's
    comment below says what it checks; a failed gate exits 1. *)
@@ -26,14 +26,16 @@ let seed = ref 1
 let duration : float option ref = ref None
 let quick = ref false
 
-(* The length a section runs for: --duration, else [quick_length] under
-   --quick; [None] leaves the section its own length. *)
-let override ?(quick_length = 0.3) () =
+(* A paper section's length: --duration, else 0.3 s under --quick;
+   [None] leaves the regenerator its own length. *)
+let override () =
   match !duration with
   | Some _ as d -> d
-  | None -> if !quick then Some quick_length else None
+  | None -> if !quick then Some 0.3 else None
 
-let length ?quick_length default = Option.value (override ?quick_length ()) ~default
+(* A gated or BENCH.json run's length: its calibrated [default], or
+   [quick_length] under --quick. --duration does not reach it. *)
+let length ?(quick_length = 0.3) default = if !quick then quick_length else default
 
 let banner name = Printf.printf "\n######## %s ########\n%!" name
 
@@ -439,7 +441,7 @@ let run_faults () =
     | ((scenario, failures) :: _) as failed ->
       (* Re-run the first failing scenario with the trace enabled so the
          dump actually contains the messages that led to the failure. *)
-      let check, _ = Harness.Faults.run ~trace:true scenario in
+      let c, _ = Harness.Faults.run ~trace:true scenario in
       let oc = open_out "faults-trace.txt" in
       output_string oc
         (Printf.sprintf "behavior: %s (speculative=%b)\nfailures:\n  %s\n\n"
@@ -447,7 +449,7 @@ let run_faults () =
            (String.concat "\n  " failures));
       output_string oc
         (Simnet.Trace.render ~limit:5000
-           (Pbft.Cluster.trace (Harness.Run.cluster check.Harness.Faults.result.deployment 0))
+           (Pbft.Cluster.trace (Harness.Run.cluster c.Harness.Faults.result.deployment 0))
            (fun _ -> true));
       close_out oc;
       [
@@ -838,6 +840,7 @@ let usage () =
   Printf.sprintf
     "usage: main.exe [section ...] [--seed N] [--duration S] [--quick]\n\
     \       main.exe vdiff OLD.json NEW.json\n\
+     --duration sets the paper sections' length only; the gates keep theirs\n\
      sections: %s (default: all)\n"
     (String.concat " " (List.map fst sections))
 

@@ -268,10 +268,22 @@ let run_sqlidx () =
    The deterministic proxy is the number of heap words reachable from
    the cluster at the end of each run: its growth per extra completed
    request is what a table that never forgets a request costs. Set from
-   this gate's --quick value with stable-checkpoint body retirement in
-   place (6.35 words/op, 1 s vs 3 s, seed 1) plus 25% headroom; keeping
-   every request body, as before the retirement, measures 171.8. *)
-let memory_words_budget = 7.94
+   this gate's --quick value with a live-only event queue (3.34
+   words/op, 1 s vs 3 s, seed 1) plus 25% headroom; 7.94 before, set
+   from 6.35 while cancelled timers stayed queued; keeping every request
+   body, as before stable-checkpoint retirement, measures 171.8. *)
+let memory_words_budget = 4.17
+
+(* The words reachable after the short run, under --quick (1 s) and
+   without it (2 s): set from their readings, 111,466 and 145,852, plus
+   25% headroom. A queue that kept cancelled timers until their
+   deadlines read 1,406,774 after 1 s: each dead closure keeps its
+   finished operation reachable. *)
+let memory_live_budget = (139_333, 182_315)
+
+(* Events queued at the end of the long run: 62 under --quick (56
+   without) plus 25% headroom. *)
+let memory_pending_budget = 78
 
 let run_memory () =
   banner "Bounded replica memory — Table-1 default at two lengths";
@@ -293,10 +305,12 @@ let run_memory () =
     let sum name = Util.Metrics.total r.Harness.Run.metrics ~layer:"pbft" name in
     let unanswered = sum "aged_out_unanswered" in
     let aged = sum "bodies_aged_out" in
-    (r.Harness.Run.completed, live, largest, unanswered, aged)
+    let queued = Simnet.Engine.pending (Pbft.Cluster.engine cluster) in
+    (r.Harness.Run.completed, live, largest, unanswered, aged, queued)
   in
-  let ops_s, live_s, largest_s, unanswered_s, aged_s = run short in
-  let ops_l, live_l, largest_l, unanswered_l, aged_l = run long in
+  let live_budget = (if !quick then fst else snd) memory_live_budget in
+  let ops_s, live_s, largest_s, unanswered_s, aged_s, _ = run short in
+  let ops_l, live_l, largest_l, unanswered_l, aged_l, queued_l = run long in
   let bound = Pbft.Replica.retained_fields (Harness.Run.retained_bound spec) in
   Printf.printf "  %-22s %10s %10s %10s\n" "largest per replica" (Printf.sprintf "%.0f s" short)
     (Printf.sprintf "%.0f s" long) "bound";
@@ -313,7 +327,9 @@ let run_memory () =
   Printf.printf "  bodies aged out: %d / %d (unanswered: %d / %d)\n" aged_s aged_l unanswered_s
     unanswered_l;
   let growth = float_of_int (live_l - live_s) /. float_of_int (Int.max 1 (ops_l - ops_s)) in
-  Printf.printf "  live words: %d at %d ops, %d at %d ops\n" live_s ops_s live_l ops_l;
+  Printf.printf "  live words: %d at %d ops (budget %d), %d at %d ops\n" live_s ops_s live_budget
+    live_l ops_l;
+  Printf.printf "  events queued at the end: %d (budget %d)\n" queued_l memory_pending_budget;
   Printf.printf "  growth: %.2f words/op = %.3f KB/op (budget %.2f words/op)\n%!" growth
     (growth *. float_of_int (Sys.word_size / 8) /. 1024.0)
     memory_words_budget;
@@ -325,7 +341,12 @@ let run_memory () =
     @ need
         (growth <= memory_words_budget)
         (Printf.sprintf "live words grow %.2f per extra op (budget %.2f)" growth
-           memory_words_budget))
+           memory_words_budget)
+    @ need (live_s <= live_budget)
+        (Printf.sprintf "%d live words after the short run (budget %d)" live_s live_budget)
+    @ need
+        (queued_l <= memory_pending_budget)
+        (Printf.sprintf "%d events queued at the end (budget %d)" queued_l memory_pending_budget))
 
 (* Deterministic hashing gates. Cluster.create over the sql_vote_insert-
    shaped service (2,048 app pages, 1,600 filler rows of 1.5 KB) must hash

@@ -13,7 +13,6 @@ let with_flags ~dynamic ~macs ~allbig ~batching cfg =
     cfg with
     Pbft.Config.dynamic_clients = dynamic;
     use_macs = macs;
-    all_requests_big = allbig;
     big_request_threshold = (if allbig then 0 else 8192);
     batching;
   }
@@ -510,7 +509,7 @@ let packet_loss ?(seed = 1) () =
   in
   let cfg_a = base_cfg () in
   let oa, ra = run_case ~cfg:cfg_a ~dst:victim in
-  let cfg_b = { (base_cfg ()) with Pbft.Config.all_requests_big = false; big_request_threshold = 8192 } in
+  let cfg_b = { (base_cfg ()) with Pbft.Config.big_request_threshold = 8192 } in
   let ob, rb = run_case ~cfg:cfg_b ~dst:0 in
   let cfg_c = { cfg_a with Pbft.Config.fetch_missing_bodies = true } in
   let oc_, rc = run_case ~cfg:cfg_c ~dst:victim in
@@ -557,7 +556,6 @@ let nondet_validation ?(seed = 1) () =
       {
         (base_cfg ()) with
         Pbft.Config.use_macs = false;
-        all_requests_big = false;
         big_request_threshold = 1 lsl 20;
         fetch_missing_entries = true;
         checkpoint_interval = 50_000;
@@ -676,7 +674,7 @@ let loss_sweep ?(seed = 1) ?(duration = 3.0) () =
   in
   let default = base_cfg () in
   let robust =
-    { (base_cfg ()) with Pbft.Config.all_requests_big = false; big_request_threshold = 8192 }
+    { (base_cfg ()) with Pbft.Config.big_request_threshold = 8192 }
   in
   let rows =
     List.concat_map

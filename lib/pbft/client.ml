@@ -110,8 +110,6 @@ let announce_session_keys t =
 (* ------------------------------------------------------------------ *)
 (* Requests.                                                            *)
 
-let is_big t op = t.cfg.all_requests_big || String.length op > t.cfg.big_request_threshold
-
 let transmit t o ~to_all =
   let payload = Message.Request_msg o.o_rq in
   if to_all then multicast t payload ~signed:false
@@ -147,7 +145,7 @@ let invoke_certified t ?(readonly = false) op callback =
       rq_timestamp = now t;
     }
   in
-  let multicast = readonly || is_big t op in
+  let multicast = readonly || Config.is_big_request t.cfg op in
   let o =
     {
       o_rq = rq;

@@ -7,7 +7,6 @@ type t = {
   f : int;
   n : int;
   use_macs : bool;
-  all_requests_big : bool;
   big_request_threshold : int;
   batching : bool;
   congestion_window : int;
@@ -33,12 +32,14 @@ type t = {
 let max_batch_bytes = 8 * 1024
 let join_request_timeout = 1.0
 
+let is_big_request t op =
+  t.big_request_threshold = 0 || String.length op > t.big_request_threshold
+
 let default ~f =
   {
     f;
     n = (3 * f) + 1;
     use_macs = true;
-    all_requests_big = true;
     big_request_threshold = 0;
     batching = true;
     congestion_window = 1;
@@ -62,7 +63,7 @@ let default ~f =
   }
 
 let robust ~f =
-  { (default ~f) with use_macs = false; all_requests_big = false; big_request_threshold = 8192 }
+  { (default ~f) with use_macs = false; big_request_threshold = 8192 }
 
 let validate t =
   if t.n <> (3 * t.f) + 1 then Error "n must equal 3f+1"

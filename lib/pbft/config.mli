@@ -1,10 +1,10 @@
 (** Protocol and library configuration.
 
-    The boolean triple (MAC authenticators, all-requests-big, batching)
-    plus static-vs-dynamic client management spans exactly the
-    configuration matrix of the paper's Table 1; the remaining fields are
-    the tunables the PBFT code base exposes (checkpoint interval,
-    watermark window, congestion window, timers). *)
+    MAC authenticators, all-requests-big (a big-request threshold of
+    0), batching and static-vs-dynamic client management span exactly
+    the configuration matrix of the paper's Table 1; the remaining
+    fields are the tunables the PBFT code base exposes (checkpoint
+    interval, watermark window, congestion window, timers). *)
 
 type nondet_validation =
   | No_validation  (** trust the primary's non-deterministic data *)
@@ -19,8 +19,10 @@ type t = {
   f : int;  (** tolerated Byzantine faults *)
   n : int;  (** replica count, 3f + 1 *)
   use_macs : bool;  (** MAC authenticators instead of signatures *)
-  all_requests_big : bool;  (** big-request threshold forced to 0 (§2.1) *)
-  big_request_threshold : int;  (** bytes above which a request is big *)
+  big_request_threshold : int;
+      (** bytes above which a request is big (§2.1): its body travels
+          outside the pre-prepare, which names it by digest. 0 makes
+          every request big, an empty one included (all-big) *)
   batching : bool;
   congestion_window : int;
       (** max requests received-but-not-executed at the primary before it
@@ -68,10 +70,10 @@ type t = {
           withheld until the commit certificate lands (rolled back on
           view change) *)
   cores : int;
-      (** virtual CPU cores per replica (default 1). With more than one,
-          MAC generation/verification fan-out and Merkle leaf hashing are
-          charged as overlapping per-piece work instead of one serial
-          lump *)
+      (** virtual CPU cores per replica (default 1). MAC
+          generation/verification fan-out and Merkle leaf hashing are
+          charged as per-piece work: one core runs the pieces back to
+          back, more cores overlap them *)
   rejoin_key_refresh : bool;
       (** remedy for §2.3: a restarted replica multicasts a signed
           {!Message.Key_request} so peers re-send their session keys
@@ -93,6 +95,10 @@ val join_request_timeout : float
 (** Retransmission period for the two-phase join handshake (§3.1): 1 s.
     Join traffic is signed and pre-agreement, so it runs on its own timer
     rather than [client_timeout]. *)
+
+val is_big_request : t -> string -> bool
+(** [is_big_request cfg op]: whether a request carrying [op] is big
+    under [cfg.big_request_threshold]. *)
 
 val default : f:int -> t
 (** Castro's preferred configuration: MACs, all-big, batching, tentative

@@ -1072,9 +1072,7 @@ and emit_pre_prepares t =
         let take_one () =
           let rq = Queue.pop t.pending in
           let item =
-            let size = String.length rq.Message.rq_op in
-            let big = t.cfg.all_requests_big || size > t.cfg.big_request_threshold in
-            if big then begin
+            if Config.is_big_request t.cfg rq.Message.rq_op then begin
               let d = Message.request_digest rq in
               (* Normally still held from intake; re-store one the age
                  bound took while the request queued. *)
@@ -1137,7 +1135,7 @@ and handle_request t rq =
   match Membership.lookup t.membership client with
   | None -> Util.Metrics.incr t.n_auth_fail
   | Some _ ->
-    let big = t.cfg.all_requests_big || String.length rq.rq_op > t.cfg.big_request_threshold in
+    let big = Config.is_big_request t.cfg rq.rq_op in
     (* A fast-path read is never ordered, so no proposal can name its body. *)
     if big && not rq.rq_readonly then begin
       let d = Message.request_digest rq in

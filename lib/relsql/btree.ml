@@ -634,13 +634,6 @@ let iter t ?from ?upto f =
   let c = { img = ""; pos = 0 } in
   walk_leaves c t from upto f (descend_leaf c t t.root_page from 0) 0
 
-let count t =
-  let n = ref 0 in
-  iter t (fun _ _ ->
-      incr n;
-      true);
-  !n
-
 let rec free_subtree t page =
   (match load t page with
   | Leaf _ -> ()

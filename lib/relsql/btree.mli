@@ -50,7 +50,5 @@ val iter : t -> ?from:string -> ?upto:string -> (string -> string -> bool) -> un
     callback sees any of it. So the callback may write the tree; the
     scan then yields the entries in range before it started. *)
 
-val count : t -> int
-[@@detlint.allow unused_export "the B-tree tests check entry counts"]
 val drop : t -> unit
 (** Free every page of the tree. *)

@@ -51,7 +51,6 @@ let open_db vfs =
     planner_enabled = true;
   }
 
-let in_transaction t = t.explicit_txn
 let table_names t = Catalog.table_names t.cat
 let stmt_cache_stats t = (t.cache_hits, t.cache_misses)
 let set_planner_enabled t on = t.planner_enabled <- on

@@ -31,9 +31,6 @@ val exec : t -> string -> outcome
 val exec_exn : t -> string -> result
 (** [exec] or [Failure]. *)
 
-val in_transaction : t -> bool
-[@@detlint.allow unused_export "the transaction tests check BEGIN and ROLLBACK"]
-
 val table_names : t -> string list
 [@@detlint.allow unused_export "the DDL tests list tables"]
 

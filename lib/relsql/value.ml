@@ -16,7 +16,6 @@ let compare_sql a b =
   | Text x, Text y -> String.compare x y
   | (Null | Int _ | Real _ | Text _), _ -> Int.compare (type_rank a) (type_rank b)
 
-let equal a b = compare_sql a b = 0
 let is_null = function Null -> true | Int _ | Real _ | Text _ -> false
 
 let to_string = function

@@ -10,8 +10,6 @@ val compare_sql : t -> t -> int
 (** SQLite-style ordering: Null < numbers < text; Int and Real compare
     numerically with each other. *)
 
-val equal : t -> t -> bool
-[@@detlint.allow unused_export "the relsql tests compare values"]
 val is_null : t -> bool
 val to_string : t -> string
 (** Rendering for result rows ("NULL" for Null). *)

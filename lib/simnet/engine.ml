@@ -1,10 +1,22 @@
-type timer = { mutable cancelled : bool }
+(* The queue is a binary min-heap of timers ordered by (time, seq), seq
+   being the insertion number: a strict total order, so the firing order
+   does not depend on the heap's layout. Each queued timer knows its
+   slot, so [cancel] takes it out at once and the heap holds only live
+   events. *)
+type timer = {
+  mutable time : float;
+  mutable seq : int;
+  fire : unit -> unit;
+  mutable slot : int;  (** index in [engine.heap]; -1 once out of the queue *)
+  mutable cancelled : bool;
+  engine : t;
+}
 
-type event = { fire : unit -> unit; guard : timer option }
-
-type t = {
+and t = {
   mutable clock : float;
-  queue : event Util.Heap.t;
+  mutable heap : timer array;
+  mutable len : int;
+  mutable next_seq : int;
   root_rng : Util.Rng.t;
   mutable events : int;
   metrics : Util.Metrics.t;
@@ -13,7 +25,9 @@ type t = {
 let create ~seed =
   {
     clock = 0.0;
-    queue = Util.Heap.create ();
+    heap = [||];
+    len = 0;
+    next_seq = 0;
     root_rng = Util.Rng.create seed;
     events = 0;
     metrics = Util.Metrics.create ();
@@ -23,65 +37,105 @@ let now t = t.clock
 let rng t = t.root_rng
 let events t = t.events
 let metrics t = t.metrics
+let pending t = t.len
+
+let less a b = a.time < b.time || (Float.equal a.time b.time && a.seq < b.seq)
+
+let place t i e =
+  t.heap.(i) <- e;
+  e.slot <- i
+
+(* Put [e] in the hole at [i], moving it towards the root. *)
+let rec sift_up t i e =
+  let p = (i - 1) / 2 in
+  if i > 0 && less e t.heap.(p) then begin
+    place t i t.heap.(p);
+    sift_up t p e
+  end
+  else place t i e
+
+(* Put [e] in the hole at [i], moving it towards the leaves. *)
+let rec sift_down t i e =
+  let l = (2 * i) + 1 in
+  let c = if l + 1 < t.len && less t.heap.(l + 1) t.heap.(l) then l + 1 else l in
+  if c < t.len && less t.heap.(c) e then begin
+    place t i t.heap.(c);
+    sift_down t c e
+  end
+  else place t i e
+
+let insert t e =
+  if t.len = Array.length t.heap then begin
+    let bigger = Array.make (Int.max 16 (2 * t.len)) e in
+    Array.blit t.heap 0 bigger 0 t.len;
+    t.heap <- bigger
+  end;
+  e.seq <- t.next_seq;
+  t.next_seq <- t.next_seq + 1;
+  t.len <- t.len + 1;
+  sift_up t (t.len - 1) e
+
+(* Take [e] out through its slot and refill the hole with the last entry,
+   which may belong above or below it. *)
+let remove t e =
+  let i = e.slot in
+  e.slot <- -1;
+  t.len <- t.len - 1;
+  if i < t.len then begin
+    let last = t.heap.(t.len) in
+    if i > 0 && less last t.heap.((i - 1) / 2) then sift_up t i last else sift_down t i last
+  end
+
+let enqueue t ~time fire =
+  let e = { time; seq = 0; fire; slot = -1; cancelled = false; engine = t } in
+  insert t e;
+  e
 
 let schedule_at t ~time f =
   let time = if time < t.clock then t.clock else time in
-  Util.Heap.push t.queue time { fire = f; guard = None }
+  ignore (enqueue t ~time f)
 
-let schedule t ~delay f = schedule_at t ~time:(t.clock +. Float.max 0.0 delay)  f
+let schedule t ~delay f = schedule_at t ~time:(t.clock +. Float.max 0.0 delay) f
+let timer t ~delay f = enqueue t ~time:(t.clock +. Float.max 0.0 delay) f
 
-let timer t ~delay f =
-  let guard = { cancelled = false } in
-  Util.Heap.push t.queue
-    (t.clock +. Float.max 0.0 delay)
-    { fire = f; guard = Some guard };
-  guard
-
-let cancel guard = guard.cancelled <- true
+let cancel e =
+  e.cancelled <- true;
+  if e.slot >= 0 then remove e.engine e
 
 let periodic t ~interval f =
-  let guard = { cancelled = false } in
-  let rec arm delay =
-    Util.Heap.push t.queue (t.clock +. delay)
-      {
-        fire =
-          (fun () ->
-            f ();
-            if not guard.cancelled then arm interval);
-        guard = Some guard;
-      }
+  let rec e =
+    {
+      time = t.clock +. interval;
+      seq = 0;
+      fire =
+        (fun () ->
+          f ();
+          if not e.cancelled then begin
+            e.time <- t.clock +. interval;
+            insert t e
+          end);
+      slot = -1;
+      cancelled = false;
+      engine = t;
+    }
   in
-  arm interval;
-  guard
+  insert t e;
+  e
 
-let live ev = match ev.guard with None -> true | Some g -> not g.cancelled
-
-let step t =
-  match Util.Heap.pop t.queue with
-  | None -> false
-  | Some (time, ev) ->
-    t.clock <- Float.max t.clock time;
-    t.events <- t.events + 1;
-    if live ev then ev.fire ();
-    true
-
-let run ?until ?max_events t =
-  let stop_time = match until with None -> infinity | Some u -> u in
-  let budget = ref (match max_events with None -> max_int | Some m -> m) in
-  let continue = ref true in
-  while !continue && !budget > 0 do
-    match Util.Heap.peek t.queue with
-    | None -> continue := false
-    | Some (time, _) ->
-      if time > stop_time then begin
-        (* Leave future events queued; advance the clock to the horizon. *)
-        t.clock <- Float.max t.clock stop_time;
-        continue := false
-      end
-      else begin
-        ignore (step t);
-        decr budget
-      end
+let run ?(until = infinity) ?(max_events = max_int) t =
+  let budget = ref max_events in
+  while !budget > 0 && t.len > 0 do
+    let e = t.heap.(0) in
+    if e.time > until then begin
+      (* Leave future events queued; advance the clock to the horizon. *)
+      t.clock <- Float.max t.clock until;
+      budget := 0
+    end
+    else begin
+      remove t e;
+      t.clock <- Float.max t.clock e.time;
+      t.events <- t.events + 1;
+      e.fire ();
+      decr budget
+    end
   done
-
-let pending t = Util.Heap.size t.queue

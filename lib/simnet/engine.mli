@@ -34,16 +34,22 @@ val timer : t -> delay:float -> (unit -> unit) -> timer
 (** Cancellable variant of {!schedule}. *)
 
 val cancel : timer -> unit
+(** Take the timer out of the queue: it never fires again. Cancelling a
+    timer that already fired, or cancelling twice, does nothing. *)
 
 val periodic : t -> interval:float -> (unit -> unit) -> timer
-(** Fires every [interval] until cancelled. *)
+(** Fires every [interval] until cancelled; cancelling it from its own
+    callback stops it too. *)
 
 val run : ?until:float -> ?max_events:int -> t -> unit
-(** Drain the queue, stopping when empty, when virtual time would exceed
-    [until], or after [max_events] events. *)
+(** Fire events in order, stopping when the queue is empty, when the
+    next event lies past [until] (the clock then moves to [until]), or
+    after [max_events] fired events. *)
 
 val pending : t -> int
+(** Events in the queue; every one of them will fire unless cancelled
+    first. *)
 
 val events : t -> int
-(** Total events executed since [create] — a host-side throughput
-    denominator; does not affect virtual time. *)
+(** Events fired since [create] — a host-side throughput denominator;
+    does not affect virtual time. *)

@@ -713,7 +713,6 @@ let test_nondet_delta_blocks_replay () =
       {
         (Config.default ~f:1) with
         Config.use_macs = false;
-        all_requests_big = false;
         big_request_threshold = 1 lsl 20;
         fetch_missing_entries = true;
         checkpoint_interval = 50_000;

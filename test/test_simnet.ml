@@ -63,6 +63,233 @@ let test_engine_nested_schedule () =
   Alcotest.(check (list string)) "nested" [ "outer"; "inner" ] (List.rev !log);
   Alcotest.(check (float 1e-9)) "time advanced" 0.2 (Simnet.Engine.now e)
 
+(* --- heap: the engine's queue order --- *)
+
+let test_heap_sorted_drain () =
+  let e = Simnet.Engine.create ~seed:1 in
+  let rng = Util.Rng.create 9 in
+  let n = 500 in
+  let prev = ref neg_infinity in
+  let count = ref 0 in
+  for _ = 1 to n do
+    let time = Util.Rng.float rng 100.0 in
+    Simnet.Engine.schedule_at e ~time (fun () ->
+        if time < !prev || not (Float.equal time (Simnet.Engine.now e)) then
+          Alcotest.fail "heap order violated";
+        prev := time;
+        incr count)
+  done;
+  Simnet.Engine.run e;
+  Alcotest.(check int) "all drained" n !count;
+  Alcotest.(check int) "queue empty" 0 (Simnet.Engine.pending e)
+
+let test_heap_fifo_ties () =
+  let e = Simnet.Engine.create ~seed:1 in
+  let log = ref [] in
+  let timers =
+    Array.init 10 (fun i -> Simnet.Engine.timer e ~delay:1.0 (fun () -> log := (i + 1) :: !log))
+  in
+  Simnet.Engine.cancel timers.(3);
+  Simnet.Engine.cancel timers.(6);
+  Simnet.Engine.run e;
+  Alcotest.(check (list int)) "tie order" [ 1; 2; 3; 5; 6; 8; 9; 10 ] (List.rev !log)
+
+let test_heap_peek () =
+  let e = Simnet.Engine.create ~seed:1 in
+  Alcotest.(check int) "empty" 0 (Simnet.Engine.pending e);
+  let log = ref [] in
+  Simnet.Engine.schedule e ~delay:5.0 (fun () -> log := "b" :: !log);
+  Simnet.Engine.schedule e ~delay:1.0 (fun () -> log := "a" :: !log);
+  Alcotest.(check int) "size" 2 (Simnet.Engine.pending e);
+  Simnet.Engine.run ~max_events:1 e;
+  Alcotest.(check (list string)) "earliest first" [ "a" ] !log;
+  Alcotest.(check (float 0.0)) "clock at its time" 1.0 (Simnet.Engine.now e);
+  Alcotest.(check int) "one left" 1 (Simnet.Engine.pending e)
+
+(* --- the engine against a sorted-list model --- *)
+
+(* What a fired event does besides logging its id: nothing, cancel the
+   timer made [k]-th (modulo the timers made so far; it may be itself,
+   already fired or already cancelled), or schedule a one-shot child. *)
+type action = Nothing | Cancel_in of int | Spawn of float
+
+type engine_op =
+  | Schedule of float * action
+  | Schedule_at of float * action  (** absolute time, possibly past *)
+  | Timer of float * action
+  | Periodic of float * action
+  | Cancel of int  (** the timer made [k]-th, modulo the timers made so far *)
+  | Run_until of float  (** horizon relative to now *)
+  | Run_max of int
+
+let print_action = function
+  | Nothing -> ""
+  | Cancel_in k -> Printf.sprintf " cancel#%d" k
+  | Spawn d -> Printf.sprintf " spawn+%g" d
+
+let print_engine_op = function
+  | Schedule (d, a) -> Printf.sprintf "schedule+%g%s" d (print_action a)
+  | Schedule_at (t, a) -> Printf.sprintf "schedule@%g%s" t (print_action a)
+  | Timer (d, a) -> Printf.sprintf "timer+%g%s" d (print_action a)
+  | Periodic (i, a) -> Printf.sprintf "periodic/%g%s" i (print_action a)
+  | Cancel k -> Printf.sprintf "cancel#%d" k
+  | Run_until d -> Printf.sprintf "run-until+%g" d
+  | Run_max n -> Printf.sprintf "run-max %d" n
+
+let engine_op_gen =
+  let open QCheck.Gen in
+  let quarter lo hi = map (fun k -> float_of_int k *. 0.25) (int_range lo hi) in
+  let action =
+    frequency
+      [ (3, return Nothing); (2, map (fun k -> Cancel_in k) nat); (1, map (fun d -> Spawn d) (quarter 0 8)) ]
+  in
+  frequency
+    [
+      (3, map2 (fun d a -> Schedule (d, a)) (quarter 0 32) action);
+      (1, map2 (fun t a -> Schedule_at (t, a)) (quarter 0 64) action);
+      (4, map2 (fun d a -> Timer (d, a)) (quarter 0 32) action);
+      (1, map2 (fun i a -> Periodic (i, a)) (quarter 1 4) action);
+      (4, map (fun k -> Cancel k) nat);
+      (2, map (fun d -> Run_until d) (quarter 0 8));
+      (2, map (fun n -> Run_max n) (int_range 0 5));
+    ]
+
+(* After each op (and after a final cancel-everything drain): the ids
+   fired during it, the clock, and the queue length. *)
+type observation = int list * float * int
+
+(* The program against the engine. *)
+let engine_observations ops : observation list =
+  let e = Simnet.Engine.create ~seed:1 in
+  let fired = ref [] and next_id = ref 0 and timers = ref [||] in
+  let fresh () =
+    incr next_id;
+    !next_id
+  in
+  let nth k = !timers.(k mod Array.length !timers) in
+  let rec callback id act () =
+    fired := id :: !fired;
+    match act with
+    | Nothing -> ()
+    | Cancel_in k -> if Array.length !timers > 0 then Simnet.Engine.cancel (nth k)
+    | Spawn d -> Simnet.Engine.schedule e ~delay:d (callback (fresh ()) Nothing)
+  in
+  let keep tm = timers := Array.append !timers [| tm |] in
+  let observe () =
+    let o = (List.rev !fired, Simnet.Engine.now e, Simnet.Engine.pending e) in
+    fired := [];
+    o
+  in
+  let step op =
+    (match op with
+    | Schedule (d, a) -> Simnet.Engine.schedule e ~delay:d (callback (fresh ()) a)
+    | Schedule_at (time, a) -> Simnet.Engine.schedule_at e ~time (callback (fresh ()) a)
+    | Timer (d, a) -> keep (Simnet.Engine.timer e ~delay:d (callback (fresh ()) a))
+    | Periodic (i, a) -> keep (Simnet.Engine.periodic e ~interval:i (callback (fresh ()) a))
+    | Cancel k -> if Array.length !timers > 0 then Simnet.Engine.cancel (nth k)
+    | Run_until d -> Simnet.Engine.run ~until:(Simnet.Engine.now e +. d) e
+    | Run_max n -> Simnet.Engine.run ~max_events:n e);
+    observe ()
+  in
+  let steps = List.map step ops in
+  Array.iter Simnet.Engine.cancel !timers;
+  Simnet.Engine.run e;
+  steps @ [ observe () ]
+
+(* The same program against a list kept sorted by (time, insertion seq);
+   a timer's entries carry its index, and cancelling filters them out. *)
+type model_event = {
+  m_time : float;
+  m_seq : int;
+  m_id : int;
+  m_timer : int option;
+  m_every : float option;
+  m_act : action;
+}
+
+let model_observations ops : observation list =
+  let clock = ref 0.0 and seq = ref 0 and queue = ref [] in
+  let fired = ref [] and next_id = ref 0 and timers = ref 0 and cancelled = Hashtbl.create 8 in
+  let fresh () =
+    incr next_id;
+    !next_id
+  in
+  let enqueue ev =
+    incr seq;
+    queue :=
+      List.sort
+        (fun a b -> compare (a.m_time, a.m_seq) (b.m_time, b.m_seq))
+        ({ ev with m_seq = !seq } :: !queue)
+  in
+  let push ?timer ?every time act =
+    enqueue { m_time = time; m_seq = 0; m_id = fresh (); m_timer = timer; m_every = every; m_act = act }
+  in
+  let cancel k =
+    if !timers > 0 then begin
+      let h = k mod !timers in
+      Hashtbl.replace cancelled h ();
+      queue := List.filter (fun ev -> ev.m_timer <> Some h) !queue
+    end
+  in
+  let new_timer () =
+    incr timers;
+    !timers - 1
+  in
+  let fire ev =
+    fired := ev.m_id :: !fired;
+    (match ev.m_act with
+    | Nothing -> ()
+    | Cancel_in k -> cancel k
+    | Spawn d -> push (!clock +. Float.max 0.0 d) Nothing);
+    match (ev.m_every, ev.m_timer) with
+    | Some i, Some h when not (Hashtbl.mem cancelled h) -> enqueue { ev with m_time = !clock +. i }
+    | _ -> ()
+  in
+  let rec run ~until budget =
+    match !queue with
+    | ev :: rest when budget > 0 ->
+      if ev.m_time > until then clock := Float.max !clock until
+      else begin
+        queue := rest;
+        clock := Float.max !clock ev.m_time;
+        fire ev;
+        run ~until (budget - 1)
+      end
+    | _ -> ()
+  in
+  let observe () =
+    let o = (List.rev !fired, !clock, List.length !queue) in
+    fired := [];
+    o
+  in
+  let step op =
+    (match op with
+    | Schedule (d, a) -> push (!clock +. Float.max 0.0 d) a
+    | Schedule_at (time, a) -> push (Float.max !clock time) a
+    | Timer (d, a) -> push ~timer:(new_timer ()) (!clock +. Float.max 0.0 d) a
+    | Periodic (i, a) -> push ~timer:(new_timer ()) ~every:i (!clock +. i) a
+    | Cancel k -> cancel k
+    | Run_until d -> run ~until:(!clock +. d) max_int
+    | Run_max n -> run ~until:infinity n);
+    observe ()
+  in
+  let steps = List.map step ops in
+  for h = 0 to !timers - 1 do
+    cancel h
+  done;
+  run ~until:infinity max_int;
+  steps @ [ observe () ]
+
+let prop_engine_model =
+  QCheck.Test.make ~name:"engine agrees with a sorted-list model" ~count:1000
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map print_engine_op ops))
+       QCheck.Gen.(list_size (int_range 0 150) engine_op_gen))
+    (fun ops ->
+      List.equal
+        (fun (f, c, p) (f', c', p') -> List.equal Int.equal f f' && Float.equal c c' && p = p')
+        (engine_observations ops) (model_observations ops))
+
 (* --- cpu --- *)
 
 let test_cpu_fifo_and_busy () =
@@ -527,6 +754,13 @@ let () =
           Alcotest.test_case "cancel" `Quick test_engine_cancel;
           Alcotest.test_case "periodic" `Quick test_engine_periodic;
           Alcotest.test_case "nested scheduling" `Quick test_engine_nested_schedule;
+          QCheck_alcotest.to_alcotest prop_engine_model;
+        ] );
+      ( "heap",
+        [
+          Alcotest.test_case "sorted drain" `Quick test_heap_sorted_drain;
+          Alcotest.test_case "fifo ties" `Quick test_heap_fifo_ties;
+          Alcotest.test_case "peek & size" `Quick test_heap_peek;
         ] );
       ( "cpu",
         [

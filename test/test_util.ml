@@ -241,52 +241,6 @@ let test_rng_gaussian_moments () =
   in
   if Float.abs (sqrt var -. 2.0) > 0.1 then Alcotest.fail "gaussian stdev off"
 
-(* --- Heap --- *)
-
-let test_heap_sorted_drain () =
-  let h = Util.Heap.create () in
-  let rng = Util.Rng.create 9 in
-  let n = 500 in
-  for i = 1 to n do
-    Util.Heap.push h (Util.Rng.float rng 100.0) i
-  done;
-  let prev = ref neg_infinity in
-  let count = ref 0 in
-  let rec drain () =
-    match Util.Heap.pop h with
-    | None -> ()
-    | Some (p, _) ->
-      if p < !prev then Alcotest.fail "heap order violated";
-      prev := p;
-      incr count;
-      drain ()
-  in
-  drain ();
-  Alcotest.(check int) "all drained" n !count
-
-let test_heap_fifo_ties () =
-  let h = Util.Heap.create () in
-  for i = 1 to 10 do
-    Util.Heap.push h 1.0 i
-  done;
-  for i = 1 to 10 do
-    match Util.Heap.pop h with
-    | Some (_, v) -> Alcotest.(check int) "tie order" i v
-    | None -> Alcotest.fail "empty"
-  done
-
-let test_heap_peek () =
-  let h = Util.Heap.create () in
-  Alcotest.(check bool) "empty" true (Util.Heap.peek h = None);
-  Util.Heap.push h 5.0 "b";
-  Util.Heap.push h 1.0 "a";
-  (match Util.Heap.peek h with
-  | Some (p, v) ->
-    Alcotest.(check (float 0.0)) "peek prio" 1.0 p;
-    Alcotest.(check string) "peek val" "a" v
-  | None -> Alcotest.fail "nonempty");
-  Alcotest.(check int) "size" 2 (Util.Heap.size h)
-
 (* --- Stats --- *)
 
 let test_stats_known_values () =
@@ -541,12 +495,6 @@ let () =
           Alcotest.test_case "bernoulli" `Quick test_rng_bernoulli;
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
           Alcotest.test_case "gaussian moments" `Quick test_rng_gaussian_moments;
-        ] );
-      ( "heap",
-        [
-          Alcotest.test_case "sorted drain" `Quick test_heap_sorted_drain;
-          Alcotest.test_case "fifo ties" `Quick test_heap_fifo_ties;
-          Alcotest.test_case "peek & size" `Quick test_heap_peek;
         ] );
       ( "stats",
         [

@@ -101,7 +101,9 @@ let micro_tests () =
     Test.make ~name:"merkle update 1 page"
       (Staged.stage (fun () ->
            incr counter;
-           Statemgr.Pages.write pages ~pos:0 (string_of_int !counter);
+           let s = string_of_int !counter in
+           Statemgr.Pages.notify_modify pages ~pos:0 ~len:(String.length s);
+           Statemgr.Pages.write pages ~pos:0 s;
            Statemgr.Merkle.update merkle pages [ 0 ]));
     Test.make ~name:"sql insert (in-memory)"
       (Staged.stage (fun () ->

@@ -1,12 +1,11 @@
 (* detlint: determinism & trust-boundary lint over the middleware.
 
-   Exit codes: 0 clean, 1 unsuppressed findings or stale allow entries,
-   2 configuration or parse errors. *)
+   Exit codes: 0 clean, 1 findings, 2 usage or parse errors. *)
 
 let usage () =
   prerr_endline
-    "usage: detlint [--trust | --all] [--json] [-o FILE] [--root DIR] [--allow FILE] \
-     [--list-rules] [DIR...]\n\n\
+    "usage: detlint [--trust | --all] [--json] [-o FILE] [--root DIR] [--list-rules] \
+     [DIR...]\n\n\
      Lints every .ml under DIR... (default: lib). The default pass checks\n\
      determinism and replay-safety, and flags every val in a .mli under\n\
      DIR... that no unit under lib, bin, bench, examples or benchmark\n\
@@ -15,15 +14,13 @@ let usage () =
      sanitizer; --all runs both. --json emits one JSON object per finding.\n\
      Exemptions: [@detlint.allow <rule>] / [@trustlint.allow \"why\"]\n\
      attributes in source ([@@detlint.allow unused_export \"why\"] on a\n\
-     val), or entries in <root>/detlint.allow (override\n\
-     with --allow). Stale allow entries fail the run.";
+     val).";
   exit 2
 
 let () =
   let json = ref false in
   let out_file = ref None in
   let root = ref "." in
-  let allow = ref None in
   let dirs = ref [] in
   let passes = ref [ Detlint.Driver.Determinism ] in
   let rec parse = function
@@ -43,13 +40,10 @@ let () =
     | "--root" :: d :: rest ->
       root := d;
       parse rest
-    | "--allow" :: f :: rest ->
-      allow := Some f;
-      parse rest
     | "--list-rules" :: _ ->
       List.iter (fun r -> print_endline (Detlint.Finding.rule_name r)) Detlint.Finding.all_rules;
       exit 0
-    | ("--help" | "-h" | "-o" | "--root" | "--allow") :: _ -> usage ()
+    | ("--help" | "-h" | "-o" | "--root") :: _ -> usage ()
     | d :: rest when String.length d > 0 && d.[0] <> '-' ->
       dirs := d :: !dirs;
       parse rest
@@ -57,12 +51,7 @@ let () =
   in
   parse (List.tl (Array.to_list Sys.argv));
   let dirs = match List.rev !dirs with [] -> None | ds -> Some ds in
-  let outcome =
-    try Detlint.Driver.run ~passes:!passes ?dirs ?allow_file:!allow ~root:!root ()
-    with Detlint.Allowlist.Malformed msg ->
-      prerr_endline msg;
-      exit 2
-  in
+  let outcome = Detlint.Driver.run ~passes:!passes ?dirs ~root:!root () in
   let oc = match !out_file with Some f -> open_out f | None -> stdout in
   List.iter
     (fun f ->
@@ -71,20 +60,10 @@ let () =
     outcome.findings;
   if !out_file <> None then close_out oc;
   List.iter (fun e -> Printf.eprintf "detlint: error: %s\n" e) outcome.errors;
-  List.iter
-    (fun (e : Detlint.Allowlist.entry) ->
-      Printf.eprintf "detlint: stale allow entry (line %d): %s %s — %s\n" e.al_line e.al_rule
-        e.al_path e.al_why)
-    outcome.stale_allows;
   if outcome.errors <> [] then exit 2;
-  if outcome.findings <> [] || outcome.stale_allows <> [] then begin
-    Printf.eprintf
-      "detlint: %d finding(s), %d stale allow entr(ies) in %d file(s) scanned (%d suppressed)\n"
-      (List.length outcome.findings)
-      (List.length outcome.stale_allows)
-      outcome.files_scanned outcome.suppressed;
+  if outcome.findings <> [] then begin
+    Printf.eprintf "detlint: %d finding(s) in %d file(s) scanned\n"
+      (List.length outcome.findings) outcome.files_scanned;
     exit 1
   end;
-  if not !json then
-    Printf.eprintf "detlint: clean — %d file(s) scanned, %d finding(s) suppressed by allow file\n"
-      outcome.files_scanned outcome.suppressed
+  if not !json then Printf.eprintf "detlint: clean — %d file(s) scanned\n" outcome.files_scanned

@@ -17,7 +17,7 @@ let () =
   (* One JSON bridge per replica — co-located, not a central agent. *)
   let bridges =
     List.init cfg.Config.n (fun i ->
-        Webgate.Gateway.Bridge.attach ~cfg ~costs:Costmodel.default ~engine ~net ~replica:i)
+        Webgate.Gateway.Bridge.attach ~engine ~net ~replica:i)
   in
 
   (* The native client plays election official; the browser is a voter. *)

@@ -41,8 +41,6 @@ type pass = Determinism | Trust
 type outcome = {
   files_scanned : int;
   findings : Finding.t list;
-  suppressed : int;
-  stale_allows : Allowlist.entry list;
   errors : string list;
 }
 
@@ -78,17 +76,7 @@ let parse_file ~root ~errors parse path =
 
 let lines_of src = Array.of_list (String.split_on_char '\n' src)
 
-(* Which pass can produce a given rule — an allow entry is only stale
-   with respect to runs that could have matched it. *)
-let pass_of_rule = function
-  | Finding.Tainted_sink -> Trust
-  | _ -> Determinism
-
-let run ?(passes = [ Determinism ]) ?(dirs = [ "lib" ]) ?allow_file ~root () =
-  let allow_path =
-    match allow_file with Some f -> f | None -> Filename.concat root "detlint.allow"
-  in
-  let allow = if Sys.file_exists allow_path then Allowlist.load allow_path else Allowlist.empty in
+let run ?(passes = [ Determinism ]) ?(dirs = [ "lib" ]) ~root () =
   let files = collect ~ext:".ml" ~root dirs in
   let errors = ref [] in
   let interfaces =
@@ -134,19 +122,8 @@ let run ?(passes = [ Determinism ]) ?(dirs = [ "lib" ]) ?allow_file ~root () =
         ~interfaces:(List.map (fun (rel, src, sg) -> (rel, lines_of src, sg)) interfaces)
         ~units
   in
-  let findings, suppressed =
-    List.partition (fun f -> not (Allowlist.suppresses allow f)) (per_file @ exports)
-  in
   {
     files_scanned = List.length files;
-    findings = List.sort Finding.compare findings;
-    suppressed = List.length suppressed;
-    stale_allows =
-      List.filter
-        (fun (e : Allowlist.entry) ->
-          match Finding.rule_of_name e.al_rule with
-          | Some r -> List.mem (pass_of_rule r) passes
-          | None -> true)
-        (Allowlist.stale allow);
+    findings = List.sort Finding.compare (per_file @ exports);
     errors = List.rev !errors;
   }

@@ -20,19 +20,17 @@ type pass = Determinism | Trust
 
 type outcome = {
   files_scanned : int;
-  findings : Finding.t list;  (** unsuppressed, sorted *)
-  suppressed : int;  (** count silenced by the allow file *)
-  stale_allows : Allowlist.entry list;
+  findings : Finding.t list;  (** sorted; attribute-exempted sites are not findings *)
   errors : string list;  (** unparseable files *)
 }
 
-val run :
-  ?passes:pass list -> ?dirs:string list -> ?allow_file:string -> root:string -> unit -> outcome
+val run : ?passes:pass list -> ?dirs:string list -> root:string -> unit -> outcome
 (** Lint every [.ml] under [root]/[dirs] (default [["lib"]]), in sorted
     path order, with the requested passes (default
     [[Determinism]]). When the trust pass runs, every [.mli] under the
     same dirs is harvested for [@@trust.*] declarations first; the
     determinism pass also checks those [.mli]s' exports against every
-    [.ml] under {!Exports.consumer_dirs}, whatever [dirs] is.
-    [allow_file] defaults to [root]/detlint.allow and is optional on
-    disk; a malformed allow file raises {!Allowlist.Malformed}. *)
+    [.ml] under {!Exports.consumer_dirs}, whatever [dirs] is. The only
+    exemptions are [[@detlint.allow rule]] and [[@trustlint.allow "why"]]
+    attributes at the site ([[@@detlint.allow unused_export "why"]] on
+    a [val]). *)

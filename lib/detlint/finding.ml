@@ -39,8 +39,6 @@ let all_rules =
     Unused_export;
   ]
 
-let rule_of_name s = List.find_opt (fun r -> String.equal (rule_name r) s) all_rules
-
 type t = {
   rule : rule;
   file : string;

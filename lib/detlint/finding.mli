@@ -3,7 +3,7 @@
 type rule =
   | Hashtbl_order  (** unordered [Hashtbl] traversal in a replay-critical library *)
   | Poly_compare  (** polymorphic [compare]/[=]/[min]/[max]/[Hashtbl.hash] where an abstract or float-bearing type can flow *)
-  | Physical_eq  (** [==]/[!=] outside the allowlist *)
+  | Physical_eq  (** [==]/[!=] *)
   | Wall_clock  (** ambient host time ([Unix.gettimeofday], [Sys.time], ...) *)
   | Ambient_rng  (** global-state randomness ([Random.self_init], [Random.int], ...) *)
   | Marshal_obj  (** [Marshal.*] / [Obj.*] *)
@@ -21,7 +21,6 @@ type rule =
           {!Exports}) *)
 
 val rule_name : rule -> string
-val rule_of_name : string -> rule option
 val all_rules : rule list
 
 type t = {

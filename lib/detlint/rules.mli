@@ -16,9 +16,8 @@
     [=]/[<>] whose operands name digest/key/MAC-like values or string
     literals (operands that are [*.length] applications are exempt).
 
-    Findings are suppressed by a [[@detlint.allow <rule> ...]] attribute
-    on the enclosing expression or [let]-binding; file-level exemptions
-    go through the checked-in [detlint.allow] file (see {!Allowlist}). *)
+    Findings are suppressed only by a [[@detlint.allow <rule> ...]]
+    attribute on the enclosing expression or [let]-binding. *)
 
 val flatten_lid : Longident.t -> string list
 (** ["A.B.c"] as [["A"; "B"; "c"]]; a functor application contributes

@@ -240,7 +240,10 @@ let progress d =
 
 let rpc_addr = 99_990
 
-let rpc ?(timeout = 30.0) d op =
+(* Virtual seconds an [rpc] waits for its reply. *)
+let rpc_timeout = 30.0
+
+let rpc d op =
   d.d_rpc_seq <- d.d_rpc_seq + 1;
   let rq_id = d.d_rpc_seq in
   let result = ref None in
@@ -260,7 +263,7 @@ let rpc ?(timeout = 30.0) d op =
       frame
   in
   send ();
-  let deadline = Simnet.Engine.now d.d_engine +. timeout in
+  let deadline = Simnet.Engine.now d.d_engine +. rpc_timeout in
   let last_send = ref (Simnet.Engine.now d.d_engine) in
   while Option.is_none !result && Simnet.Engine.now d.d_engine < deadline do
     run_for d 0.05;
@@ -698,7 +701,7 @@ let run spec =
       for src = 0 to n - 1 do
         Simnet.Net.clear_link net ~src ~dst:Simnet.Net.any_addr
       done
-    | Drop_next matches -> ignore (Simnet.Net.drop_next_matching net matches)
+    | Drop_next matches -> Simnet.Net.drop_next_matching net matches
   in
   List.iter
     (fun (at, action) ->
@@ -753,7 +756,7 @@ let run spec =
   if spec.drain > 0.0 then run_for d spec.drain;
   (* One-shot drop predicates armed but never matched must not leak into
      whatever runs on these nets next. *)
-  Array.iter (fun c -> ignore (Simnet.Net.drain_drops (Pbft.Cluster.net c))) d.d_clusters;
+  Array.iter (fun c -> Simnet.Net.drain_drops (Pbft.Cluster.net c)) d.d_clusters;
   let everyone =
     List.concat_map (fun c -> Array.to_list (Pbft.Cluster.replicas c)) (Array.to_list d.d_clusters)
     @ d.d_retired

@@ -132,10 +132,10 @@ val topology : deployment -> Relsql.Shard.topology
 val run_for : deployment -> float -> unit
 (** Advance the shared engine. *)
 
-val rpc : ?timeout:float -> deployment -> string -> string
+val rpc : deployment -> string -> string
 (** One-shot session: send the operation through the door and drive the
-    engine until the reply lands (or [timeout] virtual seconds pass —
-    then ["error:rpc-timeout"]). *)
+    engine until the reply lands, or return ["error:rpc-timeout"] once
+    30 virtual seconds pass without one. *)
 
 (** {1 Results} *)
 

@@ -62,9 +62,6 @@ let default ~f =
     key_refresh_period = 0.0;
   }
 
-let robust ~f =
-  { (default ~f) with use_macs = false; big_request_threshold = 8192 }
-
 let validate t =
   if t.n <> (3 * t.f) + 1 then Error "n must equal 3f+1"
   else if t.f < 1 then Error "f must be at least 1"

@@ -104,10 +104,5 @@ val default : f:int -> t
 (** Castro's preferred configuration: MACs, all-big, batching, tentative
     execution — the first row of Table 1. *)
 
-val robust : f:int -> t
-[@@detlint.allow unused_export "the most robust configuration of the paper's 4.1; the signature-mode test runs it"]
-(** The "most robust" configuration of §4.1: signatures instead of MACs,
-    big-request handling off. *)
-
 val validate : t -> (unit, string) result
 (** Check internal consistency (n = 3f+1, positive intervals, ...). *)

@@ -5,7 +5,7 @@
     region; the replica constructs the region and hands the service an
     instance bound to it. During [execute] the service reads the region
     freely and must use {!Statemgr.Pages.notify_modify} before writing —
-    the contract whose violation [strict] pages turn into an exception.
+    the contract whose violation the region turns into an exception.
 
     [execute] reports the virtual seconds its execution and durability
     work cost; the null service reports (almost) zero and the SQL service

@@ -213,9 +213,12 @@ let rollback t =
     replay_journal t.vfs jf;
     journal_reset jf
   | None ->
-    Hashtbl.iter
-      (fun page original -> t.vfs.Vfs.main.write ~pos:(page * page_size) original)
-      t.originals);
+    (* Rollback without a journal: each original image goes back to its
+       own page offset, so the write order cannot change the final
+       region contents or the trace. *)
+    (Hashtbl.iter
+       (fun page original -> t.vfs.Vfs.main.write ~pos:(page * page_size) original)
+       t.originals [@detlint.allow hashtbl_order]));
   Hashtbl.reset t.journaled;
   Hashtbl.reset t.originals;
   t.txn <- false;

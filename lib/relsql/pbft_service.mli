@@ -31,7 +31,6 @@ val is_readonly_sql : string -> bool
 val service :
   ?acid:bool ->
   ?app_pages:int ->
-  ?sync_latency:float ->
   ?schema:string ->
   ?init:string list ->
   unit ->
@@ -48,14 +47,12 @@ val service :
     bytes, Merkle root and statement-cache state, and prices every later
     statement identically. [make] expects a fresh region.
     [acid:false] disables the rollback journal and the commit syncs — the
-    No-ACID configuration of §4.2. [sync_latency] calibrates the
-    per-fsync virtual cost (default 0.4 ms: a 2011 SATA disk with its
-    write cache on). *)
+    No-ACID configuration of §4.2. Each fsync costs 0.4 ms of virtual
+    time (a 2011 SATA disk with its write cache on). *)
 
 val service_with_db :
   ?acid:bool ->
   ?app_pages:int ->
-  ?sync_latency:float ->
   ?schema:string ->
   ?init:string list ->
   unit ->

@@ -99,7 +99,13 @@ type prep = {
 
 let tiny_cost = 1e-6
 
-let wrap ~verify ?(vote_verify_cost = 1e-4) ?(max_recent_aborts = 512) (inner : Pbft.Service.t) =
+(* Virtual CPU charge per vote certificate checked at commit. *)
+let vote_verify_cost = 1e-4
+
+(* Aborted transaction ids remembered per instance. *)
+let max_recent_aborts = 512
+
+let wrap ~verify (inner : Pbft.Service.t) =
   {
     inner with
     Pbft.Service.name = "x2:" ^ inner.Pbft.Service.name;

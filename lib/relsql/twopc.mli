@@ -65,15 +65,14 @@ val prepared_prefix : int -> string
 
 val wrap :
   verify:(shard:int -> client:int -> rq_id:int -> result:string -> cert:string -> bool) ->
-  ?vote_verify_cost:float ->
-  ?max_recent_aborts:int ->
   Pbft.Service.t ->
   Pbft.Service.t
 (** Interpose the 2PC protocol in front of [inner]; non-2PC operations
     pass through untouched whenever no transaction is prepared.
     [verify] validates one vote's certificate (the harness closes over
-    the per-group threshold publics); [vote_verify_cost] is the virtual
-    CPU charge per vote checked at commit. *)
+    the per-group threshold publics); each vote checked at commit costs
+    0.1 ms of virtual CPU. The 512 most recent aborted transaction ids
+    are remembered, so a reordered prepare for one of them votes abort. *)
 
 (** {2 Process-wide instrumentation} (the {!Statemgr.Pages.bytes_copied}
     idiom: sample before/after a run and subtract) *)

@@ -18,34 +18,25 @@ let lan_profile =
 let wan_profile =
   { latency = 40e-3; jitter = 8e-3; bandwidth = 12_500_000.0; loss = 0.0; recv_buffer = 0 }
 
-type drop_handle = {
-  d_pred : src:addr -> dst:addr -> label:string -> bool;
-  d_expires : float; (* absolute engine time; infinity = never *)
-  mutable d_armed : bool;
-}
-
 (* Per-link Byzantine fault hooks. A link is (src, dst); [any_addr] on
    either side acts as a wildcard. Only [Hashtbl.find_opt]/[replace]
    touch the table, so iteration order can never leak into a run. *)
 type link_fault = {
   mutable lf_drop : (label:string -> bool) option;
   mutable lf_corrupt : (dst:addr -> label:string -> string -> string) option;
-  mutable lf_duplicate : int;
 }
 
 type t = {
   engine : Engine.t;
   trace : Trace.t;
   rng : Util.Rng.t;
-  mutable prof : profile;
+  prof : profile;
   handlers : (addr, src:addr -> string -> unit) Hashtbl.t;
   nic_free : (addr, float) Hashtbl.t;
   backlog : (addr, unit -> int) Hashtbl.t;
-  mutable drops : drop_handle list;
+  mutable drops : (src:addr -> dst:addr -> label:string -> bool) list; (* newest first *)
   links : (addr * addr, link_fault) Hashtbl.t;
-  mutable partitioned : (addr list * addr list) option;
   mutable sent : int;
-  mutable delivered : int;
   mutable dropped : int;
   mutable bytes : int;
 }
@@ -62,9 +53,7 @@ let create engine ?trace prof =
     backlog = Hashtbl.create 64;
     drops = [];
     links = Hashtbl.create 16;
-    partitioned = None;
     sent = 0;
-    delivered = 0;
     dropped = 0;
     bytes = 0;
   }
@@ -73,47 +62,9 @@ let engine t = t.engine
 let trace t = t.trace
 let register t a h = Hashtbl.replace t.handlers a h
 let unregister t a = Hashtbl.remove t.handlers a
-let set_loss t p = t.prof <- { t.prof with loss = p }
-let loss t = t.prof.loss
 let set_backlog_probe t a probe = Hashtbl.replace t.backlog a probe
-
-let drop_next_matching t ?(expires_at = Float.infinity) pred =
-  let h = { d_pred = pred; d_expires = expires_at; d_armed = true } in
-  t.drops <- h :: t.drops;
-  h
-
-let cancel_drop h = h.d_armed <- false
-let drop_armed h = h.d_armed
-
-let drop_live now d = d.d_armed && now <= d.d_expires
-
-let pending_drops t =
-  let now = Engine.now t.engine in
-  List.length (List.filter (drop_live now) t.drops)
-
-let drain_drops t =
-  let n = pending_drops t in
-  List.iter (fun d -> d.d_armed <- false) t.drops;
-  t.drops <- [];
-  n
-
-let partition t ga gb = t.partitioned <- Some (ga, gb)
-let heal t = t.partitioned <- None
-
-(* Scheduled fault plans. These create engine events only when invoked,
-   so a benign run's event sequence — and hence its trace digest — is
-   untouched. *)
-
-let schedule_loss_window t ~start ~duration p =
-  let saved = ref 0.0 in
-  Engine.schedule_at t.engine ~time:start (fun () ->
-      saved := t.prof.loss;
-      set_loss t p);
-  Engine.schedule_at t.engine ~time:(start +. duration) (fun () -> set_loss t !saved)
-
-let schedule_partition t ~start ~duration ga gb =
-  Engine.schedule_at t.engine ~time:start (fun () -> partition t ga gb);
-  Engine.schedule_at t.engine ~time:(start +. duration) (fun () -> heal t)
+let drop_next_matching t pred = t.drops <- pred :: t.drops
+let drain_drops t = t.drops <- []
 
 let link_key ~src ~dst = (src, dst)
 
@@ -121,7 +72,7 @@ let get_link t ~src ~dst =
   match Hashtbl.find_opt t.links (link_key ~src ~dst) with
   | Some lf -> lf
   | None ->
-    let lf = { lf_drop = None; lf_corrupt = None; lf_duplicate = 0 } in
+    let lf = { lf_drop = None; lf_corrupt = None } in
     Hashtbl.replace t.links (link_key ~src ~dst) lf;
     lf
 
@@ -137,30 +88,25 @@ let link_fault_for t ~src ~dst =
 
 let set_link_drop t ~src ~dst pred = (get_link t ~src ~dst).lf_drop <- Some pred
 let set_link_corrupt t ~src ~dst f = (get_link t ~src ~dst).lf_corrupt <- Some f
-let set_link_duplicate t ~src ~dst n = (get_link t ~src ~dst).lf_duplicate <- Int.max 0 n
 let clear_link t ~src ~dst = Hashtbl.remove t.links (link_key ~src ~dst)
 
-let crosses_partition t src dst =
-  match t.partitioned with
-  | None -> false
-  | Some (ga, gb) ->
-    (List.mem src ga && List.mem dst gb) || (List.mem src gb && List.mem dst ga)
-
+(* The newest armed predicate that matches fires, and is disarmed: the
+   list loses that one element. A miss allocates nothing. *)
 let one_shot_drop_matches t ~src ~dst ~label =
-  let now = Engine.now t.engine in
-  let rec find = function
-    | [] -> false
-    | d :: rest ->
-      if drop_live now d && d.d_pred ~src ~dst ~label then begin
-        d.d_armed <- false;
-        true
-      end
-      else find rest
+  let rec without_first_match = function
+    | [] -> None
+    | pred :: rest ->
+      if pred ~src ~dst ~label then Some rest
+      else (
+        match without_first_match rest with
+        | None -> None
+        | Some rest -> Some (pred :: rest))
   in
-  let hit = find t.drops in
-  if hit || List.exists (fun d -> not (drop_live now d)) t.drops then
-    t.drops <- List.filter (drop_live now) t.drops;
-  hit
+  match without_first_match t.drops with
+  | None -> false
+  | Some rest ->
+    t.drops <- rest;
+    true
 
 let link_drop_matches lf ~label =
   match lf with
@@ -195,8 +141,7 @@ let send t ?(label = "msg") ?(detail = no_detail) ~src ~dst payload =
   t.sent <- t.sent + 1;
   t.bytes <- t.bytes + size;
   let lost =
-    crosses_partition t src dst
-    || one_shot_drop_matches t ~src ~dst ~label
+    one_shot_drop_matches t ~src ~dst ~label
     || link_drop_matches lf ~label
     || Util.Rng.bernoulli t.rng t.prof.loss
   in
@@ -212,53 +157,38 @@ let send t ?(label = "msg") ?(detail = no_detail) ~src ~dst payload =
     let start = Float.max now nic in
     let tx = float_of_int size /. t.prof.bandwidth in
     Hashtbl.replace t.nic_free src (start +. tx);
-    let deliver ~label ~arrival =
-      record t ~src ~dst ~label ~detail ~size ~delivered:true;
-      Engine.schedule_at t.engine ~time:arrival (fun () ->
-          match Hashtbl.find_opt t.handlers dst with
-          | None -> t.dropped <- t.dropped + 1
-          | Some h ->
-            let overflow =
-              t.prof.recv_buffer > 0
-              &&
-              match Hashtbl.find_opt t.backlog dst with
-              | None -> false
-              | Some probe -> probe () >= t.prof.recv_buffer
-            in
-            if overflow then begin
-              t.dropped <- t.dropped + 1;
-              if Trace.enabled t.trace then
-                Trace.record t.trace
-                  {
-                    time = Engine.now t.engine;
-                    src;
-                    dst;
-                    label = label ^ " [OVERFLOW]";
-                    detail = detail ();
-                    size;
-                  }
-            end
-            else begin
-              t.delivered <- t.delivered + 1;
-              h ~src payload
-            end)
+    let arrival =
+      start +. tx
+      +. Float.max 1e-6 (Util.Rng.gaussian t.rng ~mean:t.prof.latency ~stdev:t.prof.jitter)
     in
-    let prop () =
-      Float.max 1e-6 (Util.Rng.gaussian t.rng ~mean:t.prof.latency ~stdev:t.prof.jitter)
-    in
-    deliver ~label ~arrival:(start +. tx +. prop ());
-    (* Router-level duplication: extra copies share the egress slot but
-       take an independent propagation sample each. Draws happen only
-       when the fault is installed, so benign RNG streams are unmoved. *)
-    (match lf with
-    | Some { lf_duplicate = n; _ } when n > 0 ->
-      for _ = 1 to n do
-        deliver ~label:(label ^ " [DUP]") ~arrival:(start +. tx +. prop ())
-      done
-    | _ -> ())
+    record t ~src ~dst ~label ~detail ~size ~delivered:true;
+    Engine.schedule_at t.engine ~time:arrival (fun () ->
+        match Hashtbl.find_opt t.handlers dst with
+        | None -> t.dropped <- t.dropped + 1
+        | Some h ->
+          let overflow =
+            t.prof.recv_buffer > 0
+            &&
+            match Hashtbl.find_opt t.backlog dst with
+            | None -> false
+            | Some probe -> probe () >= t.prof.recv_buffer
+          in
+          if overflow then begin
+            t.dropped <- t.dropped + 1;
+            if Trace.enabled t.trace then
+              Trace.record t.trace
+                {
+                  time = Engine.now t.engine;
+                  src;
+                  dst;
+                  label = label ^ " [OVERFLOW]";
+                  detail = detail ();
+                  size;
+                }
+          end
+          else h ~src payload)
   end
 
 let sent_count t = t.sent
-let delivered_count t = t.delivered
 let dropped_count t = t.dropped
 let bytes_sent t = t.bytes

@@ -4,20 +4,19 @@
     off, §4), per-host NIC serialization at a configured bandwidth,
     propagation latency with jitter, Bernoulli packet loss, bounded
     receive buffers that drop under overload (the loop-back congestion
-    loss of §2.4), targeted drop injection for the fault experiments, and
-    partitions. Delivery is at-most-once, unordered under jitter — every
-    PBFT robustness pathology in the paper stems from exactly these
+    loss of §2.4) and targeted drop injection for the fault experiments.
+    Delivery is at-most-once, unordered under jitter — every PBFT
+    robustness pathology in the paper stems from exactly these
     semantics.
 
-    {b Fault plans.} Beyond the ambient profile, experiments can script
-    faults against the deterministic engine clock: timed loss windows and
-    auto-healing partitions ({!schedule_loss_window},
-    {!schedule_partition}), per-link byte corruption / duplication /
-    selective drops ({!set_link_corrupt}, {!set_link_duplicate},
-    {!set_link_drop}), and expiring one-shot drop predicates
-    ({!drop_next_matching}). All hooks are consulted with point lookups
-    and draw from the engine RNG only when installed, so a benign run's
-    trace digest is bit-identical with the fault machinery compiled in. *)
+    {b Faults.} Beyond the profile's ambient loss, the net has two hooks:
+    per-link drop and corruption ({!set_link_drop}, {!set_link_corrupt},
+    {!clear_link}) and one-shot drop predicates ({!drop_next_matching}).
+    Timing them is the caller's job: [Harness.Run]'s [plan] installs
+    and clears them at engine times and drains the one-shot predicates
+    after every run. Both hooks are point lookups that draw from the
+    engine RNG only when installed, so a benign run's trace digest is
+    bit-identical with the fault machinery compiled in. *)
 
 type addr = int
 
@@ -61,73 +60,26 @@ val send : t -> ?label:string -> ?detail:(unit -> string) -> src:addr -> dst:add
 (** Fire-and-forget datagram. [detail] is forced only when the trace is
     enabled, so hot-path senders pay nothing for rich trace lines. *)
 
-val set_loss : t -> float -> unit
-[@@detlint.allow unused_export "fault-plan API that README documents; the simnet tests drive it"]
-val loss : t -> float
-[@@detlint.allow unused_export "fault-plan API that README documents; the simnet tests drive it"]
-
 (** {2 One-shot targeted drops} *)
 
-type drop_handle
-
-val drop_next_matching :
-  t -> ?expires_at:float -> (src:addr -> dst:addr -> label:string -> bool) -> drop_handle
+val drop_next_matching : t -> (src:addr -> dst:addr -> label:string -> bool) -> unit
 (** One-shot targeted fault: the next datagram matching the predicate is
     silently dropped (the §2.4 experiments drop one specific packet).
-    [expires_at] bounds the predicate's lifetime in absolute engine time
-    (default: never) — a predicate that never fires would otherwise stay
-    armed forever and eat an unrelated datagram in a later experiment
-    phase. The returned handle can disarm it early via {!cancel_drop}. *)
+    When several armed predicates match, the newest fires; each fires
+    exactly once, and one that never matches stays armed until
+    {!drain_drops}. *)
 
-val cancel_drop : drop_handle -> unit
-[@@detlint.allow unused_export "fault-plan API that README documents; the simnet tests drive it"]
-(** Disarm a pending drop; no-op if it already matched or expired. *)
-
-val drop_armed : drop_handle -> bool
-[@@detlint.allow unused_export "fault-plan API that README documents; the simnet tests drive it"]
-(** True while the drop has neither matched nor been cancelled. *)
-
-val pending_drops : t -> int
-[@@detlint.allow unused_export "fault-plan API that README documents; the simnet tests drive it"]
-(** Armed, unexpired one-shot drops still waiting to match. *)
-
-val drain_drops : t -> int
-(** Disarm and discard every pending one-shot drop (scenario teardown);
-    returns how many were still live. *)
-
-(** {2 Partitions} *)
-
-val partition : t -> addr list -> addr list -> unit
-[@@detlint.allow unused_export "fault-plan API that README documents; the simnet tests drive it"]
-(** Drop everything between the two groups until {!heal}. *)
-
-val heal : t -> unit
-[@@detlint.allow unused_export "fault-plan API that README documents; the simnet tests drive it"]
-
-(** {2 Scripted fault plans}
-
-    Timed faults driven off the engine clock; each call schedules its
-    begin/end events immediately, so plans are laid out before [run] and
-    replay deterministically. *)
-
-val schedule_loss_window : t -> start:float -> duration:float -> float -> unit
-[@@detlint.allow unused_export "fault-plan API that README documents; the simnet tests drive it"]
-(** [schedule_loss_window t ~start ~duration p] sets Bernoulli loss to
-    [p] at engine time [start] and restores the previous value at
-    [start +. duration]. Windows must not overlap. *)
-
-val schedule_partition : t -> start:float -> duration:float -> addr list -> addr list -> unit
-[@@detlint.allow unused_export "fault-plan API that README documents; the simnet tests drive it"]
-(** Partition the two groups at [start]; auto-heal at [start +.
-    duration]. Overlapping scheduled partitions are not supported (the
-    heal is unconditional). *)
+val drain_drops : t -> unit
+(** Disarm every pending one-shot drop (scenario teardown), so a
+    predicate that never fired cannot eat an unrelated datagram in a
+    later experiment phase. *)
 
 (** {2 Per-link Byzantine fault hooks}
 
     Keyed by (src, dst) with {!any_addr} wildcards; consulted with point
     lookups on the send path. These model an adversarial sender or a
-    misbehaving router on one link: selective muting, bit corruption,
-    datagram duplication. *)
+    misbehaving router on one link: selective muting and bit
+    corruption. *)
 
 val set_link_drop : t -> src:addr -> dst:addr -> (label:string -> bool) -> unit
 (** Drop every datagram on the link whose label satisfies the predicate
@@ -139,18 +91,11 @@ val set_link_corrupt : t -> src:addr -> dst:addr -> (dst:addr -> label:string ->
     returns is what crosses the wire — and what gets charged for
     serialization. *)
 
-val set_link_duplicate : t -> src:addr -> dst:addr -> int -> unit
-[@@detlint.allow unused_export "fault-plan API that README documents; the simnet tests drive it"]
-(** Deliver [n] extra copies of every datagram on the link, each with an
-    independent propagation sample (at-least-twice delivery). *)
-
 val clear_link : t -> src:addr -> dst:addr -> unit
 
 (** {2 Counters for experiment reports} *)
 
 val sent_count : t -> int
-val delivered_count : t -> int
-[@@detlint.allow unused_export "the simnet tests count deliveries"]
 val dropped_count : t -> int
 val bytes_sent : t -> int
 

@@ -12,7 +12,6 @@ let snapshots_taken () = !snapshots_total
 type t = {
   page_size : int;
   num_pages : int;
-  strict : bool;
   slots : Bytes.t option array; (* None = untouched zero page *)
   shared : bool array; (* slot aliased by a snapshot: copy before writing *)
   zero : string; (* the one shared all-zero page handed out by [page_view] *)
@@ -30,12 +29,11 @@ type snapshot = {
          (any later write to the live region copies the page first) *)
 }
 
-let create ?(strict = false) ~page_size ~num_pages () =
+let create ~page_size ~num_pages () =
   if page_size <= 0 || num_pages <= 0 then invalid_arg "Pages.create";
   {
     page_size;
     num_pages;
-    strict;
     slots = Array.make num_pages None;
     shared = Array.make num_pages false;
     zero = String.make page_size '\000';
@@ -102,9 +100,8 @@ let write t ~pos s =
   let len = String.length s in
   check_range t pos len;
   List.iter
-    (fun pg -> if t.strict && not (Hashtbl.mem t.dirty_set pg) then raise (Unnotified_write pg))
+    (fun pg -> if not (Hashtbl.mem t.dirty_set pg) then raise (Unnotified_write pg))
     (pages_of_range t pos len);
-  if not t.strict then List.iter (fun pg -> Hashtbl.replace t.dirty_set pg ()) (pages_of_range t pos len);
   let copied = ref 0 in
   while !copied < len do
     let abs = pos + !copied in

@@ -3,9 +3,10 @@
 
     The application has free read access but must call {!notify_modify}
     before changing any byte — exactly the contract the paper criticizes
-    as havoc-prone. [strict] mode enforces the contract: a write to a
-    page that was not notified raises {!Unnotified_write}, which is how
-    our tests demonstrate the failure mode §3.2 warns about. The region
+    as havoc-prone. The region enforces it: a write to a page that was
+    not notified raises {!Unnotified_write}, so the failure mode §3.2
+    warns about (a change the checkpoint never sees) cannot pass
+    silently. The region
     is sparse: pages are allocated on first touch, so a "large enough"
     region can be declared up front the way the authors used a sparse
     file (§3.2).
@@ -16,11 +17,11 @@
     first writes a page a snapshot still references. *)
 
 exception Unnotified_write of int
-(** Page index written without a prior notification (strict mode only). *)
+(** Page index written without a prior notification. *)
 
 type t
 
-val create : ?strict:bool -> page_size:int -> num_pages:int -> unit -> t
+val create : page_size:int -> num_pages:int -> unit -> t
 val page_size : t -> int
 val num_pages : t -> int
 val total_size : t -> int
@@ -35,9 +36,10 @@ val notify_modify : t -> pos:int -> len:int -> unit
     (the copy-on-write hook). *)
 
 val write : t -> pos:int -> string -> unit
-(** Write through; in strict mode every touched page must have been
-    notified since the last {!clear_dirty}. Writing a page still shared
-    with a snapshot first duplicates that one page. *)
+(** Write through. Every touched page must have been notified since the
+    last {!clear_dirty}; otherwise nothing is written and
+    {!Unnotified_write} names the first such page. Writing a page still
+    shared with a snapshot first duplicates that one page. *)
 
 val page : t -> int -> string
 (** Contents of one page (zero page if untouched), as a fresh string. *)

@@ -13,23 +13,23 @@
 
     All functions snapshot the table's bindings and sort them by key
     before visiting, so they cost O(n log n) and tolerate the callback
-    mutating the table. [cmp] defaults to the polymorphic [compare]:
-    fine for the [int] and [string] keys used across this repo, but pass
-    an explicit comparator for keys containing floats, abstract types,
-    or functional values. If a key has several bindings (repeated
+    mutating the table. Keys are ordered by the polymorphic [compare],
+    which is right for the [int] and [string] keys used across this
+    repo; keys containing floats (NaN), abstract types or functional
+    values do not belong here. If a key has several bindings (repeated
     [Hashtbl.add]), they are visited most-recent-first, matching
     [Hashtbl.find_all]. *)
 
-val bindings : ?cmp:('a -> 'a -> int) -> ('a, 'b) Hashtbl.t -> ('a * 'b) list
+val bindings : ('a, 'b) Hashtbl.t -> ('a * 'b) list
 (** All bindings sorted by key (ascending). *)
 
-val keys : ?cmp:('a -> 'a -> int) -> ('a, 'b) Hashtbl.t -> 'a list
+val keys : ('a, 'b) Hashtbl.t -> 'a list
 (** All keys sorted ascending; a key appears once per binding. *)
 
-val iter : ?cmp:('a -> 'a -> int) -> ('a -> 'b -> unit) -> ('a, 'b) Hashtbl.t -> unit
+val iter : ('a -> 'b -> unit) -> ('a, 'b) Hashtbl.t -> unit
 (** [iter f tbl] is [Hashtbl.iter f tbl] in ascending key order. *)
 
-val fold : ?cmp:('a -> 'a -> int) -> ('a -> 'b -> 'c -> 'c) -> ('a, 'b) Hashtbl.t -> 'c -> 'c
+val fold : ('a -> 'b -> 'c -> 'c) -> ('a, 'b) Hashtbl.t -> 'c -> 'c
 (** [fold f tbl init] is [Hashtbl.fold f tbl init] in ascending key
     order: [f kmin v (... (f kmax v' init))] is {e not} the evaluation
     order — like [Hashtbl.fold], [f] is applied to each binding with the

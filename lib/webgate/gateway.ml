@@ -199,7 +199,7 @@ module Bridge = struct
     mutable n_rejected : int;
   }
 
-  let attach ~cfg:_ ~costs:_ ~engine ~net ~replica =
+  let attach ~engine ~net ~replica =
     let t =
       { net; cpu = Simnet.Cpu.create engine; replica; translated = 0; n_rejected = 0 }
     in

@@ -54,13 +54,7 @@ val json_transport : Pbft.Transport.t
 module Bridge : sig
   type t
 
-  val attach :
-    cfg:Pbft.Config.t ->
-    costs:Pbft.Costmodel.t ->
-    engine:Simnet.Engine.t ->
-    net:Simnet.Net.t ->
-    replica:replica_id ->
-    t
+  val attach : engine:Simnet.Engine.t -> net:Simnet.Net.t -> replica:replica_id -> t
   (** Listen on [bridge_addr replica] and forward translated frames to the
       co-located replica. *)
 

@@ -92,26 +92,6 @@ let test_attribute_suppression () =
   let fs = lint "let[@detlint.allow physical_eq] f tbl = Hashtbl.iter ignore tbl" in
   Alcotest.(check bool) "wrong rule does not suppress" true (has Finding.Hashtbl_order fs)
 
-let test_allow_file () =
-  let allows =
-    Allowlist.of_string
-      "# comment\nhashtbl_order lib/pbft/fixture.ml iteration is order-free here\n"
-  in
-  let fs = lint "let f tbl = Hashtbl.iter ignore tbl" in
-  let f = List.hd (List.filter (fun (x : Finding.t) -> x.rule = Finding.Hashtbl_order) fs) in
-  Alcotest.(check bool) "entry suppresses matching finding" true (Allowlist.suppresses allows f);
-  Alcotest.(check int) "used entry is not stale" 0 (List.length (Allowlist.stale allows));
-  let stale = Allowlist.of_string "wall_clock lib/pbft/fixture.ml never matches\n" in
-  Alcotest.(check bool) "non-matching entry ignored" false (Allowlist.suppresses stale f);
-  Alcotest.(check int) "unused entry reported stale" 1 (List.length (Allowlist.stale stale));
-  Alcotest.check_raises "justification is mandatory"
-    (Allowlist.Malformed
-       "detlint.allow:1: entry for hashtbl_order lib/pbft/fixture.ml has no justification")
-    (fun () -> ignore (Allowlist.of_string "hashtbl_order lib/pbft/fixture.ml\n"));
-  Alcotest.check_raises "unknown rule rejected"
-    (Allowlist.Malformed "detlint.allow:1: unknown rule \"no_such_rule\"")
-    (fun () -> ignore (Allowlist.of_string "no_such_rule lib/x.ml because\n"))
-
 let test_json_shape () =
   let fs = lint "let f a b = a == b" in
   let f = List.hd fs in
@@ -243,15 +223,7 @@ let test_trust_suppression () =
          \  let m = Wire.decode s in\n\
          \  (Wire.store m) [@trustlint.allow \"covered by the upstream MAC check\"]\n")
   in
-  Alcotest.(check int) "[@trustlint.allow] suppresses" 0 (List.length fs);
-  (* The allow file speaks trustlint too, and entries are pass-aware:
-     a tainted_sink entry is only stale for runs that include Trust. *)
-  let allows =
-    Allowlist.of_string "tainted_sink lib/pbft/fixture.ml covered by Mac.verify at intake\n"
-  in
-  let fs = tainted (tlint "let f s = let m = Wire.decode s in Wire.store m") in
-  Alcotest.(check bool) "allow-file entry suppresses" true
-    (Allowlist.suppresses allows (List.hd fs))
+  Alcotest.(check int) "[@trustlint.allow] suppresses" 0 (List.length fs)
 
 let test_dispatch_catch_all () =
   let positive =
@@ -375,8 +347,7 @@ let test_repo_clean () =
   Alcotest.(check bool) "scanned a real tree" true (outcome.Driver.files_scanned > 40);
   Alcotest.(check (list string)) "no parse errors" [] outcome.Driver.errors;
   List.iter (fun f -> Printf.eprintf "unexpected: %s\n" (Finding.to_human f)) outcome.Driver.findings;
-  Alcotest.(check int) "no unsuppressed findings" 0 (List.length outcome.Driver.findings);
-  Alcotest.(check int) "no stale allow entries" 0 (List.length outcome.Driver.stale_allows)
+  Alcotest.(check int) "no findings" 0 (List.length outcome.Driver.findings)
 
 let () =
   Alcotest.run "detlint"
@@ -397,7 +368,6 @@ let () =
       ( "suppression",
         [
           Alcotest.test_case "attributes" `Quick test_attribute_suppression;
-          Alcotest.test_case "allow file" `Quick test_allow_file;
           Alcotest.test_case "json findings" `Quick test_json_shape;
         ] );
       ( "trustlint",

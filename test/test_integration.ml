@@ -82,9 +82,8 @@ let test_sql_state_transfer_repairs_engine () =
       loop "")
     (Cluster.clients cluster);
   Simnet.Engine.schedule (Cluster.engine cluster) ~delay:0.3 (fun () ->
-      ignore
-        (Simnet.Net.drop_next_matching (Cluster.net cluster) (fun ~src ~dst ~label ->
-             src >= Types.client_addr_base && dst = 2 && label = "request")));
+      Simnet.Net.drop_next_matching (Cluster.net cluster) (fun ~src ~dst ~label ->
+          src >= Types.client_addr_base && dst = 2 && label = "request"));
   Cluster.run cluster ~seconds:8.0;
   stop := true;
   Cluster.run cluster ~seconds:2.0;

@@ -357,7 +357,11 @@ let test_cluster_nobatch_mode () =
   Alcotest.(check int) "executed" 12 (Replica.executed_requests (Cluster.replica cluster 0))
 
 let test_cluster_signatures_mode () =
-  let cfg = Config.robust ~f:1 in
+  (* §4.1's most robust configuration: signatures instead of MACs, and
+     no big requests. *)
+  let cfg =
+    { (Config.default ~f:1) with Config.use_macs = false; big_request_threshold = 8192 }
+  in
   let cluster, results = run_requests ~cfg ~per_client:3 () in
   Array.iter (fun rs -> Alcotest.(check int) "replies" 3 (List.length rs)) results;
   Alcotest.(check int) "no auth failures" 0
@@ -410,7 +414,16 @@ let test_cluster_retransmission_duplicate_suppression () =
      request executes exactly once (reply cache + in-flight dedup). *)
   let cfg = { (Config.default ~f:1) with Config.client_timeout = 0.05 } in
   let cluster = Cluster.create ~seed:55 ~num_clients:2 ~service:(Service.counter ()) cfg in
-  Simnet.Net.set_loss (Cluster.net cluster) 0.15;
+  (* 15% loss on every datagram: one lossy predicate on each replica's
+     outgoing (sender wildcard) and incoming (receiver wildcard) links
+     covers replica, client and reply traffic alike. *)
+  let net = Cluster.net cluster and any = Simnet.Net.any_addr in
+  let rng = Util.Rng.create 55 in
+  let lossy ~label:_ = Util.Rng.bernoulli rng 0.15 in
+  for r = 0 to cfg.Config.n - 1 do
+    Simnet.Net.set_link_drop net ~src:r ~dst:any lossy;
+    Simnet.Net.set_link_drop net ~src:any ~dst:r lossy
+  done;
   let done_ = ref 0 in
   Array.iter
     (fun cl ->
@@ -423,7 +436,12 @@ let test_cluster_retransmission_duplicate_suppression () =
       go 1)
     (Cluster.clients cluster);
   Cluster.run cluster ~seconds:60.0;
-  Simnet.Net.set_loss (Cluster.net cluster) 0.0;
+  Alcotest.(check bool) "datagrams lost" true (Simnet.Net.dropped_count net > 0);
+  Alcotest.(check bool) "progress under loss" true (!done_ > 0);
+  for r = 0 to cfg.Config.n - 1 do
+    Simnet.Net.clear_link net ~src:r ~dst:any;
+    Simnet.Net.clear_link net ~src:any ~dst:r
+  done;
   Cluster.run cluster ~seconds:30.0;
   Alcotest.(check int) "all eventually complete" 10 !done_;
   (* The counter must equal exactly the number of requests: duplicates
@@ -443,9 +461,8 @@ let test_cluster_body_loss_state_transfer () =
       loop "")
     (Cluster.clients cluster);
   Simnet.Engine.schedule (Cluster.engine cluster) ~delay:0.2 (fun () ->
-      ignore
-        (Simnet.Net.drop_next_matching (Cluster.net cluster) (fun ~src ~dst ~label ->
-             src >= Types.client_addr_base && dst = 3 && label = "request")));
+      Simnet.Net.drop_next_matching (Cluster.net cluster) (fun ~src ~dst ~label ->
+          src >= Types.client_addr_base && dst = 3 && label = "request"));
   Cluster.run cluster ~seconds:5.0;
   stop := true;
   let r3 = Cluster.replica cluster 3 in
@@ -501,9 +518,11 @@ let test_view_change_backoff_consecutive_mute_primaries () =
   Alcotest.(check int) "attempts reset once executing again" 0 !min_attempts_after_progress
 
 let test_cluster_partition_heal_catchup () =
-  (* A scheduled partition isolates one backup mid-agreement: the
-     remaining 2f+1 must keep committing through the window, and the
-     victim must catch back up after the auto-heal. *)
+  (* A partition isolates one backup mid-agreement: the remaining 2f+1
+     must keep committing through the window, and the victim must catch
+     back up after the heal. The partition is a dropping predicate on
+     each link between replica 3 and the others, installed at 0.3 s and
+     cleared at 1.3 s. *)
   let cfg = { (Config.default ~f:1) with Config.view_change_timeout = 3.0 } in
   let cluster = Cluster.create ~seed:67 ~num_clients:4 cfg in
   let stop = ref false in
@@ -512,7 +531,12 @@ let test_cluster_partition_heal_catchup () =
       let rec loop _ = if not !stop then Client.invoke cl (String.make 256 'p') loop in
       loop "")
     (Cluster.clients cluster);
-  Simnet.Net.schedule_partition (Cluster.net cluster) ~start:0.3 ~duration:1.0 [ 3 ] [ 0; 1; 2 ];
+  let net = Cluster.net cluster and engine = Cluster.engine cluster in
+  let links = List.concat_map (fun r -> [ (3, r); (r, 3) ]) [ 0; 1; 2 ] in
+  Simnet.Engine.schedule_at engine ~time:0.3 (fun () ->
+      List.iter (fun (src, dst) -> Simnet.Net.set_link_drop net ~src ~dst (fun ~label:_ -> true)) links);
+  Simnet.Engine.schedule_at engine ~time:1.3 (fun () ->
+      List.iter (fun (src, dst) -> Simnet.Net.clear_link net ~src ~dst) links);
   let during = ref 0 and at_heal = ref 0 in
   Simnet.Engine.schedule (Cluster.engine cluster) ~delay:1.3 (fun () ->
       during := Cluster.total_completed cluster;
@@ -1425,9 +1449,8 @@ let test_session_state_survives_transfer () =
   let got = ref "" in
   Client.invoke c0 "sput sticky value-123" (fun _ -> ());
   Simnet.Engine.schedule (Cluster.engine cluster) ~delay:0.2 (fun () ->
-      ignore
-        (Simnet.Net.drop_next_matching (Cluster.net cluster) (fun ~src ~dst ~label ->
-             src >= Types.client_addr_base && dst = 2 && label = "request")));
+      Simnet.Net.drop_next_matching (Cluster.net cluster) (fun ~src ~dst ~label ->
+          src >= Types.client_addr_base && dst = 2 && label = "request"));
   Cluster.run cluster ~seconds:4.0;
   stop := true;
   Client.invoke c0 "sget sticky" (fun r -> got := r);

@@ -400,8 +400,7 @@ let test_net_delivery () =
   Simnet.Net.send net ~src:0 ~dst:1 "hello";
   Simnet.Engine.run e;
   Alcotest.(check (list (pair int string))) "delivered" [ (0, "hello") ] !got;
-  Alcotest.(check int) "sent" 1 (Simnet.Net.sent_count net);
-  Alcotest.(check int) "delivered count" 1 (Simnet.Net.delivered_count net)
+  Alcotest.(check int) "sent" 1 (Simnet.Net.sent_count net)
 
 let test_net_unregistered_dropped () =
   let e = Simnet.Engine.create ~seed:1 in
@@ -439,7 +438,7 @@ let test_net_targeted_drop () =
   let net = Simnet.Net.create e quiet_profile in
   let got = ref [] in
   Simnet.Net.register net 1 (fun ~src:_ payload -> got := payload :: !got);
-  ignore (Simnet.Net.drop_next_matching net (fun ~src:_ ~dst:_ ~label -> label = "kill-me"));
+  Simnet.Net.drop_next_matching net (fun ~src:_ ~dst:_ ~label -> label = "kill-me");
   Simnet.Net.send net ~label:"kill-me" ~src:0 ~dst:1 "a";
   Simnet.Net.send net ~label:"kill-me" ~src:0 ~dst:1 "b";
   Simnet.Net.send net ~label:"other" ~src:0 ~dst:1 "c";
@@ -447,19 +446,27 @@ let test_net_targeted_drop () =
   (* One-shot: only the first matching datagram dies. *)
   Alcotest.(check (list string)) "one-shot drop" [ "b"; "c" ] (List.sort compare !got)
 
+(* A partition is a dropping predicate on each link across it; clearing
+   the links heals it. *)
 let test_net_partition_heal () =
   let e = Simnet.Engine.create ~seed:1 in
   let net = Simnet.Net.create e quiet_profile in
   let got = ref 0 in
   Simnet.Net.register net 1 (fun ~src:_ _ -> incr got);
-  Simnet.Net.partition net [ 0 ] [ 1 ];
+  Simnet.Net.register net 2 (fun ~src:_ _ -> incr got);
+  let any = Simnet.Net.any_addr in
+  Simnet.Net.set_link_drop net ~src:0 ~dst:any (fun ~label:_ -> true);
+  Simnet.Net.set_link_drop net ~src:any ~dst:0 (fun ~label:_ -> true);
   Simnet.Net.send net ~src:0 ~dst:1 "x";
+  Simnet.Net.send net ~src:1 ~dst:0 "x";
+  Simnet.Net.send net ~src:1 ~dst:2 "same side";
   Simnet.Engine.run e;
-  Alcotest.(check int) "partitioned" 0 !got;
-  Simnet.Net.heal net;
+  Alcotest.(check int) "partitioned" 1 !got;
+  Simnet.Net.clear_link net ~src:0 ~dst:any;
+  Simnet.Net.clear_link net ~src:any ~dst:0;
   Simnet.Net.send net ~src:0 ~dst:1 "y";
   Simnet.Engine.run e;
-  Alcotest.(check int) "healed" 1 !got
+  Alcotest.(check int) "healed" 2 !got
 
 let test_net_backlog_overflow () =
   let e = Simnet.Engine.create ~seed:1 in
@@ -526,74 +533,54 @@ let test_trace_ring () =
     (List.init capacity (fun i -> extra + i))
     (List.map (fun en -> en.Simnet.Trace.src) (Simnet.Trace.entries tr))
 
-(* --- scripted fault plans --- *)
+(* --- fault hooks --- *)
 
-let test_drop_expiry () =
+(* The newest armed predicate that matches fires, once; a predicate that
+   did not match stays armed; [drain_drops] disarms whatever is left. *)
+let test_drop_newest_once () =
   let e = Simnet.Engine.create ~seed:1 in
   let net = Simnet.Net.create e quiet_profile in
-  let got = ref 0 in
-  Simnet.Net.register net 1 (fun ~src:_ _ -> incr got);
-  let h =
-    Simnet.Net.drop_next_matching net ~expires_at:0.1 (fun ~src:_ ~dst:_ ~label:_ -> true)
+  let got = ref [] and fired = ref [] in
+  Simnet.Net.register net 1 (fun ~src:_ p -> got := p :: !got);
+  let arm name wanted =
+    Simnet.Net.drop_next_matching net (fun ~src:_ ~dst:_ ~label ->
+        String.equal label wanted
+        && begin
+          fired := name :: !fired;
+          true
+        end)
   in
-  Alcotest.(check int) "pending while live" 1 (Simnet.Net.pending_drops net);
-  (* Sent after the expiry time: the predicate must not eat it. *)
-  Simnet.Engine.schedule e ~delay:0.2 (fun () -> Simnet.Net.send net ~src:0 ~dst:1 "late");
+  arm "old" "x";
+  arm "y" "y";
+  arm "z" "z";
+  arm "new" "x";
+  let send label p = Simnet.Net.send net ~label ~src:0 ~dst:1 p in
+  send "x" "1";
+  send "x" "2";
+  send "y" "3";
   Simnet.Engine.run e;
-  Alcotest.(check int) "expired drop lets it through" 1 !got;
-  Alcotest.(check bool) "handle never matched" true (Simnet.Net.drop_armed h);
-  Alcotest.(check int) "expired not pending" 0 (Simnet.Net.pending_drops net)
-
-let test_drop_cancel () =
-  let e = Simnet.Engine.create ~seed:1 in
-  let net = Simnet.Net.create e quiet_profile in
-  let got = ref 0 in
-  Simnet.Net.register net 1 (fun ~src:_ _ -> incr got);
-  let h = Simnet.Net.drop_next_matching net (fun ~src:_ ~dst:_ ~label:_ -> true) in
-  Simnet.Net.cancel_drop h;
-  Alcotest.(check bool) "disarmed" false (Simnet.Net.drop_armed h);
-  Simnet.Net.send net ~src:0 ~dst:1 "x";
+  Alcotest.(check (list string)) "newest first, each once" [ "new"; "old"; "y" ] (List.rev !fired);
+  Alcotest.(check (list string)) "all three dropped" [] !got;
+  Simnet.Net.drain_drops net;
+  send "x" "4";
+  send "y" "5";
+  send "z" "6";
   Simnet.Engine.run e;
-  Alcotest.(check int) "cancelled drop lets it through" 1 !got
+  Alcotest.(check (list string)) "drained: nothing fires" [ "new"; "old"; "y" ] (List.rev !fired);
+  Alcotest.(check (list string)) "drained: all delivered" [ "4"; "5"; "6" ] (List.sort compare !got)
 
 let test_drain_drops () =
   let e = Simnet.Engine.create ~seed:1 in
   let net = Simnet.Net.create e quiet_profile in
   let got = ref 0 in
   Simnet.Net.register net 1 (fun ~src:_ _ -> incr got);
-  ignore (Simnet.Net.drop_next_matching net (fun ~src:_ ~dst:_ ~label -> label = "a"));
-  ignore (Simnet.Net.drop_next_matching net (fun ~src:_ ~dst:_ ~label -> label = "b"));
-  Alcotest.(check int) "drained both" 2 (Simnet.Net.drain_drops net);
-  Alcotest.(check int) "none pending" 0 (Simnet.Net.pending_drops net);
+  Simnet.Net.drop_next_matching net (fun ~src:_ ~dst:_ ~label -> label = "a");
+  Simnet.Net.drop_next_matching net (fun ~src:_ ~dst:_ ~label -> label = "b");
+  Simnet.Net.drain_drops net;
   Simnet.Net.send net ~label:"a" ~src:0 ~dst:1 "x";
+  Simnet.Net.send net ~label:"b" ~src:0 ~dst:1 "y";
   Simnet.Engine.run e;
-  Alcotest.(check int) "drained drop lets it through" 1 !got
-
-let test_loss_window () =
-  let e = Simnet.Engine.create ~seed:1 in
-  let net = Simnet.Net.create e quiet_profile in
-  let got = ref [] in
-  Simnet.Net.register net 1 (fun ~src:_ p -> got := p :: !got);
-  Simnet.Net.schedule_loss_window net ~start:0.1 ~duration:0.1 1.0;
-  List.iter
-    (fun (at, p) -> Simnet.Engine.schedule e ~delay:at (fun () -> Simnet.Net.send net ~src:0 ~dst:1 p))
-    [ (0.05, "before"); (0.15, "inside"); (0.25, "after") ];
-  Simnet.Engine.run e;
-  Alcotest.(check (list string)) "only the windowed send lost" [ "after"; "before" ]
-    (List.sort compare !got);
-  Alcotest.(check (float 1e-9)) "ambient loss restored" 0.0 (Simnet.Net.loss net)
-
-let test_scheduled_partition () =
-  let e = Simnet.Engine.create ~seed:1 in
-  let net = Simnet.Net.create e quiet_profile in
-  let got = ref [] in
-  Simnet.Net.register net 1 (fun ~src:_ p -> got := p :: !got);
-  Simnet.Net.schedule_partition net ~start:0.1 ~duration:0.1 [ 0 ] [ 1 ];
-  List.iter
-    (fun (at, p) -> Simnet.Engine.schedule e ~delay:at (fun () -> Simnet.Net.send net ~src:0 ~dst:1 p))
-    [ (0.05, "before"); (0.15, "inside"); (0.25, "after") ];
-  Simnet.Engine.run e;
-  Alcotest.(check (list string)) "auto-heal" [ "after"; "before" ] (List.sort compare !got)
+  Alcotest.(check int) "drained drops let both through" 2 !got
 
 let test_link_corrupt_hook () =
   let e = Simnet.Engine.create ~seed:1 in
@@ -608,17 +595,6 @@ let test_link_corrupt_hook () =
   Simnet.Net.send net ~src:0 ~dst:1 "abc";
   Simnet.Engine.run e;
   Alcotest.(check (list string)) "corrupted then clean" [ "abc"; "ABC" ] !got
-
-let test_link_duplicate () =
-  let e = Simnet.Engine.create ~seed:1 in
-  let net = Simnet.Net.create e quiet_profile in
-  let got = ref 0 in
-  Simnet.Net.register net 1 (fun ~src:_ _ -> incr got);
-  Simnet.Net.set_link_duplicate net ~src:0 ~dst:1 1;
-  Simnet.Net.send net ~src:0 ~dst:1 "x";
-  Simnet.Engine.run e;
-  Alcotest.(check int) "delivered twice" 2 !got;
-  Alcotest.(check int) "one logical send" 1 (Simnet.Net.sent_count net)
 
 let test_reregister_replaces_handler () =
   let e = Simnet.Engine.create ~seed:1 in
@@ -788,13 +764,9 @@ let () =
         ] );
       ( "fault plans",
         [
-          Alcotest.test_case "one-shot drop expiry" `Quick test_drop_expiry;
-          Alcotest.test_case "one-shot drop cancel" `Quick test_drop_cancel;
+          Alcotest.test_case "one-shot drop: newest match, once" `Quick test_drop_newest_once;
           Alcotest.test_case "drain pending drops" `Quick test_drain_drops;
-          Alcotest.test_case "scheduled loss window" `Quick test_loss_window;
-          Alcotest.test_case "scheduled partition auto-heals" `Quick test_scheduled_partition;
           Alcotest.test_case "link corruption hook" `Quick test_link_corrupt_hook;
-          Alcotest.test_case "link duplication" `Quick test_link_duplicate;
           Alcotest.test_case "re-register replaces handler" `Quick test_reregister_replaces_handler;
         ] );
       ( "disk",

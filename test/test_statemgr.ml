@@ -2,21 +2,26 @@
 
 let qcheck = QCheck_alcotest.to_alcotest
 
-let make_pages ?(strict = false) ?(num_pages = 16) () =
-  Statemgr.Pages.create ~strict ~page_size:256 ~num_pages ()
+let make_pages ?(num_pages = 16) () = Statemgr.Pages.create ~page_size:256 ~num_pages ()
+
+(* A write the way the region's users make one: notify the range, then
+   write it (§3.2's contract; the contract itself is tested below). *)
+let notified_write p ~pos s =
+  Statemgr.Pages.notify_modify p ~pos ~len:(String.length s);
+  Statemgr.Pages.write p ~pos s
 
 (* --- pages --- *)
 
 let test_pages_rw () =
   let p = make_pages () in
-  Statemgr.Pages.write p ~pos:10 "hello";
+  notified_write p ~pos:10 "hello";
   Alcotest.(check string) "read back" "hello" (Statemgr.Pages.read p ~pos:10 ~len:5);
   Alcotest.(check string) "zeros elsewhere" "\000\000" (Statemgr.Pages.read p ~pos:100 ~len:2)
 
 let test_pages_cross_page_write () =
   let p = make_pages () in
   let s = String.init 300 (fun i -> Char.chr (i mod 256)) in
-  Statemgr.Pages.write p ~pos:200 s;
+  notified_write p ~pos:200 s;
   Alcotest.(check string) "spans pages" s (Statemgr.Pages.read p ~pos:200 ~len:300);
   Alcotest.(check (list int)) "both pages dirty" [ 0; 1 ] (Statemgr.Pages.dirty p)
 
@@ -28,10 +33,10 @@ let test_pages_bounds () =
       Statemgr.Pages.write p ~pos:(16 * 256 - 1) "ab")
 
 (* §3.2's "havoc caused by a misbehaving application which fails to
-   notify the library before modifying memory": strict mode turns the
+   notify the library before modifying memory": the region turns the
    violation into an exception. *)
 let test_pages_strict_contract () =
-  let p = make_pages ~strict:true () in
+  let p = make_pages () in
   Alcotest.check_raises "unnotified write" (Statemgr.Pages.Unnotified_write 0) (fun () ->
       Statemgr.Pages.write p ~pos:0 "x");
   Statemgr.Pages.notify_modify p ~pos:0 ~len:1;
@@ -41,12 +46,29 @@ let test_pages_strict_contract () =
   Alcotest.check_raises "other page still protected" (Statemgr.Pages.Unnotified_write 3)
     (fun () -> Statemgr.Pages.write p ~pos:(3 * 256) "y")
 
+(* A default region raises before touching a byte, even when only the
+   second page of a write lacks its notification, and [clear_dirty] (a
+   checkpoint boundary) re-arms the check. *)
+let test_pages_unnotified_write_raises () =
+  let p = make_pages () in
+  Statemgr.Pages.notify_modify p ~pos:0 ~len:1;
+  Alcotest.check_raises "second page unnotified" (Statemgr.Pages.Unnotified_write 1) (fun () ->
+      Statemgr.Pages.write p ~pos:250 "0123456789");
+  Alcotest.(check string) "nothing written" (String.make 10 '\000')
+    (Statemgr.Pages.read p ~pos:250 ~len:10);
+  Alcotest.(check (list int)) "dirty set unchanged" [ 0 ] (Statemgr.Pages.dirty p);
+  Statemgr.Pages.write p ~pos:0 "x";
+  Statemgr.Pages.clear_dirty p;
+  Alcotest.check_raises "re-armed after clear_dirty" (Statemgr.Pages.Unnotified_write 0) (fun () ->
+      Statemgr.Pages.write p ~pos:0 "y");
+  Alcotest.(check string) "old byte kept" "x" (Statemgr.Pages.read p ~pos:0 ~len:1)
+
 let test_pages_dirty_tracking () =
   let p = make_pages () in
   Alcotest.(check (list int)) "clean" [] (Statemgr.Pages.dirty p);
   Statemgr.Pages.notify_modify p ~pos:600 ~len:10;
   Alcotest.(check (list int)) "notify marks" [ 2 ] (Statemgr.Pages.dirty p);
-  Statemgr.Pages.write p ~pos:0 "a";
+  notified_write p ~pos:0 "a";
   Alcotest.(check (list int)) "write marks" [ 0; 2 ] (Statemgr.Pages.dirty p);
   Statemgr.Pages.clear_dirty p;
   Alcotest.(check (list int)) "cleared" [] (Statemgr.Pages.dirty p)
@@ -54,14 +76,14 @@ let test_pages_dirty_tracking () =
 let test_pages_sparse_allocation () =
   let p = make_pages ~num_pages:1000 () in
   Alcotest.(check int) "nothing allocated" 0 (Statemgr.Pages.allocated_pages p);
-  Statemgr.Pages.write p ~pos:(500 * 256) "x";
+  notified_write p ~pos:(500 * 256) "x";
   Alcotest.(check int) "one page materialized" 1 (Statemgr.Pages.allocated_pages p)
 
 let test_pages_copy_isolated () =
   let p = make_pages () in
-  Statemgr.Pages.write p ~pos:0 "orig";
+  notified_write p ~pos:0 "orig";
   let q = Statemgr.Pages.copy p in
-  Statemgr.Pages.write p ~pos:0 "mut!";
+  notified_write p ~pos:0 "mut!";
   Alcotest.(check string) "copy unchanged" "orig" (Statemgr.Pages.read q ~pos:0 ~len:4)
 
 (* Aliasing a page range hands over buffers, not bytes: the image, the
@@ -72,8 +94,8 @@ let test_pages_copy_isolated () =
 let test_pages_alias_range () =
   let module P = Statemgr.Pages in
   let src = P.create ~page_size:64 ~num_pages:6 () in
-  P.write src ~pos:(2 * 64) (String.make 64 'a');
-  P.write src ~pos:(3 * 64) (String.make 64 'b');
+  notified_write src ~pos:(2 * 64) (String.make 64 'a');
+  notified_write src ~pos:(3 * 64) (String.make 64 'b');
   P.clear_dirty src;
   let copied0 = P.bytes_copied () and snaps0 = P.snapshots_taken () in
   let image = P.create ~page_size:64 ~num_pages:3 () in
@@ -91,16 +113,16 @@ let test_pages_alias_range () =
     | Some a, Some b -> a == b
     | _ -> false);
   Alcotest.(check bool) "zero page stays unbacked" true (P.page_bytes dst 3 = None);
-  P.write dst ~pos:64 "X";
+  notified_write dst ~pos:64 "X";
   Alcotest.(check char) "writer sees its write" 'X' (P.page dst 1).[0];
   Alcotest.(check string) "source keeps its page" (String.make 64 'a') (P.page src 2);
   Alcotest.(check string) "image keeps its page" (String.make 64 'a') (P.page image 0);
-  P.write src ~pos:(3 * 64) "Y";
+  notified_write src ~pos:(3 * 64) "Y";
   Alcotest.(check string) "adopter keeps its page" (String.make 64 'b') (P.page dst 2);
   Alcotest.(check string) "image unaffected by the source" (String.make 64 'b') (P.page image 1);
   Alcotest.(check int) "each first write copied one page" (copied0 + 128) (P.bytes_copied ());
   let over = P.create ~page_size:64 ~num_pages:2 () in
-  P.write over ~pos:0 (String.make 64 'o');
+  notified_write over ~pos:0 (String.make 64 'o');
   P.clear_dirty over;
   P.alias_pages over ~first:0 ~src:image ~src_first:2 ~count:1;
   Alcotest.(check bool) "unbacked page replaces data" true (P.page_bytes over 0 = None);
@@ -127,22 +149,22 @@ let test_pages_load_page () =
 let test_pages_view_aliasing () =
   let p = Statemgr.Pages.create ~page_size:64 ~num_pages:8 () in
   let old = String.make 64 'o' in
-  Statemgr.Pages.write p ~pos:(3 * 64) old;
+  notified_write p ~pos:(3 * 64) old;
   let snap = Statemgr.Pages.snapshot p in
   let v = Statemgr.Pages.page_view p 3 in
   Alcotest.(check string) "view shows the page" old v;
-  Statemgr.Pages.write p ~pos:(3 * 64) "new";
+  notified_write p ~pos:(3 * 64) "new";
   let updated = "new" ^ String.make 61 'o' in
   Alcotest.(check string) "snapshot keeps the old bytes" old (Statemgr.Pages.snapshot_page snap 3);
   Alcotest.(check string) "the earlier view still reads the snapshot's buffer" old v;
   Alcotest.(check string) "live page has the write" updated (Statemgr.Pages.page p 3);
   Alcotest.(check string) "a fresh view sees the write" updated (Statemgr.Pages.page_view p 3);
   let live = Statemgr.Pages.page_view p 3 in
-  Statemgr.Pages.write p ~pos:(3 * 64) "X";
+  notified_write p ~pos:(3 * 64) "X";
   Alcotest.(check char) "an unshared view aliases the live buffer" 'X' live.[0];
   let zero = String.make 64 '\000' in
   let z = Statemgr.Pages.page_view p 5 in
-  Statemgr.Pages.write p ~pos:(5 * 64) "dirty";
+  notified_write p ~pos:(5 * 64) "dirty";
   Alcotest.(check string) "zero view untouched by the write" zero z;
   Alcotest.(check string) "other untouched pages still zero" zero (Statemgr.Pages.page_view p 6);
   Alcotest.check_raises "bounds" (Invalid_argument "Pages.page_view") (fun () ->
@@ -182,7 +204,7 @@ let prop_cow_matches_deep_copy_model =
               String.sub content 0 (min (String.length content) (page_size - 1))
             in
             let pos = (page * page_size) + (b mod (page_size - String.length content)) in
-            Statemgr.Pages.write live ~pos content;
+            notified_write live ~pos content;
             model_write model ~pos content
           | 1 ->
             snaps :=
@@ -218,7 +240,7 @@ let test_merkle_root_changes () =
   let p = make_pages () in
   let t = Statemgr.Merkle.build p in
   let r0 = Statemgr.Merkle.root t in
-  Statemgr.Pages.write p ~pos:0 "x";
+  notified_write p ~pos:0 "x";
   Statemgr.Merkle.update t p [ 0 ];
   let r1 = Statemgr.Merkle.root t in
   Alcotest.(check bool) "root changed" false (String.equal r0 r1)
@@ -234,7 +256,7 @@ let prop_merkle_update_equals_rebuild =
           let page = page mod 16 in
           let content = if content = "" then "x" else content in
           let content = String.sub content 0 (min 200 (String.length content)) in
-          Statemgr.Pages.write p ~pos:(page * 256) content;
+          notified_write p ~pos:(page * 256) content;
           Statemgr.Merkle.update t p [ page ])
         writes;
       String.equal (Statemgr.Merkle.root t) (Statemgr.Merkle.root (Statemgr.Merkle.build p)))
@@ -247,7 +269,7 @@ let prop_merkle_diff_finds_changes =
       let a = make_pages () in
       let ta = Statemgr.Merkle.build a in
       let b = make_pages () in
-      List.iter (fun page -> Statemgr.Pages.write b ~pos:(page * 256) "CHANGED") changed;
+      List.iter (fun page -> notified_write b ~pos:(page * 256) "CHANGED") changed;
       let tb = Statemgr.Merkle.build b in
       let divergent, visited = Statemgr.Merkle.diff ta tb in
       divergent = changed && visited >= 1)
@@ -269,7 +291,7 @@ let test_merkle_leaf_access () =
 let test_merkle_non_power_of_two () =
   let p = Statemgr.Pages.create ~page_size:64 ~num_pages:5 () in
   let t = Statemgr.Merkle.build p in
-  Statemgr.Pages.write p ~pos:(4 * 64) "tail";
+  notified_write p ~pos:(4 * 64) "tail";
   Statemgr.Merkle.update t p [ 4 ];
   Alcotest.(check bool) "rebuild agrees" true
     (String.equal (Statemgr.Merkle.root t) (Statemgr.Merkle.root (Statemgr.Merkle.build p)))
@@ -331,7 +353,7 @@ let prop_frozen_page_memo_sound =
       let trees = Array.map Statemgr.Merkle.build regions in
       let snaps = ref [] in
       let step = function
-        | Write (r, pos, s) -> Statemgr.Pages.write regions.(r) ~pos s
+        | Write (r, pos, s) -> notified_write regions.(r) ~pos s
         | Alias (r, first, src_first, count) ->
           Statemgr.Pages.alias_pages regions.(r) ~first ~src:regions.(1 - r) ~src_first ~count
         | Snapshot r -> snaps := Statemgr.Pages.snapshot regions.(r) :: !snaps
@@ -360,7 +382,7 @@ let prop_frozen_page_memo_sound =
 let test_memo_alias_then_write_one_side () =
   let a = make_pages ~num_pages:8 () and b = make_pages ~num_pages:8 () in
   for i = 0 to 7 do
-    Statemgr.Pages.write a ~pos:(i * 256) (Printf.sprintf "page %d of the image" i)
+    notified_write a ~pos:(i * 256) (Printf.sprintf "page %d of the image" i)
   done;
   Statemgr.Pages.alias_pages b ~first:0 ~src:a ~src_first:0 ~count:8;
   let ta = Statemgr.Merkle.build a in
@@ -373,7 +395,7 @@ let test_memo_alias_then_write_one_side () =
   let root0 = Statemgr.Merkle.root ta in
   Statemgr.Pages.clear_dirty a;
   Statemgr.Pages.clear_dirty b;
-  Statemgr.Pages.write b ~pos:(3 * 256) "b's own page 3";
+  notified_write b ~pos:(3 * 256) "b's own page 3";
   Statemgr.Merkle.update ta a (Statemgr.Pages.dirty a);
   Statemgr.Merkle.update tb b (Statemgr.Pages.dirty b);
   Alcotest.(check string) "the unwritten side's root holds" root0 (Statemgr.Merkle.root ta);
@@ -404,7 +426,7 @@ let prop_build_equals_oracle =
           (* A backed page of zeros has the zero page's digest but its own
              string: the reuse must not be fooled either way. *)
           let c = if zeros then '\000' else Char.chr (65 + (page mod 26)) in
-          Statemgr.Pages.write p ~pos:(page * page_size) (String.make len c))
+          notified_write p ~pos:(page * page_size) (String.make len c))
         writes;
       String.equal (Statemgr.Merkle.root (Statemgr.Merkle.build p)) (oracle_root p))
 
@@ -422,14 +444,14 @@ let test_build_zero_run_hashes_one_node_per_level () =
 
 let test_checkpoint_roundtrip () =
   let p = make_pages () in
-  Statemgr.Pages.write p ~pos:0 "state at 10";
+  notified_write p ~pos:0 "state at 10";
   let t = Statemgr.Merkle.build p in
   let ck = Statemgr.Checkpoint.take ~seqno:10 p t in
   Alcotest.(check int) "seqno" 10 (Statemgr.Checkpoint.seqno ck);
   Alcotest.(check string) "root matches" (Statemgr.Merkle.root t) (Statemgr.Checkpoint.root ck);
   (* Mutate, then restore. *)
-  Statemgr.Pages.write p ~pos:0 "DIVERGED!!!";
-  Statemgr.Pages.write p ~pos:512 "more";
+  notified_write p ~pos:0 "DIVERGED!!!";
+  notified_write p ~pos:512 "more";
   Statemgr.Merkle.update t p (Statemgr.Pages.dirty p);
   Statemgr.Checkpoint.restore ck p t;
   Alcotest.(check string) "state restored" "state at 10" (Statemgr.Pages.read p ~pos:0 ~len:11);
@@ -439,14 +461,14 @@ let test_checkpoint_roundtrip () =
    the pages it put back. *)
 let test_checkpoint_restore_hashes_nothing () =
   let p = make_pages () in
-  Statemgr.Pages.write p ~pos:0 "state at 10";
-  Statemgr.Pages.write p ~pos:(9 * 256) "page nine";
+  notified_write p ~pos:0 "state at 10";
+  notified_write p ~pos:(9 * 256) "page nine";
   let t = Statemgr.Merkle.build p in
   Statemgr.Pages.clear_dirty p;
   let ck = Statemgr.Checkpoint.take ~seqno:10 p t in
-  Statemgr.Pages.write p ~pos:0 "DIVERGED!!!";
-  Statemgr.Pages.write p ~pos:(9 * 256) "page 9 changed";
-  Statemgr.Pages.write p ~pos:(14 * 256) "new page";
+  notified_write p ~pos:0 "DIVERGED!!!";
+  notified_write p ~pos:(9 * 256) "page 9 changed";
+  notified_write p ~pos:(14 * 256) "new page";
   Statemgr.Merkle.update t p (Statemgr.Pages.dirty p);
   let hashed = Crypto.Sha256.bytes_hashed () in
   Statemgr.Checkpoint.restore ck p t;
@@ -460,17 +482,17 @@ let test_checkpoint_restore_hashes_nothing () =
 
 let test_checkpoint_snapshot_isolated () =
   let p = make_pages () in
-  Statemgr.Pages.write p ~pos:0 "before";
+  notified_write p ~pos:0 "before";
   let t = Statemgr.Merkle.build p in
   let ck = Statemgr.Checkpoint.take ~seqno:1 p t in
-  Statemgr.Pages.write p ~pos:0 "after!";
+  notified_write p ~pos:0 "after!";
   Alcotest.(check string) "snapshot keeps old page" "before"
     (String.sub (Statemgr.Checkpoint.page ck 0) 0 6)
 
 let test_root_of_leaves_matches_tree () =
   let p = make_pages () in
-  Statemgr.Pages.write p ~pos:100 "contents";
-  Statemgr.Pages.write p ~pos:(5 * 256) "more";
+  notified_write p ~pos:100 "contents";
+  notified_write p ~pos:(5 * 256) "more";
   let t = Statemgr.Merkle.build p in
   let leaves = List.init (Statemgr.Merkle.num_leaves t) (Statemgr.Merkle.leaf t) in
   Alcotest.(check string) "root recomputed from leaves"
@@ -629,9 +651,9 @@ let prop_undo_restore_is_current =
         Statemgr.Pages.clear_dirty pages
       in
       let step = function
-        | U_write (pg, off, s) -> Statemgr.Pages.write pages ~pos:((pg * page_size) + off) s
+        | U_write (pg, off, s) -> notified_write pages ~pos:((pg * page_size) + off) s
         | U_revert pg ->
-          if !images <> [||] then Statemgr.Pages.write pages ~pos:(pg * page_size) !images.(pg)
+          if !images <> [||] then notified_write pages ~pos:(pg * page_size) !images.(pg)
         | U_fold -> fold ()
       in
       (* Before the undo: some writes folded, some left dirty. *)
@@ -648,15 +670,15 @@ let prop_undo_restore_is_current =
 
 let test_take_undo_hashes_nothing () =
   let p = make_pages () in
-  Statemgr.Pages.write p ~pos:0 "folded";
+  notified_write p ~pos:0 "folded";
   let t = Statemgr.Merkle.build p in
   Statemgr.Pages.clear_dirty p;
-  Statemgr.Pages.write p ~pos:(3 * 256) "dirty, not yet folded";
+  notified_write p ~pos:(3 * 256) "dirty, not yet folded";
   let hashed = Crypto.Sha256.bytes_hashed () in
   let undo = Statemgr.Checkpoint.take_undo p in
   Alcotest.(check int) "no bytes hashed" hashed (Crypto.Sha256.bytes_hashed ());
   Alcotest.(check (list int)) "the dirty page stays dirty" [ 3 ] (Statemgr.Pages.dirty p);
-  Statemgr.Pages.write p ~pos:(5 * 256) "speculative";
+  notified_write p ~pos:(5 * 256) "speculative";
   Statemgr.Checkpoint.restore_undo undo p t;
   Alcotest.(check string) "root = fresh-page oracle" (oracle_root p) (Statemgr.Merkle.root t);
   Alcotest.(check string) "page 5 back to zero" (String.make 256 '\000') (Statemgr.Pages.page p 5)
@@ -668,14 +690,14 @@ let test_take_undo_hashes_nothing () =
    not just the pages it put back. *)
 let test_undo_restore_refolds_written_back_page () =
   let p = make_pages () in
-  Statemgr.Pages.write p ~pos:(2 * 256) "original";
+  notified_write p ~pos:(2 * 256) "original";
   let t = Statemgr.Merkle.build p in
   Statemgr.Pages.clear_dirty p;
   let undo = Statemgr.Checkpoint.take_undo p in
-  Statemgr.Pages.write p ~pos:(2 * 256) "speculat";
+  notified_write p ~pos:(2 * 256) "speculat";
   Statemgr.Merkle.update t p (Statemgr.Pages.dirty p);
   Statemgr.Pages.clear_dirty p;
-  Statemgr.Pages.write p ~pos:(2 * 256) "original";
+  notified_write p ~pos:(2 * 256) "original";
   let generation = Statemgr.Pages.generation p in
   Statemgr.Checkpoint.restore_undo undo p t;
   Alcotest.(check int) "nothing put back" generation (Statemgr.Pages.generation p);
@@ -737,6 +759,8 @@ let () =
           Alcotest.test_case "cross-page write" `Quick test_pages_cross_page_write;
           Alcotest.test_case "bounds" `Quick test_pages_bounds;
           Alcotest.test_case "strict notify contract (§3.2)" `Quick test_pages_strict_contract;
+          Alcotest.test_case "unnotified write raises, writes nothing" `Quick
+            test_pages_unnotified_write_raises;
           Alcotest.test_case "dirty tracking" `Quick test_pages_dirty_tracking;
           Alcotest.test_case "sparse allocation" `Quick test_pages_sparse_allocation;
           Alcotest.test_case "copy isolation" `Quick test_pages_copy_isolated;

@@ -89,7 +89,7 @@ let web_cluster cfg =
   let net = Pbft.Cluster.net cluster in
   let bridges =
     List.init cfg.Pbft.Config.n (fun i ->
-        Webgate.Gateway.Bridge.attach ~cfg ~costs:Pbft.Costmodel.default ~engine ~net ~replica:i)
+        Webgate.Gateway.Bridge.attach ~engine ~net ~replica:i)
   in
   let rng = Util.Rng.create 99 in
   let browser =

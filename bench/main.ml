@@ -196,30 +196,88 @@ let run_digest () =
    allocated per completed sql:indexed_point request, boot fill included
    (as in BENCH.json's alloc_per_request), so a shorter run reads higher.
    Set from the value under --quick, the CI run, plus 25% headroom:
-   174,621 once the boot fill's INSERTs edit B-tree pages in place
-   (budget 670,000 before, set from 536,084 with the batched row-tree
-   lookup and the in-place leaf walk; 733,000 before that, set from
-   586,117 with the boot fill run once per service value). The in-place B-tree probe measured 1,930,701
-   while every replica still ran the fill, and the copy-and-decode read
-   path it replaced 6,430,090. *)
-let sqlidx_words_budget = 218_000.0
+   109,682 once covered SELECTs read only the index and rows are
+   evaluated in one pass over resolved columns (budget 218,000 before,
+   set from 174,621 once the boot fill's INSERTs edit B-tree pages in
+   place; 670,000 before that, set from 536,084 with the batched
+   row-tree lookup and the in-place leaf walk; 733,000 before that, set
+   from 586,117 with the boot fill run once per service value). The
+   in-place B-tree probe measured 1,930,701 while every replica still
+   ran the fill, and the copy-and-decode read path it replaced
+   6,430,090. *)
+let sqlidx_words_budget = 137_103.0
 
-(* The same gate on sql:read_mix, whose SELECTs fetch 25 rows each
-   through the index: the multi-row path of Index_scan. Set from its
-   --quick value, 167,440 with in-place B-tree writes in the boot fill
-   (528,799 with the batched lookup and decode-and-encode writes;
-   572,348 with one descent per row and whole leaves decoded), plus 25%
-   headroom. *)
-let read_mix_words_budget = 209_000.0
+(* The same gate on sql:read_mix, whose SELECTs match 25 rows each
+   through the index, now answered from the index keys. Set from its
+   --quick value, 105,126 with covered scans and one-pass evaluation,
+   plus 25% headroom (209,000 before, set from 167,440 with in-place
+   B-tree writes in the boot fill; 528,799 with the batched lookup and
+   decode-and-encode writes; 572,348 with one descent per row and whole
+   leaves decoded). *)
+let read_mix_words_budget = 131_408.0
 
 (* The same gate on the write path, sql:insert_acid: one vote INSERT per
    request under the rollback journal, boot fill included. Set from its
-   --quick value, 53,533 with B-tree pages edited in place, each original
-   journaled once from the page view and Simdisk files that grow
-   geometrically, plus 25% headroom; the decode-and-encode write path
-   measured 132,542. A rise means the write path copies or re-encodes
-   whole pages again. *)
-let insert_words_budget = 67_000.0
+   --quick value, 49,489 once page touches are counted without a hash
+   table and varints decode without a closure, plus 25% headroom
+   (67,000 before, set from 53,533 with B-tree pages edited in place,
+   each original journaled once from the page view and Simdisk files
+   that grow geometrically); the decode-and-encode write path measured
+   132,542. A rise means the write path copies or re-encodes whole
+   pages again. *)
+let insert_words_budget = 61_862.0
+
+(* Per-statement gates on one replica's copy of the read-mix table: the
+   6,400-row lookup table booted by the SQL service into a Pages region.
+   The covered point SELECT ("SELECT COUNT(*), SUM(id) ... WHERE k = ?") answers from
+   the lookup_k index alone, so it reads at most [covered_pages_budget]
+   pages; fetching each of its 25 rows from the row tree read 29. A
+   SELECT that must fetch its rows (it reads pad) allocates at most
+   [fetch_words_budget] minor words per fetched row: the words of the
+   25-row probe less those of a probe that finds no row, over 25. The
+   per-row name lookup, environment record and whole-row decode
+   measured 218. *)
+let covered_pages_budget = 4
+let fetch_words_budget = 50.0
+
+let statement_gates () =
+  let app_pages = 512 in
+  let _, make =
+    Relsql.Pbft_service.service_with_db ~app_pages ~schema:Relsql.Pbft_service.lookup_schema
+      ~init:(Relsql.Pbft_service.lookup_index_sql :: Harness.Experiments.lookup_fill_sql ())
+      ()
+  in
+  let pages =
+    Statemgr.Pages.create ~page_size:Relsql.Pager.page_size ~num_pages:app_pages ()
+  in
+  let db, _ = make pages ~first_page:0 in
+  let run sql =
+    let o = Relsql.Database.exec db sql in
+    (match o.Relsql.Database.res with Ok _ -> () | Error e -> failwith ("sqlidx: " ^ e));
+    o
+  in
+  let covered = run (Relsql.Pbft_service.point_select_sql ~key:5) in
+  let fetch key = Printf.sprintf "SELECT COUNT(*), MAX(pad) FROM lookup WHERE k = %d" key in
+  let words sql =
+    ignore (run sql);
+    let before = Gc.minor_words () in
+    let o = run sql in
+    (Gc.minor_words () -. before, o.Relsql.Database.rows_scanned)
+  in
+  let hit, rows = words (fetch 5) and miss, _ = words (fetch 300) in
+  let per_row = (hit -. miss) /. float_of_int (Int.max 1 rows) in
+  Printf.printf "  covered point SELECT: %d pages, %d rows (budget %d pages)\n%!"
+    covered.Relsql.Database.pages_read covered.rows_scanned covered_pages_budget;
+  Printf.printf "  fetching SELECT: %.1f words per fetched row over %d rows (budget %.0f)\n%!"
+    per_row rows fetch_words_budget;
+  need
+    (covered.pages_read <= covered_pages_budget)
+    (Printf.sprintf "covered point SELECT read %d pages (budget %d)" covered.pages_read
+       covered_pages_budget)
+  @ need (rows = 25) (Printf.sprintf "fetching SELECT scanned %d rows, not 25" rows)
+  @ need (per_row <= fetch_words_budget)
+      (Printf.sprintf "fetching SELECT allocates %.1f words per row (budget %.0f)" per_row
+         fetch_words_budget)
 
 (* Access-path comparison with a pass/fail gate: the identical point-
    SELECT stream, indexed versus forced scan, must differ by at least 5x
@@ -256,8 +314,10 @@ let run_sqlidx () =
     (fun ((m : Harness.Hostbench.row), budget) ->
       Printf.printf "  %s allocation: %.0f words/request (budget %.0f)\n%!" m.name (words m) budget)
     budgets;
+  let statements = statement_gates () in
   verdict "sqlidx"
-    (need (speedup >= 5.0)
+    (statements
+    @ need (speedup >= 5.0)
        (Printf.sprintf "indexed point workload is %.1fx the forced-scan baseline (need >= 5x)"
           speedup)
     @ List.concat_map
@@ -277,11 +337,13 @@ let run_sqlidx () =
 let memory_words_budget = 4.17
 
 (* The words reachable after the short run, under --quick (1 s) and
-   without it (2 s): set from their readings, 111,466 and 145,852, plus
-   25% headroom. A queue that kept cancelled timers until their
-   deadlines read 1,406,774 after 1 s: each dead closure keeps its
-   finished operation reachable. *)
-let memory_live_budget = (139_333, 182_315)
+   without it (2 s): set from their readings, 108,000 and 138,142, plus
+   25% headroom, since the heap's vacated slots hold the engine's empty
+   timer. While those slots kept the last timers moved out of them the
+   readings were 111,466 and 145,852; a queue that kept cancelled
+   timers until their deadlines read 1,406,774 after 1 s: each dead
+   closure keeps its finished operation reachable. *)
+let memory_live_budget = (135_000, 172_678)
 
 (* Events queued at the end of the long run: 62 under --quick (56
    without) plus 25% headroom. *)

@@ -203,7 +203,7 @@ let pipeline_sweep ?(seed = 1) ?(duration = 1.5) () =
   }
 
 (* 95/5 read/write mix over the indexed lookup table: the planner proves
-   the SELECTs deterministic and read-only (Relsql.Pbft_service.
+   the SELECTs deterministic and read-only (Relsql.Database.
    is_readonly_sql), so the harness submits them on the read-only fast
    path without per-call opt-in; the INSERTs order normally. *)
 let read_mix_spec ?(seed = 1) ?(duration = 1.5) ?(app_pages = 512) cfg =

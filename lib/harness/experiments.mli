@@ -23,7 +23,6 @@ val sql_large_state_spec :
     here; copy-on-write is O(working set). *)
 
 val lookup_fill_sql : ?rows:int -> ?row_bytes:int -> unit -> string list
-[@@detlint.allow unused_export "the service-boot tests build the lookup fill"]
 (** INSERT batches pre-populating the lookup table ([rows] rows whose key
     column cycles through 256 values, [row_bytes] of pad each; defaults 6400 rows). *)
 
@@ -58,7 +57,7 @@ val pipeline_sweep : ?seed:int -> ?duration:float -> unit -> Report.t
 
 val read_mix_spec : ?seed:int -> ?duration:float -> ?app_pages:int -> Pbft.Config.t -> Run.spec
 (** 95/5 read/write SQL mix over the indexed lookup table. The SELECTs
-    are planner-proven read-only ({!Relsql.Pbft_service.is_readonly_sql})
+    are planner-proven read-only ({!Relsql.Database.is_readonly_sql})
     and ride the fast path as tentative replies; the INSERTs order
     through agreement. *)
 

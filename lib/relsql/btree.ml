@@ -604,7 +604,9 @@ let rec yield c f n =
   let koff = span c klen in
   let vlen = varint c in
   let voff = span c vlen in
-  f (String.sub c.img koff klen) (String.sub c.img voff vlen) && yield c f (n - 1)
+  (* An index entry's value is empty: hand out the shared "". *)
+  let value = if vlen = 0 then "" else String.sub c.img voff vlen in
+  f (String.sub c.img koff klen) value && yield c f (n - 1)
 
 (* Like a descent, the leaf chain visits distinct pages: a walk longer
    than the page count is a corrupt [next] cycle. *)

@@ -2,6 +2,7 @@ type t = {
   vfs : Vfs.t;
   pager : Pager.t;
   cat : Catalog.t;
+  ctx : Expr.ctx;
   mutable explicit_txn : bool;
   mutable rows_scanned : int;
   mutable stmt_cache : (string, Ast.stmt list) Hashtbl.t;
@@ -43,6 +44,7 @@ let open_db vfs =
     vfs;
     pager;
     cat;
+    ctx = { Expr.time = vfs.Vfs.time; random = vfs.Vfs.random };
     explicit_txn = false;
     rows_scanned = 0;
     stmt_cache = Hashtbl.create 64;
@@ -77,19 +79,52 @@ let rowid_key rowid =
 
 let rowid_of_key key = Int64.to_int (String.get_int64_be key 0)
 
+(* The byte order of [rowid_key]: numeric order, except that negative
+   rowids sort after positive ones (the key is a raw big-endian int64). *)
+let rowid_order a b =
+  if Bool.equal (a < 0) (b < 0) then Int.compare a b else if a < 0 then 1 else -1
+
 let encode_row (r : row) =
   Util.Codec.encode (fun w () -> Util.Codec.W.list w Value.encode (Array.to_list r)) ()
 
-let decode_row s : row = Array.of_list (Util.Codec.decode (fun r -> Util.Codec.R.list r Value.decode) s)
+(* Decode the columns [need] marks into [row], stepping over the others
+   without building them. *)
+let decode_into need s (row : row) =
+  let r = Util.Codec.R.of_string s in
+  if Util.Codec.R.varint r <> Array.length row then raise (Pager.Corrupt "row width");
+  for i = 0 to Array.length row - 1 do
+    if need.(i) then row.(i) <- Value.decode r else Value.skip r
+  done
 
+(* An index entry's key: the encoded value, a NUL, the 8-byte rowid key. *)
 let index_key v rowid = Value.key_encode v ^ "\x00" ^ rowid_key rowid
+let entry_rowid k = Int64.to_int (String.get_int64_be k (String.length k - 8))
+let entry_value k = Value.key_decode (String.sub k 0 (String.length k - 9))
 
 (* --- helpers --- *)
 
-let env_of t bindings =
-  { Expr.bindings; env_time = t.vfs.Vfs.time; env_random = t.vfs.Vfs.random }
+(* Column positions in a flat row made of each FROM table's columns in
+   turn; [layout] gives each table's column names, binding name and first
+   position. A qualifier picks the table; a name must match exactly one
+   column of the tables it may name. *)
+let resolver layout q name =
+  let name = String.lowercase_ascii name in
+  let q = Option.map String.lowercase_ascii q in
+  let hits =
+    List.filter_map
+      (fun (cols, bname, first) ->
+        match q with
+        | Some q when not (String.equal q bname) -> None
+        | Some _ | None -> Option.map (( + ) first) (List.find_index (String.equal name) cols))
+      layout
+  in
+  match hits with
+  | [ i ] -> Ok i
+  | [] -> Error ("no such column: " ^ name)
+  | _ :: _ -> Error ("ambiguous column: " ^ name)
 
-let const_env t = env_of t []
+let no_columns _ name = Error ("no such column: " ^ String.lowercase_ascii name)
+let const_eval t e = Expr.eval (Expr.compile t.ctx no_columns e) [||]
 
 let table_or_fail t name =
   match Catalog.find_table t.cat name with
@@ -110,11 +145,91 @@ let col_names = Plan.col_names
 let pk_column = Plan.pk_column
 let coerce = Plan.coerce
 
-let scan t (tbl : Catalog.table) f =
-  let tree = tree_of t tbl in
-  Btree.iter tree (fun k v ->
-      t.rows_scanned <- t.rows_scanned + 1;
-      f (rowid_of_key k) (decode_row v))
+let plan t tbl where = if t.planner_enabled then Plan.choose tbl where else Plan.Full_scan
+
+let passes where row =
+  match where with
+  | None -> true
+  | Some w ->
+    let v = Expr.eval w row in
+    (not (Value.is_null v)) && Value.truthy v
+
+let rec ascending cmp = function
+  | a :: (b :: _ as rest) -> cmp a b < 0 && ascending cmp rest
+  | _ -> true
+
+(* [List.sort_uniq], skipping the sort when a point probe's entries are
+   already in order. *)
+let sorted cmp l = if ascending cmp l then l else List.sort_uniq cmp l
+
+(* Run [f rowid row] on every row of [tbl] that [access] yields and
+   [where] accepts, in rowid-key byte order — the order of a full scan,
+   so the result does not depend on the path the planner picked. [row]
+   is one buffer refilled per row with the columns [need] marks (the
+   others stay Null): [f] copies what it keeps and must not write the
+   pager. With [cover], an index scan whose needed columns all lie in
+   the index key (the indexed column and the INTEGER PRIMARY KEY) reads
+   no row at all. Each candidate counts one [rows_scanned], whichever
+   path produced it. *)
+let iter_rows (t : t) (tbl : Catalog.table) access ~need ~where ~cover f =
+  let row = Array.make (Array.length need) Value.Null in
+  let visit rowid =
+    t.rows_scanned <- t.rows_scanned + 1;
+    if passes where row then f rowid row
+  in
+  let fetch rowid = function
+    | Some v ->
+      decode_into need v row;
+      visit rowid
+    | None -> t.rows_scanned <- t.rows_scanned + 1
+  in
+  match access with
+  | Plan.No_rows -> ()
+  | Plan.Full_scan ->
+    Btree.iter (tree_of t tbl) (fun k v ->
+        fetch (rowid_of_key k) (Some v);
+        true)
+  | Plan.Pk_probe rowid -> fetch rowid (Btree.find (tree_of t tbl) (rowid_key rowid))
+  | Plan.Index_scan { idx; lo; hi } ->
+    let entries = ref [] in
+    Btree.iter (Btree.open_tree t.pager ~root:idx.Catalog.idx_root) ?from:lo ?upto:hi (fun k _ ->
+        entries := k :: !entries;
+        true);
+    (* The needed positions of the indexed column and the primary key,
+       -1 where not needed. *)
+    let needed = function Some i when need.(i) -> i | Some _ | None -> -1 in
+    let ci =
+      needed (List.find_index (String.equal (String.lowercase_ascii idx.idx_col)) (col_names tbl))
+    in
+    let pk = needed (pk_column tbl) in
+    let covered = ref cover in
+    Array.iteri (fun i n -> if n && i <> ci && i <> pk then covered := false) need;
+    if !covered then
+      List.iter
+        (fun k ->
+          let rowid = entry_rowid k in
+          if ci >= 0 then row.(ci) <- entry_value k;
+          if pk >= 0 then row.(pk) <- Value.Int rowid;
+          visit rowid)
+        (sorted (fun a b -> rowid_order (entry_rowid a) (entry_rowid b)) (List.rev !entries))
+    else begin
+      (* One batched lookup walks each row-tree node once. *)
+      let keys =
+        sorted String.compare
+          (List.rev_map (fun k -> String.sub k (String.length k - 8) 8) !entries)
+      in
+      Btree.find_many (tree_of t tbl) keys (fun rk rv -> fetch (rowid_of_key rk) rv)
+    end
+
+(* Full rows (copies) of [tbl] under [where], for statements that rewrite
+   them. *)
+let matching_rows t (tbl : Catalog.table) ast_where where =
+  let out = ref [] in
+  iter_rows t tbl (plan t tbl ast_where)
+    ~need:(Array.make (List.length tbl.tbl_cols) true)
+    ~where ~cover:false
+    (fun rowid row -> out := (rowid, Array.copy row) :: !out);
+  List.rev !out
 
 (* --- index maintenance --- *)
 
@@ -206,9 +321,9 @@ let do_create_index t name table col if_not_exists =
   let tree = Btree.create t.pager in
   (* Backfill from existing rows. *)
   let entries = ref [] in
-  scan t tbl (fun rowid r ->
-      entries := (index_key r.(ci) rowid, "") :: !entries;
-      true);
+  let need = Array.init (List.length cols) (Int.equal ci) in
+  iter_rows t tbl Plan.Full_scan ~need ~where:None ~cover:false (fun rowid r ->
+      entries := (index_key r.(ci) rowid, "") :: !entries);
   List.iter (fun (k, v) -> Btree.insert tree ~key:k ~value:v) !entries;
   let idx = { Catalog.idx_name = name; idx_col = col; idx_root = Btree.root tree } in
   Catalog.update_table t.cat { tbl with Catalog.tbl_indexes = idx :: tbl.tbl_indexes };
@@ -256,7 +371,7 @@ let do_insert t table cols rows_exprs =
         (fun i e ->
           let pos = List.nth positions i in
           let cdef = List.nth !tbl.Catalog.tbl_cols pos in
-          r.(pos) <- coerce cdef (Expr.eval (const_env t) e))
+          r.(pos) <- coerce cdef (const_eval t e))
         exprs;
       let rowid =
         match pk_column !tbl with
@@ -295,117 +410,106 @@ let expr_name i (e : Ast.expr) alias =
     | _ -> Printf.sprintf "col%d" (i + 1)
   end
 
-(* Candidate rows for a single table via the planner's access path. The
-   WHERE clause is NOT applied here — paths are supersets; callers filter
-   through [matching_rows]. Rows always come back in [rowid_key] byte
-   order — numeric rowid order except that negative rowids sort after
-   positive ones (the key is a raw big-endian int64) — so the result is
-   independent of which path the planner picked. *)
-let candidate_rows t (tbl : Catalog.table) (where : Ast.expr option) =
-  let full_scan () =
-    let acc = ref [] in
-    scan t tbl (fun rowid r ->
-        acc := (rowid, r) :: !acc;
-        true);
-    List.rev !acc
-  in
-  let access = if t.planner_enabled then Plan.choose tbl where else Plan.Full_scan in
-  match access with
-  | Plan.Full_scan -> full_scan ()
-  | Plan.No_rows -> []
-  | Plan.Pk_probe rowid -> begin
-    t.rows_scanned <- t.rows_scanned + 1;
-    match Btree.find (tree_of t tbl) (rowid_key rowid) with
-    | Some rv -> [ (rowid, decode_row rv) ]
-    | None -> []
-  end
-  | Plan.Index_scan { idx; lo; hi } ->
-    let tree = Btree.open_tree t.pager ~root:idx.Catalog.idx_root in
-    let row_keys = ref [] in
-    Btree.iter tree ?from:lo ?upto:hi (fun k _ ->
-        row_keys := String.sub k (String.length k - 8) 8 :: !row_keys;
-        true);
-    (* Sort the raw keys, not decoded rowids: byte order is what a full
-       scan of the row tree yields, and signed order differs from it for
-       negative rowids. One batched lookup walks each row-tree node once. *)
-    let rows = ref [] in
-    Btree.find_many (tree_of t tbl) (List.sort_uniq String.compare !row_keys) (fun rk rv ->
-        t.rows_scanned <- t.rows_scanned + 1;
-        Option.iter (fun rv -> rows := (rowid_of_key rk, decode_row rv) :: !rows) rv);
-    List.rev !rows
+(* One group's running value of an aggregating projection. *)
+type acc = { step : row -> unit; result : unit -> Value.t }
 
-(* Candidate rows with the predicate evaluated exactly once per row; the
-   surviving environment is returned so SELECT/UPDATE/DELETE never pay a
-   second evaluation. *)
-let matching_rows t (tbl : Catalog.table) ~bname (where : Ast.expr option) =
-  let names = col_names tbl in
-  List.filter_map
-    (fun (rowid, r) ->
-      let env = env_of t [ { Expr.b_table = bname; b_cols = names; b_row = r } ] in
-      let keep =
-        match where with
-        | None -> true
-        | Some w ->
-          let v = Expr.eval env w in
-          (not (Value.is_null v)) && Value.truthy v
-      in
-      if keep then Some (rowid, r, env) else None)
-    (candidate_rows t tbl where)
+type sum = { mutable total : float }
 
-let eval_aggregate t groups_rows (e : Ast.expr) =
-  (* Evaluate an aggregate-containing projection over a group of rows. *)
-  let rec go (e : Ast.expr) =
-    match e with
-    | Ast.Call ("COUNT", [ Ast.Star ]) -> Value.Int (List.length groups_rows)
-    | Ast.Call ("COUNT", [ arg ]) ->
-      Value.Int
-        (List.length
-           (List.filter (fun env -> not (Value.is_null (Expr.eval env arg))) groups_rows))
-    | Ast.Call (("SUM" | "AVG" | "MIN" | "MAX") as f, [ arg ]) ->
-      let vals =
-        List.filter_map
-          (fun env ->
-            let v = Expr.eval env arg in
-            if Value.is_null v then None else Some v)
-          groups_rows
-      in
-      if vals = [] then Value.Null
-      else begin
-        match f with
-        | "MIN" -> List.fold_left (fun a v -> if Value.compare_sql v a < 0 then v else a) (List.hd vals) vals
-        | "MAX" -> List.fold_left (fun a v -> if Value.compare_sql v a > 0 then v else a) (List.hd vals) vals
-        | "SUM" | "AVG" ->
-          let nums = List.filter_map Value.as_number vals in
-          let sum = List.fold_left ( +. ) 0.0 nums in
-          let all_int =
-            List.for_all (fun v -> match v with Value.Int _ -> true | _ -> false) vals
-          in
-          if String.equal f "SUM" then
-            if all_int then Value.Int (int_of_float sum) else Value.Real sum
-          else Value.Real (sum /. float_of_int (List.length nums))
-        | _ -> assert false
-      end
-    | Ast.Binop (op, a, b) -> begin
-      let env1 = match groups_rows with e :: _ -> e | [] -> env_of t [] in
-      ignore env1;
-      (* Mixed aggregate expressions: evaluate subexpressions then combine. *)
-      let va = go a and vb = go b in
-      Expr.eval (env_of t []) (Ast.Binop (op, Ast.Lit va, Ast.Lit vb))
-    end
-    | Ast.Unop (op, a) -> Expr.eval (env_of t []) (Ast.Unop (op, Ast.Lit (go a)))
-    | other -> begin
-      (* Non-aggregate part: evaluate against the first row of the group
-         (SQL's bare-column semantics). *)
-      match groups_rows with
-      | env :: _ -> Expr.eval env other
-      | [] -> Value.Null
-    end
-  in
-  go e
+(* Compile an aggregate-containing projection once; the returned function
+   makes a fresh accumulator per group. COUNT/SUM/AVG/MIN/MAX fold the
+   group's rows as they stream past: SUM adds the numeric values as
+   floats in row order and is an Int only when every non-NULL value is,
+   MIN/MAX keep the first of equal extremes, and a non-aggregate part
+   takes the group's first row (SQL's bare-column semantics; NULL for an
+   empty group). Operators over aggregates combine the finished values. *)
+let rec aggregate t compile (e : Ast.expr) : unit -> acc =
+  match e with
+  | Ast.Call ("COUNT", [ arg ]) ->
+    let counts =
+      match arg with
+      | Ast.Star -> fun _ -> true
+      | arg ->
+        let arg = compile arg in
+        fun row -> not (Value.is_null (Expr.eval arg row))
+    in
+    fun () ->
+      let n = ref 0 in
+      { step = (fun row -> if counts row then incr n); result = (fun () -> Value.Int !n) }
+  | Ast.Call (("MIN" | "MAX") as f, [ arg ]) ->
+    let arg = compile arg in
+    let better = if String.equal f "MIN" then fun c -> c < 0 else fun c -> c > 0 in
+    fun () ->
+      let best = ref Value.Null in
+      {
+        step =
+          (fun row ->
+            let v = Expr.eval arg row in
+            if (not (Value.is_null v)) && (Value.is_null !best || better (Value.compare_sql v !best))
+            then best := v);
+        result = (fun () -> !best);
+      }
+  | Ast.Call (("SUM" | "AVG") as f, [ arg ]) ->
+    let arg = compile arg in
+    fun () ->
+      let s = { total = 0.0 } and nums = ref 0 and seen = ref false and all_int = ref true in
+      {
+        step =
+          (fun row ->
+            (* Each float is added in place, never boxed. *)
+            match Expr.eval arg row with
+            | Value.Null -> ()
+            | Value.Int i ->
+              seen := true;
+              s.total <- s.total +. float_of_int i;
+              incr nums
+            | Value.Real x ->
+              seen := true;
+              all_int := false;
+              s.total <- s.total +. x;
+              incr nums
+            | Value.Text str -> (
+              seen := true;
+              all_int := false;
+              match float_of_string_opt str with
+              | Some x ->
+                s.total <- s.total +. x;
+                incr nums
+              | None -> ()));
+        result =
+          (fun () ->
+            if not !seen then Value.Null
+            else if String.equal f "AVG" then Value.Real (s.total /. float_of_int !nums)
+            else if !all_int then Value.Int (int_of_float s.total)
+            else Value.Real s.total);
+      }
+  | Ast.Binop (op, a, b) ->
+    let a = aggregate t compile a and b = aggregate t compile b in
+    fun () ->
+      let a = a () and b = b () in
+      {
+        step =
+          (fun row ->
+            a.step row;
+            b.step row);
+        result =
+          (fun () ->
+            let va = a.result () and vb = b.result () in
+            const_eval t (Ast.Binop (op, Ast.Lit va, Ast.Lit vb)));
+      }
+  | Ast.Unop (op, a) ->
+    let a = aggregate t compile a in
+    fun () ->
+      let a = a () in
+      { step = a.step; result = (fun () -> const_eval t (Ast.Unop (op, Ast.Lit (a.result ())))) }
+  | other ->
+    let e = compile other in
+    fun () ->
+      let first = ref None in
+      {
+        step = (fun row -> if Option.is_none !first then first := Some (Expr.eval e row));
+        result = (fun () -> Option.value !first ~default:Value.Null);
+      }
 
-(* Static check: every column reference must resolve (uniquely) against
-   the FROM tables — SQLite reports these at prepare time, and so do we,
-   even when a table is empty. *)
 let rec collect_cols acc (e : Ast.expr) =
   match e with
   | Ast.Col (q, n) -> (q, n) :: acc
@@ -414,26 +518,17 @@ let rec collect_cols acc (e : Ast.expr) =
   | Ast.Call (_, args) -> List.fold_left collect_cols acc args
   | Ast.Lit _ | Ast.Star -> acc
 
-let validate_columns tables exprs =
-  let refs = List.fold_left collect_cols [] exprs in
-  List.iter
-    (fun (q, n) ->
-      let n = String.lowercase_ascii n in
-      let hits =
-        List.filter
-          (fun (tbl, bname) ->
-            (match q with Some q -> String.lowercase_ascii q = bname | None -> true)
-            && List.mem n (col_names tbl))
-          tables
-      in
-      match hits with
-      | [ _ ] -> ()
-      | [] -> sql_fail "no such column: %s" n
-      | _ :: _ -> sql_fail "ambiguous column: %s" n)
-    refs
+let compare_keys items ka kb =
+  let rec go ks1 ks2 its =
+    match (ks1, ks2, its) with
+    | k1 :: r1, k2 :: r2, (it : Ast.order_item) :: ri ->
+      let c = Value.compare_sql k1 k2 in
+      if c <> 0 then if it.ord_desc then -c else c else go r1 r2 ri
+    | _ -> 0
+  in
+  go ka kb items
 
 let do_select t (s : Ast.select) =
-  (* Bind FROM tables; expression-only selects get one empty binding set. *)
   let tables =
     List.map
       (fun (name, alias) ->
@@ -444,44 +539,22 @@ let do_select t (s : Ast.select) =
         (tbl, bname))
       s.Ast.sel_from
   in
-  validate_columns tables
-    (List.filter (fun e -> e <> Ast.Star) (List.map fst s.Ast.sel_exprs)
-    @ Option.to_list s.sel_where @ s.sel_group);
-  let envs =
-    match tables with
-    | [ (tbl, bname) ] ->
-      (* Single table: planner access path, predicate evaluated once. *)
-      List.map (fun (_, _, env) -> env) (matching_rows t tbl ~bname s.sel_where)
-    | _ ->
-      (* Expression-only select ([]) or nested-loop cross product; the
-         WHERE filter applies to the joined binding sets. *)
-      let row_sets =
-        match tables with
-        | [] -> [ [] ]
-        | _ ->
-          List.fold_left
-            (fun acc (tbl, bname) ->
-              let rows = candidate_rows t tbl None in
-              List.concat_map
-                (fun partial ->
-                  List.map
-                    (fun (_, r) ->
-                      partial @ [ { Expr.b_table = bname; b_cols = col_names tbl; b_row = r } ])
-                    rows)
-                acc)
-            [ [] ] tables
-      in
-      List.filter_map
-        (fun bindings ->
-          let env = env_of t bindings in
-          match s.sel_where with
-          | None -> Some env
-          | Some w ->
-            let v = Expr.eval env w in
-            if (not (Value.is_null v)) && Value.truthy v then Some env else None)
-        row_sets
+  (* Each FROM table's columns take the next run of the flat row. *)
+  let layout, width =
+    List.fold_left
+      (fun (acc, first) ((tbl : Catalog.table), bname) ->
+        ((col_names tbl, bname, first) :: acc, first + List.length tbl.tbl_cols))
+      ([], 0) tables
   in
-  (* Expand * projections. *)
+  let resolve = resolver (List.rev layout) in
+  (* Every column reference must resolve (uniquely) against the FROM
+     tables — SQLite reports these at prepare time, and so do we, even
+     when a table is empty. *)
+  List.iter
+    (fun (q, n) -> match resolve q n with Ok _ -> () | Error e -> raise (Sql_error e))
+    (List.fold_left collect_cols []
+       (List.filter (fun e -> e <> Ast.Star) (List.map fst s.Ast.sel_exprs)
+       @ Option.to_list s.sel_where @ s.sel_group));
   let projections =
     List.concat_map
       (fun (e, alias) ->
@@ -489,50 +562,101 @@ let do_select t (s : Ast.select) =
         | Ast.Star ->
           List.concat_map
             (fun (tbl, bname) ->
-              List.map
-                (fun c -> (Ast.Col (Some bname, c), Some c))
-                (col_names tbl))
+              List.map (fun c -> (Ast.Col (Some bname, c), Some c)) (col_names tbl))
             tables
         | _ -> [ (e, alias) ])
       s.sel_exprs
   in
   let columns = List.mapi (fun i (e, alias) -> expr_name i e alias) projections in
-  let has_aggregate = List.exists (fun (e, _) -> Expr.is_aggregate e) projections in
-  let rows =
-    if has_aggregate || s.sel_group <> [] then begin
-      let groups =
-        if s.sel_group = [] then (match envs with [] -> [ [] ] | _ -> [ envs ])
-        else begin
-          let tblg = Hashtbl.create 16 in
-          let order = ref [] in
-          List.iter
-            (fun env ->
-              let key =
-                String.concat "\x01"
-                  (List.map (fun g -> Value.key_encode (Expr.eval env g)) s.sel_group)
-              in
-              if not (Hashtbl.mem tblg key) then order := key :: !order;
-              Hashtbl.replace tblg key (env :: Option.value ~default:[] (Hashtbl.find_opt tblg key)))
-            envs;
-          List.rev_map (fun k -> List.rev (Hashtbl.find tblg k)) !order |> List.rev
-        end
-      in
-      List.map
-        (fun group -> Array.of_list (List.map (fun (e, _) -> eval_aggregate t group e) projections))
-        groups
-    end
-    else
-      List.map
-        (fun env -> Array.of_list (List.map (fun (e, _) -> Expr.eval env e) projections))
-        envs
+  let aggregating =
+    List.exists (fun (e, _) -> Expr.is_aggregate e) projections || s.sel_group <> []
   in
-  (* ORDER BY: sort keys computed against the projected row when the
-     expression names an output column, else against the source env. *)
+  let compile = Expr.compile t.ctx resolve in
+  let where = Option.map compile s.sel_where in
+  (* Only the columns the statement reads are decoded. In aggregate mode
+     ORDER BY names output columns, not source ones. *)
+  let need = Array.make width false in
+  List.iter
+    (fun (q, n) -> match resolve q n with Ok i -> need.(i) <- true | Error _ -> ())
+    (List.fold_left collect_cols []
+       (List.map fst projections @ Option.to_list s.sel_where @ s.sel_group
+       @ if aggregating then [] else List.map (fun (it : Ast.order_item) -> it.ord_expr) s.sel_order
+       ));
+  let each f =
+    match tables with
+    | [ (tbl, _) ] ->
+      (* Single table: planner access path, WHERE evaluated once per row. *)
+      iter_rows t tbl (plan t tbl s.sel_where) ~need ~where ~cover:true (fun _ row -> f row)
+    | _ ->
+      (* Expression-only select ([]) or nested-loop cross product of full
+         rows; the WHERE filter applies to the joined rows. *)
+      List.iter
+        (fun row -> if passes where row then f row)
+        (List.fold_left
+           (fun acc ((tbl : Catalog.table), _) ->
+             let rows = List.map snd (matching_rows t tbl None None) in
+             List.concat_map (fun prefix -> List.map (Array.append prefix) rows) acc)
+           [ [||] ] tables)
+  in
+  let rows =
+    if aggregating then begin
+      let accs = List.map (fun (e, _) -> aggregate t compile e) projections in
+      let fresh () = List.map (fun acc -> acc ()) accs in
+      let rec step group row =
+        match group with
+        | [] -> ()
+        | a :: rest ->
+          a.step row;
+          step rest row
+      in
+      let groups =
+        match s.sel_group with
+        | [] ->
+          let group = fresh () in
+          each (step group);
+          [ group ]
+        | keys ->
+          let keys = List.map compile keys in
+          let by_key = Hashtbl.create 16 and order = ref [] in
+          each (fun row ->
+              let key =
+                String.concat "\x01" (List.map (fun g -> Value.key_encode (Expr.eval g row)) keys)
+              in
+              let group =
+                match Hashtbl.find_opt by_key key with
+                | Some group -> group
+                | None ->
+                  let group = fresh () in
+                  Hashtbl.add by_key key group;
+                  order := group :: !order;
+                  group
+              in
+              step group row);
+          (* Groups come out last-seen first. *)
+          !order
+      in
+      List.map (fun group -> Array.of_list (List.map (fun a -> a.result ()) group)) groups
+    end
+    else begin
+      let exprs = Array.of_list (List.map (fun (e, _) -> compile e) projections) in
+      let keys = List.map (fun (it : Ast.order_item) -> compile it.ord_expr) s.sel_order in
+      let out = ref [] in
+      each (fun row ->
+          let projected = Array.map (fun e -> Expr.eval e row) exprs in
+          out := (List.map (fun k -> Expr.eval k row) keys, projected) :: !out);
+      let keyed = List.rev !out in
+      let keyed =
+        match s.sel_order with
+        | [] -> keyed
+        | items -> List.stable_sort (fun (a, _) (b, _) -> compare_keys items a b) keyed
+      in
+      List.map snd keyed
+    end
+  in
+  (* ORDER BY in aggregate mode sorts by output columns only. *)
   let rows =
     match s.sel_order with
-    | [] -> rows
-    | order_items when has_aggregate || s.sel_group <> [] ->
-      (* Order by output columns only in aggregate mode. *)
+    | order_items when aggregating && order_items <> [] ->
       let key_of row =
         List.map
           (fun (it : Ast.order_item) ->
@@ -547,35 +671,8 @@ let do_select t (s : Ast.select) =
             | _ -> Value.Null)
           order_items
       in
-      let cmp a b =
-        let rec go ks1 ks2 its =
-          match (ks1, ks2, its) with
-          | k1 :: r1, k2 :: r2, (it : Ast.order_item) :: ri ->
-            let c = Value.compare_sql k1 k2 in
-            if c <> 0 then if it.ord_desc then -c else c else go r1 r2 ri
-          | _ -> 0
-        in
-        go (key_of a) (key_of b) order_items
-      in
-      List.stable_sort cmp rows
-    | order_items ->
-      let keyed =
-        List.map2
-          (fun env row ->
-            (List.map (fun (it : Ast.order_item) -> Expr.eval env it.ord_expr) order_items, row))
-          envs rows
-      in
-      let cmp (ka, _) (kb, _) =
-        let rec go ks1 ks2 its =
-          match (ks1, ks2, its) with
-          | k1 :: r1, k2 :: r2, (it : Ast.order_item) :: ri ->
-            let c = Value.compare_sql k1 k2 in
-            if c <> 0 then if it.ord_desc then -c else c else go r1 r2 ri
-          | _ -> 0
-        in
-        go ka kb order_items
-      in
-      List.map snd (List.stable_sort cmp keyed)
+      List.stable_sort (fun a b -> compare_keys order_items (key_of a) (key_of b)) rows
+    | _ -> rows
   in
   let rows =
     match s.sel_limit with
@@ -586,14 +683,18 @@ let do_select t (s : Ast.select) =
 
 (* --- UPDATE / DELETE --- *)
 
+let single_table_compile t (tbl : Catalog.table) =
+  Expr.compile t.ctx (resolver [ (col_names tbl, String.lowercase_ascii tbl.tbl_name, 0) ])
+
 let do_update t table assignments where =
   let tbl = ref (table_or_fail t table) in
   let names = col_names !tbl in
+  let compile = single_table_compile t !tbl in
   let targets =
     List.map
       (fun (c, e) ->
         match List.find_index (String.equal (String.lowercase_ascii c)) names with
-        | Some i -> (i, e)
+        | Some i -> (i, compile e)
         | None -> sql_fail "no such column: %s" c)
       assignments
   in
@@ -601,15 +702,14 @@ let do_update t table assignments where =
   | Some pki when List.exists (fun (i, _) -> i = pki) targets ->
     sql_fail "updating the INTEGER PRIMARY KEY is not supported"
   | Some _ | None -> ());
-  let bname = String.lowercase_ascii !tbl.Catalog.tbl_name in
-  let matches = matching_rows t !tbl ~bname where in
+  let matches = matching_rows t !tbl where (Option.map compile where) in
   let count = ref 0 in
   List.iter
-    (fun (rowid, r, env) ->
+    (fun (rowid, r) ->
       index_delete t !tbl rowid r;
       let r' = Array.copy r in
       List.iter
-        (fun (i, e) -> r'.(i) <- coerce (List.nth !tbl.Catalog.tbl_cols i) (Expr.eval env e))
+        (fun (i, e) -> r'.(i) <- coerce (List.nth !tbl.Catalog.tbl_cols i) (Expr.eval e r))
         targets;
       let tree = tree_of t !tbl in
       Btree.insert tree ~key:(rowid_key rowid) ~value:(encode_row r');
@@ -621,11 +721,10 @@ let do_update t table assignments where =
 
 let do_delete t table where =
   let tbl = ref (table_or_fail t table) in
-  let bname = String.lowercase_ascii !tbl.Catalog.tbl_name in
-  let matches = matching_rows t !tbl ~bname where in
+  let matches = matching_rows t !tbl where (Option.map (single_table_compile t !tbl) where) in
   let count = ref 0 in
   List.iter
-    (fun (rowid, r, _env) ->
+    (fun (rowid, r) ->
       let tree = tree_of t !tbl in
       ignore (Btree.delete tree (rowid_key rowid));
       tbl := persist_tree t !tbl tree;
@@ -679,7 +778,40 @@ let parse_cached t sql =
     Hashtbl.add t.stmt_cache sql stmts;
     (stmts, false)
 
-let exec t sql =
+(* Planner-proven read-only classification: a statement batch may ride
+   the PBFT read-only fast path iff every statement is a SELECT and no
+   expression calls a non-deterministic function. NOW()/RANDOM() must be
+   excluded even inside SELECTs — on the fast path each replica evaluates
+   against its *local* clock and an empty nondet seed, so their results
+   would diverge and the client could never collect matching replies. *)
+let rec expr_deterministic (e : Ast.expr) =
+  match e with
+  | Ast.Lit _ | Ast.Col _ | Ast.Star -> true
+  | Ast.Binop (_, a, b) | Ast.Like (a, b) -> expr_deterministic a && expr_deterministic b
+  | Ast.Unop (_, a) | Ast.Is_null (a, _) -> expr_deterministic a
+  | Ast.Call (fn, args) ->
+    (match String.uppercase_ascii fn with "RANDOM" | "NOW" -> false | _ -> true)
+    && List.for_all expr_deterministic args
+
+let select_deterministic (s : Ast.select) =
+  List.for_all (fun (e, _) -> expr_deterministic e) s.Ast.sel_exprs
+  && (match s.Ast.sel_where with None -> true | Some e -> expr_deterministic e)
+  && List.for_all expr_deterministic s.Ast.sel_group
+  && List.for_all (fun (o : Ast.order_item) -> expr_deterministic o.Ast.ord_expr) s.Ast.sel_order
+
+let readonly_batch = function
+  | [] -> false
+  | stmts -> List.for_all (function Ast.Select s -> select_deterministic s | _ -> false) stmts
+
+let is_readonly_sql sql =
+  match Parser.parse sql with
+  | stmts -> readonly_batch stmts
+  | exception (Parser.Error _ | Lexer.Error _) ->
+    (* Unparseable text will produce an error reply either way; ordering
+       it keeps the error deterministic and identical across replicas. *)
+    false
+
+let exec ?(readonly = false) t sql =
   if not (Pager.in_txn t.pager) then Pager.refresh t.pager;
   ignore (Vfs.take_cost t.vfs);
   ignore (Pager.take_pages_touched t.pager);
@@ -696,6 +828,9 @@ let exec t sql =
   match parse_cached t sql with
   | exception Lexer.Error e -> finish ~cached:false (Error ("syntax error: " ^ e))
   | exception Parser.Error e -> finish ~cached:false (Error ("syntax error: " ^ e))
+  | stmts, cached when readonly && not (readonly_batch stmts) ->
+    (* Nothing runs: an unordered write would diverge the replicas. *)
+    finish ~cached (Error "a read-only request must be a deterministic SELECT")
   | stmts, cached ->
     let run_all () =
       let last = ref { columns = []; rows = []; affected = 0 } in

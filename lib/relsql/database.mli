@@ -23,10 +23,21 @@ val open_db : Vfs.t -> t
 (** Opens the database (running journal recovery if needed, creating the
     schema catalog on first use). *)
 
-val exec : t -> string -> outcome
+val exec : ?readonly:bool -> t -> string -> outcome
 (** Execute one or more ';'-separated statements (results of the last
     one are returned). Errors never raise: they come back as [Error]
-    with the transaction rolled back. *)
+    with the transaction rolled back. With [readonly] (default false) a
+    batch that {!is_readonly_sql} would not pass is refused with an
+    [Error] before any statement runs; the check reads the statements
+    the cache already holds, so nothing is parsed twice. *)
+
+val is_readonly_sql : string -> bool
+(** Planner-proven read-only classification: true iff the text parses and
+    every statement is a SELECT whose expressions are free of the
+    non-deterministic functions NOW() and RANDOM(). Such a batch is safe
+    on the PBFT read-only fast path (each replica executes it against its
+    current state without ordering); anything else — DML, DDL,
+    transactions, non-determinism, parse errors — must be ordered. *)
 
 val exec_exn : t -> string -> result
 (** [exec] or [Failure]. *)

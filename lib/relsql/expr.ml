@@ -1,12 +1,12 @@
+(* An expression compiles to a closure over the row: column references
+   become array reads and operators are dispatched once, at compile
+   time. What evaluation raises is raised by the closure, only when a
+   row reaches it. *)
+
 exception Eval_error of string
 
-type binding = { b_table : string; b_cols : string list; b_row : Value.t array }
-
-type env = {
-  bindings : binding list;
-  env_time : unit -> float;
-  env_random : unit -> int64;
-}
+type ctx = { time : unit -> float; random : unit -> int64 }
+type t = Value.t array -> Value.t
 
 let aggregates = [ "COUNT"; "SUM"; "AVG"; "MIN"; "MAX" ]
 
@@ -16,27 +16,6 @@ let rec is_aggregate = function
   | Ast.Unop (_, a) | Ast.Is_null (a, _) -> is_aggregate a
   | Ast.Like (a, b) -> is_aggregate a || is_aggregate b
   | Ast.Lit _ | Ast.Col _ | Ast.Star -> false
-
-let lookup_col env qualifier name =
-  let name = String.lowercase_ascii name in
-  let matching =
-    List.filter_map
-      (fun b ->
-        let consider =
-          match qualifier with Some q -> String.lowercase_ascii q = b.b_table | None -> true
-        in
-        if not consider then None
-        else begin
-          match List.find_index (String.equal name) b.b_cols with
-          | Some i -> Some b.b_row.(i)
-          | None -> None
-        end)
-      env.bindings
-  in
-  match matching with
-  | [ v ] -> v
-  | [] -> raise (Eval_error (Printf.sprintf "no such column: %s" name))
-  | _ :: _ -> raise (Eval_error (Printf.sprintf "ambiguous column: %s" name))
 
 let like_match ~pattern text =
   let np = String.length pattern and nt = String.length text in
@@ -81,106 +60,129 @@ let numeric_binop op a b =
   end
   | _ -> Value.Null
 
-let rec eval env (e : Ast.expr) =
-  match e with
-  | Ast.Lit v -> v
-  | Ast.Star -> raise (Eval_error "misplaced *")
-  | Ast.Col (q, name) -> lookup_col env q name
-  | Ast.Unop ("NOT", a) ->
-    let v = eval env a in
-    if Value.is_null v then Value.Null else Value.Int (if Value.truthy v then 0 else 1)
-  | Ast.Unop ("-", a) -> begin
-    match eval env a with
-    | Value.Int i -> Value.Int (-i)
-    | Value.Real f -> Value.Real (-.f)
-    | Value.Null -> Value.Null
-    | Value.Text _ -> Value.Null
-  end
-  | Ast.Unop (op, _) -> raise (Eval_error ("unknown unary operator " ^ op))
-  | Ast.Is_null (a, positive) ->
-    let isn = Value.is_null (eval env a) in
-    Value.Int (if isn = positive then 1 else 0)
-  | Ast.Like (a, p) -> begin
-    match (eval env a, eval env p) with
-    | Value.Text s, Value.Text pat -> Value.Int (if like_match ~pattern:pat s then 1 else 0)
-    | (Value.Null | Value.Int _ | Value.Real _ | Value.Text _), _ -> Value.Null
-  end
-  | Ast.Binop ("AND", a, b) ->
-    (* Three-valued logic with short-circuit on definite false. *)
-    let va = eval env a in
-    if (not (Value.is_null va)) && not (Value.truthy va) then Value.Int 0
-    else begin
-      let vb = eval env b in
-      if (not (Value.is_null vb)) && not (Value.truthy vb) then Value.Int 0
-      else if Value.is_null va || Value.is_null vb then Value.Null
-      else Value.Int 1
-    end
-  | Ast.Binop ("OR", a, b) ->
-    let va = eval env a in
-    if (not (Value.is_null va)) && Value.truthy va then Value.Int 1
-    else begin
-      let vb = eval env b in
-      if (not (Value.is_null vb)) && Value.truthy vb then Value.Int 1
-      else if Value.is_null va || Value.is_null vb then Value.Null
-      else Value.Int 0
-    end
-  | Ast.Binop ("||", a, b) -> begin
-    match (eval env a, eval env b) with
-    | Value.Null, _ | _, Value.Null -> Value.Null
-    | x, y -> Value.Text (Value.to_string x ^ Value.to_string y)
-  end
-  | Ast.Binop (("=" | "<>" | "<" | "<=" | ">" | ">=") as op, a, b) ->
-    let va = eval env a and vb = eval env b in
-    if Value.is_null va || Value.is_null vb then Value.Null
-    else begin
-      let c = Value.compare_sql va vb in
-      let r =
+let fail msg : t = fun _ -> raise (Eval_error msg)
+
+(* Result constructors are written out per branch so each is a shared
+   constant, never an allocation. *)
+let of_bool b = if b then Value.Int 1 else Value.Int 0
+
+let compile ctx resolve e =
+  let rec go (e : Ast.expr) : t =
+    match e with
+    | Ast.Lit v -> fun _ -> v
+    | Ast.Star -> fail "misplaced *"
+    | Ast.Col (q, name) -> (
+      match resolve q name with Ok i -> fun row -> row.(i) | Error msg -> fail msg)
+    | Ast.Unop ("NOT", a) ->
+      let a = go a in
+      fun row ->
+        let v = a row in
+        if Value.is_null v then Value.Null else of_bool (not (Value.truthy v))
+    | Ast.Unop ("-", a) -> (
+      let a = go a in
+      fun row ->
+        match a row with
+        | Value.Int i -> Value.Int (-i)
+        | Value.Real f -> Value.Real (-.f)
+        | Value.Null -> Value.Null
+        | Value.Text _ -> Value.Null)
+    | Ast.Unop (op, _) -> fail ("unknown unary operator " ^ op)
+    | Ast.Is_null (a, positive) ->
+      let a = go a in
+      fun row -> of_bool (Bool.equal (Value.is_null (a row)) positive)
+    | Ast.Like (a, p) -> (
+      let a = go a and p = go p in
+      fun row ->
+        match (a row, p row) with
+        | Value.Text s, Value.Text pat -> of_bool (like_match ~pattern:pat s)
+        | (Value.Null | Value.Int _ | Value.Real _ | Value.Text _), _ -> Value.Null)
+    | Ast.Binop ("AND", a, b) ->
+      (* Three-valued logic with short-circuit on definite false. *)
+      let a = go a and b = go b in
+      fun row ->
+        let va = a row in
+        if (not (Value.is_null va)) && not (Value.truthy va) then Value.Int 0
+        else begin
+          let vb = b row in
+          if (not (Value.is_null vb)) && not (Value.truthy vb) then Value.Int 0
+          else if Value.is_null va || Value.is_null vb then Value.Null
+          else Value.Int 1
+        end
+    | Ast.Binop ("OR", a, b) ->
+      let a = go a and b = go b in
+      fun row ->
+        let va = a row in
+        if (not (Value.is_null va)) && Value.truthy va then Value.Int 1
+        else begin
+          let vb = b row in
+          if (not (Value.is_null vb)) && Value.truthy vb then Value.Int 1
+          else if Value.is_null va || Value.is_null vb then Value.Null
+          else Value.Int 0
+        end
+    | Ast.Binop ("||", a, b) -> (
+      let a = go a and b = go b in
+      fun row ->
+        match (a row, b row) with
+        | Value.Null, _ | _, Value.Null -> Value.Null
+        | x, y -> Value.Text (Value.to_string x ^ Value.to_string y))
+    | Ast.Binop (("=" | "<>" | "<" | "<=" | ">" | ">=") as op, a, b) ->
+      let holds : int -> bool =
         match op with
-        | "=" -> c = 0
-        | "<>" -> c <> 0
-        | "<" -> c < 0
-        | "<=" -> c <= 0
-        | ">" -> c > 0
-        | ">=" -> c >= 0
-        | _ -> assert false
+        | "=" -> fun c -> c = 0
+        | "<>" -> fun c -> c <> 0
+        | "<" -> fun c -> c < 0
+        | "<=" -> fun c -> c <= 0
+        | ">" -> fun c -> c > 0
+        | _ -> fun c -> c >= 0
       in
-      Value.Int (if r then 1 else 0)
-    end
-  | Ast.Binop (("+" | "-" | "*" | "/" | "%") as op, a, b) ->
-    numeric_binop op (eval env a) (eval env b)
-  | Ast.Binop (op, _, _) -> raise (Eval_error ("unknown operator " ^ op))
-  | Ast.Call ("LENGTH", [ a ]) -> begin
-    match eval env a with
-    | Value.Null -> Value.Null
-    | v -> Value.Int (String.length (Value.to_string v))
-  end
-  | Ast.Call ("ABS", [ a ]) -> begin
-    match eval env a with
-    | Value.Int i -> Value.Int (abs i)
-    | Value.Real f -> Value.Real (Float.abs f)
-    | Value.Null -> Value.Null
-    | Value.Text _ -> Value.Null
-  end
-  | Ast.Call ("UPPER", [ a ]) -> begin
-    match eval env a with
-    | Value.Text s -> Value.Text (String.uppercase_ascii s)
-    | v -> v
-  end
-  | Ast.Call ("LOWER", [ a ]) -> begin
-    match eval env a with
-    | Value.Text s -> Value.Text (String.lowercase_ascii s)
-    | v -> v
-  end
-  | Ast.Call ("COALESCE", args) ->
-    let rec first = function
-      | [] -> Value.Null
-      | a :: rest ->
-        let v = eval env a in
-        if Value.is_null v then first rest else v
-    in
-    first args
-  | Ast.Call ("RANDOM", []) -> Value.Int (Int64.to_int (env.env_random ()) land max_int)
-  | Ast.Call ("NOW", []) | Ast.Call ("CURRENT_TIMESTAMP", []) -> Value.Real (env.env_time ())
-  | Ast.Call (name, _) when List.mem name aggregates ->
-    raise (Eval_error (name ^ " used outside an aggregating select"))
-  | Ast.Call (name, _) -> raise (Eval_error ("unknown function " ^ name))
+      let a = go a and b = go b in
+      fun row ->
+        let va = a row and vb = b row in
+        if Value.is_null va || Value.is_null vb then Value.Null
+        else of_bool (holds (Value.compare_sql va vb))
+    | Ast.Binop (("+" | "-" | "*" | "/" | "%") as op, a, b) ->
+      let a = go a and b = go b in
+      fun row -> numeric_binop op (a row) (b row)
+    | Ast.Binop (op, _, _) -> fail ("unknown operator " ^ op)
+    | Ast.Call ("LENGTH", [ a ]) -> (
+      let a = go a in
+      fun row ->
+        match a row with
+        | Value.Null -> Value.Null
+        | v -> Value.Int (String.length (Value.to_string v)))
+    | Ast.Call ("ABS", [ a ]) -> (
+      let a = go a in
+      fun row ->
+        match a row with
+        | Value.Int i -> Value.Int (abs i)
+        | Value.Real f -> Value.Real (Float.abs f)
+        | Value.Null -> Value.Null
+        | Value.Text _ -> Value.Null)
+    | Ast.Call ("UPPER", [ a ]) -> (
+      let a = go a in
+      fun row ->
+        match a row with Value.Text s -> Value.Text (String.uppercase_ascii s) | v -> v)
+    | Ast.Call ("LOWER", [ a ]) -> (
+      let a = go a in
+      fun row ->
+        match a row with Value.Text s -> Value.Text (String.lowercase_ascii s) | v -> v)
+    | Ast.Call ("COALESCE", args) ->
+      let args = List.map go args in
+      fun row ->
+        let rec first = function
+          | [] -> Value.Null
+          | a :: rest ->
+            let v = a row in
+            if Value.is_null v then first rest else v
+        in
+        first args
+    | Ast.Call ("RANDOM", []) -> fun _ -> Value.Int (Int64.to_int (ctx.random ()) land max_int)
+    | Ast.Call ("NOW", []) | Ast.Call ("CURRENT_TIMESTAMP", []) ->
+      fun _ -> Value.Real (ctx.time ())
+    | Ast.Call (name, _) when List.mem name aggregates ->
+      fail (name ^ " used outside an aggregating select")
+    | Ast.Call (name, _) -> fail ("unknown function " ^ name)
+  in
+  go e
+
+let eval (e : t) row = e row

@@ -13,7 +13,9 @@ type t = {
   mutable freelist : int;
   mutable catalog_root : int;
   mutable header_dirty : bool;  (** header fields changed this txn; image written at commit *)
-  touched : (int, unit) Hashtbl.t;
+  mutable stamps : int array;  (** per page: the [epoch] of its last touch *)
+  mutable epoch : int;
+  mutable touches : int;  (** distinct pages touched this epoch *)
 }
 
 (* --- header --- *)
@@ -77,7 +79,22 @@ let replay_journal vfs jf =
 
 (* --- page access --- *)
 
-let touch t page = Hashtbl.replace t.touched page ()
+(* Distinct pages touched since the last [take_pages_touched]: a page
+   counts the first time its stamp meets the current epoch, so touching
+   allocates nothing. Stamps cover the pager's pages only; a page number
+   past them comes from a corrupt pointer, and is counted at every touch
+   rather than sizing the array by it. *)
+let touch t page =
+  if page >= Array.length t.stamps && page < t.page_count then begin
+    let bigger = Array.make (Int.max 64 (2 * t.page_count)) 0 in
+    Array.blit t.stamps 0 bigger 0 (Array.length t.stamps);
+    t.stamps <- bigger
+  end;
+  if page < 0 || page >= Array.length t.stamps then t.touches <- t.touches + 1
+  else if t.stamps.(page) <> t.epoch then begin
+    t.stamps.(page) <- t.epoch;
+    t.touches <- t.touches + 1
+  end
 
 let zero_page = String.make page_size '\000'
 
@@ -234,8 +251,9 @@ let refresh t =
   if String.starts_with ~prefix:magic img then parse_header t img
 
 let take_pages_touched t =
-  let n = Hashtbl.length t.touched in
-  Hashtbl.reset t.touched;
+  let n = t.touches in
+  t.touches <- 0;
+  t.epoch <- t.epoch + 1;
   n
 
 (* --- open & crash recovery --- *)
@@ -251,7 +269,9 @@ let open_pager vfs =
       freelist = 0;
       catalog_root = 0;
       header_dirty = false;
-      touched = Hashtbl.create 64;
+      stamps = [||];
+      epoch = 1;
+      touches = 0;
     }
   in
   (* Hot-journal recovery: roll uncommitted changes back before reading

@@ -18,39 +18,6 @@ let point_select_sql ~key = Printf.sprintf "SELECT COUNT(*), SUM(id) FROM lookup
 let range_select_sql ~lo ~hi =
   Printf.sprintf "SELECT COUNT(*) FROM lookup WHERE k >= %d AND k < %d" lo hi
 
-(* Planner-proven read-only classification: a statement batch may ride
-   the PBFT read-only fast path iff every statement is a SELECT and no
-   expression calls a non-deterministic function. NOW()/RANDOM() must be
-   excluded even inside SELECTs — on the fast path each replica evaluates
-   against its *local* clock and an empty nondet seed, so their results
-   would diverge and the client could never collect matching replies. *)
-let rec expr_deterministic (e : Ast.expr) =
-  match e with
-  | Ast.Lit _ | Ast.Col _ | Ast.Star -> true
-  | Ast.Binop (_, a, b) | Ast.Like (a, b) -> expr_deterministic a && expr_deterministic b
-  | Ast.Unop (_, a) | Ast.Is_null (a, _) -> expr_deterministic a
-  | Ast.Call (fn, args) ->
-    (match String.uppercase_ascii fn with "RANDOM" | "NOW" -> false | _ -> true)
-    && List.for_all expr_deterministic args
-
-let select_deterministic (s : Ast.select) =
-  List.for_all (fun (e, _) -> expr_deterministic e) s.Ast.sel_exprs
-  && (match s.Ast.sel_where with None -> true | Some e -> expr_deterministic e)
-  && List.for_all expr_deterministic s.Ast.sel_group
-  && List.for_all (fun (o : Ast.order_item) -> expr_deterministic o.Ast.ord_expr) s.Ast.sel_order
-
-let is_readonly_sql sql =
-  match Parser.parse sql with
-  | [] -> false
-  | stmts ->
-    List.for_all
-      (function Ast.Select s -> select_deterministic s | _ -> false)
-      stmts
-  | exception (Parser.Error _ | Lexer.Error _) ->
-    (* Unparseable text will produce an error reply either way; ordering
-       it keeps the error deterministic and identical across replicas. *)
-    false
-
 (* A VFS whose main file is a window onto the replica's PBFT state region:
    reads go straight to the pages (page views borrow the live buffer
    without copying), writes notify the state manager first (the §3.2
@@ -158,12 +125,14 @@ let service_with_db ?(acid = true) ?(app_pages = 128) ?(schema = vote_schema) ?(
     let instance =
       {
         Pbft.Service.execute =
-          (fun ~op ~client:_ ~timestamp ~nondet ~readonly:_ ->
+          (fun ~op ~client:_ ~timestamp ~nondet ~readonly ->
             env_time := timestamp;
             (match Pbft.Nondet.random_value nondet with
             | Some r -> env_random := r
             | None -> env_random := Int64.of_float (timestamp *. 1e6));
-            let outcome = Database.exec db op in
+            (* A request flagged read-only runs unordered at every replica,
+               so it must not be able to write. *)
+            let outcome = Database.exec ~readonly db op in
             let reply =
               match outcome.Database.res with
               | Ok r ->
@@ -187,7 +156,7 @@ let service_with_db ?(acid = true) ?(app_pages = 128) ?(schema = vote_schema) ?(
       page_size = Pager.page_size;
       app_pages;
       make = (fun pages ~first_page -> snd (make pages ~first_page));
-      classify_readonly = is_readonly_sql;
+      classify_readonly = Database.is_readonly_sql;
     },
     make )
 

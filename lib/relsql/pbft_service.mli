@@ -18,16 +18,6 @@
     The service's operations are SQL strings; replies are rendered result
     sets or error text. *)
 
-val is_readonly_sql : string -> bool
-[@@detlint.allow unused_export "the read-only classifier tests call it directly"]
-(** Planner-proven read-only classification: true iff the text parses and
-    every statement is a SELECT whose expressions are free of the
-    non-deterministic functions NOW() and RANDOM(). Such a batch is safe
-    on the PBFT read-only fast path (each replica executes it against its
-    current state without ordering); anything else — DML, DDL,
-    transactions, non-determinism, parse errors — must be ordered. The
-    built service installs this as its [classify_readonly]. *)
-
 val service :
   ?acid:bool ->
   ?app_pages:int ->
@@ -48,7 +38,10 @@ val service :
     statement identically. [make] expects a fresh region.
     [acid:false] disables the rollback journal and the commit syncs — the
     No-ACID configuration of §4.2. Each fsync costs 0.4 ms of virtual
-    time (a 2011 SATA disk with its write cache on). *)
+    time (a 2011 SATA disk with its write cache on). Its
+    [classify_readonly] is {!Database.is_readonly_sql}, and its
+    [execute ~readonly:true] refuses, with an [error:] reply and no
+    state touched, any batch that classifier would not pass. *)
 
 val service_with_db :
   ?acid:bool ->
@@ -57,7 +50,6 @@ val service_with_db :
   ?init:string list ->
   unit ->
   Pbft.Service.t * (Statemgr.Pages.t -> first_page:int -> Database.t * Pbft.Service.instance)
-[@@detlint.allow unused_export "the SQL service tests read a replica's database"]
 (** {!service} together with its [make] in a form that also returns the
     instance's database handle, for inspecting a booted instance (its
     statement cache) from tests and tools. Both share one boot. *)

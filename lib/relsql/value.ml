@@ -57,6 +57,13 @@ let decode r =
   | 3 -> Text (Util.Codec.R.lstring r)
   | _ -> raise Util.Codec.R.Truncated
 
+let skip r =
+  match Util.Codec.R.u8 r with
+  | 0 -> ()
+  | 1 | 2 -> Util.Codec.R.skip r 8
+  | 3 -> Util.Codec.R.skip r (Util.Codec.R.varint r)
+  | _ -> raise Util.Codec.R.Truncated
+
 (* Keys are compared bytewise; within Int the offset keeps ordering across
    the sign boundary. *)
 let key_encode = function
@@ -74,3 +81,20 @@ let key_encode = function
     Bytes.set_int64_be buf 1 adj;
     Bytes.to_string buf
   | Text s -> "\x03" ^ s
+
+(* The inverse of [key_encode]: the tag byte says which layout follows,
+   and Reals undo the sign-dependent bit flip, so every bit pattern
+   (-0.0 and each NaN included) comes back unchanged. *)
+let key_decode k =
+  let len = String.length k in
+  let fixed tag = len = 9 && Char.equal k.[0] tag in
+  if len = 1 && Char.equal k.[0] '\x00' then Null
+  else if fixed '\x01' then Int (Int64.to_int (Int64.sub (String.get_int64_be k 1) Int64.min_int))
+  else if fixed '\x02' then begin
+    let adj = String.get_int64_be k 1 in
+    Real
+      (Int64.float_of_bits
+         (if Int64.compare adj 0L < 0 then Int64.logxor adj Int64.min_int else Int64.lognot adj))
+  end
+  else if len > 0 && Char.equal k.[0] '\x03' then Text (String.sub k 1 (len - 1))
+  else invalid_arg "Value.key_decode: not a key_encode image"

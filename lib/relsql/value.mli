@@ -22,6 +22,14 @@ val truthy : t -> bool
 val encode : Util.Codec.W.t -> t -> unit
 val decode : Util.Codec.R.t -> t
 
+val skip : Util.Codec.R.t -> unit
+(** Step over one encoded value without building it. *)
+
 val key_encode : t -> string
 (** Order-preserving (within a type class) encoding used as B-tree index
     key material. *)
+
+val key_decode : string -> t
+(** The exact inverse of {!key_encode}, bit for bit on Reals: covering
+    index scans read column values back out of index keys. Raises
+    [Invalid_argument] on a string [key_encode] cannot produce. *)

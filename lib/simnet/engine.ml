@@ -20,18 +20,21 @@ and t = {
   root_rng : Util.Rng.t;
   mutable events : int;
   metrics : Util.Metrics.t;
+  vacant : timer;
+      (** what the heap's slots past [len] hold: a timer never queued, so
+          a slot [remove] vacates, or growing the array makes, keeps no
+          fired or cancelled timer (and what its closure names)
+          reachable *)
 }
 
 let create ~seed =
-  {
-    clock = 0.0;
-    heap = [||];
-    len = 0;
-    next_seq = 0;
-    root_rng = Util.Rng.create seed;
-    events = 0;
-    metrics = Util.Metrics.create ();
-  }
+  let root_rng = Util.Rng.create seed and metrics = Util.Metrics.create () in
+  let rec t =
+    { clock = 0.0; heap = [||]; len = 0; next_seq = 0; root_rng; events = 0; metrics; vacant }
+  and vacant =
+    { time = infinity; seq = max_int; fire = ignore; slot = -1; cancelled = true; engine = t }
+  in
+  t
 
 let now t = t.clock
 let rng t = t.root_rng
@@ -66,7 +69,7 @@ let rec sift_down t i e =
 
 let insert t e =
   if t.len = Array.length t.heap then begin
-    let bigger = Array.make (Int.max 16 (2 * t.len)) e in
+    let bigger = Array.make (Int.max 16 (2 * t.len)) t.vacant in
     Array.blit t.heap 0 bigger 0 t.len;
     t.heap <- bigger
   end;
@@ -81,10 +84,10 @@ let remove t e =
   let i = e.slot in
   e.slot <- -1;
   t.len <- t.len - 1;
-  if i < t.len then begin
-    let last = t.heap.(t.len) in
+  let last = t.heap.(t.len) in
+  t.heap.(t.len) <- t.vacant;
+  if i < t.len then
     if i > 0 && less last t.heap.((i - 1) / 2) then sift_up t i last else sift_down t i last
-  end
 
 let enqueue t ~time fire =
   let e = { time; seq = 0; fire; slot = -1; cancelled = false; engine = t } in

@@ -119,7 +119,12 @@ module R = struct
     t.pos <- t.pos + 8;
     v
 
-  let int_of_u64 t = Int64.to_int (u64 t)
+  (* Not [Int64.to_int (u64 t)]: that boxes the int64 on its way out. *)
+  let int_of_u64 t =
+    if remaining t < 8 then raise Truncated;
+    let v = Int64.to_int (String.get_int64_le t.src t.pos) in
+    t.pos <- t.pos + 8;
+    v
   let f64 t = Int64.float_of_bits (u64 t)
 
   (* Defensive decode (Byzantine path): a well-formed varint is at most 9
@@ -127,15 +132,14 @@ module R = struct
      int, i.e. must be <= max_int lsr 56 = 0x3f. Anything longer or
      larger would wrap into the sign bit, so a malformed wire can neither
      loop nor produce a negative length. *)
-  let varint t =
-    let rec go shift acc =
-      if shift > 56 then raise Truncated;
-      let b = u8 t in
-      if shift = 56 && b > 0x3f then raise Truncated;
-      let acc = acc lor ((b land 0x7f) lsl shift) in
-      if b land 0x80 = 0 then acc else go (shift + 7) acc
-    in
-    go 0 0
+  let rec varint_from t shift acc =
+    if shift > 56 then raise Truncated;
+    let b = u8 t in
+    if shift = 56 && b > 0x3f then raise Truncated;
+    let acc = acc lor ((b land 0x7f) lsl shift) in
+    if b land 0x80 = 0 then acc else varint_from t (shift + 7) acc
+
+  let varint t = varint_from t 0 0
 
   let bool t = u8 t <> 0
 
@@ -146,6 +150,10 @@ module R = struct
     s
 
   let lstring t = string t (varint t)
+
+  let skip t n =
+    if n < 0 || remaining t < n then raise Truncated;
+    t.pos <- t.pos + n
 
   let list t dec =
     let n = varint t in

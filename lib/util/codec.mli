@@ -60,6 +60,10 @@ module R : sig
   val bool : t -> bool
   val string : t -> int -> string
   val lstring : t -> string
+
+  val skip : t -> int -> unit
+  (** Step over [n] bytes without copying them. *)
+
   val list : t -> (t -> 'a) -> 'a list
   val option : t -> (t -> 'a) -> 'a option
 end

@@ -59,6 +59,29 @@ let test_sql_error_replies_consistent () =
   Alcotest.(check bool) "error reply" true
     (String.length !reply >= 6 && String.sub !reply 0 6 = "error:")
 
+(* A read-only request runs unordered at every replica; flagging a write
+   read-only (a Byzantine client, or a browser's JSON "readonly" field)
+   must not smuggle it past agreement. Every replica refuses it, so the
+   row never appears and the replicas' states stay identical. *)
+let test_sql_readonly_write_refused () =
+  let cluster =
+    Cluster.create ~seed:5 ~num_clients:1 ~service:(Relsql.Pbft_service.service ())
+      (Config.default ~f:1)
+  in
+  let c = Cluster.client cluster 0 in
+  let refused = ref "" and count = ref "" in
+  Client.invoke c ~readonly:true (Relsql.Pbft_service.insert_vote_sql ~voter:"v1" ~choice:"a")
+    (fun r ->
+      refused := r;
+      Client.invoke c "SELECT COUNT(*) FROM votes" (fun r -> count := String.trim r));
+  Cluster.run cluster ~seconds:5.0;
+  Alcotest.(check bool) "refused with an error reply" true
+    (String.starts_with ~prefix:"error:" !refused);
+  Alcotest.(check bool) "no row" true
+    (String.length !count >= 1 && !count.[String.length !count - 1] = '0');
+  let digests = Array.map state_digest (Cluster.replicas cluster) in
+  Array.iter (fun d -> Alcotest.(check string) "replica Merkle roots agree" digests.(0) d) digests
+
 let test_sql_state_transfer_repairs_engine () =
   (* A replica misses a batch (lost body), recovers via state transfer,
      and its SQL engine — whose pager reads through the transferred
@@ -883,6 +906,7 @@ let () =
           Alcotest.test_case "nondeterminism converges (§2.5)" `Slow
             test_sql_replicas_converge_with_nondeterminism;
           Alcotest.test_case "error replies consistent" `Quick test_sql_error_replies_consistent;
+          Alcotest.test_case "read-only write refused" `Quick test_sql_readonly_write_refused;
           Alcotest.test_case "state transfer repairs engine" `Slow
             test_sql_state_transfer_repairs_engine;
         ] );

@@ -112,6 +112,41 @@ let prop_value_codec_roundtrip =
       | Value.Real a, Value.Real b -> Float.equal a b
       | _ -> Value.compare_sql v v' = 0)
 
+(* [key_decode] inverts [key_encode] exactly: Reals by bit pattern
+   (-0.0, infinities and NaNs of either sign and any payload), ints at the
+   range edges, text with embedded NUL bytes. *)
+let prop_key_decode_roundtrip =
+  let open QCheck in
+  let bits = Int64.bits_of_float in
+  let gen =
+    Gen.oneof
+      [
+        Gen.map (fun i -> Value.Int i) Gen.int;
+        Gen.map (fun i -> Value.Int i) (Gen.oneofl [ min_int; max_int; -1; 0; 1 ]);
+        Gen.map (fun f -> Value.Real f) Gen.float;
+        Gen.map (fun b -> Value.Real (Int64.float_of_bits b)) Gen.int64;
+        Gen.map
+          (fun f -> Value.Real f)
+          (Gen.oneofl
+             [ 0.0; -0.0; infinity; neg_infinity; nan; Float.neg nan;
+               Int64.float_of_bits 0x7ff0000000000001L; Int64.float_of_bits 0xfff8000000000123L ]);
+        Gen.map (fun s -> Value.Text s) Gen.string;
+        Gen.map (fun s -> Value.Text s) (Gen.oneofl [ ""; "\x00"; "a\x00b"; "\x00\x00\xff" ]);
+        Gen.return Value.Null;
+      ]
+  in
+  let print = function
+    | Value.Real f -> Printf.sprintf "Real 0x%Lx" (bits f)
+    | v -> Value.to_string v
+  in
+  Test.make ~name:"key_decode inverts key_encode" ~count:1000 (make ~print gen) (fun v ->
+      match (v, Value.key_decode (Value.key_encode v)) with
+      | Value.Real a, Value.Real b -> Int64.equal (bits a) (bits b)
+      | Value.Int a, Value.Int b -> Int.equal a b
+      | Value.Text a, Value.Text b -> String.equal a b
+      | Value.Null, Value.Null -> true
+      | _ -> false)
+
 (* --- btree --- *)
 
 let count tree =
@@ -810,6 +845,37 @@ let test_failed_insert_restores_region ~acid () =
     before;
   check_rows "rows unchanged" db "SELECT COUNT(*), SUM(k) FROM t" [ "400|80200" ]
 
+(* A request flagged read-only runs unordered at every replica, so a
+   batch the classifier does not pass is refused before anything runs:
+   no page is written, and the rows stay as they were. *)
+let test_readonly_refuses_writes () =
+  let pages = region () in
+  let db = Database.open_db (region_vfs pages) in
+  fill_indexed db;
+  let root = region_root pages in
+  Statemgr.Pages.clear_dirty pages;
+  List.iter
+    (fun sql ->
+      match (Database.exec ~readonly:true db sql).Database.res with
+      | Ok _ -> Alcotest.failf "read-only request ran: %s" sql
+      | Error _ -> ())
+    [
+      "INSERT INTO t (id, k, pad) VALUES (1000, 7, 'w')";
+      "UPDATE t SET k = 0";
+      "DELETE FROM t";
+      "SELECT 1; DELETE FROM t";
+      "CREATE TABLE u (x INTEGER)";
+      "BEGIN";
+      "SELECT RANDOM()";
+      "";
+    ];
+  Alcotest.(check int) "no page written" 0 (List.length (Statemgr.Pages.dirty pages));
+  Alcotest.(check string) "region Merkle root" root (region_root pages);
+  (match (Database.exec ~readonly:true db "SELECT COUNT(*), SUM(k) FROM t").Database.res with
+  | Ok r -> Alcotest.(check (list string)) "a read-only SELECT runs" [ "400|80200" ] (rows_as_strings r)
+  | Error e -> Alcotest.failf "read-only SELECT refused: %s" e);
+  check_rows "rows unchanged" db "SELECT COUNT(*), SUM(k) FROM t" [ "400|80200" ]
+
 (* --- pager transactions & crash recovery --- *)
 
 let test_pager_rollback () =
@@ -1298,6 +1364,13 @@ let test_index_scan_negative_rowid_order () =
   check_rows "positives first, then negatives" db "SELECT id FROM t WHERE a = 1"
     [ "2"; "5"; "-3"; "-1" ]
 
+(* Reals compare by bit pattern: the float SUM must add in the same order
+   on every path, and an AVG over non-numeric text is NaN on both. *)
+let same_value a b =
+  match (a, b) with
+  | Value.Real x, Value.Real y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | _ -> a = b
+
 let prop_planner_matches_scan =
   (* Two databases with identical schema (indexes included) execute the
      same random statement stream; one has the access-path planner
@@ -1339,20 +1412,54 @@ let prop_planner_matches_scan =
         Gen.oneofl [ " WHERE a IS NULL"; " WHERE c IS NOT NULL" ];
       ]
   in
+  (* Covered statements read only an indexed column and the primary key,
+     so an index path answers them from the index keys alone: NULL,
+     negative, REAL and TEXT keys (a stray Text in the INTEGER column
+     too), point and range WHEREs. *)
+  let covered_gen =
+    let open Gen in
+    oneofl [ "a"; "b"; "c" ] >>= fun x ->
+    map2
+      (fun proj conds ->
+        Printf.sprintf "SELECT %s FROM t WHERE %s" proj
+          (String.concat " AND " (List.map (fun (op, lit) -> String.concat " " [ x; op; lit ]) conds)))
+      (oneofl
+         [
+           "COUNT(*)";
+           "SUM(id)";
+           "COUNT(*), SUM(id)";
+           Printf.sprintf "MIN(%s), MAX(%s), AVG(%s), COUNT(%s)" x x x x;
+           Printf.sprintf "SUM(%s)" x;
+           "id, " ^ x;
+           x;
+         ])
+      (list_size (int_range 1 2) (pair (oneofl [ "="; "<"; "<="; ">"; ">=" ]) lit_gen))
+  in
+  let key_gen =
+    Gen.frequency
+      [ (6, int_lit_gen); (1, Gen.return "NULL"); (1, Gen.map (Printf.sprintf "'t%d'") (Gen.int_range 0 3)) ]
+  in
   let stmt_gen =
-    Gen.oneof
+    (* Enough INSERTs, against the DELETEs and the UPDATEs that flatten a,
+       that covered range scans meet several keys out of rowid order. *)
+    Gen.frequency
       [
-        Gen.map3
-          (fun a b c -> Printf.sprintf "INSERT INTO t (a, b, c) VALUES (%s, %d.25, 't%d')" a b c)
-          int_lit_gen (Gen.int_range (-20) 20) (Gen.int_range 0 15);
-        Gen.map (fun w -> "SELECT id, a, b, c FROM t" ^ w) where_gen;
-        Gen.map2
-          (fun a w -> Printf.sprintf "UPDATE t SET a = %s%s" a w)
-          int_lit_gen where_gen;
-        Gen.map (fun w -> "DELETE FROM t" ^ w) where_gen;
+        ( 3,
+          Gen.map3
+          (fun a b c -> Printf.sprintf "INSERT INTO t (a, b, c) VALUES (%s, %s, %s)" a b c)
+          key_gen
+          (Gen.frequency
+             [ (6, Gen.map (Printf.sprintf "%d.25") (Gen.int_range (-20) 20)); (1, Gen.return "NULL") ])
+          (Gen.frequency
+             [ (6, Gen.map (Printf.sprintf "'t%d'") (Gen.int_range 0 15)); (1, Gen.return "NULL") ])
+        );
+        (1, Gen.map (fun w -> "SELECT id, a, b, c FROM t" ^ w) where_gen);
+        (2, covered_gen);
+        (1, Gen.map2 (fun a w -> Printf.sprintf "UPDATE t SET a = %s%s" a w) int_lit_gen where_gen);
+        (1, Gen.map (fun w -> "DELETE FROM t" ^ w) where_gen);
       ]
   in
-  QCheck.Test.make ~name:"planner access paths match forced full scan" ~count:60
+  QCheck.Test.make ~name:"planner access paths match forced full scan" ~count:100
     (make ~print:(String.concat ";\n") (Gen.list_size (Gen.int_range 5 25) stmt_gen))
     (fun stmts ->
       let planned = fresh_db () in
@@ -1360,7 +1467,7 @@ let prop_planner_matches_scan =
       Database.set_planner_enabled scanned false;
       let schema =
         "CREATE TABLE t (id INTEGER PRIMARY KEY, a INTEGER, b REAL, c TEXT); \
-         CREATE INDEX t_a ON t(a); CREATE INDEX t_c ON t(c)"
+         CREATE INDEX t_a ON t(a); CREATE INDEX t_b ON t(b); CREATE INDEX t_c ON t(c)"
       in
       ignore (exec planned schema);
       ignore (exec scanned schema);
@@ -1370,7 +1477,8 @@ let prop_planner_matches_scan =
           let y = Database.exec scanned sql in
           match (x.Database.res, y.Database.res) with
           | Ok rx, Ok ry ->
-            rx.Database.rows = ry.Database.rows && rx.Database.affected = ry.Database.affected
+            List.equal (Array.for_all2 same_value) rx.Database.rows ry.Database.rows
+            && rx.Database.affected = ry.Database.affected
           | Error _, Error _ -> true
           | _ -> false)
         stmts)
@@ -1380,7 +1488,7 @@ let prop_planner_matches_scan =
    unordered at every replica and diverge) and useful (pass the plain
    SELECTs the read-mix workloads actually issue). *)
 let test_is_readonly_sql () =
-  let ro = Relsql.Pbft_service.is_readonly_sql in
+  let ro = Relsql.Database.is_readonly_sql in
   List.iter
     (fun sql -> Alcotest.(check bool) ("read-only: " ^ sql) true (ro sql))
     [
@@ -1434,6 +1542,7 @@ let () =
           Alcotest.test_case "compare" `Quick test_value_compare;
           qcheck prop_key_encode_order;
           qcheck prop_value_codec_roundtrip;
+          qcheck prop_key_decode_roundtrip;
         ] );
       ( "btree",
         [
@@ -1503,7 +1612,10 @@ let () =
           qcheck prop_planner_matches_scan;
         ] );
       ( "classifier",
-        [ Alcotest.test_case "planner-proven read-only SQL" `Quick test_is_readonly_sql ] );
+        [
+          Alcotest.test_case "planner-proven read-only SQL" `Quick test_is_readonly_sql;
+          Alcotest.test_case "read-only requests refuse writes" `Quick test_readonly_refuses_writes;
+        ] );
       ( "transactions",
         [
           Alcotest.test_case "commit & rollback" `Quick test_txn_commit_rollback;

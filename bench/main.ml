@@ -425,8 +425,10 @@ let run_memory () =
    messages. When every undo folded the dirty pages into the tree this
    read 69,616 B/op. A 1 KiB Hmac.mac must allocate at most 16 minor
    words; restoring the midstates into one working context measures 14,
-   copying them 60. The speeds and the null service's Cluster.create
-   bytes are informational. *)
+   copying them 60. The kernel SHA-256 runs on (the x86-64 SHA extensions
+   when CPUID reports them, the OCaml rounds otherwise), the speeds of
+   both kernels and the null service's Cluster.create bytes are
+   informational. *)
 let genesis_hash_budget = 1.1
 let run_hash_budget = 15_360.0
 let hmac_words_budget = 16.0
@@ -445,13 +447,30 @@ let run_hashing () =
     done;
     !best
   in
+  (* The kernel CPUID selected, then the portable OCaml rounds, which a
+     host without the SHA extensions runs. *)
+  let kernel = Crypto.Sha256.kernel in
+  Printf.printf "  sha256 kernel    %s\n%!" kernel;
+  let kernels =
+    (kernel, Crypto.Sha256.init ())
+    :: (if kernel = "ocaml" then [] else [ ("ocaml", Crypto.Sha256.portable ()) ])
+  in
   List.iter
-    (fun n ->
-      let msg = String.make n 'x' in
-      let calls = (4 lsl 20) / n in
-      let s = best_seconds ~calls (fun () -> Crypto.Sha256.digest msg) in
-      Printf.printf "  sha256 %4d B    %7.1f MB/s\n%!" n (float_of_int (calls * n) /. s /. 1e6))
-    [ 4096; 1024; 74 ];
+    (fun (name, ctx) ->
+      List.iter
+        (fun n ->
+          let msg = String.make n 'x' in
+          let calls = (4 lsl 20) / n in
+          let s =
+            best_seconds ~calls (fun () ->
+                Crypto.Sha256.reset ctx;
+                Crypto.Sha256.feed ctx msg;
+                Crypto.Sha256.finalize ctx)
+          in
+          Printf.printf "  sha256 %-6s %4d B %7.1f MB/s\n%!" name n
+            (float_of_int (calls * n) /. s /. 1e6))
+        [ 4096; 1024; 74 ])
+    kernels;
   let key = String.make 16 'k' in
   let kib = String.make 1024 'm' in
   let calls = 4096 in

@@ -1,10 +1,18 @@
 (* FIPS 180-4 SHA-256.
 
-   The compression function runs on untagged native [int]s holding 32-bit
-   words (OCaml ints are 63-bit, so every intermediate fits), masking back
-   to 32 bits where overflow matters. This avoids the per-operation boxing
-   of an [Int32] implementation — the digest path under MAC authenticators
-   is the hottest host-side loop in the simulator.
+   Two kernels compress 64-byte blocks into the running state. Where the
+   CPU has the x86-64 SHA extensions, [sha256_stubs.c] compresses each
+   run of whole blocks on them in one call; everywhere else the OCaml
+   rounds below do. A CPUID probe picks one when this module initialises, and every
+   context from [init] uses it. The two write the same state, so a
+   digest does not depend on which ran. The running state is one 32-byte
+   buffer of native-endian words h0..h7, which both kernels update in
+   place.
+
+   The OCaml compression function runs on untagged native [int]s holding
+   32-bit words (OCaml ints are 63-bit, so every intermediate fits),
+   masking back to 32 bits where overflow matters. This avoids the
+   per-operation boxing of an [Int32] implementation.
 
    Round structure. A textbook round computes T1 and T2, then shifts all
    eight working variables down one place (h <- g, ..., b <- a) with
@@ -15,6 +23,15 @@
    its new a (into the variable that held h). After eight rounds every
    role is back in its own variable. Each word of the block is loaded
    with one [Bytes.get_int32_be], at any offset. *)
+
+(* [hardware_blocks state buf off n] compresses the [n] blocks of [buf]
+   from [off] into [state]; the caller checks the range. *)
+external hardware_available : unit -> bool = "pbft_sha256_hw_available" [@@noalloc]
+external hardware_blocks : bytes -> bytes -> int -> int -> unit = "pbft_sha256_hw_blocks"
+[@@noalloc]
+
+let hardware = hardware_available ()
+let kernel = if hardware then "sha-ni" else "ocaml"
 
 (* Host-side instrumentation: total message bytes fed through the
    compression function, across all contexts. Single-domain only. *)
@@ -35,67 +52,42 @@ let k =
      0xc67178f2 |]
 
 type ctx = {
-  mutable h0 : int;
-  mutable h1 : int;
-  mutable h2 : int;
-  mutable h3 : int;
-  mutable h4 : int;
-  mutable h5 : int;
-  mutable h6 : int;
-  mutable h7 : int;
+  h : bytes; (* running state: h0..h7, 32-bit native-endian words *)
   block : bytes; (* 64-byte working block *)
   mutable fill : int; (* bytes currently buffered in [block] *)
   mutable total : int; (* total message bytes fed *)
-  w : int array; (* 64-entry message schedule, reused across blocks *)
+  hw : bool; (* runs the hardware kernel *)
 }
 
-let init () =
-  {
-    h0 = 0x6a09e667;
-    h1 = 0xbb67ae85;
-    h2 = 0x3c6ef372;
-    h3 = 0xa54ff53a;
-    h4 = 0x510e527f;
-    h5 = 0x9b05688c;
-    h6 = 0x1f83d9ab;
-    h7 = 0x5be0cd19;
-    block = Bytes.create 64;
-    fill = 0;
-    total = 0;
-    w = Array.make 64 0;
-  }
+let mask = 0xffffffff
+let[@inline] get h i = Int32.to_int (Bytes.get_int32_ne h (i * 4)) land mask
+let[@inline] set h i v = Bytes.set_int32_ne h (i * 4) (Int32.of_int v)
+
+let iv =
+  let h = Bytes.create 32 in
+  List.iteri (set h)
+    [ 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 ];
+  h
+
+let make ~hw = { h = Bytes.copy iv; block = Bytes.create 64; fill = 0; total = 0; hw }
+let init () = make ~hw:hardware
+let portable () = make ~hw:false
 
 let copy_into src ~dst =
-  dst.h0 <- src.h0;
-  dst.h1 <- src.h1;
-  dst.h2 <- src.h2;
-  dst.h3 <- src.h3;
-  dst.h4 <- src.h4;
-  dst.h5 <- src.h5;
-  dst.h6 <- src.h6;
-  dst.h7 <- src.h7;
+  Bytes.blit src.h 0 dst.h 0 32;
   Bytes.blit src.block 0 dst.block 0 src.fill;
   dst.fill <- src.fill;
   dst.total <- src.total
 
 let copy ctx =
-  let c = init () in
+  let c = make ~hw:ctx.hw in
   copy_into ctx ~dst:c;
   c
 
 let reset ctx =
-  ctx.h0 <- 0x6a09e667;
-  ctx.h1 <- 0xbb67ae85;
-  ctx.h2 <- 0x3c6ef372;
-  ctx.h3 <- 0xa54ff53a;
-  ctx.h4 <- 0x510e527f;
-  ctx.h5 <- 0x9b05688c;
-  ctx.h6 <- 0x1f83d9ab;
-  ctx.h7 <- 0x5be0cd19;
+  Bytes.blit iv 0 ctx.h 0 32;
   ctx.fill <- 0;
   ctx.total <- 0
-
-let mask = 0xffffffff
 
 (* A 32-bit word duplicated as [x lor (x lsl 32)] holds every rotation
    of [x] in a 32-bit window: [rotr x n] is bits [n .. n + 31] of the
@@ -125,8 +117,11 @@ let[@inline] ( .%() ) a i = Array.unsafe_get a i
 let[@inline] ch e f g = g lxor (e land (f lxor g))
 let[@inline] maj a b c = (a land b) lor (c land (a lor b))
 
-let compress ctx buf off =
-  let w = ctx.w in
+(* The message schedule of the OCaml kernel, shared by every context.
+   Single-domain only, like [hashed]. *)
+let w = Array.make 64 0
+
+let compress st buf off =
   for i = 0 to 15 do
     Array.unsafe_set w i (Int32.to_int (Bytes.get_int32_be buf (off + (i * 4))) land mask)
   done;
@@ -134,14 +129,14 @@ let compress ctx buf off =
     Array.unsafe_set w i
       ((w.%(i - 16) + small_sigma0 w.%(i - 15) + w.%(i - 7) + small_sigma1 w.%(i - 2)) land mask)
   done;
-  let a = ref ctx.h0
-  and b = ref ctx.h1
-  and c = ref ctx.h2
-  and d = ref ctx.h3
-  and e = ref ctx.h4
-  and f = ref ctx.h5
-  and g = ref ctx.h6
-  and h = ref ctx.h7 in
+  let a = ref (get st 0)
+  and b = ref (get st 1)
+  and c = ref (get st 2)
+  and d = ref (get st 3)
+  and e = ref (get st 4)
+  and f = ref (get st 5)
+  and g = ref (get st 6)
+  and h = ref (get st 7) in
   for r = 0 to 7 do
     let i = r * 8 in
     (* Rounds i .. i + 7; see the header for the role renaming. *)
@@ -170,43 +165,50 @@ let compress ctx buf off =
     e := (!e + t1) land mask;
     a := (t1 + big_sigma0 !b + maj !b !c !d) land mask
   done;
-  ctx.h0 <- (ctx.h0 + !a) land mask;
-  ctx.h1 <- (ctx.h1 + !b) land mask;
-  ctx.h2 <- (ctx.h2 + !c) land mask;
-  ctx.h3 <- (ctx.h3 + !d) land mask;
-  ctx.h4 <- (ctx.h4 + !e) land mask;
-  ctx.h5 <- (ctx.h5 + !f) land mask;
-  ctx.h6 <- (ctx.h6 + !g) land mask;
-  ctx.h7 <- (ctx.h7 + !h) land mask
+  set st 0 (get st 0 + !a);
+  set st 1 (get st 1 + !b);
+  set st 2 (get st 2 + !c);
+  set st 3 (get st 3 + !d);
+  set st 4 (get st 4 + !e);
+  set st 5 (get st 5 + !f);
+  set st 6 (get st 6 + !g);
+  set st 7 (get st 7 + !h)
+
+(* Compress the [n] blocks of [buf] from [off] with [ctx]'s kernel. *)
+let compress_blocks ctx buf off n =
+  if ctx.hw then hardware_blocks ctx.h buf off n
+  else
+    for i = 0 to n - 1 do
+      compress ctx.h buf (off + (i * 64))
+    done
 
 let feed_bytes ctx b ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length b then invalid_arg "Sha256.feed_bytes";
   ctx.total <- ctx.total + len;
   hashed := !hashed + len;
-  let remaining = ref len and src = ref pos in
-  (* Fast path: if the block buffer is empty, compress 64-byte chunks
-     straight out of the caller's buffer without the intermediate blit. *)
-  if ctx.fill > 0 then begin
-    let space = 64 - ctx.fill in
-    let n = Int.min space !remaining in
-    Bytes.blit b !src ctx.block ctx.fill n;
-    ctx.fill <- ctx.fill + n;
-    src := !src + n;
-    remaining := !remaining - n;
-    if ctx.fill = 64 then begin
-      compress ctx ctx.block 0;
-      ctx.fill <- 0
+  (* Top up a partly filled block first. *)
+  let taken =
+    if ctx.fill = 0 then 0
+    else begin
+      let n = Int.min (64 - ctx.fill) len in
+      Bytes.blit b pos ctx.block ctx.fill n;
+      ctx.fill <- ctx.fill + n;
+      if ctx.fill = 64 then begin
+        compress_blocks ctx ctx.block 0 1;
+        ctx.fill <- 0
+      end;
+      n
     end
-  end;
+  in
+  (* Then every whole block straight out of the caller's buffer in one
+     call, and buffer the tail. *)
   if ctx.fill = 0 then begin
-    while !remaining >= 64 do
-      compress ctx b !src;
-      src := !src + 64;
-      remaining := !remaining - 64
-    done;
-    if !remaining > 0 then begin
-      Bytes.blit b !src ctx.block 0 !remaining;
-      ctx.fill <- !remaining
+    let blocks = (len - taken) / 64 in
+    if blocks > 0 then compress_blocks ctx b (pos + taken) blocks;
+    let rest = len - taken - (blocks * 64) in
+    if rest > 0 then begin
+      Bytes.blit b (pos + len - rest) ctx.block 0 rest;
+      ctx.fill <- rest
     end
   end
 
@@ -220,28 +222,23 @@ let finalize ctx =
     if fill < 56 then fill + 1
     else begin
       Bytes.fill b (fill + 1) (63 - fill) '\000';
-      compress ctx b 0;
+      compress_blocks ctx b 0 1;
       0
     end
   in
   Bytes.fill b zeros_from (56 - zeros_from) '\000';
   Bytes.set_int64_be b 56 (Int64.of_int (ctx.total * 8));
-  compress ctx b 0;
+  compress_blocks ctx b 0 1;
   ctx.fill <- 0;
   let out = Bytes.create 32 in
-  Bytes.set_int32_be out 0 (Int32.of_int ctx.h0);
-  Bytes.set_int32_be out 4 (Int32.of_int ctx.h1);
-  Bytes.set_int32_be out 8 (Int32.of_int ctx.h2);
-  Bytes.set_int32_be out 12 (Int32.of_int ctx.h3);
-  Bytes.set_int32_be out 16 (Int32.of_int ctx.h4);
-  Bytes.set_int32_be out 20 (Int32.of_int ctx.h5);
-  Bytes.set_int32_be out 24 (Int32.of_int ctx.h6);
-  Bytes.set_int32_be out 28 (Int32.of_int ctx.h7);
+  for i = 0 to 7 do
+    Bytes.set_int32_be out (i * 4) (Bytes.get_int32_ne ctx.h (i * 4))
+  done;
   (* [out] is fresh and never escapes as bytes. *)
   Bytes.unsafe_to_string out
 
 (* One-shot digests reuse a scratch context instead of allocating a fresh
-   block + schedule per call. Single-domain only, like [hashed]. *)
+   state and block per call. Single-domain only, like [hashed]. *)
 let scratch = init ()
 
 let digest msg =

@@ -10,7 +10,18 @@ val digest : string -> string
 type ctx
 (** Streaming interface for hashing large state pages without copying. *)
 
+val kernel : string
+(** The block-compression kernel of every context from [init], chosen
+    once by a CPUID probe when the module initialises: ["sha-ni"], the
+    x86-64 SHA extensions, or ["ocaml"], the portable rounds. Both give
+    the same FIPS 180-4 output. *)
+
 val init : unit -> ctx
+
+val portable : unit -> ctx
+(** A fresh context that runs the portable OCaml rounds whatever
+    [kernel] is: the path a host without the SHA extensions takes, kept
+    measurable and testable on hosts that have them. *)
 
 val copy : ctx -> ctx
 [@@detlint.allow unused_export "midstate branching, checked against the reference compression loop"]

@@ -1,22 +1,29 @@
-type t = { mutable state : int64 }
+(* The SplitMix64 counter lives unboxed in an 8-byte buffer, and the
+   mixing functions are inlined into every draw, so drawing allocates
+   nothing: an [int64] field would box the counter on every step. *)
+type t = bytes
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
 (* SplitMix64 output mixing (Steele, Lea, Flood 2014). *)
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = mix64 (Int64.of_int seed) }
+let of_state state =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 state;
+  t
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let create seed = of_state (mix64 (Int64.of_int seed))
 
-let split t =
-  let seed = next_int64 t in
-  { state = mix64 seed }
+let[@inline] next_int64 t =
+  let state = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 state;
+  mix64 state
+
+let split t = of_state (mix64 (next_int64 t))
 
 let int t bound =
   assert (bound > 0);
@@ -24,7 +31,7 @@ let int t bound =
   let r = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2) in
   r mod bound
 
-let float t bound =
+let[@inline] float t bound =
   let r = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
   bound *. (r /. 9007199254740992.0)
 

@@ -17,15 +17,30 @@ let sha_vectors =
       "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1" );
   ]
 
-let test_sha_vectors () =
+(* Both kernels on every vector: the active one (the hardware kernel
+   where the CPU has it) and the portable OCaml rounds, so a host with
+   the SHA extensions still checks the path hosts without them run. *)
+let portable_digest msg =
+  let ctx = Crypto.Sha256.portable () in
+  Crypto.Sha256.feed ctx msg;
+  Crypto.Sha256.finalize ctx
+
+let kernels = [ (Crypto.Sha256.kernel, Crypto.Sha256.digest); ("portable", portable_digest) ]
+
+let check_kernels msg want =
   List.iter
-    (fun (msg, want) -> Alcotest.(check string) ("sha " ^ msg) want (sha_hex msg))
-    sha_vectors
+    (fun (kernel, digest) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s, %d bytes" kernel (String.length msg))
+        want
+        (Util.Hexdump.of_string (digest msg)))
+    kernels
+
+let test_sha_vectors () = List.iter (fun (msg, want) -> check_kernels msg want) sha_vectors
 
 let test_sha_million_a () =
-  Alcotest.(check string) "million a"
+  check_kernels (String.make 1_000_000 'a')
     "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-    (sha_hex (String.make 1_000_000 'a'))
 
 let prop_sha_streaming_matches_oneshot =
   QCheck.Test.make ~name:"streaming = one-shot for any chunking" ~count:200
@@ -238,6 +253,44 @@ let prop_sha_matches_reference =
       go 0 0 chunks;
       let got = Util.Hexdump.of_string (Crypto.Sha256.finalize ctx) in
       String.equal got (Reference_sha256.digest msg) && !branch_ok)
+
+(* A message of 0-4,200 bytes (so one call can carry many whole
+   blocks), cut into chunks of up to 1,500 bytes, each fed through
+   [feed_bytes] from a random offset inside a larger buffer. The active
+   kernel, fed chunk by chunk, must give the portable kernel's one-shot
+   digest. *)
+let prop_sha_kernels_agree =
+  let gen =
+    let open QCheck.Gen in
+    let len = oneof [ oneofl [ 0; 63; 64; 128; 129; 1024; 4096; 4200 ]; int_bound 4200 ] in
+    pair (string_size ~gen:char len) (list_size (int_bound 8) (pair (int_bound 1500) (int_bound 15)))
+  in
+  let arb =
+    QCheck.make
+      ~print:(fun (m, cs) ->
+        Printf.sprintf "len %d, chunks [%s]" (String.length m)
+          (String.concat "; " (List.map (fun (l, o) -> Printf.sprintf "%d@+%d" l o) cs)))
+      gen
+  in
+  QCheck.Test.make ~name:"active kernel = portable kernel, any chunking and offset" ~count:300 arb
+    (fun (msg, chunks) ->
+      let n = String.length msg in
+      let ctx = Crypto.Sha256.init () in
+      let feed_at pos len offset =
+        let buf = Bytes.make (offset + len + 7) '\x5a' in
+        Bytes.blit_string msg pos buf offset len;
+        Crypto.Sha256.feed_bytes ctx buf ~pos:offset ~len
+      in
+      let pos =
+        List.fold_left
+          (fun pos (len, offset) ->
+            let len = min len (n - pos) in
+            feed_at pos len offset;
+            pos + len)
+          0 chunks
+      in
+      feed_at pos (n - pos) 3;
+      String.equal (Crypto.Sha256.finalize ctx) (portable_digest msg))
 
 (* --- HMAC (RFC 4231) --- *)
 
@@ -504,6 +557,7 @@ let () =
           qcheck prop_sha_streaming_matches_oneshot;
           Alcotest.test_case "reference oracle vectors" `Quick test_sha_reference_vectors;
           qcheck prop_sha_matches_reference;
+          qcheck prop_sha_kernels_agree;
         ] );
       ( "hmac",
         [

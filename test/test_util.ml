@@ -181,6 +181,54 @@ let test_rng_deterministic () =
     Alcotest.(check int64) "same stream" (Util.Rng.next_int64 a) (Util.Rng.next_int64 b)
   done
 
+(* The first eight draws of each kind for seeds 0, 1 and 7. Every
+   stochastic decision of a run comes from these streams, so a change to
+   the generator's representation must leave them bit for bit. Per seed:
+   [next_int64], [int _ 1_000_003], [float _ 1.0], [bool], and
+   [next_int64] of a [split] child; each stream from a fresh
+   [create seed]. *)
+let rng_pins =
+  [
+    ( 0,
+      [ -2152535657050944081L; 7960286522194355700L; 487617019471545679L; -537132696929009172L; 1961750202426094747L; 6038094601263162090L; 3207296026000306913L; -4214222208109204676L ],
+      [ 1248; 607872; 218951; 899533; 285792; 425248; 273623; 710615 ],
+      [ 0x1.c4415072f63b9p-1; 0x1.b9e279aa86e58p-2; 0x1.b1174620025p-6; 0x1.f1177150e499p-1; 0x1.b39896a51a87p-4; 0x1.4f2e7c31d1fa8p-2; 0x1.6414d5f0fa298p-3; 0x1.8b082675922d5p-1 ],
+      [ true; false; true; false; true; false; true; false ],
+      [ 6235967106033911276L; 4964577235801436555L; 5009519748041543987L; 8857564815614722297L; -7432591663424338554L; 8004654500507590149L; 1708471288419529626L; 3819264574858199387L ] );
+    ( 1,
+      [ -4616330145664149646L; 6869446166584666695L; 8084911050856847527L; -846397198931878612L; 3727343498630883515L; -7456765501708208026L; 8407459800431601144L; 3430088234347965294L ],
+      [ 22796; 997945; 114734; 862832; 483404; 134274; 966693; 533239 ],
+      [ 0x1.7fdf0061bb85ap-1; 0x1.7d54b3920bcaap-2; 0x1.c0cd7f0f6bcf6p-2; 0x1.e881fc76c58f3p-1; 0x1.9dd1794f3e0b4p-3; 0x1.31087e915296fp-1; 0x1.d2b5309350688p-2; 0x1.7cd0f89b24754p-3 ],
+      [ false; true; true; false; true; false; false; false ],
+      [ -1089616305791727635L; -3855612761959285454L; 5148181706967588405L; 1996454957195969603L; 2068421254154566536L; 7428429366837071772L; -6175126042729843156L; -2637658771003853103L ] );
+    ( 7,
+      [ -8774268681488515761L; 5573481420429128725L; -1088427420777695408L; -2154039811576856741L; -6203870116991129099L; 6356872459430266104L; 7350602455885783398L; -7292045186689573744L ],
+      [ 477803; 757157; 530450; 635595; 684476; 524875; 142741; 927203 ],
+      [ 0x1.0c77123e98157p-1; 0x1.3563ef4a0babcp-2; 0x1.e1ca420e19806p-1; 0x1.c436a0686dd2fp-1; 0x1.53ced9ff082a5p-1; 0x1.60e097496b38p-2; 0x1.980a57f430be8p-2; 0x1.359ae713428abp-1 ],
+      [ true; true; false; true; true; false; false; false ],
+      [ -8329645779151318480L; 6560957319516933143L; 3429778984135255602L; 6144901677373588850L; -6923240325024990461L; -4601948036238656604L; -3485044167145460862L; -3350620398543257644L ] );
+  ]
+
+let test_rng_pinned_streams () =
+  let take n f = List.init n (fun _ -> f ()) in
+  List.iter
+    (fun (seed, i64, ints, floats, bools, child) ->
+      let fresh () = Util.Rng.create seed in
+      let name what = Printf.sprintf "seed %d %s" seed what in
+      let t = fresh () in
+      Alcotest.(check (list int64)) (name "next_int64") i64 (take 8 (fun () -> Util.Rng.next_int64 t));
+      let t = fresh () in
+      Alcotest.(check (list int)) (name "int") ints (take 8 (fun () -> Util.Rng.int t 1_000_003));
+      let t = fresh () in
+      Alcotest.(check (list (float 0.0))) (name "float") floats
+        (take 8 (fun () -> Util.Rng.float t 1.0));
+      let t = fresh () in
+      Alcotest.(check (list bool)) (name "bool") bools (take 8 (fun () -> Util.Rng.bool t));
+      let c = Util.Rng.split (fresh ()) in
+      Alcotest.(check (list int64)) (name "split child") child
+        (take 8 (fun () -> Util.Rng.next_int64 c)))
+    rng_pins
+
 let test_rng_split_independent () =
   let a = Util.Rng.create 7 in
   let child = Util.Rng.split a in
@@ -495,6 +543,7 @@ let () =
           Alcotest.test_case "bernoulli" `Quick test_rng_bernoulli;
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
           Alcotest.test_case "gaussian moments" `Quick test_rng_gaussian_moments;
+          Alcotest.test_case "pinned streams" `Quick test_rng_pinned_streams;
         ] );
       ( "stats",
         [

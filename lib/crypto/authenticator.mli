@@ -16,11 +16,16 @@ val compute : keys:(int * Mac.key) list -> string -> t
 (** [compute ~keys msg] builds the tag vector; [keys] maps replica id to
     the session key shared with that replica. *)
 
-val check : key:Mac.key -> replica:int -> string -> t -> bool
+val check : key:Mac.key -> replica:int -> ?sender_keys:(int * Mac.key) list -> string -> t -> bool
 [@@trust.sanitizer
   "authenticator entry check: true vouches that this replica's tag verifies the payload"]
 (** [check ~key ~replica msg t] verifies the tag addressed to [replica];
-    false if the entry is missing or does not verify. *)
+    false if the entry is missing or does not verify.
+
+    [sender_keys], if given, must be the [keys] that built [t] over
+    exactly [msg], as a delivery note ([Pbft.Message.Framed]) records
+    them. A tag made there under a key equal to [key] is accepted
+    without recomputing it, with the same verdict. *)
 
 val encode : Util.Codec.W.t -> t -> unit
 

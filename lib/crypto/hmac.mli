@@ -1,7 +1,12 @@
 (** HMAC-SHA256 (RFC 2104). *)
 
-val mac : key:string -> string -> string
-(** 32-byte authentication tag. *)
+type key
+(** Key bytes (any length) plus the two HMAC midstates every tag under
+    the key starts from, hashed the first time the key MACs. *)
 
-val verify : key:string -> string -> tag:string -> bool
-(** Constant-shape comparison of the expected tag against [tag]. *)
+val key : string -> key
+
+val key_bytes : key -> string
+
+val mac : key:key -> string -> string
+(** 32-byte authentication tag. *)

@@ -7,17 +7,19 @@ type mode =
    network byte accounting matches the Real mode. *)
 let simulated_signature_size = 68 (* ≈ 512-bit Rabin root + counter byte overhead *)
 
+(* A simulated signer and its verifier share one HMAC key value, so the
+   key's midstates are prepared once, by whichever of them MACs first. *)
 type signer =
   | Real_signer of int * Rabin.keypair
-  | Sim_signer of int * string
+  | Sim_signer of int * Hmac.key
 
 type verifier =
   | Real_verifier of int * Rabin.public_key
-  | Sim_verifier of int * string
+  | Sim_verifier of int * Hmac.key
 
 let derive_sim_key rng id =
   let seed = Bytes.to_string (Util.Rng.bytes rng 16) in
-  Sha256.digest (Printf.sprintf "simkey|%d|%s" id seed)
+  Hmac.key (Sha256.digest (Printf.sprintf "simkey|%d|%s" id seed))
 
 let make mode rng ~id =
   match mode with
@@ -44,7 +46,7 @@ let verify verifier msg ~signature =
   end
   | Sim_verifier (_, key) ->
     String.length signature = simulated_signature_size
-    && Hmac.verify ~key msg ~tag:(String.sub signature 0 32)
+    && String.equal (String.sub signature 0 32) (Hmac.mac ~key msg)
 
 let verifier_to_string = function
   | Real_verifier (id, pk) ->
@@ -59,7 +61,7 @@ let verifier_to_string = function
       (fun w () ->
         Util.Codec.W.u8 w 1;
         Util.Codec.W.varint w id;
-        Util.Codec.W.lstring w key)
+        Util.Codec.W.lstring w (Hmac.key_bytes key))
       ()
 
 let verifier_of_string s =
@@ -74,7 +76,7 @@ let verifier_of_string s =
   with
   | exception Util.Codec.R.Truncated -> None
   | 0, id, body -> Option.map (fun pk -> Real_verifier (id, pk)) (Rabin.public_of_string body)
-  | 1, id, body -> Some (Sim_verifier (id, body))
+  | 1, id, body -> Some (Sim_verifier (id, Hmac.key body))
   | _ -> None
 
 (* Proactive session-key refresh (epoch rollover) must not disturb the
@@ -85,6 +87,6 @@ let verifier_of_string s =
    signing secret can predict it. *)
 let derive_session_key signer ~peer ~epoch =
   let tag = sign signer (Printf.sprintf "session-key|%d|%d" peer epoch) in
-  String.sub (Sha256.digest ("sk|" ^ tag)) 0 16
+  Mac.key_of_bytes (String.sub (Sha256.digest ("sk|" ^ tag)) 0 16)
 
 let verifier_id = function Real_verifier (id, _) | Sim_verifier (id, _) -> id

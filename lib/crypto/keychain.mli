@@ -6,7 +6,8 @@
     large throughput experiments use it so that host CPU time is not spent
     on bignum arithmetic that the *virtual* cost model already accounts
     for (DESIGN.md, "Substitutions"). The two modes are indistinguishable
-    to the protocol layer. *)
+    to the protocol layer. A simulated signer and its {!verifier_of}
+    share one prepared {!Hmac.key}; {!verifier_of_string} builds its own. *)
 
 type mode =
   | Real of int (** key size in bits *)
@@ -33,7 +34,7 @@ val verifier_to_string : verifier -> string
 
 val verifier_of_string : string -> verifier option
 
-val derive_session_key : signer -> peer:int -> epoch:int -> string
+val derive_session_key : signer -> peer:int -> epoch:int -> Mac.key
 (** Deterministic per-epoch MAC session key for the channel this signer
     shares with [peer]: a keyed hash of the signer's signature over the
     (peer, epoch) label, truncated to MAC-key size. Proactive key refresh

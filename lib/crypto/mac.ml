@@ -1,55 +1,19 @@
-type key = string
+type key = Hmac.key
 
 let tag_size = 8
-
-(* In the simulator, sender and receiver live in one process, and the
-   wire/payload sharing in the message layer makes the receiver verify a
-   MAC over the *physically same* string the sender just tagged. A small
-   direct-mapped memo therefore turns almost every verification into a
-   lookup of the sender's computation — halving the HMAC work of a run
-   without changing a single verdict (the memo is keyed on the exact
-   (key, message) pair and stores a pure function's result). *)
-type slot = { sl_key : key; sl_msg : string; sl_tag : string }
-
-let slots = 8192
-let cache : slot option array = Array.make slots None
-
-(* Cheap fingerprint: length plus a few probe bytes of message and key.
-   Collisions just overwrite; correctness comes from the equality checks
-   on lookup. *)
-let slot_index ~key msg =
-  let n = String.length msg in
-  let h = ref (n * 0x9e3779b1) in
-  if n > 0 then begin
-    h := (!h * 31) lxor Char.code (String.unsafe_get msg 0);
-    h := (!h * 31) lxor Char.code (String.unsafe_get msg (n - 1));
-    h := (!h * 31) lxor Char.code (String.unsafe_get msg (n / 2))
-  end;
-  let kn = String.length key in
-  if kn > 0 then begin
-    h := (!h * 31) lxor Char.code (String.unsafe_get key 0);
-    h := (!h * 31) lxor Char.code (String.unsafe_get key (kn - 1))
-  end;
-  !h land (slots - 1)
-
-let compute ~key msg =
-  let idx = slot_index ~key msg in
-  match Array.unsafe_get cache idx with
-  (* Pointer equality on purpose: the cache is a best-effort memo and a
-     miss on an equal-but-distinct string only costs a recompute. *)
-  | Some s when ((s.sl_msg == msg) [@detlint.allow physical_eq]) && String.equal s.sl_key key ->
-    s.sl_tag
-  | _ ->
-    let tag = String.sub (Hmac.mac ~key msg) 0 tag_size in
-    Array.unsafe_set cache idx (Some { sl_key = key; sl_msg = msg; sl_tag = tag });
-    tag
+let key_of_bytes = Hmac.key
+let key_bytes = Hmac.key_bytes
+let equal_key a b = String.equal (Hmac.key_bytes a) (Hmac.key_bytes b)
+let compute ~key msg = String.sub (Hmac.mac ~key msg) 0 tag_size
 
 let verify ~key msg ~tag =
   String.length tag = tag_size
   &&
   let expected = compute ~key msg in
+  (* Fold over all bytes rather than early-exit, mirroring constant-time
+     comparison discipline. *)
   let diff = ref 0 in
   String.iteri (fun i c -> diff := !diff lor (Char.code c lxor Char.code tag.[i])) expected;
   !diff = 0
 
-let fresh_key rng = Bytes.to_string (Util.Rng.bytes rng 16)
+let fresh_key rng = key_of_bytes (Bytes.to_string (Util.Rng.bytes rng 16))

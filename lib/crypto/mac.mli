@@ -2,8 +2,17 @@
     PBFT code base uses: 8-byte truncations of HMAC-SHA256. Authenticators
     (one such tag per replica) are built from these. *)
 
-type key = string
-(** Symmetric key; any length (hashed into the HMAC block). *)
+type key
+(** Symmetric key: its bytes (any length) and the HMAC midstates it
+    prepares on first use (see {!Hmac.key}). *)
+
+val key_of_bytes : string -> key
+
+val key_bytes : key -> string
+(** What a session-key box carries. *)
+
+val equal_key : key -> key -> bool
+(** Same key bytes. *)
 
 val tag_size : int
 [@@detlint.allow unused_export "the MAC tests check tag lengths against it"]

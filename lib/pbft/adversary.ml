@@ -42,7 +42,7 @@ let rewrite t ~dst wire f =
     | Some payload' ->
       t.n_mutations <- t.n_mutations + 1;
       let pb = Message.payload_bytes payload' in
-      Message.encode_wire ~payload_bytes:pb (Replica.authenticate_to t.replica ~dst pb)
+      Message.encode_wire ~payload_bytes:pb (fst (Replica.authenticate_to t.replica ~dst pb))
   end
 
 (* Equivocation payload: swap the first two batch items. Item order is
@@ -109,7 +109,8 @@ let inject_garbage_view_change t =
     (fun peer ->
       if peer <> id then begin
         let wire =
-          Message.encode_wire ~payload_bytes:pb (Replica.authenticate_to t.replica ~dst:peer pb)
+          Message.encode_wire ~payload_bytes:pb
+            (fst (Replica.authenticate_to t.replica ~dst:peer pb))
         in
         Simnet.Net.send t.net ~label ~src:id ~dst:peer wire
       end)

@@ -74,19 +74,23 @@ let replica_ids t = List.init t.cfg.n (fun i -> i)
 
 (* Authenticate once and frame once, then send one copy per destination
    replica: a multicast shares its authenticator (one MAC tag per
-   replica) and its wire bytes. *)
+   replica), its wire bytes and their note. *)
 let send t ~dsts payload ~signed =
   let pb = Message.payload_bytes payload in
   let copies = float_of_int (List.length dsts) in
-  let auth, auth_cost =
+  let auth, mac_keys, auth_cost =
     if signed || not t.cfg.use_macs then
-      (Message.Signed (Crypto.Keychain.sign t.signer pb), t.costs.sign)
+      (Message.Signed (Crypto.Keychain.sign t.signer pb), [], t.costs.sign)
     else begin
       let keys = List.map (fun r -> (r, session_key_for t r)) dsts in
-      (Message.Authenticated (Crypto.Authenticator.compute ~keys pb), copies *. t.costs.mac_gen)
+      ( Message.Authenticated (Crypto.Authenticator.compute ~keys pb),
+        keys,
+        copies *. t.costs.mac_gen )
     end
   in
-  let wire, copy_cost = t.transport.frame ~payload_bytes:pb { Message.payload; auth } in
+  let msg = { Message.payload; auth } in
+  let wire, copy_cost = t.transport.frame ~payload_bytes:pb msg in
+  let note = Message.Framed { msg; payload_bytes = pb; mac_keys } in
   let label = Message.label payload in
   let detail () = Message.describe payload in
   charge t
@@ -94,7 +98,8 @@ let send t ~dsts payload ~signed =
     (fun () ->
       List.iter
         (fun r ->
-          Simnet.Net.send t.net ~label ~detail ~src:t.caddr ~dst:(t.transport.address r) wire)
+          Simnet.Net.send t.net ~label ~detail ~note ~src:t.caddr ~dst:(t.transport.address r)
+            wire)
         dsts)
 
 let multicast t payload ~signed = send t ~dsts:(replica_ids t) payload ~signed
@@ -104,7 +109,8 @@ let announce_session_keys t =
     (fun replica ->
       let key = session_key_for t replica in
       send t ~dsts:[ replica ] ~signed:true
-        (Message.Session_key { sk_sender = t.caddr; sk_target = replica; sk_key_box = key }))
+        (Message.Session_key
+           { sk_sender = t.caddr; sk_target = replica; sk_key_box = Crypto.Mac.key_bytes key }))
     (replica_ids t)
 
 (* ------------------------------------------------------------------ *)
@@ -370,8 +376,7 @@ let leave t =
 (* ------------------------------------------------------------------ *)
 (* Receive path.                                                        *)
 
-let verify_reply_auth t ~src (msg : Message.t) =
-  let pb = Message.payload_bytes msg.payload in
+let verify_reply_auth t ~src ({ msg; payload_bytes = pb; mac_keys } : Message.framed) =
   match msg.auth with
   | Message.No_auth -> (0.0, false)
   | Message.Signed s -> begin
@@ -383,19 +388,21 @@ let verify_reply_auth t ~src (msg : Message.t) =
   | Message.Authenticated a -> begin
     match Hashtbl.find_opt t.keys src with
     | None -> (0.0, false)
-    | Some key -> (t.costs.mac_verify, Crypto.Authenticator.check ~key ~replica:t.caddr pb a)
+    | Some key ->
+      ( t.costs.mac_verify,
+        Crypto.Authenticator.check ~key ~replica:t.caddr ~sender_keys:mac_keys pb a )
   end
 
 let on_datagram t ~src wire =
-  let decoded, cost = t.transport.Transport.unframe wire in
+  let decoded, cost = t.transport.Transport.unframe t.net wire in
   charge t cost (fun () ->
       match decoded with
       | None -> ()
-      | Some msg ->
-        let cost, ok = verify_reply_auth t ~src msg in
+      | Some framed ->
+        let cost, ok = verify_reply_auth t ~src framed in
         charge t cost (fun () ->
             if ok then begin
-              match msg.payload with
+              match framed.msg.payload with
               | Message.Reply r ->
                 handle_reply t ~src ~r_view:r.r_view ~r_id:r.r_id ~r_replica:r.r_replica
                   ~r_result:r.r_result ~r_tentative:r.r_tentative ~r_partial:r.r_partial

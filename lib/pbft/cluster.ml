@@ -56,7 +56,7 @@ let create ?(seed = 1) ?(profile = Simnet.Net.lan_profile) ?(costs = Costmodel.d
   let registry =
     {
       Replica.reg_verifiers = Array.map Crypto.Keychain.verifier_of replica_signers;
-      reg_group_secret = Bytes.to_string (Util.Rng.bytes rng 32);
+      reg_group_secret = Crypto.Mac.key_of_bytes (Bytes.to_string (Util.Rng.bytes rng 32));
       reg_static_clients = static_clients;
     }
   in

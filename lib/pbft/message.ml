@@ -407,111 +407,52 @@ let dec_auth r =
   | 2 -> Authenticated (Crypto.Authenticator.decode r)
   | _ -> raise R.Truncated
 
-(* --- hot-path memo caches ---
-
-   Every cache below memoizes a *pure* function of an immutable value,
-   probed by physical equality, so a hit returns exactly what a fresh
-   computation would. They change host time only: virtual costs are
-   charged by the replica/client layers regardless of whether the host
-   recomputed the bytes. Single-domain, like the simulator itself. *)
-
-(* Bounded ring of the most recent [n] key→value pairs, probed newest
-   first by physical equality. *)
-module Ring = struct
-  type ('k, 'v) t = { slots : ('k * 'v) option array; mutable next : int }
-
-  let create n = { slots = Array.make n None; next = 0 }
-
-  let find t key =
-    let n = Array.length t.slots in
-    let rec probe i remaining =
-      if remaining = 0 then None
-      else
-        match t.slots.(i) with
-        (* Pointer equality on purpose: best-effort memo keyed by the
-           exact wire string instance. *)
-        | Some (k, v) when ((k == key) [@detlint.allow physical_eq]) -> Some v
-        | _ -> probe (if i = 0 then n - 1 else i - 1) (remaining - 1)
-    in
-    probe ((t.next + n - 1) mod n) n
-
-  let add t key v =
-    t.slots.(t.next) <- Some (key, v);
-    t.next <- (t.next + 1) mod Array.length t.slots
-end
-
-(* payload → canonical bytes. Seeded at decode time (the wire carries the
-   payload bytes verbatim), so a receiver's MAC check never re-encodes
-   the payload it just parsed. *)
-let pb_cache : (payload, string) Ring.t = Ring.create 64
-
-let payload_bytes p =
-  match Ring.find pb_cache p with
-  | Some s -> s
-  | None ->
-    let s = Util.Codec.encode enc_payload p in
-    Ring.add pb_cache p s;
-    s
-
-(* wire → the payload-bytes string it was built from. Receivers that
-   decode a wire we sent in-process recover the sender's *physical* pb
-   string, so downstream memo caches (MAC tags, digests) hit across the
-   sender/receiver boundary. *)
-let wire_pb : (string, string) Ring.t = Ring.create 64
+let payload_bytes p = Util.Codec.encode enc_payload p
 
 let encode_wire ~payload_bytes:pb auth =
   let w = W.create ~capacity:(String.length pb + 96) () in
   W.lstring w pb;
   enc_auth w auth;
-  let wire = W.contents w in
-  Ring.add wire_pb wire pb;
-  wire
+  W.contents w
 
 let encode t = encode_wire ~payload_bytes:(payload_bytes t.payload) t.auth
 
-(* wire string → decoded message. A multicast delivers the same physical
-   string to every receiver (encode-once in Replica/Client), so the n−1
-   redundant parses collapse into ring hits; receivers share the decoded
-   message, which is safe because messages are immutable. *)
-let decode_ring : (string, t option) Ring.t = Ring.create 64
+type framed = { msg : t; payload_bytes : string; mac_keys : (int * Crypto.Mac.key) list }
+type Simnet.Net.note += Framed of framed
 
-let decode_fresh s =
+let decode_framed s =
   match
     Util.Codec.decode
       (fun r ->
         let pb = R.lstring r in
-        let pb =
-          (* Prefer the sender's physical pb string when this wire was
-             encoded in-process (guarded by content equality, so a forged
-             lookalike wire cannot alias). *)
-          match Ring.find wire_pb s with
-          | Some pb0 when String.equal pb0 pb -> pb0
-          | _ -> pb
-        in
         let auth = dec_auth r in
         let payload = Util.Codec.decode dec_payload pb in
-        Ring.add pb_cache payload pb;
-        { payload; auth })
+        { msg = { payload; auth }; payload_bytes = pb; mac_keys = [] })
       s
   with
-  | t -> Some t
+  | f -> Some f
   | exception R.Truncated -> None
 
-let decode s =
-  match Ring.find decode_ring s with
-  | Some r -> r
-  | None ->
-    let r = decode_fresh s in
-    Ring.add decode_ring s r;
-    r
+let decode s = Option.map (fun f -> f.msg) (decode_framed s)
+
+(* The sender's note, when the net delivered its exact bytes: a multicast
+   then costs one encode and no decode at all, and every receiver shares
+   the sender's message, request records included, which keeps
+   [request_digest] below hitting across nodes. *)
+let received net wire =
+  match Simnet.Net.note net with
+  | Some (Framed f) -> Some f
+  | Some _ | None -> decode_framed wire
 
 let digest_of_payload p = Crypto.Sha256.digest (payload_bytes p)
 
 (* request → digest, direct-mapped on (client, id) and confirmed by
    physical equality. The same request body is digested at ≥6 sites per
    request lifetime (batching, pre-prepare handling, entry replay); the
-   decode ring makes all replicas share one physical copy, so each body
-   is hashed once per node instead. *)
+   receivers of a noted datagram share the sender's physical record, so
+   they hash it once between them. Every entry is a pure
+   function of its request, so a hit returns what a fresh computation
+   would, whatever ran before in the process. Single-domain. *)
 let rq_digest_slots = 4096
 let rq_digest_cache : (request * digest) option array = Array.make rq_digest_slots None
 
@@ -534,17 +475,8 @@ let batch_item_client_id = function
   | Full rq -> (rq.rq_client, rq.rq_id)
   | Digest_of d -> (d.bd_client, d.bd_id)
 
-let batch_cache : (batch_item list, digest) Ring.t = Ring.create 32
-
 let batch_digest items =
-  match Ring.find batch_cache items with
-  | Some d -> d
-  | None ->
-    let d =
-      Crypto.Sha256.digest ("batch|" ^ String.concat "" (List.map batch_item_digest items))
-    in
-    Ring.add batch_cache items d;
-    d
+  Crypto.Sha256.digest ("batch|" ^ String.concat "" (List.map batch_item_digest items))
 
 let label = function
   | Request_msg _ -> "request"

@@ -111,14 +111,33 @@ val decode : string -> t option
 
 val payload_bytes : payload -> string
 (** Canonical encoding of the payload alone — the byte string that is
-    signed / MACed and digested. Memoized by physical equality over the
-    most recently encoded/decoded payloads. *)
+    signed / MACed and digested. Encodes afresh on every call; a
+    receiver reads the bytes off its {!framed} delivery instead. *)
 
 val encode_wire : payload_bytes:string -> auth -> string
 (** Assemble the wire form from already-encoded payload bytes plus the
     authenticator — the encode-once multicast path: serialize the payload
     once, then call this per wire (the bytes themselves can be reused
     across destinations when the auth is shared too). *)
+
+(** A message as its sender framed it: sent as the datagram's
+    {!Simnet.Net.note}, which arrives only with the sender's exact bytes,
+    it spares the receiver the decode and the MAC recomputation. *)
+type framed = {
+  msg : t;
+  payload_bytes : string;  (** what [msg]'s signature or MACs cover *)
+  mac_keys : (int * Crypto.Mac.key) list;
+      (** the keys the sender computed [msg]'s authenticator with, for
+          {!Crypto.Authenticator.check}'s [sender_keys]; [[]] when
+          unknown (decoded off the wire) or not MAC-authenticated *)
+}
+
+type Simnet.Net.note += Framed of framed
+
+val received : Simnet.Net.t -> string -> framed option
+[@@trust.source "protocol message delivered off the wire, from the sender's note or decoded"]
+(** Inside a receive handler of that net: the sender's {!Framed} note if
+    the datagram has one, else the bytes decoded as by {!decode}. *)
 
 val digest_of_payload : payload -> digest
 val request_digest : request -> digest

@@ -2,7 +2,7 @@ open Types
 
 type registry = {
   reg_verifiers : Crypto.Keychain.verifier array;
-  reg_group_secret : string;
+  reg_group_secret : Crypto.Mac.key;
   reg_static_clients : (client_id * int * string) list;
 }
 
@@ -237,6 +237,7 @@ let pipelined t = t.cfg.pipeline_depth > 1
 (* The other replicas, in id order. *)
 let peers t = List.filter (fun peer -> peer <> t.id) (List.init t.cfg.n Fun.id)
 
+(* Each authenticator comes with the keys its tags were computed under. *)
 let make_auth_multicast t payload_bytes =
   if t.cfg.use_macs then begin
     let keys =
@@ -244,9 +245,9 @@ let make_auth_multicast t payload_bytes =
         (fun peer -> Option.map (fun k -> (peer, k)) (Hashtbl.find_opt t.keys_i_chose peer))
         (peers t)
     in
-    Message.Authenticated (Crypto.Authenticator.compute ~keys payload_bytes)
+    (Message.Authenticated (Crypto.Authenticator.compute ~keys payload_bytes), keys)
   end
-  else Message.Signed (Crypto.Keychain.sign t.signer payload_bytes)
+  else (Message.Signed (Crypto.Keychain.sign t.signer payload_bytes), [])
 
 (* The key a message to [dst] alone is MACed under: the one this replica
    chose for a peer replica, or the one a client sent in its Session_key.
@@ -257,8 +258,10 @@ let session_key_to t dst =
 
 let authenticate_to t ~dst payload_bytes =
   match session_key_to t dst with
-  | Some k -> Message.Authenticated (Crypto.Authenticator.compute ~keys:[ (dst, k) ] payload_bytes)
-  | None -> Message.Signed (Crypto.Keychain.sign t.signer payload_bytes)
+  | Some k ->
+    let keys = [ (dst, k) ] in
+    (Message.Authenticated (Crypto.Authenticator.compute ~keys payload_bytes), keys)
+  | None -> (Message.Signed (Crypto.Keychain.sign t.signer payload_bytes), [])
 
 (* What [authenticate_to] costs: one MAC tag, or one signature. *)
 let auth_cost_to t ~dst =
@@ -278,9 +281,11 @@ let verifier_for_addr t addr =
 
 (* Verify an incoming message's authentication; returns the CPU cost to
    charge along with the verdict. Missing MAC session keys are the §2.3
-   recovery stall: the message cannot be validated at all. *)
-let check_auth t ~src (msg : Message.t) =
-  let pb = Message.payload_bytes msg.payload in
+   recovery stall: the message cannot be validated at all. A tag the
+   sender's note shows it computed under the key held here for it is
+   accepted without rehashing ([Authenticator.check]'s [sender_keys]);
+   the cost charged is the same. *)
+let check_auth t ~src ({ msg; payload_bytes = pb; mac_keys } : Message.framed) =
   match msg.auth with
   | Message.No_auth -> (0.0, false)
   | Message.Signed s -> begin
@@ -296,7 +301,7 @@ let check_auth t ~src (msg : Message.t) =
     | Some v -> (t.costs.sig_verify, Crypto.Keychain.verify v pb ~signature:s)
   end
   | Message.Authenticated a -> begin
-    let check key = Crypto.Authenticator.check ~key ~replica:t.id pb a in
+    let check key = Crypto.Authenticator.check ~key ~replica:t.id ~sender_keys:mac_keys pb a in
     match Hashtbl.find_opt t.keys_peers_chose src with
     | Some key when check key -> (t.costs.mac_verify, true)
     | Some _ -> begin
@@ -315,30 +320,36 @@ let check_auth t ~src (msg : Message.t) =
 (* Encode-once: the wire bytes are built by the caller (serializing the
    payload a single time even for a multicast) and only the send cost and
    trace metadata are handled here. *)
-let send_wire t ~dst ~already_charged ~label ~detail wire =
-  let go () = Simnet.Net.send t.net ~label ~detail ~src:t.id ~dst wire in
+let send_wire t ~dst ~already_charged ~label ~detail ~note wire =
+  let go () = Simnet.Net.send t.net ~label ~detail ~note ~src:t.id ~dst wire in
   if already_charged then go () else charge t (send_cost t (String.length wire)) go
+
+(* The wire bytes of [payload] (encoded to [pb]) under [auth], and the
+   note that spares a receiver the decode and tags made under [mac_keys]. *)
+let frame payload ~pb (auth, mac_keys) =
+  ( Message.encode_wire ~payload_bytes:pb auth,
+    Message.Framed { msg = { payload; auth }; payload_bytes = pb; mac_keys } )
 
 let send_to t ?(already_charged = false) ~dst payload =
   let pb = Message.payload_bytes payload in
-  let wire = Message.encode_wire ~payload_bytes:pb (authenticate_to t ~dst pb) in
+  let wire, note = frame payload ~pb (authenticate_to t ~dst pb) in
   let label = Message.label payload in
   let detail () = Message.describe payload in
-  if already_charged then send_wire t ~dst ~already_charged:true ~label ~detail wire
+  if already_charged then send_wire t ~dst ~already_charged:true ~label ~detail ~note wire
   else
     charge t (auth_cost_to t ~dst) (fun () ->
-        send_wire t ~dst ~already_charged:false ~label ~detail wire)
+        send_wire t ~dst ~already_charged:false ~label ~detail ~note wire)
 
 let multicast_replicas t ?(already_charged = false) payload =
   let pb = Message.payload_bytes payload in
-  let auth = make_auth_multicast t pb in
-  (* One authenticator covers every destination (it carries all n−1 MAC
-     tags), so the whole wire string is shared across peers; receivers'
-     decode collapses to a cache hit on the same physical string. *)
-  let wire = Message.encode_wire ~payload_bytes:pb auth in
+  (* One authenticator (all n−1 MAC tags), wire string and note serve
+     every peer. *)
+  let wire, note = frame payload ~pb (make_auth_multicast t pb) in
   let label = Message.label payload in
   let detail () = Message.describe payload in
-  let go () = List.iter (fun dst -> send_wire t ~dst ~already_charged ~label ~detail wire) (peers t) in
+  let go () =
+    List.iter (fun dst -> send_wire t ~dst ~already_charged ~label ~detail ~note wire) (peers t)
+  in
   if already_charged then go ()
   else Simnet.Cpu.execute_split t.cpu ~costs:(Costmodel.auth_gen_costs t.costs t.cfg) go
 
@@ -346,21 +357,20 @@ let multicast_replicas t ?(already_charged = false) payload =
    being distributed): one signature covers every destination. *)
 let send_signed t ~dsts payload =
   let pb = Message.payload_bytes payload in
-  let wire =
-    Message.encode_wire ~payload_bytes:pb (Message.Signed (Crypto.Keychain.sign t.signer pb))
-  in
+  let wire, note = frame payload ~pb (Message.Signed (Crypto.Keychain.sign t.signer pb), []) in
   let label = Message.label payload in
   let detail () = Message.describe payload in
   charge t
     (t.costs.sign +. send_cost t ((String.length pb + 80) * List.length dsts))
-    (fun () -> List.iter (fun dst -> send_wire t ~dst ~already_charged:true ~label ~detail wire) dsts)
+    (fun () ->
+      List.iter (fun dst -> send_wire t ~dst ~already_charged:true ~label ~detail ~note wire) dsts)
 
 (* ------------------------------------------------------------------ *)
 (* Session keys.                                                        *)
 
 let install_session_key t ~addr key =
   (match Hashtbl.find_opt t.keys_peers_chose addr with
-  | Some old when not (String.equal old key) ->
+  | Some old when not (Crypto.Mac.equal_key old key) ->
     (* Epoch rollover: keep the outgoing key verifiable until traffic
        MACed under it drains. *)
     Hashtbl.replace t.keys_peers_prev addr old
@@ -384,7 +394,8 @@ let send_session_key t peer =
       k
   in
   send_signed t ~dsts:[ peer ]
-    (Message.Session_key { sk_sender = t.id; sk_target = peer; sk_key_box = key })
+    (Message.Session_key
+       { sk_sender = t.id; sk_target = peer; sk_key_box = Crypto.Mac.key_bytes key })
 
 let broadcast_session_keys t = List.iter (send_session_key t) (peers t)
 
@@ -1758,9 +1769,13 @@ and handle_state_meta t ~src (seq, leaves) =
       note_caught_up t;
       try_execute t
     end
-  | Some tr when (tr.tr_seq = seq || tr.tr_seq < 0) && tr.tr_peer = src ->
-    (* A Byzantine peer must not be able to poison the transfer: when the
-       target digest is quorum-certified, the claimed page digests must
+  | Some tr
+    when tr.tr_peer = src
+         && (tr.tr_seq = seq || tr.tr_seq < 0 || (Option.is_none tr.tr_digest && seq > tr.tr_seq)) ->
+    (* A rejoin pins no digest, so it follows its peer to a newer
+       checkpoint (dropping the pages of the collected one). A Byzantine
+       peer must not be able to poison the transfer: when the target
+       digest is quorum-certified, the claimed page digests must
        reproduce it. *)
     let meta_ok =
       match tr.tr_digest with
@@ -1776,9 +1791,9 @@ and handle_state_meta t ~src (seq, leaves) =
         if i < Statemgr.Merkle.num_leaves t.merkle && leaf <> Statemgr.Merkle.leaf t.merkle i then
           wanted := i :: !wanted)
       leaves;
-    let tr =
-      { tr with tr_seq = seq; tr_leaves = Array.of_list leaves; tr_wanted = List.rev !wanted }
-    in
+    let tr_received = if seq = tr.tr_seq then tr.tr_received else [] in
+    let tr_leaves = Array.of_list leaves and tr_wanted = List.rev !wanted in
+    let tr = { tr with tr_seq = seq; tr_leaves; tr_wanted; tr_received } in
     t.transfer <- Some tr;
     if tr.tr_wanted = [] then finish_transfer t tr
     else begin
@@ -1798,7 +1813,10 @@ and handle_state_meta t ~src (seq, leaves) =
 
 and handle_fetch_pages t ~src (seq, wanted) =
   match Hashtbl.find_opt t.checkpoints seq with
-  | None -> ()
+  | None ->
+    (* A checkpoint collected since the asker pinned it: announce the
+       stable one, which a rejoin moves to, or it asks forever. *)
+    if seq < t.stable_ckpt then handle_fetch_meta t ~src t.stable_ckpt
   | Some ck ->
     let pages = List.map (fun i -> (i, Statemgr.Checkpoint.page ck i)) wanted in
     send_to t ~dst:src (Message.State_pages { sp_seq = seq; sp_replica = t.id; sp_pages = pages })
@@ -1958,7 +1976,8 @@ and dispatch t ~src (msg : Message.t) =
   | Message.View_change _ -> handle_view_change t ~src msg.payload
   | Message.New_view nv -> handle_new_view t ~src (nv.nv_view, nv.nv_pre_prepares)
   | Message.Session_key sk ->
-    if sk.sk_target = t.id then install_session_key t ~addr:sk.sk_sender sk.sk_key_box
+    if sk.sk_target = t.id then
+      install_session_key t ~addr:sk.sk_sender (Crypto.Mac.key_of_bytes sk.sk_key_box)
   | Message.Key_request kq ->
     (* A restarted peer lost the key we chose for it; re-send immediately
        (the signed request was verified by check_auth). *)
@@ -1985,13 +2004,15 @@ and dispatch t ~src (msg : Message.t) =
 
 and on_datagram t ~src wire =
   if t.alive then begin
+    (* Read while the delivery's note is current, not later on the CPU. *)
+    let received = Message.received t.net wire in
     charge t (recv_cost t (String.length wire)) (fun () ->
-        match Message.decode wire with
+        match received with
         | None -> Util.Metrics.incr t.n_auth_fail
-        | Some msg ->
-          let cost, ok = check_auth t ~src msg in
+        | Some framed ->
+          let cost, ok = check_auth t ~src framed in
           charge t cost (fun () ->
-              if ok then dispatch t ~src msg
+              if ok then dispatch t ~src framed.msg
               else Util.Metrics.incr t.n_auth_fail))
   end
 

@@ -22,7 +22,7 @@ open Types
     challenges, and (in static mode) the client table. *)
 type registry = {
   reg_verifiers : Crypto.Keychain.verifier array;
-  reg_group_secret : string;
+  reg_group_secret : Crypto.Mac.key;
   reg_static_clients : (client_id * int * string) list;  (** (client, addr, pubkey) *)
 }
 
@@ -113,11 +113,13 @@ val signer : t -> Crypto.Keychain.signer
 (** This replica's signing key. Exposed for fault injection: a Byzantine
     replica forges messages that carry its legitimate signature. *)
 
-val authenticate_to : t -> dst:int -> string -> Message.auth
+val authenticate_to : t -> dst:int -> string -> Message.auth * (int * Crypto.Mac.key) list
 (** Authentication for payload bytes sent to [dst] alone: in MAC mode one
     tag under the session key for [dst] (the one this replica chose for a
     peer replica, the one a client sent in its [Session_key]), otherwise,
-    or while no key is known, a signature. Exposed for {!Adversary},
+    or while no key is known, a signature. Returned with the keys the
+    tags were computed under ([[]] for a signature), as a
+    {!Message.framed} note records them. Exposed for {!Adversary},
     which must re-authenticate messages it rewrites in flight. *)
 
 val set_record_journal : t -> bool -> unit

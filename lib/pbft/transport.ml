@@ -3,7 +3,7 @@ open Types
 type t = {
   address : replica_id -> int;
   frame : payload_bytes:string -> Message.t -> string * float;
-  unframe : string -> Message.t option * float;
+  unframe : Simnet.Net.t -> string -> Message.framed option * float;
 }
 
 let datagram costs =
@@ -13,5 +13,6 @@ let datagram costs =
       (fun ~payload_bytes (msg : Message.t) ->
         let wire = Message.encode_wire ~payload_bytes msg.auth in
         (wire, Costmodel.send costs (String.length wire)));
-    unframe = (fun wire -> (Message.decode wire, Costmodel.recv costs (String.length wire)));
+    unframe =
+      (fun net wire -> (Message.received net wire, Costmodel.recv costs (String.length wire)));
   }

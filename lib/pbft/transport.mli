@@ -14,14 +14,14 @@ type t = {
   frame : payload_bytes:string -> Message.t -> string * float;
       (** the wire form of an outbound message (whose payload encodes to
           [payload_bytes]) and the CPU charge for each copy sent *)
-  unframe : (string -> Message.t option * float)
+  unframe : (Simnet.Net.t -> string -> Message.framed option * float)
     [@trust.source "client-bound message unframed off the wire"];
-      (** the message an inbound wire carries ([None] if malformed) and
-          the CPU charge for receiving it; the message is untrusted until
-          its auth verifies *)
+      (** the message an inbound wire carries ([None] if malformed), read
+          in the receive handler of the net it arrived on, and the CPU
+          charge for receiving it; untrusted until its auth verifies *)
 }
 
 val datagram : Costmodel.t -> t
 (** The native binary protocol over UDP: {!Message.encode_wire} once
-    per multicast, {!Message.decode} on receive, and the cost model's
-    datagram-stack charges. *)
+    per multicast, {!Message.received} on receive (the sender's note,
+    or a decode), and the cost model's datagram-stack charges. *)

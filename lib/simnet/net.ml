@@ -26,6 +26,8 @@ type link_fault = {
   mutable lf_corrupt : (dst:addr -> label:string -> string -> string) option;
 }
 
+type note = ..
+
 type t = {
   engine : Engine.t;
   trace : Trace.t;
@@ -39,6 +41,7 @@ type t = {
   mutable sent : int;
   mutable dropped : int;
   mutable bytes : int;
+  mutable current : note option;  (* the note of the delivery being handled *)
 }
 
 let create engine ?trace prof =
@@ -56,10 +59,12 @@ let create engine ?trace prof =
     sent = 0;
     dropped = 0;
     bytes = 0;
+    current = None;
   }
 
 let engine t = t.engine
 let trace t = t.trace
+let note t = t.current
 let register t a h = Hashtbl.replace t.handlers a h
 let unregister t a = Hashtbl.remove t.handlers a
 let set_backlog_probe t a probe = Hashtbl.replace t.backlog a probe
@@ -129,15 +134,17 @@ let record t ~src ~dst ~label ~detail ~size ~delivered =
 
 let no_detail () = ""
 
-let send t ?(label = "msg") ?(detail = no_detail) ~src ~dst payload =
+let send t ?(label = "msg") ?(detail = no_detail) ?note ~src ~dst payload =
   let lf = link_fault_for t ~src ~dst in
   (* Corruption models a Byzantine sender NIC: the bytes on the wire are
      what the hook returns, so size/serialization charge the mutated
-     payload. *)
-  let payload =
+     payload. The note describes the sender's bytes, so it travels only
+     with exactly those: a hook that returns its argument keeps it. *)
+  let wire =
     match lf with Some { lf_corrupt = Some f; _ } -> f ~dst ~label payload | _ -> payload
   in
-  let size = String.length payload in
+  let note = if (wire == payload) [@detlint.allow physical_eq] then note else None in
+  let size = String.length wire in
   t.sent <- t.sent + 1;
   t.bytes <- t.bytes + size;
   let lost =
@@ -186,7 +193,11 @@ let send t ?(label = "msg") ?(detail = no_detail) ~src ~dst payload =
                   size;
                 }
           end
-          else h ~src payload)
+          else begin
+            t.current <- note;
+            h ~src wire;
+            t.current <- None
+          end)
   end
 
 let sent_count t = t.sent

@@ -56,9 +56,24 @@ val register : t -> addr -> (src:addr -> string -> unit) -> unit
 val unregister : t -> addr -> unit
 (** Datagrams to an unbound address are dropped silently, like UDP. *)
 
-val send : t -> ?label:string -> ?detail:(unit -> string) -> src:addr -> dst:addr -> string -> unit
+type note = ..
+(** What a sender knows about the bytes it sends, for the receiver to
+    read instead of recomputing it ([Pbft.Message.Framed]). *)
+
+val send :
+  t -> ?label:string -> ?detail:(unit -> string) -> ?note:note -> src:addr -> dst:addr -> string -> unit
 (** Fire-and-forget datagram. [detail] is forced only when the trace is
-    enabled, so hot-path senders pay nothing for rich trace lines. *)
+    enabled, so hot-path senders pay nothing for rich trace lines.
+
+    [note] reaches this delivery's handler only, and only with the
+    sender's exact bytes: a {!set_link_corrupt} hook that returns any
+    string but (physically) its argument drops it. *)
+
+val note : t -> note option
+[@@trust.source "delivery note: the sender's own account of the datagram being handled"]
+(** Inside a receive handler, the note of the datagram it is handling;
+    [None] if there is none, and outside a handler. Work a handler
+    defers to a later event must read it first. *)
 
 (** {2 One-shot targeted drops} *)
 
@@ -89,7 +104,7 @@ val set_link_corrupt : t -> src:addr -> dst:addr -> (dst:addr -> label:string ->
 (** Rewrite the payload bytes on the link. The hook sees the concrete
     destination (useful under a wildcard [dst]) and the label; what it
     returns is what crosses the wire — and what gets charged for
-    serialization. *)
+    serialization. A hook that returns a copy drops the note. *)
 
 val clear_link : t -> src:addr -> dst:addr -> unit
 

@@ -7,7 +7,9 @@
    exactly the historical ["leaf|" ^ contents] / ["node|" ^ l ^ r]
    strings but no intermediate concatenations are allocated. *)
 
-type t = { width : int; leaves : int; nodes : string array }
+(* [zero] is the leaf digest of an all-zero page, hashed the first time
+   this tree meets an untouched page ("" until then). *)
+type t = { width : int; leaves : int; nodes : string array; mutable zero : string }
 
 let leaf_prefix = "leaf|"
 let node_prefix = "node|"
@@ -33,17 +35,11 @@ let hash_page_bytes b =
   Crypto.Sha256.feed_bytes ctx b ~pos:0 ~len:(Bytes.length b);
   Crypto.Sha256.finalize ctx
 
-(* The digest of an all-zero page depends only on the page size; untouched
-   pages of a sparse region all share it, so hash it once per size. *)
-let zero_leaf_cache : (int, string) Hashtbl.t = Hashtbl.create 4
-
-let zero_leaf page_size =
-  match Hashtbl.find_opt zero_leaf_cache page_size with
-  | Some d -> d
-  | None ->
-    let d = hash_page (String.make page_size '\000') in
-    Hashtbl.add zero_leaf_cache page_size d;
-    d
+(* Untouched pages of a sparse region all share one digest, so a tree
+   hashes the zero page once; copies of the tree inherit it. *)
+let zero_leaf t pages =
+  if String.equal t.zero "" then t.zero <- hash_page (String.make (Pages.page_size pages) '\000');
+  t.zero
 
 (* Leaf digests of frozen buffers (see [Pages.frozen_page_bytes]): a
    direct-mapped table indexed by page number, confirmed by the buffer's
@@ -56,7 +52,7 @@ let memo_slots = 4096
 let memo_buf = Array.make memo_slots Bytes.empty
 let memo_digest = Array.make memo_slots ""
 
-let leaf_digest_of_page pages i =
+let leaf_digest_of_page t pages i =
   match Pages.frozen_page_bytes pages i with
   | Some b ->
     let slot = i land (memo_slots - 1) in
@@ -71,7 +67,7 @@ let leaf_digest_of_page pages i =
     end
   | None -> (
     match Pages.page_bytes pages i with
-    | None -> zero_leaf (Pages.page_size pages)
+    | None -> zero_leaf t pages
     | Some b -> hash_page_bytes b)
 
 let hash_children l r =
@@ -91,9 +87,10 @@ let build pages =
   let leaves = Pages.num_pages pages in
   let width = pow2_at_least leaves 1 in
   let nodes = Array.make ((2 * width) - 1) "" in
+  let t = { width; leaves; nodes; zero = "" } in
   for i = 0 to width - 1 do
     nodes.(width - 1 + i) <-
-      (if i < leaves then leaf_digest_of_page pages i else empty_leaf)
+      (if i < leaves then leaf_digest_of_page t pages i else empty_leaf)
   done;
   for i = width - 2 downto 0 do
     let l = nodes.((2 * i) + 1) and r = nodes.((2 * i) + 2) in
@@ -107,14 +104,14 @@ let build pages =
        then nodes.(i + 1)
        else hash_children l r)
   done;
-  { width; leaves; nodes }
+  t
 
 let update t pages dirty =
   let touched = Hashtbl.create 16 in
   List.iter
     (fun i ->
       if i < 0 || i >= t.leaves then invalid_arg "Merkle.update";
-      t.nodes.(leaf_index t i) <- leaf_digest_of_page pages i;
+      t.nodes.(leaf_index t i) <- leaf_digest_of_page t pages i;
       (* Record every ancestor for recomputation. *)
       let rec mark j =
         if j > 0 then begin

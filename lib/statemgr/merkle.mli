@@ -8,9 +8,10 @@
     pages for retransmission.
 
     Page bytes are hashed in place through the streaming SHA-256
-    interface (no per-page string copies), and the all-zero page digest
-    of a sparse region is computed once per page size — the preimages,
-    and therefore every digest, are unchanged.
+    interface (no per-page string copies), and a tree hashes the all-zero
+    page of a sparse region once, the first time it needs that digest
+    ({!copy} inherits it) — the preimages, and therefore every digest,
+    are unchanged.
 
     No frozen page is hashed twice. A page buffer that a region shares
     (with a snapshot, a {!Pages.copy} or another region through

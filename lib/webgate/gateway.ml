@@ -177,15 +177,19 @@ let json_transport =
           (text, json_cost (String.length text))
         | None -> invalid_arg ("Gateway.json_transport: no JSON frame for " ^ M.label msg.payload));
     unframe =
-      (fun wire ->
+      (fun _net wire ->
         (* The reverse bridge: replicas answer in the native format, and
            the translation to JSON is charged here, at the browser
-           boundary, as the replica-side endpoint would pay it. *)
+           boundary, as the replica-side endpoint would pay it. The
+           browser holds only the JSON, so it reads no delivery note. *)
         match Option.bind (M.decode wire) frame_of_message with
         | None -> (None, 0.0)
         | Some j ->
           let text = Json.print j in
-          (decode_frame text, json_cost (String.length text)));
+          let framed (msg : M.t) =
+            { M.msg; payload_bytes = M.payload_bytes msg.payload; mac_keys = [] }
+          in
+          (Option.map framed (decode_frame text), json_cost (String.length text)));
   }
 
 (* --- bridge --- *)

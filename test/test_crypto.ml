@@ -296,7 +296,8 @@ let prop_sha_kernels_agree =
 
 let test_hmac_rfc4231 () =
   let check name key msg want =
-    Alcotest.(check string) name want (Util.Hexdump.of_string (Crypto.Hmac.mac ~key msg))
+    Alcotest.(check string) name want
+      (Util.Hexdump.of_string (Crypto.Hmac.mac ~key:(Crypto.Hmac.key key) msg))
   in
   check "case 1" (String.make 20 '\x0b') "Hi There"
     "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7";
@@ -308,19 +309,27 @@ let test_hmac_rfc4231 () =
   check "case 6" (String.make 131 '\xaa') "Test Using Larger Than Block-Size Key - Hash Key First"
     "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
 
-let test_hmac_verify () =
-  let key = "k" and msg = "m" in
-  let tag = Crypto.Hmac.mac ~key msg in
-  Alcotest.(check bool) "accepts" true (Crypto.Hmac.verify ~key msg ~tag);
-  Alcotest.(check bool) "rejects msg" false (Crypto.Hmac.verify ~key "m2" ~tag);
-  Alcotest.(check bool) "rejects key" false (Crypto.Hmac.verify ~key:"k2" msg ~tag);
-  Alcotest.(check bool) "rejects short" false (Crypto.Hmac.verify ~key msg ~tag:"short")
+(* A key prepares its midstates on its first tag; the tags before and
+   after, and those of another key value with the same bytes, agree. *)
+let test_hmac_prepared_key () =
+  let msg = "m" in
+  let key = Crypto.Hmac.key "k" in
+  Alcotest.(check string) "key bytes" "k" (Crypto.Hmac.key_bytes key);
+  let first = Crypto.Hmac.mac ~key msg in
+  Alcotest.(check string) "prepared key, same tag" first (Crypto.Hmac.mac ~key msg);
+  Alcotest.(check string) "another value of the same bytes" first
+    (Crypto.Hmac.mac ~key:(Crypto.Hmac.key "k") msg);
+  Alcotest.(check bool) "another message differs" true
+    (first <> Crypto.Hmac.mac ~key "m2");
+  Alcotest.(check bool) "another key differs" true
+    (first <> Crypto.Hmac.mac ~key:(Crypto.Hmac.key "k2") msg)
 
-(* The per-key midstates are restored into one reused working context,
-   so a tag allocates only its two 32-byte digests and the midstate
-   lookup's option: 14 words. Copying each midstate, as before, cost 60. *)
+(* A prepared key's midstates are restored into one reused working
+   context, so a tag allocates only its two 32-byte digests. Copying
+   each midstate, as before, cost 60 words; preparing the key on every
+   call, as a key built per message would, costs about 107. *)
 let test_hmac_minor_words () =
-  let key = String.make 16 'k' and msg = String.make 1024 'm' in
+  let key = Crypto.Hmac.key (String.make 16 'k') and msg = String.make 1024 'm' in
   ignore (Crypto.Hmac.mac ~key msg);
   let calls = 1000 in
   let before = Gc.minor_words () in
@@ -342,10 +351,10 @@ let test_mac_basic () =
   Alcotest.(check bool) "verifies" true (Crypto.Mac.verify ~key "payload" ~tag);
   Alcotest.(check bool) "rejects" false (Crypto.Mac.verify ~key "other" ~tag)
 
-(* The compute memo must be invisible: same (key, message) pair always
-   yields the same tag whether served from the cache (physically shared
-   message) or recomputed (content-equal copy). *)
-let test_mac_memo_transparent () =
+(* A tag depends only on the key bytes and the message bytes: a
+   content-equal copy of the message and a key rebuilt from a session-key
+   box both give the same tag. *)
+let test_mac_key_bytes () =
   let rng = Util.Rng.create 7 in
   let key = Crypto.Mac.fresh_key rng in
   let key' = Crypto.Mac.fresh_key rng in
@@ -355,6 +364,10 @@ let test_mac_memo_transparent () =
   let copy = String.sub msg 0 (String.length msg) in
   Alcotest.(check bool) "fresh allocation" true (copy != msg);
   Alcotest.(check string) "content-equal copy matches" tag (Crypto.Mac.compute ~key copy);
+  let boxed = Crypto.Mac.key_of_bytes (Crypto.Mac.key_bytes key) in
+  Alcotest.(check bool) "rebuilt key is equal" true (Crypto.Mac.equal_key key boxed);
+  Alcotest.(check string) "rebuilt key, same tag" tag (Crypto.Mac.compute ~key:boxed msg);
+  Alcotest.(check bool) "other key is not equal" false (Crypto.Mac.equal_key key key');
   Alcotest.(check bool) "different key differs" (tag <> Crypto.Mac.compute ~key:key' msg) true;
   Alcotest.(check bool) "verify accepts" true (Crypto.Mac.verify ~key msg ~tag);
   Alcotest.(check bool) "verify rejects wrong tag" false
@@ -392,6 +405,29 @@ let test_authenticator_codec () =
       Alcotest.(check bool) "decoded verifies" true
         (Crypto.Authenticator.check ~key ~replica:i "m" back))
     keys
+
+(* A tag the sender made under a key equal to the checker's is accepted
+   as the sender's account says; any other entry is recomputed, so a
+   wrong key, a tampered message or a missing entry still fail. *)
+let test_authenticator_sender_keys () =
+  let rng = Util.Rng.create 4 in
+  let keys = List.init 3 (fun i -> (i, Crypto.Mac.fresh_key rng)) in
+  let auth = Crypto.Authenticator.compute ~keys "m" in
+  let k1 = List.assoc 1 keys in
+  let boxed = Crypto.Mac.key_of_bytes (Crypto.Mac.key_bytes k1) in
+  let check ?sender_keys ~key ~replica msg =
+    Crypto.Authenticator.check ~key ~replica ?sender_keys msg auth
+  in
+  Alcotest.(check bool) "noted key equal to the held one" true
+    (check ~sender_keys:keys ~key:boxed ~replica:1 "m");
+  Alcotest.(check bool) "held key differs: recomputed, fails" false
+    (check ~sender_keys:keys ~key:(Crypto.Mac.fresh_key rng) ~replica:1 "m");
+  Alcotest.(check bool) "no noted key for this replica: recomputed" true
+    (check ~sender_keys:[ (0, List.assoc 0 keys) ] ~key:boxed ~replica:1 "m");
+  Alcotest.(check bool) "missing entry" false
+    (check ~sender_keys:[ (7, k1) ] ~key:k1 ~replica:7 "m");
+  Alcotest.(check bool) "without sender keys, tampered message fails" false
+    (check ~key:boxed ~replica:1 "M")
 
 (* --- Rabin signatures --- *)
 
@@ -562,18 +598,19 @@ let () =
       ( "hmac",
         [
           Alcotest.test_case "RFC 4231 vectors" `Quick test_hmac_rfc4231;
-          Alcotest.test_case "verify" `Quick test_hmac_verify;
+          Alcotest.test_case "prepared key" `Quick test_hmac_prepared_key;
           Alcotest.test_case "minor words per mac" `Quick test_hmac_minor_words;
         ] );
       ( "mac",
         [
           Alcotest.test_case "basics" `Quick test_mac_basic;
-          Alcotest.test_case "memo transparency" `Quick test_mac_memo_transparent;
+          Alcotest.test_case "key bytes" `Quick test_mac_key_bytes;
         ] );
       ( "authenticator",
         [
           Alcotest.test_case "per-replica tags" `Quick test_authenticator;
           Alcotest.test_case "wire codec" `Quick test_authenticator_codec;
+          Alcotest.test_case "sender keys" `Quick test_authenticator_sender_keys;
         ] );
       ( "rabin",
         [

@@ -215,6 +215,39 @@ let test_trust_conventions () =
   in
   Alcotest.(check int) "check_auth covers the write" 0 (List.length fs)
 
+(* The repo's own declarations: a delivery note, and the message read
+   from it, are sources; the authenticator check, whose sender-keys
+   shortcut trusts the note's keys, vouches for them. *)
+let test_trust_delivery_note () =
+  let root = if Sys.file_exists "lib" then "." else ".." in
+  let read rel = (rel, In_channel.with_open_bin (Filename.concat root rel) In_channel.input_all) in
+  let interfaces =
+    List.map read [ "lib/simnet/net.mli"; "lib/pbft/message.mli"; "lib/crypto/authenticator.mli" ]
+  in
+  let findings src = List.length (tainted (tlint ~interfaces src)) in
+  Alcotest.(check int) "note into a table flagged" 1
+    (findings
+       "let f t net =\n\
+       \  match Simnet.Net.note net with Some n -> Hashtbl.replace t n () | None -> ()\n");
+  Alcotest.(check int) "received message into a table flagged" 1
+    (findings
+       "let f t net w =\n\
+       \  match Message.received net w with\n\
+       \  | Some f -> Hashtbl.replace t f.Message.msg ()\n\
+       \  | None -> ()\n");
+  Alcotest.(check int) "authenticator check covers the write" 0
+    (findings
+       "let f t net w key =\n\
+       \  match Message.received net w with\n\
+       \  | Some f -> (\n\
+       \    match f.Message.msg.Message.auth with\n\
+       \    | Message.Authenticated a ->\n\
+       \      if Crypto.Authenticator.check ~key ~replica:0 ~sender_keys:f.Message.mac_keys\n\
+       \           f.Message.payload_bytes a\n\
+       \      then Hashtbl.replace t f.Message.msg ()\n\
+       \    | _ -> ())\n\
+       \  | None -> ()\n")
+
 let test_trust_suppression () =
   let fs =
     tainted
@@ -376,6 +409,7 @@ let () =
           Alcotest.test_case "sanitizer verdicts" `Quick test_trust_sanitizer_kills;
           Alcotest.test_case "taint propagation" `Quick test_trust_propagation;
           Alcotest.test_case "convention scoping" `Quick test_trust_conventions;
+          Alcotest.test_case "delivery notes" `Quick test_trust_delivery_note;
           Alcotest.test_case "suppression" `Quick test_trust_suppression;
           Alcotest.test_case "dispatch catch-all" `Quick test_dispatch_catch_all;
           Alcotest.test_case "adversary cross-check" `Quick test_adversary_cross_check;

@@ -616,6 +616,21 @@ let test_trace_digest_deterministic () =
   let d3 = Harness.Hostbench.trace_digest ~seed:12 ~seconds:0.15 () in
   Alcotest.(check bool) "different seed, different trace" true (d1 <> d3)
 
+(* A run's hashed bytes depend on the run alone: three identical runs in
+   one process hash the same. When HMAC midstates and the zero-page
+   digest lived in process-wide tables, the first run read 103,097,048
+   and the next two 103,084,755. *)
+let test_hostbench_hashed_bytes_history_independent () =
+  let spec = { (Harness.Run.closed (Pbft.Config.default ~f:1)) with Harness.Run.duration = 0.3 } in
+  let hashed () =
+    let m = Harness.Hostbench.measure ~name:"history" spec in
+    Util.Metrics.total m.Harness.Hostbench.metrics ~layer:"crypto" "bytes_hashed"
+  in
+  let first = hashed () in
+  let second = hashed () in
+  let third = hashed () in
+  Alcotest.(check (list int)) "same bytes hashed every run" [ first; first ] [ second; third ]
+
 let test_hostbench_measure_and_json () =
   let m =
     Harness.Hostbench.measure ~name:"smoke"
@@ -957,5 +972,7 @@ let () =
         [
           Alcotest.test_case "trace digest deterministic" `Slow test_trace_digest_deterministic;
           Alcotest.test_case "measure & BENCH.json shape" `Slow test_hostbench_measure_and_json;
+          Alcotest.test_case "hashed bytes independent of process history" `Slow
+            test_hostbench_hashed_bytes_history_independent;
         ] );
     ]

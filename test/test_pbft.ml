@@ -91,7 +91,8 @@ let test_message_roundtrips () =
         [
           Message.No_auth;
           Message.Signed "sig-bytes";
-          Message.Authenticated (Crypto.Authenticator.compute ~keys:[ (0, "k") ] "pb");
+          Message.Authenticated
+            (Crypto.Authenticator.compute ~keys:[ (0, Crypto.Mac.key_of_bytes "k") ] "pb");
         ])
     sample_payloads
 
@@ -924,6 +925,33 @@ let prop_crash_restart_equivalent =
       | Some _ -> ());
       true)
 
+(* Regression (rejoin wedge): a rejoin pins the checkpoint named in the
+   first State_meta it receives. When the serving peer collected that
+   checkpoint before the page fetches arrived, it dropped them, and the
+   transfer asked again every 0.5 s forever, leaving the victim
+   recovering at 16, 32 or 48 of the 160 batches. Each case below
+   wedged that way; the peer now announces its stable checkpoint and the
+   rejoin moves to it. *)
+let test_restart_rejoin_follows_collected_checkpoint () =
+  List.iter
+    (fun (victim, crash_at, downtime) ->
+      let cluster =
+        run_single_client_workload ~crash:(Some (victim, crash_at, downtime)) (crash_cfg ())
+      in
+      let rv = Cluster.replica cluster victim in
+      let case = Printf.sprintf "victim %d, crash %.3f s, down %.3f s" victim crash_at downtime in
+      Alcotest.(check bool) (case ^ ": rejoin finished") true
+        (Option.is_some (Replica.recovery_completed_at rv));
+      Alcotest.(check int) (case ^ ": victim at head") 160 (Replica.last_executed rv))
+    [
+      (1, 0.230696570491, 0.44360870365);
+      (1, 0.248273531198, 0.439431744951);
+      (1, 0.455145616205, 0.217900800614);
+      (3, 0.567181601957, 0.27669632357);
+      (1, 0.481242726933, 0.377384909285);
+      (1, 0.44275967703, 0.401829803295);
+    ]
+
 let test_restart_client_keys_reinstalled () =
   (* Regression: a restarted replica loses the statically-configured
      client session keys with the rest of its volatile state. Unless the
@@ -1307,6 +1335,41 @@ let test_orphan_body_aged_out () =
   Alcotest.(check bool) "orphan aged out" false (Replica.holds_body r2 d);
   Alcotest.(check bool) "counted as aged out" true (counted cluster r2 "bodies_aged_out" > aged);
   Alcotest.(check int) "not counted as unanswered" 0 (counted cluster r2 "aged_out_unanswered")
+
+(* Key-refresh rollover: after a replica installs a new key for a
+   client, a request MACed under the old one, sent with no delivery note
+   so the tag must be recomputed, still verifies through the previous
+   key; a tag under neither key fails. *)
+let test_rollover_tag_verifies_by_recomputation () =
+  let cluster = Cluster.create ~seed:67 ~num_clients:1 (Config.default ~f:1) in
+  Cluster.run cluster ~seconds:0.1;
+  let cl = Cluster.client cluster 0 and r2 = Cluster.replica cluster 2 in
+  let old_key = Client.session_key_for cl 2 in
+  let rng = Util.Rng.create 9 in
+  Replica.install_session_key r2 ~addr:(Client.addr cl) (Crypto.Mac.fresh_key rng);
+  let send key id =
+    let payload =
+      Message.Request_msg
+        {
+          Message.rq_client = Option.get (Client.client_id cl);
+          rq_id = 1000 + id;
+          rq_op = "rollover";
+          rq_readonly = false;
+          rq_timestamp = 0.0;
+        }
+    in
+    let auth =
+      Message.Authenticated
+        (Crypto.Authenticator.compute ~keys:[ (2, key) ] (Message.payload_bytes payload))
+    in
+    let before = counted cluster r2 "auth_failures" in
+    Simnet.Net.send (Cluster.net cluster) ~src:(Client.addr cl) ~dst:2
+      (Message.encode { Message.payload; auth });
+    Cluster.run cluster ~seconds:0.01;
+    counted cluster r2 "auth_failures" - before
+  in
+  Alcotest.(check int) "tag under the previous key verifies" 0 (send old_key 1);
+  Alcotest.(check int) "tag under another key fails" 1 (send (Crypto.Mac.fresh_key rng) 2)
 
 (* A restarted view-0 primary comes back believing it leads and queues
    the requests clients multicast to it; it proposes what it can before
@@ -1829,6 +1892,8 @@ let () =
           Alcotest.test_case "Merkle-diff rejoin fetches fewer pages" `Slow
             test_restart_merkle_diff_fewer_pages;
           qcheck prop_crash_restart_equivalent;
+          Alcotest.test_case "rejoin follows a collected checkpoint" `Slow
+            test_restart_rejoin_follows_collected_checkpoint;
           Alcotest.test_case "client session keys reinstalled" `Slow
             test_restart_client_keys_reinstalled;
           Alcotest.test_case "exactly-once across restart" `Slow
@@ -1867,6 +1932,8 @@ let () =
             test_reply_one_mac_tag;
           Alcotest.test_case "reply under another key rejected" `Quick
             test_reply_wrong_key_rejected;
+          Alcotest.test_case "rollover tag verifies by recomputation" `Quick
+            test_rollover_tag_verifies_by_recomputation;
         ] );
       ( "cost-model",
         [

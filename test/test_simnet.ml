@@ -596,6 +596,56 @@ let test_link_corrupt_hook () =
   Simnet.Engine.run e;
   Alcotest.(check (list string)) "corrupted then clean" [ "abc"; "ABC" ] !got
 
+type Simnet.Net.note += Tag of string
+
+let note_tag net =
+  match Simnet.Net.note net with
+  | Some (Tag s) -> Some s
+  | Some _ | None -> None
+
+(* Each handler sees the note of its own delivery and no other; a send
+   without a note delivers none, and nothing is current between
+   deliveries. *)
+let test_net_notes () =
+  let e = Simnet.Engine.create ~seed:1 in
+  let net = Simnet.Net.create e quiet_profile in
+  let got = ref [] in
+  let record dst ~src:_ p = got := (dst, p, note_tag net) :: !got in
+  Simnet.Net.register net 1 (record 1);
+  Simnet.Net.register net 2 (record 2);
+  Simnet.Net.send net ~note:(Tag "a") ~src:0 ~dst:1 "a";
+  Simnet.Net.send net ~src:0 ~dst:1 "b";
+  Simnet.Net.send net ~note:(Tag "c") ~src:0 ~dst:2 "c";
+  Simnet.Net.send net ~src:0 ~dst:2 "d";
+  Simnet.Engine.run e;
+  Alcotest.(check (list (triple int string (option string))))
+    "notes by delivery"
+    [ (1, "a", Some "a"); (1, "b", None); (2, "c", Some "c"); (2, "d", None) ]
+    (List.sort compare !got);
+  Alcotest.(check (option string)) "none outside a handler" None (note_tag net)
+
+(* A corrupt hook that returns its argument keeps the note; one that
+   returns other bytes, even a content-equal copy, drops it. *)
+let test_link_corrupt_note () =
+  let e = Simnet.Engine.create ~seed:1 in
+  let net = Simnet.Net.create e quiet_profile in
+  let got = ref [] in
+  Simnet.Net.register net 1 (fun ~src:_ p -> got := (p, note_tag net) :: !got);
+  let run hook =
+    got := [];
+    Simnet.Net.set_link_corrupt net ~src:0 ~dst:1 hook;
+    Simnet.Net.send net ~note:(Tag "n") ~src:0 ~dst:1 "abc";
+    Simnet.Engine.run e;
+    !got
+  in
+  let seen = Alcotest.(list (pair string (option string))) in
+  Alcotest.(check seen) "identity hook keeps it" [ ("abc", Some "n") ]
+    (run (fun ~dst:_ ~label:_ p -> p));
+  Alcotest.(check seen) "rewriting hook drops it" [ ("ABC", None) ]
+    (run (fun ~dst:_ ~label:_ p -> String.uppercase_ascii p));
+  Alcotest.(check seen) "a copy drops it" [ ("abc", None) ]
+    (run (fun ~dst:_ ~label:_ p -> String.sub p 0 (String.length p)))
+
 let test_reregister_replaces_handler () =
   let e = Simnet.Engine.create ~seed:1 in
   let net = Simnet.Net.create e quiet_profile in
@@ -759,6 +809,7 @@ let () =
           Alcotest.test_case "partition & heal" `Quick test_net_partition_heal;
           Alcotest.test_case "receive-buffer overflow" `Quick test_net_backlog_overflow;
           Alcotest.test_case "NIC serialization" `Quick test_net_bandwidth_serialization;
+          Alcotest.test_case "delivery notes" `Quick test_net_notes;
           Alcotest.test_case "trace capture" `Quick test_trace_capture;
           Alcotest.test_case "trace ring keeps the newest" `Quick test_trace_ring;
         ] );
@@ -767,6 +818,7 @@ let () =
           Alcotest.test_case "one-shot drop: newest match, once" `Quick test_drop_newest_once;
           Alcotest.test_case "drain pending drops" `Quick test_drain_drops;
           Alcotest.test_case "link corruption hook" `Quick test_link_corrupt_hook;
+          Alcotest.test_case "corruption hook and notes" `Quick test_link_corrupt_note;
           Alcotest.test_case "re-register replaces handler" `Quick test_reregister_replaces_handler;
         ] );
       ( "disk",

@@ -350,8 +350,55 @@ let memory_live_budget = (135_000, 172_678)
    without) plus 25% headroom. *)
 let memory_pending_budget = 78
 
+(* Words one [Message.encode] allocates, minor plus straight to the
+   major heap, for a 1 KiB request frame and for a request carrying a
+   24-entry coalesced gateway batch of 256 B ops, each under a 4-tag
+   authenticator. A frame written once at its exact size reads its own
+   words plus 39 (writers, closure, framed record): 176 and 829, set
+   here with about 10% headroom. When the payload was encoded into a
+   growing 256-byte writer, copied out and copied into a second writer,
+   they read 719 and 3,446. *)
+let frame_words_budget = (195, 910)
+
+(* [Gc.minor] flushes the domain's count of direct major allocations
+   into [Gc.quick_stat]; without it a frame over [Max_young_wosize]
+   reads as free. *)
+let words_allocated f =
+  let measure f =
+    Gc.minor ();
+    let m0 = Gc.minor_words () and s0 = Gc.quick_stat () in
+    f ();
+    Gc.minor ();
+    let s1 = Gc.quick_stat () and m1 = Gc.minor_words () in
+    m1 -. m0 +. (s1.major_words -. s1.promoted_words) -. (s0.major_words -. s0.promoted_words)
+  in
+  measure f -. measure ignore
+
+let frame_gates () =
+  let keys = List.init 4 (fun i -> (i, Crypto.Mac.key_of_bytes (String.make 16 (Char.chr (65 + i))))) in
+  let auth = Pbft.Message.Authenticated (Crypto.Authenticator.compute ~keys "") in
+  let request op =
+    {
+      Pbft.Message.payload =
+        Pbft.Message.Request_msg
+          { rq_client = 3; rq_id = 17; rq_op = op; rq_readonly = false; rq_timestamp = 1.5 };
+      auth;
+    }
+  in
+  let batch = Webgate.Frontdoor.encode_coalesced (List.init 24 (fun i -> (1000 + i, String.make 256 'o'))) in
+  let gate name msg budget =
+    let bytes = String.length (Pbft.Message.encode msg) in
+    let words = words_allocated (fun () -> ignore (Sys.opaque_identity (Pbft.Message.encode msg))) in
+    Printf.printf "  %s: %d B, %.0f words per encode (budget %d)\n%!" name bytes words budget;
+    need (words <= float_of_int budget)
+      (Printf.sprintf "encoding a %s allocates %.0f words (budget %d)" name words budget)
+  in
+  let kib = gate "1 KiB request frame" (request (String.make 1024 'o')) (fst frame_words_budget) in
+  kib @ gate "24-entry coalesced frame" (request batch) (snd frame_words_budget)
+
 let run_memory () =
   banner "Bounded replica memory — Table-1 default at two lengths";
+  let frames = frame_gates () in
   let short, long = if !quick then (1.0, 3.0) else (2.0, 6.0) in
   let spec = { (Harness.Run.closed (Pbft.Config.default ~f:1)) with Harness.Run.seed = !seed } in
   let run seconds =
@@ -399,7 +446,8 @@ let run_memory () =
     (growth *. float_of_int (Sys.word_size / 8) /. 1024.0)
     memory_words_budget;
   verdict "memory"
-    (tables
+    (frames
+    @ tables
     @ need
         (unanswered_s + unanswered_l = 0)
         "a body was aged out while its request was unanswered"

@@ -12,15 +12,19 @@
 type t = { tags : (int * string) list }
 (** Association from replica id to its 8-byte tag. *)
 
-val compute : keys:(int * Mac.key) list -> string -> t
+val compute : keys:(int * Mac.key) list -> ?pos:int -> ?len:int -> string -> t
 (** [compute ~keys msg] builds the tag vector; [keys] maps replica id to
-    the session key shared with that replica. *)
+    the session key shared with that replica. [~pos ~len] tag that slice
+    of [msg] (default: all of it). *)
 
-val check : key:Mac.key -> replica:int -> ?sender_keys:(int * Mac.key) list -> string -> t -> bool
+val check :
+  key:Mac.key -> replica:int -> ?sender_keys:(int * Mac.key) list -> ?pos:int -> ?len:int ->
+  string -> t -> bool
 [@@trust.sanitizer
   "authenticator entry check: true vouches that this replica's tag verifies the payload"]
-(** [check ~key ~replica msg t] verifies the tag addressed to [replica];
-    false if the entry is missing or does not verify.
+(** [check ~key ~replica msg t] verifies the tag addressed to [replica]
+    over [msg], or its slice [~pos ~len]; false if the entry is missing
+    or does not verify.
 
     [sender_keys], if given, must be the [keys] that built [t] over
     exactly [msg], as a delivery note ([Pbft.Message.Framed]) records
@@ -28,6 +32,9 @@ val check : key:Mac.key -> replica:int -> ?sender_keys:(int * Mac.key) list -> s
     without recomputing it, with the same verdict. *)
 
 val encode : Util.Codec.W.t -> t -> unit
+
+val size_for : keys:(int * Mac.key) list -> int
+(** The bytes {!encode} writes for [compute ~keys msg], whatever [msg]. *)
 
 val decode : Util.Codec.R.t -> t
 [@@trust.source "authenticator vector parsed from wire bytes"]

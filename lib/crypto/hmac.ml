@@ -34,10 +34,11 @@ let key_bytes k = k.raw
    [Sha256]'s own scratch context. *)
 let work = Sha256.init ()
 
-let mac ~key msg =
+let mac ~key ?(pos = 0) ?len msg =
+  let len = match len with Some n -> n | None -> String.length msg - pos in
   let m = Lazy.force key.mid in
   Sha256.copy_into m.inner ~dst:work;
-  Sha256.feed work msg;
+  Sha256.feed_bytes work (Bytes.unsafe_of_string msg) ~pos ~len;
   let inner = Sha256.finalize work in
   Sha256.copy_into m.outer ~dst:work;
   Sha256.feed work inner;

@@ -8,5 +8,6 @@ val key : string -> key
 
 val key_bytes : key -> string
 
-val mac : key:key -> string -> string
-(** 32-byte authentication tag. *)
+val mac : key:key -> ?pos:int -> ?len:int -> string -> string
+(** 32-byte authentication tag over the [len] bytes of the message from
+    [pos] (default: all of it). *)

@@ -32,21 +32,29 @@ let verifier_of = function
 
 let pad_to size s = if String.length s >= size then s else s ^ String.make (size - String.length s) '\000'
 
-let sign signer msg =
+(* Rabin formats the message into what it hashes: it gets a copy of a slice. *)
+let sign signer ?(pos = 0) ?len msg =
+  let len = Option.value len ~default:(String.length msg - pos) in
   match signer with
-  | Real_signer (_, kp) -> Rabin.signature_to_string (Rabin.sign kp msg)
-  | Sim_signer (_, key) -> pad_to simulated_signature_size (Hmac.mac ~key msg)
+  | Real_signer (_, kp) -> Rabin.signature_to_string (Rabin.sign kp (String.sub msg pos len))
+  | Sim_signer (_, key) -> pad_to simulated_signature_size (Hmac.mac ~key ~pos ~len msg)
 
-let verify verifier msg ~signature =
+(* A counter varint and the length-prefixed root, as long as the modulus. *)
+let signature_size = function
+  | Real_signer (_, kp) -> 1 + String.length (Rabin.public_to_string (Rabin.public kp))
+  | Sim_signer _ -> simulated_signature_size
+
+let verify verifier ?(pos = 0) ?len msg ~signature =
+  let len = Option.value len ~default:(String.length msg - pos) in
   match verifier with
   | Real_verifier (_, pk) -> begin
     match Rabin.signature_of_string signature with
     | None -> false
-    | Some s -> Rabin.verify pk msg s
+    | Some s -> Rabin.verify pk (String.sub msg pos len) s
   end
   | Sim_verifier (_, key) ->
     String.length signature = simulated_signature_size
-    && String.equal (String.sub signature 0 32) (Hmac.mac ~key msg)
+    && String.equal (String.sub signature 0 32) (Hmac.mac ~key ~pos ~len msg)
 
 let verifier_to_string = function
   | Real_verifier (id, pk) ->

@@ -22,10 +22,14 @@ val make : mode -> Util.Rng.t -> id:int -> signer
 val verifier_of : signer -> verifier
 (** The public half, distributable to other nodes. *)
 
-val sign : signer -> string -> string
-(** Signature bytes over the message. *)
+val sign : signer -> ?pos:int -> ?len:int -> string -> string
+(** Signature bytes over the message, or over its [len] bytes from
+    [pos] (default: all of it). *)
 
-val verify : verifier -> string -> signature:string -> bool
+val signature_size : signer -> int
+(** Bytes per signature (for [Real], a root without leading zero bytes). *)
+
+val verify : verifier -> ?pos:int -> ?len:int -> string -> signature:string -> bool
 [@@trust.sanitizer "public-key signature check: true vouches for the signed bytes"]
 
 val verifier_to_string : verifier -> string

@@ -15,13 +15,13 @@ val equal_key : key -> key -> bool
 (** Same key bytes. *)
 
 val tag_size : int
-[@@detlint.allow unused_export "the MAC tests check tag lengths against it"]
 (** 8 bytes. *)
 
-val compute : key:key -> string -> string
-(** [compute ~key msg] is the 8-byte tag. *)
+val compute : key:key -> ?pos:int -> ?len:int -> string -> string
+(** [compute ~key msg] is the 8-byte tag; [~pos ~len] tag that slice of
+    [msg] instead (default: all of it), as {!Hmac.mac}. *)
 
-val verify : key:key -> string -> tag:string -> bool
+val verify : key:key -> ?pos:int -> ?len:int -> string -> tag:string -> bool
 [@@trust.sanitizer "MAC tag check: true vouches that the message bytes were keyed by the peer"]
 
 val fresh_key : Util.Rng.t -> key

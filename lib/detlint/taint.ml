@@ -377,9 +377,14 @@ and eval_desc ctx env (e : expression) : absval =
 
 (* Invoke a function value: bind parameters to argument values and
    evaluate the body, under the caller's env (free variables and killed
-   origins are the caller's — inlining, not a summary). *)
+   origins are the caller's — inlining, not a summary). One not inlined
+   again (on the stack, or past the depth bound) still runs the
+   callbacks it is passed, so sinks in them are seen; its result is clean. *)
 and invoke ctx env (fi : fninfo) (args : (Asttypes.arg_label * absval) list) : absval =
-  if List.mem fi.fn_id ctx.stack || ctx.depth >= max_inline_depth then clean
+  if List.mem fi.fn_id ctx.stack || ctx.depth >= max_inline_depth then begin
+    ignore (generic_apply ctx env [] args);
+    clean
+  end
   else begin
     ctx.stack <- fi.fn_id :: ctx.stack;
     ctx.depth <- ctx.depth + 1;
@@ -459,11 +464,11 @@ and eval_apply ctx env (e : expression) (f : expression) args : absval =
   | Pexp_ident { txt = Longident.Lident "|>"; _ } -> (
     match args with
     | [ (_, x); (_, g) ] -> eval_apply ctx env e g [ (Asttypes.Nolabel, x) ]
-    | _ -> generic_apply ctx env e (flatten_lid (Longident.Lident "|>")) (eval_args ()))
+    | _ -> generic_apply ctx env (flatten_lid (Longident.Lident "|>")) (eval_args ()))
   | Pexp_ident { txt = Longident.Lident "@@"; _ } -> (
     match args with
     | [ (_, g); (_, x) ] -> eval_apply ctx env e g [ (Asttypes.Nolabel, x) ]
-    | _ -> generic_apply ctx env e [ "@@" ] (eval_args ()))
+    | _ -> generic_apply ctx env [ "@@" ] (eval_args ()))
   | Pexp_ident { txt = Longident.Lident "not"; _ } -> (
     match eval_args () with
     | [ (_, v) ] ->
@@ -549,7 +554,7 @@ and dispatch_call ctx env (e : expression) path args : absval =
       | None -> (
         match try_inline ctx env path argvals with
         | Some v -> v
-        | None -> generic_apply ctx env e path argvals)))
+        | None -> generic_apply ctx env path argvals)))
 
 (* Calls to functions bound in this compilation unit are inlined. *)
 and try_inline ctx env path argvals =
@@ -563,7 +568,7 @@ and try_inline ctx env path argvals =
 (* Unknown callee: join argument taints/verdicts; invoke any function
    arguments once with parameters bound to the siblings' taint, so
    callback bodies are analyzed and a predicate's verdict escapes. *)
-and generic_apply ctx env (_e : expression) path argvals =
+and generic_apply ctx env path argvals =
   let data_args = List.filter (fun (_, v) -> v.fn = None) argvals in
   let sibling_taint =
     List.fold_left (fun acc (_, v) -> Oset.union acc (deep_taint v)) Oset.empty data_args

@@ -41,8 +41,7 @@ let rewrite t ~dst wire f =
     | None -> wire
     | Some payload' ->
       t.n_mutations <- t.n_mutations + 1;
-      let pb = Message.payload_bytes payload' in
-      Message.encode_wire ~payload_bytes:pb (fst (Replica.authenticate_to t.replica ~dst pb))
+      (Message.seal payload' (Replica.authenticate_to t.replica ~dst)).frame
   end
 
 (* Equivocation payload: swap the first two batch items. Item order is
@@ -66,14 +65,11 @@ let poisoned_nondet () =
       Util.Codec.W.u64 w 0L)
     ()
 
-let corrupt_tail wire =
-  let n = String.length wire in
-  if n = 0 then wire
-  else begin
-    let b = Bytes.of_string wire in
-    Bytes.set b (n - 1) (Char.chr (Char.code (Bytes.get b (n - 1)) lxor 0x55));
-    Bytes.to_string b
-  end
+(* [wire] with byte [i] flipped. *)
+let corrupt_at wire i =
+  let b = Bytes.of_string wire in
+  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x55));
+  Bytes.to_string b
 
 let replica_addrs t = List.init t.cfg.n (fun i -> i)
 
@@ -103,15 +99,11 @@ let inject_garbage_view_change t =
         vc_replica = id;
       }
   in
-  let pb = Message.payload_bytes payload in
   let label = Message.label payload in
   List.iter
     (fun peer ->
       if peer <> id then begin
-        let wire =
-          Message.encode_wire ~payload_bytes:pb
-            (fst (Replica.authenticate_to t.replica ~dst:peer pb))
-        in
+        let wire = (Message.seal payload (Replica.authenticate_to t.replica ~dst:peer)).frame in
         Simnet.Net.send t.net ~label ~src:id ~dst:peer wire
       end)
     (replica_addrs t)
@@ -145,12 +137,11 @@ let install ~net ~cfg replica behavior =
        pathology, by malice rather than lost session keys. (Corrupting
        the trailer instead would only break the last peer's MAC entry.) *)
     Simnet.Net.set_link_corrupt net ~src ~dst:Simnet.Net.any_addr (fun ~dst:_ ~label:_ wire ->
-        match Message.decode wire with
+        match Message.decode_framed wire with
         | None -> wire
-        | Some msg ->
+        | Some f ->
           t.n_mutations <- t.n_mutations + 1;
-          let pb = Message.payload_bytes msg.Message.payload in
-          Message.encode_wire ~payload_bytes:(corrupt_tail pb) msg.Message.auth)
+          corrupt_at wire (f.Message.pb_pos + f.Message.pb_len - 1))
   | Equivocate ->
     (* Odd-numbered peers get a conflicting pre-prepare; even peers the
        original. Neither cohort alone can assemble a 2f+1 certificate. *)

@@ -76,21 +76,16 @@ let replica_ids t = List.init t.cfg.n (fun i -> i)
    replica: a multicast shares its authenticator (one MAC tag per
    replica), its wire bytes and their note. *)
 let send t ~dsts payload ~signed =
-  let pb = Message.payload_bytes payload in
   let copies = float_of_int (List.length dsts) in
-  let auth, mac_keys, auth_cost =
-    if signed || not t.cfg.use_macs then
-      (Message.Signed (Crypto.Keychain.sign t.signer pb), [], t.costs.sign)
-    else begin
-      let keys = List.map (fun r -> (r, session_key_for t r)) dsts in
-      ( Message.Authenticated (Crypto.Authenticator.compute ~keys pb),
-        keys,
+  let sealer, auth_cost =
+    if signed || not t.cfg.use_macs then (Message.Sign t.signer, t.costs.sign)
+    else
+      ( Message.Macs (List.map (fun r -> (r, session_key_for t r)) dsts),
         copies *. t.costs.mac_gen )
-    end
   in
-  let msg = { Message.payload; auth } in
-  let wire, copy_cost = t.transport.frame ~payload_bytes:pb msg in
-  let note = Message.Framed { msg; payload_bytes = pb; mac_keys } in
+  let framed = Message.seal payload sealer in
+  let wire, copy_cost = t.transport.frame framed in
+  let note = Message.Framed framed in
   let label = Message.label payload in
   let detail () = Message.describe payload in
   charge t
@@ -376,13 +371,14 @@ let leave t =
 (* ------------------------------------------------------------------ *)
 (* Receive path.                                                        *)
 
-let verify_reply_auth t ~src ({ msg; payload_bytes = pb; mac_keys } : Message.framed) =
+let verify_reply_auth t ~src ({ msg; frame; pb_pos = pos; pb_len = len; mac_keys } : Message.framed)
+    =
   match msg.auth with
   | Message.No_auth -> (0.0, false)
   | Message.Signed s -> begin
     if src < Array.length t.registry.reg_verifiers then
       ( t.costs.sig_verify,
-        Crypto.Keychain.verify t.registry.reg_verifiers.(src) pb ~signature:s )
+        Crypto.Keychain.verify t.registry.reg_verifiers.(src) ~pos ~len frame ~signature:s )
     else (0.0, false)
   end
   | Message.Authenticated a -> begin
@@ -390,7 +386,7 @@ let verify_reply_auth t ~src ({ msg; payload_bytes = pb; mac_keys } : Message.fr
     | None -> (0.0, false)
     | Some key ->
       ( t.costs.mac_verify,
-        Crypto.Authenticator.check ~key ~replica:t.caddr ~sender_keys:mac_keys pb a )
+        Crypto.Authenticator.check ~key ~replica:t.caddr ~sender_keys:mac_keys ~pos ~len frame a )
   end
 
 let on_datagram t ~src wire =

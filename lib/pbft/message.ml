@@ -74,12 +74,20 @@ type t = { payload : payload; auth : auth }
 
 (* --- request --- *)
 
-let enc_request w r =
+(* Head, op bytes, tail: the digest hashes the op in place. *)
+let enc_request_head w r =
   W.varint w r.rq_client;
   W.varint w r.rq_id;
-  W.lstring w r.rq_op;
+  W.varint w (String.length r.rq_op)
+
+let enc_request_tail w r =
   W.bool w r.rq_readonly;
   W.f64 w r.rq_timestamp
+
+let enc_request w r =
+  enc_request_head w r;
+  W.string w r.rq_op;
+  enc_request_tail w r
 
 let dec_request r =
   let rq_client = R.varint r in
@@ -407,27 +415,52 @@ let dec_auth r =
   | 2 -> Authenticated (Crypto.Authenticator.decode r)
   | _ -> raise R.Truncated
 
-let payload_bytes p = Util.Codec.encode enc_payload p
+type framed =
+  { msg : t; frame : string; pb_pos : int; pb_len : int; mac_keys : (int * Crypto.Mac.key) list }
 
-let encode_wire ~payload_bytes:pb auth =
-  let w = W.create ~capacity:(String.length pb + 96) () in
-  W.lstring w pb;
-  enc_auth w auth;
-  W.contents w
-
-let encode t = encode_wire ~payload_bytes:(payload_bytes t.payload) t.auth
-
-type framed = { msg : t; payload_bytes : string; mac_keys : (int * Crypto.Mac.key) list }
 type Simnet.Net.note += Framed of framed
+type sealer = Sign of Crypto.Keychain.signer | Macs of (int * Crypto.Mac.key) list
+
+(* The one frame writer: the payload's length and bytes, then the auth
+   [seal] computes over them where they lie, in one buffer. *)
+let write payload ~auth_size ~mac_keys seal =
+  let plen = Util.Codec.size enc_payload payload in
+  let pos = W.varint_size plen and auth = ref No_auth in
+  let frame =
+    Util.Codec.encode ~size:(pos + plen + auth_size) (fun w () ->
+        W.varint w plen;
+        enc_payload w payload;
+        auth := seal (W.peek w) ~pos ~len:plen;
+        enc_auth w !auth)
+      ()
+  in
+  { msg = { payload; auth = !auth }; frame; pb_pos = pos; pb_len = plen; mac_keys }
+
+let seal payload = function
+  | Sign signer ->
+    let n = Crypto.Keychain.signature_size signer in
+    write payload ~auth_size:(1 + W.varint_size n + n) ~mac_keys:[] (fun s ~pos ~len ->
+        Signed (Crypto.Keychain.sign signer ~pos ~len s))
+  | Macs keys ->
+    write payload ~auth_size:(1 + Crypto.Authenticator.size_for ~keys) ~mac_keys:keys
+      (fun s ~pos ~len -> Authenticated (Crypto.Authenticator.compute ~keys ~pos ~len s))
+
+let framed_of t =
+  write t.payload ~auth_size:(Util.Codec.size enc_auth t.auth) ~mac_keys:[] (fun _ ~pos:_ ~len:_ ->
+      t.auth)
+
+let encode t = (framed_of t).frame
 
 let decode_framed s =
   match
     Util.Codec.decode
       (fun r ->
-        let pb = R.lstring r in
+        let pb_len = R.varint r in
+        let pb_pos = R.pos r in
+        let payload = dec_payload r in
+        if R.pos r - pb_pos <> pb_len then raise R.Truncated;
         let auth = dec_auth r in
-        let payload = Util.Codec.decode dec_payload pb in
-        { msg = { payload; auth }; payload_bytes = pb; mac_keys = [] })
+        { msg = { payload; auth }; frame = s; pb_pos; pb_len; mac_keys = [] })
       s
   with
   | f -> Some f
@@ -444,7 +477,7 @@ let received net wire =
   | Some (Framed f) -> Some f
   | Some _ | None -> decode_framed wire
 
-let digest_of_payload p = Crypto.Sha256.digest (payload_bytes p)
+let digest_of_payload p = Crypto.Sha256.digest (Util.Codec.encode enc_payload p)
 
 (* request → digest, direct-mapped on (client, id) and confirmed by
    physical equality. The same request body is digested at ≥6 sites per
@@ -463,7 +496,11 @@ let request_digest rq =
      record only costs a recompute of the same digest. *)
   | Some (r, d) when ((r == rq) [@detlint.allow physical_eq]) -> d
   | _ ->
-    let d = Crypto.Sha256.digest ("req|" ^ Util.Codec.encode enc_request rq) in
+    (* The bytes of ["req|" ^ encode enc_request rq], fed in parts. *)
+    let ctx = Crypto.Sha256.init () in
+    List.iter (Crypto.Sha256.feed ctx)
+      [ "req|"; Util.Codec.encode enc_request_head rq; rq.rq_op; Util.Codec.encode enc_request_tail rq ];
+    let d = Crypto.Sha256.finalize ctx in
     Array.unsafe_set rq_digest_cache idx (Some (rq, d));
     d
 
@@ -476,7 +513,10 @@ let batch_item_client_id = function
   | Digest_of d -> (d.bd_client, d.bd_id)
 
 let batch_digest items =
-  Crypto.Sha256.digest ("batch|" ^ String.concat "" (List.map batch_item_digest items))
+  let ctx = Crypto.Sha256.init () in
+  Crypto.Sha256.feed ctx "batch|";
+  List.iter (fun item -> Crypto.Sha256.feed ctx (batch_item_digest item)) items;
+  Crypto.Sha256.finalize ctx
 
 let label = function
   | Request_msg _ -> "request"

@@ -100,6 +100,35 @@ type payload =
 
 type t = { payload : payload; auth : auth }
 
+(** A message with its wire frame (payload length and bytes, then auth). Sent as the
+    datagram's {!Simnet.Net.note}, which arrives only with the sender's exact bytes, it
+    spares the receiver the decode and the MAC recomputation. *)
+type framed = {
+  msg : t;
+  frame : string;  (** [msg]'s wire bytes *)
+  pb_pos : int;
+  pb_len : int;
+      (** what [msg]'s signature or MACs cover: the [pb_len] payload
+          bytes of [frame] from [pb_pos], a slice, never a copy *)
+  mac_keys : (int * Crypto.Mac.key) list;
+      (** the keys the sender computed [msg]'s authenticator with, for
+          {!Crypto.Authenticator.check}'s [sender_keys]; [[]] when
+          unknown (decoded off the wire) or not MAC-authenticated *)
+}
+
+type Simnet.Net.note += Framed of framed
+
+(** A signature, or an authenticator with one tag per (replica, key). *)
+type sealer = Sign of Crypto.Keychain.signer | Macs of (int * Crypto.Mac.key) list
+
+val seal : payload -> sealer -> framed
+(** The frame, written once into one buffer of its exact size: the
+    payload, then the auth computed over that slice ([mac_keys] are the
+    [Macs] keys). *)
+
+val framed_of : t -> framed
+(** As {!seal} writes it, for a message whose auth is already known. *)
+
 val encode : t -> string
 
 val decode : string -> t option
@@ -109,35 +138,14 @@ val decode : string -> t option
     the trustlint source annotation enforces that no replica/client
     state is touched before the MAC/signature check. *)
 
-val payload_bytes : payload -> string
-(** Canonical encoding of the payload alone — the byte string that is
-    signed / MACed and digested. Encodes afresh on every call; a
-    receiver reads the bytes off its {!framed} delivery instead. *)
-
-val encode_wire : payload_bytes:string -> auth -> string
-(** Assemble the wire form from already-encoded payload bytes plus the
-    authenticator — the encode-once multicast path: serialize the payload
-    once, then call this per wire (the bytes themselves can be reused
-    across destinations when the auth is shared too). *)
-
-(** A message as its sender framed it: sent as the datagram's
-    {!Simnet.Net.note}, which arrives only with the sender's exact bytes,
-    it spares the receiver the decode and the MAC recomputation. *)
-type framed = {
-  msg : t;
-  payload_bytes : string;  (** what [msg]'s signature or MACs cover *)
-  mac_keys : (int * Crypto.Mac.key) list;
-      (** the keys the sender computed [msg]'s authenticator with, for
-          {!Crypto.Authenticator.check}'s [sender_keys]; [[]] when
-          unknown (decoded off the wire) or not MAC-authenticated *)
-}
-
-type Simnet.Net.note += Framed of framed
+val decode_framed : string -> framed option
+[@@trust.source "protocol frame decoded off the wire"]
+(** {!decode}, keeping the frame; the payload is decoded in place. *)
 
 val received : Simnet.Net.t -> string -> framed option
 [@@trust.source "protocol message delivered off the wire, from the sender's note or decoded"]
 (** Inside a receive handler of that net: the sender's {!Framed} note if
-    the datagram has one, else the bytes decoded as by {!decode}. *)
+    the datagram has one, else the bytes decoded as by {!decode_framed}. *)
 
 val digest_of_payload : payload -> digest
 val request_digest : request -> digest

@@ -237,17 +237,14 @@ let pipelined t = t.cfg.pipeline_depth > 1
 (* The other replicas, in id order. *)
 let peers t = List.filter (fun peer -> peer <> t.id) (List.init t.cfg.n Fun.id)
 
-(* Each authenticator comes with the keys its tags were computed under. *)
-let make_auth_multicast t payload_bytes =
-  if t.cfg.use_macs then begin
-    let keys =
-      List.filter_map
-        (fun peer -> Option.map (fun k -> (peer, k)) (Hashtbl.find_opt t.keys_i_chose peer))
-        (peers t)
-    in
-    (Message.Authenticated (Crypto.Authenticator.compute ~keys payload_bytes), keys)
-  end
-  else (Message.Signed (Crypto.Keychain.sign t.signer payload_bytes), [])
+(* One authenticator (a tag per peer whose key is known), or a signature. *)
+let multicast_sealer t =
+  if t.cfg.use_macs then
+    Message.Macs
+      (List.filter_map
+         (fun peer -> Option.map (fun k -> (peer, k)) (Hashtbl.find_opt t.keys_i_chose peer))
+         (peers t))
+  else Message.Sign t.signer
 
 (* The key a message to [dst] alone is MACed under: the one this replica
    chose for a peer replica, or the one a client sent in its Session_key.
@@ -256,12 +253,10 @@ let session_key_to t dst =
   if not t.cfg.use_macs then None
   else Hashtbl.find_opt (if dst < t.cfg.n then t.keys_i_chose else t.keys_peers_chose) dst
 
-let authenticate_to t ~dst payload_bytes =
+let authenticate_to t ~dst =
   match session_key_to t dst with
-  | Some k ->
-    let keys = [ (dst, k) ] in
-    (Message.Authenticated (Crypto.Authenticator.compute ~keys payload_bytes), keys)
-  | None -> (Message.Signed (Crypto.Keychain.sign t.signer payload_bytes), [])
+  | Some k -> Message.Macs [ (dst, k) ]
+  | None -> Message.Sign t.signer
 
 (* What [authenticate_to] costs: one MAC tag, or one signature. *)
 let auth_cost_to t ~dst =
@@ -285,7 +280,7 @@ let verifier_for_addr t addr =
    sender's note shows it computed under the key held here for it is
    accepted without rehashing ([Authenticator.check]'s [sender_keys]);
    the cost charged is the same. *)
-let check_auth t ~src ({ msg; payload_bytes = pb; mac_keys } : Message.framed) =
+let check_auth t ~src ({ msg; frame; pb_pos = pos; pb_len = len; mac_keys } : Message.framed) =
   match msg.auth with
   | Message.No_auth -> (0.0, false)
   | Message.Signed s -> begin
@@ -298,10 +293,12 @@ let check_auth t ~src ({ msg; payload_bytes = pb; mac_keys } : Message.framed) =
     in
     match v with
     | None -> (t.costs.sig_verify, false)
-    | Some v -> (t.costs.sig_verify, Crypto.Keychain.verify v pb ~signature:s)
+    | Some v -> (t.costs.sig_verify, Crypto.Keychain.verify v ~pos ~len frame ~signature:s)
   end
   | Message.Authenticated a -> begin
-    let check key = Crypto.Authenticator.check ~key ~replica:t.id ~sender_keys:mac_keys pb a in
+    let check key =
+      Crypto.Authenticator.check ~key ~replica:t.id ~sender_keys:mac_keys ~pos ~len frame a
+    in
     match Hashtbl.find_opt t.keys_peers_chose src with
     | Some key when check key -> (t.costs.mac_verify, true)
     | Some _ -> begin
@@ -324,15 +321,14 @@ let send_wire t ~dst ~already_charged ~label ~detail ~note wire =
   let go () = Simnet.Net.send t.net ~label ~detail ~note ~src:t.id ~dst wire in
   if already_charged then go () else charge t (send_cost t (String.length wire)) go
 
-(* The wire bytes of [payload] (encoded to [pb]) under [auth], and the
-   note that spares a receiver the decode and tags made under [mac_keys]. *)
-let frame payload ~pb (auth, mac_keys) =
-  ( Message.encode_wire ~payload_bytes:pb auth,
-    Message.Framed { msg = { payload; auth }; payload_bytes = pb; mac_keys } )
+(* The wire bytes of [payload] sealed by [sealer], and the note that
+   spares a receiver the decode and the tags made under its keys. *)
+let frame payload sealer =
+  let framed = Message.seal payload sealer in
+  (framed.frame, Message.Framed framed)
 
 let send_to t ?(already_charged = false) ~dst payload =
-  let pb = Message.payload_bytes payload in
-  let wire, note = frame payload ~pb (authenticate_to t ~dst pb) in
+  let wire, note = frame payload (authenticate_to t ~dst) in
   let label = Message.label payload in
   let detail () = Message.describe payload in
   if already_charged then send_wire t ~dst ~already_charged:true ~label ~detail ~note wire
@@ -341,10 +337,9 @@ let send_to t ?(already_charged = false) ~dst payload =
         send_wire t ~dst ~already_charged:false ~label ~detail ~note wire)
 
 let multicast_replicas t ?(already_charged = false) payload =
-  let pb = Message.payload_bytes payload in
   (* One authenticator (all n−1 MAC tags), wire string and note serve
      every peer. *)
-  let wire, note = frame payload ~pb (make_auth_multicast t pb) in
+  let wire, note = frame payload (multicast_sealer t) in
   let label = Message.label payload in
   let detail () = Message.describe payload in
   let go () =
@@ -356,12 +351,12 @@ let multicast_replicas t ?(already_charged = false) payload =
 (* Key establishment always uses signatures (the MAC keys are what is
    being distributed): one signature covers every destination. *)
 let send_signed t ~dsts payload =
-  let pb = Message.payload_bytes payload in
-  let wire, note = frame payload ~pb (Message.Signed (Crypto.Keychain.sign t.signer pb), []) in
+  let framed = Message.seal payload (Message.Sign t.signer) in
+  let wire = framed.frame and note = Message.Framed framed in
   let label = Message.label payload in
   let detail () = Message.describe payload in
   charge t
-    (t.costs.sign +. send_cost t ((String.length pb + 80) * List.length dsts))
+    (t.costs.sign +. send_cost t ((framed.pb_len + 80) * List.length dsts))
     (fun () ->
       List.iter (fun dst -> send_wire t ~dst ~already_charged:true ~label ~detail ~note wire) dsts)
 

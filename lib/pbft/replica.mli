@@ -113,14 +113,12 @@ val signer : t -> Crypto.Keychain.signer
 (** This replica's signing key. Exposed for fault injection: a Byzantine
     replica forges messages that carry its legitimate signature. *)
 
-val authenticate_to : t -> dst:int -> string -> Message.auth * (int * Crypto.Mac.key) list
-(** Authentication for payload bytes sent to [dst] alone: in MAC mode one
-    tag under the session key for [dst] (the one this replica chose for a
-    peer replica, the one a client sent in its [Session_key]), otherwise,
-    or while no key is known, a signature. Returned with the keys the
-    tags were computed under ([[]] for a signature), as a
-    {!Message.framed} note records them. Exposed for {!Adversary},
-    which must re-authenticate messages it rewrites in flight. *)
+val authenticate_to : t -> dst:int -> Message.sealer
+(** How a message to [dst] alone is sealed: in MAC mode one tag under
+    the session key for [dst] (the one this replica chose for a peer
+    replica, the one a client sent in its [Session_key]), otherwise, or
+    while no key is known, a signature. Exposed for {!Adversary}, which
+    must re-authenticate messages it rewrites in flight. *)
 
 val set_record_journal : t -> bool -> unit
 (** Enable the committed-execution journal (off by default — benign runs

@@ -2,7 +2,7 @@ open Types
 
 type t = {
   address : replica_id -> int;
-  frame : payload_bytes:string -> Message.t -> string * float;
+  frame : Message.framed -> string * float;
   unframe : Simnet.Net.t -> string -> Message.framed option * float;
 }
 
@@ -10,9 +10,7 @@ let datagram costs =
   {
     address = (fun r -> r);
     frame =
-      (fun ~payload_bytes (msg : Message.t) ->
-        let wire = Message.encode_wire ~payload_bytes msg.auth in
-        (wire, Costmodel.send costs (String.length wire)));
+      (fun (f : Message.framed) -> (f.frame, Costmodel.send costs (String.length f.frame)));
     unframe =
       (fun net wire -> (Message.received net wire, Costmodel.recv costs (String.length wire)));
   }

@@ -11,9 +11,9 @@ open Types
 
 type t = {
   address : replica_id -> int;  (** network address a frame for replica [r] is sent to *)
-  frame : payload_bytes:string -> Message.t -> string * float;
-      (** the wire form of an outbound message (whose payload encodes to
-          [payload_bytes]) and the CPU charge for each copy sent *)
+  frame : Message.framed -> string * float;
+      (** the wire form of an outbound message, sealed, and the CPU
+          charge for each copy sent *)
   unframe : (Simnet.Net.t -> string -> Message.framed option * float)
     [@trust.source "client-bound message unframed off the wire"];
       (** the message an inbound wire carries ([None] if malformed), read
@@ -22,6 +22,6 @@ type t = {
 }
 
 val datagram : Costmodel.t -> t
-(** The native binary protocol over UDP: {!Message.encode_wire} once
+(** The native binary protocol over UDP: the sealed frame itself, once
     per multicast, {!Message.received} on receive (the sender's note,
     or a decode), and the cost model's datagram-stack charges. *)

@@ -1,78 +1,84 @@
 module W = struct
-  type t = { mutable buf : Bytes.t; mutable len : int }
+  (* A writer that [counts] writes nothing and only advances [len]:
+     running an encoder on one gives its exact length. *)
+  type t = { mutable buf : Bytes.t; mutable len : int; counts : bool }
 
-  let create ?(capacity = 256) () = { buf = Bytes.create (max capacity 16); len = 0 }
+  let create ?(capacity = 256) () = { buf = Bytes.create (max capacity 16); len = 0; counts = false }
   let length t = t.len
 
-  let ensure t extra =
-    let need = t.len + extra in
-    let cap = Bytes.length t.buf in
-    if need > cap then begin
-      let cap' = ref (cap * 2) in
-      while need > !cap' do
-        cap' := !cap' * 2
-      done;
-      let bigger = Bytes.create !cap' in
-      Bytes.blit t.buf 0 bigger 0 t.len;
+  (* Room for [n] more bytes: the offset to write them at, or -1 on a
+     counting writer. A full buffer doubles until they fit. *)
+  let reserve t n =
+    let at = t.len in
+    t.len <- at + n;
+    if (not t.counts) && t.len > Bytes.length t.buf then begin
+      let cap = ref (Int.max 16 (2 * Bytes.length t.buf)) in
+      while t.len > !cap do cap := 2 * !cap done;
+      let bigger = Bytes.create !cap in
+      Bytes.blit t.buf 0 bigger 0 at;
       t.buf <- bigger
-    end
+    end;
+    if t.counts then -1 else at
+
+  let[@inline] set t at v = Bytes.unsafe_set t.buf at (Char.unsafe_chr (v land 0xff))
 
   let u8 t v =
-    ensure t 1;
-    Bytes.unsafe_set t.buf t.len (Char.unsafe_chr (v land 0xff));
-    t.len <- t.len + 1
+    let at = reserve t 1 in
+    if at >= 0 then set t at v
 
-  let u16 t v =
-    ensure t 2;
-    Bytes.unsafe_set t.buf t.len (Char.unsafe_chr (v land 0xff));
-    Bytes.unsafe_set t.buf (t.len + 1) (Char.unsafe_chr ((v lsr 8) land 0xff));
-    t.len <- t.len + 2
+  (* Little-endian, [n] bytes of [v]. *)
+  let fixed t n v =
+    let at = reserve t n in
+    if at >= 0 then for i = 0 to n - 1 do set t (at + i) (v lsr (8 * i)) done
 
-  let u32 t v =
-    ensure t 4;
-    Bytes.unsafe_set t.buf t.len (Char.unsafe_chr (v land 0xff));
-    Bytes.unsafe_set t.buf (t.len + 1) (Char.unsafe_chr ((v lsr 8) land 0xff));
-    Bytes.unsafe_set t.buf (t.len + 2) (Char.unsafe_chr ((v lsr 16) land 0xff));
-    Bytes.unsafe_set t.buf (t.len + 3) (Char.unsafe_chr ((v lsr 24) land 0xff));
-    t.len <- t.len + 4
+  let u16 t v = fixed t 2 v
+  let u32 t v = fixed t 4 v
 
   let u64 t v =
-    ensure t 8;
-    Bytes.set_int64_le t.buf t.len v;
-    t.len <- t.len + 8
+    let at = reserve t 8 in
+    if at >= 0 then Bytes.set_int64_le t.buf at v
 
   let int_as_u64 t v = u64 t (Int64.of_int v)
-  let f64 t v = u64 t (Int64.bits_of_float v)
 
-  (* A varint is at most 9 bytes (63-bit non-negative int, 7 bits per
-     byte); reserve once and loop — no recursion, one bounds check. *)
+  (* Not [u64 t (Int64.bits_of_float v)]: that boxes the int64 on its way in. *)
+  let f64 t v =
+    let at = reserve t 8 in
+    if at >= 0 then Bytes.set_int64_le t.buf at (Int64.bits_of_float v)
+
+  let varint_size v =
+    let rec go n v = if v < 0x80 then n else go (n + 1) (v lsr 7) in
+    go 1 v
+
   let varint t v =
     if v < 0 then invalid_arg "Codec.W.varint: negative";
-    ensure t 9;
-    let v = ref v in
-    while !v >= 0x80 do
-      Bytes.unsafe_set t.buf t.len (Char.unsafe_chr (0x80 lor (!v land 0x7f)));
-      t.len <- t.len + 1;
-      v := !v lsr 7
-    done;
-    Bytes.unsafe_set t.buf t.len (Char.unsafe_chr !v);
-    t.len <- t.len + 1
+    let at = reserve t (varint_size v) in
+    if at >= 0 then begin
+      let v = ref v and at = ref at in
+      while !v >= 0x80 do
+        set t !at (0x80 lor (!v land 0x7f));
+        incr at;
+        v := !v lsr 7
+      done;
+      set t !at !v
+    end
 
   let bool t v = u8 t (if v then 1 else 0)
 
   let string t s =
     let n = String.length s in
-    ensure t n;
-    Bytes.blit_string s 0 t.buf t.len n;
-    t.len <- t.len + n
+    let at = reserve t n in
+    if at >= 0 then Bytes.blit_string s 0 t.buf at n
 
   let lstring t s =
     varint t (String.length s);
     string t s
 
+  (* Not [List.iter (enc t) l]: that allocates a closure per list. *)
+  let rec each t enc = function [] -> () | x :: l -> enc t x; each t enc l
+
   let list t enc l =
     varint t (List.length l);
-    List.iter (enc t) l
+    each t enc l
 
   let option t enc = function
     | None -> bool t false
@@ -80,7 +86,7 @@ module W = struct
       bool t true;
       enc t v
 
-  let contents t = Bytes.sub_string t.buf 0 t.len
+  let peek t = Bytes.unsafe_to_string t.buf
 
   let contents_padded t n =
     if t.len > n then invalid_arg "Codec.W.contents_padded: longer than the target";
@@ -155,6 +161,8 @@ module R = struct
     if n < 0 || remaining t < n then raise Truncated;
     t.pos <- t.pos + n
 
+  let pos t = t.pos
+
   let list t dec =
     let n = varint t in
     List.init n (fun _ -> dec t)
@@ -163,10 +171,18 @@ module R = struct
   let expect_end t = if remaining t <> 0 then raise Truncated
 end
 
-let encode enc v =
-  let w = W.create () in
+let size enc v =
+  let w = { W.buf = Bytes.empty; len = 0; counts = true } in
   enc w v;
-  W.contents w
+  w.len
+
+(* A buffer the encoder filled exactly becomes the string itself: [w]
+   never escapes, so nothing can write to it afterwards. *)
+let encode ?size:n enc v =
+  let n = match n with Some n -> n | None -> size enc v in
+  let w = { W.buf = Bytes.create n; len = 0; counts = false } in
+  enc w v;
+  if w.len = n then Bytes.unsafe_to_string w.buf else Bytes.sub_string w.buf 0 w.len
 
 let decode dec s =
   let r = R.of_string s in

@@ -19,6 +19,7 @@ module W : sig
   val int_as_u64 : t -> int -> unit
   val f64 : t -> float -> unit
   val varint : t -> int -> unit
+  val varint_size : int -> int
   val bool : t -> bool -> unit
 
   val string : t -> string -> unit
@@ -31,7 +32,9 @@ module W : sig
 
   val option : t -> (t -> 'a -> unit) -> 'a option -> unit
 
-  val contents : t -> string
+  val peek : t -> string
+  (** The buffer itself, not a copy, whose first [length w] bytes are
+      written: to MAC a slice just written. Do not keep it. *)
 
   val contents_padded : t -> int -> string
   (** [contents_padded w n]: the contents followed by zero bytes up to
@@ -64,12 +67,19 @@ module R : sig
   val skip : t -> int -> unit
   (** Step over [n] bytes without copying them. *)
 
+  val pos : t -> int
   val list : t -> (t -> 'a) -> 'a list
   val option : t -> (t -> 'a) -> 'a option
 end
 
-val encode : (W.t -> 'a -> unit) -> 'a -> string
-(** [encode enc v] runs [enc] on a fresh writer and returns the buffer. *)
+val size : (W.t -> 'a -> unit) -> 'a -> int
+(** The exact length of [encode enc v]: [enc] runs on a writer that only counts. *)
+
+val encode : ?size:int -> (W.t -> 'a -> unit) -> 'a -> string
+(** [encode enc v] writes [v] once, into a buffer of [size enc v] bytes
+    that becomes the result without a copy. An encoder that must run
+    once (it MACs what it wrote) passes [~size]; a wrong one costs a
+    growth or a copy, never different bytes. *)
 
 val decode : (R.t -> 'a) -> string -> 'a
 (** [decode dec s] decodes the full string, raising [R.Truncated] if the

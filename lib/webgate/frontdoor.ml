@@ -67,26 +67,26 @@ let decode_reply wire =
 let coalesce_magic = "GWB1"
 
 let encode_coalesced entries =
-  coalesce_magic
-  ^ Util.Codec.encode
-      (fun w l ->
-        Util.Codec.W.list w
-          (fun w (session, op) ->
-            Util.Codec.W.varint w session;
-            Util.Codec.W.lstring w op)
-          l)
-      entries
+  Util.Codec.encode
+    (fun w l ->
+      Util.Codec.W.string w coalesce_magic;
+      Util.Codec.W.list w
+        (fun w (session, op) ->
+          Util.Codec.W.varint w session;
+          Util.Codec.W.lstring w op)
+        l)
+    entries
 
 let decode_coalesced op =
-  let mlen = String.length coalesce_magic in
-  if String.length op >= mlen && String.sub op 0 mlen = coalesce_magic then
+  if String.starts_with ~prefix:coalesce_magic op then
     decode_opt
       (fun r ->
+        Util.Codec.R.skip r (String.length coalesce_magic);
         Util.Codec.R.list r (fun r ->
             let session = Util.Codec.R.varint r in
             let o = Util.Codec.R.lstring r in
             (session, o)))
-      (String.sub op mlen (String.length op - mlen))
+      op
   else None
 
 let encode_results results = Util.Codec.encode (fun w l -> Util.Codec.W.list w Util.Codec.W.lstring l) results

@@ -61,7 +61,6 @@ val decode_reply : string -> (status * int * int * string) option
 (** {1 Coalesced upstream operations} *)
 
 val encode_coalesced : (int * string) list -> string
-[@@detlint.allow unused_export "the front-door codec round-trip tests"]
 (** Pack [(session, op)] pairs into one upstream operation. *)
 
 val decode_coalesced : string -> (int * string) list option

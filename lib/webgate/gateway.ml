@@ -170,12 +170,12 @@ let json_transport =
   {
     Pbft.Transport.address = bridge_addr;
     frame =
-      (fun ~payload_bytes:_ msg ->
-        match frame_of_message msg with
+      (fun (f : M.framed) ->
+        match frame_of_message f.msg with
         | Some j ->
           let text = Json.print j in
           (text, json_cost (String.length text))
-        | None -> invalid_arg ("Gateway.json_transport: no JSON frame for " ^ M.label msg.payload));
+        | None -> invalid_arg ("Gateway.json_transport: no JSON frame for " ^ M.label f.msg.payload));
     unframe =
       (fun _net wire ->
         (* The reverse bridge: replicas answer in the native format, and
@@ -186,10 +186,7 @@ let json_transport =
         | None -> (None, 0.0)
         | Some j ->
           let text = Json.print j in
-          let framed (msg : M.t) =
-            { M.msg; payload_bytes = M.payload_bytes msg.payload; mac_keys = [] }
-          in
-          (Option.map framed (decode_frame text), json_cost (String.length text)));
+          (Option.map M.framed_of (decode_frame text), json_cost (String.length text)));
   }
 
 (* --- bridge --- *)

@@ -485,6 +485,47 @@ let test_keychain_modes () =
       | None -> Alcotest.fail "verifier decode")
     [ Crypto.Keychain.Simulated; Crypto.Keychain.Real 256 ]
 
+(* A slice [~pos ~len] authenticates exactly what a copy of it would,
+   for every primitive a frame is sealed and checked with: the bytes
+   around the slice change nothing, a byte inside it changes the verdict,
+   and the sizes a frame reserves are the sizes written. *)
+let test_slices () =
+  let rng = Util.Rng.create 23 in
+  let frame = "head|" ^ String.make 300 'p' ^ "|tail" and pos = 5 and len = 300 in
+  let payload = String.sub frame pos len in
+  let other = "HEAD|" ^ payload ^ "|TAIL" in
+  let flipped = Bytes.of_string frame in
+  Bytes.set flipped (pos + len - 1) 'q';
+  let flipped = Bytes.to_string flipped in
+  let hkey = Crypto.Hmac.key "k" in
+  Alcotest.(check string) "hmac" (Crypto.Hmac.mac ~key:hkey payload)
+    (Crypto.Hmac.mac ~key:hkey ~pos ~len frame);
+  let keys = List.init 3 (fun i -> (i, Crypto.Mac.fresh_key rng)) in
+  let auth = Crypto.Authenticator.compute ~keys ~pos ~len frame in
+  Alcotest.(check bool) "tags as over a copy" true (auth = Crypto.Authenticator.compute ~keys payload);
+  Alcotest.(check int) "size_for"
+    (String.length (Util.Codec.encode Crypto.Authenticator.encode auth))
+    (Crypto.Authenticator.size_for ~keys);
+  List.iter
+    (fun (i, key) ->
+      Alcotest.(check bool) "check over the slice" true
+        (Crypto.Authenticator.check ~key ~replica:i ~pos ~len other auth);
+      Alcotest.(check bool) "a flipped payload byte fails" false
+        (Crypto.Authenticator.check ~key ~replica:i ~pos ~len flipped auth))
+    keys;
+  List.iter
+    (fun mode ->
+      let signer = Crypto.Keychain.make mode rng ~id:2 in
+      let v = Crypto.Keychain.verifier_of signer in
+      let s = Crypto.Keychain.sign signer ~pos ~len frame in
+      Alcotest.(check int) "signature_size" (Crypto.Keychain.signature_size signer) (String.length s);
+      Alcotest.(check bool) "signature over the slice" true
+        (Crypto.Keychain.verify v payload ~signature:s
+        && Crypto.Keychain.verify v ~pos ~len other ~signature:s);
+      Alcotest.(check bool) "a flipped payload byte fails" false
+        (Crypto.Keychain.verify v ~pos ~len flipped ~signature:s))
+    [ Crypto.Keychain.Simulated; Crypto.Keychain.Real 256 ]
+
 (* --- Shamir secret sharing --- *)
 
 let field = lazy (Bignum.Prime.generate (Util.Rng.create 31) ~bits:80)
@@ -618,7 +659,11 @@ let () =
           Alcotest.test_case "rejections" `Quick test_rabin_rejects;
           Alcotest.test_case "wire" `Quick test_rabin_wire;
         ] );
-      ("keychain", [ Alcotest.test_case "both modes" `Quick test_keychain_modes ]);
+      ( "keychain",
+        [
+          Alcotest.test_case "both modes" `Quick test_keychain_modes;
+          Alcotest.test_case "slices" `Quick test_slices;
+        ] );
       ( "shamir",
         [
           Alcotest.test_case "reconstruct from any k" `Quick test_shamir_reconstruct_subsets;

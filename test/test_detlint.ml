@@ -243,10 +243,48 @@ let test_trust_delivery_note () =
        \    match f.Message.msg.Message.auth with\n\
        \    | Message.Authenticated a ->\n\
        \      if Crypto.Authenticator.check ~key ~replica:0 ~sender_keys:f.Message.mac_keys\n\
-       \           f.Message.payload_bytes a\n\
+       \           ~pos:f.Message.pb_pos ~len:f.Message.pb_len f.Message.frame a\n\
        \      then Hashtbl.replace t f.Message.msg ()\n\
        \    | _ -> ())\n\
        \  | None -> ()\n")
+
+(* The replica's intake shape: the verdict of [check_auth] comes back in
+   a tuple and the dispatch runs in a second [charge] callback. Only the
+   branch the verdict guards is vouched for; [ignore ok] guards nothing.
+   The second [charge] is a re-entry of a helper already being inlined,
+   which once stopped the analysis short of the dispatch. *)
+let test_trust_ignored_verdict () =
+  let root = if Sys.file_exists "lib" then "." else ".." in
+  let read rel = (rel, In_channel.with_open_bin (Filename.concat root rel) In_channel.input_all) in
+  let interfaces =
+    List.map read [ "lib/simnet/net.mli"; "lib/pbft/message.mli"; "lib/crypto/authenticator.mli" ]
+  in
+  let intake use_verdict =
+    "let charge t cost k = Simnet.Cpu.execute t.cpu ~cost k\n\
+     let check_auth t ~src (f : Message.framed) =\n\
+    \  match f.Message.msg.Message.auth with\n\
+    \  | Message.Authenticated a ->\n\
+    \    (1.0, Crypto.Authenticator.check ~key:t.key ~replica:src ~pos:f.Message.pb_pos\n\
+    \            ~len:f.Message.pb_len f.Message.frame a)\n\
+    \  | _ -> (0.0, false)\n\
+     let dispatch t ~src msg = Hashtbl.replace t.tbl (src, msg) ()\n\
+     let on_datagram t ~src wire =\n\
+    \  let received = Message.received t.net wire in\n\
+    \  charge t 0.0 (fun () ->\n\
+    \      match received with\n\
+    \      | None -> ()\n\
+    \      | Some framed ->\n\
+    \        let cost, ok = check_auth t ~src framed in\n\
+    \        charge t cost (fun () ->\n"
+    ^ use_verdict ^ ")\n"
+  in
+  let findings src =
+    List.length (tainted (tlint ~interfaces ~rel:"lib/pbft/replica.ml" src))
+  in
+  Alcotest.(check int) "ignored verdict flagged" 1
+    (findings (intake "            ignore ok;\n            dispatch t ~src framed.msg)"));
+  Alcotest.(check int) "guarded dispatch clean" 0
+    (findings (intake "            if ok then dispatch t ~src framed.msg)"))
 
 let test_trust_suppression () =
   let fs =
@@ -410,6 +448,7 @@ let () =
           Alcotest.test_case "taint propagation" `Quick test_trust_propagation;
           Alcotest.test_case "convention scoping" `Quick test_trust_conventions;
           Alcotest.test_case "delivery notes" `Quick test_trust_delivery_note;
+          Alcotest.test_case "an ignored verdict covers nothing" `Quick test_trust_ignored_verdict;
           Alcotest.test_case "suppression" `Quick test_trust_suppression;
           Alcotest.test_case "dispatch catch-all" `Quick test_dispatch_catch_all;
           Alcotest.test_case "adversary cross-check" `Quick test_adversary_cross_check;

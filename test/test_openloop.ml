@@ -32,6 +32,74 @@ let test_coalesced_roundtrip () =
     "results" (Some [ "a"; ""; "c" ])
     (Frontdoor.decode_results (Frontdoor.encode_results [ "a"; ""; "c" ]))
 
+(* The four door codecs on generated frames: each round-trips, batches
+   past 2 KiB (over the minor heap's size limit) included, and no byte
+   string, arbitrary or a real frame truncated, flipped or extended,
+   makes a decoder raise. *)
+let gen_id =
+  QCheck.Gen.(oneof [ int_bound 127; int_bound 1_000_000; map (fun i -> i land max_int) int ])
+
+let gen_op = QCheck.Gen.(string_size (oneof [ int_bound 16; int_bound 300; int_bound 3000 ]))
+
+let gen_frames =
+  let open QCheck.Gen in
+  let+ session = gen_id
+  and+ req_id = gen_id
+  and+ op = gen_op
+  and+ shed = bool
+  and+ entries = list_size (int_bound 24) (pair gen_id gen_op)
+  and+ results = list_size (int_bound 24) gen_op in
+  (session, req_id, op, (if shed then Frontdoor.Shed else Frontdoor.Done), entries, results)
+
+let arb_frames =
+  QCheck.make
+    ~print:(fun (s, r, op, _, entries, results) ->
+      Printf.sprintf "session %d req %d op %d B, %d entries, %d results" s r (String.length op)
+        (List.length entries) (List.length results))
+    gen_frames
+
+let encoded (session, req_id, op, status, entries, results) =
+  [
+    Frontdoor.encode_request ~session ~req_id ~op;
+    Frontdoor.encode_reply ~status ~session ~req_id ~result:op;
+    Frontdoor.encode_coalesced entries;
+    Frontdoor.encode_results results;
+  ]
+
+let prop_door_codecs_roundtrip =
+  QCheck.Test.make ~name:"door codecs roundtrip" ~count:300 arb_frames
+    (fun ((session, req_id, op, status, entries, results) as f) ->
+      match encoded f with
+      | [ request; reply; batch; res ] ->
+        Frontdoor.decode_request request = Some (session, req_id, op)
+        && Frontdoor.decode_reply reply = Some (status, session, req_id, op)
+        && Frontdoor.decode_coalesced batch = Some entries
+        && Frontdoor.decode_results res = Some results
+      | _ -> false)
+
+let decodes_without_raising s =
+  ignore (Frontdoor.decode_request s);
+  ignore (Frontdoor.decode_reply s);
+  ignore (Frontdoor.decode_coalesced s);
+  ignore (Frontdoor.decode_results s);
+  true
+
+let prop_door_decoders_total =
+  QCheck.Test.make ~name:"door decoders never raise" ~count:300
+    (QCheck.pair arb_frames (QCheck.make QCheck.Gen.(triple nat nat (string_size (int_bound 64)))))
+    (fun (f, (cut, flip, junk)) ->
+      decodes_without_raising junk
+      && List.for_all
+           (fun s ->
+             let n = String.length s in
+             let b = Bytes.of_string s in
+             if n > 0 then Bytes.set b (flip mod n) (Char.chr ((flip / 7) land 0xff));
+             decodes_without_raising (String.sub s 0 (cut mod (n + 1)))
+             && decodes_without_raising (Bytes.to_string b)
+             && decodes_without_raising (s ^ junk)
+             && decodes_without_raising ("GWB1" ^ junk))
+           (encoded f))
+
 (* --- arrival processes --- *)
 
 let test_arrival_rates () =
@@ -232,6 +300,8 @@ let () =
         [
           Alcotest.test_case "frames roundtrip" `Quick test_frame_roundtrips;
           Alcotest.test_case "coalescing roundtrip" `Quick test_coalesced_roundtrip;
+          QCheck_alcotest.to_alcotest prop_door_codecs_roundtrip;
+          QCheck_alcotest.to_alcotest prop_door_decoders_total;
         ] );
       ("arrivals", [ Alcotest.test_case "rates & means" `Quick test_arrival_rates ]);
       ( "gateway",

@@ -3,7 +3,29 @@
 
 open Pbft
 
-let qcheck = QCheck_alcotest.to_alcotest
+(* Each property draws from its own random state, seeded from its name
+   and a base seed: [QCHECK_SEED] when set, else a fresh one. A failure
+   prints the base seed, and rerunning with it replays that property
+   alone, whatever ran before it. *)
+let base_seed =
+  lazy
+    (match Sys.getenv_opt "QCHECK_SEED" with
+    | Some s -> int_of_string s
+    | None ->
+      Random.self_init ();
+      Random.int 1_000_000_000)
+
+let qcheck (QCheck2.Test.Test cell as test) =
+  let name = QCheck2.Test.get_name cell and base = Lazy.force base_seed in
+  let rand = Random.State.make [| base; Hashtbl.hash name |] in
+  let case, speed, run = QCheck_alcotest.to_alcotest ~rand test in
+  ( case,
+    speed,
+    fun () ->
+      try run ()
+      with e ->
+        Printf.printf "property %S failed; QCHECK_SEED=%d replays it\n%!" name base;
+        raise e )
 
 (* A replica's counter on its cluster's metrics registry: every
    incarnation of the replica's id, summed. *)
@@ -73,6 +95,8 @@ let sample_payloads : Message.payload list =
     Message.Body { b_request = sample_request };
     Message.Fetch_entry { fe_seq = 42; fe_replica = 1 };
     Message.Entry { en_seq = 42; en_view = 0; en_batch = [ Message.Full sample_request ]; en_nondet = "nd" };
+    Message.Status { st_replica = 2; st_view = 1; st_last_exec = 300 };
+    Message.Key_request { kq_replica = 3 };
   ]
 
 let test_message_roundtrips () =
@@ -81,12 +105,12 @@ let test_message_roundtrips () =
       List.iter
         (fun auth ->
           let msg = { Message.payload; auth } in
-          match Message.decode (Message.encode msg) with
+          let wire = Message.encode msg in
+          match Message.decode wire with
           | Some back ->
-            Alcotest.(check string)
-              ("payload " ^ Message.label payload)
-              (Message.payload_bytes payload)
-              (Message.payload_bytes back.Message.payload)
+            Alcotest.(check bool) ("message " ^ Message.label payload) true (back = msg);
+            Alcotest.(check string) ("re-encoded " ^ Message.label payload) wire
+              (Message.encode back)
           | None -> Alcotest.failf "decode failed for %s" (Message.label payload))
         [
           Message.No_auth;
@@ -636,9 +660,7 @@ let test_dynamic_join_lying_challenge () =
       match Message.decode wire with
       | Some { payload = Message.Join_challenge jc; _ } ->
         let payload = Message.Join_challenge { jc with jc_nonce = "bogus" } in
-        let pb = Message.payload_bytes payload in
-        Message.encode_wire ~payload_bytes:pb
-          (Message.Signed (Crypto.Keychain.sign (Replica.signer liar) pb))
+        (Message.seal payload (Message.Sign (Replica.signer liar))).frame
       | Some _ | None -> wire);
   let result = ref "" in
   Client.join c ~idbuf:"alice:pw" (function
@@ -698,14 +720,9 @@ let test_dynamic_ordered_leave () =
   let cid = Option.get (Client.client_id a) in
   let members () = Array.map Replica.membership (Cluster.replicas cluster) in
   let payload = Message.Leave_msg { lv_client = cid } in
-  let pb = Message.payload_bytes payload in
   for dst = 0 to cfg.n - 1 do
-    let auth =
-      Message.Authenticated
-        (Crypto.Authenticator.compute ~keys:[ (dst, Client.session_key_for b dst) ] pb)
-    in
     Simnet.Net.send (Cluster.net cluster) ~src:(Client.addr b) ~dst
-      (Message.encode_wire ~payload_bytes:pb auth)
+      (Message.seal payload (Message.Macs [ (dst, Client.session_key_for b dst) ])).frame
   done;
   Cluster.run cluster ~seconds:2.0;
   Array.iter
@@ -1315,14 +1332,8 @@ let test_orphan_body_aged_out () =
   let d = Message.request_digest rq in
   Alcotest.(check bool) "executed body retired with its checkpoint" false (Replica.holds_body r2 d);
   let payload = Message.Request_msg rq in
-  let auth =
-    Message.Authenticated
-      (Crypto.Authenticator.compute
-         ~keys:[ (2, Client.session_key_for cl0 2) ]
-         (Message.payload_bytes payload))
-  in
   Simnet.Net.send (Cluster.net cluster) ~src:(Client.addr cl0) ~dst:2
-    (Message.encode { Message.payload; auth });
+    (Message.seal payload (Message.Macs [ (2, Client.session_key_for cl0 2) ])).frame;
   Cluster.run cluster ~seconds:0.01;
   Alcotest.(check bool) "retransmission re-stored the body" true (Replica.holds_body r2 d);
   let aged = counted cluster r2 "bodies_aged_out" and seqs = Replica.last_executed r2 in
@@ -1358,13 +1369,9 @@ let test_rollover_tag_verifies_by_recomputation () =
           rq_timestamp = 0.0;
         }
     in
-    let auth =
-      Message.Authenticated
-        (Crypto.Authenticator.compute ~keys:[ (2, key) ] (Message.payload_bytes payload))
-    in
     let before = counted cluster r2 "auth_failures" in
     Simnet.Net.send (Cluster.net cluster) ~src:(Client.addr cl) ~dst:2
-      (Message.encode { Message.payload; auth });
+      (Message.seal payload (Message.Macs [ (2, key) ])).frame;
     Cluster.run cluster ~seconds:0.01;
     counted cluster r2 "auth_failures" - before
   in
@@ -1523,60 +1530,192 @@ let test_session_state_survives_transfer () =
     (let r2 = Cluster.replica cluster 2 in
      counted cluster r2 "demotion_transfers" + counted cluster r2 "rejoin_transfers" >= 1)
 
-(* Randomized wire-format fuzzing: arbitrary payloads roundtrip, and
-   arbitrary byte strings never crash the decoder. *)
+(* Randomized wire-format fuzzing: every payload constructor under
+   every kind of auth round-trips and re-encodes to the same bytes,
+   encoding allocates one frame, and arbitrary byte strings never crash
+   the decoder. Strings reach 8 KiB and ints nine varint bytes, so
+   frames cross the minor heap's size limit and every prefix width. *)
+let gen_int =
+  QCheck.Gen.(oneof [ int_bound 127; int_bound 1_000_000; map (fun i -> i land max_int) int ])
+
+let gen_str = QCheck.Gen.(string_size (oneof [ int_bound 40; int_bound 300; int_bound 8192 ]))
+let gen_list g = QCheck.Gen.(list_size (int_bound 4) g)
+
 let gen_request =
   let open QCheck.Gen in
-  map
-    (fun (client, id, op, ro) ->
-      { Message.rq_client = client; rq_id = id; rq_op = op; rq_readonly = ro; rq_timestamp = 1.5 })
-    (quad (int_bound 5000) (int_bound 100000) (string_size (int_bound 64)) bool)
+  let+ rq_client = gen_int
+  and+ rq_id = gen_int
+  and+ rq_op = gen_str
+  and+ rq_readonly = bool
+  and+ rq_timestamp = float in
+  { Message.rq_client; rq_id; rq_op; rq_readonly; rq_timestamp }
 
 let gen_batch_item =
   let open QCheck.Gen in
   oneof
     [
       map (fun r -> Message.Full r) gen_request;
-      map
-        (fun (c, i, ro) ->
-          Message.Digest_of
-            { bd_client = c; bd_id = i; bd_digest = String.make 32 'd'; bd_readonly = ro })
-        (triple (int_bound 5000) (int_bound 1000) bool);
+      (let+ bd_client = gen_int and+ bd_id = gen_int and+ bd_digest = gen_str and+ bd_readonly = bool in
+       Message.Digest_of { bd_client; bd_id; bd_digest; bd_readonly });
     ]
 
 let gen_payload =
   let open QCheck.Gen in
+  let batch = gen_list gen_batch_item in
   oneof
     [
       map (fun r -> Message.Request_msg r) gen_request;
-      map
-        (fun (v, n, batch, nd) ->
-          Message.Pre_prepare { pp_view = v; pp_seq = n; pp_batch = batch; pp_nondet = nd })
-        (quad (int_bound 10) (int_bound 100000) (list_size (int_bound 8) gen_batch_item)
-           (string_size (int_bound 24)));
-      map
-        (fun (v, n, r) ->
-          Message.Prepare { p_view = v; p_seq = n; p_digest = String.make 32 'x'; p_replica = r })
-        (triple (int_bound 10) (int_bound 100000) (int_bound 6));
-      map
-        (fun (v, c, id, res) ->
-          Message.Reply
-            { r_view = v; r_client = c; r_id = id; r_replica = 0; r_result = res;
-              r_tentative = false; r_partial = None })
-        (quad (int_bound 10) (int_bound 5000) (int_bound 100000) (string_size (int_bound 128)));
-      map
-        (fun (n, pages) -> Message.State_pages { sp_seq = n; sp_replica = 1; sp_pages = pages })
-        (pair (int_bound 1000)
-           (list_size (int_bound 4)
-              (map (fun (i, p) -> (i, p)) (pair (int_bound 64) (string_size (int_bound 200))))));
+      (let+ pp_view = gen_int and+ pp_seq = gen_int and+ pp_batch = batch and+ pp_nondet = gen_str in
+       Message.Pre_prepare { pp_view; pp_seq; pp_batch; pp_nondet });
+      (let+ p_view = gen_int and+ p_seq = gen_int and+ p_digest = gen_str and+ p_replica = gen_int in
+       Message.Prepare { p_view; p_seq; p_digest; p_replica });
+      (let+ c_view = gen_int and+ c_seq = gen_int and+ c_digest = gen_str and+ c_replica = gen_int in
+       Message.Commit { c_view; c_seq; c_digest; c_replica });
+      (let+ r_view = gen_int
+       and+ r_client = gen_int
+       and+ r_id = gen_int
+       and+ r_replica = gen_int
+       and+ r_result = gen_str
+       and+ r_tentative = bool
+       and+ r_partial = opt gen_str in
+       Message.Reply { r_view; r_client; r_id; r_replica; r_result; r_tentative; r_partial });
+      (let+ ck_seq = gen_int and+ ck_digest = gen_str and+ ck_replica = gen_int in
+       Message.Checkpoint_msg { ck_seq; ck_digest; ck_replica });
+      (let+ vc_new_view = gen_int
+       and+ vc_stable_seq = gen_int
+       and+ vc_stable_digest = gen_str
+       and+ vc_prepared =
+         gen_list
+           (let+ pi_view = gen_int
+            and+ pi_seq = gen_int
+            and+ pi_digest = gen_str
+            and+ pi_batch = batch in
+            { Message.pi_view; pi_seq; pi_digest; pi_batch })
+       and+ vc_replica = gen_int in
+       Message.View_change { vc_new_view; vc_stable_seq; vc_stable_digest; vc_prepared; vc_replica });
+      (let+ nv_view = gen_int
+       and+ nv_view_change_digests = gen_list (pair gen_int gen_str)
+       and+ nv_pre_prepares = gen_list (pair gen_int batch) in
+       Message.New_view { nv_view; nv_view_change_digests; nv_pre_prepares });
+      (let+ sk_sender = gen_int and+ sk_target = gen_int and+ sk_key_box = gen_str in
+       Message.Session_key { sk_sender; sk_target; sk_key_box });
+      (let+ j_addr = gen_int and+ j_pubkey = gen_str and+ j_nonce = gen_str in
+       Message.Join_request { j_addr; j_pubkey; j_nonce });
+      (let+ jc_replica = gen_int and+ jc_addr = gen_int and+ jc_nonce = gen_str in
+       Message.Join_challenge { jc_replica; jc_addr; jc_nonce });
+      (let+ jr_addr = gen_int and+ jr_proof = gen_str and+ jr_pubkey = gen_str and+ jr_idbuf = gen_str in
+       Message.Join_response { jr_addr; jr_proof; jr_pubkey; jr_idbuf });
+      (let+ jl_replica = gen_int and+ jl_client = gen_int and+ jl_ok = bool in
+       Message.Join_reply { jl_replica; jl_client; jl_ok });
+      map (fun lv_client -> Message.Leave_msg { lv_client }) gen_int;
+      (let+ fm_seq = gen_int and+ fm_replica = gen_int in
+       Message.Fetch_meta { fm_seq; fm_replica });
+      (let+ sm_seq = gen_int and+ sm_replica = gen_int and+ sm_leaves = gen_list gen_str in
+       Message.State_meta { sm_seq; sm_replica; sm_leaves });
+      (let+ fp_seq = gen_int and+ fp_pages = gen_list gen_int and+ fp_replica = gen_int in
+       Message.Fetch_pages { fp_seq; fp_pages; fp_replica });
+      (let+ sp_seq = gen_int and+ sp_replica = gen_int and+ sp_pages = gen_list (pair gen_int gen_str) in
+       Message.State_pages { sp_seq; sp_replica; sp_pages });
+      (let+ fb_digest = gen_str and+ fb_replica = gen_int in
+       Message.Fetch_body { fb_digest; fb_replica });
+      map (fun b_request -> Message.Body { b_request }) gen_request;
+      (let+ fe_seq = gen_int and+ fe_replica = gen_int in
+       Message.Fetch_entry { fe_seq; fe_replica });
+      (let+ en_seq = gen_int and+ en_view = gen_int and+ en_batch = batch and+ en_nondet = gen_str in
+       Message.Entry { en_seq; en_view; en_batch; en_nondet });
+      (let+ st_replica = gen_int and+ st_view = gen_int and+ st_last_exec = gen_int in
+       Message.Status { st_replica; st_view; st_last_exec });
+      map (fun kq_replica -> Message.Key_request { kq_replica }) gen_int;
     ]
 
+(* Authenticator ids travel as u16. *)
+let gen_auth =
+  let open QCheck.Gen in
+  oneof
+    [
+      return Message.No_auth;
+      map (fun s -> Message.Signed s) gen_str;
+      map
+        (fun tags -> Message.Authenticated { Crypto.Authenticator.tags })
+        (gen_list (pair (int_bound 0xffff) gen_str));
+    ]
+
+let arb_message =
+  QCheck.make
+    ~print:(fun (m : Message.t) ->
+      Printf.sprintf "%s %s (%d bytes)" (Message.label m.payload) (Message.describe m.payload)
+        (String.length (Message.encode m)))
+    QCheck.Gen.(map2 (fun payload auth -> { Message.payload; auth }) gen_payload gen_auth)
+
+(* [compare], not [=]: a NaN timestamp equals itself there. *)
 let prop_payload_roundtrip =
-  QCheck.Test.make ~name:"random payloads roundtrip" ~count:500 (QCheck.make gen_payload)
-    (fun payload ->
-      match Message.decode (Message.encode { Message.payload; auth = Message.No_auth }) with
-      | Some back -> Message.payload_bytes back.Message.payload = Message.payload_bytes payload
+  QCheck.Test.make ~name:"random payloads roundtrip" ~count:500 arb_message (fun msg ->
+      let wire = Message.encode msg in
+      match Message.decode_framed wire with
+      | Some f ->
+        compare f.msg msg = 0
+        && String.equal (Message.encode f.msg) wire
+        && f.pb_pos + f.pb_len <= String.length wire
+        && String.equal (Message.framed_of msg).frame wire
       | None -> false)
+
+(* Words allocated by [f] (after one warm-up call, which prepares MAC
+   keys), minor plus straight to the major heap. The minor collections
+   flush each domain's count of major allocations into [Gc.quick_stat];
+   without them a frame over [Max_young_wosize] would read as free. *)
+let words_allocated f =
+  f ();
+  let measure f =
+    Gc.minor ();
+    let m0 = Gc.minor_words () and s0 = Gc.quick_stat () in
+    f ();
+    Gc.minor ();
+    let s1 = Gc.quick_stat () and m1 = Gc.minor_words () in
+    m1 -. m0 +. (s1.major_words -. s1.promoted_words) -. (s0.major_words -. s0.promoted_words)
+  in
+  int_of_float (measure f -. measure ignore)
+
+(* One string of [n] bytes: a header and [n / 8 + 1] words of data. *)
+let string_words n = 1 + ((n + 8) / 8)
+
+(* What [Message.encode] allocates beyond its frame, measured, the same
+   for every message: three writers (two only count), the boxed size,
+   the write's closure and auth cell, the framed record and its
+   message, and the closure that hands over the known auth. A size off
+   by one byte costs a growth or a copy of the frame, at least two
+   words more. *)
+let encode_overhead_words = 39
+
+(* [Message.seal] allocates as [encode] does, plus the auth it
+   computes instead of reading: 21 words per MAC tag and 13 besides, or
+   36 for a simulated signature. The frame's size then comes from
+   [Authenticator.size_for] or [Keychain.signature_size]. *)
+let seal_keys = List.init 4 (fun i -> (i, Crypto.Mac.key_of_bytes (String.make 16 (Char.chr (65 + i)))))
+let seal_signer = Crypto.Keychain.make Crypto.Keychain.Simulated (Util.Rng.create 1) ~id:0
+
+let sealers =
+  (Message.Sign seal_signer, 36)
+  :: List.map (fun k -> (Message.Macs (List.filteri (fun i _ -> i < k) seal_keys), 13 + (21 * k))) [ 0; 1; 4 ]
+
+let prop_encode_allocates_one_frame =
+  QCheck.Test.make ~name:"encode allocates one frame" ~count:300 arb_message (fun msg ->
+      let within what frame words extra =
+        words <= string_words frame + encode_overhead_words + extra
+        || QCheck.Test.fail_reportf "%s: %d words for a %d-byte frame (%d words + %d + %d)" what
+             words frame (string_words frame) encode_overhead_words extra
+      in
+      let frame = String.length (Message.encode msg) in
+      within "encode" frame
+        (words_allocated (fun () -> ignore (Sys.opaque_identity (Message.encode msg))))
+        0
+      && List.for_all
+           (fun (sealer, extra) ->
+             let frame = String.length (Message.seal msg.payload sealer).frame in
+             within "seal" frame
+               (words_allocated (fun () ->
+                    ignore (Sys.opaque_identity (Message.seal msg.payload sealer))))
+               extra)
+           sealers)
 
 let prop_decoder_never_crashes =
   QCheck.Test.make ~name:"arbitrary bytes never crash the decoder" ~count:2000 QCheck.string
@@ -1778,15 +1917,15 @@ let test_reply_one_mac_tag () =
   let caddr = Client.addr cl in
   let replies = ref 0 in
   on_reply_links cluster cl (fun r wire ->
-      (match Message.decode wire with
-      | Some { payload = Message.Reply _ as payload; auth } -> begin
+      (match Message.decode_framed wire with
+      | Some ({ msg = { payload = Message.Reply _; auth }; _ } as f) -> begin
         incr replies;
         match auth with
         | Message.Authenticated { tags = [ (dst, _) ] as tags } ->
           Alcotest.(check int) "the tag is the client's" caddr dst;
           Alcotest.(check bool) "under the key the client chose" true
             (Crypto.Authenticator.check ~key:(Client.session_key_for cl r) ~replica:caddr
-               (Message.payload_bytes payload) { tags })
+               ~pos:f.pb_pos ~len:f.pb_len f.frame { tags })
         | Message.Authenticated _ | Message.Signed _ | Message.No_auth ->
           Alcotest.fail "a reply is not MACed with one tag"
       end
@@ -1808,10 +1947,7 @@ let test_reply_wrong_key_rejected () =
   on_reply_links cluster cl (fun _ wire ->
       match Message.decode wire with
       | Some { payload = Message.Reply _ as payload; _ } ->
-        let pb = Message.payload_bytes payload in
-        Message.encode_wire ~payload_bytes:pb
-          (Message.Authenticated
-             (Crypto.Authenticator.compute ~keys:[ (Client.addr cl, wrong) ] pb))
+        (Message.seal payload (Message.Macs [ (Client.addr cl, wrong) ])).frame
       | Some _ | None -> wire);
   let results = ref [] in
   Client.invoke cl "op" (fun r -> results := r :: !results);
@@ -1923,7 +2059,11 @@ let () =
           Alcotest.test_case "survives state transfer" `Slow test_session_state_survives_transfer;
         ] );
       ( "fuzz",
-        [ qcheck prop_payload_roundtrip; qcheck prop_decoder_never_crashes ] );
+        [
+          qcheck prop_payload_roundtrip;
+          qcheck prop_encode_allocates_one_frame;
+          qcheck prop_decoder_never_crashes;
+        ] );
       ( "adversarial",
         [
           Alcotest.test_case "spoofed messages ignored" `Slow test_spoofed_messages_ignored;

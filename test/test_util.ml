@@ -136,12 +136,40 @@ let prop_writer_matches_reference =
   QCheck.Test.make ~name:"Bytes writer = reference Buffer writer" ~count:1000
     (QCheck.make QCheck.Gen.(list_size (int_bound 40) gen_wop))
     (fun ops ->
-      let w = Util.Codec.W.create ~capacity:1 () in
       let b = Buffer.create 16 in
-      List.iter (apply_w w) ops;
       List.iter (apply_ref b) ops;
-      String.equal (Util.Codec.W.contents w) (Buffer.contents b)
-      && Util.Codec.W.length w = Buffer.length b)
+      let expected = Buffer.contents b in
+      let encode size =
+        let len = ref (-1) in
+        let s =
+          Util.Codec.encode ?size
+            (fun w ops ->
+              List.iter (apply_w w) ops;
+              len := Util.Codec.W.length w)
+            ops
+        in
+        String.equal s expected && !len = Buffer.length b
+      in
+      (* Counted (the default), growing from nothing and from one byte,
+         given the exact size (the buffer handed over), and one byte too
+         large (copied out). *)
+      List.for_all encode
+        [ None; Some 0; Some 1; Some (String.length expected); Some (String.length expected + 1) ])
+
+(* The size pass: a counting writer runs the same encoder and reads the
+   length a writing one writes, and [varint_size] counts a varint. *)
+let prop_counting_writer =
+  QCheck.Test.make ~name:"counting writer = written length" ~count:1000
+    (QCheck.make QCheck.Gen.(list_size (int_bound 40) gen_wop))
+    (fun ops ->
+      let b = Buffer.create 16 in
+      List.iter (apply_ref b) ops;
+      Util.Codec.size (fun w ops -> List.iter (apply_w w) ops) ops = Buffer.length b
+      && List.for_all
+           (fun v ->
+             Util.Codec.W.varint_size v = String.length (Util.Codec.encode Util.Codec.W.varint v))
+           (List.filter_map (function OVarint v -> Some v | _ -> None) ops
+           @ [ 0; 127; 128; 16383; 16384; max_int ]))
 
 let test_codec_varint_overflow_guard () =
   let dec s = Util.Codec.R.varint (Util.Codec.R.of_string s) in
@@ -532,6 +560,7 @@ let () =
           qcheck prop_codec_string_roundtrip;
           qcheck prop_codec_varint_roundtrip;
           qcheck prop_writer_matches_reference;
+          qcheck prop_counting_writer;
           qcheck prop_varint_decode_never_negative;
         ] );
       ( "rng",

@@ -168,10 +168,7 @@ let test_browser_rejects_wrong_key_replies () =
   let retag ~dst:_ ~label:_ wire =
     match Pbft.Message.decode wire with
     | Some { payload = Pbft.Message.Reply _ as payload; _ } ->
-      let pb = Pbft.Message.payload_bytes payload in
-      Pbft.Message.encode_wire ~payload_bytes:pb
-        (Pbft.Message.Authenticated
-           (Crypto.Authenticator.compute ~keys:[ (browser_addr, wrong) ] pb))
+      (Pbft.Message.seal payload (Pbft.Message.Macs [ (browser_addr, wrong) ])).frame
     | Some _ | None -> wire
   in
   for r = 0 to dynamic_cfg.Pbft.Config.n - 1 do

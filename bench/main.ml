@@ -360,20 +360,6 @@ let memory_pending_budget = 78
    they read 719 and 3,446. *)
 let frame_words_budget = (195, 910)
 
-(* [Gc.minor] flushes the domain's count of direct major allocations
-   into [Gc.quick_stat]; without it a frame over [Max_young_wosize]
-   reads as free. *)
-let words_allocated f =
-  let measure f =
-    Gc.minor ();
-    let m0 = Gc.minor_words () and s0 = Gc.quick_stat () in
-    f ();
-    Gc.minor ();
-    let s1 = Gc.quick_stat () and m1 = Gc.minor_words () in
-    m1 -. m0 +. (s1.major_words -. s1.promoted_words) -. (s0.major_words -. s0.promoted_words)
-  in
-  measure f -. measure ignore
-
 let frame_gates () =
   let keys = List.init 4 (fun i -> (i, Crypto.Mac.key_of_bytes (String.make 16 (Char.chr (65 + i))))) in
   let auth = Pbft.Message.Authenticated (Crypto.Authenticator.compute ~keys "") in
@@ -388,7 +374,7 @@ let frame_gates () =
   let batch = Webgate.Frontdoor.encode_coalesced (List.init 24 (fun i -> (1000 + i, String.make 256 'o'))) in
   let gate name msg budget =
     let bytes = String.length (Pbft.Message.encode msg) in
-    let words = words_allocated (fun () -> ignore (Sys.opaque_identity (Pbft.Message.encode msg))) in
+    let words = Gcwords.allocated (fun () -> ignore (Sys.opaque_identity (Pbft.Message.encode msg))) in
     Printf.printf "  %s: %d B, %.0f words per encode (budget %d)\n%!" name bytes words budget;
     need (words <= float_of_int budget)
       (Printf.sprintf "encoding a %s allocates %.0f words (budget %d)" name words budget)

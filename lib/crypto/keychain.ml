@@ -8,9 +8,11 @@ type mode =
 let simulated_signature_size = 68 (* ≈ 512-bit Rabin root + counter byte overhead *)
 
 (* A simulated signer and its verifier share one HMAC key value, so the
-   key's midstates are prepared once, by whichever of them MACs first. *)
+   key's midstates are prepared once, by whichever of them MACs first. A
+   real signer carries its signature size, worked out once: a counter
+   varint and the length-prefixed root, as long as the modulus. *)
 type signer =
-  | Real_signer of int * Rabin.keypair
+  | Real_signer of int * Rabin.keypair * int
   | Sim_signer of int * Hmac.key
 
 type verifier =
@@ -23,11 +25,13 @@ let derive_sim_key rng id =
 
 let make mode rng ~id =
   match mode with
-  | Real bits -> Real_signer (id, Rabin.generate rng ~bits)
+  | Real bits ->
+    let kp = Rabin.generate rng ~bits in
+    Real_signer (id, kp, 1 + String.length (Rabin.public_to_string (Rabin.public kp)))
   | Simulated -> Sim_signer (id, derive_sim_key rng id)
 
 let verifier_of = function
-  | Real_signer (id, kp) -> Real_verifier (id, Rabin.public kp)
+  | Real_signer (id, kp, _) -> Real_verifier (id, Rabin.public kp)
   | Sim_signer (id, key) -> Sim_verifier (id, key)
 
 let pad_to size s = if String.length s >= size then s else s ^ String.make (size - String.length s) '\000'
@@ -36,13 +40,10 @@ let pad_to size s = if String.length s >= size then s else s ^ String.make (size
 let sign signer ?(pos = 0) ?len msg =
   let len = Option.value len ~default:(String.length msg - pos) in
   match signer with
-  | Real_signer (_, kp) -> Rabin.signature_to_string (Rabin.sign kp (String.sub msg pos len))
+  | Real_signer (_, kp, _) -> Rabin.signature_to_string (Rabin.sign kp (String.sub msg pos len))
   | Sim_signer (_, key) -> pad_to simulated_signature_size (Hmac.mac ~key ~pos ~len msg)
 
-(* A counter varint and the length-prefixed root, as long as the modulus. *)
-let signature_size = function
-  | Real_signer (_, kp) -> 1 + String.length (Rabin.public_to_string (Rabin.public kp))
-  | Sim_signer _ -> simulated_signature_size
+let signature_size = function Real_signer (_, _, n) -> n | Sim_signer _ -> simulated_signature_size
 
 let verify verifier ?(pos = 0) ?len msg ~signature =
   let len = Option.value len ~default:(String.length msg - pos) in
@@ -56,21 +57,18 @@ let verify verifier ?(pos = 0) ?len msg ~signature =
     String.length signature = simulated_signature_size
     && String.equal (String.sub signature 0 32) (Hmac.mac ~key ~pos ~len msg)
 
-let verifier_to_string = function
-  | Real_verifier (id, pk) ->
-    Util.Codec.encode
-      (fun w () ->
-        Util.Codec.W.u8 w 0;
-        Util.Codec.W.varint w id;
-        Util.Codec.W.lstring w (Rabin.public_to_string pk))
-      ()
-  | Sim_verifier (id, key) ->
-    Util.Codec.encode
-      (fun w () ->
-        Util.Codec.W.u8 w 1;
-        Util.Codec.W.varint w id;
-        Util.Codec.W.lstring w (Hmac.key_bytes key))
-      ()
+let verifier_to_string v =
+  let tag, id, body =
+    match v with
+    | Real_verifier (id, pk) -> (0, id, Rabin.public_to_string pk)
+    | Sim_verifier (id, key) -> (1, id, Hmac.key_bytes key)
+  in
+  Util.Codec.encode
+    (fun w () ->
+      Util.Codec.W.u8 w tag;
+      Util.Codec.W.varint w id;
+      Util.Codec.W.lstring w body)
+    ()
 
 let verifier_of_string s =
   match

@@ -75,11 +75,8 @@ let verify pk msg s =
   Nat.equal (Nat.mod_mul s.root s.root pk.pk_n) m
 
 let signature_to_string s =
-  Util.Codec.encode
-    (fun w (c, root) ->
-      Util.Codec.W.varint w c;
-      Util.Codec.W.lstring w (Nat.to_bytes_be root))
-    (s.counter, s.root)
+  let root = Nat.to_bytes_be s.root in
+  Util.Codec.encode (fun w () -> Util.Codec.W.varint w s.counter; Util.Codec.W.lstring w root) ()
 
 let signature_of_string str =
   match
@@ -93,7 +90,7 @@ let signature_of_string str =
   | s -> Some s
   | exception Util.Codec.R.Truncated -> None
 
-let public_to_string pk = Util.Codec.encode (fun w n -> Util.Codec.W.lstring w (Nat.to_bytes_be n)) pk.pk_n
+let public_to_string pk = Util.Codec.encode Util.Codec.W.lstring (Nat.to_bytes_be pk.pk_n)
 
 let public_of_string str =
   match Util.Codec.decode (fun r -> Nat.of_bytes_be (Util.Codec.R.lstring r)) str with

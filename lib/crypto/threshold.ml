@@ -117,11 +117,8 @@ let combine pk msg partials =
   end
 
 let partial_to_string p =
-  Util.Codec.encode
-    (fun w () ->
-      Util.Codec.W.varint w p.party;
-      Util.Codec.W.lstring w (Nat.to_bytes_be p.value))
-    ()
+  let value = Nat.to_bytes_be p.value in
+  Util.Codec.encode (fun w () -> Util.Codec.W.varint w p.party; Util.Codec.W.lstring w value) ()
 
 let partial_of_string s =
   match

@@ -1,9 +1,7 @@
+(* The draw stays outside the encoder, which [Codec.encode] runs twice. *)
 let produce ~now rng =
-  Util.Codec.encode
-    (fun w () ->
-      Util.Codec.W.f64 w now;
-      Util.Codec.W.u64 w (Util.Rng.next_int64 rng))
-    ()
+  let r = Util.Rng.next_int64 rng in
+  Util.Codec.encode (fun w () -> Util.Codec.W.f64 w now; Util.Codec.W.u64 w r) ()
 
 let decode_fields s =
   match

@@ -85,7 +85,7 @@ let rowid_order a b =
   if Bool.equal (a < 0) (b < 0) then Int.compare a b else if a < 0 then 1 else -1
 
 let encode_row (r : row) =
-  Util.Codec.encode (fun w () -> Util.Codec.W.list w Value.encode (Array.to_list r)) ()
+  Util.Codec.encode (fun w l -> Util.Codec.W.list w Value.encode l) (Array.to_list r)
 
 (* Decode the columns [need] marks into [row], stepping over the others
    without building them. *)

@@ -76,10 +76,13 @@ val size : (W.t -> 'a -> unit) -> 'a -> int
 (** The exact length of [encode enc v]: [enc] runs on a writer that only counts. *)
 
 val encode : ?size:int -> (W.t -> 'a -> unit) -> 'a -> string
-(** [encode enc v] writes [v] once, into a buffer of [size enc v] bytes
-    that becomes the result without a copy. An encoder that must run
-    once (it MACs what it wrote) passes [~size]; a wrong one costs a
-    growth or a copy, never different bytes. *)
+(** [encode enc v] writes [v] into a buffer of [size enc v] bytes that
+    becomes the result without a copy. Without [~size], [enc] runs
+    twice, counting then writing: it must be pure, writing the same
+    bytes both times and drawing no randomness or other state (draw
+    first, encode the value drawn). An encoder that must run once (it
+    MACs what it wrote) passes [~size]; a wrong one costs a growth or a
+    copy, never different bytes. *)
 
 val decode : (R.t -> 'a) -> string -> 'a
 (** [decode dec s] decodes the full string, raising [R.Truncated] if the

@@ -888,6 +888,68 @@ let test_equivalence_pinned () =
    paths. *)
 let pinned_replica_digest = "cea2f45e6f3f229a2ac925cd0e8cffe4071433a96c0816b2a056225a917ecd62"
 
+(* The trace digests see each datagram's size, not its bytes. This pin
+   hashes every byte sent in two seeded runs: SQL inserts, whose
+   pre-prepares carry the primary's clock and random draw (§2.5) and
+   whose replies depend on them, and a signed (no-MAC) null-service run
+   whose primary crashes, so view changes are signed too. A codec or
+   sealing refactor must leave it unchanged. *)
+let pinned_wire_digest = "a621666758d767abcec2b57c98488f742133cff638de1e5609119f20e6198bad"
+
+(* Every datagram a node of [cluster] sends is fed to [ctx]; the hook
+   hands back the same string, so the delivery keeps its note. *)
+let tap_wire cluster ctx =
+  let net = Cluster.net cluster in
+  let on src =
+    Simnet.Net.set_link_corrupt net ~src ~dst:Simnet.Net.any_addr (fun ~dst ~label:_ wire ->
+        Crypto.Sha256.feed ctx (Printf.sprintf "%d>%d:%d|" src dst (String.length wire));
+        Crypto.Sha256.feed ctx wire;
+        wire)
+  in
+  Array.iteri (fun i _ -> on i) (Cluster.replicas cluster);
+  Array.iter (fun cl -> on (Client.addr cl)) (Cluster.clients cluster)
+
+let test_wire_digest_pinned () =
+  let ctx = Crypto.Sha256.init () in
+  let sql =
+    Cluster.create ~seed:2 ~num_clients:4 ~service:(Relsql.Pbft_service.service ())
+      (Config.default ~f:1)
+  in
+  tap_wire sql ctx;
+  Array.iteri
+    (fun i cl ->
+      let rec go n =
+        if n <= 6 then
+          Client.invoke cl
+            (Relsql.Pbft_service.insert_vote_sql ~voter:(Printf.sprintf "v%d-%d" i n) ~choice:"x")
+            (fun _ -> go (n + 1))
+        else Client.invoke cl "SELECT COUNT(*) FROM votes" ignore
+      in
+      go 1)
+    (Cluster.clients sql);
+  Cluster.run sql ~seconds:10.0;
+  Alcotest.(check int) "every SQL request answered" 28 (Cluster.total_completed sql);
+  let signed =
+    Cluster.create ~seed:3 ~num_clients:4 ~service:(Service.null ())
+      { (Config.default ~f:1) with use_macs = false; view_change_timeout = 0.5 }
+  in
+  tap_wire signed ctx;
+  let stop = ref false in
+  Array.iter
+    (fun cl ->
+      let rec loop _ = if not !stop then Client.invoke cl (String.make 1024 'o') loop in
+      loop "")
+    (Cluster.clients signed);
+  Cluster.run signed ~seconds:1.0;
+  Cluster.crash_replica signed 0;
+  Cluster.run signed ~seconds:2.0;
+  stop := true;
+  Cluster.run signed ~seconds:3.0;
+  Alcotest.(check bool) "a view change installed" true
+    (Replica.view (Cluster.replica signed 1) > 0);
+  Alcotest.(check string) "wire digest" pinned_wire_digest
+    (Util.Hexdump.of_string (Crypto.Sha256.finalize ctx))
+
 (* The Table-1 default row's trace digest, the one BENCH.json records. *)
 let pinned_trace_digest = "a43ce5a58ca19f5682a43fd68987879de38ee2f78ffb2e4293a60546bceae082"
 
@@ -967,6 +1029,7 @@ let () =
           Alcotest.test_case "every shape's virtual numbers" `Slow test_equivalence_pinned;
           Alcotest.test_case "replica paths' trace digest" `Slow test_replica_digest_pinned;
           Alcotest.test_case "Table-1 trace digest" `Slow test_trace_digest_pinned;
+          Alcotest.test_case "every byte on the wire" `Slow test_wire_digest_pinned;
         ] );
       ( "hostbench",
         [

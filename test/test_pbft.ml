@@ -179,6 +179,22 @@ let test_nondet_produce_validate () =
   Alcotest.(check bool) "malformed rejected" false
     (Nondet.validate Config.No_validation ~now:0.0 ~recovering:false "junk")
 
+(* The primary draws one value per pre-prepare and writes that one: the
+   data is the timestamp and the stream's first draw, and the stream
+   moves on by exactly one. Every later draw on the replica's stream
+   (session keys, say) depends on it, and SQL reads the value as its
+   random number. *)
+let test_nondet_draws_once () =
+  let rng = Util.Rng.create 9 in
+  let data = Nondet.produce ~now:100.0 rng in
+  Alcotest.(check string) "pinned bytes" "0000000000005940f2c02888038eb834"
+    (Util.Hexdump.of_string data);
+  Alcotest.(check int64) "the stream's second draw comes next" 0x7e449796d8a5423eL
+    (Util.Rng.next_int64 rng);
+  Alcotest.(check (option int64)) "the value is the first draw"
+    (Some (Util.Rng.next_int64 (Util.Rng.create 9)))
+    (Nondet.random_value data)
+
 (* --- membership --- *)
 
 let test_membership_static () =
@@ -1659,21 +1675,7 @@ let prop_payload_roundtrip =
         && String.equal (Message.framed_of msg).frame wire
       | None -> false)
 
-(* Words allocated by [f] (after one warm-up call, which prepares MAC
-   keys), minor plus straight to the major heap. The minor collections
-   flush each domain's count of major allocations into [Gc.quick_stat];
-   without them a frame over [Max_young_wosize] would read as free. *)
-let words_allocated f =
-  f ();
-  let measure f =
-    Gc.minor ();
-    let m0 = Gc.minor_words () and s0 = Gc.quick_stat () in
-    f ();
-    Gc.minor ();
-    let s1 = Gc.quick_stat () and m1 = Gc.minor_words () in
-    m1 -. m0 +. (s1.major_words -. s1.promoted_words) -. (s0.major_words -. s0.promoted_words)
-  in
-  int_of_float (measure f -. measure ignore)
+let words_allocated f = int_of_float (Gcwords.allocated f)
 
 (* One string of [n] bytes: a header and [n / 8 + 1] words of data. *)
 let string_words n = 1 + ((n + 8) / 8)
@@ -1978,7 +1980,11 @@ let () =
           Alcotest.test_case "rejoin drops transferred in_flight marks" `Slow
             test_rejoin_drops_transferred_in_flight;
         ] );
-      ("nondet", [ Alcotest.test_case "policies" `Quick test_nondet_produce_validate ]);
+      ( "nondet",
+        [
+          Alcotest.test_case "policies" `Quick test_nondet_produce_validate;
+          Alcotest.test_case "one draw per produce" `Quick test_nondet_draws_once;
+        ] );
       ( "membership",
         [
           Alcotest.test_case "static table" `Quick test_membership_static;

@@ -19,6 +19,7 @@
 
 open Bechamel
 open Toolkit
+module Run = Harness.Run
 
 (* --- the command line --- *)
 
@@ -138,13 +139,10 @@ let run_micro () =
 (* --- host-time benchmark: every Hostbench workload once, written to
    BENCH.json (schema in README.md) --- *)
 
-let measure_named ~duration name =
-  Harness.Hostbench.measure ~name (Harness.Hostbench.workload ~seed:!seed ~duration name)
-
-(* A row's end-to-end numbers; its layers are read with
-   [Util.Metrics.total]. *)
-let e2e (m : Harness.Hostbench.row) name =
-  Util.Metrics.(to_float (find m.metrics ~node:run_node ~layer:"end_to_end" name))
+(* A BENCH row: a named run. Its end-to-end numbers are read with
+   [Run.e2e], its layers with [Util.Metrics.total]. *)
+let run_named ~duration name =
+  (name, Run.run (Harness.Hostbench.workload ~seed:!seed ~duration name))
 
 let write_json path json =
   let oc = open_out path in
@@ -159,13 +157,13 @@ let iso8601 () =
 
 let run_hostbench () =
   banner "Host-time benchmark (BENCH.json)";
-  let print_m (m : Harness.Hostbench.row) =
-    Printf.printf "  %-32s %9.0f events  %10d B hashed  vTPS %9.1f\n%!" m.name (e2e m "events")
-      (Util.Metrics.total m.metrics ~layer:"crypto" "bytes_hashed") (e2e m "virtual_tps");
-    let snapshots = Util.Metrics.total m.metrics ~layer:"statemgr" "checkpoint_count" + Util.Metrics.total m.metrics ~layer:"statemgr" "undo_snapshots" in
+  let print_m (name, (r : Run.result)) =
+    Printf.printf "  %-32s %9.0f events  %10d B hashed  vTPS %9.1f\n%!" name (Run.e2e r "events")
+      (Util.Metrics.total r.metrics ~layer:"crypto" "bytes_hashed") (Run.e2e r "virtual_tps");
+    let snapshots = Util.Metrics.total r.metrics ~layer:"statemgr" "checkpoint_count" + Util.Metrics.total r.metrics ~layer:"statemgr" "undo_snapshots" in
     if snapshots > 0 then begin
-      let copied = float_of_int (Util.Metrics.total m.metrics ~layer:"statemgr" "bytes_copied") /. float_of_int snapshots in
-      let deep = Util.Metrics.(to_float (find m.metrics ~node:run_node ~layer:"statemgr" "allocated_page_bytes")) in
+      let copied = float_of_int (Util.Metrics.total r.metrics ~layer:"statemgr" "bytes_copied") /. float_of_int snapshots in
+      let deep = Util.Metrics.(to_float (find r.metrics ~node:run_node ~layer:"statemgr" "allocated_page_bytes")) in
       Printf.printf "  %-32s copied/snapshot %10.0f B  deep-copy %10.0f B  (%.1fx)\n%!" "" copied
         deep
         (if copied > 0.0 then deep /. copied else 0.0)
@@ -174,9 +172,9 @@ let run_hostbench () =
   let all =
     List.map
       (fun (name, spec) ->
-        let m = Harness.Hostbench.measure ~name spec in
-        print_m m;
-        m)
+        let row = (name, Run.run spec) in
+        print_m row;
+        row)
       (Harness.Hostbench.workloads ~seed:!seed ~duration:(length 1.5) ())
   in
   write_json "BENCH.json" (Harness.Hostbench.to_json ~now:(iso8601 ()) all);
@@ -286,34 +284,32 @@ let statement_gates () =
 let run_sqlidx () =
   banner "SQL access paths — indexed vs forced scan";
   let dur = length 1.5 in
-  let per_op m name =
-    let completed = e2e m "completed" in
-    if completed > 0.0 then float_of_int (Util.Metrics.total m.metrics ~layer:"relsql" name) /. completed else 0.0
+  let per_op (r : Run.result) name =
+    let completed = Run.e2e r "completed" in
+    if completed > 0.0 then float_of_int (Util.Metrics.total r.metrics ~layer:"relsql" name) /. completed else 0.0
   in
-  let show (m : Harness.Hostbench.row) =
-    Printf.printf "  %-32s vTPS %9.1f  pages/op %8.1f  rows/op %8.1f\n%!" m.name
-      (e2e m "virtual_tps") (per_op m "pages_read") (per_op m "rows_scanned")
+  let show (name, r) =
+    Printf.printf "  %-32s vTPS %9.1f  pages/op %8.1f  rows/op %8.1f\n%!" name
+      (Run.e2e r "virtual_tps") (per_op r "pages_read") (per_op r "rows_scanned")
   in
-  let point = measure_named ~duration:dur "sql:indexed_point" in
-  let range = measure_named ~duration:dur "sql:indexed_range" in
-  let forced = measure_named ~duration:dur "sql:forced_scan" in
+  let point = run_named ~duration:dur "sql:indexed_point" in
+  let range = run_named ~duration:dur "sql:indexed_range" in
+  let forced = run_named ~duration:dur "sql:forced_scan" in
   show point;
   show range;
   show forced;
-  let speedup =
-    if e2e forced "virtual_tps" > 0.0 then e2e point "virtual_tps" /. e2e forced "virtual_tps"
-    else 0.0
-  in
+  let vtps (_, r) = Run.e2e r "virtual_tps" in
+  let speedup = if vtps forced > 0.0 then vtps point /. vtps forced else 0.0 in
   Printf.printf "  indexed point vs forced scan: %.1fx virtual TPS\n%!" speedup;
-  let mix = measure_named ~duration:dur "sql:read_mix" in
-  let insert = measure_named ~duration:dur "sql:insert_acid" in
-  let words m = e2e m "alloc_words_per_request" in
+  let mix = run_named ~duration:dur "sql:read_mix" in
+  let insert = run_named ~duration:dur "sql:insert_acid" in
+  let words (_, r) = Run.e2e r "alloc_words_per_request" in
   let budgets =
     [ (point, sqlidx_words_budget); (mix, read_mix_words_budget); (insert, insert_words_budget) ]
   in
   List.iter
-    (fun ((m : Harness.Hostbench.row), budget) ->
-      Printf.printf "  %s allocation: %.0f words/request (budget %.0f)\n%!" m.name (words m) budget)
+    (fun (((name, _) as m), budget) ->
+      Printf.printf "  %s allocation: %.0f words/request (budget %.0f)\n%!" name (words m) budget)
     budgets;
   let statements = statement_gates () in
   verdict "sqlidx"
@@ -322,9 +318,9 @@ let run_sqlidx () =
        (Printf.sprintf "indexed point workload is %.1fx the forced-scan baseline (need >= 5x)"
           speedup)
     @ List.concat_map
-        (fun ((m : Harness.Hostbench.row), budget) ->
+        (fun (((name, _) as m), budget) ->
           need (words m <= budget)
-            (Printf.sprintf "%s allocates %.0f words/request (budget %.0f)" m.name (words m) budget))
+            (Printf.sprintf "%s allocates %.0f words/request (budget %.0f)" name (words m) budget))
         budgets)
 
 (* Bounded-memory gate on the Table-1 default row, run at two lengths.
@@ -404,7 +400,7 @@ let run_memory () =
     let unanswered = sum "aged_out_unanswered" in
     let aged = sum "bodies_aged_out" in
     let queued = Simnet.Engine.pending (Pbft.Cluster.engine cluster) in
-    (r.Harness.Run.completed, live, largest, unanswered, aged, queued)
+    (int_of_float (Run.e2e r "completed"), live, largest, unanswered, aged, queued)
   in
   let live_budget = (if !quick then fst else snd) memory_live_budget in
   let ops_s, live_s, largest_s, unanswered_s, aged_s, _ = run short in
@@ -542,13 +538,12 @@ let run_hashing () =
   let ratio = float_of_int hashed /. float_of_int region in
   Printf.printf "  Cluster.create   %d bytes hashed = %.2fx the %d-byte app region (budget %.2fx)\n%!"
     hashed ratio region genesis_hash_budget;
-  let run_hashed, result =
-    hashed_by (fun () ->
-        Harness.Run.run (Harness.Experiments.sql_large_state_spec ~seed:!seed ~duration:1.0 cfg))
-  in
-  let per_op = float_of_int run_hashed /. float_of_int (max 1 result.Harness.Run.completed) in
-  Printf.printf "  1 s run          %d bytes hashed / %d ops = %.0f B/op (budget %.0f)\n%!"
-    run_hashed result.Harness.Run.completed per_op run_hash_budget;
+  let run = Run.run (Harness.Experiments.sql_large_state_spec ~seed:!seed ~duration:1.0 cfg) in
+  let run_hashed = Util.Metrics.total run.metrics ~layer:"crypto" "bytes_hashed" in
+  let completed = Run.e2e run "completed" in
+  let per_op = float_of_int run_hashed /. Float.max 1.0 completed in
+  Printf.printf "  1 s run          %d bytes hashed / %.0f ops = %.0f B/op (budget %.0f)\n%!"
+    run_hashed completed per_op run_hash_budget;
   verdict "hashing"
     (need (ratio <= genesis_hash_budget)
        (Printf.sprintf "Cluster.create hashed %.2fx its app region (budget %.2fx)" ratio
@@ -612,22 +607,21 @@ let table1_default = "table1:sta_mac_allbig_batch"
 let run_pipeline () =
   banner "Pipelined speculation — serial vs depth 8 x 4 cores";
   let dur = length 1.5 in
-  let show (m : Harness.Hostbench.row) =
-    Printf.printf "  %-28s vTPS %9.1f  core util %4.2f  spec execs %7d  rollbacks %d\n%!" m.name
-      (e2e m "virtual_tps")
-      Util.Metrics.(to_float (find m.metrics ~node:run_node ~layer:"simnet" "core_utilization"))
-      (Util.Metrics.total m.metrics ~layer:"pbft" "speculative_executions")
-      (Util.Metrics.total m.metrics ~layer:"pbft" "rollbacks")
+  let show (name, (r : Run.result)) =
+    Printf.printf "  %-28s vTPS %9.1f  core util %4.2f  spec execs %7d  rollbacks %d\n%!" name
+      (Run.e2e r "virtual_tps")
+      Util.Metrics.(to_float (find r.metrics ~node:run_node ~layer:"simnet" "core_utilization"))
+      (Util.Metrics.total r.metrics ~layer:"pbft" "speculative_executions")
+      (Util.Metrics.total r.metrics ~layer:"pbft" "rollbacks")
   in
-  let table1 = measure_named ~duration:dur table1_default in
-  let serial = measure_named ~duration:dur "pipeline:serial" in
-  let deep = measure_named ~duration:dur "pipeline:depth8_cores4" in
+  let table1 = run_named ~duration:dur table1_default in
+  let serial = run_named ~duration:dur "pipeline:serial" in
+  let deep = run_named ~duration:dur "pipeline:depth8_cores4" in
   show table1;
   show serial;
   show deep;
-  let ratio b m =
-    if e2e b "virtual_tps" > 0.0 then e2e m "virtual_tps" /. e2e b "virtual_tps" else 0.0
-  in
+  let vtps (_, r) = Run.e2e r "virtual_tps" in
+  let ratio b m = if vtps b > 0.0 then vtps m /. vtps b else 0.0 in
   Printf.printf "  pipelined vs serial baseline: %.2fx;  vs Table-1 default: %.2fx\n%!"
     (ratio serial deep) (ratio table1 deep);
   verdict "pipeline"
@@ -656,15 +650,15 @@ let run_openloop () =
         Option.map (fun door -> { door with Webgate.Frontdoor.flush_bytes }) spec.Harness.Run.door;
     }
   in
-  let show (m : Harness.Hostbench.row) =
+  let show name (r : Run.result) =
     Printf.printf
       "  %-28s offered %8.0f/s  vTPS %8.1f  p50 %6.1fms  p99 %7.1fms  shed %6d  gw-peak %5d\n%!"
-      m.name
-      Util.Metrics.(to_float (find m.metrics ~node:run_node ~layer:"load" "offered_load"))
-      (e2e m "virtual_tps")
-      (e2e m "p50_latency" *. 1e3)
-      (e2e m "p99_latency" *. 1e3)
-      (Util.Metrics.total m.metrics ~layer:"webgate" "shed") (Util.Metrics.total m.metrics ~layer:"webgate" "queue_peak")
+      name
+      Util.Metrics.(to_float (find r.metrics ~node:run_node ~layer:"load" "offered_load"))
+      (Run.e2e r "virtual_tps")
+      (Run.e2e r "p50_latency" *. 1e3)
+      (Run.e2e r "p99_latency" *. 1e3)
+      (Util.Metrics.total r.metrics ~layer:"webgate" "shed") (Util.Metrics.total r.metrics ~layer:"webgate" "queue_peak")
   in
   let rates = [ 2_000.0; 8_000.0; 16_000.0; 32_000.0 ] in
   let flushes = [ 4 * 1024; 16 * 1024 ] in
@@ -673,10 +667,9 @@ let run_openloop () =
       (fun flush_bytes ->
         List.map
           (fun rate ->
-            let name = Printf.sprintf "openloop:r%.0f_f%dk" rate (flush_bytes / 1024) in
-            let m = Harness.Hostbench.measure ~name (spec_at ~rate ~flush_bytes) in
-            show m;
-            (rate, flush_bytes, m))
+            let r = Run.run (spec_at ~rate ~flush_bytes) in
+            show (Printf.sprintf "openloop:r%.0f_f%dk" rate (flush_bytes / 1024)) r;
+            (rate, flush_bytes, r))
           rates)
       flushes
   in
@@ -685,39 +678,36 @@ let run_openloop () =
     | [] -> assert false
     | first :: rest ->
       List.fold_left
-        (fun ((_, _, b) as acc) ((_, _, m) as cand) ->
-          if e2e m "virtual_tps" > e2e b "virtual_tps" then cand else acc)
+        (fun ((_, _, b) as acc) ((_, _, r) as cand) ->
+          if Run.e2e r "virtual_tps" > Run.e2e b "virtual_tps" then cand else acc)
         first rest
   in
-  let closed = measure_named ~duration:dur table1_default in
+  let _, closed = run_named ~duration:dur table1_default in
   Printf.printf "  saturated open-loop vTPS %.1f (rate %.0f/s, flush %dB); closed-loop Table-1 %.1f\n%!"
-    (e2e sat "virtual_tps") sat_rate sat_flush (e2e closed "virtual_tps");
+    (Run.e2e sat "virtual_tps") sat_rate sat_flush (Run.e2e closed "virtual_tps");
   (* 80%-of-saturation run: the latency knee should not have been crossed,
      so the tail must stay bounded and the per-request budgets flat. *)
-  let backoff =
-    Harness.Hostbench.measure ~name:"openloop:backoff80"
-      (spec_at ~rate:(0.8 *. sat_rate) ~flush_bytes:sat_flush)
-  in
-  show backoff;
-  let alloc_bytes m = e2e m "alloc_words_per_request" *. float_of_int (Sys.word_size / 8) in
+  let backoff = Run.run (spec_at ~rate:(0.8 *. sat_rate) ~flush_bytes:sat_flush) in
+  show "openloop:backoff80" backoff;
+  let alloc_bytes r = Run.e2e r "alloc_words_per_request" *. float_of_int (Sys.word_size / 8) in
   Printf.printf "  backoff80: events/req %.1f  alloc/req %.0fB  sessions %d  evictions %d\n%!"
-    (e2e backoff "events_per_request") (alloc_bytes backoff) (Util.Metrics.total backoff.metrics ~layer:"load" "sessions")
+    (Run.e2e backoff "events_per_request") (alloc_bytes backoff) (Util.Metrics.total backoff.metrics ~layer:"load" "sessions")
     (Util.Metrics.total backoff.metrics ~layer:"webgate" "session_evictions");
   let p99_bound = 0.25 in
   let events_budget = 200.0 in
   let alloc_budget = 2_000_000.0 in
   verdict "openloop"
     (need
-       (e2e sat "virtual_tps" >= e2e closed "virtual_tps")
+       (Run.e2e sat "virtual_tps" >= Run.e2e closed "virtual_tps")
        (Printf.sprintf "saturated open-loop vTPS %.1f < closed-loop Table-1 default %.1f"
-          (e2e sat "virtual_tps") (e2e closed "virtual_tps"))
+          (Run.e2e sat "virtual_tps") (Run.e2e closed "virtual_tps"))
     @ need
-        (e2e backoff "p99_latency" <= p99_bound)
-        (Printf.sprintf "p99 at 80%% of saturation %.3fs > %.3fs bound" (e2e backoff "p99_latency")
+        (Run.e2e backoff "p99_latency" <= p99_bound)
+        (Printf.sprintf "p99 at 80%% of saturation %.3fs > %.3fs bound" (Run.e2e backoff "p99_latency")
            p99_bound)
     @ need
-        (e2e backoff "events_per_request" <= events_budget)
-        (Printf.sprintf "events/request %.1f > %.1f budget" (e2e backoff "events_per_request")
+        (Run.e2e backoff "events_per_request" <= events_budget)
+        (Printf.sprintf "events/request %.1f > %.1f budget" (Run.e2e backoff "events_per_request")
            events_budget)
     @ need
         (alloc_bytes backoff <= alloc_budget)
@@ -740,44 +730,34 @@ let run_shards () =
       warmup = (if !quick then 0.25 else 0.5);
     }
   in
-  let show (m : Harness.Hostbench.row) =
+  let show ((name, (r : Run.result)) as row) =
     let lanes =
       List.filter_map
         (fun ((k : Util.Metrics.key), v) ->
           if String.equal k.layer "shards" && String.equal k.name "completed" then
-            Some (Printf.sprintf "%.0f" (Util.Metrics.to_float v /. e2e m "window"))
+            Some (Printf.sprintf "%.0f" (Util.Metrics.to_float v /. Run.e2e r "window"))
           else None)
-        m.metrics
+        r.metrics
     in
     Printf.printf
-      "  %-24s vTPS %9.1f  p99 %6.1fms  shed %6d  cross %d/%d  shard vTPS [%s]\n%!" m.name
-      (e2e m "virtual_tps")
-      (e2e m "p99_latency" *. 1e3)
-      (Util.Metrics.total m.metrics ~layer:"webgate" "shed") (Util.Metrics.total m.metrics ~layer:"shards" "cross_commits")
-      (Util.Metrics.total m.metrics ~layer:"shards" "cross_aborts") (String.concat "; " lanes)
+      "  %-24s vTPS %9.1f  p99 %6.1fms  shed %6d  cross %d/%d  shard vTPS [%s]\n%!" name
+      (Run.e2e r "virtual_tps")
+      (Run.e2e r "p99_latency" *. 1e3)
+      (Util.Metrics.total r.metrics ~layer:"webgate" "shed") (Util.Metrics.total r.metrics ~layer:"shards" "cross_commits")
+      (Util.Metrics.total r.metrics ~layer:"shards" "cross_aborts") (String.concat "; " lanes);
+    row
   in
   let sweep =
     List.map
-      (fun shards ->
-        let m =
-          Harness.Hostbench.measure
-            ~name:(Printf.sprintf "shards:%d" shards)
-            (spec shards)
-        in
-        show m;
-        m)
+      (fun shards -> show (Printf.sprintf "shards:%d" shards, Run.run (spec shards)))
       [ 1; 2; 4 ]
   in
   (* The 2PC tax, informational: same 2-shard deployment with 10% of
      operations becoming cross-shard transfers. *)
-  let crossed =
-    Harness.Hostbench.measure ~name:"shards:2_cross10"
-      (spec ~cross:0.1 2)
-  in
-  show crossed;
+  let crossed = show ("shards:2_cross10", Run.run (spec ~cross:0.1 2)) in
   let vtps n =
     match List.nth_opt sweep n with
-    | Some m -> e2e m "virtual_tps"
+    | Some (_, r) -> Run.e2e r "virtual_tps"
     | None -> 0.0
   in
   let ratio2 = if vtps 0 > 0.0 then vtps 1 /. vtps 0 else 0.0 in
@@ -821,23 +801,23 @@ let run_churn () =
         cfg = { spec.Harness.Run.cfg with Pbft.Config.key_refresh_period = 600.0 };
       }
   in
-  let m = Harness.Hostbench.measure ~name:"churn:rolling" spec in
+  let name = "churn:rolling" and r = Run.run spec in
   let reading snap name =
     Util.Metrics.(to_float (find snap ~node:run_node ~layer:"churn" name))
   in
-  let crashes = Util.Metrics.total m.metrics ~layer:"churn" "crashes" and restarts = Util.Metrics.total m.metrics ~layer:"churn" "restarts" in
-  let availability = reading m.metrics "availability" in
-  let rejoins = Util.Metrics.total m.metrics ~layer:"pbft" "rejoin_transfers" in
-  let fetched = Util.Metrics.total m.metrics ~layer:"statemgr" "transfer_pages_fetched"
-  and full = Util.Metrics.total m.metrics ~layer:"statemgr" "transfer_pages_full" in
+  let crashes = Util.Metrics.total r.metrics ~layer:"churn" "crashes" and restarts = Util.Metrics.total r.metrics ~layer:"churn" "restarts" in
+  let availability = reading r.metrics "availability" in
+  let rejoins = Util.Metrics.total r.metrics ~layer:"pbft" "rejoin_transfers" in
+  let fetched = Util.Metrics.total r.metrics ~layer:"statemgr" "transfer_pages_fetched"
+  and full = Util.Metrics.total r.metrics ~layer:"statemgr" "transfer_pages_full" in
   Printf.printf
     "  %-24s crashes %d  restarts %d  avail %.4f  mean_rec %.3fs  max_rec %.3fs\n%!"
-    m.Harness.Hostbench.name crashes restarts availability
-    (reading m.metrics "mean_recovery")
-    (reading m.metrics "max_recovery");
+    name crashes restarts availability
+    (reading r.metrics "mean_recovery")
+    (reading r.metrics "max_recovery");
   Printf.printf "  %-24s rejoin transfers %d  demotion transfers %d  pages %d/%d (diff/full)\n%!"
-    "" rejoins (Util.Metrics.total m.metrics ~layer:"pbft" "demotion_transfers") fetched full;
-  write_json "BENCH-churn.json" (Harness.Hostbench.to_json ~now:(iso8601 ()) [ m ]);
+    "" rejoins (Util.Metrics.total r.metrics ~layer:"pbft" "demotion_transfers") fetched full;
+  write_json "BENCH-churn.json" (Harness.Hostbench.to_json ~now:(iso8601 ()) [ (name, r) ]);
   Printf.printf "  wrote BENCH-churn.json\n%!";
   (* Full mode only: a short availability-vs-crash-rate sweep on the
      60 s spec, for the EXPERIMENTS.md table. Informative, not gated —
@@ -854,7 +834,7 @@ let run_churn () =
           (reading snap "mean_recovery") (reading snap "max_recovery"))
       [ 30.0; 12.0; 6.0 ];
   verdict "churn"
-    (need (e2e m "completed" > 0.0) "no client progress over the horizon"
+    (need (Run.e2e r "completed" > 0.0) "no client progress over the horizon"
     @ need (availability >= 0.99)
         (Printf.sprintf "availability %.4f under churn is below the 0.99 floor" availability)
     @ need
@@ -865,7 +845,7 @@ let run_churn () =
     @ need
         (full > 0 && fetched < full)
         (Printf.sprintf "Merkle diff saved nothing: fetched %d of %d pages" fetched full)
-    @ List.map (Printf.sprintf "churn run: %s") m.failures)
+    @ List.map (Printf.sprintf "churn run: %s") (Lazy.force r.failures))
 
 (* --- the paper's tables and figures --- *)
 

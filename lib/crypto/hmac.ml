@@ -33,6 +33,7 @@ let key_bytes k = k.raw
    than into a fresh context per side. Single-domain only, like
    [Sha256]'s own scratch context. *)
 let work = Sha256.init ()
+[@@detlint.allow toplevel_mutable "scratch state, reset on every use; goes for multi-domain seeds (ROADMAP item 20)"]
 
 let mac ~key ?(pos = 0) ?len msg =
   let len = match len with Some n -> n | None -> String.length msg - pos in

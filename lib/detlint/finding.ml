@@ -10,6 +10,7 @@ type rule =
   | Dispatch_catch_all
   | Tainted_sink
   | Unused_export
+  | Toplevel_mutable
 
 let rule_name = function
   | Hashtbl_order -> "hashtbl_order"
@@ -23,6 +24,7 @@ let rule_name = function
   | Dispatch_catch_all -> "dispatch_catch_all"
   | Tainted_sink -> "tainted_sink"
   | Unused_export -> "unused_export"
+  | Toplevel_mutable -> "toplevel_mutable"
 
 let all_rules =
   [
@@ -37,6 +39,7 @@ let all_rules =
     Dispatch_catch_all;
     Tainted_sink;
     Unused_export;
+    Toplevel_mutable;
   ]
 
 type t = {

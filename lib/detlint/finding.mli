@@ -19,6 +19,10 @@ type rule =
       (** a [val] in a scanned [.mli] that no other unit under [lib/],
           [bin/], [bench/], [examples/] or [benchmark/] references (see
           {!Exports}) *)
+  | Toplevel_mutable
+      (** a module-level [let] in [lib/] bound to a fresh [ref], array,
+          hash table, byte buffer, queue or SHA-256 context: state that
+          outlives a run and makes its numbers depend on what ran before *)
 
 val rule_name : rule -> string
 val all_rules : rule list

@@ -74,6 +74,23 @@ let in_dispatch_scope rel =
   | "lib" :: d :: _ -> List.mem d dispatch_dirs
   | _ -> false
 
+(* Fresh mutable state: a module-level [let] bound to one of these in
+   [lib/] is process-wide and outlives a run (toplevel_mutable). Matched
+   as a path suffix, so [Crypto.Sha256.init] counts; inside a module's
+   own file its bare name ([init] in sha256.ml) does too. *)
+let mutable_constructors =
+  [
+    [ "ref" ];
+    [ "Array"; "make" ];
+    [ "Hashtbl"; "create" ];
+    [ "Bytes"; "create" ];
+    [ "Bytes"; "make" ];
+    [ "Queue"; "create" ];
+    [ "Sha256"; "init" ];
+  ]
+
+let in_lib rel = match String.split_on_char '/' rel with "lib" :: _ -> true | _ -> false
+
 (* Identifier components that suggest a digest/key/MAC-like value flows
    through a polymorphic [=]: "batch_digest" splits to {batch, digest}. *)
 let hazard_components =
@@ -368,6 +385,52 @@ let check_expr ctx (e : expression) =
       cases
   | _ -> ()
 
+let rec is_suffix suffix path =
+  List.equal String.equal suffix path
+  || match path with [] -> false | _ :: rest -> is_suffix suffix rest
+
+let rec makes_mutable ~unit_name (e : expression) =
+  match e.pexp_desc with
+  | Pexp_tuple es -> List.exists (makes_mutable ~unit_name) es
+  | Pexp_apply ({ pexp_desc = Pexp_ident lid; _ }, _) ->
+    let path = flatten_lid lid.txt in
+    let paths = match path with [ name ] -> [ path; [ unit_name; name ] ] | _ -> [ path ] in
+    List.exists (fun c -> List.exists (is_suffix c) paths) mutable_constructors
+  | _ -> false
+
+(* Module-level bindings, nested structures included; a [let] inside a
+   function is not module-level. *)
+let check_toplevel ctx (str : structure) =
+  let unit_name =
+    String.capitalize_ascii (Filename.remove_extension (Filename.basename ctx.rel))
+  in
+  let rec items str =
+    List.iter
+      (fun (item : structure_item) ->
+        match item.pstr_desc with
+        | Pstr_value (_, vbs) ->
+          List.iter
+            (fun (vb : value_binding) ->
+              with_allows ctx
+                (allow_attr_rules vb.pvb_attributes @ allow_attr_rules vb.pvb_expr.pexp_attributes)
+                (fun () ->
+                  if makes_mutable ~unit_name vb.pvb_expr then
+                    emit ctx Finding.Toplevel_mutable vb.pvb_loc
+                      "module-level mutable state outlives a run, so a run's numbers can depend \
+                       on what ran before it in the process; keep it in a value the run owns, \
+                       or annotate the site with [@detlint.allow toplevel_mutable \"why\"]"))
+            vbs
+        | Pstr_module { pmb_expr; _ } -> modules pmb_expr
+        | _ -> ())
+      str
+  and modules (m : module_expr) =
+    match m.pmod_desc with
+    | Pmod_structure str -> items str
+    | Pmod_constraint (m, _) -> modules m
+    | _ -> ()
+  in
+  items str
+
 let lint_structure ~rel ~lines (str : structure) =
   let ctx =
     {
@@ -392,4 +455,5 @@ let lint_structure ~rel ~lines (str : structure) =
   in
   let it = { Ast_iterator.default_iterator with expr; value_binding } in
   it.structure it str;
+  if in_lib rel then check_toplevel ctx str;
   List.sort_uniq Finding.compare ctx.out

@@ -7,7 +7,10 @@
       whose behaviour replays must reproduce bit-for-bit;
     - modules on the {b digest/trace/wire} list get [float_format];
     - everything gets [physical_eq], [wall_clock], [ambient_rng],
-      [marshal_obj], and [catch_all].
+      [marshal_obj], and [catch_all];
+    - a module-level [let] under [lib/] bound to a fresh [ref], array,
+      hash table, byte buffer, queue or SHA-256 context gets
+      [toplevel_mutable].
 
     [poly_compare] fires on bare [compare]/[min]/[max]/[Hashtbl.hash]
     only in "strict" modules — ones whose own type declarations contain

@@ -8,6 +8,11 @@ let base_cfg () = Pbft.Config.default ~f:1
    replica id. *)
 let counted o ~node name = Util.Metrics.get o.Run.metrics ~node ~layer:"pbft" name
 
+(* Client retransmissions over a single-group run. *)
+let retransmissions o =
+  Array.fold_left (fun acc cl -> acc + Pbft.Client.retransmissions cl) 0
+    (Pbft.Cluster.clients (Run.cluster o.Run.deployment 0))
+
 let with_flags ~dynamic ~macs ~allbig ~batching cfg =
   {
     cfg with
@@ -32,16 +37,15 @@ let table1_rows =
     ("nosta_nomac_noallbig_nobatch", 1205.0, (true, false, false, false));
   ]
 
-let measure_null ?(seed = 1) ?(duration = 2.0) cfg =
-  Run.run { (Run.closed cfg) with Run.seed; duration }
+let null_tps ~seed ~duration cfg =
+  Run.e2e (Run.run { (Run.closed cfg) with Run.seed; duration }) "virtual_tps"
 
 let table1 ?(seed = 1) ?(duration = 2.0) () =
   let rows =
     List.map
       (fun (name, paper, (dynamic, macs, allbig, batching)) ->
         let cfg = with_flags ~dynamic ~macs ~allbig ~batching (base_cfg ()) in
-        let o = measure_null ~seed ~duration cfg in
-        Report.row ~paper name o.Run.tps)
+        Report.row ~paper name (null_tps ~seed ~duration cfg))
       table1_rows
   in
   {
@@ -185,7 +189,7 @@ let pipeline_sweep ?(seed = 1) ?(duration = 1.5) () =
                    (Util.Metrics.total o.Run.metrics ~layer:"pbft" "speculative_executions")
                    (Util.Metrics.total o.Run.metrics ~layer:"pbft" "rollbacks"))
               (Printf.sprintf "depth=%d cores=%d" depth cores)
-              o.Run.tps)
+              (Run.e2e o "virtual_tps"))
           [ 1; 2; 4 ])
       [ 1; 2; 4; 8 ]
   in
@@ -290,7 +294,7 @@ let figure5 ?(seed = 1) ?(duration = 2.0) () =
       (fun (name, paper, (dynamic, macs, allbig)) ->
         let cfg = with_flags ~dynamic ~macs ~allbig ~batching:true (base_cfg ()) in
         let o = Run.run (sql_spec ~seed ~duration ~acid:true cfg) in
-        Report.row ?paper name o.Run.tps)
+        Report.row ?paper name (Run.e2e o "virtual_tps"))
       figure5_rows
   in
   {
@@ -309,17 +313,18 @@ let figure5 ?(seed = 1) ?(duration = 2.0) () =
 
 let acid_comparison ?(seed = 1) ?(duration = 2.0) () =
   let cfg = with_flags ~dynamic:true ~macs:false ~allbig:false ~batching:true (base_cfg ()) in
-  let acid = Run.run (sql_spec ~seed ~duration ~acid:true cfg) in
-  let noacid = Run.run (sql_spec ~seed ~duration ~acid:false cfg) in
+  let tps acid = Run.e2e (Run.run (sql_spec ~seed ~duration ~acid cfg)) "virtual_tps" in
+  let acid = tps true in
+  let noacid = tps false in
   {
     Report.title = "§4.2 — ACID versus No-ACID (most robust configuration, dynamic clients)";
     rows =
       [
-        Report.row ~paper:534.0 "ACID (rollback journal + fsync)" acid.Run.tps;
-        Report.row ~paper:1155.0 "No-ACID (no journal, no flush)" noacid.Run.tps;
+        Report.row ~paper:534.0 "ACID (rollback journal + fsync)" acid;
+        Report.row ~paper:1155.0 "No-ACID (no journal, no flush)" noacid;
         Report.row ~paper:2.16 ~unit_:"x"
           ~note:"No-ACID / ACID throughput ratio" "speedup"
-          (if acid.Run.tps > 0.0 then noacid.Run.tps /. acid.Run.tps else 0.0);
+          (if acid > 0.0 then noacid /. acid else 0.0);
       ];
     commentary = [ "Durability costs about half the throughput, exactly as the paper reports." ];
   }
@@ -520,20 +525,20 @@ let packet_loss ?(seed = 1) () =
         Report.row ~unit_:"transfers"
           ~note:
             (Printf.sprintf "replica %d stalls; recovers by checkpoint state transfer (retrans %d)"
-               victim oa.Run.retransmissions)
+               victim (retransmissions oa))
           "A: big-request body lost -> state transfers at victim"
           ra;
         Report.row ~unit_:"transfers"
           ~note:
             (Printf.sprintf "client retransmits after %.0f ms; no replica stalls (retrans %d)"
                (cfg_b.Pbft.Config.client_timeout *. 1000.0)
-               ob.Run.retransmissions)
+               (retransmissions ob))
           "B: non-big request to primary lost -> state transfers at victim"
           rb;
         Report.row ~unit_:"transfers"
           ~note:
             (Printf.sprintf "remedy: victim fetches the body from peers (retrans %d)"
-               oc_.Run.retransmissions)
+               (retransmissions oc_))
           "C: case A with fetch_missing_bodies remedy"
           rc;
       ];
@@ -626,8 +631,8 @@ let wan ?(seed = 1) ?(duration = 3.0) () =
         Report.row ~unit_:"ms" "LAN f=1 mean latency" (mean_ms lan1);
         Report.row ~unit_:"ms" "WAN f=1 mean latency" (mean_ms wan1);
         Report.row ~unit_:"ms" "WAN f=2 (n=7) mean latency" (mean_ms wan2);
-        Report.row "WAN f=1 throughput" wan1.Run.tps;
-        Report.row "WAN f=2 (n=7) throughput" wan2.Run.tps;
+        Report.row "WAN f=1 throughput" (Run.e2e wan1 "virtual_tps");
+        Report.row "WAN f=2 (n=7) throughput" (Run.e2e wan2 "virtual_tps");
       ];
     commentary =
       [
@@ -652,7 +657,7 @@ let payload_sweep ?(seed = 1) ?(duration = 1.5) () =
               load = Run.clients (fun ~client:_ ~seq:_ -> String.make size 'q');
             }
         in
-        Report.row (Printf.sprintf "%d-byte request/response" size) o.Run.tps)
+        Report.row (Printf.sprintf "%d-byte request/response" size) (Run.e2e o "virtual_tps"))
       [ 256; 1024; 2048; 4096 ]
   in
   {
@@ -670,7 +675,7 @@ let loss_sweep ?(seed = 1) ?(duration = 3.0) () =
         { (Run.closed cfg) with Run.seed; duration; profile = { Simnet.Net.lan_profile with loss } }
     in
     let pbft = Util.Metrics.total o.Run.metrics ~layer:"pbft" in
-    (o.Run.tps, pbft "demotion_transfers" + pbft "rejoin_transfers")
+    (Run.e2e o "virtual_tps", pbft "demotion_transfers" + pbft "rejoin_transfers")
   in
   let default = base_cfg () in
   let robust =
@@ -715,10 +720,9 @@ let batching_ablation ?(seed = 1) ?(duration = 1.5) () =
             let cfg =
               { (base_cfg ()) with Pbft.Config.congestion_window = window; batch_delay = delay }
             in
-            let o = measure_null ~seed ~duration cfg in
             Report.row
               (Printf.sprintf "window=%d delay=%.0fus" window (delay *. 1e6))
-              o.Run.tps)
+              (null_tps ~seed ~duration cfg))
           [ 0.0; 80e-6; 200e-6 ])
       [ 1; 2; 4 ]
   in

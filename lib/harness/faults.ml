@@ -10,6 +10,11 @@ type check = {
 
 let counted c name = Util.Metrics.total c.correct ~layer:"pbft" name
 
+(* What the plan's adversaries did; a plan without one did nothing. *)
+let mutations c =
+  let key = { Util.Metrics.node = Util.Metrics.run_node; layer = "adversary"; name = "mutations" } in
+  match List.assoc_opt key c.correct with Some (Util.Metrics.Count n) -> n | Some _ | None -> 0
+
 type scenario = { name : string; spec : Run.spec; expect : (string * (check -> bool)) list }
 
 let adversary_id behavior =
@@ -72,7 +77,7 @@ let scenario_spec ~seed cfg ~op plan =
 
 let null_op ~client:_ ~seq:_ = String.make 512 'f'
 
-let mutated = ("adversary never fired a mutation", fun c -> c.result.Run.mutations > 0)
+let mutated = ("adversary never fired a mutation", fun c -> mutations c > 0)
 let progressed what = (what, fun c -> c.baseline > 0)
 let recovered what = (what, fun c -> c.recovered > 0)
 let new_primary = ("no view change elected a new primary", fun c -> c.view > 0)
@@ -292,7 +297,7 @@ let render scenario (c, failures) =
      recovered=%-5d%s"
     scenario.name
     (if failures = [] then "ok" else "FAIL")
-    c.result.Run.mutations (pbft "view_changes") (pbft "demotion_transfers") (pbft "rejoin_transfers")
+    (mutations c) (pbft "view_changes") (pbft "demotion_transfers") (pbft "rejoin_transfers")
     (statemgr "transfer_pages_fetched") (statemgr "transfer_pages_full") (pbft "demotions")
     (pbft "speculative_executions") (pbft "rollbacks") (pbft "auth_failures")
     (pbft "nondet_rejects") c.view c.baseline c.recovered

@@ -1,77 +1,8 @@
-type row = { name : string; metrics : Util.Metrics.snapshot; failures : string list }
-
-(* One run and the process-wide deltas around it: SHA-256 bytes, COW
-   bytes copied, relational-engine counters and heap allocation, all
-   read before the safety check, whose Merkle roots hash every page. *)
-let measure ~name spec =
-  let h0 = Crypto.Sha256.bytes_hashed () in
-  let c0 = Statemgr.Pages.bytes_copied () in
-  let p0 = Relsql.Database.pages_read_total () in
-  let s0 = Relsql.Database.rows_scanned_total () in
-  let a0 = Gc.allocated_bytes () in
-  let r = Run.run spec in
-  let alloc = Gc.allocated_bytes () -. a0 in
-  let hashed = Crypto.Sha256.bytes_hashed () - h0 in
-  let copied = Statemgr.Pages.bytes_copied () - c0 in
-  let pages_read = Relsql.Database.pages_read_total () - p0 in
-  let rows_scanned = Relsql.Database.rows_scanned_total () - s0 in
-  let per_request x = if r.completed > 0 then x /. float_of_int r.completed else 0.0 in
-  (* An open-loop row counts events and allocation over the measured
-     window, every other row over the whole run, boot included. *)
-  let open_loop = match spec.Run.load with Run.Arrivals _ -> true | _ -> false in
-  let whole layer name = { Util.Metrics.node = Util.Metrics.run_node; layer; name } in
-  let open Util.Metrics in
-  let end_to_end =
-    [
-      ("completed", Count r.completed);
-      ("window", Real r.window);
-      ("virtual_tps", Real r.tps);
-      ("p50_latency", Real (Util.Stats.p50 r.latency));
-      ("p95_latency", Real (Util.Stats.p95 r.latency));
-      ("p99_latency", Real (Util.Stats.p99 r.latency));
-      ("events", Count r.events);
-      ( "events_per_request",
-        Real (per_request (float_of_int (if open_loop then r.window_events else r.events))) );
-      ( "alloc_words_per_request",
-        Real
-          (per_request (if open_loop then r.window_alloc else alloc)
-          /. float_of_int (Sys.word_size / 8)) );
-    ]
-    @
-    match spec.load with
-    | Run.Clients _ -> [ ("tentative_completed", Count r.tentative) ]
-    | Run.Sessions _ | Run.Arrivals _ -> []
-  in
-  (* A run that never reached the relational engine has no relsql
-     section. *)
-  let relsql =
-    if pages_read = 0 then []
-    else
-      [
-        (whole "relsql" "pages_read", Count pages_read);
-        (whole "relsql" "rows_scanned", Count rows_scanned);
-      ]
-  in
-  {
-    name;
-    metrics =
-      with_values r.metrics
-        (List.map (fun (n, v) -> (whole "end_to_end" n, v)) end_to_end
-        @ [
-            (whole "crypto" "bytes_hashed", Count hashed);
-            (whole "statemgr" "bytes_copied", Count copied);
-          ]
-        @ relsql);
-    failures = Lazy.force r.failures;
-  }
-
 let workloads ?(seed = 1) ?(duration = 1.5) () =
   let cfg = Pbft.Config.default ~f:1 in
   List.map
     (fun (row, _paper, (dynamic, macs, allbig, batching)) ->
-      let cfg =
-        Experiments.with_flags ~dynamic ~macs ~allbig ~batching (Pbft.Config.default ~f:1)
-      in
+      let cfg = Experiments.with_flags ~dynamic ~macs ~allbig ~batching cfg in
       ("table1:" ^ row, { (Run.closed cfg) with Run.seed; duration }))
     Experiments.table1_rows
   @ [
@@ -114,7 +45,8 @@ let digest_trace tr ~completed =
 
 let traced spec =
   let r = Run.run { spec with Run.trace = true } in
-  (digest_trace (Pbft.Cluster.trace (Run.cluster r.Run.deployment 0)) ~completed:r.completed, r)
+  let completed = int_of_float (Run.e2e r "completed") in
+  (digest_trace (Pbft.Cluster.trace (Run.cluster r.Run.deployment 0)) ~completed, r)
 
 let traced_digest spec = fst (traced spec)
 
@@ -188,24 +120,18 @@ let gateway_trace_digest ?(seed = 1) ?(seconds = 0.3) () =
 
 let to_json ?(now = "unknown") rows =
   let open Webgate.Json in
-  let num v = Num (Util.Metrics.to_float v) in
-  let workload row =
-    let sections = Util.Metrics.layers row.metrics in
+  let section entries = Obj (List.map (fun (n, v) -> (n, Num (Util.Metrics.to_float v))) entries) in
+  let workload (name, r) =
+    let e2e, layers =
+      List.partition
+        (fun (layer, _) -> String.equal layer "end_to_end")
+        (Util.Metrics.layers r.Run.metrics)
+    in
     Obj
       [
-        ("name", Str row.name);
-        ( "end_to_end",
-          Obj
-            (List.map
-               (fun (n, v) -> (n, num v))
-               (Option.value ~default:[] (List.assoc_opt "end_to_end" sections))) );
-        ( "layers",
-          Obj
-            (List.filter_map
-               (fun (layer, entries) ->
-                 if String.equal layer "end_to_end" then None
-                 else Some (layer, Obj (List.map (fun (n, v) -> (n, num v)) entries)))
-               sections) );
+        ("name", Str name);
+        ("end_to_end", section (List.concat_map snd e2e));
+        ("layers", Obj (List.map (fun (layer, entries) -> (layer, section entries)) layers));
       ]
   in
   pretty

@@ -1,32 +1,10 @@
 (** The BENCH.json rows.
 
     Every regenerator in {!Experiments} reports *virtual*-time results;
-    this module runs the named workloads once each and renders the
-    BENCH.json artifact later changes are compared against. A row is the
-    run's {!Util.Metrics} snapshot ({!Run.result.metrics}) plus what the
-    row itself measured around the run, under
-    {!Util.Metrics.run_node}: layer ["end_to_end"] and the process-wide
-    deltas. Host wall-clock time is not measured here. *)
-
-type row = {
-  name : string;  (** workload identifier, e.g. ["table1:sta_mac_allbig_batch"] *)
-  metrics : Util.Metrics.snapshot;
-  failures : string list;
-      (** safety violations and unfinished rejoins the run found (not
-          written to BENCH.json) *)
-}
-
-val measure : name:string -> Run.spec -> row
-(** Run the spec once and add to its snapshot:
-    - ["end_to_end"]: [completed], [window], [virtual_tps],
-      [p50_latency]/[p95_latency]/[p99_latency] (virtual seconds),
-      [events], [events_per_request], [alloc_words_per_request] (host
-      heap words allocated per completed request, boot included; an
-      open-loop row counts events and allocation over the measured
-      window), and [tentative_completed] for closed-loop client loads;
-    - [crypto.bytes_hashed] and [statemgr.bytes_copied] over the run;
-    - [relsql.pages_read] and [relsql.rows_scanned] when the run read
-      any page. *)
+    this module names the workloads and renders the BENCH.json artifact
+    later changes are compared against. A row is a named {!Run.result}:
+    its {!Util.Metrics} snapshot is everything the row reports. Host
+    wall-clock time is not measured here. *)
 
 val workloads : ?seed:int -> ?duration:float -> unit -> (string * Run.spec) list
 (** The BENCH.json workloads by name: one per Table-1 row
@@ -75,9 +53,9 @@ val traced : Run.spec -> string * Run.result
 (** Run the spec with the message trace on; its digest (the preimage
     format of {!trace_digest}) and the result. *)
 
-val to_json : ?now:string -> row list -> string
-(** Render the BENCH.json document, schema v8 (see README.md): per row
-    its name, ["end_to_end"] and ["layers"], each layer's names merged
+val to_json : ?now:string -> (string * Run.result) list -> string
+(** Render the BENCH.json document, schema v8 (see README.md): per named
+    run its name, ["end_to_end"] and ["layers"], each layer's names merged
     over its nodes ({!Util.Metrics.layers}). A section nobody registered
     is absent. [now] is an ISO-8601 timestamp recorded verbatim; omitted
     → ["unknown"]. *)

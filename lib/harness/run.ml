@@ -316,23 +316,15 @@ let safety replicas =
 
 type result = {
   deployment : deployment;
-  completed : int;
-  window : float;
-  tps : float;
   latency : Util.Stats.t;
-  tentative : int;
-  retransmissions : int;
-  events : int;
-  window_events : int;
-  window_alloc : float;
   opened : int;
   marks : int list;
-  mutations : int;
   failures : string list Lazy.t;
   metrics : Util.Metrics.snapshot;
 }
 
 let whole layer name = { Util.Metrics.node = Util.Metrics.run_node; layer; name }
+let e2e r name = Util.Metrics.(to_float (find r.metrics ~node:run_node ~layer:"end_to_end" name))
 
 (* Readings of every incarnation's virtual CPU and page region at the
    end of the run: they are state, not counters, so they join the
@@ -374,8 +366,6 @@ type running = {
   readings : unit -> (Util.Metrics.key * Util.Metrics.value) list;
       (** the load's own numbers, read when the window closes *)
 }
-
-let all_clients d = Array.concat (List.map Pbft.Cluster.clients (Array.to_list d.d_clusters))
 
 (* Dynamic mode: every client performs the two-phase join before the
    workload begins. *)
@@ -431,12 +421,24 @@ let start_clients d service ~op ~think =
     in
     next ()
   in
-  Array.iteri drive (Pbft.Cluster.clients cluster);
+  let clients = Pbft.Cluster.clients cluster in
+  Array.iteri drive clients;
+  (* Per request only without a door: a door invoke carries a coalesced
+     batch of session requests. *)
+  let tentative () =
+    Array.fold_left (fun acc cl -> acc + Pbft.Client.tentative_completed cl) 0 clients
+  in
+  let opened = ref 0 in
   {
     completed = (fun () -> Pbft.Cluster.total_completed cluster);
-    open_window = window_latency (Pbft.Cluster.clients cluster);
+    open_window =
+      (fun () ->
+        opened := tentative ();
+        window_latency clients ());
     stop = (fun () -> stop := true);
-    readings = (fun () -> []);
+    readings =
+      (fun () ->
+        [ (whole "end_to_end" "tentative_completed", Util.Metrics.Count (tentative () - !opened)) ]);
   }
 
 let session_addr_base = 100_000
@@ -646,6 +648,13 @@ let start_arrivals d ~sessions ~arrival ~op_bytes ~conns ~retransmit =
 (* --- the run --- *)
 
 let run spec =
+  (* Process-wide counters are read around the whole run, set-up
+     included, and before anything forces [failures], whose Merkle roots
+     hash every page. *)
+  let hashed0 = Crypto.Sha256.bytes_hashed () and copied0 = Statemgr.Pages.bytes_copied () in
+  let pages0 = Relsql.Database.pages_read_total ()
+  and rows0 = Relsql.Database.rows_scanned_total () in
+  let alloc0 = Gc.allocated_bytes () in
   let d = build spec in
   let engine = d.d_engine in
   let registry = Simnet.Engine.metrics engine in
@@ -730,17 +739,9 @@ let run spec =
              if completed > !last then incr buckets_ok
            end;
            last := completed));
-  (* A door invoke carries a coalesced batch of session requests, so the
-     clients' tentative count is per request only without a door. *)
-  let tentative () =
-    match spec.load with
-    | Clients _ ->
-      Array.fold_left (fun acc cl -> acc + Pbft.Client.tentative_completed cl) 0 (all_clients d)
-    | Sessions _ | Arrivals _ -> 0
-  in
   run_for d spec.warmup;
   let close_window = load.open_window () in
-  let base_completed = load.completed () and base_tentative = tentative () in
+  let base_completed = load.completed () in
   let base_events = Simnet.Engine.events engine and base_alloc = Gc.allocated_bytes () in
   let at_open = Util.Metrics.snapshot registry and opened = progress d in
   let measure_start = Simnet.Engine.now engine in
@@ -751,7 +752,6 @@ let run spec =
   let latency = close_window () in
   let window_alloc = Gc.allocated_bytes () -. base_alloc in
   let window_events = Simnet.Engine.events engine - base_events in
-  let tentative = tentative () - base_tentative in
   let at_close = Util.Metrics.snapshot registry and readings = load.readings () in
   if spec.drain > 0.0 then run_for d spec.drain;
   (* One-shot drop predicates armed but never matched must not leak into
@@ -807,23 +807,63 @@ let run spec =
       List.filter (fun e -> not (door_side e)) final @ List.filter door_side windowed
     | Clients _ | Arrivals _ -> final
   in
+  let events = Simnet.Engine.events engine in
+  (* An open-loop run counts events and allocation over the measured
+     window, every other run over the whole run, boot included. A run
+     that completed nothing has no per-request numbers. *)
+  let counted_events, alloc =
+    match spec.load with
+    | Arrivals _ -> (window_events, window_alloc)
+    | Clients _ | Sessions _ -> (events, Gc.allocated_bytes () -. alloc0)
+  in
+  let per_request x = x /. float_of_int completed in
+  let end_to_end =
+    Util.Metrics.
+      [
+        ("completed", Count completed);
+        ("window", Real span);
+        ("virtual_tps", Real (if span > 0.0 then float_of_int completed /. span else 0.0));
+        ("p50_latency", Real (Util.Stats.p50 latency));
+        ("p95_latency", Real (Util.Stats.p95 latency));
+        ("p99_latency", Real (Util.Stats.p99 latency));
+        ("events", Count events);
+      ]
+    @
+    if completed = 0 then []
+    else
+      Util.Metrics.
+        [
+          ("events_per_request", Real (per_request (float_of_int counted_events)));
+          ("alloc_words_per_request", Real (per_request alloc /. float_of_int (Sys.word_size / 8)));
+        ]
+  in
+  (* Only a plan that installs an adversary counts its mutations (the
+     snapshot sums one entry per adversary), and only a run that reached
+     the relational engine has a relsql section. *)
+  let mutations a = (whole "adversary" "mutations", Util.Metrics.Count (Pbft.Adversary.mutations a)) in
+  let pages_read = Relsql.Database.pages_read_total () - pages0 in
+  let relsql =
+    if pages_read = 0 then []
+    else
+      Util.Metrics.
+        [
+          (whole "relsql" "pages_read", Count pages_read);
+          (whole "relsql" "rows_scanned", Count (Relsql.Database.rows_scanned_total () - rows0));
+        ]
+  in
   {
     deployment = d;
-    completed;
-    window = span;
-    tps = (if span > 0.0 then float_of_int completed /. span else 0.0);
     latency;
-    tentative;
-    retransmissions =
-      Array.fold_left (fun acc cl -> acc + Pbft.Client.retransmissions cl) 0 (all_clients d);
-    events = Simnet.Engine.events engine;
-    window_events;
-    window_alloc;
     opened;
     marks = List.rev !marks;
-    mutations = List.fold_left (fun acc a -> acc + Pbft.Adversary.mutations a) 0 !advs;
     failures;
     metrics =
       Util.Metrics.with_values final
-        (readings @ churn_readings @ incarnation_readings everyone);
+        (readings @ churn_readings @ List.map mutations !advs @ relsql @ incarnation_readings everyone
+        @ List.map (fun (n, v) -> (whole "end_to_end" n, v)) end_to_end
+        @ Util.Metrics.
+            [
+              (whole "crypto" "bytes_hashed", Count (Crypto.Sha256.bytes_hashed () - hashed0));
+              (whole "statemgr" "bytes_copied", Count (Statemgr.Pages.bytes_copied () - copied0));
+            ]);
   }

@@ -141,34 +141,35 @@ val rpc : deployment -> string -> string
 
 type result = {
   deployment : deployment;
-  completed : int;  (** in the measured window, as the load counts it *)
-  window : float;  (** length of the measured window, virtual seconds *)
-  tps : float;
   latency : Util.Stats.t;
       (** requests completed in the measured window, timed by their
           client or generator; door-side over the whole run for
           {!Sessions} *)
-  tentative : int;
-      (** window requests accepted on a tentative quorum; 0 for door
-          loads, whose invokes each carry a coalesced batch *)
-  retransmissions : int;  (** client retransmissions, whole run *)
-  events : int;  (** simulation events, whole run *)
-  window_events : int;
-  window_alloc : float;  (** host heap bytes allocated in the window *)
   opened : int;  (** {!progress} when the measured window opened *)
   marks : int list;
       (** {!progress} when each plan action fired and when each crashed
           replica came back, in time order *)
-  mutations : int;  (** adversary activity *)
   failures : string list Lazy.t;
       (** safety violations between correct replicas and crash incidents
           that never rejoined; empty when the plan is; computed (journal
           comparison, Merkle roots) when forced *)
   metrics : Util.Metrics.snapshot;
-      (** The engine's registry at the end of the run — every replica
-          incarnation, retired ones included, and the door — plus what
-          the run itself read, under {!Util.Metrics.run_node} unless
-          noted:
+      (** Everything the run reports: the engine's registry at the end of
+          the run — every replica incarnation, retired ones included, and
+          the door — plus what the run itself read, under
+          {!Util.Metrics.run_node} unless noted:
+          - ["end_to_end"]: [completed] (in the measured window, as the
+            load counts it), [window] (its virtual seconds),
+            [virtual_tps], [p50_latency]/[p95_latency]/[p99_latency],
+            [events] (whole run), [events_per_request] and
+            [alloc_words_per_request] (host heap words; both boot
+            included, over the window for {!Arrivals}; absent when
+            nothing completed), and, for {!Clients},
+            [tentative_completed] (window requests accepted on a
+            tentative quorum);
+          - process-wide counters over the run, set-up included:
+            [crypto.bytes_hashed], [statemgr.bytes_copied], and
+            [relsql.pages_read]/[rows_scanned] when the run read a page;
           - ["simnet"]: [cpu_queue_peak] per replica id (every
             incarnation's CPU dispatch-queue high-water mark) and
             [core_utilization] (mean busy fraction of the incarnations'
@@ -182,13 +183,18 @@ type result = {
           - ["churn"], when the plan crashes or restarts a replica:
             [crashes], [restarts], [availability] (fraction of sampled
             buckets with progress), [mean_recovery] and [max_recovery]
-            (crash to rejoin-complete, seconds) and [unrecovered].
+            (crash to rejoin-complete, seconds) and [unrecovered];
+          - ["adversary"], when the plan installs one: [mutations].
 
           For a {!Sessions} load the counters of layers ["webgate"],
           ["shards"] and ["load"] cover the measured window. *)
 }
 
 val run : spec -> result
+
+val e2e : result -> string -> float
+(** [e2e r name]: the run's ["end_to_end"] value [name]. Raises
+    [Invalid_argument] when the run has none. *)
 
 val progress : deployment -> int
 (** Operations completed so far: door answers, or client completions

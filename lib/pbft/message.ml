@@ -488,6 +488,7 @@ let digest_of_payload p = Crypto.Sha256.digest (Util.Codec.encode enc_payload p)
    would, whatever ran before in the process. Single-domain. *)
 let rq_digest_slots = 4096
 let rq_digest_cache : (request * digest) option array = Array.make rq_digest_slots None
+[@@detlint.allow toplevel_mutable "memo of a pure function; goes for multi-domain seeds (ROADMAP item 20)"]
 
 let request_digest rq =
   let idx = ((rq.rq_client * 0x9e3779b1) lxor rq.rq_id) land (rq_digest_slots - 1) in

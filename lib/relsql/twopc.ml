@@ -86,6 +86,7 @@ let has_prefix ~prefix s =
 
 (* Process-wide counter, the Pages.bytes_copied idiom. *)
 let n_aborts = ref 0
+[@@detlint.allow toplevel_mutable "read by Harness.Shards around a run; moves to its registry (ROADMAP item 20)"]
 
 let aborts () = !n_aborts
 

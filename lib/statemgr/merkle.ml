@@ -18,6 +18,7 @@ let node_prefix = "node|"
    one context serves them all instead of a fresh one per hash.
    Single-domain only, like [Crypto.Sha256]'s own scratch context. *)
 let scratch = Crypto.Sha256.init ()
+[@@detlint.allow toplevel_mutable "scratch state, reset on every use; goes for multi-domain seeds (ROADMAP item 20)"]
 
 let fresh_ctx () =
   Crypto.Sha256.reset scratch;
@@ -50,7 +51,9 @@ let zero_leaf t pages =
    collision. Single-domain only. *)
 let memo_slots = 4096
 let memo_buf = Array.make memo_slots Bytes.empty
+[@@detlint.allow toplevel_mutable "memo of a pure function; goes for multi-domain seeds (ROADMAP item 20)"]
 let memo_digest = Array.make memo_slots ""
+[@@detlint.allow toplevel_mutable "memo of a pure function; goes for multi-domain seeds (ROADMAP item 20)"]
 
 let leaf_digest_of_page t pages i =
   match Pages.frozen_page_bytes pages i with

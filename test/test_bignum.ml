@@ -2,7 +2,7 @@
 
 open Bignum
 
-let qcheck = QCheck_alcotest.to_alcotest
+let qcheck = Replay.qcheck
 
 let pair2 a b = QCheck.pair a b
 

@@ -2,7 +2,7 @@
    primitives, behavioural tests for signatures, secret sharing and the
    threshold scheme. *)
 
-let qcheck = QCheck_alcotest.to_alcotest
+let qcheck = Replay.qcheck
 let sha_hex msg = Util.Hexdump.of_string (Crypto.Sha256.digest msg)
 
 (* --- SHA-256 (FIPS 180-4 / NIST vectors) --- *)
@@ -620,6 +620,38 @@ let test_threshold_duplicate_partials () =
   Alcotest.(check bool) "duplicates rejected" true
     (Crypto.Threshold.combine pk msg [ p0; p0; p0; p1 ] = None)
 
+(* --- total decoders: threshold signatures and authenticators --- *)
+
+let gen_id = QCheck.Gen.(oneof [ nat; map (fun i -> i land max_int) int ])
+let gen_bytes = QCheck.Gen.(string_size (int_bound 64))
+
+let threshold_partial_codec =
+  Mutants.properties ~name:"threshold partial" ~encode:Crypto.Threshold.partial_to_string
+    ~decode:Crypto.Threshold.partial_of_string
+    ~equal:(fun (a : Crypto.Threshold.partial) (b : Crypto.Threshold.partial) ->
+      a.party = b.party && Bignum.Nat.equal a.value b.value)
+    QCheck.Gen.(
+      map2 (fun party s -> { Crypto.Threshold.party; value = Bignum.Nat.of_bytes_be s }) gen_id gen_bytes)
+
+let threshold_signature_codec =
+  Mutants.properties ~name:"threshold signature" ~encode:Crypto.Threshold.signature_to_string
+    ~decode:Crypto.Threshold.signature_of_string ~equal:Bignum.Nat.equal
+    (QCheck.Gen.map Bignum.Nat.of_bytes_be gen_bytes)
+
+(* A reader: a short or malformed vector may raise [Truncated], and
+   nothing else. *)
+let authenticator_codec =
+  Mutants.properties ~name:"authenticator" ~encode:(Util.Codec.encode Crypto.Authenticator.encode)
+    ~decode:(fun s ->
+      match Util.Codec.decode Crypto.Authenticator.decode s with
+      | a -> Some a
+      | exception Util.Codec.R.Truncated -> None)
+    ~equal:( = )
+    QCheck.Gen.(
+      map
+        (fun tags -> { Crypto.Authenticator.tags })
+        (list_size (int_bound 6) (pair (int_bound 0xffff) (string_size (int_bound 40)))))
+
 let () =
   Alcotest.run "crypto"
     [
@@ -652,7 +684,8 @@ let () =
           Alcotest.test_case "per-replica tags" `Quick test_authenticator;
           Alcotest.test_case "wire codec" `Quick test_authenticator_codec;
           Alcotest.test_case "sender keys" `Quick test_authenticator_sender_keys;
-        ] );
+        ]
+        @ List.map qcheck authenticator_codec );
       ( "rabin",
         [
           Alcotest.test_case "sign/verify" `Quick test_rabin_sign_verify;
@@ -677,5 +710,6 @@ let () =
           Alcotest.test_case "corrupt partial" `Quick test_threshold_corrupt_partial;
           Alcotest.test_case "wrong message" `Quick test_threshold_wrong_message;
           Alcotest.test_case "duplicate partials" `Quick test_threshold_duplicate_partials;
-        ] );
+        ]
+        @ List.map qcheck (threshold_partial_codec @ threshold_signature_codec) );
     ]

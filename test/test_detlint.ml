@@ -322,6 +322,50 @@ let test_dispatch_catch_all () =
   let fs = lint ~rel:"lib/harness/fixture.ml" positive in
   Alcotest.(check bool) "non-protocol dir unflagged" false (has Finding.Dispatch_catch_all fs)
 
+(* Every constructor of fresh mutable state, bound at module level in
+   lib/, is flagged: plain, qualified, type-constrained, in a tuple, in
+   a nested module, and a module's own [init] inside sha256.ml. *)
+let test_toplevel_mutable () =
+  let flagged ?(rel = "lib/pbft/fixture.ml") src =
+    List.length (List.filter (fun (f : Finding.t) -> f.rule = Finding.Toplevel_mutable) (lint ~rel src))
+  in
+  List.iter
+    (fun src -> Alcotest.(check int) src 1 (flagged src))
+    [
+      "let counter = ref 0";
+      "let seen : int ref = ref 0";
+      "let slots = Array.make 64 0";
+      "let floats = Float.Array.make 8 0.0";
+      "let table = Hashtbl.create 16";
+      "let buf = Bytes.create 64";
+      "let pad = Stdlib.Bytes.make 8 'x'";
+      "let q = Queue.create ()";
+      "let ctx = Crypto.Sha256.init ()";
+      "let a, b = (ref 0, 1)";
+      "module Inner = struct let cache = Hashtbl.create 4 end";
+    ];
+  Alcotest.(check int) "bare init inside sha256.ml" 1
+    (flagged ~rel:"lib/crypto/sha256.ml" "let scratch = init ()");
+  List.iter
+    (fun src -> Alcotest.(check int) src 0 (flagged src))
+    [
+      "let f () = let r = ref 0 in incr r; !r";
+      "let make () = Hashtbl.create 16";
+      "let size = 64";
+      "let names = [ \"a\"; \"b\" ]";
+      "let table = Array.of_list [ 1; 2 ]";
+      "let scratch = init ()";
+    ];
+  Alcotest.(check int) "outside lib/" 0 (flagged ~rel:"bench/fixture.ml" "let counter = ref 0");
+  (* The only exemption is an attribute at the site, on the binding or
+     on the expression. *)
+  Alcotest.(check int) "binding attribute" 0
+    (flagged "let counter = ref 0\n[@@detlint.allow toplevel_mutable \"read by the bench\"]");
+  Alcotest.(check int) "expression attribute" 0
+    (flagged "let counter = (ref 0 [@detlint.allow toplevel_mutable \"read by the bench\"])");
+  Alcotest.(check int) "another rule's allow" 1
+    (flagged "let counter = ref 0\n[@@detlint.allow wall_clock \"unrelated\"]")
+
 (* --- adversary cross-check (static finding <-> dynamic defense) --- *)
 
 let test_adversary_cross_check () =
@@ -435,6 +479,7 @@ let () =
           Alcotest.test_case "marshal & obj" `Quick test_marshal_obj;
           Alcotest.test_case "float format" `Quick test_float_format;
           Alcotest.test_case "catch all" `Quick test_catch_all;
+          Alcotest.test_case "toplevel mutable" `Quick test_toplevel_mutable;
         ] );
       ( "suppression",
         [

@@ -459,6 +459,14 @@ module Run = Harness.Run
 let total r layer name = Util.Metrics.total r.Run.metrics ~layer name
 let node r ~node layer name = Util.Metrics.get r.Run.metrics ~node ~layer name
 let whole r layer name = Util.Metrics.(find r.Run.metrics ~node:run_node ~layer name)
+let run_count r layer name = node r ~node:Util.Metrics.run_node layer name
+let completed r = run_count r "end_to_end" "completed"
+let tps r = Run.e2e r "virtual_tps"
+
+(* Client retransmissions over a single-group run. *)
+let retransmissions r =
+  Array.fold_left (fun acc cl -> acc + Client.retransmissions cl) 0
+    (Cluster.clients (Run.cluster r.Run.deployment 0))
 let top_view d = List.fold_left (fun acc r -> Int.max acc (Replica.view r)) 0 (Run.live d)
 
 let test_scenario_runs_and_measures () =
@@ -466,7 +474,7 @@ let test_scenario_runs_and_measures () =
     Run.run { (Run.closed (Config.default ~f:1)) with Run.duration = 0.3; warmup = 0.1 }
   in
   let mean = Util.Stats.mean r.Run.latency in
-  Alcotest.(check bool) "throughput positive" true (r.Run.tps > 1000.0);
+  Alcotest.(check bool) "throughput positive" true (tps r > 1000.0);
   Alcotest.(check bool) "latency sane" true (mean > 0.0 && mean < 0.1);
   Alcotest.(check int) "no view changes" 0 (total r "pbft" "view_changes")
 
@@ -481,7 +489,7 @@ let test_scenario_dynamic_mode () =
         load = Run.clients ~clients:4 (fun ~client:_ ~seq:_ -> String.make 1024 'q');
       }
   in
-  Alcotest.(check bool) "dynamic workload runs" true (r.Run.tps > 100.0)
+  Alcotest.(check bool) "dynamic workload runs" true (tps r > 100.0)
 
 let count s = Float.Array.length (Util.Stats.samples s)
 
@@ -520,7 +528,7 @@ let test_latency_excludes_warmup () =
       0
       (Cluster.clients (Run.cluster r.Run.deployment 0))
   in
-  Alcotest.(check int) "window samples = window completions" r.Run.completed
+  Alcotest.(check int) "window samples = window completions" (completed r)
     (count r.Run.latency);
   Alcotest.(check bool) "warmup samples left out" true (count r.Run.latency < all)
 
@@ -621,29 +629,28 @@ let test_trace_digest_deterministic () =
    digest lived in process-wide tables, the first run read 103,097,048
    and the next two 103,084,755. *)
 let test_hostbench_hashed_bytes_history_independent () =
-  let spec = { (Harness.Run.closed (Pbft.Config.default ~f:1)) with Harness.Run.duration = 0.3 } in
-  let hashed () =
-    let m = Harness.Hostbench.measure ~name:"history" spec in
-    Util.Metrics.total m.Harness.Hostbench.metrics ~layer:"crypto" "bytes_hashed"
-  in
+  let spec = { (Run.closed (Pbft.Config.default ~f:1)) with Run.duration = 0.3 } in
+  let hashed () = total (Run.run spec) "crypto" "bytes_hashed" in
   let first = hashed () in
   let second = hashed () in
   let third = hashed () in
   Alcotest.(check (list int)) "same bytes hashed every run" [ first; first ] [ second; third ]
 
+(* The end_to_end names of a row as BENCH.json lists them. *)
+let end_to_end_names r =
+  List.map fst (Option.value ~default:[] (List.assoc_opt "end_to_end" (Util.Metrics.layers r.Run.metrics)))
+
+let per_request = [ "alloc_words_per_request"; "events_per_request" ]
+
+let every_row =
+  [ "completed"; "events"; "p50_latency"; "p95_latency"; "p99_latency"; "virtual_tps"; "window" ]
+
 let test_hostbench_measure_and_json () =
-  let m =
-    Harness.Hostbench.measure ~name:"smoke"
-      (Harness.Hostbench.workload ~seed:3 ~duration:0.2 "table1:sta_mac_allbig_batch")
-  in
-  let e2e name =
-    Util.Metrics.(to_float (find m.Harness.Hostbench.metrics ~node:run_node ~layer:"end_to_end" name))
-  in
-  Alcotest.(check bool) "events counted" true (e2e "events" > 0.0);
-  Alcotest.(check bool) "virtual tps positive" true (e2e "virtual_tps" > 0.0);
-  Alcotest.(check bool) "bytes hashed" true
-    (Util.Metrics.total m.Harness.Hostbench.metrics ~layer:"crypto" "bytes_hashed" > 0);
-  let json = Webgate.Json.parse (Harness.Hostbench.to_json ~now:"test" [ m ]) in
+  let r = Run.run (Harness.Hostbench.workload ~seed:3 ~duration:0.2 "table1:sta_mac_allbig_batch") in
+  Alcotest.(check bool) "events counted" true (Run.e2e r "events" > 0.0);
+  Alcotest.(check bool) "virtual tps positive" true (Run.e2e r "virtual_tps" > 0.0);
+  Alcotest.(check bool) "bytes hashed" true (total r "crypto" "bytes_hashed" > 0);
+  let json = Webgate.Json.parse (Harness.Hostbench.to_json ~now:"test" [ ("smoke", r) ]) in
   Alcotest.(check string) "schema tag" "pbft-repro/bench/v8"
     (Webgate.Json.to_string_exn (Webgate.Json.member "schema" json));
   let numbers obj names =
@@ -675,14 +682,10 @@ let test_hostbench_measure_and_json () =
     numbers (Webgate.Json.member "simnet" layers) [ "cpu_queue_peak"; "core_utilization" ];
     numbers (Webgate.Json.member "statemgr" layers)
       [ "checkpoint_count"; "undo_snapshots"; "bytes_copied"; "allocated_page_bytes" ];
-    Alcotest.(check bool) "checkpoints counted" true
-      (Util.Metrics.total m.Harness.Hostbench.metrics ~layer:"statemgr" "checkpoint_count" > 0);
+    Alcotest.(check bool) "checkpoints counted" true (total r "statemgr" "checkpoint_count" > 0);
     (* The churn row has the churn section the table-1 row lacks. *)
-    let churn =
-      Harness.Hostbench.measure ~name:"churn"
-        (Harness.Experiments.churn_spec ~horizon:3.0 ~period:1.0 ~downtime:0.4 ())
-    in
-    (match Webgate.Json.parse (Harness.Hostbench.to_json [ churn ]) with
+    let churn = Run.run (Harness.Experiments.churn_spec ~horizon:3.0 ~period:1.0 ~downtime:0.4 ()) in
+    (match Webgate.Json.parse (Harness.Hostbench.to_json [ ("churn", churn) ]) with
     | doc -> (
       match Webgate.Json.member "workloads" doc with
       | Webgate.Json.Arr [ w ] ->
@@ -691,6 +694,46 @@ let test_hostbench_measure_and_json () =
           [ "crashes"; "restarts"; "availability"; "mean_recovery"; "max_recovery"; "unrecovered" ]
       | _ -> Alcotest.fail "one churn row"))
   | _ -> Alcotest.fail "workloads should hold the one measurement"
+
+(* Every load kind's run carries the end_to_end names its BENCH.json
+   rows list: closed-loop clients add their tentative count, door loads
+   (sessions, open-loop arrivals) have none. Each also carries the
+   process-wide counters. *)
+let test_run_end_to_end_per_load () =
+  let short spec = Run.run { spec with Run.warmup = 0.1; duration = 0.2 } in
+  let sorted = List.sort String.compare in
+  List.iter
+    (fun (kind, r, extra) ->
+      Alcotest.(check (list string)) (kind ^ " end_to_end") (sorted (every_row @ per_request @ extra))
+        (end_to_end_names r);
+      Alcotest.(check bool) (kind ^ " completed work") true (completed r > 0);
+      Alcotest.(check bool) (kind ^ " bytes hashed") true (total r "crypto" "bytes_hashed" > 0);
+      (* [total] raises on a name the run did not write. *)
+      Alcotest.(check bool) (kind ^ " bytes copied") true (total r "statemgr" "bytes_copied" >= 0))
+    [
+      ("clients", short (Run.closed (Config.default ~f:1)), [ "tentative_completed" ]);
+      ("sessions", short (Harness.Shards.spec ~shards:1 ~sessions:8 ~rows:64 ()), []);
+      ("arrivals", short (Harness.Experiments.open_loop_spec (Run.Poisson 2_000.0)), []);
+    ]
+
+(* A window that completes nothing has no per-request numbers: 0 would
+   read as "free", not "not applicable". The one client's first request
+   completes during the warmup, and its next is 100 s away. *)
+let test_run_empty_window () =
+  let r =
+    Run.run
+      {
+        (Run.closed (Config.default ~f:1)) with
+        Run.load = Run.clients ~clients:1 ~think:100.0 (fun ~client:_ ~seq:_ -> "q");
+        warmup = 0.2;
+        duration = 0.3;
+      }
+  in
+  Alcotest.(check int) "nothing completed in the window" 0 (completed r);
+  Alcotest.(check (float 0.0)) "no throughput" 0.0 (tps r);
+  Alcotest.(check (list string)) "no per-request entries"
+    (List.sort String.compare (every_row @ [ "tentative_completed" ]))
+    (end_to_end_names r)
 
 (* --- equivalence pin ---
 
@@ -713,12 +756,13 @@ let pin_closed () =
   let r = Run.run { (Run.closed (Config.default ~f:1)) with Run.warmup = 0.1; duration = 0.3 } in
   let pbft = total r "pbft" and statemgr = total r "statemgr" in
   render_fields "closed"
-    [ ("completed", i r.Run.completed); ("tps", f r.tps);
+    [ ("completed", i (completed r)); ("tps", f (tps r));
       ("vc", i (pbft "view_changes")); ("dem_tr", i (pbft "demotion_transfers"));
       ("rejoin_tr", i (pbft "rejoin_transfers")); ("pages", i (statemgr "transfer_pages_fetched"));
       ("pages_full", i (statemgr "transfer_pages_full")); ("spec", i (pbft "speculative_executions"));
-      ("rollbacks", i (pbft "rollbacks")); ("tentative", i r.tentative);
-      ("retrans", i r.retransmissions); ("queue_peak", i (total r "simnet" "cpu_queue_peak")) ]
+      ("rollbacks", i (pbft "rollbacks"));
+      ("tentative", i (run_count r "end_to_end" "tentative_completed"));
+      ("retrans", i (retransmissions r)); ("queue_peak", i (total r "simnet" "cpu_queue_peak")) ]
 
 let pin_openloop () =
   let r =
@@ -751,7 +795,7 @@ let pin_openloop () =
   let load name = node r ~node:Util.Metrics.run_node "load" name in
   let lat = r.Run.latency in
   render_fields "openloop"
-    [ ("completed", i r.Run.completed); ("tps", f r.tps);
+    [ ("completed", i (completed r)); ("tps", f (tps r));
       ("p50", f (Util.Stats.p50 lat)); ("p95", f (Util.Stats.p95 lat));
       ("p99", f (Util.Stats.p99 lat)); ("mean", f (Util.Stats.mean lat));
       ("shed", i (Webgate.Frontdoor.shed door));
@@ -779,9 +823,9 @@ let pin_shards () =
   let cross name = node r ~node:Webgate.Frontdoor.frontdoor_addr "shards" name in
   let lat = r.Run.latency in
   render_fields "shards"
-    [ ("completed", i r.Run.completed); ("tps", f r.tps);
+    [ ("completed", i (completed r)); ("tps", f (tps r));
       ( "shard_tps",
-        fa (Array.map (fun c -> float_of_int c /. r.Run.window) (lanes "completed")) );
+        fa (Array.map (fun c -> float_of_int c /. Run.e2e r "window") (lanes "completed")) );
       ("peaks", ia (lanes "queue_peak"));
       ("commits", i (cross "cross_commits"));
       ("aborts", i (cross "cross_aborts"));
@@ -807,18 +851,18 @@ let pin_adversary () =
   in
   let pbft = total r "pbft" in
   render_fields "adversary"
-    [ ("completed", i r.Run.completed); ("tps", f r.tps);
+    [ ("completed", i (completed r)); ("tps", f (tps r));
       ("vc", i (pbft "view_changes")); ("view", i (top_view r.deployment));
-      ("mutations", i r.mutations);
+      ("mutations", i (run_count r "adversary" "mutations"));
       ("dem_tr", i (pbft "demotion_transfers")); ("spec", i (pbft "speculative_executions"));
-      ("rollbacks", i (pbft "rollbacks")); ("retrans", i r.retransmissions) ]
+      ("rollbacks", i (pbft "rollbacks")); ("retrans", i (retransmissions r)) ]
 
 let pin_churn () =
   let r = Run.run (Harness.Experiments.churn_spec ~horizon:6.0 ~period:2.0 ~downtime:0.5 ()) in
   let churn name = Util.Metrics.to_float (whole r "churn" name) in
   let pbft = total r "pbft" and statemgr = total r "statemgr" in
   render_fields "churn"
-    [ ("completed", i r.Run.completed); ("tps", f r.tps);
+    [ ("completed", i (completed r)); ("tps", f (tps r));
       ("crashes", i (total r "churn" "crashes")); ("restarts", i (total r "churn" "restarts"));
       ("avail", f (churn "availability")); ("mean_rec", f (churn "mean_recovery"));
       ("max_rec", f (churn "max_recovery")); ("unrecovered", i (total r "churn" "unrecovered"));
@@ -966,7 +1010,7 @@ let test_replica_digest_pinned () =
   Alcotest.(check bool) "a view change installed" true
     (pbft "view_changes" > 0 && top_view r.deployment > 0);
   Alcotest.(check bool) "a rejoin transfer" true (pbft "rejoin_transfers" > 0);
-  Alcotest.(check bool) "the mute primary fired" true (r.mutations > 0);
+  Alcotest.(check bool) "the mute primary fired" true (run_count r "adversary" "mutations" > 0);
   Array.iter
     (fun rep ->
       Alcotest.(check int) "every client joined" 4 (Membership.count (Replica.membership rep)))
@@ -1037,5 +1081,8 @@ let () =
           Alcotest.test_case "measure & BENCH.json shape" `Slow test_hostbench_measure_and_json;
           Alcotest.test_case "hashed bytes independent of process history" `Slow
             test_hostbench_hashed_bytes_history_independent;
+          Alcotest.test_case "end_to_end names per load kind" `Slow test_run_end_to_end_per_load;
+          Alcotest.test_case "empty window has no per-request entries" `Quick
+            test_run_empty_window;
         ] );
     ]

@@ -151,6 +151,7 @@ let door_count r name =
   Util.Metrics.get r.Run.metrics ~node:Frontdoor.frontdoor_addr ~layer:"webgate" name
 
 let load_count r name = Util.Metrics.get r.Run.metrics ~node:Util.Metrics.run_node ~layer:"load" name
+let completed r = Util.Metrics.get r.Run.metrics ~node:Util.Metrics.run_node ~layer:"end_to_end" "completed"
 
 let trace_digest cluster =
   let buf = Buffer.create 4096 in
@@ -164,7 +165,7 @@ let trace_digest cluster =
 let test_flush_triggers_deterministic () =
   let run () =
     let r, door = run_door { (small_spec ()) with Run.trace = true } in
-    (r.Run.completed, Frontdoor.flushes_size door, Frontdoor.flushes_deadline door,
+    (completed r, Frontdoor.flushes_size door, Frontdoor.flushes_deadline door,
      trace_digest (Run.cluster r.Run.deployment 0))
   in
   let completed1, size1, deadline1, d1 = run () in
@@ -192,7 +193,7 @@ let test_shed_is_distinguishable () =
   let gen_shed = load_count r "gen_shed" in
   Alcotest.(check bool) "door sheds" true (Frontdoor.shed door > 0);
   Alcotest.(check bool) "generator sees shed replies" true (gen_shed > 0);
-  Alcotest.(check bool) "still completes under overload" true (r.Run.completed > 0);
+  Alcotest.(check bool) "still completes under overload" true (completed r > 0);
   Alcotest.(check int) "no malformed frames" 0 (door_count r "rejected");
   Alcotest.(check bool) "shed observed <= shed sent" true (gen_shed <= Frontdoor.shed door)
 
@@ -211,7 +212,7 @@ let test_eviction_readmission () =
   in
   Alcotest.(check bool) "sessions evicted" true (door_count r "session_evictions" > 0);
   Alcotest.(check int) "live sessions bounded" 32 (Frontdoor.live_sessions door);
-  Alcotest.(check bool) "progress continues under churn" true (r.Run.completed > 200);
+  Alcotest.(check bool) "progress continues under churn" true (completed r > 200);
   Alcotest.(check int) "evicted retransmissions accepted, not rejected" 0
     (door_count r "rejected")
 
@@ -300,8 +301,8 @@ let () =
         [
           Alcotest.test_case "frames roundtrip" `Quick test_frame_roundtrips;
           Alcotest.test_case "coalescing roundtrip" `Quick test_coalesced_roundtrip;
-          QCheck_alcotest.to_alcotest prop_door_codecs_roundtrip;
-          QCheck_alcotest.to_alcotest prop_door_decoders_total;
+          Replay.qcheck prop_door_codecs_roundtrip;
+          Replay.qcheck prop_door_decoders_total;
         ] );
       ("arrivals", [ Alcotest.test_case "rates & means" `Quick test_arrival_rates ]);
       ( "gateway",

@@ -3,29 +3,7 @@
 
 open Pbft
 
-(* Each property draws from its own random state, seeded from its name
-   and a base seed: [QCHECK_SEED] when set, else a fresh one. A failure
-   prints the base seed, and rerunning with it replays that property
-   alone, whatever ran before it. *)
-let base_seed =
-  lazy
-    (match Sys.getenv_opt "QCHECK_SEED" with
-    | Some s -> int_of_string s
-    | None ->
-      Random.self_init ();
-      Random.int 1_000_000_000)
-
-let qcheck (QCheck2.Test.Test cell as test) =
-  let name = QCheck2.Test.get_name cell and base = Lazy.force base_seed in
-  let rand = Random.State.make [| base; Hashtbl.hash name |] in
-  let case, speed, run = QCheck_alcotest.to_alcotest ~rand test in
-  ( case,
-    speed,
-    fun () ->
-      try run ()
-      with e ->
-        Printf.printf "property %S failed; QCHECK_SEED=%d replays it\n%!" name base;
-        raise e )
+let qcheck = Replay.qcheck
 
 (* A replica's counter on its cluster's metrics registry: every
    incarnation of the replica's id, summed. *)
@@ -1303,9 +1281,9 @@ let test_table1_retained_bounded () =
       let spec = { (Harness.Run.closed cfg) with Harness.Run.seed = 1; duration = seconds } in
       let result = Harness.Run.run spec in
       let cluster = Harness.Run.cluster result.Harness.Run.deployment 0 in
-      let completed = result.Harness.Run.completed in
+      let completed = Harness.Run.e2e result "completed" in
       let bound = Replica.retained_fields (Harness.Run.retained_bound spec) in
-      Alcotest.(check bool) (Printf.sprintf "%.0f s run made progress" seconds) true (completed > 1000);
+      Alcotest.(check bool) (Printf.sprintf "%.0f s run made progress" seconds) true (completed > 1000.0);
       Array.iter
         (fun r ->
           List.iter2

@@ -3,7 +3,7 @@
 
 open Relsql
 
-let qcheck = QCheck_alcotest.to_alcotest
+let qcheck = Replay.qcheck
 
 let fresh_db ?(acid = true) ?(seed = 1) () = Database.open_db (Vfs.in_memory ~acid ~seed ())
 

@@ -2,7 +2,7 @@
    the BFT 2PC wrapper, the sharded front door, and the qcheck
    serial-equivalence property. *)
 
-let qcheck = QCheck_alcotest.to_alcotest
+let qcheck = Replay.qcheck
 
 module Shard = Relsql.Shard
 module Twopc = Relsql.Twopc
@@ -134,6 +134,27 @@ let test_twopc_codec () =
   Alcotest.(check bool) "garbage decode" true (Twopc.decode_op "X2P1garbage" = None);
   Alcotest.(check bool) "truncated decode" true
     (Twopc.decode_op (String.sub (Twopc.encode_op (List.hd ops)) 0 8) = None)
+
+let twopc_codec =
+  let open QCheck.Gen in
+  let id = oneof [ nat; map (fun i -> i land max_int) int ] and blob = string_size (int_bound 40) in
+  let vote =
+    let+ v_shard = id and+ v_client = id and+ v_rq_id = id and+ v_result = blob and+ v_cert = blob in
+    { Twopc.v_shard; v_client; v_rq_id; v_result; v_cert }
+  in
+  Mutants.properties ~name:"2PC op" ~encode:Twopc.encode_op ~decode:Twopc.decode_op
+    (* [compare], not [=]: a NaN deadline equals itself there. *)
+    ~equal:(fun a b -> compare a b = 0)
+    (oneof
+       [
+         (let+ tx = id and+ deadline = float and+ shards = list_size (int_bound 4) id
+          and+ script = blob in
+          Twopc.Prepare { tx; deadline; shards; script });
+         (let+ tx = id and+ votes = list_size (int_bound 3) vote in
+          Twopc.Commit { tx; votes });
+         (let+ tx = id and+ reason = blob in
+          Twopc.Abort { tx; reason });
+       ])
 
 (* --- deployment helpers --- *)
 
@@ -461,7 +482,7 @@ let window r ~node layer name = Util.Metrics.get r.Run.metrics ~node ~layer name
 
 let test_two_shard_smoke () =
   let r = Run.run { (small_spec ~sessions:16 ()) with duration = 1.0 } in
-  Alcotest.(check bool) "completed work" true (r.Run.completed > 0);
+  Alcotest.(check bool) "completed work" true (Run.e2e r "completed" > 0.0);
   Alcotest.(check int) "no errors" 0 (window r ~node:Util.Metrics.run_node "load" "errors");
   List.iter
     (fun lane ->
@@ -495,7 +516,9 @@ let () =
           Alcotest.test_case "classification" `Quick test_classify;
           Alcotest.test_case "per-shard plan" `Quick test_plan;
         ] );
-      ("twopc", [ Alcotest.test_case "op codec roundtrip" `Quick test_twopc_codec ]);
+      ( "twopc",
+        Alcotest.test_case "op codec roundtrip" `Quick test_twopc_codec
+        :: List.map qcheck twopc_codec );
       ( "frontdoor",
         [
           Alcotest.test_case "abort restores state (COW undo)" `Slow test_abort_restores_state;

@@ -780,7 +780,7 @@ let () =
           Alcotest.test_case "cancel" `Quick test_engine_cancel;
           Alcotest.test_case "periodic" `Quick test_engine_periodic;
           Alcotest.test_case "nested scheduling" `Quick test_engine_nested_schedule;
-          QCheck_alcotest.to_alcotest prop_engine_model;
+          Replay.qcheck prop_engine_model;
         ] );
       ( "heap",
         [
@@ -828,6 +828,6 @@ let () =
           Alcotest.test_case "crash loses unsynced file" `Quick test_disk_crash_loses_everything_unsynced;
           Alcotest.test_case "truncate & costs" `Quick test_disk_truncate_and_costs;
           Alcotest.test_case "truncate then extend reads zeros" `Quick test_disk_truncate_then_extend;
-          QCheck_alcotest.to_alcotest prop_disk_model;
+          Replay.qcheck prop_disk_model;
         ] );
     ]

@@ -1,6 +1,6 @@
 (* Tests for the paged state region, Merkle tree and checkpoints. *)
 
-let qcheck = QCheck_alcotest.to_alcotest
+let qcheck = Replay.qcheck
 
 let make_pages ?(num_pages = 16) () = Statemgr.Pages.create ~page_size:256 ~num_pages ()
 

@@ -1,6 +1,6 @@
 (* Unit and property tests for the foundation utilities. *)
 
-let qcheck = QCheck_alcotest.to_alcotest
+let qcheck = Replay.qcheck
 
 (* --- Codec --- *)
 

@@ -1,7 +1,7 @@
 (* Tests for the §3.3.3 web support: the JSON codec and the browser ->
    bridge -> replica path. *)
 
-let qcheck = QCheck_alcotest.to_alcotest
+let qcheck = Replay.qcheck
 
 
 (* --- JSON --- *)
@@ -252,6 +252,22 @@ let prop_frame_roundtrip =
     (QCheck.make client_message_gen) (fun msg ->
       Webgate.Gateway.message_of_frame (Webgate.Json.parse (frame_text msg)) = Some msg)
 
+(* A client's transport unframes what the replicas send: the datagram
+   transport decodes it, the JSON transport translates it to its frame
+   and back. Outside a receive handler no delivery note applies. *)
+let transport_codec =
+  let net = lazy (Simnet.Net.create (Simnet.Engine.create ~seed:1) Simnet.Net.lan_profile) in
+  List.concat_map
+    (fun (name, (t : Pbft.Transport.t)) ->
+      Mutants.properties ~name:(name ^ " transport unframe") ~encode:Pbft.Message.encode
+        ~decode:(fun wire -> fst (t.unframe (Lazy.force net) wire))
+        ~equal:(fun msg (f : Pbft.Message.framed) -> f.msg = msg)
+        client_message_gen)
+    [
+      ("datagram", Pbft.Transport.datagram Pbft.Costmodel.default);
+      ("JSON", Webgate.Gateway.json_transport);
+    ]
+
 (* One cluster shared by the bridge properties; each case sends its
    frames to bridge 0 and runs the simulation until they are handled. A
    raise anywhere in the bridge escapes [Cluster.run] and fails the case. *)
@@ -320,5 +336,6 @@ let () =
           qcheck prop_frame_roundtrip;
           qcheck prop_bridge_total_on_bytes;
           qcheck prop_bridge_total_on_mutations;
-        ] );
+        ]
+        @ List.map qcheck transport_codec );
     ]
